@@ -152,6 +152,18 @@ def build_dispatch_table(spec: ChainSpec, xlen: int) -> DispatchTable:
 
 # --- validation -------------------------------------------------------------
 
+def _sp_ledger(spec: ChainSpec, summaries) -> list[tuple[str, int | None]]:
+    """(label, sp delta) for the initializer and each step, repeats
+    folded in; None where a step moves sp by a non-constant amount.
+    `summaries` holds each step's dataflow summary, in step order."""
+    ledger: list[tuple[str, int | None]] = [
+        ("initializer", spec.initializer.side_effects.sp_delta)]
+    for i, (step, summary) in enumerate(zip(spec.steps, summaries)):
+        d = summary.sp_delta
+        ledger.append((f"step {i}", None if d is None else d * step.repeat))
+    return ledger
+
+
 def validate_chain(spec: ChainSpec, xlen: int) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     disp = spec.dispatcher
@@ -192,9 +204,10 @@ def validate_chain(spec: ChainSpec, xlen: int) -> list[Diagnostic]:
                     f"step {i}: links with ra; each round grows a shadow stack"))
 
     # 2. reserved registers stay untouched
+    summaries = [summarize_dataflow(step.gadget.instructions)
+                 for step in spec.steps]
     reserved = spec.reserved_registers
-    for i, step in enumerate(spec.steps):
-        summary = summarize_dataflow(step.gadget.instructions)
+    for i, summary in enumerate(summaries):
         hit = summary.clobbers(reserved)
         if hit:
             names = ",".join(sorted(r.name for r in hit))
@@ -208,8 +221,7 @@ def validate_chain(spec: ChainSpec, xlen: int) -> list[Diagnostic]:
         has_ecall = any(x.mnemonic == "ecall"
                         for x in spec.steps[i].gadget.instructions)
         later_syscall[i] = later_syscall[i + 1] or has_ecall
-    for i, step in enumerate(spec.steps):
-        summary = summarize_dataflow(step.gadget.instructions)
+    for i, (step, summary) in enumerate(zip(spec.steps, summaries)):
         has_ecall = any(x.mnemonic == "ecall"
                         for x in step.gadget.instructions)
         for r in summary.written | summary.cond_written:
@@ -226,13 +238,7 @@ def validate_chain(spec: ChainSpec, xlen: int) -> list[Diagnostic]:
             pending.clear()
 
     # 4. stack ledger
-    ledger: list[tuple[str, int | None]] = []
-    init_delta = spec.initializer.side_effects.sp_delta
-    ledger.append(("initializer", init_delta))
-    for i, step in enumerate(spec.steps):
-        summary = summarize_dataflow(step.gadget.instructions)
-        d = summary.sp_delta
-        ledger.append((f"step {i}", None if d is None else d * step.repeat))
+    ledger = _sp_ledger(spec, summaries)
     disp_delta = summarize_dataflow(
         tuple(disp.gadget.instructions) + disp.return_path).sp_delta
     if disp_delta != 0:
@@ -363,12 +369,8 @@ def layout_payload(spec: ChainSpec, xlen: int,
         else:
             unplaced.append((r, src))
 
-    ledger: list[tuple[str, int | None]] = [
-        ("initializer", init.side_effects.sp_delta)]
-    for i, step in enumerate(spec.steps):
-        d = summarize_dataflow(step.gadget.instructions).sp_delta
-        ledger.append((f"step {i}", None if d is None else d * step.repeat))
-
+    ledger = _sp_ledger(spec, [summarize_dataflow(step.gadget.instructions)
+                               for step in spec.steps])
     return PayloadLayout(
         table=table, register_seeds=seeds, memory_seeds=tuple(mem_seeds),
         stack_writes=tuple(stack_writes), unplaced_seeds=tuple(unplaced),

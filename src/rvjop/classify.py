@@ -26,12 +26,12 @@ from dataclasses import dataclass
 from .dataflow import (DataflowSummary, _is_const_sp_add, const_values,
                        summarize_dataflow)
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
-                      IndirectJump, Trap, decode_one)
-from .errors import InvalidEncoding, Truncated
-from .image import ExecutableImage, Segment
+                      IndirectJump, Trap)
+from .decoder import decode_one  # noqa: F401  benchmarks/test_benchmark.py looks it up here
+from .image import DecodedSegment, ExecutableImage
 from .isa import RA, S0, SP, A7, Register
 from .scanner import (NATURAL, SHIFTED, Gadget, ScanConfig, dedupe,
-                      extract_gadgets, sweep_addresses)
+                      extract_gadgets)
 
 # role kinds
 ARITH = "arith"
@@ -204,25 +204,8 @@ def _table_load(insn: DecodedInstruction, target: Register
     return mem.base, mem.offset
 
 
-def _decode_span(seg: Segment, start: int, end: int, xlen: int
-                 ) -> list[DecodedInstruction] | None:
-    """Contiguous decode of [start, end); None unless it lands exactly."""
-    addr = start
-    out = []
-    while addr < end:
-        try:
-            insn = decode_one(seg.data[addr - seg.vaddr:addr - seg.vaddr + 4],
-                              addr, xlen)
-        except (InvalidEncoding, Truncated):
-            return None
-        out.append(insn)
-        addr += insn.width
-    return out if addr == end else None
-
-
-def _try_autonomous(image: ExecutableImage, seg: Segment,
-                    term: DecodedInstruction,
-                    sweep: frozenset[int]) -> DispatcherCandidate | None:
+def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
+                    ) -> DispatcherCandidate | None:
     cf = term.control_flow
     if not isinstance(cf, IndirectJump) or cf.link is not RA:
         return None
@@ -234,10 +217,8 @@ def _try_autonomous(image: ExecutableImage, seg: Segment,
     addr = term.address + term.width
     self_link = None
     for _ in range(_CONTINUATION_WINDOW):
-        try:
-            insn = decode_one(seg.data[addr - seg.vaddr:addr - seg.vaddr + 4],
-                              addr, image.xlen)
-        except (InvalidEncoding, Truncated):
+        insn = table.at(addr)
+        if insn is None:
             return None
         flow = insn.control_flow
         if flow is None:
@@ -258,8 +239,17 @@ def _try_autonomous(image: ExecutableImage, seg: Segment,
     if not (term.address - _BACKLINK_WINDOW <= back_target <= term.address):
         return None
 
-    body = _decode_span(seg, back_target, term.address + term.width, image.xlen)
-    if body is None or body[-1].address != term.address:
+    # The body must decode contiguously from the entry and land exactly
+    # on the call.
+    body: list[DecodedInstruction] = []
+    addr = back_target
+    while addr < term.address + term.width:
+        insn = table.at(addr)
+        if insn is None:
+            return None
+        body.append(insn)
+        addr += insn.width
+    if body[-1].address != term.address:
         return None
     # The loop body runs from the entry to the call; nothing in it may
     # leave the loop unconditionally (exit-guard branches are fine).
@@ -291,7 +281,7 @@ def _try_autonomous(image: ExecutableImage, seg: Segment,
         return None
 
     gadget = Gadget(back_target, tuple(body),
-                    NATURAL if back_target in sweep else SHIFTED)
+                    NATURAL if back_target in table.sweep else SHIFTED)
     return DispatcherCandidate(
         kind=DISPATCHER_AUTONOMOUS, gadget=gadget, table_reg=table_reg,
         stride=update[1], target_reg=target_reg, links_with_ra=True,
@@ -402,16 +392,10 @@ def find_dispatchers(source, config: ScanConfig | None = None
     candidates: list[DispatcherCandidate] = []
     if isinstance(source, ExecutableImage):
         image = source
-        for seg in image.executable_segments:
-            sweep = sweep_addresses(seg, image.xlen)
-            for off in range(0, len(seg.data) - 1, 2):
-                try:
-                    insn = decode_one(seg.data[off:off + 4],
-                                      seg.vaddr + off, image.xlen)
-                except (InvalidEncoding, Truncated):
-                    continue
-                if insn.is_terminator:
-                    cand = _try_autonomous(image, seg, insn, sweep)
+        for table in image.decode_table.values():
+            for insn in table.slots:
+                if insn is not None and insn.is_terminator:
+                    cand = _try_autonomous(table, insn)
                     if cand is not None:
                         candidates.append(cand)
         gadgets = dedupe(extract_gadgets(image, config))

@@ -5,14 +5,22 @@ Only program headers matter here; section headers are ignored entirely
 Little-endian images only.  Segments are kept byte-exact: slicing the
 image returns the same bytes the file supplied, padded with zeros where
 a segment's memory size exceeds its file size.
+
+Each executable segment is decoded once per image, at every halfword,
+into a decode table that every static analysis reads (gadget growth,
+linear sweep, dispatcher search).  The interpreter does not use it: it
+decodes live memory, which a payload may overwrite.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import MalformedImage, NotElf, OutOfRange, WrongMachine
+from .decoder import DecodedInstruction, decode_one
+from .errors import (InvalidEncoding, MalformedImage, NotElf, OutOfRange,
+                     Truncated, WrongMachine)
 
 _EM_RISCV = 243
 _PT_LOAD = 1
@@ -29,6 +37,42 @@ class Segment:
     @property
     def end(self) -> int:
         return self.vaddr + len(self.data)
+
+
+@dataclass(frozen=True)
+class DecodedSegment:
+    """One executable segment decoded at every halfword."""
+    segment: Segment
+    slots: tuple[DecodedInstruction | None, ...]  # one per halfword
+    sweep: frozenset[int]    # addresses a linear sweep from the start visits
+
+    def at(self, address: int) -> DecodedInstruction | None:
+        """The instruction at `address`; None where the bytes do not
+        decode, outside the segment, or an odd number of bytes in."""
+        off = address - self.segment.vaddr
+        # Bound explicitly: a negative index would wrap to the tail.
+        if off & 1 or not 0 <= off < 2 * len(self.slots):
+            return None
+        return self.slots[off >> 1]
+
+
+def _decode_segment(seg: Segment, xlen: int) -> DecodedSegment:
+    data = seg.data
+    slots: list[DecodedInstruction | None] = []
+    for off in range(0, len(data) - 1, 2):
+        try:
+            slots.append(decode_one(data[off:off + 4], seg.vaddr + off, xlen))
+        except (InvalidEncoding, Truncated):
+            slots.append(None)
+    # Linear sweep: step by each instruction's width; on bytes that do
+    # not decode, skip one halfword and resync.
+    sweep = set()
+    off = 0
+    while off < len(data):
+        sweep.add(seg.vaddr + off)
+        insn = slots[off >> 1] if off >> 1 < len(slots) else None
+        off += 2 if insn is None else insn.width
+    return DecodedSegment(seg, tuple(slots), frozenset(sweep))
 
 
 @dataclass(frozen=True)
@@ -49,6 +93,13 @@ class ExecutableImage:
     @property
     def executable_segments(self) -> tuple[Segment, ...]:
         return tuple(s for s in self.segments if s.executable)
+
+    @cached_property
+    def decode_table(self) -> dict[int, DecodedSegment]:
+        """Decoded executable segments keyed by start address, built on
+        first use and shared by every analysis of this image."""
+        return {seg.vaddr: _decode_segment(seg, self.xlen)
+                for seg in self.executable_segments}
 
     def segment_containing(self, address: int) -> Segment | None:
         for seg in self.segments:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
                       decode_one)
-from .errors import InvalidEncoding, ToolError, Truncated
-from .image import ExecutableImage, Segment
+from .errors import ToolError
+from .image import DecodedSegment, ExecutableImage, Segment
 from .isa import RA, Register
 
 MAX_GADGET_LEN = 32
@@ -89,45 +89,13 @@ def _interior_ok(insn: DecodedInstruction, config: ScanConfig) -> bool:
     return False
 
 
-def sweep_addresses(segment: Segment, xlen: int) -> frozenset[int]:
-    """Canonical linear-sweep address set for one segment.
+def sweep_addresses(image: ExecutableImage, segment: Segment) -> frozenset[int]:
+    """Canonical linear-sweep address set for one executable segment.
 
     Decode from the segment start; on undecodable bytes skip one halfword
     and resync.  Gadget starts outside this set are the shifted ones.
     """
-    seen = set()
-    addr = segment.vaddr
-    end = segment.end
-    while addr < end:
-        seen.add(addr)
-        try:
-            insn = decode_one(segment.data[addr - segment.vaddr:
-                                           addr - segment.vaddr + 4],
-                              addr, xlen)
-            addr += insn.width
-        except (InvalidEncoding, Truncated):
-            addr += 2
-    return frozenset(seen)
-
-
-def _decode_at(image: ExecutableImage, seg: Segment, address: int):
-    off = address - seg.vaddr
-    return decode_one(seg.data[off:off + 4], address, image.xlen)
-
-
-def find_terminators(image: ExecutableImage,
-                     config: ScanConfig = ScanConfig()) -> list[DecodedInstruction]:
-    """Every indirect jump decodable at any 2-byte offset, address order."""
-    out = []
-    for seg in image.executable_segments:
-        for off in range(0, len(seg.data) - 1, 2):
-            try:
-                insn = _decode_at(image, seg, seg.vaddr + off)
-            except (InvalidEncoding, Truncated):
-                continue
-            if insn.is_terminator:
-                out.append(insn)
-    return out
+    return image.decode_table[segment.vaddr].sweep
 
 
 def extract_gadgets(image: ExecutableImage,
@@ -140,17 +108,9 @@ def extract_gadgets(image: ExecutableImage,
     its own gadget.
     """
     out = []
-    sweeps = {seg.vaddr: sweep_addresses(seg, image.xlen)
-              for seg in image.executable_segments}
-    for seg in image.executable_segments:
-        sweep = sweeps[seg.vaddr]
-        for off in range(0, len(seg.data) - 1, 2):
-            addr = seg.vaddr + off
-            try:
-                term = _decode_at(image, seg, addr)
-            except (InvalidEncoding, Truncated):
-                continue
-            if not term.is_terminator:
+    for table in image.decode_table.values():
+        for term in table.slots:
+            if term is None or not term.is_terminator:
                 continue
             if term.control_flow.is_return and not config.include_ret_terminators:
                 continue
@@ -162,31 +122,23 @@ def extract_gadgets(image: ExecutableImage,
             while stack:
                 chain = stack.pop()
                 start = chain[0].address
-                align = NATURAL if start in sweep else SHIFTED
+                align = NATURAL if start in table.sweep else SHIFTED
                 out.append(Gadget(start, chain, align))
                 if len(chain) - 1 >= config.max_len:
                     continue
-                for prev in _predecessors(image, seg, start, config):
+                for prev in _predecessors(table, start, config):
                     stack.append((prev,) + chain)
     out.sort(key=lambda g: (g.start, g.length))
     return out
 
 
-def _predecessors(image: ExecutableImage, seg: Segment, start: int,
+def _predecessors(table: DecodedSegment, start: int,
                   config: ScanConfig) -> list[DecodedInstruction]:
     """Fall-through instructions whose width lands exactly on `start`."""
     found = []
     for width in (2, 4):
-        p = start - width
-        if p < seg.vaddr:
-            continue
-        try:
-            insn = _decode_at(image, seg, p)
-        except (InvalidEncoding, Truncated):
-            continue
-        if insn.width != width:
-            continue
-        if _interior_ok(insn, config):
+        insn = table.at(start - width)
+        if insn is not None and insn.width == width and _interior_ok(insn, config):
             found.append(insn)
     return found
 
@@ -213,14 +165,21 @@ def gadget_at(image: ExecutableImage, address: int,
     seg = image.segment_containing(address)
     if seg is None or not seg.executable:
         raise ToolError(f"0x{address:x} is not in an executable segment")
-    sweep = sweep_addresses(seg, image.xlen)
+    if (address - seg.vaddr) & 1:
+        raise ToolError(f"0x{address:x} is misaligned: RISC-V code starts "
+                        f"at even offsets from its segment base")
+    table = image.decode_table[seg.vaddr]
     chain = []
     addr = address
     for _ in range(limit):
-        insn = _decode_at(image, seg, addr)
+        insn = table.at(addr)
+        if insn is None:
+            # Decode again only to raise the decoder's own error.
+            off = addr - seg.vaddr
+            insn = decode_one(seg.data[off:off + 4], addr, image.xlen)
         chain.append(insn)
         if insn.is_terminator:
-            align = NATURAL if address in sweep else SHIFTED
+            align = NATURAL if address in table.sweep else SHIFTED
             return Gadget(address, tuple(chain), align)
         if isinstance(insn.control_flow, DirectJump):
             raise ToolError(

@@ -19,7 +19,6 @@ call number can be supplied.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
@@ -124,7 +123,6 @@ class Machine:
         self.shadow_pops = 0
         self.syscalls: list[SyscallRecord] = []
         self.executed = 0
-        self.history: deque[DecodedInstruction] = deque(maxlen=32)
         self.ecall_returns = dict(DEFAULT_ECALL_RETURNS)
         if ecall_returns:
             self.ecall_returns.update(ecall_returns)
@@ -198,7 +196,6 @@ class Machine:
 
     def step(self) -> None:
         insn = self.fetch()
-        self.history.append(insn)
         self.executed += 1
         next_pc = self._execute(insn)
         self.pc = (self.pc + insn.width if next_pc is None else next_pc) & self.mask

@@ -88,6 +88,28 @@ def test_autonomous_dispatcher_fields(adg):
     assert [x.mnemonic for x in d.return_path] == ["addi", "blt"]
 
 
+def test_self_link_below_segment_start_is_not_autonomous():
+    # bne jumps to base-8; wrapping that to the segment's tail would read
+    # `lw t1,0(s1); nop` as the loop body.
+    b = CodeBuilder(base=0x1000)
+    b.emit("jalr", "ra", "t1", 0)
+    b.emit("addi", "s1", "s1", 4)
+    b.emit("bne", "s1", "s2", -16)
+    b.emit("lw", "t1", "s1", 0)
+    b.emit("nop")
+    found = find_dispatchers(b.image())
+    assert not [d for d in found if d.kind == DISPATCHER_AUTONOMOUS]
+
+
+def test_return_path_off_segment_end_is_not_autonomous():
+    b = CodeBuilder()
+    b.emit("lw", "a5", "s0", 0)
+    b.emit("jalr", "ra", "a5", 0)
+    b.emit("addi", "s0", "s0", 4)         # segment ends before any branch
+    found = find_dispatchers(b.image())
+    assert not [d for d in found if d.kind == DISPATCHER_AUTONOMOUS]
+
+
 def test_classic_dispatcher_fields(classic):
     img, addrs = classic
     found = find_dispatchers(img)

@@ -259,6 +259,20 @@ def test_chain_bad_spec_file(capsys, tmp_path, adg_blob):
     assert code == 3 and "line 1" in err
 
 
+def test_chain_step_on_undecodable_word(capsys, tmp_path, adg_blob):
+    blob, addrs = adg_blob
+    junk = BASE + len(blob.read_bytes())
+    image = tmp_path / "adg_junk.bin"
+    image.write_bytes(blob.read_bytes() + b"\xff\xff\xff\xff")
+    spec = tmp_path / "junk.txt"
+    spec.write_text(CHAIN_TEXT.format(
+        loop=addrs["loop"], init=addrs["init"], table=TABLE_BASE,
+        landing=addrs["landing"], g1=junk, g2=addrs["g_bump_a2"]))
+    code, _, err = run(capsys, "chain", *RAW(image), "--spec", str(spec))
+    assert code == 3
+    assert f"invalid encoding 0xffff at 0x{junk:x}" in err
+
+
 # --- sim --------------------------------------------------------------------
 
 def test_sim_runs_to_return(capsys, tmp_path):

@@ -1,14 +1,20 @@
 """Scanner behavior checked against the independent forward enumerator."""
 
+import importlib
+
 import pytest
 
 from rvjop.assembler import assemble
-from rvjop.errors import ToolError
+from rvjop.chain import parse_chain_text
+from rvjop.decoder import decode_one
+from rvjop.errors import InvalidEncoding, ToolError, Truncated
 from rvjop.image import from_bytes
+from rvjop.query import Query, run_query
 from rvjop.scanner import (NATURAL, SHIFTED, Gadget, ScanConfig, dedupe,
                            extract_gadgets, gadget_at, sweep_addresses)
 
-from conftest import CJR_A5, CodeBuilder, build_shifted_fixture
+from conftest import (CJR_A5, TABLE_BASE, CodeBuilder, build_e2e_fixture,
+                      build_shifted_fixture)
 from oracle import brute_force
 
 
@@ -87,7 +93,7 @@ def test_shifted_gadget_alignment(shifted):
     assert naturals
     # shifted starts never appear in the canonical sweep
     seg = img.executable_segments[0]
-    sweep = sweep_addresses(seg, img.xlen)
+    sweep = sweep_addresses(img, seg)
     assert hidden not in sweep
     assert as_set(gadgets) == brute_force(img, max_len=2)
 
@@ -99,7 +105,7 @@ def test_sweep_resyncs_after_junk():
     b.emit("c.jr", "a5")
     img = b.image()
     seg = img.executable_segments[0]
-    sweep = sweep_addresses(seg, img.xlen)
+    sweep = sweep_addresses(img, seg)
     assert b.base in sweep
     assert b.base + 8 in sweep            # resynced past the junk
 
@@ -153,6 +159,59 @@ def test_gadget_at_rejects_runaway():
     img = b.image()
     with pytest.raises(ToolError):
         gadget_at(img, b.base, limit=32)
+
+
+def test_gadget_at_raises_the_decoders_own_errors():
+    b = CodeBuilder()
+    b.label("junk")
+    b.emit("nop")
+    b.word(0xFFFFFFFF)                    # undecodable word
+    b.label("tail")
+    b.emit("nop")                         # runs off the segment end
+    img = b.image()
+    with pytest.raises(InvalidEncoding) as exc:
+        gadget_at(img, b.labels["junk"])
+    assert str(exc.value) == f"invalid encoding 0xffff at 0x{b.base + 4:x} (undefined)"
+    with pytest.raises(Truncated) as exc:
+        gadget_at(img, b.labels["tail"])
+    assert str(exc.value) == (f"truncated fetch at 0x{b.base + 12:x}: "
+                              f"need 2 bytes, have 0")
+
+
+def test_gadget_at_rejects_odd_offset():
+    b = CodeBuilder()
+    b.emit("li", "a0", 1)
+    b.emit("ret")
+    img = b.image()
+    with pytest.raises(ToolError) as exc:
+        gadget_at(img, b.base + 1)
+    assert type(exc.value) is ToolError
+    assert f"0x{b.base + 1:x} is misaligned" in str(exc.value)
+
+
+def test_each_halfword_decoded_once_per_image(monkeypatch):
+    img, a = build_e2e_fixture()
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return decode_one(*args)
+
+    for name in ("rvjop.image", "rvjop.scanner", "rvjop.classify"):
+        monkeypatch.setattr(importlib.import_module(name), "decode_one",
+                            counting, raising=False)
+    run_query(img, Query(all_=True))
+    parse_chain_text(f"""
+        dispatcher {a['loop']:#x}
+        initializer {a['init']:#x}
+        table-base {TABLE_BASE:#x}
+        return-to {a['landing']:#x}
+        step {a['g_count']:#x} 3
+        step {a['g_release']:#x}
+        """, img)
+    halfwords = sum(len(s.data) // 2 for s in img.executable_segments)
+    assert 0 < calls <= halfwords
 
 
 def test_scan_config_validation():
