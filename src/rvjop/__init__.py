@@ -15,7 +15,8 @@ from .chain import (ChainSpec, ChainStep, Diagnostic, DispatchTable,
 from .classify import (DispatcherCandidate, GadgetRole, InitializerCandidate,
                        availability_stats, classify, find_dispatchers,
                        find_initializers, render_stats_table)
-from .dataflow import DataflowSummary, summarize_dataflow
+from .dataflow import (DataflowSummary, Source, loaded_sources,
+                       summarize_dataflow)
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
                       IndirectJump, Trap, decode_one, jalr_target)
 from .errors import (InvalidEncoding, OperandOutOfRange, ToolError,
@@ -40,7 +41,7 @@ __all__ = [
     "DispatcherCandidate", "GadgetRole", "InitializerCandidate",
     "availability_stats", "classify", "find_dispatchers",
     "find_initializers", "render_stats_table",
-    "DataflowSummary", "summarize_dataflow",
+    "DataflowSummary", "Source", "loaded_sources", "summarize_dataflow",
     "CondBranch", "DecodedInstruction", "DirectJump", "IndirectJump",
     "Trap", "decode_one", "jalr_target",
     "InvalidEncoding", "OperandOutOfRange", "ToolError", "Truncated",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_TWO_STAGE,
                        DispatcherCandidate, InitializerCandidate, Source,
-                       _loaded_sources, find_dispatchers)
+                       dispatcher_at, initializer_sources)
 from .dataflow import summarize_dataflow
 from .errors import AddressTooWide, Diverges, Overlap, ToolError
 from .image import ExecutableImage
@@ -383,16 +383,16 @@ def make_initializer(image: ExecutableImage, address: int,
                      dispatcher: DispatcherCandidate) -> InitializerCandidate:
     """Materialize and vet the gadget at `address` as the chain initializer."""
     g = gadget_at(image, address)
-    cf = g.terminator.control_flow
-    if cf.base is RA or cf.link is RA:
+    sets = initializer_sources(g)
+    if sets is None:
         raise ToolError(f"initializer at 0x{address:x} jumps through ra")
-    sets = _loaded_sources(g)
-    missing = dispatcher.required_registers - sets.keys()
+    missing = dispatcher.unseeded(sets)
     if missing:
         names = ",".join(sorted(r.name for r in missing))
         raise ToolError(
             f"initializer at 0x{address:x} never loads {names}")
-    return InitializerCandidate(gadget=g, sets=sets, link_register=cf.base,
+    return InitializerCandidate(gadget=g, sets=sets,
+                                link_register=g.link_register,
                                 side_effects=summarize_dataflow(g.instructions))
 
 
@@ -476,12 +476,7 @@ def parse_chain_text(text: str, image: ExecutableImage) -> ChainSpec:
         if value is None:
             raise ToolError(f"chain spec is missing a {what} line")
 
-    candidates = find_dispatchers(image)
-    chosen = None
-    for cand in candidates:
-        if cand.loop_entry == dispatcher_addr or cand.gadget.start == dispatcher_addr:
-            chosen = cand
-            break
+    chosen = dispatcher_at(image, dispatcher_addr)
     if chosen is None:
         raise ToolError(f"no dispatcher candidate at 0x{dispatcher_addr:x}")
 

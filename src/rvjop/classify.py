@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataflow import (DataflowSummary, _is_const_sp_add, const_values,
-                       summarize_dataflow)
+from .dataflow import (DataflowSummary, Source, const_values,
+                       loaded_sources, summarize_dataflow)
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
                       IndirectJump, Trap)
 from .decoder import decode_one  # noqa: F401  benchmarks/test_benchmark.py looks it up here
 from .image import DecodedSegment, ExecutableImage
-from .isa import RA, S0, SP, A7, Register
+from .isa import RA, SP, A7, Register
 from .scanner import (NATURAL, SHIFTED, Gadget, ScanConfig, dedupe,
                       extract_gadgets)
 
@@ -94,12 +94,9 @@ class DispatcherCandidate:
             regs.add(self.gadget.link_register)
         return frozenset(regs)
 
-
-@dataclass(frozen=True)
-class Source:
-    kind: str            # "stack" | "mem"
-    base: Register
-    offset: int
+    def unseeded(self, sets: dict[Register, Source]) -> frozenset[Register]:
+        """Required registers an initializer seeding `sets` leaves unset."""
+        return self.required_registers - sets.keys()
 
 
 @dataclass(frozen=True)
@@ -159,8 +156,8 @@ def classify(gadget: Gadget, summary: DataflowSummary | None = None,
             if cand.gadget.encoding == gadget.encoding:
                 roles.append(GadgetRole(cand.kind, cand))
 
-    if (summary.stack_loads and gadget.link_register is not RA
-            and not gadget.terminator_links):
+    sets = initializer_sources(gadget)
+    if sets and any(src.kind == "stack" for src in sets.values()):
         roles.append(GadgetRole(INITIALIZER))
 
     if not roles:
@@ -378,29 +375,23 @@ def _try_two_stage(gadgets: list[Gadget]) -> list[DispatcherCandidate]:
     return out
 
 
-def find_dispatchers(source, config: ScanConfig | None = None
-                     ) -> list[DispatcherCandidate]:
-    """Dispatcher candidates from an image or a pre-scanned gadget list.
+_DISPATCHER_SCAN = ScanConfig(max_len=6, allow_interior_branches=True)
 
-    Image input enables autonomous-shape detection (it needs the bytes
-    after each linking jump); a bare gadget list only supports the classic
-    and two-stage rules.
+
+def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
+    """Dispatcher candidates in an image, sorted by loop entry.
+
+    Autonomous-shape detection reads the bytes after each linking jump;
+    the classic and two-stage rules read the image's gadgets.
     """
-    if config is None:
-        config = ScanConfig(max_len=6, allow_interior_branches=True)
-
     candidates: list[DispatcherCandidate] = []
-    if isinstance(source, ExecutableImage):
-        image = source
-        for table in image.decode_table.values():
-            for insn in table.slots:
-                if insn is not None and insn.is_terminator:
-                    cand = _try_autonomous(table, insn)
-                    if cand is not None:
-                        candidates.append(cand)
-        gadgets = dedupe(extract_gadgets(image, config))
-    else:
-        gadgets = list(source)
+    for table in image.decode_table.values():
+        for insn in table.slots:
+            if insn is not None and insn.is_terminator:
+                cand = _try_autonomous(table, insn)
+                if cand is not None:
+                    candidates.append(cand)
+    gadgets = dedupe(extract_gadgets(image, _DISPATCHER_SCAN))
 
     adg_terms = {c.gadget.terminator.address for c in candidates}
     for g in gadgets:
@@ -429,6 +420,15 @@ def find_dispatchers(source, config: ScanConfig | None = None
     return out
 
 
+def dispatcher_at(image: ExecutableImage, address: int
+                  ) -> DispatcherCandidate | None:
+    """The first candidate whose loop entry or gadget start is `address`."""
+    for d in find_dispatchers(image):
+        if address in (d.loop_entry, d.gadget.start):
+            return d
+    return None
+
+
 def dispatcher_index(candidates) -> dict[int, list[DispatcherCandidate]]:
     """Start-address index usable as classify() context."""
     index: dict[int, list[DispatcherCandidate]] = {}
@@ -439,46 +439,22 @@ def dispatcher_index(candidates) -> dict[int, list[DispatcherCandidate]]:
 
 # --- initializer pairing ----------------------------------------------------
 
-def _loaded_sources(gadget: Gadget) -> dict[Register, Source]:
-    """Registers this gadget fills from attacker-reachable memory.
-
-    Stack-relative loads (sp or fp based) and single-indirection loads
-    through a register that still holds its entry value both qualify.
-    A later non-load overwrite of the register disqualifies it again.
-    """
-    sets: dict[Register, Source] = {}
-    written: set[Register] = set()
-    sp_delta = 0
-    for insn in gadget.instructions:
-        mem = insn.mem_access
-        if mem is not None and mem.kind == "load":
-            for r in insn.regs_written:
-                if mem.base is SP:
-                    sets[r] = Source("stack", SP, mem.offset + sp_delta)
-                elif mem.base is S0:
-                    sets[r] = Source("stack", S0, mem.offset)
-                elif mem.base not in written:
-                    sets[r] = Source("mem", mem.base, mem.offset)
-        else:
-            for r in insn.regs_written:
-                sets.pop(r, None)
-        written |= insn.regs_written
-        add = _is_const_sp_add(insn)
-        if add is not None:
-            sp_delta += add
-    return sets
+def initializer_sources(gadget: Gadget) -> dict[Register, Source] | None:
+    """What `gadget` seeds as an initializer (see dataflow.loaded_sources),
+    or None when its terminator jumps through or links ra: an
+    initializer must hand control on without a return or a call."""
+    cf = gadget.terminator.control_flow
+    if cf.base is RA or cf.link is RA:
+        return None
+    return loaded_sources(gadget.instructions)
 
 
 def find_initializers(gadgets, dispatcher: DispatcherCandidate
                       ) -> list[InitializerCandidate]:
-    required = dispatcher.required_registers
     out = []
     for g in gadgets:
-        term_cf = g.terminator.control_flow
-        if term_cf.base is RA or term_cf.link is RA:
-            continue
-        sets = _loaded_sources(g)
-        if not required <= sets.keys():
+        sets = initializer_sources(g)
+        if sets is None or dispatcher.unseeded(sets):
             continue
         out.append(InitializerCandidate(
             gadget=g, sets=sets, link_register=g.link_register,

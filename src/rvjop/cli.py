@@ -21,7 +21,7 @@ import sys
 
 from .chain import (has_errors, layout_payload, parse_chain_text,
                     render_manifest, validate_chain)
-from .classify import (availability_stats, find_dispatchers,
+from .classify import (availability_stats, dispatcher_at, find_dispatchers,
                        find_initializers, render_stats_table)
 from .errors import ToolError, UsageError
 from .image import ExecutableImage, load_elf, load_raw
@@ -165,11 +165,7 @@ def _cmd_dispatchers(args) -> int:
 
 def _cmd_initializers(args) -> int:
     image = _load_image(args)
-    target = None
-    for d in find_dispatchers(image):
-        if d.loop_entry == args.dispatcher or d.gadget.start == args.dispatcher:
-            target = d
-            break
+    target = dispatcher_at(image, args.dispatcher)
     if target is None:
         print(f"rvjop: no dispatcher at 0x{args.dispatcher:x}",
               file=sys.stderr)

@@ -7,8 +7,19 @@ may or may not happen at run time) and drop out of the preserved set.
 
 Stack discipline is tracked as a running constant: only constant adds to
 sp keep the delta known; any other write to sp makes it Unknown (None).
-Loads based on sp are recorded with their offset relative to the sp value
-at gadget entry, which is what payload seeding needs.
+
+`loaded_sources` is the one stack-load analysis: it says which registers
+a gadget leaves holding a value loaded from memory an attacker can
+prepare, and from where, which is what initializer roles, initializer
+pairing and payload seeding all read.  Its rule, walking in order:
+
+* a load based on sp counts as `stack` at an offset relative to the sp
+  value at gadget entry, but only while sp has moved by constants;
+* a load based on s0 counts as `stack` at its raw offset;
+* a load through any other register counts as `mem` if that register
+  still holds its entry value;
+* any other write to a register drops its source, including a load
+  through a base the gadget has already written, and any non-load write.
 """
 
 from __future__ import annotations
@@ -20,11 +31,10 @@ from .isa import REGISTERS, S0, SP, Register
 
 
 @dataclass(frozen=True)
-class StackLoad:
-    reg: Register
-    base: Register        # sp or the frame pointer
-    offset: int           # entry-relative for sp, raw for fp
-    size: int
+class Source:
+    kind: str            # "stack" | "mem"
+    base: Register
+    offset: int          # entry-relative for sp, raw otherwise
 
 
 @dataclass(frozen=True)
@@ -44,11 +54,6 @@ class DataflowSummary:
     sp_delta: int | None              # None = unknown
     mem_reads: tuple[MemRef, ...]
     mem_writes: tuple[MemRef, ...]
-    stack_loads: tuple[StackLoad, ...]
-
-    @property
-    def loads_from_stack(self) -> frozenset[Register]:
-        return frozenset(sl.reg for sl in self.stack_loads)
 
     def clobbers(self, regs) -> frozenset[Register]:
         """Registers from `regs` this gadget writes (even conditionally)."""
@@ -71,6 +76,17 @@ def _is_const_sp_add(insn: DecodedInstruction) -> int | None:
     return None
 
 
+def _next_sp_delta(sp_delta: int | None, insn: DecodedInstruction
+                   ) -> int | None:
+    """sp's offset from its entry value after `insn`; None once unknown."""
+    if SP not in insn.regs_written:
+        return sp_delta
+    sp_add = _is_const_sp_add(insn)
+    if sp_add is None or sp_delta is None:
+        return None
+    return sp_delta + sp_add
+
+
 def summarize_dataflow(instructions) -> DataflowSummary:
     """Summarize a gadget body (iterable of DecodedInstruction) in order."""
     written: set[Register] = set()
@@ -79,7 +95,6 @@ def summarize_dataflow(instructions) -> DataflowSummary:
     sp_delta: int | None = 0
     mem_reads: list[MemRef] = []
     mem_writes: list[MemRef] = []
-    stack_loads: list[StackLoad] = []
     conditional = False
 
     for insn in instructions:
@@ -97,17 +112,9 @@ def summarize_dataflow(instructions) -> DataflowSummary:
                 mem_reads.append(ref)
             if mem.kind in ("store", "amo"):
                 mem_writes.append(ref)
-            if mem.kind == "load" and mem.base in (SP, S0):
-                for r in insn.regs_written:
-                    stack_loads.append(StackLoad(r, mem.base, offset, mem.size))
 
-        sp_add = _is_const_sp_add(insn)
+        sp_delta = _next_sp_delta(sp_delta, insn)
         for r in insn.regs_written:
-            if r is SP:
-                if sp_add is None:
-                    sp_delta = None
-                elif sp_delta is not None:
-                    sp_delta += sp_add
             if conditional and r not in written:
                 cond_written.add(r)
             else:
@@ -125,8 +132,35 @@ def summarize_dataflow(instructions) -> DataflowSummary:
         sp_delta=sp_delta,
         mem_reads=tuple(mem_reads),
         mem_writes=tuple(mem_writes),
-        stack_loads=tuple(stack_loads),
     )
+
+
+def loaded_sources(instructions) -> dict[Register, Source]:
+    """Registers a gadget body leaves holding an attacker-reachable
+    load, with where each came from (the rule is in the module
+    docstring)."""
+    sources: dict[Register, Source] = {}
+    written: set[Register] = set()
+    sp_delta: int | None = 0
+    for insn in instructions:
+        mem = insn.mem_access
+        src = None
+        if mem is not None and mem.kind == "load":
+            if mem.base is SP:
+                if sp_delta is not None:
+                    src = Source("stack", SP, mem.offset + sp_delta)
+            elif mem.base is S0:
+                src = Source("stack", S0, mem.offset)
+            elif mem.base not in written:
+                src = Source("mem", mem.base, mem.offset)
+        for r in insn.regs_written:
+            if src is None:
+                sources.pop(r, None)
+            else:
+                sources[r] = src
+        written |= insn.regs_written
+        sp_delta = _next_sp_delta(sp_delta, insn)
+    return sources
 
 
 def const_values(instructions) -> dict[Register, int | None]:

@@ -112,6 +112,8 @@ class DecodedInstruction:
             if m.startswith(("lr.", "sc.", "amo")):
                 *front, base = ops
                 return f"{m} " + ", ".join(str(o) for o in front) + f", ({base})"
+            if len(ops) == 2:    # c.lwsp/c.swsp family: (reg, imm), sp implied
+                ops = (ops[0], self.mem_access.base, ops[1])
             # loads/stores: last two operands are base, offset
             *front, base, off = ops
             txt = ", ".join(str(o) for o in front)

@@ -188,6 +188,9 @@ def parse_elf(blob: bytes) -> ExecutableImage:
             raise MalformedImage(f"segment {i} file range exceeds file size")
         if p_memsz < p_filesz:
             raise MalformedImage(f"segment {i} memsz smaller than filesz")
+        if p_vaddr + p_memsz > 1 << xlen:
+            raise MalformedImage(
+                f"segment {i} runs past the {xlen}-bit address space")
         data = blob[p_offset:p_offset + p_filesz] + bytes(p_memsz - p_filesz)
         segs.append(Segment(vaddr=p_vaddr, data=data,
                             executable=bool(p_flags & _PF_X), name=f"load{i}"))

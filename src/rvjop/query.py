@@ -162,16 +162,9 @@ def _wants_instruction(q: Query) -> bool:
     return q.op is not None or q.imm is not None or q.rr is not None
 
 
-def run_query(source: ExecutableImage | list[Gadget], q: Query,
-              config: ScanConfig | None = None) -> list[QueryHit]:
-    if isinstance(source, ExecutableImage):
-        cfg = config or ScanConfig(max_len=q.max)
-        gadgets = extract_gadgets(source, cfg)
-        context = dispatcher_index(find_dispatchers(source))
-    else:
-        gadgets = list(source)
-        context = {}
-
+def run_query(image: ExecutableImage, q: Query) -> list[QueryHit]:
+    gadgets = extract_gadgets(image, ScanConfig(max_len=q.max))
+    context = dispatcher_index(find_dispatchers(image))
     if q.unique:
         gadgets = dedupe(gadgets)
 

@@ -30,7 +30,6 @@ SHIFTED = "shifted"
 @dataclass(frozen=True)
 class ScanConfig:
     max_len: int = 4                       # interior instruction bound
-    include_ret_terminators: bool = True   # keep Return-like (jr ra) enders
     allow_interior_branches: bool = False
 
     def __post_init__(self):
@@ -111,8 +110,6 @@ def extract_gadgets(image: ExecutableImage,
     for table in image.decode_table.values():
         for term in table.slots:
             if term is None or not term.is_terminator:
-                continue
-            if term.control_flow.is_return and not config.include_ret_terminators:
                 continue
             # Backward extension branches: a 2-byte and a 4-byte
             # predecessor can both be valid, so walk the tree.  Forward

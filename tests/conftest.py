@@ -299,6 +299,17 @@ def make_elf(segments, xlen: int = 32, entry: int = 0,
     return ehdr + b"".join(phdrs) + b"".join(payloads)
 
 
+def make_huge_segment_elf64(code: bytes) -> bytes:
+    """An ELF64 whose one segment's vaddr + memsz runs past 2**64.
+
+    A loader that zero-fills before checking fails on the size itself
+    (it does not fit an index), so no test ever allocates it.
+    """
+    blob = bytearray(make_elf([(0x10000, code, PF_R | PF_X)], xlen=64))
+    blob[64 + 40:64 + 48] = (2**64 - 8).to_bytes(8, "little")  # p_memsz
+    return bytes(blob)
+
+
 def make_elf_image(segments, xlen: int = 32, entry: int = 0):
     return parse_elf(make_elf(segments, xlen=xlen, entry=entry))
 

@@ -4,7 +4,8 @@ from rvjop.classify import (ARITH, DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
                             DISPATCHER_TWO_STAGE, INITIALIZER, LOAD, STORE,
                             SYSCALL, UNCLASSIFIED, availability_stats,
                             classify, dispatcher_index, find_dispatchers,
-                            find_initializers, render_stats_table)
+                            find_initializers, initializer_sources,
+                            render_stats_table)
 from rvjop.scanner import ScanConfig, dedupe, extract_gadgets, gadget_at
 from rvjop.isa import RA, reg
 
@@ -249,6 +250,35 @@ def test_initializer_mem_source_single_indirection():
     hit = [c for c in cands if c.gadget.start == b.labels["init"]]
     assert hit
     assert all(s.kind == "mem" for s in hit[0].sets.values())
+
+
+def test_initializer_role_agrees_with_pairing():
+    b = CodeBuilder()
+    b.label("loop")
+    b.emit("lw", "a5", "s0", 0)
+    b.emit("jalr", "ra", "a5", 0)
+    b.emit("addi", "s0", "s0", 4)
+    b.branch("blt", "s0", "s1", "loop")
+    b.label("clobbered")                   # loads s1, then overwrites it
+    b.emit("lw", "s1", "sp", 0)
+    b.emit("li", "s1", 0)
+    b.emit("jr", "t0")
+    b.label("init")
+    b.emit("lw", "s0", "sp", 0)
+    b.emit("lw", "s1", "sp", 4)
+    b.emit("jr", "t0")
+    img = b.image()
+    assert INITIALIZER not in roles_of(img, b.labels["clobbered"])
+    assert INITIALIZER in roles_of(img, b.labels["init"])
+    (d,) = find_dispatchers(img)
+    paired = {c.gadget.start for c in _candidates(img, d)}
+    assert b.labels["init"] in paired and b.labels["clobbered"] not in paired
+    # one rule decides both: every gadget has the role exactly when the
+    # source map that pairing reads gives it a stack seed
+    for g in extract_gadgets(img, ScanConfig(max_len=6)):
+        sets = initializer_sources(g) or {}
+        seeds_stack = any(s.kind == "stack" for s in sets.values())
+        assert (INITIALIZER in {r.kind for r in classify(g)}) == seeds_stack
 
 
 # --- availability stats -----------------------------------------------------

@@ -6,7 +6,7 @@ from rvjop.cli import main
 from rvjop.query import parse_records
 
 from conftest import (TABLE_BASE, CodeBuilder, build_adg_fixture,
-                      build_clean_fixtures, make_elf)
+                      build_clean_fixtures, make_elf, make_huge_segment_elf64)
 
 BASE = 0x10000
 
@@ -61,6 +61,13 @@ def test_garbage_elf_is_a_bad_image(capsys, tmp_path):
     path.write_bytes(b"MZ not an elf at all")
     code, _, err = run(capsys, "scan", "--binary", str(path))
     assert code == 3 and "rvjop:" in err
+
+
+def test_segment_past_address_space_is_a_bad_image(capsys, tmp_path):
+    path = tmp_path / "huge.elf"
+    path.write_bytes(make_huge_segment_elf64(bytes.fromhex("67800000")))
+    code, _, err = run(capsys, "scan", "--binary", str(path))
+    assert code == 3 and "address space" in err
 
 
 def test_help_exits_zero(capsys):
@@ -340,3 +347,74 @@ def test_sim_poke_validation(capsys, tmp_path, adg_blob):
                        "--entry", hex(addrs["loop"]), "--return-to", "0x0",
                        "--payload", str(blob))
     assert code == 2 and "--buffer-base" in err
+
+
+# --- pinned output ----------------------------------------------------------
+
+PINNED_RECORDS = """\
+0x00010000 natural a5 load,call,dispatcher-autonomous a5,ra
+0x00010004 natural a5 call ra
+0x00010014 natural t0 load,initializer s0,s1,t0
+0x00010016 shifted t0 load,initializer s1,t0
+0x00010018 natural t0 load,initializer s1,t0
+0x0001001a shifted t0 load,initializer t0
+0x0001001c natural t0 load,initializer t0
+0x0001001e shifted t0 arith ra
+0x00010020 natural t0 unclassified -
+0x00010022 shifted ra arith a0
+0x00010024 natural ra arith a0
+0x00010028 natural ra unclassified -
+0x0001002c natural ra arith a2
+0x0001002e shifted ra unclassified -
+0x00010030 natural ra unclassified -
+0x00010034 natural ra arith a1
+0x00010036 shifted ra arith s0
+0x00010038 natural ra unclassified -
+"""
+
+PINNED_DISPATCHERS = """\
+0x00010000 dispatcher-autonomous table=s0 stride=+4 target=a5 while s0 lt s1
+1 candidate
+"""
+
+PINNED_INITIALIZERS = """\
+0x00010014 via t0: t0<-stack+8 s0<-stack+0 s1<-stack+4
+1 candidate
+"""
+
+PINNED_CHAIN = """\
+dispatcher   dispatcher-autonomous entry=0x00010000 table=s0 stride=+4 target=a5
+initializer  0x00010014 jumps via t0
+table-base   0x00040000  entries=4  element=4
+return-to    0x0001003c
+payload size 16 bytes
+
+register seeds (loaded by the initializer):
+  t0    = 0x10000
+  s0    = 0x40000
+  s1    = 0x40010
+stack slots to prepare (relative to entry sp):
+  sp+8    <- 0x10000  (t0)
+  sp+0    <- 0x40000  (s0)
+  sp+4    <- 0x40010  (s1)
+stack ledger:
+  initializer  sp+0 -> +0
+  step 0       sp+0 -> +0
+  step 1       sp+0 -> +0
+diagnostics:
+  info: MustHold: dispatcher keeps looping only while s0 lt s1 holds at each round
+"""
+
+
+def test_pinned_stdout_on_adg(capsys, tmp_path, adg_blob):
+    # the complete text of the reporting commands; any change to it is a
+    # change to the CLI's output format and should be deliberate
+    blob, addrs = adg_blob
+    spec = chain_file(tmp_path, addrs)
+    for argv, want in [
+            (["scan", *RAW(blob), "--format", "records"], PINNED_RECORDS),
+            (["dispatchers", *RAW(blob)], PINNED_DISPATCHERS),
+            (["initializers", *RAW(blob), "--dispatcher", hex(addrs["loop"])],
+             PINNED_INITIALIZERS),
+            (["chain", *RAW(blob), "--spec", str(spec)], PINNED_CHAIN)]:
+        assert run(capsys, *argv)[:2] == (0, want), argv[0]

@@ -2,7 +2,8 @@
 stack load provenance, and the conditional-write split."""
 
 from rvjop.assembler import assemble
-from rvjop.dataflow import const_values, summarize_dataflow
+from rvjop.dataflow import (Source, const_values, loaded_sources,
+                            summarize_dataflow)
 from rvjop.decoder import decode_one
 from rvjop.isa import A0, A1, A2, RA, SP, reg
 
@@ -52,21 +53,33 @@ def test_sp_delta_unknown_after_nonconst_write():
 
 def test_stack_loads_entry_relative():
     # loads after an sp adjustment report offsets from the entry sp
-    s = summarize_dataflow(seq(("addi", "sp", "sp", -16),
-                               ("lw", "a0", "sp", 4),
-                               ("addi", "sp", "sp", 16),
-                               ("ret",)))
-    assert s.loads_from_stack
-    (ld,) = s.stack_loads
-    assert ld.reg is A0
-    assert ld.offset == -12
-    assert s.sp_delta == 0
+    insns = seq(("addi", "sp", "sp", -16),
+                ("lw", "a0", "sp", 4),
+                ("addi", "sp", "sp", 16),
+                ("ret",))
+    assert loaded_sources(insns) == {A0: Source("stack", SP, -12)}
+    assert summarize_dataflow(insns).sp_delta == 0
 
 
 def test_stack_loads_through_s0():
-    s = summarize_dataflow(seq(("lw", "a1", "s0", 8), ("ret",)))
-    (ld,) = s.stack_loads
-    assert ld.reg is A1 and ld.base is reg("s0") and ld.offset == 8
+    got = loaded_sources(seq(("lw", "a1", "s0", 8), ("ret",)))
+    assert got == {A1: Source("stack", reg("s0"), 8)}
+
+
+def test_loaded_sources_drops_double_indirection():
+    # a0 ends up holding *(*(sp+0)), not the stack slot itself
+    got = loaded_sources(seq(("lw", "a0", "sp", 0),
+                             ("lw", "a0", "a0", 0),
+                             ("jr", "t0")))
+    assert got == {}
+
+
+def test_loaded_sources_drops_sp_load_after_nonconst_sp_write():
+    # after the shift sp no longer has a known offset from the entry sp
+    got = loaded_sources(seq(("c.slli", "sp", 4),
+                             ("lw", "s0", "sp", 8),
+                             ("jr", "t0")))
+    assert got == {}
 
 
 def test_mem_reads_and_writes_recorded():

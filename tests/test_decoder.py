@@ -245,6 +245,14 @@ def test_render_memory_operands():
     assert x.render() == "lw a3, 16(sp)"
     y = decode_one(assemble("sw", ("s0", "sp", -4)), 0, 32)
     assert y.render() == "sw s0, -4(sp)"
+    # sp-relative compressed forms carry (reg, imm) with sp implied
+    for mnemonic, ops, xlen, text in [
+            ("c.lwsp", ("ra", 88), 32, "c.lwsp ra, 88(sp)"),
+            ("c.swsp", ("a1", 4), 32, "c.swsp a1, 4(sp)"),
+            ("c.ldsp", ("s0", 8), 64, "c.ldsp s0, 8(sp)"),
+            ("c.sdsp", ("a0", 16), 64, "c.sdsp a0, 16(sp)")]:
+        z = decode_one(assemble(mnemonic, ops, xlen=xlen), 0, xlen)
+        assert z.render() == text
 
 
 def test_render_amo():

@@ -5,7 +5,7 @@ import pytest
 from rvjop.errors import MalformedImage, NotElf, OutOfRange, WrongMachine
 from rvjop.image import from_bytes, load_raw, parse_elf
 
-from conftest import PF_R, PF_W, PF_X, make_elf
+from conftest import PF_R, PF_W, PF_X, make_elf, make_huge_segment_elf64
 
 CODE = bytes.fromhex("6780000073000000")      # ret; ecall
 DATA = b"just data, not code....."
@@ -78,6 +78,11 @@ def test_memsz_below_filesz_rejected():
     blob[52 + 20:52 + 24] = (2).to_bytes(4, "little")
     with pytest.raises(MalformedImage):
         parse_elf(bytes(blob))
+
+
+def test_segment_past_address_space_rejected():
+    with pytest.raises(MalformedImage, match="address space"):
+        parse_elf(make_huge_segment_elf64(CODE))
 
 
 def test_from_bytes_and_load_raw(tmp_path):

@@ -54,20 +54,6 @@ def test_matches_oracle_with_branches_allowed():
     assert any(len(g.instructions) == 3 for g in with_b)
 
 
-def test_ret_terminators_configurable():
-    b = CodeBuilder()
-    b.emit("li", "a0", 1)
-    b.emit("ret")
-    b.emit("c.jr", "t1")
-    img = b.image()
-    every = extract_gadgets(img, ScanConfig(max_len=2))
-    no_ret = extract_gadgets(
-        img, ScanConfig(max_len=2, include_ret_terminators=False))
-    assert any(g.terminator.control_flow.is_return for g in every)
-    assert not any(g.terminator.control_flow.is_return for g in no_ret)
-    assert as_set(no_ret) == brute_force(img, max_len=2, include_ret=False)
-
-
 def test_every_prefix_emitted():
     b = CodeBuilder()
     b.emit("addi", "a0", "a0", 1)
