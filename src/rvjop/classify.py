@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataflow import (DataflowSummary, Source, const_values,
+from .dataflow import (DataflowSummary, Source, const_add, const_values,
                        loaded_sources, summarize_dataflow)
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
                       IndirectJump, Trap)
@@ -171,23 +171,6 @@ _CONTINUATION_WINDOW = 8     # instructions examined after a linking jump
 _BACKLINK_WINDOW = 64        # bytes a self-link may reach backwards
 
 
-def _const_update(insn: DecodedInstruction, reg: Register | None = None
-                  ) -> tuple[Register, int] | None:
-    """(register, stride) for `addi r, r, imm` style constant advances."""
-    if insn.mnemonic == "addi":
-        rd, rs1, imm = insn.operands
-        if rd is rs1 and rd.index != 0:
-            if reg is None or rd is reg:
-                return rd, imm
-    elif insn.mnemonic in ("c.addi", "c.addiw", "addiw"):
-        rd = insn.operands[0]
-        if insn.mnemonic == "addiw" and insn.operands[1] is not rd:
-            return None
-        if reg is None or rd is reg:
-            return rd, insn.imm
-    return None
-
-
 def _table_load(insn: DecodedInstruction, target: Register
                 ) -> tuple[Register, int] | None:
     """(base, offset) when insn loads `target` from a different register."""
@@ -266,13 +249,13 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
     update = None
     pre_increment = False
     for insn in body[:-1]:
-        got = _const_update(insn, table_reg)
-        if got is not None:
+        got = const_add(insn)
+        if got is not None and got[0] is table_reg:
             update = got
             pre_increment = True
     for insn in path:
-        got = _const_update(insn, table_reg)
-        if got is not None and update is None:
+        got = const_add(insn)
+        if got is not None and got[0] is table_reg and update is None:
             update = got
     if update is None:
         return None
@@ -309,8 +292,8 @@ def _try_classic(gadget: Gadget) -> DispatcherCandidate | None:
     update = None
     update_addr = None
     for insn in gadget.interior:
-        got = _const_update(insn, table_reg)
-        if got is not None:
+        got = const_add(insn)
+        if got is not None and got[0] is table_reg:
             update = got
             update_addr = insn.address
     if update is None:
@@ -326,7 +309,9 @@ def _try_classic(gadget: Gadget) -> DispatcherCandidate | None:
 def _try_two_stage(gadgets: list[Gadget]) -> list[DispatcherCandidate]:
     # stage two: loads the jump target from a table register it does not
     # advance; stage one: advances that register and jumps elsewhere.
-    stage2: list[tuple[Gadget, Register, Register, int]] = []
+    # Each stage is summarized once, outside the pair loop.
+    stage2: list[tuple[Gadget, Register, Register, int,
+                       frozenset[Register]]] = []
     for g in gadgets:
         target = g.link_register
         if target is RA:
@@ -341,30 +326,27 @@ def _try_two_stage(gadgets: list[Gadget]) -> list[DispatcherCandidate]:
         table_reg, load_offset = load
         if table_reg is SP:
             continue
-        if any(_const_update(i, table_reg) for i in g.instructions):
+        if any(got is not None and got[0] is table_reg
+               for got in map(const_add, g.instructions)):
             continue  # that would be a classic dispatcher, not a stage
-        stage2.append((g, table_reg, target, load_offset))
+        summary = summarize_dataflow(g.instructions)
+        stage2.append((g, table_reg, target, load_offset,
+                       summary.written | summary.cond_written))
 
     out = []
     for g1 in gadgets:
         jump_reg = g1.link_register
+        updates = [got for got in map(const_add, g1.interior)
+                   if got is not None and got[0] is not jump_reg]
+        if not updates or any(_table_load(i, jump_reg) for i in g1.interior):
+            continue
         summary1 = summarize_dataflow(g1.instructions)
-        for insn in g1.interior:
-            got = _const_update(insn)
-            if got is None:
-                continue
-            table_reg, stride = got
-            if table_reg is jump_reg:
-                continue
-            if any(_table_load(i, jump_reg) for i in g1.interior):
-                continue
-            for g2, t2, target, load_offset in stage2:
-                if t2 is not table_reg or g2.encoding == g1.encoding:
-                    continue
-                summary2 = summarize_dataflow(g2.instructions)
-                if jump_reg in (summary2.written | summary2.cond_written):
-                    continue
-                if jump_reg in (summary1.written | summary1.cond_written):
+        if jump_reg in (summary1.written | summary1.cond_written):
+            continue
+        for table_reg, stride in updates:
+            for g2, t2, target, load_offset, clobbered2 in stage2:
+                if (t2 is not table_reg or jump_reg in clobbered2
+                        or g2.encoding == g1.encoding):
                     continue
                 out.append(DispatcherCandidate(
                     kind=DISPATCHER_TWO_STAGE, gadget=g1, table_reg=table_reg,

@@ -25,6 +25,7 @@ from .classify import (availability_stats, dispatcher_at, find_dispatchers,
                        find_initializers, render_stats_table)
 from .errors import ToolError, UsageError
 from .image import ExecutableImage, load_elf, load_raw
+from .isa import SP
 from .query import (Query, emit_records, parse_query, render_listing,
                     run_query)
 from .scanner import ScanConfig, dedupe, extract_gadgets
@@ -163,6 +164,12 @@ def _cmd_dispatchers(args) -> int:
     return OK if found else EMPTY
 
 
+def _describe_source(src) -> str:
+    """`stack+8` for an sp slot; other bases are named: `mem(a1)+0`."""
+    base = "" if src.base is SP else f"({src.base.name})"
+    return f"{src.kind}{base}+{src.offset}"
+
+
 def _cmd_initializers(args) -> int:
     image = _load_image(args)
     target = dispatcher_at(image, args.dispatcher)
@@ -176,7 +183,7 @@ def _cmd_initializers(args) -> int:
     found = find_initializers(gadgets, target)
     for cand in found:
         sets = " ".join(
-            f"{r.name}<-{src.kind}+{src.offset}"
+            f"{r.name}<-{_describe_source(src)}"
             for r, src in sorted(cand.sets.items(), key=lambda kv: kv[0].index))
         print(f"0x{cand.gadget.start:08x} via {cand.link_register.name}: {sets}")
     print(f"{len(found)} candidate" + ("" if len(found) == 1 else "s"))

@@ -7,6 +7,10 @@ may or may not happen at run time) and drop out of the preserved set.
 
 Stack discipline is tracked as a running constant: only constant adds to
 sp keep the delta known; any other write to sp makes it Unknown (None).
+`const_add` is the one constant-add rule, for sp here and for dispatcher
+table pointers in `classify`.  It and `const_values` read each
+instruction's 32-bit base form, so a compressed instruction means exactly
+what its expansion means.
 
 `loaded_sources` is the one stack-load analysis: it says which registers
 a gadget leaves holding a value loaded from memory an attacker can
@@ -15,7 +19,8 @@ pairing and payload seeding all read.  Its rule, walking in order:
 
 * a load based on sp counts as `stack` at an offset relative to the sp
   value at gadget entry, but only while sp has moved by constants;
-* a load based on s0 counts as `stack` at its raw offset;
+* a load based on s0 counts as `stack` at its raw offset, but only while
+  s0 still holds its entry value;
 * a load through any other register counts as `mem` if that register
   still holds its entry value;
 * any other write to a register drops its source, including a load
@@ -63,16 +68,14 @@ class DataflowSummary:
 _ALL_REGS = frozenset(REGISTERS)
 
 
-def _is_const_sp_add(insn: DecodedInstruction) -> int | None:
-    """Constant sp adjustment, if this instruction is one."""
-    if insn.mnemonic == "c.addi16sp":
-        return insn.imm
-    if insn.mnemonic == "addi" and len(insn.operands) == 3:
-        rd, rs1, imm = insn.operands
-        if rd is SP and rs1 is SP:
-            return imm
-    if insn.mnemonic in ("c.addi", "c.addiw") and insn.operands[0] is SP:
-        return insn.imm
+def const_add(insn: DecodedInstruction) -> tuple[Register, int] | None:
+    """(rd, imm) when `insn` adds a constant to a register in place: its
+    base form is `addi` or `addiw rd, rd, imm` with rd not zero."""
+    name, ops = insn.base.name, insn.base.operands
+    if name in ("addi", "addiw"):
+        rd, rs1, imm = ops
+        if rd is rs1 and rd.index != 0:
+            return rd, imm
     return None
 
 
@@ -81,10 +84,10 @@ def _next_sp_delta(sp_delta: int | None, insn: DecodedInstruction
     """sp's offset from its entry value after `insn`; None once unknown."""
     if SP not in insn.regs_written:
         return sp_delta
-    sp_add = _is_const_sp_add(insn)
-    if sp_add is None or sp_delta is None:
+    add = const_add(insn)
+    if add is None or sp_delta is None:
         return None
-    return sp_delta + sp_add
+    return sp_delta + add[1]
 
 
 def summarize_dataflow(instructions) -> DataflowSummary:
@@ -149,10 +152,9 @@ def loaded_sources(instructions) -> dict[Register, Source]:
             if mem.base is SP:
                 if sp_delta is not None:
                     src = Source("stack", SP, mem.offset + sp_delta)
-            elif mem.base is S0:
-                src = Source("stack", S0, mem.offset)
             elif mem.base not in written:
-                src = Source("mem", mem.base, mem.offset)
+                kind = "stack" if mem.base is S0 else "mem"
+                src = Source(kind, mem.base, mem.offset)
         for r in insn.regs_written:
             if src is None:
                 sources.pop(r, None)
@@ -172,25 +174,18 @@ def const_values(instructions) -> dict[Register, int | None]:
     """
     vals: dict[Register, int | None] = {}
     for insn in instructions:
-        m = insn.mnemonic
-        ops = insn.operands
+        m, ops = insn.base.name, insn.base.operands
         tracked: int | None = None
-        if m in ("c.li",):
-            tracked = insn.imm
-        elif m == "addi":
+        if m == "addi":
             rd, rs1, imm = ops
             if rs1.index == 0:
                 tracked = imm
-            elif rs1 in vals and vals[rs1] is not None:
+            elif vals.get(rs1) is not None:
                 tracked = vals[rs1] + imm
-        elif m == "c.addi":
-            rd = ops[0]
-            if rd in vals and vals[rd] is not None:
-                tracked = vals[rd] + insn.imm
-        elif m in ("lui", "c.lui"):
+        elif m == "lui":
             tracked = insn.imm
         for r in insn.regs_written:
-            if tracked is not None and r is insn.operands[0]:
+            if tracked is not None and r is ops[0]:
                 vals[r] = tracked
             else:
                 vals[r] = None

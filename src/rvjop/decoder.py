@@ -11,10 +11,14 @@ otherwise it is a 4-byte instruction.  Longer encodings (low five bits all
 ones) are not supported.
 
 Decoded immediates are kept sign-extended as plain Python ints, independent
-of XLEN.  Compressed instructions carry their 32-bit expansion as an alias,
-and the common pseudo spellings (li, mv, ret, jr, j, nop) are recorded as
-aliases too, so downstream matching can be pseudo-aware without re-deriving
-any of this.
+of XLEN.  Every instruction carries its base form in `base`: the 32-bit
+expansion for a compressed instruction, its own name and operands
+otherwise.  `base` is the one expansion every consumer reads (the
+interpreter, dataflow and classification), so no other module knows how a
+C form expands.  The expansion is also the first alias of a compressed
+instruction, and the common pseudo spellings (li, mv, ret, jr, j, nop) are
+recorded as aliases too, so downstream matching can be pseudo-aware without
+re-deriving any of this.
 """
 
 from __future__ import annotations
@@ -88,6 +92,7 @@ class DecodedInstruction:
     mem_access: MemAccess | None = None
     imm: int | None = None
     aliases: tuple[Alias, ...] = ()
+    base: Alias | None = None    # 32-bit form; `_ins` always sets it
 
     @property
     def is_terminator(self) -> bool:
@@ -138,12 +143,19 @@ def _rset(*regs: Register) -> frozenset[Register]:
 
 
 def _ins(address, width, raw, mnemonic, operands, reads=(), writes=(),
-         cf=None, mem=None, imm=None, aliases=()):
+         cf=None, mem=None, imm=None, aliases=(), base=None):
+    """`base` is a compressed form's 32-bit expansion; it also goes first
+    in `aliases`.  A 32-bit form is its own base."""
+    operands = tuple(operands)
+    if base is None:
+        base = Alias(mnemonic, operands)
+    else:
+        aliases = (base, *aliases)
     return DecodedInstruction(
         address=address, width=width, raw=raw, mnemonic=mnemonic,
-        operands=tuple(operands), regs_read=_rset(*reads),
+        operands=operands, regs_read=_rset(*reads),
         regs_written=_rset(*writes), control_flow=cf, mem_access=mem,
-        imm=imm, aliases=tuple(aliases))
+        imm=imm, aliases=tuple(aliases), base=base)
 
 
 # --- 32-bit decode ----------------------------------------------------------
@@ -446,7 +458,7 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
             rd = _rp(bits(hw, 4, 2))
             return _ins(address, 2, hw, "c.addi4spn", (rd, imm),
                         reads=(SP,), writes=(rd,), imm=imm,
-                        aliases=(Alias("addi", (rd, SP, imm)),))
+                        base=Alias("addi", (rd, SP, imm)))
         if funct3 == 0b010:  # c.lw
             imm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 6) << 2) | \
                   (bits(hw, 5, 5) << 6)
@@ -454,7 +466,7 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
             return _ins(address, 2, hw, "c.lw", (rd, rs1, imm),
                         reads=(rs1,), writes=(rd,),
                         mem=MemAccess("load", rs1, imm, 4), imm=imm,
-                        aliases=(Alias("lw", (rd, rs1, imm)),))
+                        base=Alias("lw", (rd, rs1, imm)))
         if funct3 == 0b011:
             if xlen == 64:  # c.ld
                 imm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 5) << 6)
@@ -462,7 +474,7 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
                 return _ins(address, 2, hw, "c.ld", (rd, rs1, imm),
                             reads=(rs1,), writes=(rd,),
                             mem=MemAccess("load", rs1, imm, 8), imm=imm,
-                            aliases=(Alias("ld", (rd, rs1, imm)),))
+                            base=Alias("ld", (rd, rs1, imm)))
             inv("fp")  # c.flw
         if funct3 == 0b110:  # c.sw
             imm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 6) << 2) | \
@@ -471,7 +483,7 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
             return _ins(address, 2, hw, "c.sw", (rs2, rs1, imm),
                         reads=(rs1, rs2),
                         mem=MemAccess("store", rs1, imm, 4), imm=imm,
-                        aliases=(Alias("sw", (rs2, rs1, imm)),))
+                        base=Alias("sw", (rs2, rs1, imm)))
         if funct3 == 0b111:
             if xlen == 64:  # c.sd
                 imm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 5) << 6)
@@ -479,7 +491,7 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
                 return _ins(address, 2, hw, "c.sd", (rs2, rs1, imm),
                             reads=(rs1, rs2),
                             mem=MemAccess("store", rs1, imm, 8), imm=imm,
-                            aliases=(Alias("sd", (rs2, rs1, imm)),))
+                            base=Alias("sd", (rs2, rs1, imm)))
             inv("fp")  # c.fsw
         if funct3 in (0b001, 0b101):
             inv("fp")  # c.fld / c.fsd
@@ -491,11 +503,11 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
             imm = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
             if rd.index == 0:
                 return _ins(address, 2, hw, "c.nop", (), imm=None,
-                            aliases=(Alias("nop", ()),
-                                     Alias("addi", (ZERO, ZERO, 0))))
+                            base=Alias("addi", (ZERO, ZERO, 0)),
+                            aliases=(Alias("nop", ()),))
             return _ins(address, 2, hw, "c.addi", (rd, imm),
                         reads=(rd,), writes=(rd,), imm=imm,
-                        aliases=(Alias("addi", (rd, rd, imm)),))
+                        base=Alias("addi", (rd, rd, imm)))
         if funct3 == 0b001:
             if xlen == 64:  # c.addiw
                 rd = REGISTERS[bits(hw, 11, 7)]
@@ -504,18 +516,18 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
                 imm = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
                 return _ins(address, 2, hw, "c.addiw", (rd, imm),
                             reads=(rd,), writes=(rd,), imm=imm,
-                            aliases=(Alias("addiw", (rd, rd, imm)),))
+                            base=Alias("addiw", (rd, rd, imm)))
             # c.jal (RV32 only)
             imm = _cj_imm(hw)
             return _ins(address, 2, hw, "c.jal", (imm,), writes=(RA,),
                         cf=DirectJump((address + imm) & mask(xlen), RA),
-                        imm=imm, aliases=(Alias("jal", (RA, imm)),))
+                        imm=imm, base=Alias("jal", (RA, imm)))
         if funct3 == 0b010:  # c.li
             rd = REGISTERS[bits(hw, 11, 7)]
             imm = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
             return _ins(address, 2, hw, "c.li", (rd, imm), writes=(rd,),
-                        imm=imm, aliases=(Alias("li", (rd, imm)),
-                                          Alias("addi", (rd, ZERO, imm))))
+                        imm=imm, base=Alias("addi", (rd, ZERO, imm)),
+                        aliases=(Alias("li", (rd, imm)),))
         if funct3 == 0b011:
             rd = REGISTERS[bits(hw, 11, 7)]
             if rd.index == 2:  # c.addi16sp
@@ -526,14 +538,14 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
                     inv()
                 return _ins(address, 2, hw, "c.addi16sp", (imm,),
                             reads=(SP,), writes=(SP,), imm=imm,
-                            aliases=(Alias("addi", (SP, SP, imm)),))
+                            base=Alias("addi", (SP, SP, imm)))
             # c.lui
             f = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
             if f == 0:
                 inv()
             return _ins(address, 2, hw, "c.lui", (rd, f), writes=(rd,),
                         imm=sext((f << 12) & 0xFFFFFFFF, 32),
-                        aliases=(Alias("lui", (rd, f & 0xFFFFF)),))
+                        base=Alias("lui", (rd, f & 0xFFFFF)))
         if funct3 == 0b100:
             sub = bits(hw, 11, 10)
             rd = _rp(bits(hw, 9, 7))
@@ -544,12 +556,12 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
                 name = "c.srli" if sub == 0 else "c.srai"
                 return _ins(address, 2, hw, name, (rd, shamt),
                             reads=(rd,), writes=(rd,), imm=shamt,
-                            aliases=(Alias(name[2:], (rd, rd, shamt)),))
+                            base=Alias(name[2:], (rd, rd, shamt)))
             if sub == 0b10:  # c.andi
                 imm = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
                 return _ins(address, 2, hw, "c.andi", (rd, imm),
                             reads=(rd,), writes=(rd,), imm=imm,
-                            aliases=(Alias("andi", (rd, rd, imm)),))
+                            base=Alias("andi", (rd, rd, imm)))
             # register-register group
             rs2 = _rp(bits(hw, 4, 2))
             hi = bits(hw, 12, 12)
@@ -562,13 +574,13 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
                 name = ("c.subw", "c.addw")[low]
             return _ins(address, 2, hw, name, (rd, rs2),
                         reads=(rd, rs2), writes=(rd,),
-                        aliases=(Alias(name[2:], (rd, rd, rs2)),))
+                        base=Alias(name[2:], (rd, rd, rs2)))
         if funct3 == 0b101:  # c.j
             imm = _cj_imm(hw)
             return _ins(address, 2, hw, "c.j", (imm,),
                         cf=DirectJump((address + imm) & mask(xlen), None),
-                        imm=imm, aliases=(Alias("j", (imm,)),
-                                          Alias("jal", (ZERO, imm))))
+                        imm=imm, base=Alias("jal", (ZERO, imm)),
+                        aliases=(Alias("j", (imm,)),))
         # c.beqz / c.bnez
         rs1 = _rp(bits(hw, 9, 7))
         imm = sext((bits(hw, 12, 12) << 8) | (bits(hw, 11, 10) << 3) |
@@ -578,7 +590,7 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
             else ("c.bnez", "ne", "bne")
         return _ins(address, 2, hw, name, (rs1, imm), reads=(rs1,),
                     cf=CondBranch((address + imm) & mask(xlen), (rs1, ZERO), op),
-                    imm=imm, aliases=(Alias(base, (rs1, ZERO, imm)),))
+                    imm=imm, base=Alias(base, (rs1, ZERO, imm)))
 
     # quadrant 0b10
     if funct3 == 0b000:  # c.slli
@@ -588,7 +600,7 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
             inv()
         return _ins(address, 2, hw, "c.slli", (rd, shamt),
                     reads=(rd,), writes=(rd,), imm=shamt,
-                    aliases=(Alias("slli", (rd, rd, shamt)),))
+                    base=Alias("slli", (rd, rd, shamt)))
     if funct3 == 0b010:  # c.lwsp
         rd = REGISTERS[bits(hw, 11, 7)]
         if rd.index == 0:
@@ -598,7 +610,7 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
         return _ins(address, 2, hw, "c.lwsp", (rd, imm),
                     reads=(SP,), writes=(rd,),
                     mem=MemAccess("load", SP, imm, 4), imm=imm,
-                    aliases=(Alias("lw", (rd, SP, imm)),))
+                    base=Alias("lw", (rd, SP, imm)))
     if funct3 == 0b011:
         if xlen == 64:  # c.ldsp
             rd = REGISTERS[bits(hw, 11, 7)]
@@ -609,7 +621,7 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
             return _ins(address, 2, hw, "c.ldsp", (rd, imm),
                         reads=(SP,), writes=(rd,),
                         mem=MemAccess("load", SP, imm, 8), imm=imm,
-                        aliases=(Alias("ld", (rd, SP, imm)),))
+                        base=Alias("ld", (rd, SP, imm)))
         inv("fp")  # c.flwsp
     if funct3 == 0b100:
         rs1 = REGISTERS[bits(hw, 11, 7)]
@@ -621,41 +633,42 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
                 alias = Alias("ret", ()) if rs1 is RA else Alias("jr", (rs1,))
                 return _ins(address, 2, hw, "c.jr", (rs1,), reads=(rs1,),
                             cf=IndirectJump(rs1, 0, None),
-                            aliases=(Alias("jalr", (ZERO, rs1, 0)), alias))
+                            base=Alias("jalr", (ZERO, rs1, 0)),
+                            aliases=(alias,))
             # c.mv
             if rs1.index == 0:
                 inv()
             return _ins(address, 2, hw, "c.mv", (rs1, rs2), reads=(rs2,),
                         writes=(rs1,),
-                        aliases=(Alias("add", (rs1, ZERO, rs2)),
-                                 Alias("mv", (rs1, rs2))))
+                        base=Alias("add", (rs1, ZERO, rs2)),
+                        aliases=(Alias("mv", (rs1, rs2)),))
         if rs2.index == 0:
             if rs1.index == 0:  # c.ebreak
                 return _ins(address, 2, hw, "c.ebreak", (),
-                            cf=Trap("ebreak"), aliases=(Alias("ebreak", ()),))
+                            cf=Trap("ebreak"), base=Alias("ebreak", ()))
             # c.jalr
             return _ins(address, 2, hw, "c.jalr", (rs1,), reads=(rs1,),
                         writes=(RA,), cf=IndirectJump(rs1, 0, RA),
-                        aliases=(Alias("jalr", (RA, rs1, 0)),))
+                        base=Alias("jalr", (RA, rs1, 0)))
         # c.add
         if rs1.index == 0:
             inv()
         return _ins(address, 2, hw, "c.add", (rs1, rs2),
                     reads=(rs1, rs2), writes=(rs1,),
-                    aliases=(Alias("add", (rs1, rs1, rs2)),))
+                    base=Alias("add", (rs1, rs1, rs2)))
     if funct3 == 0b110:  # c.swsp
         rs2 = REGISTERS[bits(hw, 6, 2)]
         imm = (bits(hw, 12, 9) << 2) | (bits(hw, 8, 7) << 6)
         return _ins(address, 2, hw, "c.swsp", (rs2, imm),
                     reads=(SP, rs2), mem=MemAccess("store", SP, imm, 4),
-                    imm=imm, aliases=(Alias("sw", (rs2, SP, imm)),))
+                    imm=imm, base=Alias("sw", (rs2, SP, imm)))
     if funct3 == 0b111:
         if xlen == 64:  # c.sdsp
             rs2 = REGISTERS[bits(hw, 6, 2)]
             imm = (bits(hw, 12, 10) << 3) | (bits(hw, 9, 7) << 6)
             return _ins(address, 2, hw, "c.sdsp", (rs2, imm),
                         reads=(SP, rs2), mem=MemAccess("store", SP, imm, 8),
-                        imm=imm, aliases=(Alias("sd", (rs2, SP, imm)),))
+                        imm=imm, base=Alias("sd", (rs2, SP, imm)))
         inv("fp")  # c.fswsp
     inv("fp")  # c.fldsp / c.fsdsp (funct3 001/101)
 

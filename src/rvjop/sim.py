@@ -265,38 +265,22 @@ class Machine:
     # Loads sign-extend unless the base name says otherwise.
     _UNSIGNED_LOADS = {"lbu", "lhu", "lwu"}
 
-    def _base_name(self, insn: DecodedInstruction) -> str:
-        if not insn.mnemonic.startswith("c."):
-            return insn.mnemonic
-        for a in insn.aliases:
-            if not a.name.startswith("c.") and a.name in _BASE_OPS:
-                return a.name
-        return insn.mnemonic
-
-    def _base_operands(self, insn: DecodedInstruction) -> tuple:
-        if not insn.mnemonic.startswith("c."):
-            return insn.operands
-        for a in insn.aliases:
-            if not a.name.startswith("c.") and a.name in _BASE_OPS:
-                return a.operands
-        return insn.operands
-
     def _mem_op(self, insn: DecodedInstruction) -> None:
         acc = insn.mem_access
-        name = self._base_name(insn)
+        name, ops = insn.base.name, insn.base.operands
         address = (self.get(acc.base) + acc.offset) & self.mask
         if name.startswith("lr."):
-            rd = insn.operands[0]
+            rd = ops[0]
             self.set(rd, sext(self.load(address, acc.size), acc.size * 8)
                      & self.mask)
             return None
         if name.startswith("sc."):
-            rd, rs2 = insn.operands[0], insn.operands[1]
+            rd, rs2 = ops[0], ops[1]
             self.store(address, acc.size, self.get(rs2))
             self.set(rd, 0)                 # always succeeds
             return None
         if name.startswith("amo"):
-            rd, rs2 = insn.operands[0], insn.operands[1]
+            rd, rs2 = ops[0], ops[1]
             old = sext(self.load(address, acc.size), acc.size * 8)
             src = to_signed(self.get(rs2), self.xlen)
             op = name.split(".")[0][3:]
@@ -309,19 +293,18 @@ class Machine:
             self.set(rd, old & self.mask)
             return None
         if acc.kind == "load":
-            rd = self._base_operands(insn)[0]
+            rd = ops[0]
             value = self.load(address, acc.size)
             if name not in self._UNSIGNED_LOADS:
                 value = sext(value, acc.size * 8) & self.mask
             self.set(rd, value)
             return None
-        rs2 = self._base_operands(insn)[0]
+        rs2 = ops[0]
         self.store(address, acc.size, self.get(rs2))
         return None
 
     def _alu_op(self, insn: DecodedInstruction) -> None:
-        name = self._base_name(insn)
-        ops = self._base_operands(insn)
+        name, ops = insn.base.name, insn.base.operands
         if name in ("fence", "fence.i"):
             return
         if name.startswith("csr"):
@@ -421,11 +404,6 @@ _BASE_OPS = {
     "remw": _word(lambda m, a, b: _rem(sext(a, 32), sext(b & 0xFFFFFFFF, 32))),
     "remuw": _word(lambda m, a, b: a if b & 0xFFFFFFFF == 0
                    else a % (b & 0xFFFFFFFF)),
-    # base names with no lambda: only here so alias resolution finds them
-    "lb": None, "lh": None, "lw": None, "ld": None,
-    "lbu": None, "lhu": None, "lwu": None,
-    "sb": None, "sh": None, "sw": None, "sd": None,
-    "lui": None,
 }
 
 

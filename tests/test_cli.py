@@ -172,6 +172,44 @@ def test_initializers_for_dispatcher(capsys, adg_blob):
     assert "s0<-stack+0" in out
 
 
+def _initializers_for(capsys, tmp_path, *init):
+    """`rvjop initializers` output for the adg loop (which needs s0 and s1)
+    next to one initializer made of `init`, ending in `jr t0`."""
+    b = CodeBuilder()
+    b.label("loop")
+    b.emit("lw", "a5", "s0", 0)
+    b.emit("jalr", "ra", "a5", 0)
+    b.emit("addi", "s0", "s0", 4)
+    b.branch("blt", "s0", "s1", "loop")
+    b.emit("ebreak")
+    b.label("init")
+    for mnemonic, *ops in init:
+        b.emit(mnemonic, *ops)
+    b.emit("jr", "t0")
+    path = tmp_path / "init.bin"
+    path.write_bytes(b.blob())
+    code, out, _ = run(capsys, "initializers", *RAW(path),
+                       "--dispatcher", hex(b.labels["loop"]))
+    assert code == 0
+    return b.labels["init"], out.splitlines()
+
+
+def test_initializers_names_the_s0_base(capsys, tmp_path):
+    init, lines = _initializers_for(capsys, tmp_path,
+                                    ("lw", "s1", "s0", 8),
+                                    ("lw", "s0", "sp", 0))
+    assert lines == [f"0x{init:08x} via t0: s0<-stack+0 s1<-stack(s0)+8",
+                     "1 candidate"]
+
+
+def test_initializers_names_the_mem_base(capsys, tmp_path):
+    init, lines = _initializers_for(capsys, tmp_path,
+                                    ("lw", "s0", "a1", 0),
+                                    ("lw", "s1", "a1", 4))
+    assert lines == [f"0x{init:08x} via t0: s0<-mem(a1)+0 s1<-mem(a1)+4",
+                     "1 candidate"]
+
+
 def test_initializers_unknown_dispatcher(capsys, adg_blob):
     blob, _ = adg_blob
     code, out, err = run(capsys, "initializers", *RAW(blob),

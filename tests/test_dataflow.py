@@ -66,6 +66,14 @@ def test_stack_loads_through_s0():
     assert got == {A1: Source("stack", reg("s0"), 8)}
 
 
+def test_loaded_sources_s0_counts_only_while_unwritten():
+    # once s0 holds a loaded value, a load through it is not a stack slot
+    got = loaded_sources(seq(("lw", "s0", "sp", 0),
+                             ("lw", "s1", "s0", 4),
+                             ("jr", "t0")))
+    assert got == {reg("s0"): Source("stack", SP, 0)}
+
+
 def test_loaded_sources_drops_double_indirection():
     # a0 ends up holding *(*(sp+0)), not the stack slot itself
     got = loaded_sources(seq(("lw", "a0", "sp", 0),
