@@ -512,11 +512,11 @@ def render_manifest(spec: ChainSpec, layout: PayloadLayout,
     if layout.stack_writes:
         lines.append("stack slots to prepare (relative to entry sp):")
         for w in layout.stack_writes:
-            lines.append(f"  sp+{w.offset:<4d} <- 0x{w.value & 0xFFFFFFFFFFFFFFFF:x}"
+            lines.append(f"  sp{w.offset:<+5d} <- 0x{w.value & 0xFFFFFFFFFFFFFFFF:x}"
                          f"  ({w.register.name})")
     for r, src in layout.unplaced_seeds:
         lines.append(f"  note: {r.name} loads via {src.kind} base "
-                     f"{src.base.name}+{src.offset}; place it yourself")
+                     f"{src.base.name}{src.offset:+d}; place it yourself")
     if layout.memory_seeds:
         lines.append("data seeds:")
         for seed in layout.memory_seeds:

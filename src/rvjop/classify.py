@@ -45,10 +45,6 @@ DISPATCHER_AUTONOMOUS = "dispatcher-autonomous"
 INITIALIZER = "initializer"
 UNCLASSIFIED = "unclassified"
 
-ROLE_KINDS = (ARITH, LOAD, STORE, CALL, SYSCALL, DISPATCHER_CLASSIC,
-              DISPATCHER_TWO_STAGE, DISPATCHER_AUTONOMOUS, INITIALIZER,
-              UNCLASSIFIED)
-
 _CSR_MNEMONICS = frozenset(
     ["csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci"])
 

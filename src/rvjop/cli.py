@@ -165,9 +165,10 @@ def _cmd_dispatchers(args) -> int:
 
 
 def _describe_source(src) -> str:
-    """`stack+8` for an sp slot; other bases are named: `mem(a1)+0`."""
+    """`stack+8` or `stack-12` for an sp slot; other bases are named:
+    `mem(a1)+0`."""
     base = "" if src.base is SP else f"({src.base.name})"
-    return f"{src.kind}{base}+{src.offset}"
+    return f"{src.kind}{base}{src.offset:+d}"
 
 
 def _cmd_initializers(args) -> int:

@@ -10,20 +10,22 @@ of the first halfword are not 0b11 the instruction is compressed (2 bytes),
 otherwise it is a 4-byte instruction.  Longer encodings (low five bits all
 ones) are not supported.
 
-Decoded immediates are kept sign-extended as plain Python ints, independent
-of XLEN.  Every instruction carries its base form in `base`: the 32-bit
-expansion for a compressed instruction, its own name and operands
-otherwise.  `base` is the one expansion every consumer reads (the
-interpreter, dataflow and classification), so no other module knows how a
-C form expands.  The expansion is also the first alias of a compressed
-instruction, and the common pseudo spellings (li, mv, ret, jr, j, nop) are
-recorded as aliases too, so downstream matching can be pseudo-aware without
-re-deriving any of this.
+Decoding has two parts.  `_decode32` and `_decode16` decide which
+instruction an encoding is: its name and operands and, for a compressed
+instruction, its 32-bit expansion (`base`; a 32-bit instruction is its own
+base).  `_effects` says what a base instruction does: registers read and
+written, control flow, memory access, immediate and pseudo spellings (li,
+mv, nop, ret, jr, j).  It is written once per base mnemonic, and a
+compressed instruction takes all of it from its expansion.  `base` is the
+one expansion every consumer reads (interpreter, dataflow, classification),
+so no other module knows how a C form expands; it is also the first alias
+of a compressed instruction.  Immediates are kept sign-extended as plain
+Python ints, independent of XLEN.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidEncoding, Truncated
 from .isa import REGISTERS, RA, SP, ZERO, A7, Register, bits, sext, mask
@@ -142,61 +144,172 @@ def _rset(*regs: Register) -> frozenset[Register]:
     return frozenset(out) if out else _EMPTY
 
 
-def _ins(address, width, raw, mnemonic, operands, reads=(), writes=(),
-         cf=None, mem=None, imm=None, aliases=(), base=None):
-    """`base` is a compressed form's 32-bit expansion; it also goes first
-    in `aliases`.  A 32-bit form is its own base."""
-    operands = tuple(operands)
+# `_rset(r)` for each register, by index: most sets hold one register.
+_ONE: tuple[frozenset[Register], ...] = tuple(_rset(r) for r in REGISTERS)
+
+
+def _ins(address, width, raw, mnemonic, operands, xlen, base=None):
+    """The instruction `mnemonic operands`, with the effects of its base
+    form.  `base` is a compressed form's 32-bit expansion; it also goes
+    first in `aliases`.  A 32-bit form is its own base."""
     if base is None:
         base = Alias(mnemonic, operands)
+        reads, writes, cf, mem, imm, aliases = _effects(
+            mnemonic, operands, address, xlen)
     else:
-        aliases = (base, *aliases)
+        reads, writes, cf, mem, imm, pseudo = _effects(
+            base.name, base.operands, address, xlen)
+        if mnemonic == "c.mv":
+            # mv spells c.mv; its expansion `add rd, zero, rs` has no pseudo
+            pseudo = (Alias("mv", operands),)
+        aliases = (base, *pseudo)
+        if not operands or type(operands[-1]) is not int:
+            imm = None    # no immediate operand: c.nop, c.jr, c.jalr
     return DecodedInstruction(
         address=address, width=width, raw=raw, mnemonic=mnemonic,
-        operands=operands, regs_read=_rset(*reads),
-        regs_written=_rset(*writes), control_flow=cf, mem_access=mem,
-        imm=imm, aliases=tuple(aliases), base=base)
+        operands=operands, regs_read=reads, regs_written=writes,
+        control_flow=cf, mem_access=mem, imm=imm, aliases=aliases, base=base)
+
+
+# --- effects of a base instruction ------------------------------------------
+
+_NOP = Alias("nop", ())
+_RET = Alias("ret", ())
+_ECALL = Trap("ecall")
+_EBREAK = Trap("ebreak")
+
+
+def _effects(name: str, ops: tuple, address: int, xlen: int) -> tuple:
+    """What the base instruction `name ops` at `address` does: (regs read,
+    regs written, control flow, memory access, imm, pseudo aliases).
+
+    Written once per base mnemonic; a compressed instruction gets its
+    effects from its expansion."""
+    kind, size = _SHAPE[name]
+    if kind == "imm":                           # rd, rs1, imm
+        rd, rs1, imm = ops
+        pseudo = ()
+        if name == "addi":
+            if rs1.index == 0:
+                pseudo = (_NOP,) if rd.index == 0 and imm == 0 \
+                    else (Alias("li", (rd, imm)),)
+            elif imm == 0:
+                pseudo = (Alias("mv", (rd, rs1)),)
+        return _ONE[rs1.index], _ONE[rd.index], None, None, imm, pseudo
+    if kind == "reg":                           # rd, rs1, rs2
+        rd, rs1, rs2 = ops
+        return _rset(rs1, rs2), _ONE[rd.index], None, None, None, ()
+    if kind == "load":                          # rd, rs1, imm
+        rd, rs1, imm = ops
+        return (_ONE[rs1.index], _ONE[rd.index], None,
+                MemAccess("load", rs1, imm, size), imm, ())
+    if kind == "store":                         # rs2, rs1, imm
+        rs2, rs1, imm = ops
+        return (_rset(rs1, rs2), _EMPTY, None,
+                MemAccess("store", rs1, imm, size), imm, ())
+    if kind == "branch":                        # rs1, rs2, imm
+        rs1, rs2, imm = ops
+        cf = CondBranch((address + imm) & mask(xlen), (rs1, rs2), name[1:])
+        return _rset(rs1, rs2), _EMPTY, cf, None, imm, ()
+    if kind == "jal":                           # rd, imm
+        rd, imm = ops
+        link = rd if rd.index else None
+        pseudo = () if link else (Alias("j", (imm,)),)
+        cf = DirectJump((address + imm) & mask(xlen), link)
+        return _EMPTY, _ONE[rd.index], cf, None, imm, pseudo
+    if kind == "jalr":                          # rd, rs1, imm
+        rd, rs1, imm = ops
+        link = rd if rd.index else None
+        pseudo = ()
+        if link is None and imm == 0:
+            pseudo = (_RET,) if rs1 is RA else (Alias("jr", (rs1,)),)
+        cf = IndirectJump(rs1, imm, link)
+        return _ONE[rs1.index], _ONE[rd.index], cf, None, imm, pseudo
+    if kind == "upper":                         # rd, imm[31:12]
+        rd, f = ops
+        return _EMPTY, _ONE[rd.index], None, None, sext(f << 12, 32), ()
+    if kind == "lr":                            # rd, rs1
+        rd, rs1 = ops
+        return (_ONE[rs1.index], _ONE[rd.index], None,
+                MemAccess("load", rs1, 0, size), None, ())
+    if kind == "sc" or kind == "amo":           # rd, rs2, rs1
+        rd, rs2, rs1 = ops
+        return (_rset(rs1, rs2), _ONE[rd.index], None,
+                MemAccess("store" if kind == "sc" else kind, rs1, 0, size),
+                None, ())
+    if kind == "csr":                           # rd, csr, rs1 or zimm
+        rd, _, src = ops
+        if name[-1] == "i":
+            return _EMPTY, _ONE[rd.index], None, None, src, ()
+        return _ONE[src.index], _ONE[rd.index], None, None, None, ()
+    if name == "ecall":
+        # By convention the syscall id travels in a7; record the read so a
+        # bare ecall shows a7 as an external dependency.
+        return _ONE[A7.index], _EMPTY, _ECALL, None, None, ()
+    if name == "ebreak":
+        return _EMPTY, _EMPTY, _EBREAK, None, None, ()
+    return _EMPTY, _EMPTY, None, None, None, ()     # fence, fence.i
 
 
 # --- 32-bit decode ----------------------------------------------------------
 
-_BRANCH_OPS = {0b000: ("beq", "eq"), 0b001: ("bne", "ne"), 0b100: ("blt", "lt"),
-               0b101: ("bge", "ge"), 0b110: ("bltu", "ltu"), 0b111: ("bgeu", "geu")}
+_BRANCHES = {0b000: "beq", 0b001: "bne", 0b100: "blt",
+             0b101: "bge", 0b110: "bltu", 0b111: "bgeu"}
 
-_LOADS = {0b000: ("lb", 1), 0b001: ("lh", 2), 0b010: ("lw", 4),
-          0b100: ("lbu", 1), 0b101: ("lhu", 2)}
-_LOADS64 = {0b110: ("lwu", 4), 0b011: ("ld", 8)}
+_LOADS = {0b000: "lb", 0b001: "lh", 0b010: "lw", 0b100: "lbu", 0b101: "lhu"}
+_LOADS_RV64 = {**_LOADS, 0b110: "lwu", 0b011: "ld"}
 
-_STORES = {0b000: ("sb", 1), 0b001: ("sh", 2), 0b010: ("sw", 4)}
-
-_LOADS_RV64 = {**_LOADS, **_LOADS64}
-_STORES_RV64 = {**_STORES, 0b011: ("sd", 8)}
+_STORES = {0b000: "sb", 0b001: "sh", 0b010: "sw"}
+_STORES_RV64 = {**_STORES, 0b011: "sd"}
 
 _OP_IMM = {0b000: "addi", 0b010: "slti", 0b011: "sltiu",
            0b100: "xori", 0b110: "ori", 0b111: "andi"}
 
-_OP_R = {(0b000, 0): "add", (0b000, 0b0100000): "sub",
-         (0b001, 0): "sll", (0b010, 0): "slt", (0b011, 0): "sltu",
-         (0b100, 0): "xor", (0b101, 0): "srl", (0b101, 0b0100000): "sra",
-         (0b110, 0): "or", (0b111, 0): "and"}
+_OP = {(0b000, 0): "add", (0b000, 0b0100000): "sub",
+       (0b001, 0): "sll", (0b010, 0): "slt", (0b011, 0): "sltu",
+       (0b100, 0): "xor", (0b101, 0): "srl", (0b101, 0b0100000): "sra",
+       (0b110, 0): "or", (0b111, 0): "and",
+       **{(funct3, 0b0000001): name for funct3, name in enumerate(
+           ("mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu"))}}
 
-_OP_M = {0b000: "mul", 0b001: "mulh", 0b010: "mulhsu", 0b011: "mulhu",
-         0b100: "div", 0b101: "divu", 0b110: "rem", 0b111: "remu"}
+_OP32 = {(0b000, 0): "addw", (0b000, 0b0100000): "subw",
+         (0b001, 0): "sllw", (0b101, 0): "srlw", (0b101, 0b0100000): "sraw",
+         (0b000, 1): "mulw", (0b100, 1): "divw", (0b101, 1): "divuw",
+         (0b110, 1): "remw", (0b111, 1): "remuw"}
 
-_OP32_R = {(0b000, 0): "addw", (0b000, 0b0100000): "subw",
-           (0b001, 0): "sllw", (0b101, 0): "srlw", (0b101, 0b0100000): "sraw"}
-
-_OP32_M = {0b000: "mulw", 0b100: "divw", 0b101: "divuw",
-           0b110: "remw", 0b111: "remuw"}
+_SHIFT32 = {(0b001, 0): "slliw", (0b101, 0): "srliw",
+            (0b101, 0b0100000): "sraiw"}
 
 _AMO = {0b00001: "amoswap", 0b00000: "amoadd", 0b00100: "amoxor",
         0b01100: "amoand", 0b01000: "amoor", 0b10000: "amomin",
         0b10100: "amomax", 0b11000: "amominu", 0b11100: "amomaxu"}
 
+_ORDERS = ("", ".rl", ".aq", ".aqrl")   # by (aq << 1) | rl
+
 _CSR = {0b001: "csrrw", 0b010: "csrrs", 0b011: "csrrc",
         0b101: "csrrwi", 0b110: "csrrsi", 0b111: "csrrci"}
 
 _FP_OPCODES = frozenset([0x07, 0x27, 0x43, 0x47, 0x4B, 0x4F, 0x53])
+
+_WIDTH = {"b": 1, "h": 2, "w": 4, "d": 8}   # by the letter after l/s
+
+# Each base mnemonic's rule in `_effects` and, for a memory access, its
+# size in bytes.
+_SHAPE = {
+    "lui": ("upper", None), "auipc": ("upper", None),
+    "jal": ("jal", None), "jalr": ("jalr", None),
+    **{n: ("branch", None) for n in _BRANCHES.values()},
+    **{n: ("load", _WIDTH[n[1]]) for n in _LOADS_RV64.values()},
+    **{n: ("store", _WIDTH[n[1]]) for n in _STORES_RV64.values()},
+    **{n: ("imm", None) for n in (*_OP_IMM.values(), "slli", "srli", "srai",
+                                  "addiw", *_SHIFT32.values())},
+    **{n: ("reg", None) for n in (*_OP.values(), *_OP32.values())},
+    **{f"{n}{suffix}{order}": (n if n in ("lr", "sc") else "amo", size)
+       for suffix, size in ((".w", 4), (".d", 8)) for order in _ORDERS
+       for n in ("lr", "sc", *_AMO.values())},
+    **{n: ("csr", None) for n in _CSR.values()},
+    **{n: ("system", None) for n in ("fence", "fence.i", "ecall", "ebreak")},
+}
 
 
 def _imm_i(w: int) -> int:
@@ -219,7 +332,8 @@ def _imm_j(w: int) -> int:
     return sext(v, 21)
 
 
-def _decode32(word: int, address: int, xlen: int) -> DecodedInstruction:
+def _decode32(word: int, address: int, xlen: int) -> tuple[str, tuple]:
+    """(mnemonic, operands) of a 32-bit instruction."""
     opcode = word & 0x7F
     rd = REGISTERS[bits(word, 11, 7)]
     rs1 = REGISTERS[bits(word, 19, 15)]
@@ -235,64 +349,33 @@ def _decode32(word: int, address: int, xlen: int) -> DecodedInstruction:
     if opcode == 0x57:
         inv("vector")
 
-    if opcode == 0b0110111:  # lui
-        f = bits(word, 31, 12)
-        return _ins(address, 4, word, "lui", (rd, f), writes=(rd,),
-                    imm=sext(f << 12, 32))
-    if opcode == 0b0010111:  # auipc
-        f = bits(word, 31, 12)
-        return _ins(address, 4, word, "auipc", (rd, f), writes=(rd,),
-                    imm=sext(f << 12, 32))
-
-    if opcode == 0b1101111:  # jal
-        imm = _imm_j(word)
-        target = (address + imm) & mask(xlen)
-        link = rd if rd.index else None
-        aliases = (Alias("j", (imm,)),) if rd.index == 0 else ()
-        return _ins(address, 4, word, "jal", (rd, imm), writes=(rd,),
-                    cf=DirectJump(target, link), imm=imm, aliases=aliases)
-
-    if opcode == 0b1100111:  # jalr
+    if opcode == 0b0110111:
+        return "lui", (rd, bits(word, 31, 12))
+    if opcode == 0b0010111:
+        return "auipc", (rd, bits(word, 31, 12))
+    if opcode == 0b1101111:
+        return "jal", (rd, _imm_j(word))
+    if opcode == 0b1100111:
         if funct3 != 0:
             inv()
-        imm = _imm_i(word)
-        link = rd if rd.index else None
-        aliases = []
-        if rd.index == 0 and imm == 0:
-            aliases.append(Alias("ret", ()) if rs1 is RA else Alias("jr", (rs1,)))
-        return _ins(address, 4, word, "jalr", (rd, rs1, imm),
-                    reads=(rs1,), writes=(rd,),
-                    cf=IndirectJump(rs1, imm, link), imm=imm, aliases=aliases)
+        return "jalr", (rd, rs1, _imm_i(word))
 
     if opcode == 0b1100011:  # branches
-        if funct3 not in _BRANCH_OPS:
+        if funct3 not in _BRANCHES:
             inv()
-        name, op = _BRANCH_OPS[funct3]
-        imm = _imm_b(word)
-        target = (address + imm) & mask(xlen)
-        return _ins(address, 4, word, name, (rs1, rs2, imm),
-                    reads=(rs1, rs2), cf=CondBranch(target, (rs1, rs2), op),
-                    imm=imm)
+        return _BRANCHES[funct3], (rs1, rs2, _imm_b(word))
 
     if opcode == 0b0000011:  # loads
         table = _LOADS_RV64 if xlen == 64 else _LOADS
         if funct3 not in table:
             inv()
-        name, size = table[funct3]
-        imm = _imm_i(word)
-        return _ins(address, 4, word, name, (rd, rs1, imm),
-                    reads=(rs1,), writes=(rd,),
-                    mem=MemAccess("load", rs1, imm, size), imm=imm)
+        return table[funct3], (rd, rs1, _imm_i(word))
 
     if opcode == 0b0100011:  # stores
         table = _STORES_RV64 if xlen == 64 else _STORES
         if funct3 not in table:
             inv()
-        name, size = table[funct3]
-        imm = _imm_s(word)
-        return _ins(address, 4, word, name, (rs2, rs1, imm),
-                    reads=(rs1, rs2),
-                    mem=MemAccess("store", rs1, imm, size), imm=imm)
+        return table[funct3], (rs2, rs1, _imm_s(word))
 
     if opcode == 0b0010011:  # op-imm
         if funct3 == 0b001 or funct3 == 0b101:
@@ -309,125 +392,61 @@ def _decode32(word: int, address: int, xlen: int) -> DecodedInstruction:
                 name = "srai"
             else:
                 inv()
-            return _ins(address, 4, word, name, (rd, rs1, shamt),
-                        reads=(rs1,), writes=(rd,), imm=shamt)
-        name = _OP_IMM[funct3]
-        imm = _imm_i(word)
-        aliases = []
-        if name == "addi":
-            if rs1.index == 0:
-                if rd.index == 0 and imm == 0:
-                    aliases.append(Alias("nop", ()))
-                else:
-                    aliases.append(Alias("li", (rd, imm)))
-            elif imm == 0:
-                aliases.append(Alias("mv", (rd, rs1)))
-        return _ins(address, 4, word, name, (rd, rs1, imm),
-                    reads=(rs1,), writes=(rd,), imm=imm, aliases=aliases)
+            return name, (rd, rs1, shamt)
+        return _OP_IMM[funct3], (rd, rs1, _imm_i(word))
 
-    if opcode == 0b0110011:  # op
-        if funct7 == 0b0000001:
-            if funct3 not in _OP_M:
-                inv()
-            name = _OP_M[funct3]
-        else:
-            key = (funct3, funct7)
-            if key not in _OP_R:
-                inv()
-            name = _OP_R[key]
-        return _ins(address, 4, word, name, (rd, rs1, rs2),
-                    reads=(rs1, rs2), writes=(rd,))
-
-    if opcode == 0b0011011:  # op-imm-32 (RV64)
-        if xlen != 64:
+    # op, and op-32 on RV64
+    if opcode == 0b0110011 or (opcode == 0b0111011 and xlen == 64):
+        name = (_OP if opcode == 0b0110011 else _OP32).get((funct3, funct7))
+        if name is None:
             inv()
+        return name, (rd, rs1, rs2)
+
+    if opcode == 0b0011011 and xlen == 64:  # op-imm-32
         if funct3 == 0b000:
-            imm = _imm_i(word)
-            return _ins(address, 4, word, "addiw", (rd, rs1, imm),
-                        reads=(rs1,), writes=(rd,), imm=imm)
-        if funct3 in (0b001, 0b101):
-            shamt = bits(word, 24, 20)
-            if funct3 == 0b001 and funct7 == 0:
-                name = "slliw"
-            elif funct3 == 0b101 and funct7 == 0:
-                name = "srliw"
-            elif funct3 == 0b101 and funct7 == 0b0100000:
-                name = "sraiw"
-            else:
-                inv()
-            return _ins(address, 4, word, name, (rd, rs1, shamt),
-                        reads=(rs1,), writes=(rd,), imm=shamt)
-        inv()
-
-    if opcode == 0b0111011:  # op-32 (RV64)
-        if xlen != 64:
+            return "addiw", (rd, rs1, _imm_i(word))
+        name = _SHIFT32.get((funct3, funct7))
+        if name is None:
             inv()
-        if funct7 == 0b0000001:
-            if funct3 not in _OP32_M:
-                inv()
-            name = _OP32_M[funct3]
-        else:
-            key = (funct3, funct7)
-            if key not in _OP32_R:
-                inv()
-            name = _OP32_R[key]
-        return _ins(address, 4, word, name, (rd, rs1, rs2),
-                    reads=(rs1, rs2), writes=(rd,))
+        return name, (rd, rs1, bits(word, 24, 20))
 
     if opcode == 0b0101111:  # amo
         if funct3 == 0b010:
-            suffix, size = ".w", 4
+            suffix = ".w"
         elif funct3 == 0b011 and xlen == 64:
-            suffix, size = ".d", 8
+            suffix = ".d"
         else:
             inv()
         funct5 = bits(word, 31, 27)
-        aq, rl = bits(word, 26, 26), bits(word, 25, 25)
-        order = ("", ".rl", ".aq", ".aqrl")[(aq << 1) | rl]
+        suffix += _ORDERS[bits(word, 26, 25)]
         if funct5 == 0b00010:  # lr
             if rs2.index != 0:
                 inv()
-            return _ins(address, 4, word, f"lr{suffix}{order}", (rd, rs1),
-                        reads=(rs1,), writes=(rd,),
-                        mem=MemAccess("load", rs1, 0, size))
-        if funct5 == 0b00011:  # sc
-            return _ins(address, 4, word, f"sc{suffix}{order}", (rd, rs2, rs1),
-                        reads=(rs1, rs2), writes=(rd,),
-                        mem=MemAccess("store", rs1, 0, size))
+            return "lr" + suffix, (rd, rs1)
+        if funct5 == 0b00011:
+            return "sc" + suffix, (rd, rs2, rs1)
         if funct5 in _AMO:
-            name = _AMO[funct5]
-            return _ins(address, 4, word, f"{name}{suffix}{order}",
-                        (rd, rs2, rs1), reads=(rs1, rs2), writes=(rd,),
-                        mem=MemAccess("amo", rs1, 0, size))
+            return _AMO[funct5] + suffix, (rd, rs2, rs1)
         inv()
 
     if opcode == 0b0001111:  # fence / fence.i
         if funct3 == 0b000:
-            pred, succ = bits(word, 27, 24), bits(word, 23, 20)
-            return _ins(address, 4, word, "fence", (pred, succ))
+            return "fence", (bits(word, 27, 24), bits(word, 23, 20))
         if funct3 == 0b001:
-            return _ins(address, 4, word, "fence.i", ())
+            return "fence.i", ()
         inv()
 
     if opcode == 0b1110011:  # system
         if funct3 == 0b000:
             if word == 0x00000073:
-                # By convention the syscall id travels in a7; record the
-                # read so a bare ecall shows a7 as an external dependency.
-                return _ins(address, 4, word, "ecall", (), reads=(A7,),
-                            cf=Trap("ecall"))
+                return "ecall", ()
             if word == 0x00100073:
-                return _ins(address, 4, word, "ebreak", (), cf=Trap("ebreak"))
+                return "ebreak", ()
             inv()
         if funct3 in _CSR:
-            name = _CSR[funct3]
-            csr = bits(word, 31, 20)
-            if funct3 & 0b100:  # immediate forms
-                zimm = bits(word, 19, 15)
-                return _ins(address, 4, word, name, (rd, csr, zimm),
-                            writes=(rd,), imm=zimm)
-            return _ins(address, 4, word, name, (rd, csr, rs1),
-                        reads=(rs1,), writes=(rd,))
+            src = bits(word, 19, 15)    # zimm in the immediate forms
+            return _CSR[funct3], (rd, bits(word, 31, 20),
+                                  src if funct3 & 0b100 else REGISTERS[src])
         inv()
 
     inv()
@@ -440,7 +459,8 @@ def _rp(field3: int) -> Register:
     return REGISTERS[8 + field3]
 
 
-def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
+def _decode16(hw: int, address: int, xlen: int) -> tuple[str, tuple, Alias]:
+    """(mnemonic, operands, 32-bit expansion) of a compressed instruction."""
     quadrant = hw & 0b11
     funct3 = bits(hw, 15, 13)
 
@@ -456,96 +476,48 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
             if imm == 0:
                 inv()
             rd = _rp(bits(hw, 4, 2))
-            return _ins(address, 2, hw, "c.addi4spn", (rd, imm),
-                        reads=(SP,), writes=(rd,), imm=imm,
-                        base=Alias("addi", (rd, SP, imm)))
-        if funct3 == 0b010:  # c.lw
+            return "c.addi4spn", (rd, imm), Alias("addi", (rd, SP, imm))
+        r, rs1 = _rp(bits(hw, 4, 2)), _rp(bits(hw, 9, 7))
+        if funct3 in (0b010, 0b110):  # c.lw / c.sw
             imm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 6) << 2) | \
                   (bits(hw, 5, 5) << 6)
-            rd, rs1 = _rp(bits(hw, 4, 2)), _rp(bits(hw, 9, 7))
-            return _ins(address, 2, hw, "c.lw", (rd, rs1, imm),
-                        reads=(rs1,), writes=(rd,),
-                        mem=MemAccess("load", rs1, imm, 4), imm=imm,
-                        base=Alias("lw", (rd, rs1, imm)))
-        if funct3 == 0b011:
-            if xlen == 64:  # c.ld
-                imm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 5) << 6)
-                rd, rs1 = _rp(bits(hw, 4, 2)), _rp(bits(hw, 9, 7))
-                return _ins(address, 2, hw, "c.ld", (rd, rs1, imm),
-                            reads=(rs1,), writes=(rd,),
-                            mem=MemAccess("load", rs1, imm, 8), imm=imm,
-                            base=Alias("ld", (rd, rs1, imm)))
-            inv("fp")  # c.flw
-        if funct3 == 0b110:  # c.sw
-            imm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 6) << 2) | \
-                  (bits(hw, 5, 5) << 6)
-            rs2, rs1 = _rp(bits(hw, 4, 2)), _rp(bits(hw, 9, 7))
-            return _ins(address, 2, hw, "c.sw", (rs2, rs1, imm),
-                        reads=(rs1, rs2),
-                        mem=MemAccess("store", rs1, imm, 4), imm=imm,
-                        base=Alias("sw", (rs2, rs1, imm)))
-        if funct3 == 0b111:
-            if xlen == 64:  # c.sd
-                imm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 5) << 6)
-                rs2, rs1 = _rp(bits(hw, 4, 2)), _rp(bits(hw, 9, 7))
-                return _ins(address, 2, hw, "c.sd", (rs2, rs1, imm),
-                            reads=(rs1, rs2),
-                            mem=MemAccess("store", rs1, imm, 8), imm=imm,
-                            base=Alias("sd", (rs2, rs1, imm)))
-            inv("fp")  # c.fsw
-        if funct3 in (0b001, 0b101):
-            inv("fp")  # c.fld / c.fsd
-        inv()
+            name = "lw" if funct3 == 0b010 else "sw"
+            return "c." + name, (r, rs1, imm), Alias(name, (r, rs1, imm))
+        if funct3 in (0b011, 0b111) and xlen == 64:  # c.ld / c.sd
+            imm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 5) << 6)
+            name = "ld" if funct3 == 0b011 else "sd"
+            return "c." + name, (r, rs1, imm), Alias(name, (r, rs1, imm))
+        if funct3 == 0b100:
+            inv()
+        inv("fp")  # c.flw / c.fsw (RV32), c.fld / c.fsd
 
     if quadrant == 0b01:
+        rd = REGISTERS[bits(hw, 11, 7)]
+        imm = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
         if funct3 == 0b000:  # c.nop / c.addi
-            rd = REGISTERS[bits(hw, 11, 7)]
-            imm = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
             if rd.index == 0:
-                return _ins(address, 2, hw, "c.nop", (), imm=None,
-                            base=Alias("addi", (ZERO, ZERO, 0)),
-                            aliases=(Alias("nop", ()),))
-            return _ins(address, 2, hw, "c.addi", (rd, imm),
-                        reads=(rd,), writes=(rd,), imm=imm,
-                        base=Alias("addi", (rd, rd, imm)))
+                return "c.nop", (), Alias("addi", (ZERO, ZERO, 0))
+            return "c.addi", (rd, imm), Alias("addi", (rd, rd, imm))
         if funct3 == 0b001:
             if xlen == 64:  # c.addiw
-                rd = REGISTERS[bits(hw, 11, 7)]
                 if rd.index == 0:
                     inv()
-                imm = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
-                return _ins(address, 2, hw, "c.addiw", (rd, imm),
-                            reads=(rd,), writes=(rd,), imm=imm,
-                            base=Alias("addiw", (rd, rd, imm)))
-            # c.jal (RV32 only)
-            imm = _cj_imm(hw)
-            return _ins(address, 2, hw, "c.jal", (imm,), writes=(RA,),
-                        cf=DirectJump((address + imm) & mask(xlen), RA),
-                        imm=imm, base=Alias("jal", (RA, imm)))
+                return "c.addiw", (rd, imm), Alias("addiw", (rd, rd, imm))
+            imm = _cj_imm(hw)  # c.jal (RV32 only)
+            return "c.jal", (imm,), Alias("jal", (RA, imm))
         if funct3 == 0b010:  # c.li
-            rd = REGISTERS[bits(hw, 11, 7)]
-            imm = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
-            return _ins(address, 2, hw, "c.li", (rd, imm), writes=(rd,),
-                        imm=imm, base=Alias("addi", (rd, ZERO, imm)),
-                        aliases=(Alias("li", (rd, imm)),))
+            return "c.li", (rd, imm), Alias("addi", (rd, ZERO, imm))
         if funct3 == 0b011:
-            rd = REGISTERS[bits(hw, 11, 7)]
             if rd.index == 2:  # c.addi16sp
                 imm = sext((bits(hw, 12, 12) << 9) | (bits(hw, 6, 6) << 4) |
                            (bits(hw, 5, 5) << 6) | (bits(hw, 4, 3) << 7) |
                            (bits(hw, 2, 2) << 5), 10)
                 if imm == 0:
                     inv()
-                return _ins(address, 2, hw, "c.addi16sp", (imm,),
-                            reads=(SP,), writes=(SP,), imm=imm,
-                            base=Alias("addi", (SP, SP, imm)))
-            # c.lui
-            f = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
-            if f == 0:
+                return "c.addi16sp", (imm,), Alias("addi", (SP, SP, imm))
+            if imm == 0:  # c.lui
                 inv()
-            return _ins(address, 2, hw, "c.lui", (rd, f), writes=(rd,),
-                        imm=sext((f << 12) & 0xFFFFFFFF, 32),
-                        base=Alias("lui", (rd, f & 0xFFFFF)))
+            return "c.lui", (rd, imm), Alias("lui", (rd, imm & 0xFFFFF))
         if funct3 == 0b100:
             sub = bits(hw, 11, 10)
             rd = _rp(bits(hw, 9, 7))
@@ -553,124 +525,74 @@ def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
                 shamt = (bits(hw, 12, 12) << 5) | bits(hw, 6, 2)
                 if xlen == 32 and shamt >= 32:
                     inv()
-                name = "c.srli" if sub == 0 else "c.srai"
-                return _ins(address, 2, hw, name, (rd, shamt),
-                            reads=(rd,), writes=(rd,), imm=shamt,
-                            base=Alias(name[2:], (rd, rd, shamt)))
+                name = "srli" if sub == 0 else "srai"
+                return "c." + name, (rd, shamt), Alias(name, (rd, rd, shamt))
             if sub == 0b10:  # c.andi
-                imm = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
-                return _ins(address, 2, hw, "c.andi", (rd, imm),
-                            reads=(rd,), writes=(rd,), imm=imm,
-                            base=Alias("andi", (rd, rd, imm)))
+                return "c.andi", (rd, imm), Alias("andi", (rd, rd, imm))
             # register-register group
             rs2 = _rp(bits(hw, 4, 2))
-            hi = bits(hw, 12, 12)
             low = bits(hw, 6, 5)
-            if hi == 0:
-                name = ("c.sub", "c.xor", "c.or", "c.and")[low]
+            if bits(hw, 12, 12) == 0:
+                name = ("sub", "xor", "or", "and")[low]
             else:
                 if xlen != 64 or low > 0b01:
                     inv()
-                name = ("c.subw", "c.addw")[low]
-            return _ins(address, 2, hw, name, (rd, rs2),
-                        reads=(rd, rs2), writes=(rd,),
-                        base=Alias(name[2:], (rd, rd, rs2)))
+                name = ("subw", "addw")[low]
+            return "c." + name, (rd, rs2), Alias(name, (rd, rd, rs2))
         if funct3 == 0b101:  # c.j
             imm = _cj_imm(hw)
-            return _ins(address, 2, hw, "c.j", (imm,),
-                        cf=DirectJump((address + imm) & mask(xlen), None),
-                        imm=imm, base=Alias("jal", (ZERO, imm)),
-                        aliases=(Alias("j", (imm,)),))
+            return "c.j", (imm,), Alias("jal", (ZERO, imm))
         # c.beqz / c.bnez
         rs1 = _rp(bits(hw, 9, 7))
         imm = sext((bits(hw, 12, 12) << 8) | (bits(hw, 11, 10) << 3) |
                    (bits(hw, 6, 5) << 6) | (bits(hw, 4, 3) << 1) |
                    (bits(hw, 2, 2) << 5), 9)
-        name, op, base = ("c.beqz", "eq", "beq") if funct3 == 0b110 \
-            else ("c.bnez", "ne", "bne")
-        return _ins(address, 2, hw, name, (rs1, imm), reads=(rs1,),
-                    cf=CondBranch((address + imm) & mask(xlen), (rs1, ZERO), op),
-                    imm=imm, base=Alias(base, (rs1, ZERO, imm)))
+        name = "beq" if funct3 == 0b110 else "bne"
+        return f"c.{name}z", (rs1, imm), Alias(name, (rs1, ZERO, imm))
 
     # quadrant 0b10
+    rd = REGISTERS[bits(hw, 11, 7)]     # rd or rs1
+    rs2 = REGISTERS[bits(hw, 6, 2)]
     if funct3 == 0b000:  # c.slli
-        rd = REGISTERS[bits(hw, 11, 7)]
         shamt = (bits(hw, 12, 12) << 5) | bits(hw, 6, 2)
         if xlen == 32 and shamt >= 32:
             inv()
-        return _ins(address, 2, hw, "c.slli", (rd, shamt),
-                    reads=(rd,), writes=(rd,), imm=shamt,
-                    base=Alias("slli", (rd, rd, shamt)))
+        return "c.slli", (rd, shamt), Alias("slli", (rd, rd, shamt))
     if funct3 == 0b010:  # c.lwsp
-        rd = REGISTERS[bits(hw, 11, 7)]
         if rd.index == 0:
             inv()
         imm = (bits(hw, 12, 12) << 5) | (bits(hw, 6, 4) << 2) | \
               (bits(hw, 3, 2) << 6)
-        return _ins(address, 2, hw, "c.lwsp", (rd, imm),
-                    reads=(SP,), writes=(rd,),
-                    mem=MemAccess("load", SP, imm, 4), imm=imm,
-                    base=Alias("lw", (rd, SP, imm)))
-    if funct3 == 0b011:
-        if xlen == 64:  # c.ldsp
-            rd = REGISTERS[bits(hw, 11, 7)]
-            if rd.index == 0:
-                inv()
-            imm = (bits(hw, 12, 12) << 5) | (bits(hw, 6, 5) << 3) | \
-                  (bits(hw, 4, 2) << 6)
-            return _ins(address, 2, hw, "c.ldsp", (rd, imm),
-                        reads=(SP,), writes=(rd,),
-                        mem=MemAccess("load", SP, imm, 8), imm=imm,
-                        base=Alias("ld", (rd, SP, imm)))
-        inv("fp")  # c.flwsp
+        return "c.lwsp", (rd, imm), Alias("lw", (rd, SP, imm))
+    if funct3 == 0b011 and xlen == 64:  # c.ldsp
+        if rd.index == 0:
+            inv()
+        imm = (bits(hw, 12, 12) << 5) | (bits(hw, 6, 5) << 3) | \
+              (bits(hw, 4, 2) << 6)
+        return "c.ldsp", (rd, imm), Alias("ld", (rd, SP, imm))
     if funct3 == 0b100:
-        rs1 = REGISTERS[bits(hw, 11, 7)]
-        rs2 = REGISTERS[bits(hw, 6, 2)]
         if bits(hw, 12, 12) == 0:
             if rs2.index == 0:  # c.jr
-                if rs1.index == 0:
+                if rd.index == 0:
                     inv()
-                alias = Alias("ret", ()) if rs1 is RA else Alias("jr", (rs1,))
-                return _ins(address, 2, hw, "c.jr", (rs1,), reads=(rs1,),
-                            cf=IndirectJump(rs1, 0, None),
-                            base=Alias("jalr", (ZERO, rs1, 0)),
-                            aliases=(alias,))
-            # c.mv
-            if rs1.index == 0:
+                return "c.jr", (rd,), Alias("jalr", (ZERO, rd, 0))
+            if rd.index == 0:  # c.mv
                 inv()
-            return _ins(address, 2, hw, "c.mv", (rs1, rs2), reads=(rs2,),
-                        writes=(rs1,),
-                        base=Alias("add", (rs1, ZERO, rs2)),
-                        aliases=(Alias("mv", (rs1, rs2)),))
+            return "c.mv", (rd, rs2), Alias("add", (rd, ZERO, rs2))
         if rs2.index == 0:
-            if rs1.index == 0:  # c.ebreak
-                return _ins(address, 2, hw, "c.ebreak", (),
-                            cf=Trap("ebreak"), base=Alias("ebreak", ()))
-            # c.jalr
-            return _ins(address, 2, hw, "c.jalr", (rs1,), reads=(rs1,),
-                        writes=(RA,), cf=IndirectJump(rs1, 0, RA),
-                        base=Alias("jalr", (RA, rs1, 0)))
-        # c.add
-        if rs1.index == 0:
+            if rd.index == 0:  # c.ebreak
+                return "c.ebreak", (), Alias("ebreak", ())
+            return "c.jalr", (rd,), Alias("jalr", (RA, rd, 0))
+        if rd.index == 0:  # c.add
             inv()
-        return _ins(address, 2, hw, "c.add", (rs1, rs2),
-                    reads=(rs1, rs2), writes=(rs1,),
-                    base=Alias("add", (rs1, rs1, rs2)))
+        return "c.add", (rd, rs2), Alias("add", (rd, rd, rs2))
     if funct3 == 0b110:  # c.swsp
-        rs2 = REGISTERS[bits(hw, 6, 2)]
         imm = (bits(hw, 12, 9) << 2) | (bits(hw, 8, 7) << 6)
-        return _ins(address, 2, hw, "c.swsp", (rs2, imm),
-                    reads=(SP, rs2), mem=MemAccess("store", SP, imm, 4),
-                    imm=imm, base=Alias("sw", (rs2, SP, imm)))
-    if funct3 == 0b111:
-        if xlen == 64:  # c.sdsp
-            rs2 = REGISTERS[bits(hw, 6, 2)]
-            imm = (bits(hw, 12, 10) << 3) | (bits(hw, 9, 7) << 6)
-            return _ins(address, 2, hw, "c.sdsp", (rs2, imm),
-                        reads=(SP, rs2), mem=MemAccess("store", SP, imm, 8),
-                        imm=imm, base=Alias("sd", (rs2, SP, imm)))
-        inv("fp")  # c.fswsp
-    inv("fp")  # c.fldsp / c.fsdsp (funct3 001/101)
+        return "c.swsp", (rs2, imm), Alias("sw", (rs2, SP, imm))
+    if funct3 == 0b111 and xlen == 64:  # c.sdsp
+        imm = (bits(hw, 12, 10) << 3) | (bits(hw, 9, 7) << 6)
+        return "c.sdsp", (rs2, imm), Alias("sd", (rs2, SP, imm))
+    inv("fp")  # c.flwsp / c.fswsp (RV32), c.fldsp / c.fsdsp
 
 
 def _cj_imm(hw: int) -> int:
@@ -693,11 +615,13 @@ def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruct
         raise Truncated(address, 2, len(data))
     hw = data[0] | (data[1] << 8)
     if hw & 0b11 != 0b11:
-        return _decode16(hw, address, xlen)
+        name, operands, base = _decode16(hw, address, xlen)
+        return _ins(address, 2, hw, name, operands, xlen, base)
     if hw & 0b11111 == 0b11111:
         # 48-bit and longer encodings are out of scope
         raise InvalidEncoding(address, hw)
     if len(data) < 4:
         raise Truncated(address, 4, len(data))
     word = hw | (data[2] << 16) | (data[3] << 24)
-    return _decode32(word, address, xlen)
+    name, operands = _decode32(word, address, xlen)
+    return _ins(address, 4, word, name, operands, xlen)

@@ -32,7 +32,6 @@ class Segment:
     vaddr: int
     data: bytes
     executable: bool
-    name: str = ""
 
     @property
     def end(self) -> int:
@@ -80,7 +79,6 @@ class ExecutableImage:
     segments: tuple[Segment, ...]
     xlen: int
     entry_point: int
-    source: str  # "elf" | "raw"
 
     def __post_init__(self):
         last_end = None
@@ -193,10 +191,10 @@ def parse_elf(blob: bytes) -> ExecutableImage:
                 f"segment {i} runs past the {xlen}-bit address space")
         data = blob[p_offset:p_offset + p_filesz] + bytes(p_memsz - p_filesz)
         segs.append(Segment(vaddr=p_vaddr, data=data,
-                            executable=bool(p_flags & _PF_X), name=f"load{i}"))
+                            executable=bool(p_flags & _PF_X)))
 
     return ExecutableImage(segments=_segments_sorted(segs), xlen=xlen,
-                           entry_point=e_entry, source="elf")
+                           entry_point=e_entry)
 
 
 def load_raw(path: str, base: int, xlen: int) -> ExecutableImage:
@@ -211,7 +209,6 @@ def load_raw(path: str, base: int, xlen: int) -> ExecutableImage:
 def from_bytes(blob: bytes, base: int, xlen: int,
                entry: int | None = None) -> ExecutableImage:
     """Wrap a byte blob as a single-segment executable image."""
-    seg = Segment(vaddr=base, data=bytes(blob), executable=True, name="raw")
+    seg = Segment(vaddr=base, data=bytes(blob), executable=True)
     return ExecutableImage(segments=(seg,), xlen=xlen,
-                           entry_point=base if entry is None else entry,
-                           source="raw")
+                           entry_point=base if entry is None else entry)

@@ -10,8 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Register:
+    """One of the 32 singletons in `REGISTERS`; identity is equality."""
+
     index: int
     name: str      # canonical ABI name ("zero", "ra", "a5", ...)
     saver: str     # "caller" | "callee" | "none"
@@ -100,10 +102,6 @@ def sext(value: int, width: int) -> int:
 
 def mask(xlen: int) -> int:
     return (1 << xlen) - 1
-
-
-def to_unsigned(value: int, xlen: int) -> int:
-    return value & mask(xlen)
 
 
 def to_signed(value: int, xlen: int) -> int:

@@ -12,9 +12,9 @@ nothing.  A pop from an empty stack or a mismatched compare terminates
 the run as a violation, the way an enforcing implementation would.
 
 System calls are not forwarded anywhere.  Each ecall is recorded and a0
-gets a canned result: open-like calls yield descriptor 5, read and write
-report the full requested count, anything else returns 0.  Overrides per
-call number can be supplied.
+gets a canned result from a fixed table: open-like calls yield descriptor
+5, read and write report the full requested count, anything else
+returns 0.
 """
 
 from __future__ import annotations
@@ -109,8 +109,7 @@ class SimReport:
 class Machine:
     """Single-hart interpreter over mapped memory regions."""
 
-    def __init__(self, xlen: int = 32,
-                 ecall_returns: dict[int, int] | None = None):
+    def __init__(self, xlen: int = 32):
         if xlen not in (32, 64):
             raise ToolError(f"xlen must be 32 or 64, not {xlen}")
         self.xlen = xlen
@@ -122,10 +121,6 @@ class Machine:
         self.shadow_pushes = 0
         self.shadow_pops = 0
         self.syscalls: list[SyscallRecord] = []
-        self.executed = 0
-        self.ecall_returns = dict(DEFAULT_ECALL_RETURNS)
-        if ecall_returns:
-            self.ecall_returns.update(ecall_returns)
 
     # -- memory ---------------------------------------------------------
 
@@ -196,7 +191,6 @@ class Machine:
 
     def step(self) -> None:
         insn = self.fetch()
-        self.executed += 1
         next_pc = self._execute(insn)
         self.pc = (self.pc + insn.width if next_pc is None else next_pc) & self.mask
 
@@ -253,8 +247,8 @@ class Machine:
     def _ecall(self, insn: DecodedInstruction) -> None:
         number = self.regs[17]
         args = tuple(self.regs[10:16])
-        if number in self.ecall_returns:
-            result = self.ecall_returns[number]
+        if number in DEFAULT_ECALL_RETURNS:
+            result = DEFAULT_ECALL_RETURNS[number]
         elif number in (READ, WRITE):
             result = self.regs[12]          # full count transferred
         else:
@@ -409,8 +403,7 @@ _BASE_OPS = {
 
 def new_machine(image: ExecutableImage, *,
                 payload=None, buffer_base: int | None = None,
-                stack_top: int = DEFAULT_STACK_TOP,
-                ecall_returns: dict[int, int] | None = None) -> Machine:
+                stack_top: int = DEFAULT_STACK_TOP) -> Machine:
     """Map the image, the payload buffer, and a scratch stack.
 
     Registers start at zero apart from sp, which points at `stack_top`
@@ -418,7 +411,7 @@ def new_machine(image: ExecutableImage, *,
     the payload's stack writes land at their entry-sp-relative offsets,
     and it is the chain initializer's job to load them.
     """
-    m = Machine(xlen=image.xlen, ecall_returns=ecall_returns)
+    m = Machine(xlen=image.xlen)
     for seg in image.segments:
         m.map_region(seg.vaddr, seg.data)
     if payload is not None:

@@ -422,6 +422,18 @@ def test_layout_surfaces_unplaced_sources(lab):
     assert "place it yourself" in text
 
 
+def test_manifest_signs_negative_offsets(lab):
+    img, addrs = lab
+    spec = spec_for(img, addrs, ["g_one"])
+    sets = dict(spec.initializer.sets)
+    sets[reg("s0")] = Source("stack", reg("sp"), -12)
+    sets[reg("a1")] = Source("mem", reg("a3"), -8)
+    spec = replace(spec, initializer=replace(spec.initializer, sets=sets))
+    lines = render_manifest(spec, layout_payload(spec, 32), []).splitlines()
+    assert any(line.startswith("  sp-12   <- ") for line in lines)
+    assert "  note: a1 loads via mem base a3-8; place it yourself" in lines
+
+
 # --- initializer vetting ----------------------------------------------------
 
 def test_initializer_rejects_ra_jump(lab):

@@ -1,5 +1,10 @@
 """End-to-end command-line runs against files on disk."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from rvjop.cli import main
@@ -208,6 +213,17 @@ def test_initializers_names_the_mem_base(capsys, tmp_path):
                                     ("lw", "s1", "a1", 4))
     assert lines == [f"0x{init:08x} via t0: s0<-mem(a1)+0 s1<-mem(a1)+4",
                      "1 candidate"]
+
+
+def test_initializers_signs_negative_offsets(capsys, tmp_path):
+    init, lines = _initializers_for(capsys, tmp_path,
+                                    ("addi", "sp", "sp", -16),
+                                    ("lw", "s0", "sp", 4),
+                                    ("lw", "s1", "sp", 8))
+    # the suffix after the addi is a second candidate, with sp unmoved
+    assert lines == [f"0x{init:08x} via t0: s0<-stack-12 s1<-stack-8",
+                     f"0x{init + 4:08x} via t0: s0<-stack+4 s1<-stack+8",
+                     "2 candidates"]
 
 
 def test_initializers_unknown_dispatcher(capsys, adg_blob):
@@ -456,3 +472,17 @@ def test_pinned_stdout_on_adg(capsys, tmp_path, adg_blob):
              PINNED_INITIALIZERS),
             (["chain", *RAW(blob), "--spec", str(spec)], PINNED_CHAIN)]:
         assert run(capsys, *argv)[:2] == (0, want), argv[0]
+
+
+def test_cli_import_loads_no_assembler_and_keeps_submodules():
+    # A fresh interpreter: the package must not load the assembler for the
+    # CLI, nor hide a submodule behind a re-exported function.
+    code = ("import sys, rvjop.cli\n"
+            "assert 'rvjop.assembler' not in sys.modules\n"
+            "assert sys.modules['rvjop'].classify is "
+            "sys.modules['rvjop.classify']\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -418,18 +418,9 @@ def test_transfer_calls_return_the_count():
         assert m.get(reg("a0")) == 77
 
 
-def test_ecall_overrides_and_default():
-    b = CodeBuilder()
-    b.emit("li", "a7", 63)
-    b.emit("ecall")
-    b.label("end")
-    b.emit("ebreak")
-    m = new_machine(b.image(), ecall_returns={63: 123})
-    run_chain(m, b.base, b.labels["end"])
-    assert m.get(reg("a0")) == 123
-
-    m2 = run_snippet([("li", "a7", 999), ("li", "a0", 4), ("ecall",)])
-    assert m2.get(reg("a0")) == 0
+def test_unknown_ecall_returns_zero():
+    m = run_snippet([("li", "a7", 999), ("li", "a0", 4), ("ecall",)])
+    assert m.get(reg("a0")) == 0
 
 
 # --- machine plumbing -------------------------------------------------------
