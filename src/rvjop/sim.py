@@ -11,6 +11,14 @@ pops and compares.  Indirect jumps through any other register touch
 nothing.  A pop from an empty stack or a mismatched compare terminates
 the run as a violation, the way an enforcing implementation would.
 
+Each pc is decoded once: the machine keeps the decoded instruction of
+every pc it has fetched, the way Spike's decode cache does, and decodes
+again only after a store.  A store drops every cached pc in
+[address - 3, address + size), which covers any 2- or 4-byte instruction
+overlapping the written bytes, so a payload that writes code runs the new
+bytes.  A fetch that faults caches nothing.  The cache holds at most one
+entry per distinct pc run, so it is bounded by the fuel.
+
 System calls are not forwarded anywhere.  Each ecall is recorded and a0
 gets a canned result from a fixed table: open-like calls yield descriptor
 5, read and write report the full requested count, anything else
@@ -19,7 +27,8 @@ returns 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
                       IndirectJump, Trap, decode_one, jalr_target)
@@ -121,6 +130,7 @@ class Machine:
         self.shadow_pushes = 0
         self.shadow_pops = 0
         self.syscalls: list[SyscallRecord] = []
+        self._decoded: dict[int, DecodedInstruction] = {}
 
     # -- memory ---------------------------------------------------------
 
@@ -148,16 +158,13 @@ class Machine:
         return int.from_bytes(buf[off:off + size], "little")
 
     def store(self, address: int, size: int, value: int) -> None:
-        buf, off = self._locate(address & self.mask, size)
+        address &= self.mask
+        buf, off = self._locate(address, size)
+        decoded = self._decoded
+        for pc in range(address - 3, address + size):
+            decoded.pop(pc & self.mask, None)   # fetches wrap too
         buf[off:off + size] = (value & ((1 << (size * 8)) - 1)
                                ).to_bytes(size, "little")
-
-    def mapped(self, address: int, size: int = 1) -> bool:
-        try:
-            self._locate(address & self.mask, size)
-            return True
-        except _Fault:
-            return False
 
     # -- registers ------------------------------------------------------
 
@@ -178,16 +185,21 @@ class Machine:
     # -- execution ------------------------------------------------------
 
     def fetch(self) -> DecodedInstruction:
+        insn = self._decoded.get(self.pc)
+        if insn is not None:
+            return insn
         if self.pc & 1:
             raise _Fault("misaligned-pc", f"odd pc 0x{self.pc:x}")
         first = self.load(self.pc, 2)
         width = 2 if first & 0b11 != 0b11 else 4
         raw = first if width == 2 else first | (self.load(self.pc + 2, 2) << 16)
         try:
-            return decode_one(raw.to_bytes(width, "little"), self.pc, self.xlen)
+            insn = decode_one(raw.to_bytes(width, "little"), self.pc, self.xlen)
         except (InvalidEncoding, Truncated) as exc:
             raise _Fault("invalid-encoding",
                          f"at 0x{self.pc:x}: {exc}") from None
+        self._decoded[self.pc] = insn
+        return insn
 
     def step(self) -> None:
         insn = self.fetch()
@@ -227,13 +239,11 @@ class Machine:
                 self._shadow_pop(target)
             return target
         if isinstance(cf, CondBranch):
-            a, b = (to_signed(self.get(r), self.xlen) for r in cf.regs)
-            if cf.op in ("ltu", "geu"):
-                a, b = self.get(cf.regs[0]), self.get(cf.regs[1])
-            taken = {"eq": a == b, "ne": a != b,
-                     "lt": a < b, "ge": a >= b,
-                     "ltu": a < b, "geu": a >= b}[cf.op]
-            return cf.target & self.mask if taken else None
+            compare, signed = _BRANCHES[cf.op]
+            a, b = self.regs[cf.regs[0].index], self.regs[cf.regs[1].index]
+            if signed:
+                a, b = to_signed(a, self.xlen), to_signed(b, self.xlen)
+            return cf.target & self.mask if compare(a, b) else None
         if isinstance(cf, Trap):
             if cf.kind == "ebreak":
                 raise _Fault("breakpoint", f"ebreak at 0x{self.pc:x}")
@@ -320,6 +330,15 @@ class Machine:
         lhs = self.get(a)
         rhs = self.get(b) if isinstance(b, Register) else b
         self.set(rd, fn(self, lhs, rhs) & self.mask)
+
+
+# Branch condition -> (comparison, whether it compares signed values).
+# Registers hold unsigned values, so eq and ne need no conversion.
+_BRANCHES = {
+    "eq": (operator.eq, False), "ne": (operator.ne, False),
+    "lt": (operator.lt, True), "ge": (operator.ge, True),
+    "ltu": (operator.lt, False), "geu": (operator.ge, False),
+}
 
 
 def _signed(fn):
@@ -432,16 +451,19 @@ def run_chain(machine: Machine, entry: int, return_to: int,
               loop_entry: int | None = None) -> SimReport:
     """Run until the chain lands on `return_to` or something gives out."""
     machine.pc = entry & machine.mask
+    return_to &= machine.mask
+    if loop_entry is not None:
+        loop_entry &= machine.mask
     sp_entry = machine.sp
     rounds = 0
     steps = 0
     outcome = FUEL_EXHAUSTED
     fault = violation = None
     while steps < fuel:
-        if machine.pc == return_to & machine.mask:
+        if machine.pc == return_to:
             outcome = REACHED
             break
-        if loop_entry is not None and machine.pc == loop_entry & machine.mask:
+        if machine.pc == loop_entry:
             rounds += 1
         try:
             machine.step()

@@ -1,16 +1,57 @@
-"""Interpreter semantics: ALU, memory, control flow, shadow stack, faults."""
+"""Interpreter semantics: ALU, memory, control flow, shadow stack, faults,
+and the decode cache: code a program writes runs, and every run ends in
+the same state with the cache as without it."""
+
+import random
 
 import pytest
 
+import rvjop.sim
+from rvjop.assembler import assemble
+from rvjop.chain import layout_payload
 from rvjop.errors import Overlap, ToolError
+from rvjop.image import from_bytes
 from rvjop.isa import reg
 from rvjop.sim import (DEFAULT_STACK_TOP, Machine, SimReport, new_machine,
                        run_chain)
 
-from conftest import CodeBuilder
+from conftest import BASE, CodeBuilder
+from test_acceptance import _e2e_chain
 
 M32 = 0xFFFFFFFF
 M64 = 0xFFFFFFFFFFFFFFFF
+
+
+class _Forgetful(dict):
+    """A decode cache that keeps nothing, so every fetch decodes."""
+
+    def __setitem__(self, pc, insn):
+        pass
+
+
+def machine_state(m, report):
+    return (report, list(m.regs), m.pc, list(m.shadow_stack),
+            [(start, bytes(buf)) for start, buf in m.regions])
+
+
+def run_both(make, entry, return_to, **kw):
+    """Run a machine from `make()` with the decode cache and another
+    without it; both must end in the same state.  Returns the first."""
+    m, uncached = make(), make()
+    uncached._decoded = _Forgetful()
+    report = run_chain(m, entry, return_to, **kw)
+    assert machine_state(m, report) == machine_state(
+        uncached, run_chain(uncached, entry, return_to, **kw))
+    return m, report
+
+
+def run_built(b, entry, return_to, seed=None, **kw):
+    def make():
+        m = new_machine(b.image())
+        for name, val in (seed or {}).items():
+            m.poke(name, val)
+        return m
+    return run_both(make, entry, return_to, **kw)
 
 
 def run_snippet(lines, *, xlen=32, seed=None, fuel=1000):
@@ -20,10 +61,7 @@ def run_snippet(lines, *, xlen=32, seed=None, fuel=1000):
         b.emit(mn, *ops)
     b.label("end")
     b.emit("ebreak")
-    m = new_machine(b.image())
-    for name, val in (seed or {}).items():
-        m.poke(name, val)
-    report = run_chain(m, b.base, b.labels["end"], fuel=fuel)
+    m, report = run_built(b, b.base, b.labels["end"], seed, fuel=fuel)
     assert report.outcome == "reached", report.render()
     return m
 
@@ -250,8 +288,7 @@ def test_jal_links_and_jumps():
     b.emit("jal", "ra", b.labels["f"] - b.here)
     b.label("end")
     b.emit("ebreak")
-    m = new_machine(b.image())
-    report = run_chain(m, b.labels["start"], b.labels["end"])
+    m, report = run_built(b, b.labels["start"], b.labels["end"])
     assert report.outcome == "reached"
     assert m.get(reg("a0")) == 5
     assert report.shadow_pushes == 1 and report.shadow_pops == 1
@@ -266,8 +303,7 @@ def test_offset_return_does_not_pop():
     b.emit("ebreak")
     b.label("end")
     b.emit("ebreak")
-    m = new_machine(b.image())
-    report = run_chain(m, b.labels["start"], b.labels["end"])
+    _, report = run_built(b, b.labels["start"], b.labels["end"])
     assert report.outcome == "reached"
     assert report.shadow_pops == 0
 
@@ -284,8 +320,7 @@ def test_return_mismatch_is_a_violation():
     b.emit("nop")
     b.label("end")
     b.emit("ebreak")
-    m = new_machine(b.image())
-    report = run_chain(m, b.labels["start"], b.labels["end"])
+    _, report = run_built(b, b.labels["start"], b.labels["end"])
     assert report.outcome == "violation"
     assert "expected" in report.violation
     assert not report.stealth
@@ -297,9 +332,8 @@ def test_return_without_call_is_a_violation():
     b.emit("ret")
     b.label("end")
     b.emit("ebreak")
-    m = new_machine(b.image())
-    m.poke("ra", b.labels["end"])
-    report = run_chain(m, b.labels["start"], b.labels["end"])
+    _, report = run_built(b, b.labels["start"], b.labels["end"],
+                          {"ra": b.labels["end"]})
     assert report.outcome == "violation"
     assert "empty shadow stack" in report.violation
 
@@ -314,9 +348,8 @@ def test_unlinked_jump_skips_the_shadow_stack():
     b.emit("jalr", "zero", "t0", b.labels["f"] - b.labels["start"])
     b.label("end")
     b.emit("ebreak")
-    m = new_machine(b.image())
-    m.poke("t1", b.labels["end"])
-    report = run_chain(m, b.labels["start"], b.labels["end"])
+    _, report = run_built(b, b.labels["start"], b.labels["end"],
+                          {"t1": b.labels["end"]})
     assert report.outcome == "reached"
     assert report.shadow_pushes == 0 and report.shadow_pops == 0
 
@@ -330,8 +363,7 @@ def test_linking_jalr_pushes():
     b.emit("jalr", "ra", "t0", b.labels["f"] - b.labels["start"])
     b.label("end")
     b.emit("ebreak")
-    m = new_machine(b.image())
-    report = run_chain(m, b.labels["start"], b.labels["end"])
+    _, report = run_built(b, b.labels["start"], b.labels["end"])
     assert report.outcome == "reached"
     assert report.shadow_pushes == 1 and report.shadow_pops == 1
     assert report.shadow_depth == 0
@@ -340,10 +372,7 @@ def test_linking_jalr_pushes():
 # --- faults -----------------------------------------------------------------
 
 def fault_report(b, entry, **kw):
-    m = new_machine(b.image())
-    for name, val in kw.items():
-        m.poke(name, val)
-    return run_chain(m, entry, 0xDEAD0000)
+    return run_built(b, entry, 0xDEAD0000, kw)[1]
 
 
 def test_misaligned_pc_faults():
@@ -384,10 +413,158 @@ def test_ebreak_faults():
 def test_fuel_runs_out():
     b = CodeBuilder()
     b.emit("j", 0)
-    m = new_machine(b.image())
-    report = run_chain(m, b.base, 0xDEAD0000, fuel=500)
+    _, report = run_built(b, b.base, 0xDEAD0000, fuel=500)
     assert report.outcome == "fuel-exhausted"
     assert report.steps == 500
+
+
+def test_fetch_faults_are_not_cached():
+    m = Machine()
+    assert run_chain(m, 0x900000, 0x900004).outcome == "fault"
+    m.map_region(0x900000, assemble("addi", ("a0", "a0", 1)))
+    assert run_chain(m, 0x900000, 0x900004).outcome == "reached"
+    m.map_region(0x900004, bytes(4))
+    assert run_chain(m, 0x900004, 0x900008).outcome == "fault"
+    m.store(0x900004, 4, int.from_bytes(assemble("nop"), "little"))
+    assert run_chain(m, 0x900004, 0x900008).outcome == "reached"
+    assert m.get(reg("a0")) == 1
+
+
+# --- code that writes code --------------------------------------------------
+
+def run_patched(patched, store, value, at=0):
+    """Run the raw instruction bytes `patched`, then `store` `value` at
+    byte `at` of them, then run them again; return the machine."""
+    b = CodeBuilder()
+    b.label("patch")
+    for part in patched:
+        b.raw(part)
+    b.emit("bne", "a1", "zero", 16)         # second time round: to end
+    b.emit("li", "a1", 1)
+    b.emit(store, "t0", "s0", 0)
+    b.emit("jal", "zero", b.labels["patch"] - b.here)
+    b.label("end")
+    b.emit("ebreak")
+    m, report = run_built(b, b.base, b.labels["end"],
+                          {"s0": b.labels["patch"] + at, "t0": value})
+    assert report.outcome == "reached", report.render()
+    return m
+
+
+def test_stored_instruction_runs():
+    m = run_patched([assemble("addi", ("a0", "a0", 1))], "sw",
+                    int.from_bytes(assemble("addi", ("a0", "a0", 100)),
+                                   "little"))
+    assert m.get(reg("a0")) == 1 + 100
+
+
+def test_store_to_last_byte_of_an_instruction():
+    # byte 3 of an I-type word holds imm[11:4]: 0x06 there makes 1 into 0x61
+    m = run_patched([assemble("addi", ("a0", "a0", 1))], "sb", 0x06, at=3)
+    assert m.get(reg("a0")) == 1 + 0x61
+
+
+def test_store_widens_a_compressed_instruction():
+    # The low half of `addi a0, a0, 100` over `c.addi a0, 1` joins the
+    # halfword after it, which on its own reads as `c.addi a2, 17`.
+    word = int.from_bytes(assemble("addi", ("a0", "a0", 100)), "little")
+    high = (word >> 16).to_bytes(2, "little")
+    assert high == assemble("c.addi", ("a2", 17))
+    m = run_patched([assemble("c.addi", ("a0", 1)), high], "sh",
+                    word & 0xFFFF)
+    assert m.get(reg("a0")) == 1 + 100
+    assert m.get(reg("a2")) == 17
+
+
+# --- the decode cache changes nothing but speed -----------------------------
+
+def test_e2e_chain_same_with_and_without_cache(monkeypatch):
+    img, addrs, spec, _, _ = _e2e_chain()
+    layout = layout_payload(spec, 32, image=img)
+    decodes = []
+    decode = rvjop.sim.decode_one
+    monkeypatch.setattr(rvjop.sim, "decode_one",
+                        lambda *a: decodes.append(a) or decode(*a))
+    m, report = run_both(
+        lambda: new_machine(img, payload=layout,
+                            buffer_base=spec.table_base),
+        addrs["init"], spec.return_to,
+        loop_entry=spec.dispatcher.loop_entry)
+    assert report.stealth
+    # the uncached run decodes every step, the cached one every pc once
+    assert len(decodes) == report.steps + len(m._decoded)
+    assert len(m._decoded) < report.steps // 100
+
+
+_VALUES = ("a0", "a1", "a2", "a3", "a4", "a5", "t0", "t1", "t2")
+_BASES = ("s0", "s1")
+_KINDS = ("alu", "alu", "store", "store", "store", "load", "branch", "jump",
+          "compressed", "compressed", "raw")
+
+
+def _random_insn(rng, xlen, back=0):
+    """One instruction of a mix heavy in stores through s0 and s1, which
+    point into the program's own code; jumps go at most `back` bytes back
+    and 32 forward."""
+    pick = rng.choice
+    kind = pick(_KINDS)
+    offset = 2 * rng.randrange(-back // 2, 17) or 2
+    if kind == "alu":
+        mn, ops = pick(("add", "sub", "xor")), tuple(
+            pick(_VALUES) for _ in range(3))
+        if rng.random() < 0.5:
+            mn, ops = "addi", ops[:2] + (rng.randrange(-64, 64),)
+    elif kind == "store":
+        mn, ops = pick(("sw", "sh", "sb")), (pick(_VALUES), pick(_BASES),
+                                             rng.randrange(64))
+    elif kind == "load":
+        mn, ops = pick(("lw", "lbu")), (pick(_VALUES), pick(_BASES),
+                                        rng.randrange(64))
+    elif kind == "branch":
+        mn, ops = pick(("beq", "bne", "blt", "bgeu")), (
+            pick(_VALUES), pick(_VALUES), offset)
+    elif kind == "jump":
+        mn, ops = "jal", ("zero", offset)
+    elif kind == "compressed":
+        mn, ops = pick((("c.addi", (pick(_VALUES), rng.randrange(1, 32))),
+                        ("c.li", (pick(_VALUES), rng.randrange(-32, 32)))))
+    else:
+        return rng.getrandbits(16).to_bytes(2, "little")
+    return assemble(mn, ops, xlen=xlen)
+
+
+def random_program(rng, xlen):
+    """(code, registers): 40 random instructions, then 32 bytes of c.nop
+    that a forward jump past the end lands in."""
+    code = b""
+    for _ in range(40):
+        code += _random_insn(rng, xlen, back=len(code))
+    code += assemble("c.nop") * 16
+    seed = {"s0": BASE, "s1": BASE + len(code) // 2}
+    for name in _VALUES:                # what a store writes is code too
+        pair = _random_insn(rng, xlen) + _random_insn(rng, xlen)
+        seed[name] = int.from_bytes(pair[:4], "little")
+    return code, seed
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+def test_random_programs_same_with_and_without_cache(xlen):
+    rng = random.Random(xlen)
+    rewrote = 0
+    for _ in range(100):
+        code, seed = random_program(rng, xlen)
+        img = from_bytes(code, BASE, xlen)
+
+        def make():
+            m = new_machine(img)
+            for name, val in seed.items():
+                m.poke(name, val)
+            return m
+
+        m, report = run_both(make, BASE, BASE + len(code), fuel=150)
+        rewrote += report.steps > 20 and bytes(m.regions[0][1]) != code
+    # enough of them write their own code and keep running to test the cache
+    assert rewrote >= 10
 
 
 # --- syscalls ---------------------------------------------------------------
@@ -401,8 +578,7 @@ def test_open_like_returns_descriptor_five():
     b.emit("ecall")
     b.label("end")
     b.emit("ebreak")
-    m = new_machine(b.image())
-    report = run_chain(m, b.base, b.labels["end"])
+    m, report = run_built(b, b.base, b.labels["end"])
     assert report.outcome == "reached"
     (rec,) = report.syscalls
     assert rec.number == 56
@@ -478,8 +654,7 @@ def test_final_sp_delta_reported():
     b.emit("addi", "sp", "sp", -16)
     b.label("end")
     b.emit("ebreak")
-    m = new_machine(b.image())
-    report = run_chain(m, b.base, b.labels["end"])
+    _, report = run_built(b, b.base, b.labels["end"])
     assert report.final_sp_delta == -16
     assert not report.stealth
 
@@ -490,8 +665,7 @@ def test_round_counting_needs_loop_entry():
     b.emit("nop")
     b.label("end")
     b.emit("ebreak")
-    m = new_machine(b.image())
-    report = run_chain(m, b.base, b.labels["end"])
+    _, report = run_built(b, b.base, b.labels["end"])
     assert report.dispatch_rounds == 0
 
 
