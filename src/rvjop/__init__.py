@@ -6,7 +6,9 @@ indirect jumps, per-gadget dataflow summaries, role classification
 including dispatcher and initializer discovery, chain building with
 payload layout, and a shadow-stack interpreter for verdicts.  Each lives
 in its own submodule (`rvjop.decoder`, `rvjop.scanner`, ...); the package
-itself exports only the two image loaders.
+itself exports only the two image loaders.  A submodule that nothing has
+imported yet loads on first attribute access, so `rvjop.sim` works after
+`import rvjop` without the package importing every layer up front.
 """
 
 from .image import load_elf, load_raw
@@ -14,3 +16,14 @@ from .image import load_elf, load_raw
 __version__ = "0.1.0"
 
 __all__ = ["load_elf", "load_raw"]
+
+
+def __getattr__(name: str):
+    import importlib
+    module = f"{__name__}.{name}"
+    try:
+        return importlib.import_module(module)
+    except ModuleNotFoundError as exc:
+        if exc.name != module:
+            raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

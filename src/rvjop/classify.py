@@ -17,6 +17,10 @@ Dispatcher shapes:
   what makes this shape interesting.  Detection therefore looks past the
   terminator at the return path, something plain gadget extraction never
   does.
+
+Every shape needs a table update that advances the table: an add of 0
+(the HINT `c.addi gp, 0`, say) is no update, so a candidate never has
+stride 0.  `_table_step` is that one rule, for all three shapes.
 """
 
 from __future__ import annotations
@@ -180,6 +184,13 @@ def _table_load(insn: DecodedInstruction, target: Register
     return mem.base, mem.offset
 
 
+def _table_step(insn: DecodedInstruction) -> tuple[Register, int] | None:
+    """(register, stride) when `insn` advances a register by a nonzero
+    constant: the only table updates a dispatcher may use."""
+    got = const_add(insn)
+    return got if got is not None and got[1] != 0 else None
+
+
 def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
                     ) -> DispatcherCandidate | None:
     cf = term.control_flow
@@ -245,12 +256,12 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
     update = None
     pre_increment = False
     for insn in body[:-1]:
-        got = const_add(insn)
+        got = _table_step(insn)
         if got is not None and got[0] is table_reg:
             update = got
             pre_increment = True
     for insn in path:
-        got = const_add(insn)
+        got = _table_step(insn)
         if got is not None and got[0] is table_reg and update is None:
             update = got
     if update is None:
@@ -288,7 +299,7 @@ def _try_classic(gadget: Gadget) -> DispatcherCandidate | None:
     update = None
     update_addr = None
     for insn in gadget.interior:
-        got = const_add(insn)
+        got = _table_step(insn)
         if got is not None and got[0] is table_reg:
             update = got
             update_addr = insn.address
@@ -323,7 +334,7 @@ def _try_two_stage(gadgets: list[Gadget]) -> list[DispatcherCandidate]:
         if table_reg is SP:
             continue
         if any(got is not None and got[0] is table_reg
-               for got in map(const_add, g.instructions)):
+               for got in map(_table_step, g.instructions)):
             continue  # that would be a classic dispatcher, not a stage
         summary = summarize_dataflow(g.instructions)
         stage2.append((g, table_reg, target, load_offset,
@@ -332,7 +343,7 @@ def _try_two_stage(gadgets: list[Gadget]) -> list[DispatcherCandidate]:
     out = []
     for g1 in gadgets:
         jump_reg = g1.link_register
-        updates = [got for got in map(const_add, g1.interior)
+        updates = [got for got in map(_table_step, g1.interior)
                    if got is not None and got[0] is not jump_reg]
         if not updates or any(_table_load(i, jump_reg) for i in g1.interior):
             continue

@@ -12,6 +12,10 @@ Subcommands:
 
 Exit codes: 0 results or success, 1 nothing found (or an unsuccessful
 run), 2 bad usage, 3 unreadable or unsupported input image.
+
+Each subcommand imports only the layers it runs: the query layer for
+scan and query, the chain layer for chain, and the interpreter for sim
+and chain --simulate, so no command pays start-up time for the rest.
 """
 
 from __future__ import annotations
@@ -19,17 +23,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .chain import (has_errors, layout_payload, parse_chain_text,
-                    render_manifest, validate_chain)
 from .classify import (availability_stats, dispatcher_at, find_dispatchers,
                        find_initializers, render_stats_table)
 from .errors import ToolError, UsageError
 from .image import ExecutableImage, load_elf, load_raw
 from .isa import SP
-from .query import (Query, emit_records, parse_query, render_listing,
-                    run_query)
 from .scanner import ScanConfig, dedupe, extract_gadgets
-from .sim import DEFAULT_FUEL, DEFAULT_STACK_TOP, new_machine, run_chain
 
 OK = 0
 EMPTY = 1
@@ -54,6 +53,22 @@ def _load_image(args) -> ExecutableImage:
     if args.raw:
         return load_raw(args.raw, args.base, args.xlen)
     raise UsageError("an input image is required (--binary or --raw)")
+
+
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    # Omitted flags stay None, so building the parser does not import
+    # rvjop.sim; `_sim_limits` fills in its defaults.
+    p.add_argument("--fuel", type=int, default=None)
+    p.add_argument("--stack-top", type=lambda s: int(s, 0), default=None)
+
+
+def _sim_limits(args) -> tuple[int, int]:
+    """(fuel, stack top): the flags as given, else the interpreter's
+    defaults."""
+    from .sim import DEFAULT_FUEL, DEFAULT_STACK_TOP
+    fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
+    top = DEFAULT_STACK_TOP if args.stack_top is None else args.stack_top
+    return fuel, top
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -105,9 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buffer-base", type=lambda s: int(s, 0), default=None,
                    help="map the payload here when simulating "
                         "(default: the table base)")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    p.add_argument("--stack-top", type=lambda s: int(s, 0),
-                   default=DEFAULT_STACK_TOP)
+    _add_sim_flags(p)
 
     p = sub.add_parser("sim", help="run code under the interpreter")
     _add_input_flags(p)
@@ -116,9 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--payload", metavar="FILE",
                    help="raw bytes to map at --buffer-base")
     p.add_argument("--buffer-base", type=lambda s: int(s, 0), default=None)
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    p.add_argument("--stack-top", type=lambda s: int(s, 0),
-                   default=DEFAULT_STACK_TOP)
+    _add_sim_flags(p)
     p.add_argument("--loop-entry", type=lambda s: int(s, 0), default=None,
                    help="count dispatch rounds at this address")
     p.add_argument("--poke", action="append", default=[],
@@ -127,6 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_scan(args) -> int:
+    from .query import Query, emit_records, render_listing, run_query
     image = _load_image(args)
     q = Query(all_=True, max=args.max, unique=args.unique)
     hits = run_query(image, q)
@@ -136,6 +148,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_query(args, extra: list[str]) -> int:
+    from .query import emit_records, parse_query, render_listing, run_query
     image = _load_image(args)
     q = parse_query(extra)
     hits = run_query(image, q)
@@ -203,6 +216,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    from .chain import (has_errors, layout_payload, parse_chain_text,
+                        render_manifest, validate_chain)
     image = _load_image(args)
     with open(args.spec, encoding="utf-8") as fh:
         spec = parse_chain_text(fh.read(), image)
@@ -223,19 +238,23 @@ def _cmd_chain(args) -> int:
             fh.write(layout.buffer)
     if not args.simulate:
         return OK
+    from .sim import new_machine, run_chain
+    fuel, stack_top = _sim_limits(args)
     base = args.buffer_base if args.buffer_base is not None else spec.table_base
     machine = new_machine(image, payload=layout, buffer_base=base,
-                          stack_top=args.stack_top)
+                          stack_top=stack_top)
     report = run_chain(machine, spec.initializer.gadget.start,
-                       spec.return_to, fuel=args.fuel,
+                       spec.return_to, fuel=fuel,
                        loop_entry=spec.dispatcher.loop_entry)
     sys.stdout.write(report.render())
     return OK if report.outcome == "reached" else EMPTY
 
 
 def _cmd_sim(args) -> int:
+    from .sim import new_machine, run_chain
+    fuel, stack_top = _sim_limits(args)
     image = _load_image(args)
-    machine = new_machine(image, stack_top=args.stack_top)
+    machine = new_machine(image, stack_top=stack_top)
     if args.payload:
         if args.buffer_base is None:
             raise UsageError("--payload needs --buffer-base")
@@ -250,7 +269,7 @@ def _cmd_sim(args) -> int:
         except (ValueError, ToolError):
             raise UsageError(f"bad --poke {spec!r}") from None
     report = run_chain(machine, args.entry, args.return_to,
-                       fuel=args.fuel, loop_entry=args.loop_entry)
+                       fuel=fuel, loop_entry=args.loop_entry)
     sys.stdout.write(report.render())
     return OK if report.outcome == "reached" else EMPTY
 

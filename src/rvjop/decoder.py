@@ -148,6 +148,25 @@ def _rset(*regs: Register) -> frozenset[Register]:
 _ONE: tuple[frozenset[Register], ...] = tuple(_rset(r) for r in REGISTERS)
 
 
+# `_ins` builds each DecodedInstruction by writing its slots through their
+# descriptors.  The dataclass's generated __init__ would set every field
+# through `object.__setattr__` (it is frozen), which costs about a third
+# of a whole decode; the object, its equality and its hash are the same.
+_new = object.__new__
+_set_address = DecodedInstruction.address.__set__
+_set_width = DecodedInstruction.width.__set__
+_set_raw = DecodedInstruction.raw.__set__
+_set_mnemonic = DecodedInstruction.mnemonic.__set__
+_set_operands = DecodedInstruction.operands.__set__
+_set_regs_read = DecodedInstruction.regs_read.__set__
+_set_regs_written = DecodedInstruction.regs_written.__set__
+_set_control_flow = DecodedInstruction.control_flow.__set__
+_set_mem_access = DecodedInstruction.mem_access.__set__
+_set_imm = DecodedInstruction.imm.__set__
+_set_aliases = DecodedInstruction.aliases.__set__
+_set_base = DecodedInstruction.base.__set__
+
+
 def _ins(address, width, raw, mnemonic, operands, xlen, base=None):
     """The instruction `mnemonic operands`, with the effects of its base
     form.  `base` is a compressed form's 32-bit expansion; it also goes
@@ -165,10 +184,20 @@ def _ins(address, width, raw, mnemonic, operands, xlen, base=None):
         aliases = (base, *pseudo)
         if not operands or type(operands[-1]) is not int:
             imm = None    # no immediate operand: c.nop, c.jr, c.jalr
-    return DecodedInstruction(
-        address=address, width=width, raw=raw, mnemonic=mnemonic,
-        operands=operands, regs_read=reads, regs_written=writes,
-        control_flow=cf, mem_access=mem, imm=imm, aliases=aliases, base=base)
+    insn = _new(DecodedInstruction)
+    _set_address(insn, address)
+    _set_width(insn, width)
+    _set_raw(insn, raw)
+    _set_mnemonic(insn, mnemonic)
+    _set_operands(insn, operands)
+    _set_regs_read(insn, reads)
+    _set_regs_written(insn, writes)
+    _set_control_flow(insn, cf)
+    _set_mem_access(insn, mem)
+    _set_imm(insn, imm)
+    _set_aliases(insn, aliases)
+    _set_base(insn, base)
+    return insn
 
 
 # --- effects of a base instruction ------------------------------------------

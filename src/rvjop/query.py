@@ -8,13 +8,22 @@ preserved registers, role, interior length cap, dedupe).
 Two output shapes: a human listing with one disassembled instruction per
 line, and a machine-readable record line per gadget that parses back
 losslessly.
+
+A hit's dataflow summary and roles are computed the first time they are
+read.  Roles read the image's dispatcher index, which one `run_query`
+call builds at most once, and only when a roles field is read (`--role`
+or a record line).  So `--preserve` computes summaries only, and a plain
+listing computes neither and never searches for dispatchers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
+from typing import Callable
 
-from .classify import classify, dispatcher_index, find_dispatchers
+from .classify import (DispatcherCandidate, classify, dispatcher_index,
+                       find_dispatchers)
 from .dataflow import DataflowSummary, summarize_dataflow
 from .errors import UsageError
 from .image import ExecutableImage
@@ -144,8 +153,19 @@ def query_to_argv(q: Query) -> list[str]:
 @dataclass(frozen=True)
 class QueryHit:
     gadget: Gadget
-    summary: DataflowSummary
-    roles: tuple[str, ...]
+    # The run's classify() context: the dispatcher index, built on the
+    # first call and shared by every hit of the run.
+    dispatchers: Callable[[], dict[int, list[DispatcherCandidate]]] = field(
+        repr=False, compare=False)
+
+    @cached_property
+    def summary(self) -> DataflowSummary:
+        return summarize_dataflow(self.gadget.instructions)
+
+    @cached_property
+    def roles(self) -> tuple[str, ...]:
+        return tuple(r.kind for r in
+                     classify(self.gadget, self.summary, self.dispatchers()))
 
 
 def _instruction_match(q: Query, insn) -> bool:
@@ -164,9 +184,9 @@ def _wants_instruction(q: Query) -> bool:
 
 def run_query(image: ExecutableImage, q: Query) -> list[QueryHit]:
     gadgets = extract_gadgets(image, ScanConfig(max_len=q.max))
-    context = dispatcher_index(find_dispatchers(image))
     if q.unique:
         gadgets = dedupe(gadgets)
+    dispatchers = cache(lambda: dispatcher_index(find_dispatchers(image)))
 
     hits = []
     for g in sorted(gadgets, key=lambda g: (g.start, g.length)):
@@ -177,13 +197,12 @@ def run_query(image: ExecutableImage, q: Query) -> list[QueryHit]:
             continue
         if q.link is not None and g.link_register is not q.link:
             continue
-        summary = summarize_dataflow(g.instructions)
-        if q.preserve and not q.preserve <= summary.preserved:
+        hit = QueryHit(g, dispatchers)
+        if q.preserve and not q.preserve <= hit.summary.preserved:
             continue
-        roles = tuple(r.kind for r in classify(g, summary, context))
-        if q.role is not None and q.role not in roles:
+        if q.role is not None and q.role not in hit.roles:
             continue
-        hits.append(QueryHit(g, summary, roles))
+        hits.append(hit)
     return hits
 
 

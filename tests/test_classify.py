@@ -163,6 +163,41 @@ def test_negative_stride_detected():
     assert found and found[0].stride == -4
 
 
+# An add of 0 (the HINT `c.addi rd, 0`, which the assembler will not
+# emit) does not advance a table: no shape may use it as its update.
+
+def _add_zero(b, name):
+    b.half(0x0001 | reg(name).index << 7)
+
+
+def test_stride_zero_classic_is_rejected():
+    b = CodeBuilder()
+    b.emit("lw", "a5", "s0", 0)
+    _add_zero(b, "s0")
+    b.emit("c.jr", "a5")
+    assert find_dispatchers(b.image()) == []
+
+
+def test_stride_zero_two_stage_is_rejected():
+    b = CodeBuilder()
+    _add_zero(b, "s0")                    # stage one
+    b.emit("jr", "t2")
+    b.emit("lw", "a5", "s0", 0)           # stage two
+    b.emit("jr", "a5")
+    assert find_dispatchers(b.image()) == []
+
+
+def test_stride_zero_autonomous_is_rejected():
+    b = CodeBuilder()
+    b.label("loop")
+    b.emit("lw", "a5", "s0", 0)
+    b.emit("jalr", "ra", "a5", 0)
+    _add_zero(b, "s0")
+    b.branch("blt", "s0", "s1", "loop")
+    b.emit("ebreak")
+    assert find_dispatchers(b.image()) == []
+
+
 def test_no_dispatchers_in_plain_code(clean_images):
     for name, img in clean_images:
         assert find_dispatchers(img) == [], name

@@ -1,5 +1,6 @@
 """End-to-end command-line runs against files on disk."""
 
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import rvjop.query
+import rvjop.sim
 from rvjop.cli import main
 from rvjop.query import parse_records
 
@@ -486,3 +489,171 @@ def test_cli_import_loads_no_assembler_and_keeps_submodules():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- start-up: each subcommand imports only its layers ----------------------
+
+def _fresh_python(script, *args):
+    """Run `script` in a fresh interpreter that imports rvjop from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+
+
+LAZY = ("rvjop.query", "rvjop.chain", "rvjop.sim")
+
+
+@pytest.mark.parametrize("argv,absent,present", [
+    (["dispatchers"], LAZY, ()),
+    (["initializers", "--dispatcher", "{loop}"], LAZY, ()),
+    (["stats"], LAZY, ()),
+    (["scan"], ("rvjop.chain", "rvjop.sim"), ("rvjop.query",)),
+    (["query", "--op=li"], ("rvjop.chain", "rvjop.sim"), ("rvjop.query",)),
+    (["chain", "--spec", "{spec}"], ("rvjop.sim", "rvjop.query"),
+     ("rvjop.chain",)),
+    (["chain", "--spec", "{spec}", "--simulate"], ("rvjop.query",),
+     ("rvjop.chain", "rvjop.sim")),
+], ids=["dispatchers", "initializers", "stats", "scan", "query", "chain",
+        "chain-simulate"])
+def test_subcommand_loads_only_its_layers(tmp_path, adg_blob, argv, absent,
+                                          present):
+    # A fresh interpreter per command: what it imports is what it pays for.
+    blob, addrs = adg_blob
+    spec = chain_file(tmp_path, addrs)
+    argv = [a.format(loop=hex(addrs["loop"]), spec=spec) for a in argv]
+    argv[1:1] = RAW(blob)
+    proc = _fresh_python(
+        "import json, sys, rvjop.cli\n"
+        "code = rvjop.cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)\n",
+        json.dumps(argv))
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert not set(absent) & set(loaded)
+    assert set(present) <= set(loaded)
+
+
+def test_package_loads_a_submodule_on_first_use():
+    proc = _fresh_python("import sys, rvjop.cli\n"
+                         "assert 'rvjop.sim' not in sys.modules\n"
+                         "assert rvjop.sim is sys.modules['rvjop.sim']\n"
+                         "assert not hasattr(rvjop, 'nonesuch')\n")
+    assert proc.returncode == 0, proc.stderr
+
+
+# --- lazy roles: a listing never searches for dispatchers -------------------
+
+def test_text_listings_skip_dispatcher_search(capsys, monkeypatch, adg_blob):
+    blob, _ = adg_blob
+    commands = [["scan", *RAW(blob)], ["query", *RAW(blob), "--op", "li"],
+                ["query", *RAW(blob), "--all", "--preserve=a2"]]
+    want = [run(capsys, *argv) for argv in commands]
+
+    def refuse(image):
+        raise AssertionError("find_dispatchers called for a listing")
+
+    monkeypatch.setattr(rvjop.query, "find_dispatchers", refuse)
+    assert [run(capsys, *argv) for argv in commands] == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--format", "records"],
+    ["query", "--all", "--format", "records"],
+    ["query", "--all", "--role", "call"],
+    ["query", "--op=li", "--role", "dispatcher-autonomous"],
+])
+def test_roles_search_dispatchers_once_per_run(capsys, monkeypatch, adg_blob,
+                                               argv):
+    blob, _ = adg_blob
+    calls = []
+    real = rvjop.query.find_dispatchers
+
+    def counted(image):
+        calls.append(image)
+        return real(image)
+
+    monkeypatch.setattr(rvjop.query, "find_dispatchers", counted)
+    argv = [argv[0], *RAW(blob), *argv[1:]]
+    run(capsys, *argv)
+    assert len(calls) == 1
+    run(capsys, *argv)
+    assert len(calls) == 2
+
+
+# --- interpreter limits: --fuel and --stack-top -----------------------------
+
+@pytest.fixture(scope="module")
+def sp_blob(tmp_path_factory):
+    """`f` reports sp in the first argument of an ecall and returns through
+    t1; `spin` jumps to itself forever."""
+    b = CodeBuilder()
+    b.label("f")
+    b.emit("mv", "a0", "sp")
+    b.emit("ecall")
+    b.emit("jr", "t1")
+    b.label("spin")
+    b.emit("j", 0)
+    b.label("end")
+    b.emit("ebreak")
+    path = tmp_path_factory.mktemp("cli") / "sp.bin"
+    path.write_bytes(b.blob())
+    return path, dict(b.labels)
+
+
+def _sim(capsys, sp_blob, entry, *flags):
+    path, labels = sp_blob
+    return run(capsys, "sim", *RAW(path), "--entry", hex(labels[entry]),
+               "--return-to", hex(labels["end"]),
+               "--poke", f"t1={labels['end']:#x}", *flags)
+
+
+def test_sim_fuel_given_and_omitted(capsys, monkeypatch, sp_blob):
+    code, out, _ = _sim(capsys, sp_blob, "spin", "--fuel", "10")
+    assert code == 1
+    assert "outcome        fuel-exhausted" in out and "steps          10\n" in out
+    # omitted: the interpreter's own default, read when the command runs
+    monkeypatch.setattr(rvjop.sim, "DEFAULT_FUEL", 7)
+    code, out, _ = _sim(capsys, sp_blob, "spin")
+    assert code == 1
+    assert "outcome        fuel-exhausted" in out and "steps          7\n" in out
+
+
+def test_sim_stack_top_given_and_omitted(capsys, sp_blob):
+    code, out, _ = _sim(capsys, sp_blob, "f", "--stack-top", "0x20000000")
+    assert code == 0 and "(0x20000000, " in out
+    code, out, _ = _sim(capsys, sp_blob, "f")
+    assert code == 0 and f"(0x{rvjop.sim.DEFAULT_STACK_TOP:x}, " in out
+
+
+def test_chain_simulate_fuel_given_and_omitted(capsys, monkeypatch, tmp_path,
+                                               adg_blob):
+    blob, addrs = adg_blob
+    argv = ["chain", *RAW(blob), "--spec", str(chain_file(tmp_path, addrs)),
+            "--simulate"]
+    code, out, _ = run(capsys, *argv, "--fuel", "5")
+    assert code == 1
+    assert "outcome        fuel-exhausted" in out and "steps          5\n" in out
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "outcome        reached" in out
+    monkeypatch.setattr(rvjop.sim, "DEFAULT_FUEL", 6)
+    code, out, _ = run(capsys, *argv)
+    assert code == 1 and "steps          6\n" in out
+
+
+def test_chain_simulate_stack_top_given_and_omitted(capsys, monkeypatch,
+                                                    tmp_path, adg_blob):
+    # A stack whose slack collides with the image cannot be mapped, and
+    # the error names where the run put it.
+    blob, addrs = adg_blob
+    argv = ["chain", *RAW(blob), "--spec", str(chain_file(tmp_path, addrs)),
+            "--simulate"]
+    code, out, _ = run(capsys, *argv, "--stack-top", "0x20000000")
+    assert code == 0 and "outcome        reached" in out
+    top = BASE + 0x100
+    clash = f"region [{top - rvjop.sim.STACK_SLACK:#x}, "
+    code, _, err = run(capsys, *argv, "--stack-top", hex(top))
+    assert code == 3 and clash in err
+    monkeypatch.setattr(rvjop.sim, "DEFAULT_STACK_TOP", top)
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and clash in err
