@@ -11,13 +11,18 @@ pops and compares.  Indirect jumps through any other register touch
 nothing.  A pop from an empty stack or a mismatched compare terminates
 the run as a violation, the way an enforcing implementation would.
 
-Each pc is decoded once: the machine keeps the decoded instruction of
-every pc it has fetched, the way Spike's decode cache does, and decodes
-again only after a store.  A store drops every cached pc in
-[address - 3, address + size), which covers any 2- or 4-byte instruction
-overlapping the written bytes, so a payload that writes code runs the new
-bytes.  A fetch that faults caches nothing.  The cache holds at most one
-entry per distinct pc run, so it is bounded by the fuel.
+Each pc is decoded and dispatched once, the way Spike's decode cache
+does it.  The first fetch of a pc builds one handler for its instruction:
+a closure, made by the factory for the instruction's effects shape, that
+already holds the register indices, immediate, masks, branch comparison,
+access size and signedness and fall-through pc, executes the instruction
+and returns the next pc.  The machine keeps the handler of every pc it
+has fetched, so a step is one dict lookup and one call.  A store drops
+every cached pc in [address - 3, address + size), which covers any 2- or
+4-byte instruction overlapping the written bytes, so a payload that
+writes code runs the new bytes.  A fetch that faults caches nothing.  The
+cache holds at most one entry per distinct pc run, so it is bounded by
+the fuel.
 
 System calls are not forwarded anywhere.  Each ecall is recorded and a0
 gets a canned result from a fixed table: open-like calls yield descriptor
@@ -29,9 +34,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Callable
 
-from .decoder import (CondBranch, DecodedInstruction, DirectJump,
-                      IndirectJump, Trap, decode_one, jalr_target)
+from .decoder import _SHAPE, DecodedInstruction, decode_one
 from .errors import InvalidEncoding, Overlap, ToolError, Truncated
 from .image import ExecutableImage
 from .isa import RA, SP, Register, mask, reg, sext, to_signed
@@ -130,7 +135,7 @@ class Machine:
         self.shadow_pushes = 0
         self.shadow_pops = 0
         self.syscalls: list[SyscallRecord] = []
-        self._decoded: dict[int, DecodedInstruction] = {}
+        self._decoded: dict[int, Callable[[], int]] = {}   # pc -> handler
 
     # -- memory ---------------------------------------------------------
 
@@ -184,27 +189,24 @@ class Machine:
 
     # -- execution ------------------------------------------------------
 
-    def fetch(self) -> DecodedInstruction:
-        insn = self._decoded.get(self.pc)
-        if insn is not None:
-            return insn
-        if self.pc & 1:
-            raise _Fault("misaligned-pc", f"odd pc 0x{self.pc:x}")
-        first = self.load(self.pc, 2)
+    def _decode_at(self, pc: int) -> DecodedInstruction:
+        if pc & 1:
+            raise _Fault("misaligned-pc", f"odd pc 0x{pc:x}")
+        first = self.load(pc, 2)
         width = 2 if first & 0b11 != 0b11 else 4
-        raw = first if width == 2 else first | (self.load(self.pc + 2, 2) << 16)
+        raw = first if width == 2 else first | (self.load(pc + 2, 2) << 16)
         try:
-            insn = decode_one(raw.to_bytes(width, "little"), self.pc, self.xlen)
+            return decode_one(raw.to_bytes(width, "little"), pc, self.xlen)
         except (InvalidEncoding, Truncated) as exc:
-            raise _Fault("invalid-encoding",
-                         f"at 0x{self.pc:x}: {exc}") from None
-        self._decoded[self.pc] = insn
-        return insn
+            raise _Fault("invalid-encoding", f"at 0x{pc:x}: {exc}") from None
 
-    def step(self) -> None:
-        insn = self.fetch()
-        next_pc = self._execute(insn)
-        self.pc = (self.pc + insn.width if next_pc is None else next_pc) & self.mask
+    def _handler(self, pc: int) -> Callable[[], int]:
+        """Decode the instruction at `pc`, build its handler and cache it."""
+        insn = self._decode_at(pc)
+        kind, size = _SHAPE[insn.base.name]
+        handler = _FACTORIES[kind](self, insn, size)
+        self._decoded[pc] = handler
+        return handler
 
     def _shadow_push(self, value: int) -> None:
         self.shadow_stack.append(value & self.mask)
@@ -221,40 +223,7 @@ class Machine:
                 f"return to 0x{target & self.mask:x}, shadow stack "
                 f"expected 0x{expected:x}")
 
-    def _execute(self, insn: DecodedInstruction) -> int | None:
-        cf = insn.control_flow
-        if isinstance(cf, DirectJump):
-            if cf.link is not None:
-                self.set(cf.link, self.pc + insn.width)
-                if cf.link is RA:
-                    self._shadow_push(self.pc + insn.width)
-            return cf.target & self.mask
-        if isinstance(cf, IndirectJump):
-            target = jalr_target(self.get(cf.base), cf.offset, self.xlen)
-            if cf.link is not None:
-                self.set(cf.link, self.pc + insn.width)
-                if cf.link is RA:
-                    self._shadow_push(self.pc + insn.width)
-            elif cf.is_return:
-                self._shadow_pop(target)
-            return target
-        if isinstance(cf, CondBranch):
-            compare, signed = _BRANCHES[cf.op]
-            a, b = self.regs[cf.regs[0].index], self.regs[cf.regs[1].index]
-            if signed:
-                a, b = to_signed(a, self.xlen), to_signed(b, self.xlen)
-            return cf.target & self.mask if compare(a, b) else None
-        if isinstance(cf, Trap):
-            if cf.kind == "ebreak":
-                raise _Fault("breakpoint", f"ebreak at 0x{self.pc:x}")
-            self._ecall(insn)
-            return None
-        if insn.mem_access is not None:
-            return self._mem_op(insn)
-        self._alu_op(insn)
-        return None
-
-    def _ecall(self, insn: DecodedInstruction) -> None:
+    def _ecall(self, pc: int) -> None:
         number = self.regs[17]
         args = tuple(self.regs[10:16])
         if number in DEFAULT_ECALL_RETURNS:
@@ -264,72 +233,7 @@ class Machine:
         else:
             result = 0
         self.regs[10] = result & self.mask
-        self.syscalls.append(SyscallRecord(number, args, self.pc, result))
-
-    # Loads sign-extend unless the base name says otherwise.
-    _UNSIGNED_LOADS = {"lbu", "lhu", "lwu"}
-
-    def _mem_op(self, insn: DecodedInstruction) -> None:
-        acc = insn.mem_access
-        name, ops = insn.base.name, insn.base.operands
-        address = (self.get(acc.base) + acc.offset) & self.mask
-        if name.startswith("lr."):
-            rd = ops[0]
-            self.set(rd, sext(self.load(address, acc.size), acc.size * 8)
-                     & self.mask)
-            return None
-        if name.startswith("sc."):
-            rd, rs2 = ops[0], ops[1]
-            self.store(address, acc.size, self.get(rs2))
-            self.set(rd, 0)                 # always succeeds
-            return None
-        if name.startswith("amo"):
-            rd, rs2 = ops[0], ops[1]
-            old = sext(self.load(address, acc.size), acc.size * 8)
-            src = to_signed(self.get(rs2), self.xlen)
-            op = name.split(".")[0][3:]
-            new = {"add": old + src, "swap": src,
-                   "xor": old ^ src, "or": old | src, "and": old & src,
-                   "min": min(old, src), "max": max(old, src),
-                   "minu": min(old & self.mask, src & self.mask),
-                   "maxu": max(old & self.mask, src & self.mask)}[op]
-            self.store(address, acc.size, new)
-            self.set(rd, old & self.mask)
-            return None
-        if acc.kind == "load":
-            rd = ops[0]
-            value = self.load(address, acc.size)
-            if name not in self._UNSIGNED_LOADS:
-                value = sext(value, acc.size * 8) & self.mask
-            self.set(rd, value)
-            return None
-        rs2 = ops[0]
-        self.store(address, acc.size, self.get(rs2))
-        return None
-
-    def _alu_op(self, insn: DecodedInstruction) -> None:
-        name, ops = insn.base.name, insn.base.operands
-        if name in ("fence", "fence.i"):
-            return
-        if name.startswith("csr"):
-            # CSR state is not modeled; reads yield zero.
-            self.set(ops[0], 0)
-            return
-        if name in ("lui", "auipc"):
-            rd = ops[0]
-            value = insn.imm & self.mask
-            if name == "auipc":
-                value = (value + self.pc) & self.mask
-            self.set(rd, value)
-            return
-        fn = _BASE_OPS.get(name)
-        if fn is None:
-            raise _Fault("unsupported",
-                         f"{insn.mnemonic} at 0x{self.pc:x}")
-        rd, a, b = ops[0], ops[1], ops[2]
-        lhs = self.get(a)
-        rhs = self.get(b) if isinstance(b, Register) else b
-        self.set(rd, fn(self, lhs, rhs) & self.mask)
+        self.syscalls.append(SyscallRecord(number, args, pc, result))
 
 
 # Branch condition -> (comparison, whether it compares signed values).
@@ -420,6 +324,240 @@ _BASE_OPS = {
 }
 
 
+_AMOS = {   # old and src sign-extended from the access width `low` masks
+    "swap": lambda old, src, low: src,
+    "add": lambda old, src, low: old + src,
+    "xor": lambda old, src, low: old ^ src,
+    "or": lambda old, src, low: old | src,
+    "and": lambda old, src, low: old & src,
+    "min": lambda old, src, low: min(old, src),
+    "max": lambda old, src, low: max(old, src),
+    "minu": lambda old, src, low: min(old & low, src & low),
+    "maxu": lambda old, src, low: max(old & low, src & low),
+}
+
+
+# --- handlers ---------------------------------------------------------------
+#
+# One factory per effects shape (`decoder._SHAPE`'s kinds).  A factory reads
+# the decoded instruction once and returns a closure that holds everything
+# the instruction fixes: register indices, immediate, masks, comparison,
+# access size and signedness, fall-through pc.  The closure executes the
+# instruction on its machine and returns the next pc; a fault or violation
+# raises out of it, and the run ends with the pc on that instruction.
+#
+# A write to x0 is left out of the closure, but an access that can fault
+# stays in.
+
+
+def _alu(m: Machine, insn: DecodedInstruction,
+         size: int | None) -> Callable[[], int]:
+    rd, rs1, src = insn.base.operands
+    fn, regs, mask_ = _BASE_OPS[insn.base.name], m.regs, m.mask
+    d, a, nxt = rd.index, rs1.index, _next_pc(m, insn)
+    if d == 0:
+        return lambda: nxt
+    if type(src) is int:                # an immediate
+        def run():
+            regs[d] = fn(m, regs[a], src) & mask_
+            return nxt
+        return run
+    b = src.index
+
+    def run():
+        regs[d] = fn(m, regs[a], regs[b]) & mask_
+        return nxt
+    return run
+
+
+def _upper(m: Machine, insn: DecodedInstruction,
+           size: int | None) -> Callable[[], int]:
+    # lui and auipc write a value the pc and the immediate fix
+    value = insn.imm & m.mask
+    if insn.base.name == "auipc":
+        value = (value + insn.address) & m.mask
+    return _constant(m, insn, value)
+
+
+def _csr(m: Machine, insn: DecodedInstruction,
+         size: int | None) -> Callable[[], int]:
+    return _constant(m, insn, 0)        # CSR state is not modeled; reads 0
+
+
+def _constant(m: Machine, insn: DecodedInstruction,
+              value: int) -> Callable[[], int]:
+    regs, d, nxt = m.regs, insn.base.operands[0].index, _next_pc(m, insn)
+    if d == 0:
+        return lambda: nxt
+
+    def run():
+        regs[d] = value
+        return nxt
+    return run
+
+
+def _load(m: Machine, insn: DecodedInstruction,
+          size: int | None) -> Callable[[], int]:
+    # Loads sign-extend unless the base name ends in u (lbu, lhu, lwu);
+    # lr sign-extends like the load of its width.
+    acc = insn.mem_access
+    regs, load, mask_ = m.regs, m.load, m.mask
+    d, a, off = insn.base.operands[0].index, acc.base.index, acc.offset
+    nxt = _next_pc(m, insn)
+    sign = 0 if insn.base.name[-1] == "u" else 1 << (size * 8 - 1)
+
+    def run():
+        value = load(regs[a] + off, size)
+        if d:
+            regs[d] = ((value ^ sign) - sign) & mask_
+        return nxt
+    return run
+
+
+def _store(m: Machine, insn: DecodedInstruction,
+           size: int | None) -> Callable[[], int]:
+    acc = insn.mem_access
+    regs, store = m.regs, m.store
+    s, a, off = insn.base.operands[0].index, acc.base.index, acc.offset
+    nxt = _next_pc(m, insn)
+
+    def run():
+        store(regs[a] + off, size, regs[s])
+        return nxt
+    return run
+
+
+def _sc(m: Machine, insn: DecodedInstruction,
+        size: int | None) -> Callable[[], int]:
+    rd, rs2, rs1 = insn.base.operands
+    regs, store = m.regs, m.store
+    d, s, a, nxt = rd.index, rs2.index, rs1.index, _next_pc(m, insn)
+
+    def run():
+        store(regs[a], size, regs[s])
+        if d:
+            regs[d] = 0                 # always succeeds
+        return nxt
+    return run
+
+
+def _amo(m: Machine, insn: DecodedInstruction,
+         size: int | None) -> Callable[[], int]:
+    # The operation runs at the access width: a .w op on RV64 reads the
+    # low word of rs2, and rd gets the old word sign-extended.
+    rd, rs2, rs1 = insn.base.operands
+    regs, load, store, mask_ = m.regs, m.load, m.store, m.mask
+    d, s, a, nxt = rd.index, rs2.index, rs1.index, _next_pc(m, insn)
+    combine = _AMOS[insn.base.name.split(".")[0][3:]]
+    low, sign = mask(size * 8), 1 << (size * 8 - 1)
+
+    def run():
+        address = regs[a]
+        old = (load(address, size) ^ sign) - sign
+        src = ((regs[s] & low) ^ sign) - sign
+        store(address, size, combine(old, src, low))
+        if d:
+            regs[d] = old & mask_
+        return nxt
+    return run
+
+
+def _branch(m: Machine, insn: DecodedInstruction,
+            size: int | None) -> Callable[[], int]:
+    cf = insn.control_flow
+    compare, signed = _BRANCHES[cf.op]
+    # flipping the sign bit of both sides turns unsigned order into signed
+    flip = 1 << (m.xlen - 1) if signed else 0
+    regs, a, b = m.regs, cf.regs[0].index, cf.regs[1].index
+    target, nxt = cf.target & m.mask, _next_pc(m, insn)
+
+    def run():
+        return target if compare(regs[a] ^ flip, regs[b] ^ flip) else nxt
+    return run
+
+
+def _jal(m: Machine, insn: DecodedInstruction,
+         size: int | None) -> Callable[[], int]:
+    cf = insn.control_flow
+    target = cf.target & m.mask
+    if cf.link is None:
+        return lambda: target
+    return _linked(m, insn, lambda: target)
+
+
+def _jalr(m: Machine, insn: DecodedInstruction,
+          size: int | None) -> Callable[[], int]:
+    # `decoder.jalr_target`, with the offset extended once
+    cf = insn.control_flow
+    regs, b = m.regs, cf.base.index
+    off, keep = sext(cf.offset & 0xFFF, 12), m.mask & ~1
+
+    def jump():
+        return (regs[b] + off) & keep
+    if cf.link is not None:
+        return _linked(m, insn, jump)
+    if cf.is_return:
+        pop = m._shadow_pop
+
+        def run():
+            target = (regs[b] + off) & keep
+            pop(target)
+            return target
+        return run
+    return jump
+
+
+def _linked(m: Machine, insn: DecodedInstruction,
+            jump: Callable[[], int]) -> Callable[[], int]:
+    """A jump that writes the return address to its link register and,
+    when that is ra, pushes it on the shadow stack.  The target is taken
+    before the link is written, since the link may be the base."""
+    regs, link, ret = m.regs, insn.control_flow.link, _next_pc(m, insn)
+    d = link.index
+    if link is not RA:
+        def run():
+            target = jump()
+            regs[d] = ret
+            return target
+        return run
+    push = m._shadow_push
+
+    def run():
+        target = jump()
+        regs[d] = ret
+        push(ret)
+        return target
+    return run
+
+
+def _system(m: Machine, insn: DecodedInstruction,
+            size: int | None) -> Callable[[], int]:
+    name, pc, nxt = insn.base.name, insn.address, _next_pc(m, insn)
+    if name == "ebreak":
+        def run():
+            raise _Fault("breakpoint", f"ebreak at 0x{pc:x}")
+        return run
+    if name == "ecall":
+        ecall = m._ecall
+
+        def run():
+            ecall(pc)
+            return nxt
+        return run
+    return lambda: nxt                  # fence, fence.i
+
+
+def _next_pc(m: Machine, insn: DecodedInstruction) -> int:
+    return (insn.address + insn.width) & m.mask
+
+
+_FACTORIES = {
+    "imm": _alu, "reg": _alu, "upper": _upper, "csr": _csr,
+    "load": _load, "lr": _load, "store": _store, "sc": _sc, "amo": _amo,
+    "branch": _branch, "jal": _jal, "jalr": _jalr, "system": _system,
+}
+
+
 def new_machine(image: ExecutableImage, *,
                 payload=None, buffer_base: int | None = None,
                 stack_top: int = DEFAULT_STACK_TOP) -> Machine:
@@ -428,21 +566,31 @@ def new_machine(image: ExecutableImage, *,
     Registers start at zero apart from sp, which points at `stack_top`
     inside a zeroed scratch region.  Seed values travel through memory:
     the payload's stack writes land at their entry-sp-relative offsets,
-    and it is the chain initializer's job to load them.
+    and it is the chain initializer's job to load them.  The scratch
+    region spans `STACK_SLACK` bytes either side of `stack_top`, stretched
+    to cover the farthest stack write.
     """
     m = Machine(xlen=image.xlen)
     for seg in image.segments:
         m.map_region(seg.vaddr, seg.data)
+    writes = ()
     if payload is not None:
         if buffer_base is None:
             raise ToolError("payload given without a buffer base")
         m.map_region(buffer_base, payload.buffer)
-    m.map_region(stack_top - STACK_SLACK, 2 * STACK_SLACK)
+        writes = payload.stack_writes
+    size = m.xlen // 8
+    low = min([-STACK_SLACK] + [w.offset for w in writes])
+    high = max([STACK_SLACK] + [w.offset + size for w in writes])
+    m.map_region(stack_top + low, high - low)
     m.regs[SP.index] = stack_top & m.mask
-    if payload is not None:
-        size = m.xlen // 8
-        for w in payload.stack_writes:
+    for w in writes:
+        try:
             m.store(stack_top + w.offset, size, w.value)
+        except _Fault as exc:       # the address wrapped past 2^xlen
+            raise ToolError(
+                f"stack write at sp{w.offset:+d} from 0x{stack_top:x}: "
+                f"{exc}") from None
     return m
 
 
@@ -450,32 +598,32 @@ def run_chain(machine: Machine, entry: int, return_to: int,
               fuel: int = DEFAULT_FUEL,
               loop_entry: int | None = None) -> SimReport:
     """Run until the chain lands on `return_to` or something gives out."""
-    machine.pc = entry & machine.mask
+    pc = entry & machine.mask
     return_to &= machine.mask
     if loop_entry is not None:
         loop_entry &= machine.mask
     sp_entry = machine.sp
+    cached, build = machine._decoded.get, machine._handler
     rounds = 0
     steps = 0
     outcome = FUEL_EXHAUSTED
     fault = violation = None
-    while steps < fuel:
-        if machine.pc == return_to:
-            outcome = REACHED
-            break
-        if machine.pc == loop_entry:
-            rounds += 1
-        try:
-            machine.step()
-        except _Fault as exc:
-            outcome = FAULT
-            fault = str(exc)
-            break
-        except _Violation as exc:
-            outcome = VIOLATION
-            violation = exc.detail
-            break
-        steps += 1
+    try:
+        while steps < fuel:
+            if pc == return_to:
+                outcome = REACHED
+                break
+            if pc == loop_entry:
+                rounds += 1
+            pc = (cached(pc) or build(pc))()
+            steps += 1
+    except _Fault as exc:
+        outcome = FAULT
+        fault = str(exc)
+    except _Violation as exc:
+        outcome = VIOLATION
+        violation = exc.detail
+    machine.pc = pc
     return SimReport(
         outcome=outcome, steps=steps, dispatch_rounds=rounds,
         syscalls=list(machine.syscalls),

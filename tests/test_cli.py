@@ -657,3 +657,56 @@ def test_chain_simulate_stack_top_given_and_omitted(capsys, monkeypatch,
     monkeypatch.setattr(rvjop.sim, "DEFAULT_STACK_TOP", top)
     code, _, err = run(capsys, *argv)
     assert code == 3 and clash in err
+
+
+@pytest.fixture(scope="module")
+def far_stack_chain(tmp_path_factory):
+    """A classic chain whose initializer first raises sp by 4064, so its
+    loads read sp+6064 and beyond, well past the scratch stack's 4 KiB of
+    slack; one release step lowers sp again."""
+    b = CodeBuilder()
+    b.label("init")
+    b.emit("addi", "sp", "sp", 2032)
+    b.emit("addi", "sp", "sp", 2032)
+    b.emit("lw", "s0", "sp", 2000)
+    b.emit("lw", "t0", "sp", 2004)
+    b.emit("lw", "t1", "sp", 2008)
+    b.emit("jr", "t0")
+    b.label("loop")
+    b.emit("lw", "a5", "s0", 0)
+    b.emit("addi", "s0", "s0", 4)
+    b.emit("jr", "a5")
+    b.label("release")
+    b.emit("addi", "sp", "sp", -2032)
+    b.emit("addi", "sp", "sp", -2032)
+    b.emit("jr", "t1")
+    b.label("end")
+    b.emit("ebreak")
+    where = tmp_path_factory.mktemp("cli")
+    (where / "far.bin").write_bytes(b.blob())
+    labels = b.labels
+    (where / "chain.txt").write_text(
+        f"dispatcher {labels['loop']:#x}\n"
+        f"initializer {labels['init']:#x}\n"
+        f"table-base {TABLE_BASE:#x}\n"
+        f"return-to {labels['end']:#x}\n"
+        f"dispatch-reg t1\n"
+        f"step {labels['release']:#x}\n")
+    return ["chain", *RAW(where / "far.bin"),
+            "--spec", str(where / "chain.txt"), "--simulate"]
+
+
+def test_chain_simulate_maps_far_stack_writes(capsys, far_stack_chain):
+    code, out, err = run(capsys, *far_stack_chain)
+    assert "sp+6064 <- " in out
+    assert code == 0 and "outcome        reached" in out, err
+    assert "sp delta       +0" in out
+
+
+def test_chain_simulate_far_stack_overlap_and_wrap(capsys, far_stack_chain):
+    # The stretched stack region still may not overlap the image ...
+    code, _, err = run(capsys, *far_stack_chain, "--stack-top", "0xf000")
+    assert code == 3 and "collides with [0x10000, " in err
+    # ... and a stack write that wraps past 2^32 is an error, not a crash.
+    code, _, err = run(capsys, *far_stack_chain, "--stack-top", "0xfffff000")
+    assert code == 3 and "stack write at sp+" in err

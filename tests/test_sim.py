@@ -235,6 +235,23 @@ def test_amoswap_and_minmax():
     assert m.get(reg("a7")) == 7
 
 
+@pytest.mark.parametrize("mn,memory,a2,stored", [
+    ("amomin.w", 0, 0xFFFFFFFF, 0xFFFFFFFF),        # min(0, -1) = -1
+    ("amomax.w", 5, 0xFFFFFFFF, 5),                 # max(5, -1) = 5
+    ("amominu.w", 0x80000000, 0x90000000, 0x80000000),
+    ("amomaxu.w", 0x80000000, 0x90000000, 0x90000000),
+])
+def test_rv64_word_amo_compares_the_low_word(mn, memory, a2, stored):
+    m = run_snippet([
+        ("li", "a1", -256), ("add", "a1", "sp", "a1"),
+        ("sw", "a0", "a1", 0),
+        (mn, "a3", "a2", "a1"),
+        ("lwu", "a4", "a1", 0)], seed={"a0": memory, "a2": a2}, xlen=64)
+    assert m.get(reg("a4")) == stored
+    # rd gets the old word, sign-extended
+    assert m.get(reg("a3")) == ((memory ^ 0x80000000) - 0x80000000) & M64
+
+
 def test_lr_sc_pair_always_succeeds():
     m = run_snippet([
         ("li", "a1", -256), ("add", "a1", "sp", "a1"),
