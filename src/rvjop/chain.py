@@ -15,7 +15,9 @@ real verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_TWO_STAGE,
                        DispatcherCandidate, InitializerCandidate, Source,
@@ -31,8 +33,7 @@ WARNING = "warning"
 INFO = "info"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     severity: str
     code: str
     message: str
@@ -45,15 +46,13 @@ def has_errors(diagnostics) -> bool:
     return any(d.severity == ERROR for d in diagnostics)
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     gadget: Gadget
     repeat: int = 1
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(NamedTuple):
     dispatcher: DispatcherCandidate
     initializer: InitializerCandidate
     steps: tuple[ChainStep, ...]
@@ -62,7 +61,7 @@ class ChainSpec:
     reserved: frozenset[Register] = frozenset()
     dispatch_reg: Register | None = None          # classic schemes only
     data_seeds: tuple[tuple[bytes, str], ...] = ()
-    seed_overrides: dict[Register, int] = field(default_factory=dict)
+    seed_overrides: Mapping[Register, int] = MappingProxyType({})
 
     @property
     def reserved_registers(self) -> frozenset[Register]:
@@ -72,29 +71,25 @@ class ChainSpec:
         return frozenset(regs)
 
 
-@dataclass(frozen=True)
-class DispatchTable:
+class DispatchTable(NamedTuple):
     entries: tuple[int, ...]      # traversal order, return address last
     element_size: int
     data: bytes                   # memory order (reversed for negative stride)
 
 
-@dataclass(frozen=True)
-class MemorySeed:
+class MemorySeed(NamedTuple):
     offset: int                   # from the buffer (table) base
     data: bytes
     note: str = ""
 
 
-@dataclass(frozen=True)
-class StackWrite:
+class StackWrite(NamedTuple):
     offset: int                   # from the entry sp
     value: int
     register: Register
 
 
-@dataclass(frozen=True)
-class PayloadLayout:
+class PayloadLayout(NamedTuple):
     table: DispatchTable
     register_seeds: dict[Register, int]
     memory_seeds: tuple[MemorySeed, ...]

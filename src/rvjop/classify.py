@@ -9,7 +9,8 @@ Dispatcher shapes:
 * classic: the body itself advances a table pointer by a constant, loads
   the jump target from it, and jumps through the target register.
 * two-stage: the same work split across a pair, stage one advancing the
-  pointer and jumping to stage two, which loads and jumps.
+  pointer and jumping to stage two, which loads and jumps.  Neither
+  stage may jump through ra: that is a return.
 * autonomous: the loop body loads the target from the table pointer and
   calls it with a linking jump; the code after the call advances the
   pointer and branches back to the loop entry.  Because the call links,
@@ -25,7 +26,7 @@ stride 0.  `_table_step` is that one rule, for all three shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dataflow import (DataflowSummary, Source, const_add, const_values,
                        loaded_sources, summarize_dataflow)
@@ -53,14 +54,12 @@ _CSR_MNEMONICS = frozenset(
     ["csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci"])
 
 
-@dataclass(frozen=True)
-class GadgetRole:
+class GadgetRole(NamedTuple):
     kind: str
     detail: object = None
 
 
-@dataclass(frozen=True)
-class SelfLink:
+class SelfLink(NamedTuple):
     kind: str                                   # "none" | "unconditional" | "conditional"
     regs: tuple[Register, Register] | None = None
     op: str | None = None                       # branch condition for "conditional"
@@ -69,8 +68,7 @@ class SelfLink:
 NO_SELF_LINK = SelfLink("none")
 
 
-@dataclass(frozen=True)
-class DispatcherCandidate:
+class DispatcherCandidate(NamedTuple):
     kind: str                     # one of the three dispatcher role kinds
     gadget: Gadget                # loop body (stage one for two-stage pairs)
     table_reg: Register
@@ -99,8 +97,7 @@ class DispatcherCandidate:
         return self.required_registers - sets.keys()
 
 
-@dataclass(frozen=True)
-class InitializerCandidate:
+class InitializerCandidate(NamedTuple):
     gadget: Gadget
     sets: dict[Register, Source]
     link_register: Register
@@ -343,6 +340,10 @@ def _try_two_stage(gadgets: list[Gadget]) -> list[DispatcherCandidate]:
     out = []
     for g1 in gadgets:
         jump_reg = g1.link_register
+        # As in `_try_classic`: a jump through ra is a return, which
+        # hands control back to a caller, not on to a stage two.
+        if jump_reg is RA:
+            continue
         updates = [got for got in map(_table_step, g1.interior)
                    if got is not None and got[0] is not jump_reg]
         if not updates or any(_table_load(i, jump_reg) for i in g1.interior):
@@ -454,8 +455,7 @@ def find_initializers(gadgets, dispatcher: DispatcherCandidate
 
 # --- availability -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class AvailabilityRow:
+class AvailabilityRow(NamedTuple):
     register: Register
     count: int
     natural: int

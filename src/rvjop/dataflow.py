@@ -29,29 +29,26 @@ pairing and payload seeding all read.  Its rule, walking in order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decoder import CondBranch, DecodedInstruction
 from .isa import REGISTERS, S0, SP, Register
 
 
-@dataclass(frozen=True)
-class Source:
+class Source(NamedTuple):
     kind: str            # "stack" | "mem"
     base: Register
     offset: int          # entry-relative for sp, raw otherwise
 
 
-@dataclass(frozen=True)
-class MemRef:
+class MemRef(NamedTuple):
     kind: str             # "load" | "store" | "amo"
     base: Register
     offset: int
     size: int
 
 
-@dataclass(frozen=True)
-class DataflowSummary:
+class DataflowSummary(NamedTuple):
     written: frozenset[Register]
     cond_written: frozenset[Register]
     read_before_write: frozenset[Register]

@@ -25,7 +25,7 @@ Python ints, independent of XLEN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidEncoding, Truncated
 from .isa import REGISTERS, RA, SP, ZERO, A7, Register, bits, sext, mask
@@ -33,14 +33,12 @@ from .isa import REGISTERS, RA, SP, ZERO, A7, Register, bits, sext, mask
 
 # --- control flow and access descriptors ------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class DirectJump:
+class DirectJump(NamedTuple):
     target: int
     link: Register | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class IndirectJump:
+class IndirectJump(NamedTuple):
     base: Register
     offset: int
     link: Register | None = None
@@ -52,37 +50,32 @@ class IndirectJump:
         return self.link is None and self.base is RA and self.offset == 0
 
 
-@dataclass(frozen=True, slots=True)
-class CondBranch:
+class CondBranch(NamedTuple):
     target: int
     regs: tuple[Register, Register]
     op: str  # "eq" | "ne" | "lt" | "ge" | "ltu" | "geu"
 
 
-@dataclass(frozen=True, slots=True)
-class Trap:
+class Trap(NamedTuple):
     kind: str  # "ecall" | "ebreak"
 
 
 ControlFlow = DirectJump | IndirectJump | CondBranch | Trap
 
 
-@dataclass(frozen=True, slots=True)
-class MemAccess:
+class MemAccess(NamedTuple):
     kind: str  # "load" | "store" | "amo"
     base: Register
     offset: int
     size: int
 
 
-@dataclass(frozen=True, slots=True)
-class Alias:
+class Alias(NamedTuple):
     name: str
     operands: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class DecodedInstruction:
+class DecodedInstruction(NamedTuple):
     address: int
     width: int          # 2 or 4
     raw: int            # encoding word
@@ -148,25 +141,6 @@ def _rset(*regs: Register) -> frozenset[Register]:
 _ONE: tuple[frozenset[Register], ...] = tuple(_rset(r) for r in REGISTERS)
 
 
-# `_ins` builds each DecodedInstruction by writing its slots through their
-# descriptors.  The dataclass's generated __init__ would set every field
-# through `object.__setattr__` (it is frozen), which costs about a third
-# of a whole decode; the object, its equality and its hash are the same.
-_new = object.__new__
-_set_address = DecodedInstruction.address.__set__
-_set_width = DecodedInstruction.width.__set__
-_set_raw = DecodedInstruction.raw.__set__
-_set_mnemonic = DecodedInstruction.mnemonic.__set__
-_set_operands = DecodedInstruction.operands.__set__
-_set_regs_read = DecodedInstruction.regs_read.__set__
-_set_regs_written = DecodedInstruction.regs_written.__set__
-_set_control_flow = DecodedInstruction.control_flow.__set__
-_set_mem_access = DecodedInstruction.mem_access.__set__
-_set_imm = DecodedInstruction.imm.__set__
-_set_aliases = DecodedInstruction.aliases.__set__
-_set_base = DecodedInstruction.base.__set__
-
-
 def _ins(address, width, raw, mnemonic, operands, xlen, base=None):
     """The instruction `mnemonic operands`, with the effects of its base
     form.  `base` is a compressed form's 32-bit expansion; it also goes
@@ -184,20 +158,8 @@ def _ins(address, width, raw, mnemonic, operands, xlen, base=None):
         aliases = (base, *pseudo)
         if not operands or type(operands[-1]) is not int:
             imm = None    # no immediate operand: c.nop, c.jr, c.jalr
-    insn = _new(DecodedInstruction)
-    _set_address(insn, address)
-    _set_width(insn, width)
-    _set_raw(insn, raw)
-    _set_mnemonic(insn, mnemonic)
-    _set_operands(insn, operands)
-    _set_regs_read(insn, reads)
-    _set_regs_written(insn, writes)
-    _set_control_flow(insn, cf)
-    _set_mem_access(insn, mem)
-    _set_imm(insn, imm)
-    _set_aliases(insn, aliases)
-    _set_base(insn, base)
-    return insn
+    return DecodedInstruction(address, width, raw, mnemonic, operands,
+                              reads, writes, cf, mem, imm, aliases, base)
 
 
 # --- effects of a base instruction ------------------------------------------

@@ -15,8 +15,8 @@ decodes live memory, which a payload may overwrite.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .decoder import DecodedInstruction, decode_one
 from .errors import (InvalidEncoding, MalformedImage, NotElf, OutOfRange,
@@ -26,9 +26,12 @@ _EM_RISCV = 243
 _PT_LOAD = 1
 _PF_X = 1
 
+# Bytes of zero fill (memsz beyond filesz) one image may ask for in all:
+# a header of a hundred bytes could otherwise ask for gigabytes.
+MAX_ZERO_FILL = 64 << 20
 
-@dataclass(frozen=True)
-class Segment:
+
+class Segment(NamedTuple):
     vaddr: int
     data: bytes
     executable: bool
@@ -38,8 +41,7 @@ class Segment:
         return self.vaddr + len(self.data)
 
 
-@dataclass(frozen=True)
-class DecodedSegment:
+class DecodedSegment(NamedTuple):
     """One executable segment decoded at every halfword."""
     segment: Segment
     slots: tuple[DecodedInstruction | None, ...]  # one per halfword
@@ -74,19 +76,18 @@ def _decode_segment(seg: Segment, xlen: int) -> DecodedSegment:
     return DecodedSegment(seg, tuple(slots), frozenset(sweep))
 
 
-@dataclass(frozen=True)
 class ExecutableImage:
-    segments: tuple[Segment, ...]
-    xlen: int
-    entry_point: int
-
-    def __post_init__(self):
+    def __init__(self, segments: tuple[Segment, ...], xlen: int,
+                 entry_point: int):
         last_end = None
-        for seg in self.segments:
+        for seg in segments:
             if last_end is not None and seg.vaddr < last_end:
                 raise MalformedImage(
                     f"overlapping segments at 0x{seg.vaddr:x}")
             last_end = seg.end
+        self.segments = segments
+        self.xlen = xlen
+        self.entry_point = entry_point
 
     @property
     def executable_segments(self) -> tuple[Segment, ...]:
@@ -169,6 +170,7 @@ def parse_elf(blob: bytes) -> ExecutableImage:
         raise MalformedImage(f"e_phentsize {e_phentsize} too small")
 
     segs: list[Segment] = []
+    zero_fill = 0
     for i in range(e_phnum):
         off = e_phoff + i * e_phentsize
         try:
@@ -189,6 +191,11 @@ def parse_elf(blob: bytes) -> ExecutableImage:
         if p_vaddr + p_memsz > 1 << xlen:
             raise MalformedImage(
                 f"segment {i} runs past the {xlen}-bit address space")
+        zero_fill += p_memsz - p_filesz
+        if zero_fill > MAX_ZERO_FILL:
+            raise MalformedImage(
+                f"segment {i} brings the zero fill to {zero_fill} bytes, "
+                f"over the {MAX_ZERO_FILL}-byte limit")
         data = blob[p_offset:p_offset + p_filesz] + bytes(p_memsz - p_filesz)
         segs.append(Segment(vaddr=p_vaddr, data=data,
                             executable=bool(p_flags & _PF_X)))

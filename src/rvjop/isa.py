@@ -7,16 +7,16 @@ t/a families are caller-saved, sp and the s family are callee-saved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True, eq=False)
 class Register:
     """One of the 32 singletons in `REGISTERS`; identity is equality."""
 
-    index: int
-    name: str      # canonical ABI name ("zero", "ra", "a5", ...)
-    saver: str     # "caller" | "callee" | "none"
+    __slots__ = ("index", "name", "saver")
+
+    def __init__(self, index: int, name: str, saver: str):
+        self.index = index
+        self.name = name      # canonical ABI name ("zero", "ra", "a5", ...)
+        self.saver = saver    # "caller" | "callee" | "none"
 
     def __repr__(self) -> str:
         return self.name

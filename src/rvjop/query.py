@@ -18,9 +18,8 @@ listing computes neither and never searches for dispatchers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .classify import (DispatcherCandidate, classify, dispatcher_index,
                        find_dispatchers)
@@ -34,8 +33,7 @@ from .scanner import (MAX_GADGET_LEN, Gadget, ScanConfig, dedupe,
 DEFAULT_MAX = 4
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     op: str | None = None
     rr: Register | None = None
     imm: int | None = None
@@ -69,13 +67,13 @@ def parse_query(args: list[str]) -> Query:
         if name == "unique":
             if eq:
                 raise UsageError("--unique takes no value")
-            q = replace(q, unique=True)
+            q = q._replace(unique=True)
             i += 1
             continue
         if name == "all":
             if eq:
                 raise UsageError("--all takes no value")
-            q = replace(q, all_=True)
+            q = q._replace(all_=True)
             i += 1
             continue
         if name not in _FLAGS:
@@ -87,14 +85,14 @@ def parse_query(args: list[str]) -> Query:
             i += 1
         i += 1
         if name == "op":
-            q = replace(q, op=value)
+            q = q._replace(op=value)
         elif name == "rr":
             if not is_register_name(value):
                 raise UsageError(f"--rr: {value!r} is not a register")
-            q = replace(q, rr=reg(value))
+            q = q._replace(rr=reg(value))
         elif name == "imm":
             try:
-                q = replace(q, imm=int(value, 0))
+                q = q._replace(imm=int(value, 0))
             except ValueError:
                 raise UsageError(f"--imm: {value!r} is not a number") from None
         elif name == "max":
@@ -105,11 +103,11 @@ def parse_query(args: list[str]) -> Query:
             if not 1 <= n <= MAX_GADGET_LEN:
                 raise UsageError(
                     f"--max must be between 1 and {MAX_GADGET_LEN}")
-            q = replace(q, max=n)
+            q = q._replace(max=n)
         elif name == "link":
             if not is_register_name(value):
                 raise UsageError(f"--link: {value!r} is not a register")
-            q = replace(q, link=reg(value))
+            q = q._replace(link=reg(value))
         elif name == "preserve":
             regs = set(q.preserve)
             for part in value.split(","):
@@ -117,9 +115,9 @@ def parse_query(args: list[str]) -> Query:
                     raise UsageError(
                         f"--preserve: {part!r} is not a register")
                 regs.add(reg(part))
-            q = replace(q, preserve=frozenset(regs))
+            q = q._replace(preserve=frozenset(regs))
         elif name == "role":
-            q = replace(q, role=value)
+            q = q._replace(role=value)
     if not q.has_filter:
         raise UsageError("give at least one filter, or --all")
     return q
@@ -150,13 +148,13 @@ def query_to_argv(q: Query) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
 class QueryHit:
-    gadget: Gadget
-    # The run's classify() context: the dispatcher index, built on the
-    # first call and shared by every hit of the run.
-    dispatchers: Callable[[], dict[int, list[DispatcherCandidate]]] = field(
-        repr=False, compare=False)
+    def __init__(self, gadget: Gadget,
+                 dispatchers: Callable[[], dict[int, list[DispatcherCandidate]]]):
+        self.gadget = gadget
+        # The run's classify() context: the dispatcher index, built on the
+        # first call and shared by every hit of the run.
+        self.dispatchers = dispatchers
 
     @cached_property
     def summary(self) -> DataflowSummary:
@@ -221,8 +219,7 @@ def render_listing(hits: list[QueryHit]) -> str:
     return "\n\n".join(blocks) + f"\n\n{count}\n"
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     offset: int
     alignment: str
     link: str

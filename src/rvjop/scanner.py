@@ -13,7 +13,7 @@ dispatcher bodies need them; plain functional scans do not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
                       decode_one)
@@ -27,18 +27,18 @@ NATURAL = "natural"
 SHIFTED = "shifted"
 
 
-@dataclass(frozen=True)
 class ScanConfig:
-    max_len: int = 4                       # interior instruction bound
-    allow_interior_branches: bool = False
+    __slots__ = ("max_len", "allow_interior_branches")
 
-    def __post_init__(self):
-        if not 0 <= self.max_len <= MAX_GADGET_LEN:
+    def __init__(self, max_len: int = 4,
+                 allow_interior_branches: bool = False):
+        if not 0 <= max_len <= MAX_GADGET_LEN:
             raise ValueError(f"max_len must be in [0, {MAX_GADGET_LEN}]")
+        self.max_len = max_len             # interior instruction bound
+        self.allow_interior_branches = allow_interior_branches
 
 
-@dataclass(frozen=True)
-class Gadget:
+class Gadget(NamedTuple):
     start: int
     instructions: tuple[DecodedInstruction, ...]
     alignment: str  # NATURAL | SHIFTED

@@ -33,8 +33,7 @@ returns 0.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .decoder import _SHAPE, DecodedInstruction, decode_one
 from .errors import InvalidEncoding, Overlap, ToolError, Truncated
@@ -69,16 +68,14 @@ class _Violation(Exception):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class SyscallRecord:
+class SyscallRecord(NamedTuple):
     number: int
     args: tuple[int, ...]      # a0..a5 at the ecall
     address: int
     result: int
 
 
-@dataclass
-class SimReport:
+class SimReport(NamedTuple):
     outcome: str
     steps: int
     dispatch_rounds: int
@@ -131,6 +128,7 @@ class Machine:
         self.regs = [0] * 32
         self.pc = 0
         self.regions: list[tuple[int, bytearray]] = []
+        self._last_region: tuple[int, bytearray] | None = None
         self.shadow_stack: list[int] = []
         self.shadow_pushes = 0
         self.shadow_pops = 0
@@ -150,10 +148,19 @@ class Machine:
                     f"[0x{base:x}, 0x{base + len(existing):x})")
         self.regions.append((start, buf))
         self.regions.sort(key=lambda r: r[0])
+        self._last_region = None
 
     def _locate(self, address: int, size: int) -> tuple[bytearray, int]:
-        for base, buf in self.regions:
+        # Accesses cluster: try the region the last one hit first.
+        last = self._last_region
+        if last is not None:
+            base, buf = last
             if base <= address and address + size <= base + len(buf):
+                return buf, address - base
+        for region in self.regions:
+            base, buf = region
+            if base <= address and address + size <= base + len(buf):
+                self._last_region = region
                 return buf, address - base
         raise _Fault("unmapped",
                      f"{size}-byte access at 0x{address:x}")

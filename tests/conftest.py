@@ -310,6 +310,18 @@ def make_huge_segment_elf64(code: bytes) -> bytes:
     return bytes(blob)
 
 
+def make_zero_fill_elf(fill: int) -> bytes:
+    """An ELF32 with a code segment and a data segment whose memsz is
+    `fill` bytes more than its filesz."""
+    data = b"data"
+    blob = bytearray(make_elf([(0x10000, bytes.fromhex("67800000"),
+                                PF_R | PF_X),
+                               (0x20000, data, PF_R | PF_W)], xlen=32))
+    blob[52 + 32 + 20:52 + 32 + 24] = (len(data) + fill).to_bytes(
+        4, "little")                                     # phdr 1 p_memsz
+    return bytes(blob)
+
+
 def make_elf_image(segments, xlen: int = 32, entry: int = 0):
     return parse_elf(make_elf(segments, xlen=xlen, entry=entry))
 

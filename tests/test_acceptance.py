@@ -8,7 +8,6 @@ suite under its five-minute ceiling.
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 import pytest
 
@@ -448,15 +447,15 @@ def test_criterion_09_end_to_end_stealth():
 
     # clobbering the table register derails the walk
     hostile = gadget_at(img, addrs["g_clobber_s0"])
-    mut = replace(spec, steps=spec.steps[:4] + (ChainStep(hostile),)
-                  + spec.steps[4:])
+    mut = spec._replace(steps=spec.steps[:4] + (ChainStep(hostile),)
+                        + spec.steps[4:])
     assert any(d.code == "ClobbersReserved"
                for d in validate_chain(mut, 32))
     _, bad = _simulate(img, addrs, mut)
     assert not bad.stealth and bad.outcome != "reached"
 
     # dropping the stack release leaves sp shifted
-    mut = replace(spec, steps=spec.steps[:-1])
+    mut = spec._replace(steps=spec.steps[:-1])
     assert any(d.code == "UnbalancedStack"
                for d in validate_chain(mut, 32))
     _, bad = _simulate(img, addrs, mut)
@@ -464,7 +463,7 @@ def test_criterion_09_end_to_end_stealth():
     assert not bad.stealth
 
     # a short loop bound breaks the dispatcher's own condition
-    mut = replace(spec, seed_overrides={**spec.seed_overrides,
+    mut = spec._replace(seed_overrides={**spec.seed_overrides,
                                         reg("s1"): TABLE_BASE + 8})
     _, bad = _simulate(img, addrs, mut)
     assert not bad.stealth and bad.outcome == "fault"

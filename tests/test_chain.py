@@ -1,7 +1,5 @@
 """Chain building: tables, validation diagnostics, payload layout, parsing."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,8 +215,8 @@ def test_table_rejects_wide_addresses(lab):
     spec = spec_for(img, addrs, ["g_one"])
     for bad in (1 << 32, -4):
         with pytest.raises(AddressTooWide):
-            build_dispatch_table(replace(spec, return_to=bad), 32)
-    build_dispatch_table(replace(spec, return_to=1 << 32), 64)
+            build_dispatch_table(spec._replace(return_to=bad), 32)
+    build_dispatch_table(spec._replace(return_to=1 << 32), 64)
 
 
 # --- validation -------------------------------------------------------------
@@ -297,9 +295,9 @@ def test_dispatcher_moving_sp_warned(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"])
     alloc = decode_one(assemble("addi", ("sp", "sp", -16)))
-    touched = replace(spec.dispatcher,
-                      return_path=spec.dispatcher.return_path + (alloc,))
-    diags = validate_chain(replace(spec, dispatcher=touched), 32)
+    touched = spec.dispatcher._replace(
+        return_path=spec.dispatcher.return_path + (alloc,))
+    diags = validate_chain(spec._replace(dispatcher=touched), 32)
     assert "DispatcherTouchesSp" in codes(diags, "warning")
 
 
@@ -396,7 +394,7 @@ def test_layout_overlap_with_image(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"])
     layout_payload(spec, 32, image=img)
-    inside = replace(spec, table_base=addrs["g_one"])
+    inside = spec._replace(table_base=addrs["g_one"])
     with pytest.raises(Overlap):
         layout_payload(inside, 32, image=img)
 
@@ -414,7 +412,7 @@ def test_layout_surfaces_unplaced_sources(lab):
     spec = spec_for(img, addrs, ["g_one"])
     sets = dict(spec.initializer.sets)
     sets[reg("a1")] = Source("mem", reg("a3"), 0)
-    spec = replace(spec, initializer=replace(spec.initializer, sets=sets))
+    spec = spec._replace(initializer=spec.initializer._replace(sets=sets))
     out = layout_payload(spec, 32)
     assert [(r.name, s.kind) for r, s in out.unplaced_seeds] == [("a1", "mem")]
     assert out.register_seeds[reg("a1")] == 0
@@ -428,7 +426,7 @@ def test_manifest_signs_negative_offsets(lab):
     sets = dict(spec.initializer.sets)
     sets[reg("s0")] = Source("stack", reg("sp"), -12)
     sets[reg("a1")] = Source("mem", reg("a3"), -8)
-    spec = replace(spec, initializer=replace(spec.initializer, sets=sets))
+    spec = spec._replace(initializer=spec.initializer._replace(sets=sets))
     lines = render_manifest(spec, layout_payload(spec, 32), []).splitlines()
     assert any(line.startswith("  sp-12   <- ") for line in lines)
     assert "  note: a1 loads via mem base a3-8; place it yourself" in lines

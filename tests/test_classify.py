@@ -187,6 +187,21 @@ def test_stride_zero_two_stage_is_rejected():
     assert find_dispatchers(b.image()) == []
 
 
+def _two_stage_with_stage_one_jump(jump):
+    b = CodeBuilder()
+    b.emit("addi", "s0", "s0", 4)         # stage one
+    b.emit(*jump)
+    b.emit("lw", "a5", "s0", 0)           # stage two
+    b.emit("jr", "a5")
+    return [d for d in find_dispatchers(b.image())
+            if d.kind == DISPATCHER_TWO_STAGE]
+
+
+def test_two_stage_stage_one_through_ra_is_rejected():
+    assert _two_stage_with_stage_one_jump(("ret",)) == []
+    assert len(_two_stage_with_stage_one_jump(("jr", "t2"))) == 1
+
+
 def test_stride_zero_autonomous_is_rejected():
     b = CodeBuilder()
     b.label("loop")

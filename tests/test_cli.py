@@ -14,7 +14,8 @@ from rvjop.cli import main
 from rvjop.query import parse_records
 
 from conftest import (TABLE_BASE, CodeBuilder, build_adg_fixture,
-                      build_clean_fixtures, make_elf, make_huge_segment_elf64)
+                      build_clean_fixtures, make_elf, make_huge_segment_elf64,
+                      make_zero_fill_elf)
 
 BASE = 0x10000
 
@@ -76,6 +77,13 @@ def test_segment_past_address_space_is_a_bad_image(capsys, tmp_path):
     path.write_bytes(make_huge_segment_elf64(bytes.fromhex("67800000")))
     code, _, err = run(capsys, "scan", "--binary", str(path))
     assert code == 3 and "address space" in err
+
+
+def test_zero_fill_over_the_limit_is_a_bad_image(capsys, tmp_path):
+    path = tmp_path / "fill.elf"
+    path.write_bytes(make_zero_fill_elf((64 << 20) + 4096))
+    code, _, err = run(capsys, "scan", "--binary", str(path))
+    assert code == 3 and "zero fill" in err
 
 
 def test_help_exits_zero(capsys):
@@ -503,8 +511,8 @@ def _fresh_python(script, *args):
 
 LAZY = ("rvjop.query", "rvjop.chain", "rvjop.sim")
 
-
-@pytest.mark.parametrize("argv,absent,present", [
+# (argv, modules it must not load, modules it must load) per subcommand
+SUBCOMMAND_IMPORTS = [
     (["dispatchers"], LAZY, ()),
     (["initializers", "--dispatcher", "{loop}"], LAZY, ()),
     (["stats"], LAZY, ()),
@@ -514,8 +522,13 @@ LAZY = ("rvjop.query", "rvjop.chain", "rvjop.sim")
      ("rvjop.chain",)),
     (["chain", "--spec", "{spec}", "--simulate"], ("rvjop.query",),
      ("rvjop.chain", "rvjop.sim")),
-], ids=["dispatchers", "initializers", "stats", "scan", "query", "chain",
-        "chain-simulate"])
+]
+SUBCOMMAND_IDS = ["dispatchers", "initializers", "stats", "scan", "query",
+                  "chain", "chain-simulate"]
+
+
+@pytest.mark.parametrize("argv,absent,present", SUBCOMMAND_IMPORTS,
+                         ids=SUBCOMMAND_IDS)
 def test_subcommand_loads_only_its_layers(tmp_path, adg_blob, argv, absent,
                                           present):
     # A fresh interpreter per command: what it imports is what it pays for.
@@ -532,6 +545,35 @@ def test_subcommand_loads_only_its_layers(tmp_path, adg_blob, argv, absent,
     assert code == 0, proc.stderr
     assert not set(absent) & set(loaded)
     assert set(present) <= set(loaded)
+
+
+@pytest.mark.parametrize("argv", [row[0] for row in SUBCOMMAND_IMPORTS],
+                         ids=SUBCOMMAND_IDS)
+def test_subcommand_start_up_skips_dataclasses(tmp_path, adg_blob, argv):
+    # Building dataclasses compiles their methods at import time, and the
+    # module itself pulls in inspect: records are NamedTuples instead.
+    blob, addrs = adg_blob
+    spec = chain_file(tmp_path, addrs)
+    argv = [a.format(loop=hex(addrs["loop"]), spec=spec) for a in argv]
+    argv[1:1] = RAW(blob)
+    proc = _fresh_python(
+        "import json, sys, rvjop.cli\n"
+        "code = rvjop.cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, 'dataclasses' in sys.modules]),"
+        " file=sys.stderr)\n",
+        json.dumps(argv))
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0, False], proc.stderr
+
+
+def test_image_load_skips_dataclasses(adg_blob, adg_elf):
+    # The benchmark's setup job: import the package and load an image.
+    blob, _ = adg_blob
+    elf, _ = adg_elf
+    for load in (f"rvjop.load_raw({str(blob)!r}, {BASE}, 32)",
+                 f"rvjop.load_elf({str(elf)!r})"):
+        proc = _fresh_python(f"import sys, rvjop\n{load}\n"
+                             "assert 'dataclasses' not in sys.modules\n")
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_package_loads_a_submodule_on_first_use():

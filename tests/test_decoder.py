@@ -1,7 +1,6 @@
 """Decoder behavior: golden encodings, width rules, rejection classes,
 return discrimination, aliases, and immediate reconstruction."""
 
-import dataclasses
 import hashlib
 import random
 
@@ -279,7 +278,7 @@ DECODER_DIGEST = \
     "d14f92dd059ddb7bd98d6fc16d68588af9eba78fd9363643f9b5f380ea43b371"
 
 
-_FIELDS = [f.name for f in dataclasses.fields(DecodedInstruction)]
+_FIELDS = list(DecodedInstruction._fields)
 _REG_SETS = [_FIELDS.index("regs_read"), _FIELDS.index("regs_written")]
 
 

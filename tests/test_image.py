@@ -1,11 +1,14 @@
 """Image loading: ELF parsing, raw blobs, segment reads."""
 
+import tracemalloc
+
 import pytest
 
 from rvjop.errors import MalformedImage, NotElf, OutOfRange, WrongMachine
 from rvjop.image import from_bytes, load_raw, parse_elf
 
-from conftest import PF_R, PF_W, PF_X, make_elf, make_huge_segment_elf64
+from conftest import (PF_R, PF_W, PF_X, make_elf, make_huge_segment_elf64,
+                      make_zero_fill_elf)
 
 CODE = bytes.fromhex("6780000073000000")      # ret; ecall
 DATA = b"just data, not code....."
@@ -83,6 +86,30 @@ def test_memsz_below_filesz_rejected():
 def test_segment_past_address_space_rejected():
     with pytest.raises(MalformedImage, match="address space"):
         parse_elf(make_huge_segment_elf64(CODE))
+
+
+def test_zero_fill_over_64_mib_rejected():
+    with pytest.raises(MalformedImage, match="segment 1 .* zero fill"):
+        parse_elf(make_zero_fill_elf((64 << 20) + 4096))
+
+
+def test_zero_fill_of_4_gib_rejected_before_allocating():
+    blob = make_zero_fill_elf(0xFFF0_0000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedImage, match="zero fill"):
+            parse_elf(blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_zero_fill_of_1_mib_loads():
+    img = parse_elf(make_zero_fill_elf(1 << 20))
+    seg = img.segments[1]
+    assert len(seg.data) == 4 + (1 << 20)
+    assert img.read(seg.end - 8, 8) == bytes(8)
 
 
 def test_from_bytes_and_load_raw(tmp_path):

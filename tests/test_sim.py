@@ -626,6 +626,25 @@ def test_region_overlap_rejected():
     m.map_region(0x1004, b"x")
 
 
+def test_located_region_cache_keeps_faults():
+    m = Machine()
+    m.map_region(0x1000, bytes(range(16)))
+    m.map_region(0x1010, bytes(range(16, 32)))
+    m.map_region(0x3000, bytes(range(32, 48)))
+    for _ in range(3):
+        assert m.load(0x1004, 1) == 4
+        assert m.load(0x3008, 2) == 0x2928
+        assert m.load(0x1014, 4) == 0x17161514
+    # the last hit is [0x1010, 0x1020): straddle its end, then its start
+    with pytest.raises(rvjop.sim._Fault) as exc:
+        m.load(0x101e, 4)
+    assert str(exc.value) == "unmapped: 4-byte access at 0x101e"
+    with pytest.raises(rvjop.sim._Fault) as exc:
+        m.store(0x100e, 4, 0)
+    assert str(exc.value) == "unmapped: 4-byte access at 0x100e"
+    assert m.load(0x100c, 4) == 0x0f0e0d0c
+
+
 def test_int_region_maps_zeroes():
     m = Machine()
     m.map_region(0x2000, 16)
