@@ -386,9 +386,7 @@ def make_initializer(image: ExecutableImage, address: int,
         names = ",".join(sorted(r.name for r in missing))
         raise ToolError(
             f"initializer at 0x{address:x} never loads {names}")
-    return InitializerCandidate(gadget=g, sets=sets,
-                                link_register=g.link_register,
-                                side_effects=summarize_dataflow(g.instructions))
+    return InitializerCandidate(g, sets)
 
 
 def parse_chain_text(text: str, image: ExecutableImage) -> ChainSpec:

@@ -19,9 +19,15 @@ Dispatcher shapes:
   terminator at the return path, something plain gadget extraction never
   does.
 
-Every shape needs a table update that advances the table: an add of 0
-(the HINT `c.addi gp, 0`, say) is no update, so a candidate never has
-stride 0.  `_table_step` is that one rule, for all three shapes.
+All three shapes walk a table by one rule, `_table_walk`: the table
+register is the base of the last load of the target register through
+another register, the update is the last add of a nonzero constant to
+that register (`_table_step`: an add of 0, such as the HINT
+`c.addi gp, 0`, advances nothing, so no candidate has stride 0), and the
+walk is pre-increment when that update comes before the load.  Classic
+bodies and stage twos are walked as gadgets, autonomous loop bodies
+from the loop entry to the call, whose return path may carry the
+update instead.
 """
 
 from __future__ import annotations
@@ -74,13 +80,20 @@ class DispatcherCandidate(NamedTuple):
     table_reg: Register
     stride: int
     target_reg: Register
-    links_with_ra: bool
     self_link: SelfLink
-    loop_entry: int
     load_offset: int = 0          # displacement in the table load
     pre_increment: bool = False   # pointer advanced before the load each round
     return_path: tuple[DecodedInstruction, ...] = ()
     stage2: Gadget | None = None
+
+    @property
+    def loop_entry(self) -> int:
+        return self.gadget.start
+
+    @property
+    def links_with_ra(self) -> bool:
+        """True when the gadget that jumps through the target links ra."""
+        return (self.stage2 or self.gadget).terminator_links
 
     @property
     def required_registers(self) -> frozenset[Register]:
@@ -100,8 +113,14 @@ class DispatcherCandidate(NamedTuple):
 class InitializerCandidate(NamedTuple):
     gadget: Gadget
     sets: dict[Register, Source]
-    link_register: Register
-    side_effects: DataflowSummary
+
+    @property
+    def link_register(self) -> Register:
+        return self.gadget.link_register
+
+    @property
+    def side_effects(self) -> DataflowSummary:
+        return summarize_dataflow(self.gadget.instructions)
 
 
 # --- role classification ----------------------------------------------------
@@ -168,24 +187,37 @@ _CONTINUATION_WINDOW = 8     # instructions examined after a linking jump
 _BACKLINK_WINDOW = 64        # bytes a self-link may reach backwards
 
 
-def _table_load(insn: DecodedInstruction, target: Register
-                ) -> tuple[Register, int] | None:
-    """(base, offset) when insn loads `target` from a different register."""
-    mem = insn.mem_access
-    if mem is None or mem.kind != "load":
-        return None
-    if target not in insn.regs_written:
-        return None
-    if mem.base is target:
-        return None
-    return mem.base, mem.offset
-
-
 def _table_step(insn: DecodedInstruction) -> tuple[Register, int] | None:
     """(register, stride) when `insn` advances a register by a nonzero
     constant: the only table updates a dispatcher may use."""
     got = const_add(insn)
     return got if got is not None and got[1] != 0 else None
+
+
+def _table_walk(body, target: Register
+                ) -> tuple[Register, int, int | None, bool] | None:
+    """How `body` walks a table to reach `target`, or None if it does not.
+
+    The table register is the base of the last load of `target` through
+    another register.  Returns (table, load offset, stride of the last
+    `_table_step` of the table or None when nothing advances it, whether
+    that step comes before the load).
+    """
+    load = None
+    for i, insn in enumerate(body):
+        mem = insn.mem_access
+        if (mem is not None and mem.kind == "load" and mem.base is not target
+                and target in insn.regs_written):
+            load = i, mem.base, mem.offset
+    if load is None:
+        return None
+    at, table, offset = load
+    stride, pre = None, False
+    for i, insn in enumerate(body):
+        got = _table_step(insn)
+        if got is not None and got[0] is table:
+            stride, pre = got[1], i < at
+    return table, offset, stride, pre
 
 
 def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
@@ -241,128 +273,23 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
         if isinstance(insn.control_flow, (IndirectJump, DirectJump, Trap)):
             return None
 
-    load = None
-    for insn in body[:-1]:
-        hit = _table_load(insn, target_reg)
-        if hit is not None:
-            load = hit
-    if load is None:
+    walk = _table_walk(body[:-1], target_reg)
+    if walk is None:
         return None
-    table_reg, load_offset = load
-
-    update = None
-    pre_increment = False
-    for insn in body[:-1]:
-        got = _table_step(insn)
-        if got is not None and got[0] is table_reg:
-            update = got
-            pre_increment = True
-    for insn in path:
-        got = _table_step(insn)
-        if got is not None and got[0] is table_reg and update is None:
-            update = got
-    if update is None:
-        return None
+    table_reg, load_offset, stride, pre_increment = walk
+    if stride is None:  # the update may sit on the return path instead
+        stride = next((got[1] for got in map(_table_step, path)
+                       if got is not None and got[0] is table_reg), None)
+        if stride is None:
+            return None
 
     gadget = Gadget(back_target, tuple(body),
                     NATURAL if back_target in table.sweep else SHIFTED)
     return DispatcherCandidate(
         kind=DISPATCHER_AUTONOMOUS, gadget=gadget, table_reg=table_reg,
-        stride=update[1], target_reg=target_reg, links_with_ra=True,
-        self_link=self_link, loop_entry=back_target,
+        stride=stride, target_reg=target_reg, self_link=self_link,
         load_offset=load_offset, pre_increment=pre_increment,
         return_path=tuple(path))
-
-
-def _try_classic(gadget: Gadget) -> DispatcherCandidate | None:
-    cf = gadget.terminator.control_flow
-    target_reg = cf.base
-    # A jump through a freshly loaded ra is a function epilogue, and a
-    # table register of sp walks the stack; neither is table dispatch.
-    if target_reg is RA:
-        return None
-    load = None
-    load_addr = None
-    for insn in gadget.interior:
-        hit = _table_load(insn, target_reg)
-        if hit is not None:
-            load = hit
-            load_addr = insn.address
-    if load is None:
-        return None
-    table_reg, load_offset = load
-    if table_reg is target_reg or table_reg is SP:
-        return None
-    update = None
-    update_addr = None
-    for insn in gadget.interior:
-        got = _table_step(insn)
-        if got is not None and got[0] is table_reg:
-            update = got
-            update_addr = insn.address
-    if update is None:
-        return None
-    return DispatcherCandidate(
-        kind=DISPATCHER_CLASSIC, gadget=gadget, table_reg=table_reg,
-        stride=update[1], target_reg=target_reg,
-        links_with_ra=gadget.terminator_links, self_link=NO_SELF_LINK,
-        loop_entry=gadget.start, load_offset=load_offset,
-        pre_increment=update_addr < load_addr)
-
-
-def _try_two_stage(gadgets: list[Gadget]) -> list[DispatcherCandidate]:
-    # stage two: loads the jump target from a table register it does not
-    # advance; stage one: advances that register and jumps elsewhere.
-    # Each stage is summarized once, outside the pair loop.
-    stage2: list[tuple[Gadget, Register, Register, int,
-                       frozenset[Register]]] = []
-    for g in gadgets:
-        target = g.link_register
-        if target is RA:
-            continue
-        load = None
-        for insn in g.interior:
-            hit = _table_load(insn, target)
-            if hit is not None:
-                load = hit
-        if load is None:
-            continue
-        table_reg, load_offset = load
-        if table_reg is SP:
-            continue
-        if any(got is not None and got[0] is table_reg
-               for got in map(_table_step, g.instructions)):
-            continue  # that would be a classic dispatcher, not a stage
-        summary = summarize_dataflow(g.instructions)
-        stage2.append((g, table_reg, target, load_offset,
-                       summary.written | summary.cond_written))
-
-    out = []
-    for g1 in gadgets:
-        jump_reg = g1.link_register
-        # As in `_try_classic`: a jump through ra is a return, which
-        # hands control back to a caller, not on to a stage two.
-        if jump_reg is RA:
-            continue
-        updates = [got for got in map(_table_step, g1.interior)
-                   if got is not None and got[0] is not jump_reg]
-        if not updates or any(_table_load(i, jump_reg) for i in g1.interior):
-            continue
-        summary1 = summarize_dataflow(g1.instructions)
-        if jump_reg in (summary1.written | summary1.cond_written):
-            continue
-        for table_reg, stride in updates:
-            for g2, t2, target, load_offset, clobbered2 in stage2:
-                if (t2 is not table_reg or jump_reg in clobbered2
-                        or g2.encoding == g1.encoding):
-                    continue
-                out.append(DispatcherCandidate(
-                    kind=DISPATCHER_TWO_STAGE, gadget=g1, table_reg=table_reg,
-                    stride=stride, target_reg=target,
-                    links_with_ra=g2.terminator_links, self_link=NO_SELF_LINK,
-                    loop_entry=g1.start, load_offset=load_offset,
-                    pre_increment=True, stage2=g2))
-    return out
 
 
 _DISPATCHER_SCAN = ScanConfig(max_len=6, allow_interior_branches=True)
@@ -381,40 +308,72 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
                 cand = _try_autonomous(table, insn)
                 if cand is not None:
                     candidates.append(cand)
-    gadgets = dedupe(extract_gadgets(image, _DISPATCHER_SCAN))
-
     adg_terms = {c.gadget.terminator.address for c in candidates}
-    for g in gadgets:
-        if g.terminator.address in adg_terms:
-            continue  # already explained by an autonomous loop
-        cand = _try_classic(g)
-        if cand is not None:
-            candidates.append(cand)
-    candidates.extend(_try_two_stage(
-        [g for g in gadgets if g.terminator.address not in adg_terms]))
 
-    # Collapse classic candidates that are prefixes of one another: keep
-    # the shortest body per (terminator, table register) pair.
-    seen: dict[tuple, DispatcherCandidate] = {}
-    rest = []
-    for c in candidates:
-        if c.kind != DISPATCHER_CLASSIC:
-            rest.append(c)
+    # One table walk per gadget not already explained by an autonomous
+    # loop.  A jump through a freshly loaded ra is a function epilogue,
+    # and an sp table walks the stack; neither is table dispatch.  A walk
+    # that advances its table is a classic dispatcher: keep the shortest
+    # body per (terminator, table, target), since longer ones only add a
+    # prefix.  One that does not is a stage two; a gadget that never
+    # writes its jump register may be a stage one.
+    classic: dict[tuple, DispatcherCandidate] = {}
+    stage2: dict[Register, list[tuple[Gadget, Register, int,
+                                      frozenset[Register]]]] = {}
+    stage1: list[Gadget] = []
+    for g in dedupe(extract_gadgets(image, _DISPATCHER_SCAN)):
+        target = g.link_register
+        if target is RA or g.terminator.address in adg_terms:
             continue
-        key = (c.gadget.terminator.address, c.table_reg.index, c.target_reg.index)
-        cur = seen.get(key)
-        if cur is None or len(c.gadget.instructions) < len(cur.gadget.instructions):
-            seen[key] = c
-    out = rest + list(seen.values())
-    out.sort(key=lambda c: (c.loop_entry, c.kind))
-    return out
+        walk = _table_walk(g.interior, target)
+        if walk is None:
+            stage1.append(g)
+            continue
+        table_reg, load_offset, stride, pre_increment = walk
+        if table_reg is SP:
+            continue
+        if stride is None:
+            summary = summarize_dataflow(g.instructions)
+            stage2.setdefault(table_reg, []).append(
+                (g, target, load_offset, summary.written | summary.cond_written))
+            continue
+        key = (g.terminator.address, table_reg, target)
+        cur = classic.get(key)
+        if cur is None or len(g.instructions) < len(cur.gadget.instructions):
+            classic[key] = DispatcherCandidate(
+                kind=DISPATCHER_CLASSIC, gadget=g, table_reg=table_reg,
+                stride=stride, target_reg=target, self_link=NO_SELF_LINK,
+                load_offset=load_offset, pre_increment=pre_increment)
+    candidates.extend(classic.values())
+
+    # Stage one advances a table register and jumps, through a register
+    # it leaves alone, to a stage two that loads through that table.
+    for g1 in stage1:
+        jump_reg = g1.link_register
+        updates = [got for got in map(_table_step, g1.interior)
+                   if got is not None and got[0] is not jump_reg]
+        if not updates:
+            continue
+        summary1 = summarize_dataflow(g1.instructions)
+        if jump_reg in (summary1.written | summary1.cond_written):
+            continue
+        for table_reg, stride in updates:
+            for g2, target, load_offset, clobbered2 in stage2.get(table_reg, ()):
+                if jump_reg not in clobbered2:
+                    candidates.append(DispatcherCandidate(
+                        kind=DISPATCHER_TWO_STAGE, gadget=g1,
+                        table_reg=table_reg, stride=stride, target_reg=target,
+                        self_link=NO_SELF_LINK, load_offset=load_offset,
+                        pre_increment=True, stage2=g2))
+    candidates.sort(key=lambda c: (c.loop_entry, c.kind))
+    return candidates
 
 
 def dispatcher_at(image: ExecutableImage, address: int
                   ) -> DispatcherCandidate | None:
-    """The first candidate whose loop entry or gadget start is `address`."""
+    """The first candidate whose loop entry is `address`."""
     for d in find_dispatchers(image):
-        if address in (d.loop_entry, d.gadget.start):
+        if d.loop_entry == address:
             return d
     return None
 
@@ -446,9 +405,7 @@ def find_initializers(gadgets, dispatcher: DispatcherCandidate
         sets = initializer_sources(g)
         if sets is None or dispatcher.unseeded(sets):
             continue
-        out.append(InitializerCandidate(
-            gadget=g, sets=sets, link_register=g.link_register,
-            side_effects=summarize_dataflow(g.instructions)))
+        out.append(InitializerCandidate(g, sets))
     out.sort(key=lambda c: c.gadget.start)
     return out
 

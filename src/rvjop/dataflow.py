@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .decoder import CondBranch, DecodedInstruction
+from .decoder import CondBranch, DecodedInstruction, MemAccess
 from .isa import REGISTERS, S0, SP, Register
 
 
@@ -41,21 +41,14 @@ class Source(NamedTuple):
     offset: int          # entry-relative for sp, raw otherwise
 
 
-class MemRef(NamedTuple):
-    kind: str             # "load" | "store" | "amo"
-    base: Register
-    offset: int
-    size: int
-
-
 class DataflowSummary(NamedTuple):
     written: frozenset[Register]
     cond_written: frozenset[Register]
     read_before_write: frozenset[Register]
     preserved: frozenset[Register]
     sp_delta: int | None              # None = unknown
-    mem_reads: tuple[MemRef, ...]
-    mem_writes: tuple[MemRef, ...]
+    mem_reads: tuple[MemAccess, ...]   # sp offsets entry-relative if known
+    mem_writes: tuple[MemAccess, ...]
 
     def clobbers(self, regs) -> frozenset[Register]:
         """Registers from `regs` this gadget writes (even conditionally)."""
@@ -93,8 +86,8 @@ def summarize_dataflow(instructions) -> DataflowSummary:
     cond_written: set[Register] = set()
     rbw: set[Register] = set()
     sp_delta: int | None = 0
-    mem_reads: list[MemRef] = []
-    mem_writes: list[MemRef] = []
+    mem_reads: list[MemAccess] = []
+    mem_writes: list[MemAccess] = []
     conditional = False
 
     for insn in instructions:
@@ -104,14 +97,12 @@ def summarize_dataflow(instructions) -> DataflowSummary:
 
         mem = insn.mem_access
         if mem is not None:
-            offset = mem.offset
-            if mem.base is SP and sp_delta is not None:
-                offset = mem.offset + sp_delta
-            ref = MemRef(mem.kind, mem.base, offset, mem.size)
+            if mem.base is SP and sp_delta:
+                mem = mem._replace(offset=mem.offset + sp_delta)
             if mem.kind in ("load", "amo"):
-                mem_reads.append(ref)
+                mem_reads.append(mem)
             if mem.kind in ("store", "amo"):
-                mem_writes.append(ref)
+                mem_writes.append(mem)
 
         sp_delta = _next_sp_delta(sp_delta, insn)
         for r in insn.regs_written:

@@ -1,9 +1,4 @@
-"""Register file description and small numeric helpers.
-
-The ABI saver column follows the standard RISC-V calling convention:
-x0 and the platform registers gp/tp belong to neither class, ra and the
-t/a families are caller-saved, sp and the s family are callee-saved.
-"""
+"""Register file description and small numeric helpers."""
 
 from __future__ import annotations
 
@@ -11,33 +6,22 @@ from __future__ import annotations
 class Register:
     """One of the 32 singletons in `REGISTERS`; identity is equality."""
 
-    __slots__ = ("index", "name", "saver")
+    __slots__ = ("index", "name")
 
-    def __init__(self, index: int, name: str, saver: str):
+    def __init__(self, index: int, name: str):
         self.index = index
         self.name = name      # canonical ABI name ("zero", "ra", "a5", ...)
-        self.saver = saver    # "caller" | "callee" | "none"
 
     def __repr__(self) -> str:
         return self.name
 
 
 def _build_registers() -> tuple[Register, ...]:
-    savers = {0: "none", 1: "caller", 2: "callee", 3: "none", 4: "none"}
     names = ["zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1"]
     names += [f"a{i}" for i in range(8)]        # x10..x17
     names += [f"s{i}" for i in range(2, 12)]    # x18..x27
     names += [f"t{i}" for i in range(3, 7)]     # x28..x31
-    regs = []
-    for i, name in enumerate(names):
-        if i in savers:
-            saver = savers[i]
-        elif name.startswith("s"):
-            saver = "callee"
-        else:
-            saver = "caller"
-        regs.append(Register(i, name, saver))
-    return tuple(regs)
+    return tuple(Register(i, name) for i, name in enumerate(names))
 
 
 REGISTERS: tuple[Register, ...] = _build_registers()

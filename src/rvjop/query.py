@@ -187,9 +187,7 @@ def run_query(image: ExecutableImage, q: Query) -> list[QueryHit]:
     dispatchers = cache(lambda: dispatcher_index(find_dispatchers(image)))
 
     hits = []
-    for g in sorted(gadgets, key=lambda g: (g.start, g.length)):
-        if g.length > q.max:
-            continue
+    for g in gadgets:
         if _wants_instruction(q) and not any(
                 _instruction_match(q, x) for x in g.interior):
             continue

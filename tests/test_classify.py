@@ -1,15 +1,18 @@
 """Role assignment, dispatcher discovery, initializer pairing, stats."""
 
+import pytest
+
 from rvjop.classify import (ARITH, DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
                             DISPATCHER_TWO_STAGE, INITIALIZER, LOAD, STORE,
                             SYSCALL, UNCLASSIFIED, availability_stats,
                             classify, dispatcher_index, find_dispatchers,
                             find_initializers, initializer_sources,
                             render_stats_table)
+from rvjop.cli import main
 from rvjop.scanner import ScanConfig, dedupe, extract_gadgets, gadget_at
 from rvjop.isa import RA, reg
 
-from conftest import CodeBuilder
+from conftest import TABLE_BASE, CodeBuilder
 
 
 def roles_of(image, address, context=None):
@@ -211,6 +214,74 @@ def test_stride_zero_autonomous_is_rejected():
     b.branch("blt", "s0", "s1", "loop")
     b.emit("ebreak")
     assert find_dispatchers(b.image()) == []
+
+
+def _walk_in_body(update_first: bool) -> CodeBuilder:
+    """An autonomous loop whose body both loads through s0 and advances
+    it, in either order, plus an initializer, two steps and a landing."""
+    b = CodeBuilder()
+    b.label("loop")
+    body = [("lw", "a5", "s0", 0), ("addi", "s0", "s0", 4)]
+    for insn in (body[::-1] if update_first else body):
+        b.emit(*insn)
+    b.emit("jalr", "ra", "a5", 0)
+    b.branch("blt", "s0", "s1", "loop")
+    b.emit("ebreak")
+    b.label("init")
+    b.emit("lw", "s0", "sp", 0)
+    b.emit("lw", "s1", "sp", 4)
+    b.emit("lw", "t0", "sp", 8)
+    b.emit("jr", "t0")
+    b.label("g_li_a0")
+    b.emit("li", "a0", 1)
+    b.emit("ret")
+    b.label("g_bump_a2")
+    b.emit("addi", "a2", "a2", 4)
+    b.emit("ret")
+    b.label("landing")
+    b.emit("nop")
+    b.emit("ebreak")
+    return b
+
+
+def test_autonomous_pre_increment_follows_body_order(capsys, tmp_path):
+    # A loop that loads before it advances is not pre-increment, even
+    # with the update in the body: the same rule as for classic bodies.
+    for update_first in (False, True):
+        b = _walk_in_body(update_first)
+        auto = [d for d in find_dispatchers(b.image())
+                if d.kind == DISPATCHER_AUTONOMOUS]
+        assert len(auto) == 1 and auto[0].pre_increment is update_first
+        blob = tmp_path / "loop.bin"
+        blob.write_bytes(b.blob())
+        assert main(["dispatchers", "--raw", str(blob),
+                     "--base", hex(b.base)]) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        pre = " pre" if update_first else ""
+        assert line == (f"0x{b.base:08x} dispatcher-autonomous table=s0 "
+                        f"stride=+4 target=a5{pre} while s0 lt s1")
+
+
+@pytest.mark.parametrize("update_first", [False, True])
+def test_chain_through_body_walk_reaches_its_end(capsys, tmp_path,
+                                                 update_first):
+    # the table seed follows pre_increment, so a wrong flag starts the
+    # walk one stride off the table
+    b = _walk_in_body(update_first)
+    a = b.labels
+    blob = tmp_path / "loop.bin"
+    blob.write_bytes(b.blob())
+    spec = tmp_path / "chain.txt"
+    spec.write_text(f"dispatcher {a['loop']:#x}\ninitializer {a['init']:#x}\n"
+                    f"table-base {TABLE_BASE:#x}\n"
+                    f"return-to {a['landing']:#x}\n"
+                    f"step {a['g_li_a0']:#x}\nstep {a['g_bump_a2']:#x}\n")
+    code = main(["chain", "--raw", str(blob), "--base", hex(b.base),
+                 "--spec", str(spec), "--simulate"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "outcome        reached" in out
+    assert "stealth        yes" in out
 
 
 def test_no_dispatchers_in_plain_code(clean_images):
