@@ -284,7 +284,7 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
             return None
 
     gadget = Gadget(back_target, tuple(body),
-                    NATURAL if back_target in table.sweep else SHIFTED)
+                    NATURAL if table.natural(back_target) else SHIFTED)
     return DispatcherCandidate(
         kind=DISPATCHER_AUTONOMOUS, gadget=gadget, table_reg=table_reg,
         stride=stride, target_reg=target_reg, self_link=self_link,
@@ -371,7 +371,27 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
 
 def dispatcher_at(image: ExecutableImage, address: int
                   ) -> DispatcherCandidate | None:
-    """The first candidate whose loop entry is `address`."""
+    """The first `find_dispatchers` candidate whose loop entry is
+    `address`, found by reading around `address` when it can.
+
+    At most one autonomous loop starts at `address`: its body decodes
+    forward from there with no jump before the call, which sits at most
+    `_BACKLINK_WINDOW` bytes further on.  Candidates sort by (loop
+    entry, kind), autonomous first, so that loop is the answer when
+    there is one.  Only otherwise does the whole-image search run, for
+    classic and two-stage entries.  An address at no even offset of an
+    executable segment is no loop entry: None, with no search.
+    """
+    seg = image.segment_containing(address)
+    if seg is None or not seg.executable or (address - seg.vaddr) & 1:
+        return None
+    table = image.decode_table[seg.vaddr]
+    for term_addr in range(address, address + _BACKLINK_WINDOW + 1, 2):
+        term = table.at(term_addr)
+        if term is not None and term.is_terminator:
+            cand = _try_autonomous(table, term)
+            if cand is not None and cand.loop_entry == address:
+                return cand
     for d in find_dispatchers(image):
         if d.loop_entry == address:
             return d

@@ -6,10 +6,12 @@ Little-endian images only.  Segments are kept byte-exact: slicing the
 image returns the same bytes the file supplied, padded with zeros where
 a segment's memory size exceeds its file size.
 
-Each executable segment is decoded once per image, at every halfword,
-into a decode table that every static analysis reads (gadget growth,
-linear sweep, dispatcher search).  The interpreter does not use it: it
-decodes live memory, which a payload may overwrite.
+Each executable segment has a decode table that every static analysis
+reads (gadget growth, linear sweep, dispatcher search).  A halfword is
+decoded on first read, at most once per image, so a command that names
+one address reads only around it while a whole-image scan decodes
+everything once.  The interpreter does not use the table: it decodes
+live memory, which a payload may overwrite.
 """
 
 from __future__ import annotations
@@ -41,39 +43,89 @@ class Segment(NamedTuple):
         return self.vaddr + len(self.data)
 
 
-class DecodedSegment(NamedTuple):
-    """One executable segment decoded at every halfword."""
-    segment: Segment
-    slots: tuple[DecodedInstruction | None, ...]  # one per halfword
-    sweep: frozenset[int]    # addresses a linear sweep from the start visits
+# Marks a halfword of a decode table not decoded yet.
+_PENDING = object()
+
+
+class DecodedSegment:
+    """One executable segment's decode table, filled on first read.
+
+    `at` decodes a halfword the first time it is read and keeps the
+    result, so no halfword is decoded twice.  The linear sweep advances
+    only as far as a `natural` query needs.  `slots` and `sweep` finish
+    the decode and the sweep, for analyses that read the whole segment.
+    """
+    __slots__ = ("segment", "xlen", "_table", "_size", "_slots",
+                 "_swept", "_sweep_off", "_sweep")
+
+    def __init__(self, segment: Segment, xlen: int):
+        self.segment = segment
+        self.xlen = xlen
+        n = len(segment.data) >> 1
+        self._table: list = [_PENDING] * n  # one per halfword
+        self._size = 2 * n
+        self._slots: tuple[DecodedInstruction | None, ...] | None = None
+        self._swept: set[int] | frozenset[int] = set()
+        self._sweep_off = 0                 # next offset the sweep visits
+        self._sweep: frozenset[int] | None = None
 
     def at(self, address: int) -> DecodedInstruction | None:
         """The instruction at `address`; None where the bytes do not
         decode, outside the segment, or an odd number of bytes in."""
         off = address - self.segment.vaddr
         # Bound explicitly: a negative index would wrap to the tail.
-        if off & 1 or not 0 <= off < 2 * len(self.slots):
+        if off & 1 or not 0 <= off < self._size:
             return None
-        return self.slots[off >> 1]
+        insn = self._table[off >> 1]
+        return self._decode(off) if insn is _PENDING else insn
 
-
-def _decode_segment(seg: Segment, xlen: int) -> DecodedSegment:
-    data = seg.data
-    slots: list[DecodedInstruction | None] = []
-    for off in range(0, len(data) - 1, 2):
+    def _decode(self, off: int) -> DecodedInstruction | None:
+        """Decode the halfword at even offset `off` and keep the result."""
         try:
-            slots.append(decode_one(data[off:off + 4], seg.vaddr + off, xlen))
+            insn = decode_one(self.segment.data[off:off + 4],
+                              self.segment.vaddr + off, self.xlen)
         except (InvalidEncoding, Truncated):
-            slots.append(None)
-    # Linear sweep: step by each instruction's width; on bytes that do
-    # not decode, skip one halfword and resync.
-    sweep = set()
-    off = 0
-    while off < len(data):
-        sweep.add(seg.vaddr + off)
-        insn = slots[off >> 1] if off >> 1 < len(slots) else None
-        off += 2 if insn is None else insn.width
-    return DecodedSegment(seg, tuple(slots), frozenset(sweep))
+            insn = None
+        self._table[off >> 1] = insn
+        return insn
+
+    @property
+    def slots(self) -> tuple[DecodedInstruction | None, ...]:
+        """The instruction at every halfword, in address order."""
+        if self._slots is None:
+            table = self._table
+            for i, insn in enumerate(table):
+                if insn is _PENDING:
+                    self._decode(2 * i)
+            self._slots = tuple(table)
+        return self._slots
+
+    def natural(self, address: int) -> bool:
+        """True when a linear sweep from the segment start visits
+        `address`: step by each instruction's width; on bytes that do
+        not decode, skip one halfword and resync."""
+        base = self.segment.vaddr
+        stop = min(address - base, len(self.segment.data) - 1)
+        off = self._sweep_off
+        if off <= stop:
+            table, size, swept = self._table, self._size, self._swept
+            while off <= stop:
+                swept.add(base + off)
+                insn = table[off >> 1] if off < size else None
+                if insn is _PENDING:
+                    insn = self._decode(off)
+                off += 2 if insn is None else insn.width
+            self._sweep_off = off
+        return address in self._swept
+
+    @property
+    def sweep(self) -> frozenset[int]:
+        """Every address the linear sweep visits."""
+        if self._sweep is None:
+            self.natural(self.segment.end)
+            # Complete: `natural` adds nothing more, so keep one set.
+            self._sweep = self._swept = frozenset(self._swept)
+        return self._sweep
 
 
 class ExecutableImage:
@@ -97,7 +149,7 @@ class ExecutableImage:
     def decode_table(self) -> dict[int, DecodedSegment]:
         """Decoded executable segments keyed by start address, built on
         first use and shared by every analysis of this image."""
-        return {seg.vaddr: _decode_segment(seg, self.xlen)
+        return {seg.vaddr: DecodedSegment(seg, self.xlen)
                 for seg in self.executable_segments}
 
     def segment_containing(self, address: int) -> Segment | None:

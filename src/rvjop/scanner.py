@@ -108,6 +108,7 @@ def extract_gadgets(image: ExecutableImage,
     """
     out = []
     for table in image.decode_table.values():
+        sweep = table.sweep
         for term in table.slots:
             if term is None or not term.is_terminator:
                 continue
@@ -119,7 +120,7 @@ def extract_gadgets(image: ExecutableImage,
             while stack:
                 chain = stack.pop()
                 start = chain[0].address
-                align = NATURAL if start in table.sweep else SHIFTED
+                align = NATURAL if start in sweep else SHIFTED
                 out.append(Gadget(start, chain, align))
                 if len(chain) - 1 >= config.max_len:
                     continue
@@ -176,7 +177,7 @@ def gadget_at(image: ExecutableImage, address: int,
             insn = decode_one(seg.data[off:off + 4], addr, image.xlen)
         chain.append(insn)
         if insn.is_terminator:
-            align = NATURAL if address in table.sweep else SHIFTED
+            align = NATURAL if table.natural(address) else SHIFTED
             return Gadget(address, tuple(chain), align)
         if isinstance(insn.control_flow, DirectJump):
             raise ToolError(

@@ -8,7 +8,9 @@ addrs maps labels to virtual addresses.
 from __future__ import annotations
 
 import struct
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -324,6 +326,27 @@ def make_zero_fill_elf(fill: int) -> bytes:
 
 def make_elf_image(segments, xlen: int = 32, entry: int = 0):
     return parse_elf(make_elf(segments, xlen=xlen, entry=entry))
+
+
+def benchmark_corpus():
+    """The benchmark's image generator, `benchmarks/corpus.py`."""
+    here = str(Path(__file__).resolve().parents[1] / "benchmarks")
+    if here not in sys.path:
+        sys.path.append(here)
+    import corpus
+    return corpus
+
+
+def refuse_calls(monkeypatch, *names):
+    """Make the functions in `names` fail wherever a module of the
+    package looks them up."""
+    for name in names:
+        def refuse(*args, name=name):
+            raise AssertionError(f"{name} called")
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("rvjop.")
+                    and name in vars(mod)):
+                monkeypatch.setattr(mod, name, refuse)
 
 
 # --- pytest fixtures --------------------------------------------------------

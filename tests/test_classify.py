@@ -1,18 +1,26 @@
 """Role assignment, dispatcher discovery, initializer pairing, stats."""
 
+import sys
+
 import pytest
 
 from rvjop.classify import (ARITH, DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
                             DISPATCHER_TWO_STAGE, INITIALIZER, LOAD, STORE,
                             SYSCALL, UNCLASSIFIED, availability_stats,
-                            classify, dispatcher_index, find_dispatchers,
+                            classify, dispatcher_at, dispatcher_index,
+                            find_dispatchers,
                             find_initializers, initializer_sources,
                             render_stats_table)
 from rvjop.cli import main
+from rvjop.image import parse_elf
 from rvjop.scanner import ScanConfig, dedupe, extract_gadgets, gadget_at
 from rvjop.isa import RA, reg
 
-from conftest import TABLE_BASE, CodeBuilder
+from conftest import (PF_R, PF_W, PF_X, TABLE_BASE, CodeBuilder,
+                      benchmark_corpus, make_elf, refuse_calls)
+
+# `import rvjop.classify` binds the function the package re-exports.
+CLASSIFY = sys.modules["rvjop.classify"]
 
 
 def roles_of(image, address, context=None):
@@ -296,6 +304,68 @@ def test_dispatcher_role_tagging(adg):
     d = [x for x in found if x.kind == DISPATCHER_AUTONOMOUS][0]
     roles = {r.kind for r in classify(d.gadget, dispatchers=context)}
     assert DISPATCHER_AUTONOMOUS in roles
+
+
+def test_dispatcher_at_rejects_non_code_addresses_without_a_search(
+        monkeypatch):
+    code = bytes.fromhex("8327040013044400e7800700e34a94fe")  # a loop
+    img = parse_elf(make_elf([(0x10000, code, PF_R | PF_X),
+                              (0x20000, code, PF_R | PF_W)]))
+    assert dispatcher_at(img, 0x10000).kind == DISPATCHER_AUTONOMOUS
+    refuse_calls(monkeypatch, "find_dispatchers", "extract_gadgets")
+    for address in (0x1, 0x10001, 0x10007, 0xfffe, 0x10010, 0x20000,
+                    0x20004):
+        assert dispatcher_at(img, address) is None, hex(address)
+
+
+@pytest.mark.parametrize("pad", [0, 14, 15])
+def test_dispatcher_at_window_edges(monkeypatch, pad):
+    # nop; loop: lw a5,0(s0); addi s0,s0,4; `pad` nops; jalr ra,a5;
+    # blt s0,s1,loop.  With 14 nops the call sits exactly
+    # _BACKLINK_WINDOW bytes after the entry; with 15 it is too far.
+    b = CodeBuilder()
+    b.emit("nop")
+    b.label("loop")
+    b.emit("lw", "a5", "s0", 0)
+    b.emit("addi", "s0", "s0", 4)
+    for _ in range(pad):
+        b.emit("nop")
+    b.emit("jalr", "ra", "a5", 0)
+    b.branch("blt", "s0", "s1", "loop")
+    img = b.image()
+    full = find_dispatchers(img)
+    want = full[0] if pad < 15 else None
+    assert [d.loop_entry for d in full] == ([b.labels["loop"]] if want else [])
+    monkeypatch.setattr(CLASSIFY, "find_dispatchers", lambda image: full)
+    assert dispatcher_at(img, b.base) is None
+    if want is not None:
+        refuse_calls(monkeypatch, "find_dispatchers", "extract_gadgets")
+    assert dispatcher_at(img, b.labels["loop"]) == want
+
+
+@pytest.mark.parametrize("workload", ["scan-dense-rv32", "scan-clean-rv64"])
+def test_dispatcher_at_is_the_first_full_search_candidate(monkeypatch,
+                                                          workload):
+    corpus = benchmark_corpus()
+    for seed in range(1, 11):
+        c = corpus.build(workload, seed)
+        img = parse_elf(c.file_bytes)
+        full = find_dispatchers(img)
+        monkeypatch.setattr(CLASSIFY, "find_dispatchers", lambda image: full)
+        probes = {c.base, c.base + 2} | {d.loop_entry for d in full}
+        for a in sorted(probes):
+            want = next((d for d in full if d.loop_entry == a), None)
+            assert dispatcher_at(img, a) == want, (seed, hex(a))
+        monkeypatch.undo()
+
+
+def test_dispatcher_at_reads_around_the_loop_only(monkeypatch):
+    corpus = benchmark_corpus()
+    e = corpus._dense_image(1, 64 * 1024)
+    img = parse_elf(corpus.make_elf(e.base, bytes(e.buf), e.xlen))
+    refuse_calls(monkeypatch, "find_dispatchers", "extract_gadgets")
+    d = dispatcher_at(img, e.labels["loop"])
+    assert (d.kind, d.loop_entry) == (DISPATCHER_AUTONOMOUS, e.labels["loop"])
 
 
 # --- initializer pairing ----------------------------------------------------

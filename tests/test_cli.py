@@ -8,14 +8,16 @@ from pathlib import Path
 
 import pytest
 
+import rvjop.image
 import rvjop.query
 import rvjop.sim
 from rvjop.cli import main
 from rvjop.query import parse_records
 
-from conftest import (TABLE_BASE, CodeBuilder, build_adg_fixture,
-                      build_clean_fixtures, make_elf, make_huge_segment_elf64,
-                      make_zero_fill_elf)
+from conftest import (TABLE_BASE, CodeBuilder, benchmark_corpus,
+                      build_adg_fixture, build_clean_fixtures,
+                      build_e2e_fixture, make_elf, make_huge_segment_elf64,
+                      make_zero_fill_elf, refuse_calls)
 
 BASE = 0x10000
 
@@ -237,12 +239,14 @@ def test_initializers_signs_negative_offsets(capsys, tmp_path):
                      "2 candidates"]
 
 
-def test_initializers_unknown_dispatcher(capsys, adg_blob):
+def test_initializers_unknown_dispatcher(capsys, monkeypatch, adg_blob):
     blob, _ = adg_blob
-    code, out, err = run(capsys, "initializers", *RAW(blob),
-                         "--dispatcher", "0x1")
-    assert code == 1
-    assert "0 candidates" in out and "no dispatcher" in err
+    argv = ["initializers", *RAW(blob), "--dispatcher", "0x1"]
+    want = (1, "0 candidates\n", "rvjop: no dispatcher at 0x1\n")
+    assert run(capsys, *argv) == want
+    # 0x1 is at an odd offset: no search is needed to say so
+    refuse_calls(monkeypatch, "find_dispatchers")
+    assert run(capsys, *argv) == want
 
 
 # --- stats ------------------------------------------------------------------
@@ -597,6 +601,60 @@ def test_text_listings_skip_dispatcher_search(capsys, monkeypatch, adg_blob):
 
     monkeypatch.setattr(rvjop.query, "find_dispatchers", refuse)
     assert [run(capsys, *argv) for argv in commands] == want
+
+
+E2E_CHAIN = """\
+dispatcher {loop:#x}
+initializer {init:#x}
+table-base {table:#x}
+return-to {landing:#x}
+step {g_dirfd:#x}
+step {g_alloc:#x}
+step {g_count:#x} 3
+step {g_release:#x}
+"""
+
+
+def test_chain_and_initializers_read_only_around_the_dispatcher(
+        capsys, monkeypatch, tmp_path):
+    img, addrs = build_e2e_fixture()
+    blob = tmp_path / "e2e.bin"
+    blob.write_bytes(img.segments[0].data)
+    spec = tmp_path / "chain.txt"
+    spec.write_text(E2E_CHAIN.format(table=TABLE_BASE, **addrs))
+    chain = ["chain", *RAW(blob), "--spec", str(spec)]
+    inits = ["initializers", *RAW(blob), "--dispatcher", hex(addrs["loop"])]
+    want = [run(capsys, *argv) for argv in (chain, chain + ["--simulate"])]
+    want_inits = run(capsys, *inits)
+    assert want[0][0] == want[1][0] == want_inits[0] == 0
+    assert "outcome        reached" in want[1][1]
+    assert f"0x{addrs['init']:08x} via t0" in want_inits[1]
+
+    refuse_calls(monkeypatch, "find_dispatchers")
+    assert run(capsys, *inits) == want_inits
+    refuse_calls(monkeypatch, "extract_gadgets")
+    assert [run(capsys, *argv)
+            for argv in (chain, chain + ["--simulate"])] == want
+
+
+def test_chain_decodes_less_than_the_image(capsys, monkeypatch, tmp_path):
+    c = benchmark_corpus().build("scan-dense-rv32", 1, scale=16)  # 64 KiB
+    image = tmp_path / "image.elf"
+    image.write_bytes(c.file_bytes)
+    spec = tmp_path / "chain.txt"
+    spec.write_text(c.chain_text())
+    decoded = []
+    real = rvjop.image.decode_one
+
+    def counted(data, address, xlen):
+        decoded.append(address)
+        return real(data, address, xlen)
+
+    monkeypatch.setattr(rvjop.image, "decode_one", counted)
+    code, out, _ = run(capsys, "chain", *c.image_args(image),
+                       "--spec", str(spec))
+    assert code == 0 and "dispatcher-autonomous" in out
+    assert len(set(decoded)) == len(decoded) < len(c.code) // 2
 
 
 @pytest.mark.parametrize("argv", [

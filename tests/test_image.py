@@ -1,10 +1,15 @@
 """Image loading: ELF parsing, raw blobs, segment reads."""
 
+import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from rvjop.errors import MalformedImage, NotElf, OutOfRange, WrongMachine
+import rvjop.image
+from rvjop.decoder import decode_one
+from rvjop.errors import (InvalidEncoding, MalformedImage, NotElf, OutOfRange,
+                          Truncated, WrongMachine)
 from rvjop.image import from_bytes, load_raw, parse_elf
 
 from conftest import (PF_R, PF_W, PF_X, make_elf, make_huge_segment_elf64,
@@ -144,3 +149,111 @@ def test_overlapping_segments_rejected():
                      (0x10004, DATA, PF_R)], xlen=32)
     with pytest.raises(MalformedImage):
         parse_elf(blob)
+
+
+# --- the decode table: filled on first read ---------------------------------
+
+def _eager_table(seg, xlen):
+    """Reference: every halfword decoded up front, then the sweep walk."""
+    slots = []
+    for off in range(0, len(seg.data) - 1, 2):
+        try:
+            slots.append(decode_one(seg.data[off:off + 4], seg.vaddr + off,
+                                    xlen))
+        except (InvalidEncoding, Truncated):
+            slots.append(None)
+    sweep = set()
+    off = 0
+    while off < len(seg.data):
+        sweep.add(seg.vaddr + off)
+        insn = slots[off >> 1] if off >> 1 < len(slots) else None
+        off += 2 if insn is None else insn.width
+    return tuple(slots), frozenset(sweep)
+
+
+def _random_code(rng, n):
+    """Mostly plausible code: compressed halfwords, 32-bit words (low bits
+    0b11) and raw bytes, many of which do not decode."""
+    out = bytearray()
+    while len(out) < n:
+        pick = rng.random()
+        if pick < 0.4:
+            out += rng.getrandbits(16).to_bytes(2, "little")
+        elif pick < 0.9:
+            out += (rng.getrandbits(32) | 3).to_bytes(4, "little")
+        else:
+            out += bytes([0xFF, 0xFF])       # no valid encoding
+    return bytes(out[:n])
+
+
+def _lazy_images():
+    rng = random.Random(20231)
+    for xlen in (32, 64):
+        for n in (0, 1, 2, 3, 7, 64, 301):
+            yield f"rv{xlen}-{n}", from_bytes(_random_code(rng, n), 0x1000,
+                                              xlen)
+        # a 32-bit instruction cut off after its first halfword
+        yield (f"rv{xlen}-truncated",
+               from_bytes(_random_code(rng, 40) + b"\x13\x05", 0x1000, xlen))
+    blob = make_elf([(0x10000, _random_code(rng, 123), PF_R | PF_X),
+                     (0x20000, DATA, PF_R | PF_W),
+                     (0x30000, _random_code(rng, 90) + b"\x13\x05",
+                      PF_R | PF_X)], xlen=64)
+    yield "elf-two-segments", parse_elf(blob)
+
+
+@pytest.fixture
+def decode_log(monkeypatch):
+    """Addresses the decode table decodes, in call order."""
+    log = []
+
+    def counted(data, address, xlen):
+        log.append(address)
+        return decode_one(data, address, xlen)
+
+    monkeypatch.setattr(rvjop.image, "decode_one", counted)
+    return log
+
+
+@pytest.mark.parametrize("name,img", list(_lazy_images()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_decode_table_matches_eager_reference(decode_log, name, img):
+    rng = random.Random(name)
+    assert len(img.decode_table) == len(img.executable_segments)
+    for seg in img.executable_segments:
+        table = img.decode_table[seg.vaddr]
+        want_slots, want_sweep = _eager_table(seg, img.xlen)
+        probe = range(seg.vaddr - 4, seg.end + 5)
+        # the sweep first, high address then low, before any slot is read
+        hi, lo = seg.vaddr + len(seg.data) // 2 + 1, seg.vaddr
+        for a in (hi, hi - 1, lo):
+            assert table.natural(a) == (a in want_sweep)
+        order = list(probe)
+        rng.shuffle(order)
+        for a in order:
+            off = a - seg.vaddr
+            want = want_slots[off >> 1] \
+                if off % 2 == 0 and 0 <= off >> 1 < len(want_slots) else None
+            assert table.at(a) == want, hex(a)
+        rng.shuffle(order)
+        for a in order:
+            assert table.natural(a) == (a in want_sweep), hex(a)
+        assert table.slots == want_slots
+        assert table.sweep == want_sweep
+    counts = Counter(decode_log)
+    assert all(v == 1 for v in counts.values())
+    assert set(counts) == {seg.vaddr + off for seg in img.executable_segments
+                           for off in range(0, len(seg.data) - 1, 2)}
+
+
+def test_decode_table_reads_only_what_is_asked(decode_log):
+    code = bytes.fromhex("13051500") * 64    # addi a0, a0, 1
+    table = from_bytes(code, 0x1000, 32).decode_table[0x1000]
+    assert table.at(0x1080) is not None
+    assert decode_log == [0x1080]
+    assert table.natural(0x1008)
+    assert not table.natural(0x100a)
+    # the sweep stops once it passes the query; 0x100a is mid-instruction
+    assert decode_log == [0x1080, 0x1000, 0x1004, 0x1008]
+    table.sweep
+    assert sorted(decode_log) == list(range(0x1000, 0x1100, 4))
