@@ -213,12 +213,10 @@ def validate_chain(spec: ChainSpec, xlen: int) -> list[Diagnostic]:
     pending: dict[Register, int] = {}
     later_syscall = [False] * (len(spec.steps) + 1)
     for i in range(len(spec.steps) - 1, -1, -1):
-        has_ecall = any(x.mnemonic == "ecall"
-                        for x in spec.steps[i].gadget.instructions)
-        later_syscall[i] = later_syscall[i + 1] or has_ecall
-    for i, (step, summary) in enumerate(zip(spec.steps, summaries)):
-        has_ecall = any(x.mnemonic == "ecall"
-                        for x in step.gadget.instructions)
+        later_syscall[i] = (later_syscall[i + 1]
+                            or summaries[i].ecall_a7 is not None)
+    for i, summary in enumerate(summaries):
+        has_ecall = summary.ecall_a7 is not None
         for r in summary.written | summary.cond_written:
             if r not in ARG_REGS:
                 continue

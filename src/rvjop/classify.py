@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .dataflow import (DataflowSummary, Source, const_add, const_values,
-                       loaded_sources, summarize_dataflow)
+from .dataflow import (Const, DataflowSummary, Source, const_add,
+                       summarize_dataflow)
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
                       IndirectJump, Trap)
 from .decoder import decode_one  # noqa: F401  benchmarks/test_benchmark.py looks it up here
@@ -131,16 +131,6 @@ def _is_alu_write(insn: DecodedInstruction) -> bool:
             and not insn.mnemonic.startswith("fence"))
 
 
-def _syscall_id(instructions) -> tuple[bool, int | None]:
-    """(contains ecall, recovered a7 constant at the first ecall)."""
-    prefix: list[DecodedInstruction] = []
-    for insn in instructions:
-        if insn.mnemonic == "ecall":
-            return True, const_values(prefix).get(A7)
-        prefix.append(insn)
-    return False, None
-
-
 def classify(gadget: Gadget, summary: DataflowSummary | None = None,
              dispatchers: dict[int, list[DispatcherCandidate]] | None = None
              ) -> list[GadgetRole]:
@@ -163,16 +153,18 @@ def classify(gadget: Gadget, summary: DataflowSummary | None = None,
     if gadget.terminator_links:
         roles.append(GadgetRole(CALL))
 
-    has_ecall, a7 = _syscall_id(gadget.instructions)
-    if has_ecall and (a7 is not None or A7 in summary.read_before_write):
-        roles.append(GadgetRole(SYSCALL, a7))
+    a7 = summary.ecall_a7
+    sysno = a7.value if type(a7) is Const else None
+    if a7 is not None and (sysno is not None
+                           or A7 in summary.read_before_write):
+        roles.append(GadgetRole(SYSCALL, sysno))
 
     if dispatchers:
         for cand in dispatchers.get(gadget.start, ()):
             if cand.gadget.encoding == gadget.encoding:
                 roles.append(GadgetRole(cand.kind, cand))
 
-    sets = initializer_sources(gadget)
+    sets = initializer_sources(gadget, summary)
     if sets and any(src.kind == "stack" for src in sets.values()):
         roles.append(GadgetRole(INITIALIZER))
 
@@ -188,10 +180,13 @@ _BACKLINK_WINDOW = 64        # bytes a self-link may reach backwards
 
 
 def _table_step(insn: DecodedInstruction) -> tuple[Register, int] | None:
-    """(register, stride) when `insn` advances a register by a nonzero
-    constant: the only table updates a dispatcher may use."""
+    """(register, stride) when `insn` adds a nonzero constant to a
+    register in place: the only table updates a dispatcher may use."""
     got = const_add(insn)
-    return got if got is not None and got[1] != 0 else None
+    if got is None:
+        return None
+    rd, rs1, imm = got
+    return (rd, imm) if rd is rs1 and imm != 0 else None
 
 
 def _table_walk(body, target: Register
@@ -408,14 +403,17 @@ def dispatcher_index(candidates) -> dict[int, list[DispatcherCandidate]]:
 
 # --- initializer pairing ----------------------------------------------------
 
-def initializer_sources(gadget: Gadget) -> dict[Register, Source] | None:
-    """What `gadget` seeds as an initializer (see dataflow.loaded_sources),
-    or None when its terminator jumps through or links ra: an
-    initializer must hand control on without a return or a call."""
+def initializer_sources(gadget: Gadget, summary: DataflowSummary | None = None
+                        ) -> dict[Register, Source] | None:
+    """What `gadget` seeds as an initializer (its summary's `loaded`
+    registers), or None when its terminator jumps through or links ra:
+    an initializer must hand control on without a return or a call."""
     cf = gadget.terminator.control_flow
     if cf.base is RA or cf.link is RA:
         return None
-    return loaded_sources(gadget.instructions)
+    if summary is None:
+        summary = summarize_dataflow(gadget.instructions)
+    return summary.loaded
 
 
 def find_initializers(gadgets, dispatcher: DispatcherCandidate

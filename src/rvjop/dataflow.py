@@ -1,30 +1,30 @@
 """Straight-line dataflow summaries for gadgets.
 
-The walk is an abstract interpretation of the instruction list in order,
-terminator included.  No path-sensitivity: once an interior conditional
-branch has been seen, later register writes count as conditional (they
-may or may not happen at run time) and drop out of the preserved set.
+`summarize_dataflow` is the one walk: an abstract interpretation of a
+gadget's instructions in order, terminator included, as if each falls
+through to the next.  It gives every register the gadget writes one
+value at the terminator (`exits`).  A register not yet written reads as
+`Offset(r, 0)`, and the zero register as `Const(0)`.  A write gives:
 
-Stack discipline is tracked as a running constant: only constant adds to
-sp keep the delta known; any other write to sp makes it Unknown (None).
-`const_add` is the one constant-add rule, for sp here and for dispatcher
-table pointers in `classify`.  It and `const_values` read each
-instruction's 32-bit base form, so a compressed instruction means exactly
-what its expansion means.
+* `Const(c)`: `lui`'s immediate, or a constant add to a constant (the
+  sum sign-extended from 32 bits for `addiw`); so `li` is a constant;
+* `Offset(r, c)`, r's entry value plus c: a constant add to an offset,
+  which covers `mv`, `addi rd, rs, imm` and sp's motion;
+* `Loaded(source)`, a load from memory an attacker can prepare: based
+  on sp, `stack` at an offset from the entry sp while sp is
+  `Offset(sp, d)`; based on s0, `stack` at its raw offset, and based on
+  any other register, `mem`, while that base is unwritten;
+* `Unknown`: every other write, such as a load through a written base
+  or an add to a loaded value.
 
-`loaded_sources` is the one stack-load analysis: it says which registers
-a gadget leaves holding a value loaded from memory an attacker can
-prepare, and from where, which is what initializer roles, initializer
-pairing and payload seeding all read.  Its rule, walking in order:
+`const_add` is the one constant-add rule, here and for dispatcher table
+pointers in `classify`.  Rules read each instruction's 32-bit base form,
+so a compressed instruction means exactly what its expansion means.
 
-* a load based on sp counts as `stack` at an offset relative to the sp
-  value at gadget entry, but only while sp has moved by constants;
-* a load based on s0 counts as `stack` at its raw offset, but only while
-  s0 still holds its entry value;
-* a load through any other register counts as `mem` if that register
-  still holds its entry value;
-* any other write to a register drops its source, including a load
-  through a base the gadget has already written, and any non-load write.
+No path-sensitivity: after an interior conditional branch, later writes
+count as conditional (`cond_written`; they may or may not happen at run
+time) and leave the preserved set, while `exits` keeps the fall-through
+value.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .decoder import CondBranch, DecodedInstruction, MemAccess
-from .isa import REGISTERS, S0, SP, Register
+from .isa import A7, REGISTERS, S0, SP, Register, sext
 
 
 class Source(NamedTuple):
@@ -41,14 +41,56 @@ class Source(NamedTuple):
     offset: int          # entry-relative for sp, raw otherwise
 
 
+class Const(NamedTuple):
+    value: int
+
+
+class Offset(NamedTuple):
+    reg: Register
+    delta: int           # added to reg's value at gadget entry
+
+
+class Loaded(NamedTuple):
+    source: Source
+
+
+class Unknown(NamedTuple):
+    pass
+
+
+UNKNOWN = Unknown()
+Value = Const | Offset | Loaded | Unknown
+
+
+def _sp_offset(sp: Value | None) -> int | None:
+    """sp's offset from its entry value, given sp's value (None while
+    unwritten); None once that offset is not a known constant."""
+    if sp is None:
+        return 0
+    return sp.delta if type(sp) is Offset and sp.reg is SP else None
+
+
 class DataflowSummary(NamedTuple):
     written: frozenset[Register]
     cond_written: frozenset[Register]
     read_before_write: frozenset[Register]
     preserved: frozenset[Register]
-    sp_delta: int | None              # None = unknown
+    exits: dict[Register, Value]       # written register -> value at exit
+    ecall_a7: Value | None             # a7 at the first ecall; None = no ecall
     mem_reads: tuple[MemAccess, ...]   # sp offsets entry-relative if known
     mem_writes: tuple[MemAccess, ...]
+
+    @property
+    def sp_delta(self) -> int | None:
+        """sp's offset from its entry value at exit; None = unknown."""
+        return _sp_offset(self.exits.get(SP))
+
+    @property
+    def loaded(self) -> dict[Register, Source]:
+        """Registers left holding an attacker-reachable load, by source:
+        what initializer roles, pairing and payload seeding read."""
+        return {r: v.source for r, v in self.exits.items()
+                if type(v) is Loaded}
 
     def clobbers(self, regs) -> frozenset[Register]:
         """Registers from `regs` this gadget writes (even conditionally)."""
@@ -58,54 +100,69 @@ class DataflowSummary(NamedTuple):
 _ALL_REGS = frozenset(REGISTERS)
 
 
-def const_add(insn: DecodedInstruction) -> tuple[Register, int] | None:
-    """(rd, imm) when `insn` adds a constant to a register in place: its
-    base form is `addi` or `addiw rd, rd, imm` with rd not zero."""
+def const_add(insn: DecodedInstruction
+              ) -> tuple[Register, Register, int] | None:
+    """(rd, rs1, imm) when `insn` adds a constant to a register: its base
+    form is `addi` or `addiw rd, rs1, imm` with rd not zero."""
     name, ops = insn.base.name, insn.base.operands
-    if name in ("addi", "addiw"):
-        rd, rs1, imm = ops
-        if rd is rs1 and rd.index != 0:
-            return rd, imm
+    if name in ("addi", "addiw") and ops[0].index != 0:
+        return ops
     return None
-
-
-def _next_sp_delta(sp_delta: int | None, insn: DecodedInstruction
-                   ) -> int | None:
-    """sp's offset from its entry value after `insn`; None once unknown."""
-    if SP not in insn.regs_written:
-        return sp_delta
-    add = const_add(insn)
-    if add is None or sp_delta is None:
-        return None
-    return sp_delta + add[1]
 
 
 def summarize_dataflow(instructions) -> DataflowSummary:
     """Summarize a gadget body (iterable of DecodedInstruction) in order."""
+    exits: dict[Register, Value] = {}
     written: set[Register] = set()
     cond_written: set[Register] = set()
     rbw: set[Register] = set()
-    sp_delta: int | None = 0
+    ecall_a7 = None
     mem_reads: list[MemAccess] = []
     mem_writes: list[MemAccess] = []
     conditional = False
 
     for insn in instructions:
         for r in insn.regs_read:
-            if r not in written and r not in cond_written:
+            if r not in exits:
                 rbw.add(r)
 
         mem = insn.mem_access
+        value = UNKNOWN
         if mem is not None:
-            if mem.base is SP and sp_delta:
-                mem = mem._replace(offset=mem.offset + sp_delta)
-            if mem.kind in ("load", "amo"):
+            kind, base = mem.kind, mem.base
+            if base is SP:
+                delta = _sp_offset(exits.get(SP))
+                if delta:
+                    mem = mem._replace(offset=mem.offset + delta)
+                if kind == "load" and delta is not None:
+                    value = Loaded(Source("stack", SP, mem.offset))
+            elif kind == "load" and base not in exits:
+                value = Loaded(Source("stack" if base is S0 else "mem",
+                                      base, mem.offset))
+            if kind in ("load", "amo"):
                 mem_reads.append(mem)
-            if mem.kind in ("store", "amo"):
+            if kind in ("store", "amo"):
                 mem_writes.append(mem)
+        elif insn.regs_written:
+            add = const_add(insn)
+            if add is not None:
+                _, rs1, imm = add
+                v = exits.get(rs1)
+                if v is None:        # rs1's entry value; zero's is 0
+                    value = Const(imm) if rs1.index == 0 else Offset(rs1, imm)
+                elif type(v) is Offset:
+                    value = Offset(v.reg, v.delta + imm)
+                elif type(v) is Const:
+                    c = v.value + imm
+                    value = Const(sext(c, 32) if insn.base.name == "addiw"
+                                  else c)
+            elif insn.base.name == "lui":
+                value = Const(insn.imm)
+        elif ecall_a7 is None and insn.mnemonic == "ecall":
+            ecall_a7 = exits.get(A7, Offset(A7, 0))
 
-        sp_delta = _next_sp_delta(sp_delta, insn)
         for r in insn.regs_written:
+            exits[r] = value
             if conditional and r not in written:
                 cond_written.add(r)
             else:
@@ -114,67 +171,13 @@ def summarize_dataflow(instructions) -> DataflowSummary:
         if isinstance(insn.control_flow, CondBranch):
             conditional = True
 
-    preserved = _ALL_REGS - written - cond_written
     return DataflowSummary(
         written=frozenset(written),
         cond_written=frozenset(cond_written),
         read_before_write=frozenset(rbw),
-        preserved=frozenset(preserved),
-        sp_delta=sp_delta,
+        preserved=_ALL_REGS - written - cond_written,
+        exits=exits,
+        ecall_a7=ecall_a7,
         mem_reads=tuple(mem_reads),
         mem_writes=tuple(mem_writes),
     )
-
-
-def loaded_sources(instructions) -> dict[Register, Source]:
-    """Registers a gadget body leaves holding an attacker-reachable
-    load, with where each came from (the rule is in the module
-    docstring)."""
-    sources: dict[Register, Source] = {}
-    written: set[Register] = set()
-    sp_delta: int | None = 0
-    for insn in instructions:
-        mem = insn.mem_access
-        src = None
-        if mem is not None and mem.kind == "load":
-            if mem.base is SP:
-                if sp_delta is not None:
-                    src = Source("stack", SP, mem.offset + sp_delta)
-            elif mem.base not in written:
-                kind = "stack" if mem.base is S0 else "mem"
-                src = Source(kind, mem.base, mem.offset)
-        for r in insn.regs_written:
-            if src is None:
-                sources.pop(r, None)
-            else:
-                sources[r] = src
-        written |= insn.regs_written
-        sp_delta = _next_sp_delta(sp_delta, insn)
-    return sources
-
-
-def const_values(instructions) -> dict[Register, int | None]:
-    """Best-effort constants at the end of a straight-line walk.
-
-    Tracks li/lui-style definitions and constant adds; anything loaded from
-    memory or derived from a non-constant register maps to None.  Used to
-    recover syscall ids from a7 and table strides without simulating.
-    """
-    vals: dict[Register, int | None] = {}
-    for insn in instructions:
-        m, ops = insn.base.name, insn.base.operands
-        tracked: int | None = None
-        if m == "addi":
-            rd, rs1, imm = ops
-            if rs1.index == 0:
-                tracked = imm
-            elif vals.get(rs1) is not None:
-                tracked = vals[rs1] + imm
-        elif m == "lui":
-            tracked = insn.imm
-        for r in insn.regs_written:
-            if tracked is not None and r is ops[0]:
-                vals[r] = tracked
-            else:
-                vals[r] = None
-    return vals

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
                       decode_one)
 from .errors import ToolError
-from .image import DecodedSegment, ExecutableImage, Segment
+from .image import DecodedSegment, ExecutableImage
 from .isa import RA, Register
 
 MAX_GADGET_LEN = 32
@@ -86,15 +86,6 @@ def _interior_ok(insn: DecodedInstruction, config: ScanConfig) -> bool:
     if isinstance(cf, CondBranch):
         return config.allow_interior_branches
     return False
-
-
-def sweep_addresses(image: ExecutableImage, segment: Segment) -> frozenset[int]:
-    """Canonical linear-sweep address set for one executable segment.
-
-    Decode from the segment start; on undecodable bytes skip one halfword
-    and resync.  Gadget starts outside this set are the shifted ones.
-    """
-    return image.decode_table[segment.vaddr].sweep
 
 
 def extract_gadgets(image: ExecutableImage,

@@ -71,6 +71,23 @@ def test_syscall_role_inherited_a7():
     assert roles[SYSCALL].detail is None   # caller must have set a7
 
 
+@pytest.mark.parametrize("body, sysno", [
+    ([("addiw", "a7", "zero", 93)], 93),
+    ([("lui", "a7", 1), ("addiw", "a7", "a7", -1)], 4095),
+    ([("li", "a7", 60), ("c.addiw", "a7", 3)], 63),
+])
+def test_syscall_id_through_addiw_on_rv64(body, sysno):
+    b = CodeBuilder(xlen=64)
+    b.label("g")
+    for insn in body:
+        b.emit(*insn)
+    b.emit("ecall")
+    b.emit("ret")
+    g = gadget_at(b.image(), b.labels["g"])
+    sys_roles = [r for r in classify(g) if r.kind == SYSCALL]
+    assert [r.detail for r in sys_roles] == [sysno]
+
+
 def test_unclassified_fallback():
     b = CodeBuilder()
     b.emit("c.jr", "t2")

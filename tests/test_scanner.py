@@ -11,7 +11,7 @@ from rvjop.errors import InvalidEncoding, ToolError, Truncated
 from rvjop.image import from_bytes
 from rvjop.query import Query, run_query
 from rvjop.scanner import (NATURAL, SHIFTED, Gadget, ScanConfig, dedupe,
-                           extract_gadgets, gadget_at, sweep_addresses)
+                           extract_gadgets, gadget_at)
 
 from conftest import (CJR_A5, TABLE_BASE, CodeBuilder, build_e2e_fixture,
                       build_shifted_fixture)
@@ -79,7 +79,7 @@ def test_shifted_gadget_alignment(shifted):
     assert naturals
     # shifted starts never appear in the canonical sweep
     seg = img.executable_segments[0]
-    sweep = sweep_addresses(img, seg)
+    sweep = img.decode_table[seg.vaddr].sweep
     assert hidden not in sweep
     assert as_set(gadgets) == brute_force(img, max_len=2)
 
@@ -91,7 +91,7 @@ def test_sweep_resyncs_after_junk():
     b.emit("c.jr", "a5")
     img = b.image()
     seg = img.executable_segments[0]
-    sweep = sweep_addresses(img, seg)
+    sweep = img.decode_table[seg.vaddr].sweep
     assert b.base in sweep
     assert b.base + 8 in sweep            # resynced past the junk
 
