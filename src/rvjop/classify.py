@@ -278,8 +278,7 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
         if stride is None:
             return None
 
-    gadget = Gadget(back_target, tuple(body),
-                    NATURAL if table.natural(back_target) else SHIFTED)
+    gadget = Gadget(back_target, tuple(body), table)
     return DispatcherCandidate(
         kind=DISPATCHER_AUTONOMOUS, gadget=gadget, table_reg=table_reg,
         stride=stride, target_reg=target_reg, self_link=self_link,

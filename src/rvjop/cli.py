@@ -13,9 +13,10 @@ Subcommands:
 Exit codes: 0 results or success, 1 nothing found (or an unsuccessful
 run), 2 bad usage, 3 unreadable or unsupported input image.
 
-Each subcommand imports only the layers it runs: the query layer for
-scan and query, the chain layer for chain, and the interpreter for sim
-and chain --simulate, so no command pays start-up time for the rest.
+Every command loads the image, decoder, scanner, dataflow and classify
+layers.  The query layer loads only for scan and query, the chain layer
+only for chain, and the interpreter only for sim and chain --simulate,
+so no command pays start-up time for those three unless it runs them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+# Loaded with this module, so by every command: benchmarks/test_benchmark.py
+# looks `rvjop.classify` up in sys.modules right after `import rvjop.cli`.
 from .classify import (availability_stats, dispatcher_at, find_dispatchers,
                        find_initializers, render_stats_table)
 from .errors import ToolError, UsageError

@@ -9,7 +9,7 @@ value at the terminator (`exits`).  A register not yet written reads as
 * `Const(c)`: `lui`'s immediate, or a constant add to a constant (the
   sum sign-extended from 32 bits for `addiw`); so `li` is a constant;
 * `Offset(r, c)`, r's entry value plus c: a constant add to an offset,
-  which covers `mv`, `addi rd, rs, imm` and sp's motion;
+  which covers `mv`, `c.mv`, `addi rd, rs, imm` and sp's motion;
 * `Loaded(source)`, a load from memory an attacker can prepare: based
   on sp, `stack` at an offset from the entry sp while sp is
   `Offset(sp, d)`; based on s0, `stack` at its raw offset, and based on
@@ -18,8 +18,10 @@ value at the terminator (`exits`).  A register not yet written reads as
   or an add to a loaded value.
 
 `const_add` is the one constant-add rule, here and for dispatcher table
-pointers in `classify`.  Rules read each instruction's 32-bit base form,
-so a compressed instruction means exactly what its expansion means.
+pointers in `classify`.  A register copy is an add of 0, so `c.mv`
+(base form `add rd, zero, rs`) gets the value `mv` (`addi rd, rs, 0`)
+gets.  Rules read each instruction's 32-bit base form, so a compressed
+instruction means exactly what its expansion means.
 
 No path-sensitivity: after an interior conditional branch, later writes
 count as conditional (`cond_written`; they may or may not happen at run
@@ -102,11 +104,18 @@ _ALL_REGS = frozenset(REGISTERS)
 
 def const_add(insn: DecodedInstruction
               ) -> tuple[Register, Register, int] | None:
-    """(rd, rs1, imm) when `insn` adds a constant to a register: its base
-    form is `addi` or `addiw rd, rs1, imm` with rd not zero."""
+    """(rd, rs1, imm) when `insn` adds a constant to a register, rd not
+    zero: its base form is `addi` or `addiw rd, rs1, imm`, or the copy
+    `add rd, zero, rs` or `add rd, rs, zero`, which gives (rd, rs, 0)."""
     name, ops = insn.base.name, insn.base.operands
     if name in ("addi", "addiw") and ops[0].index != 0:
         return ops
+    if name == "add" and ops[0].index != 0:
+        rd, rs1, rs2 = ops
+        if rs1.index == 0:
+            return rd, rs2, 0
+        if rs2.index == 0:
+            return rd, rs1, 0
     return None
 
 

@@ -25,10 +25,10 @@ Python ints, independent of XLEN.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .errors import InvalidEncoding, Truncated
-from .isa import REGISTERS, RA, SP, ZERO, A7, Register, bits, sext, mask
+from .isa import REGISTERS, RA, SP, ZERO, A7, Register, sext, mask
 
 
 # --- control flow and access descriptors ------------------------------------
@@ -131,14 +131,22 @@ def jalr_target(base_value: int, imm: int, xlen: int = 32) -> int:
 _EMPTY: frozenset[Register] = frozenset()
 
 
-def _rset(*regs: Register) -> frozenset[Register]:
-    """Register set with the hard-wired zero filtered out."""
-    out = [r for r in regs if r.index != 0]
-    return frozenset(out) if out else _EMPTY
+# {r} for each register r but the hard-wired zero, by index: most sets
+# hold one register.
+_ONE: tuple[frozenset[Register], ...] = (_EMPTY,) + tuple(
+    frozenset((r,)) for r in REGISTERS[1:])
 
 
-# `_rset(r)` for each register, by index: most sets hold one register.
-_ONE: tuple[frozenset[Register], ...] = tuple(_rset(r) for r in REGISTERS)
+def _two(a: Register, b: Register) -> frozenset[Register]:
+    """{a, b} with the hard-wired zero filtered out."""
+    if a.index and b.index and a is not b:
+        return frozenset((a, b))
+    return _ONE[a.index or b.index]
+
+
+# Builds a record from a tuple of its fields: a NamedTuple's own
+# `__new__` takes them by keyword, one more call per record.
+_new = tuple.__new__
 
 
 def _ins(address, width, raw, mnemonic, operands, xlen, base=None):
@@ -146,7 +154,7 @@ def _ins(address, width, raw, mnemonic, operands, xlen, base=None):
     form.  `base` is a compressed form's 32-bit expansion; it also goes
     first in `aliases`.  A 32-bit form is its own base."""
     if base is None:
-        base = Alias(mnemonic, operands)
+        base = _new(Alias, (mnemonic, operands))
         reads, writes, cf, mem, imm, aliases = _effects(
             mnemonic, operands, address, xlen)
     else:
@@ -158,8 +166,9 @@ def _ins(address, width, raw, mnemonic, operands, xlen, base=None):
         aliases = (base, *pseudo)
         if not operands or type(operands[-1]) is not int:
             imm = None    # no immediate operand: c.nop, c.jr, c.jalr
-    return DecodedInstruction(address, width, raw, mnemonic, operands,
-                              reads, writes, cf, mem, imm, aliases, base)
+    return _new(DecodedInstruction, (address, width, raw, mnemonic, operands,
+                                     reads, writes, cf, mem, imm, aliases,
+                                     base))
 
 
 # --- effects of a base instruction ------------------------------------------
@@ -189,19 +198,19 @@ def _effects(name: str, ops: tuple, address: int, xlen: int) -> tuple:
         return _ONE[rs1.index], _ONE[rd.index], None, None, imm, pseudo
     if kind == "reg":                           # rd, rs1, rs2
         rd, rs1, rs2 = ops
-        return _rset(rs1, rs2), _ONE[rd.index], None, None, None, ()
+        return _two(rs1, rs2), _ONE[rd.index], None, None, None, ()
     if kind == "load":                          # rd, rs1, imm
         rd, rs1, imm = ops
         return (_ONE[rs1.index], _ONE[rd.index], None,
                 MemAccess("load", rs1, imm, size), imm, ())
     if kind == "store":                         # rs2, rs1, imm
         rs2, rs1, imm = ops
-        return (_rset(rs1, rs2), _EMPTY, None,
+        return (_two(rs1, rs2), _EMPTY, None,
                 MemAccess("store", rs1, imm, size), imm, ())
     if kind == "branch":                        # rs1, rs2, imm
         rs1, rs2, imm = ops
         cf = CondBranch((address + imm) & mask(xlen), (rs1, rs2), name[1:])
-        return _rset(rs1, rs2), _EMPTY, cf, None, imm, ()
+        return _two(rs1, rs2), _EMPTY, cf, None, imm, ()
     if kind == "jal":                           # rd, imm
         rd, imm = ops
         link = rd if rd.index else None
@@ -225,7 +234,7 @@ def _effects(name: str, ops: tuple, address: int, xlen: int) -> tuple:
                 MemAccess("load", rs1, 0, size), None, ())
     if kind == "sc" or kind == "amo":           # rd, rs2, rs1
         rd, rs2, rs1 = ops
-        return (_rset(rs1, rs2), _ONE[rd.index], None,
+        return (_two(rs1, rs2), _ONE[rd.index], None,
                 MemAccess("store" if kind == "sc" else kind, rs1, 0, size),
                 None, ())
     if kind == "csr":                           # rd, csr, rs1 or zimm
@@ -303,86 +312,97 @@ _SHAPE = {
 }
 
 
+# Immediates and fields come out of the encoding by inline shifts and
+# masks, and sign-extend as `(v ^ sign) - sign`: this is the hot path of
+# every decode, so it calls no helper per field.
+
 def _imm_i(w: int) -> int:
-    return sext(bits(w, 31, 20), 12)
+    # imm[11:0] = inst[31:20]
+    return ((w >> 20) ^ 0x800) - 0x800
 
 
 def _imm_s(w: int) -> int:
-    return sext((bits(w, 31, 25) << 5) | bits(w, 11, 7), 12)
+    # imm[11:5] = inst[31:25], imm[4:0] = inst[11:7]
+    return (((w >> 20) & 0xFE0 | (w >> 7) & 0x1F) ^ 0x800) - 0x800
 
 
 def _imm_b(w: int) -> int:
-    v = (bits(w, 31, 31) << 12) | (bits(w, 7, 7) << 11) | \
-        (bits(w, 30, 25) << 5) | (bits(w, 11, 8) << 1)
-    return sext(v, 13)
+    # imm[12|10:5] = inst[31:25], imm[4:1|11] = inst[11:7]
+    v = ((w >> 19) & 0x1000 | (w << 4) & 0x800 | (w >> 20) & 0x7E0
+         | (w >> 7) & 0x1E)
+    return (v ^ 0x1000) - 0x1000
 
 
 def _imm_j(w: int) -> int:
-    v = (bits(w, 31, 31) << 20) | (bits(w, 19, 12) << 12) | \
-        (bits(w, 20, 20) << 11) | (bits(w, 30, 21) << 1)
-    return sext(v, 21)
+    # imm[20|10:1|11|19:12] = inst[31:12]
+    v = ((w >> 11) & 0x100000 | w & 0xFF000 | (w >> 9) & 0x800
+         | (w >> 20) & 0x7FE)
+    return (v ^ 0x100000) - 0x100000
+
+
+def _invalid(address: int, word: int,
+             subcode: str = "undefined") -> NoReturn:
+    """Raise the decoder's error for the encoding `word` at `address`."""
+    raise InvalidEncoding(address, word, subcode)
 
 
 def _decode32(word: int, address: int, xlen: int) -> tuple[str, tuple]:
     """(mnemonic, operands) of a 32-bit instruction."""
     opcode = word & 0x7F
-    rd = REGISTERS[bits(word, 11, 7)]
-    rs1 = REGISTERS[bits(word, 19, 15)]
-    rs2 = REGISTERS[bits(word, 24, 20)]
-    funct3 = bits(word, 14, 12)
-    funct7 = bits(word, 31, 25)
-
-    def inv(subcode="undefined"):
-        raise InvalidEncoding(address, word, subcode)
+    rd = REGISTERS[(word >> 7) & 31]
+    rs1 = REGISTERS[(word >> 15) & 31]
+    rs2 = REGISTERS[(word >> 20) & 31]
+    funct3 = (word >> 12) & 7
+    funct7 = word >> 25
 
     if opcode in _FP_OPCODES:
-        inv("fp")
+        _invalid(address, word, "fp")
     if opcode == 0x57:
-        inv("vector")
+        _invalid(address, word, "vector")
 
     if opcode == 0b0110111:
-        return "lui", (rd, bits(word, 31, 12))
+        return "lui", (rd, word >> 12)
     if opcode == 0b0010111:
-        return "auipc", (rd, bits(word, 31, 12))
+        return "auipc", (rd, word >> 12)
     if opcode == 0b1101111:
         return "jal", (rd, _imm_j(word))
     if opcode == 0b1100111:
         if funct3 != 0:
-            inv()
+            _invalid(address, word)
         return "jalr", (rd, rs1, _imm_i(word))
 
     if opcode == 0b1100011:  # branches
         if funct3 not in _BRANCHES:
-            inv()
+            _invalid(address, word)
         return _BRANCHES[funct3], (rs1, rs2, _imm_b(word))
 
     if opcode == 0b0000011:  # loads
         table = _LOADS_RV64 if xlen == 64 else _LOADS
         if funct3 not in table:
-            inv()
+            _invalid(address, word)
         return table[funct3], (rd, rs1, _imm_i(word))
 
     if opcode == 0b0100011:  # stores
         table = _STORES_RV64 if xlen == 64 else _STORES
         if funct3 not in table:
-            inv()
+            _invalid(address, word)
         return table[funct3], (rs2, rs1, _imm_s(word))
 
     if opcode == 0b0010011:  # op-imm
         if funct3 == 0b001 or funct3 == 0b101:
             shbits = 6 if xlen == 64 else 5
-            shamt = bits(word, 20 + shbits - 1, 20)
-            top = bits(word, 31, 20 + shbits)
+            shamt = (word >> 20) & ((1 << shbits) - 1)
+            top = word >> (20 + shbits)
             if funct3 == 0b001:
                 if top != 0:
-                    inv()
+                    _invalid(address, word)
                 name = "slli"
             elif top == 0:
                 name = "srli"
             elif top == (0b0100000 >> (shbits - 5)):
                 name = "srai"
             else:
-                inv()
+                _invalid(address, word)
             return name, (rd, rs1, shamt)
         return _OP_IMM[funct3], (rd, rs1, _imm_i(word))
 
@@ -390,7 +410,7 @@ def _decode32(word: int, address: int, xlen: int) -> tuple[str, tuple]:
     if opcode == 0b0110011 or (opcode == 0b0111011 and xlen == 64):
         name = (_OP if opcode == 0b0110011 else _OP32).get((funct3, funct7))
         if name is None:
-            inv()
+            _invalid(address, word)
         return name, (rd, rs1, rs2)
 
     if opcode == 0b0011011 and xlen == 64:  # op-imm-32
@@ -398,8 +418,8 @@ def _decode32(word: int, address: int, xlen: int) -> tuple[str, tuple]:
             return "addiw", (rd, rs1, _imm_i(word))
         name = _SHIFT32.get((funct3, funct7))
         if name is None:
-            inv()
-        return name, (rd, rs1, bits(word, 24, 20))
+            _invalid(address, word)
+        return name, (rd, rs1, (word >> 20) & 31)
 
     if opcode == 0b0101111:  # amo
         if funct3 == 0b010:
@@ -407,25 +427,25 @@ def _decode32(word: int, address: int, xlen: int) -> tuple[str, tuple]:
         elif funct3 == 0b011 and xlen == 64:
             suffix = ".d"
         else:
-            inv()
-        funct5 = bits(word, 31, 27)
-        suffix += _ORDERS[bits(word, 26, 25)]
+            _invalid(address, word)
+        funct5 = word >> 27
+        suffix += _ORDERS[(word >> 25) & 3]
         if funct5 == 0b00010:  # lr
             if rs2.index != 0:
-                inv()
+                _invalid(address, word)
             return "lr" + suffix, (rd, rs1)
         if funct5 == 0b00011:
             return "sc" + suffix, (rd, rs2, rs1)
         if funct5 in _AMO:
             return _AMO[funct5] + suffix, (rd, rs2, rs1)
-        inv()
+        _invalid(address, word)
 
     if opcode == 0b0001111:  # fence / fence.i
         if funct3 == 0b000:
-            return "fence", (bits(word, 27, 24), bits(word, 23, 20))
+            return "fence", ((word >> 24) & 15, (word >> 20) & 15)
         if funct3 == 0b001:
             return "fence.i", ()
-        inv()
+        _invalid(address, word)
 
     if opcode == 0b1110011:  # system
         if funct3 == 0b000:
@@ -433,58 +453,54 @@ def _decode32(word: int, address: int, xlen: int) -> tuple[str, tuple]:
                 return "ecall", ()
             if word == 0x00100073:
                 return "ebreak", ()
-            inv()
+            _invalid(address, word)
         if funct3 in _CSR:
-            src = bits(word, 19, 15)    # zimm in the immediate forms
-            return _CSR[funct3], (rd, bits(word, 31, 20),
+            src = (word >> 15) & 31     # zimm in the immediate forms
+            return _CSR[funct3], (rd, word >> 20,
                                   src if funct3 & 0b100 else REGISTERS[src])
-        inv()
+        _invalid(address, word)
 
-    inv()
+    _invalid(address, word)
 
 
 # --- 16-bit decode ----------------------------------------------------------
 
-def _rp(field3: int) -> Register:
-    """Three-bit register field of the compressed ISA (x8..x15)."""
-    return REGISTERS[8 + field3]
+# The three-bit register fields of the compressed ISA name x8..x15.
+_RVC_REGS = REGISTERS[8:16]
 
 
 def _decode16(hw: int, address: int, xlen: int) -> tuple[str, tuple, Alias]:
     """(mnemonic, operands, 32-bit expansion) of a compressed instruction."""
     quadrant = hw & 0b11
-    funct3 = bits(hw, 15, 13)
-
-    def inv(subcode="undefined"):
-        raise InvalidEncoding(address, hw, subcode)
+    funct3 = hw >> 13
 
     if quadrant == 0b00:
         if hw == 0:
-            inv()  # defined illegal instruction
-        if funct3 == 0b000:  # c.addi4spn
-            imm = (bits(hw, 12, 11) << 4) | (bits(hw, 10, 7) << 6) | \
-                  (bits(hw, 6, 6) << 2) | (bits(hw, 5, 5) << 3)
+            _invalid(address, hw)  # defined illegal instruction
+        if funct3 == 0b000:  # c.addi4spn: nzuimm[5:4|9:6|2|3] = inst[12:5]
+            imm = ((hw >> 7) & 0x30 | (hw >> 1) & 0x3C0 | (hw >> 4) & 0x4
+                   | (hw >> 2) & 0x8)
             if imm == 0:
-                inv()
-            rd = _rp(bits(hw, 4, 2))
+                _invalid(address, hw)
+            rd = _RVC_REGS[(hw >> 2) & 7]
             return "c.addi4spn", (rd, imm), Alias("addi", (rd, SP, imm))
-        r, rs1 = _rp(bits(hw, 4, 2)), _rp(bits(hw, 9, 7))
-        if funct3 in (0b010, 0b110):  # c.lw / c.sw
-            imm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 6) << 2) | \
-                  (bits(hw, 5, 5) << 6)
+        r, rs1 = _RVC_REGS[(hw >> 2) & 7], _RVC_REGS[(hw >> 7) & 7]
+        if funct3 in (0b010, 0b110):  # c.lw / c.sw: uimm[5:3|2|6]
+            imm = (hw >> 7) & 0x38 | (hw >> 4) & 0x4 | (hw << 1) & 0x40
             name = "lw" if funct3 == 0b010 else "sw"
             return "c." + name, (r, rs1, imm), Alias(name, (r, rs1, imm))
         if funct3 in (0b011, 0b111) and xlen == 64:  # c.ld / c.sd
-            imm = (bits(hw, 12, 10) << 3) | (bits(hw, 6, 5) << 6)
+            imm = (hw >> 7) & 0x38 | (hw << 1) & 0xC0   # uimm[5:3|7:6]
             name = "ld" if funct3 == 0b011 else "sd"
             return "c." + name, (r, rs1, imm), Alias(name, (r, rs1, imm))
         if funct3 == 0b100:
-            inv()
-        inv("fp")  # c.flw / c.fsw (RV32), c.fld / c.fsd
+            _invalid(address, hw)
+        _invalid(address, hw, "fp")  # c.flw / c.fsw (RV32), c.fld / c.fsd
 
     if quadrant == 0b01:
-        rd = REGISTERS[bits(hw, 11, 7)]
-        imm = sext((bits(hw, 12, 12) << 5) | bits(hw, 6, 2), 6)
+        rd = REGISTERS[(hw >> 7) & 31]
+        # imm[5] = inst[12], imm[4:0] = inst[6:2]
+        imm = (((hw >> 7) & 0x20 | (hw >> 2) & 0x1F) ^ 0x20) - 0x20
         if funct3 == 0b000:  # c.nop / c.addi
             if rd.index == 0:
                 return "c.nop", (), Alias("addi", (ZERO, ZERO, 0))
@@ -492,106 +508,103 @@ def _decode16(hw: int, address: int, xlen: int) -> tuple[str, tuple, Alias]:
         if funct3 == 0b001:
             if xlen == 64:  # c.addiw
                 if rd.index == 0:
-                    inv()
+                    _invalid(address, hw)
                 return "c.addiw", (rd, imm), Alias("addiw", (rd, rd, imm))
             imm = _cj_imm(hw)  # c.jal (RV32 only)
             return "c.jal", (imm,), Alias("jal", (RA, imm))
         if funct3 == 0b010:  # c.li
             return "c.li", (rd, imm), Alias("addi", (rd, ZERO, imm))
         if funct3 == 0b011:
-            if rd.index == 2:  # c.addi16sp
-                imm = sext((bits(hw, 12, 12) << 9) | (bits(hw, 6, 6) << 4) |
-                           (bits(hw, 5, 5) << 6) | (bits(hw, 4, 3) << 7) |
-                           (bits(hw, 2, 2) << 5), 10)
+            if rd.index == 2:  # c.addi16sp: nzimm[9|4|6|8:7|5]
+                imm = ((hw >> 3) & 0x200 | (hw >> 2) & 0x10 | (hw << 1) & 0x40
+                       | (hw << 4) & 0x180 | (hw << 3) & 0x20)
+                imm = (imm ^ 0x200) - 0x200
                 if imm == 0:
-                    inv()
+                    _invalid(address, hw)
                 return "c.addi16sp", (imm,), Alias("addi", (SP, SP, imm))
             if imm == 0:  # c.lui
-                inv()
+                _invalid(address, hw)
             return "c.lui", (rd, imm), Alias("lui", (rd, imm & 0xFFFFF))
         if funct3 == 0b100:
-            sub = bits(hw, 11, 10)
-            rd = _rp(bits(hw, 9, 7))
-            if sub in (0b00, 0b01):  # c.srli / c.srai
-                shamt = (bits(hw, 12, 12) << 5) | bits(hw, 6, 2)
+            sub = (hw >> 10) & 3
+            rd = _RVC_REGS[(hw >> 7) & 7]
+            if sub in (0b00, 0b01):  # c.srli / c.srai: shamt[5|4:0]
+                shamt = (hw >> 7) & 0x20 | (hw >> 2) & 0x1F
                 if xlen == 32 and shamt >= 32:
-                    inv()
+                    _invalid(address, hw)
                 name = "srli" if sub == 0 else "srai"
                 return "c." + name, (rd, shamt), Alias(name, (rd, rd, shamt))
             if sub == 0b10:  # c.andi
                 return "c.andi", (rd, imm), Alias("andi", (rd, rd, imm))
             # register-register group
-            rs2 = _rp(bits(hw, 4, 2))
-            low = bits(hw, 6, 5)
-            if bits(hw, 12, 12) == 0:
+            rs2 = _RVC_REGS[(hw >> 2) & 7]
+            low = (hw >> 5) & 3
+            if not hw & 0x1000:
                 name = ("sub", "xor", "or", "and")[low]
             else:
                 if xlen != 64 or low > 0b01:
-                    inv()
+                    _invalid(address, hw)
                 name = ("subw", "addw")[low]
             return "c." + name, (rd, rs2), Alias(name, (rd, rd, rs2))
         if funct3 == 0b101:  # c.j
             imm = _cj_imm(hw)
             return "c.j", (imm,), Alias("jal", (ZERO, imm))
-        # c.beqz / c.bnez
-        rs1 = _rp(bits(hw, 9, 7))
-        imm = sext((bits(hw, 12, 12) << 8) | (bits(hw, 11, 10) << 3) |
-                   (bits(hw, 6, 5) << 6) | (bits(hw, 4, 3) << 1) |
-                   (bits(hw, 2, 2) << 5), 9)
+        # c.beqz / c.bnez: offset[8|4:3] = inst[12:10], [7:6|2:1|5] = inst[6:2]
+        rs1 = _RVC_REGS[(hw >> 7) & 7]
+        imm = ((hw >> 4) & 0x100 | (hw >> 7) & 0x18 | (hw << 1) & 0xC0
+               | (hw >> 2) & 0x6 | (hw << 3) & 0x20)
+        imm = (imm ^ 0x100) - 0x100
         name = "beq" if funct3 == 0b110 else "bne"
         return f"c.{name}z", (rs1, imm), Alias(name, (rs1, ZERO, imm))
 
     # quadrant 0b10
-    rd = REGISTERS[bits(hw, 11, 7)]     # rd or rs1
-    rs2 = REGISTERS[bits(hw, 6, 2)]
-    if funct3 == 0b000:  # c.slli
-        shamt = (bits(hw, 12, 12) << 5) | bits(hw, 6, 2)
+    rd = REGISTERS[(hw >> 7) & 31]     # rd or rs1
+    rs2 = REGISTERS[(hw >> 2) & 31]
+    if funct3 == 0b000:  # c.slli: shamt[5|4:0]
+        shamt = (hw >> 7) & 0x20 | (hw >> 2) & 0x1F
         if xlen == 32 and shamt >= 32:
-            inv()
+            _invalid(address, hw)
         return "c.slli", (rd, shamt), Alias("slli", (rd, rd, shamt))
-    if funct3 == 0b010:  # c.lwsp
+    if funct3 == 0b010:  # c.lwsp: uimm[5] = inst[12], [4:2|7:6] = inst[6:2]
         if rd.index == 0:
-            inv()
-        imm = (bits(hw, 12, 12) << 5) | (bits(hw, 6, 4) << 2) | \
-              (bits(hw, 3, 2) << 6)
+            _invalid(address, hw)
+        imm = (hw >> 7) & 0x20 | (hw >> 2) & 0x1C | (hw << 4) & 0xC0
         return "c.lwsp", (rd, imm), Alias("lw", (rd, SP, imm))
-    if funct3 == 0b011 and xlen == 64:  # c.ldsp
+    if funct3 == 0b011 and xlen == 64:  # c.ldsp: uimm[5], [4:3|8:6]
         if rd.index == 0:
-            inv()
-        imm = (bits(hw, 12, 12) << 5) | (bits(hw, 6, 5) << 3) | \
-              (bits(hw, 4, 2) << 6)
+            _invalid(address, hw)
+        imm = (hw >> 7) & 0x20 | (hw >> 2) & 0x18 | (hw << 4) & 0x1C0
         return "c.ldsp", (rd, imm), Alias("ld", (rd, SP, imm))
     if funct3 == 0b100:
-        if bits(hw, 12, 12) == 0:
+        if not hw & 0x1000:
             if rs2.index == 0:  # c.jr
                 if rd.index == 0:
-                    inv()
+                    _invalid(address, hw)
                 return "c.jr", (rd,), Alias("jalr", (ZERO, rd, 0))
             if rd.index == 0:  # c.mv
-                inv()
+                _invalid(address, hw)
             return "c.mv", (rd, rs2), Alias("add", (rd, ZERO, rs2))
         if rs2.index == 0:
             if rd.index == 0:  # c.ebreak
                 return "c.ebreak", (), Alias("ebreak", ())
             return "c.jalr", (rd,), Alias("jalr", (RA, rd, 0))
         if rd.index == 0:  # c.add
-            inv()
+            _invalid(address, hw)
         return "c.add", (rd, rs2), Alias("add", (rd, rd, rs2))
-    if funct3 == 0b110:  # c.swsp
-        imm = (bits(hw, 12, 9) << 2) | (bits(hw, 8, 7) << 6)
+    if funct3 == 0b110:  # c.swsp: uimm[5:2|7:6] = inst[12:7]
+        imm = (hw >> 7) & 0x3C | (hw >> 1) & 0xC0
         return "c.swsp", (rs2, imm), Alias("sw", (rs2, SP, imm))
-    if funct3 == 0b111 and xlen == 64:  # c.sdsp
-        imm = (bits(hw, 12, 10) << 3) | (bits(hw, 9, 7) << 6)
+    if funct3 == 0b111 and xlen == 64:  # c.sdsp: uimm[5:3|8:6] = inst[12:7]
+        imm = (hw >> 7) & 0x38 | (hw >> 1) & 0x1C0
         return "c.sdsp", (rs2, imm), Alias("sd", (rs2, SP, imm))
-    inv("fp")  # c.flwsp / c.fswsp (RV32), c.fldsp / c.fsdsp
+    _invalid(address, hw, "fp")  # c.flwsp / c.fswsp (RV32), c.fldsp / c.fsdsp
 
 
 def _cj_imm(hw: int) -> int:
-    v = (bits(hw, 12, 12) << 11) | (bits(hw, 11, 11) << 4) | \
-        (bits(hw, 10, 9) << 8) | (bits(hw, 8, 8) << 10) | \
-        (bits(hw, 7, 7) << 6) | (bits(hw, 6, 6) << 7) | \
-        (bits(hw, 5, 3) << 1) | (bits(hw, 2, 2) << 5)
-    return sext(v, 12)
+    # offset[11|4|9:8|10|6|7|3:1|5] = inst[12:2]
+    v = ((hw >> 1) & 0xB40 | (hw >> 7) & 0x10 | (hw << 2) & 0x400
+         | (hw << 1) & 0x80 | (hw >> 2) & 0xE | (hw << 3) & 0x20)
+    return (v ^ 0x800) - 0x800
 
 
 def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruction:

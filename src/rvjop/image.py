@@ -52,11 +52,11 @@ class DecodedSegment:
 
     `at` decodes a halfword the first time it is read and keeps the
     result, so no halfword is decoded twice.  The linear sweep advances
-    only as far as a `natural` query needs.  `slots` and `sweep` finish
-    the decode and the sweep, for analyses that read the whole segment.
+    only as far as a `natural` query needs.  `slots` finishes the decode,
+    for analyses that read the whole segment.
     """
     __slots__ = ("segment", "xlen", "_table", "_size", "_slots",
-                 "_swept", "_sweep_off", "_sweep")
+                 "_swept", "_sweep_off")
 
     def __init__(self, segment: Segment, xlen: int):
         self.segment = segment
@@ -65,9 +65,8 @@ class DecodedSegment:
         self._table: list = [_PENDING] * n  # one per halfword
         self._size = 2 * n
         self._slots: tuple[DecodedInstruction | None, ...] | None = None
-        self._swept: set[int] | frozenset[int] = set()
+        self._swept: set[int] = set()
         self._sweep_off = 0                 # next offset the sweep visits
-        self._sweep: frozenset[int] | None = None
 
     def at(self, address: int) -> DecodedInstruction | None:
         """The instruction at `address`; None where the bytes do not
@@ -117,15 +116,6 @@ class DecodedSegment:
                 off += 2 if insn is None else insn.width
             self._sweep_off = off
         return address in self._swept
-
-    @property
-    def sweep(self) -> frozenset[int]:
-        """Every address the linear sweep visits."""
-        if self._sweep is None:
-            self.natural(self.segment.end)
-            # Complete: `natural` adds nothing more, so keep one set.
-            self._sweep = self._swept = frozenset(self._swept)
-        return self._sweep
 
 
 class ExecutableImage:

@@ -41,7 +41,14 @@ class ScanConfig:
 class Gadget(NamedTuple):
     start: int
     instructions: tuple[DecodedInstruction, ...]
-    alignment: str  # NATURAL | SHIFTED
+    table: DecodedSegment    # the decode table the gadget was read from
+
+    @property
+    def alignment(self) -> str:
+        """NATURAL when the linear sweep of the gadget's segment visits
+        its start, else SHIFTED.  Computed on read: the sweep runs only as
+        far as the first read needs, and only for commands that read it."""
+        return NATURAL if self.table.natural(self.start) else SHIFTED
 
     @property
     def terminator(self) -> DecodedInstruction:
@@ -99,7 +106,6 @@ def extract_gadgets(image: ExecutableImage,
     """
     out = []
     for table in image.decode_table.values():
-        sweep = table.sweep
         for term in table.slots:
             if term is None or not term.is_terminator:
                 continue
@@ -111,8 +117,7 @@ def extract_gadgets(image: ExecutableImage,
             while stack:
                 chain = stack.pop()
                 start = chain[0].address
-                align = NATURAL if start in sweep else SHIFTED
-                out.append(Gadget(start, chain, align))
+                out.append(Gadget(start, chain, table))
                 if len(chain) - 1 >= config.max_len:
                     continue
                 for prev in _predecessors(table, start, config):
@@ -168,8 +173,7 @@ def gadget_at(image: ExecutableImage, address: int,
             insn = decode_one(seg.data[off:off + 4], addr, image.xlen)
         chain.append(insn)
         if insn.is_terminator:
-            align = NATURAL if table.natural(address) else SHIFTED
-            return Gadget(address, tuple(chain), align)
+            return Gadget(address, tuple(chain), table)
         if isinstance(insn.control_flow, DirectJump):
             raise ToolError(
                 f"direct jump at 0x{addr:x} before any indirect terminator")

@@ -11,16 +11,20 @@ from rvjop.classify import (ARITH, DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
                             find_dispatchers,
                             find_initializers, initializer_sources,
                             render_stats_table)
+from rvjop.chain import parse_chain_text
 from rvjop.cli import main
-from rvjop.image import parse_elf
-from rvjop.scanner import ScanConfig, dedupe, extract_gadgets, gadget_at
+from rvjop.image import from_bytes, parse_elf
+from rvjop.scanner import (NATURAL, SHIFTED, ScanConfig, dedupe,
+                           extract_gadgets, gadget_at)
 from rvjop.isa import RA, reg
 
 from conftest import (PF_R, PF_W, PF_X, TABLE_BASE, CodeBuilder,
                       benchmark_corpus, make_elf, refuse_calls)
+from oracle import natural_starts
 
 # `import rvjop.classify` binds the function the package re-exports.
 CLASSIFY = sys.modules["rvjop.classify"]
+IMAGE = sys.modules["rvjop.image"]
 
 
 def roles_of(image, address, context=None):
@@ -376,13 +380,49 @@ def test_dispatcher_at_is_the_first_full_search_candidate(monkeypatch,
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("workload", ["scan-dense-rv32", "scan-clean-rv64",
+                                      "chain-long"])
+def test_alignment_read_lazily_is_the_whole_sweeps(monkeypatch, workload):
+    # Chain gadgets and dispatcher_at candidates label their alignment on
+    # read, from a sweep that has run only as far as earlier reads needed;
+    # the label must be the one the oracle's whole sweep gives.
+    corpus = benchmark_corpus()
+    for seed in range(1, 11):
+        c = corpus.build(workload, seed)
+        img = parse_elf(c.file_bytes) if c.fmt == "elf" \
+            else from_bytes(c.code, c.base, c.xlen)
+        (seg,) = img.executable_segments
+        naturals = natural_starts(seg, img)
+        spec = parse_chain_text(c.chain_text(), img)
+        gadgets = [spec.dispatcher.gadget, spec.initializer.gadget,
+                   *(s.gadget for s in spec.steps)]
+        full = find_dispatchers(img)
+        monkeypatch.setattr(CLASSIFY, "find_dispatchers", lambda image: full)
+        gadgets += [dispatcher_at(img, a).gadget
+                    for a in sorted({d.loop_entry for d in full})]
+        monkeypatch.undo()
+        for g in gadgets:
+            want = NATURAL if g.start in naturals else SHIFTED
+            assert g.alignment == want, (seed, hex(g.start))
+
+
 def test_dispatcher_at_reads_around_the_loop_only(monkeypatch):
     corpus = benchmark_corpus()
     e = corpus._dense_image(1, 64 * 1024)
     img = parse_elf(corpus.make_elf(e.base, bytes(e.buf), e.xlen))
     refuse_calls(monkeypatch, "find_dispatchers", "extract_gadgets")
+    decoded = []
+    real = IMAGE.decode_one
+
+    def counted(data, address, xlen):
+        decoded.append(address)
+        return real(data, address, xlen)
+
+    monkeypatch.setattr(IMAGE, "decode_one", counted)
     d = dispatcher_at(img, e.labels["loop"])
     assert (d.kind, d.loop_entry) == (DISPATCHER_AUTONOMOUS, e.labels["loop"])
+    # the loop body and its return path, however deep the loop lies
+    assert len(set(decoded)) == len(decoded) < 100
 
 
 # --- initializer pairing ----------------------------------------------------

@@ -599,7 +599,11 @@ def test_text_listings_skip_dispatcher_search(capsys, monkeypatch, adg_blob):
     def refuse(image):
         raise AssertionError("find_dispatchers called for a listing")
 
+    def refuse_sweep(table, address):
+        raise AssertionError("alignment read for a listing")
+
     monkeypatch.setattr(rvjop.query, "find_dispatchers", refuse)
+    monkeypatch.setattr(rvjop.image.DecodedSegment, "natural", refuse_sweep)
     assert [run(capsys, *argv) for argv in commands] == want
 
 
@@ -630,6 +634,11 @@ def test_chain_and_initializers_read_only_around_the_dispatcher(
     assert "outcome        reached" in want[1][1]
     assert f"0x{addrs['init']:08x} via t0" in want_inits[1]
 
+    # No gadget's alignment is printed here, so no command runs the sweep.
+    def refuse_sweep(table, address):
+        raise AssertionError("alignment read")
+
+    monkeypatch.setattr(rvjop.image.DecodedSegment, "natural", refuse_sweep)
     refuse_calls(monkeypatch, "find_dispatchers")
     assert run(capsys, *inits) == want_inits
     refuse_calls(monkeypatch, "extract_gadgets")
@@ -654,7 +663,9 @@ def test_chain_decodes_less_than_the_image(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "chain", *c.image_args(image),
                        "--spec", str(spec))
     assert code == 0 and "dispatcher-autonomous" in out
-    assert len(set(decoded)) == len(decoded) < len(c.code) // 2
+    # Bounded by what the chain names, not by how far into the image its
+    # gadgets lie: 31 halfwords of 32,770.
+    assert len(set(decoded)) == len(decoded) < 100
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,7 +6,7 @@ import pytest
 
 from rvjop.assembler import assemble
 from rvjop.dataflow import (UNKNOWN, Const, Loaded, Offset, Source,
-                            summarize_dataflow)
+                            const_add, summarize_dataflow)
 from rvjop.decoder import decode_one
 from rvjop.isa import A0, A1, A2, RA, SP, reg
 
@@ -179,6 +179,10 @@ EXITS = [
      {"sp": UNKNOWN, "s0": UNKNOWN}),
     (32, [("beq", "a0", "a1", 8), ("li", "a2", 1)], {"a2": Const(1)}),
     (32, [("jalr", "ra", "a5", 0)], {"ra": UNKNOWN}),
+    (32, [("c.mv", "a0", "a1")], {"a0": Offset(A1, 0)}),
+    (64, [("add", "a0", "a1", "zero")], {"a0": Offset(A1, 0)}),
+    (32, [("li", "a1", 7), ("c.mv", "a0", "a1")],
+     {"a1": Const(7), "a0": Const(7)}),
 ]
 
 
@@ -197,6 +201,26 @@ def test_sp_rebuilt_through_a_copy_has_a_known_delta():
                 ("lw", "a0", "sp", 4),
                 ("ret",))
     s = summarize_dataflow(insns)
+    assert s.sp_delta == 16
+    assert s.loaded == {A0: Source("stack", SP, 20)}
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+def test_c_mv_has_the_value_of_mv(xlen):
+    # c.mv's base form is `add rd, zero, rs`, mv's `addi rd, rs, 0`
+    for rd, rs in (("a0", "a1"), ("t0", "sp"), ("s1", "s1")):
+        insns = [seq((m, rd, rs), xlen=xlen)[0] for m in ("mv", "c.mv")]
+        want, got = (summarize_dataflow((i, *seq(("ret",), xlen=xlen)))
+                     for i in insns)
+        assert got.exits == want.exits == {reg(rd): Offset(reg(rs), 0)}
+        assert const_add(insns[1]) == const_add(insns[0])
+
+
+def test_sp_rebuilt_through_c_mv_has_a_known_delta():
+    s = summarize_dataflow(seq(("c.mv", "t0", "sp"),
+                               ("addi", "sp", "t0", 16),
+                               ("lw", "a0", "sp", 4),
+                               ("ret",)))
     assert s.sp_delta == 16
     assert s.loaded == {A0: Source("stack", SP, 20)}
 

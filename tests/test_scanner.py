@@ -79,8 +79,7 @@ def test_shifted_gadget_alignment(shifted):
     assert naturals
     # shifted starts never appear in the canonical sweep
     seg = img.executable_segments[0]
-    sweep = img.decode_table[seg.vaddr].sweep
-    assert hidden not in sweep
+    assert not img.decode_table[seg.vaddr].natural(hidden)
     assert as_set(gadgets) == brute_force(img, max_len=2)
 
 
@@ -90,10 +89,9 @@ def test_sweep_resyncs_after_junk():
     b.word(0xFFFFFFFF)                    # undecodable word
     b.emit("c.jr", "a5")
     img = b.image()
-    seg = img.executable_segments[0]
-    sweep = img.decode_table[seg.vaddr].sweep
-    assert b.base in sweep
-    assert b.base + 8 in sweep            # resynced past the junk
+    table = img.decode_table[img.executable_segments[0].vaddr]
+    assert table.natural(b.base)
+    assert table.natural(b.base + 8)      # resynced past the junk
 
 
 def test_max_len_cap_and_ordering():
