@@ -42,7 +42,7 @@ from .decoder import decode_one  # noqa: F401  benchmarks/test_benchmark.py look
 from .image import DecodedSegment, ExecutableImage
 from .isa import RA, SP, A7, Register
 from .scanner import (NATURAL, SHIFTED, Gadget, ScanConfig, dedupe,
-                      extract_gadgets)
+                      extract_gadgets, terminators)
 
 # role kinds
 ARITH = "arith"
@@ -297,11 +297,10 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
     """
     candidates: list[DispatcherCandidate] = []
     for table in image.decode_table.values():
-        for insn in table.slots:
-            if insn is not None and insn.is_terminator:
-                cand = _try_autonomous(table, insn)
-                if cand is not None:
-                    candidates.append(cand)
+        for term in terminators(table):
+            cand = _try_autonomous(table, term)
+            if cand is not None:
+                candidates.append(cand)
     adg_terms = {c.gadget.terminator.address for c in candidates}
 
     # One table walk per gadget not already explained by an autonomous

@@ -9,9 +9,10 @@ a segment's memory size exceeds its file size.
 Each executable segment has a decode table that every static analysis
 reads (gadget growth, linear sweep, dispatcher search).  A halfword is
 decoded on first read, at most once per image, so a command that names
-one address reads only around it while a whole-image scan decodes
-everything once.  The interpreter does not use the table: it decodes
-live memory, which a payload may overwrite.
+one address reads only around it, and a whole-image scan reads only the
+indirect jumps and what backward growth probes around them.  The
+interpreter does not use the table: it decodes live memory, which a
+payload may overwrite.
 """
 
 from __future__ import annotations
@@ -52,11 +53,12 @@ class DecodedSegment:
 
     `at` decodes a halfword the first time it is read and keeps the
     result, so no halfword is decoded twice.  The linear sweep advances
-    only as far as a `natural` query needs.  `slots` finishes the decode,
-    for analyses that read the whole segment.
+    only as far as a `natural` query needs.  Nothing decodes the whole
+    segment: whole-image analyses find their indirect jumps by a bit test
+    on the raw bytes (`scanner.terminators`) and read around them.
     """
-    __slots__ = ("segment", "xlen", "_table", "_size", "_slots",
-                 "_swept", "_sweep_off")
+    __slots__ = ("segment", "xlen", "_table", "_size", "_swept",
+                 "_sweep_off")
 
     def __init__(self, segment: Segment, xlen: int):
         self.segment = segment
@@ -64,7 +66,6 @@ class DecodedSegment:
         n = len(segment.data) >> 1
         self._table: list = [_PENDING] * n  # one per halfword
         self._size = 2 * n
-        self._slots: tuple[DecodedInstruction | None, ...] | None = None
         self._swept: set[int] = set()
         self._sweep_off = 0                 # next offset the sweep visits
 
@@ -87,17 +88,6 @@ class DecodedSegment:
             insn = None
         self._table[off >> 1] = insn
         return insn
-
-    @property
-    def slots(self) -> tuple[DecodedInstruction | None, ...]:
-        """The instruction at every halfword, in address order."""
-        if self._slots is None:
-            table = self._table
-            for i, insn in enumerate(table):
-                if insn is _PENDING:
-                    self._decode(2 * i)
-            self._slots = tuple(table)
-        return self._slots
 
     def natural(self, address: int) -> bool:
         """True when a linear sweep from the segment start visits

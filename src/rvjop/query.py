@@ -205,11 +205,19 @@ def run_query(image: ExecutableImage, q: Query) -> list[QueryHit]:
 # --- output formats ---------------------------------------------------------
 
 def render_listing(hits: list[QueryHit]) -> str:
-    """Disassembly listing, one gadget per stanza."""
+    """Disassembly listing, one gadget per stanza.
+
+    Gadgets grown from one terminator share their instructions, so each
+    address is rendered once and its line reused."""
+    text: dict[int, str] = {}
     blocks = []
     for h in hits:
-        lines = [f"0x{x.address:08x}: {x.render()}"
-                 for x in h.gadget.instructions]
+        lines = []
+        for x in h.gadget.instructions:
+            line = text.get(x.address)
+            if line is None:
+                line = text[x.address] = f"0x{x.address:08x}: {x.render()}"
+            lines.append(line)
         blocks.append("\n".join(lines))
     count = f"{len(hits)} gadget" + ("" if len(hits) == 1 else "s")
     if not blocks:

@@ -4,6 +4,8 @@ A gadget is a contiguous run of instructions whose last instruction is an
 indirect jump (Return-like included).  Candidate starts are every 2-byte
 aligned offset, which is what surfaces gadgets hidden inside the natural
 instruction stream of a binary built with the compressed extension.
+Gadgets grow backwards from the indirect jumps, which a bit test on the
+raw bytes finds, so halfwords far from every jump are never decoded.
 
 Interior instructions must fall through: direct jumps, indirect jumps,
 ecall/ebreak, and undecodable bytes all stop the backward extension.
@@ -13,7 +15,7 @@ dispatcher bodies need them; plain functional scans do not).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
                       decode_one)
@@ -75,7 +77,10 @@ class Gadget(NamedTuple):
 
     @property
     def encoding(self) -> bytes:
-        return b"".join(i.encoding for i in self.instructions)
+        """The segment's bytes from start to end: a gadget is one
+        contiguous run of its table's instructions."""
+        seg = self.table.segment
+        return seg.data[self.start - seg.vaddr:self.end - seg.vaddr]
 
     @property
     def end(self) -> int:
@@ -95,6 +100,25 @@ def _interior_ok(insn: DecodedInstruction, config: ScanConfig) -> bool:
     return False
 
 
+def terminators(table: DecodedSegment) -> Iterator[DecodedInstruction]:
+    """Every indirect jump in the table's segment, in address order.
+
+    One bit test per halfword finds the candidates: `hw & 0x707F ==
+    0x0067` (jalr: opcode, funct3 0) or `hw & 0xE07F == 0x8002` (c.jr,
+    c.jalr, c.ebreak: quadrant 2, rs2 zero, funct3 100), done a byte at a
+    time.  Every indirect jump passes it, and only the halfwords that pass
+    are decoded.
+    """
+    data, base = table.segment.data, table.segment.vaddr
+    for off in range(0, len(data) - 1, 2):
+        low = data[off] & 0x7F
+        if (low == 0x67 and not data[off + 1] & 0x70
+                or low == 0x02 and data[off + 1] & 0xE0 == 0x80):
+            insn = table.at(base + off)
+            if insn is not None and insn.is_terminator:
+                yield insn
+
+
 def extract_gadgets(image: ExecutableImage,
                     config: ScanConfig = ScanConfig()) -> list[Gadget]:
     """All gadgets, sorted by start address then length.
@@ -106,9 +130,7 @@ def extract_gadgets(image: ExecutableImage,
     """
     out = []
     for table in image.decode_table.values():
-        for term in table.slots:
-            if term is None or not term.is_terminator:
-                continue
+        for term in terminators(table):
             # Backward extension branches: a 2-byte and a 4-byte
             # predecessor can both be valid, so walk the tree.  Forward
             # decoding from any start is deterministic, which makes every

@@ -14,7 +14,9 @@ from pathlib import Path
 
 import pytest
 
+import rvjop.image
 from rvjop.assembler import assemble
+from rvjop.decoder import decode_one
 from rvjop.image import ExecutableImage, from_bytes, parse_elf
 
 SESSION_T0 = time.monotonic()
@@ -350,6 +352,19 @@ def refuse_calls(monkeypatch, *names):
 
 
 # --- pytest fixtures --------------------------------------------------------
+
+@pytest.fixture
+def decode_log(monkeypatch):
+    """Addresses the decode table decodes, in call order."""
+    log = []
+
+    def counted(data, address, xlen):
+        log.append(address)
+        return decode_one(data, address, xlen)
+
+    monkeypatch.setattr(rvjop.image, "decode_one", counted)
+    return log
+
 
 @pytest.fixture(scope="session")
 def adg():

@@ -6,11 +6,11 @@ from collections import Counter
 
 import pytest
 
-import rvjop.image
 from rvjop.decoder import decode_one
 from rvjop.errors import (InvalidEncoding, MalformedImage, NotElf, OutOfRange,
                           Truncated, WrongMachine)
-from rvjop.image import from_bytes, load_raw, parse_elf
+from rvjop.image import ExecutableImage, from_bytes, load_raw, parse_elf
+from rvjop.scanner import terminators
 
 from conftest import (PF_R, PF_W, PF_X, make_elf, make_huge_segment_elf64,
                       make_zero_fill_elf)
@@ -202,19 +202,6 @@ def _lazy_images():
     yield "elf-two-segments", parse_elf(blob)
 
 
-@pytest.fixture
-def decode_log(monkeypatch):
-    """Addresses the decode table decodes, in call order."""
-    log = []
-
-    def counted(data, address, xlen):
-        log.append(address)
-        return decode_one(data, address, xlen)
-
-    monkeypatch.setattr(rvjop.image, "decode_one", counted)
-    return log
-
-
 @pytest.mark.parametrize("name,img", list(_lazy_images()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_decode_table_matches_eager_reference(decode_log, name, img):
@@ -238,11 +225,51 @@ def test_decode_table_matches_eager_reference(decode_log, name, img):
         rng.shuffle(order)
         for a in order:
             assert table.natural(a) == (a in want_sweep), hex(a)
-        assert table.slots == want_slots
     counts = Counter(decode_log)
     assert all(v == 1 for v in counts.values())
     assert set(counts) == {seg.vaddr + off for seg in img.executable_segments
                            for off in range(0, len(seg.data) - 1, 2)}
+
+
+def _with_jumps(img, rng):
+    """`img` with indirect jumps, and halfwords that only look like one
+    (jalr with a nonzero funct3, c.mv), written over a quarter of its
+    code, and the first half of a jalr cut off at the end of each
+    executable segment."""
+    def jump_like():
+        hw = rng.getrandbits(16)
+        return rng.choice(((hw & ~0x707F) | 0x0067,     # jalr
+                           (hw & ~0x707F) | 0x1067,     # funct3 1: invalid
+                           (hw & ~0xE07F) | 0x8002,     # c.jr/c.jalr/c.ebreak
+                           (hw & ~0xE003) | 0x8002))    # c.mv, c.add, ...
+    segs = []
+    for seg in img.segments:
+        data = bytearray(seg.data)
+        if seg.executable and len(data) >= 2:
+            for off in range(0, len(data) - 1, 2):
+                if rng.random() < 0.25:
+                    data[off:off + 2] = jump_like().to_bytes(2, "little")
+            last = (len(data) - 2) & ~1
+            data[last:last + 2] = (0x8067).to_bytes(2, "little")
+        segs.append(seg._replace(data=bytes(data)))
+    return ExecutableImage(tuple(segs), img.xlen, img.entry_point)
+
+
+@pytest.mark.parametrize("name,img", list(_lazy_images()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_terminators_match_eager_reference(decode_log, name, img):
+    img = _with_jumps(img, random.Random(name))
+    for seg in img.executable_segments:
+        want_slots, _ = _eager_table(seg, img.xlen)
+        want = [i for i in want_slots if i is not None and i.is_terminator]
+        got = list(terminators(img.decode_table[seg.vaddr]))
+        assert got == want
+        if len(seg.data) >= 64:
+            assert want
+        # the cut-off jalr at the end is read, and is no terminator
+        if len(seg.data) >= 2:
+            assert seg.vaddr + ((len(seg.data) - 2) & ~1) in decode_log
+    assert len(decode_log) == len(set(decode_log))
 
 
 def test_decode_table_reads_only_what_is_asked(decode_log):

@@ -3,6 +3,8 @@
 import importlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvjop.assembler import assemble
 from rvjop.chain import parse_chain_text
@@ -11,7 +13,7 @@ from rvjop.errors import InvalidEncoding, ToolError, Truncated
 from rvjop.image import from_bytes
 from rvjop.query import Query, run_query
 from rvjop.scanner import (NATURAL, SHIFTED, Gadget, ScanConfig, dedupe,
-                           extract_gadgets, gadget_at)
+                           extract_gadgets, gadget_at, terminators)
 
 from conftest import (CJR_A5, TABLE_BASE, CodeBuilder, build_e2e_fixture,
                       build_shifted_fixture)
@@ -196,6 +198,74 @@ def test_each_halfword_decoded_once_per_image(monkeypatch):
         """, img)
     halfwords = sum(len(s.data) // 2 for s in img.executable_segments)
     assert 0 < calls <= halfwords
+
+
+# Upper halfwords laid after every 32-bit low halfword: all clear, all
+# set, and mixes that vary rs1 and the immediate of a jalr.
+_UPPERS = (0x0000, 0xFFFF, 0x5A5A, 0x00F3)
+
+
+@pytest.mark.parametrize("xlen", (32, 64))
+def test_terminator_bit_test_misses_no_indirect_jump(xlen):
+    """Every low halfword, each 32-bit one under several upper halves:
+    each word the decoder calls an indirect jump is one `terminators`
+    reports."""
+    words = [low for low in range(1 << 16) if low & 3 != 3]
+    words += [low | up << 16 for up in _UPPERS
+              for low in range(3, 1 << 16, 4)]
+    img = from_bytes(b"".join(w.to_bytes(4, "little") for w in words),
+                     0x1000, xlen)
+    want = set()
+    for i, w in enumerate(words):
+        try:
+            if decode_one(w.to_bytes(4, "little"), 0, xlen).is_terminator:
+                want.add(0x1000 + 4 * i)
+        except (InvalidEncoding, Truncated):
+            pass
+    got = {t.address for t in terminators(img.decode_table[0x1000])}
+    assert want and want <= got
+
+
+def test_extract_decodes_only_around_the_jumps(decode_log):
+    code = bytes.fromhex("13051500") * 64 + bytes.fromhex("67800000")
+    ret = 0x1100                                   # 64 x addi a0, a0, 1; ret
+    for max_len in (0, 1, 4):
+        decode_log.clear()
+        img = from_bytes(code, 0x1000, 32)
+        gadgets = extract_gadgets(img, ScanConfig(max_len=max_len))
+        # each addi's upper halfword is a c.nop hint, so growth also
+        # starts a gadget one halfword into every addi it passes
+        window = list(range(ret - 4 * max_len, ret + 2, 2))
+        assert [g.start for g in gadgets] == window
+        # the ret and the halfwords its max_len predecessors span
+        assert sorted(decode_log) == window
+
+
+# Halfwords and words for the property below: random ones, and indirect
+# jumps with random registers and immediates.
+_CODE_PIECES = st.one_of(
+    st.binary(min_size=2, max_size=2),
+    st.integers(0, 2**32 - 1).map(lambda w: (w | 3).to_bytes(4, "little")),
+    st.integers(0, 2**32 - 1).map(
+        lambda w: (w & ~0x707F | 0x67).to_bytes(4, "little")),     # jalr
+    st.integers(0, 2**16 - 1).map(
+        lambda h: (h & ~0xE07F | 0x8002).to_bytes(2, "little")),   # c.jr/c.jalr
+)
+
+
+@given(pieces=st.lists(_CODE_PIECES, max_size=40),
+       tail=st.binary(max_size=1), xlen=st.sampled_from((32, 64)),
+       max_len=st.integers(0, 6), branches=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_extract_matches_oracle_on_random_code(pieces, tail, xlen, max_len,
+                                               branches):
+    img = from_bytes(b"".join(pieces) + tail, 0x2000, xlen)
+    gadgets = extract_gadgets(
+        img, ScanConfig(max_len=max_len, allow_interior_branches=branches))
+    assert as_set(gadgets) == brute_force(img, max_len=max_len,
+                                          allow_branches=branches)
+    for g in gadgets:
+        assert g.encoding == b"".join(x.encoding for x in g.instructions)
 
 
 def test_scan_config_validation():
