@@ -86,7 +86,9 @@ def _pack_j(opcode, rd, imm):
 
 
 # --- encoder table ----------------------------------------------------------
-# Each entry maps a mnemonic to a closure returning (word, width).
+# Each entry maps a mnemonic to a function of (operands, xlen) returning
+# (word, width).  The factories below build one such function per
+# instruction format; the loops after each bind it to its mnemonics.
 
 _ENC: dict = {}
 
@@ -98,55 +100,50 @@ def _enc(name):
     return wrap
 
 
-def _add_r_type(name, opcode, f3, f7, rv64_only=False):
+def _r_type(opcode, f3, f7):
     def enc(ops, xlen):
-        if rv64_only and xlen != 64:
-            raise UnsupportedInstruction(f"{name} requires RV64")
         _count(ops, 3)
         return _pack_r(opcode, f3, f7, _reg(ops[0]), _reg(ops[1]), _reg(ops[2])), 4
-    _ENC[name] = enc
+    return enc
 
 
-def _add_i_type(name, opcode, f3, rv64_only=False):
+def _i_type(opcode, f3):
     def enc(ops, xlen):
-        if rv64_only and xlen != 64:
-            raise UnsupportedInstruction(f"{name} requires RV64")
         _count(ops, 3)
         return _pack_i(opcode, f3, _reg(ops[0]), _reg(ops[1]),
                        _imm(ops[2], -2048, 2047)), 4
-    _ENC[name] = enc
+    return enc
 
 
-for _n, _f in [("add", (0, 0)), ("sub", (0, 0b0100000)), ("sll", (1, 0)),
-               ("slt", (2, 0)), ("sltu", (3, 0)), ("xor", (4, 0)),
-               ("srl", (5, 0)), ("sra", (5, 0b0100000)), ("or", (6, 0)),
-               ("and", (7, 0))]:
-    _add_r_type(_n, 0b0110011, _f[0], _f[1])
+for _n, _f3, _f7 in [("add", 0, 0), ("sub", 0, 0b0100000), ("sll", 1, 0),
+                     ("slt", 2, 0), ("sltu", 3, 0), ("xor", 4, 0),
+                     ("srl", 5, 0), ("sra", 5, 0b0100000), ("or", 6, 0),
+                     ("and", 7, 0)]:
+    _ENC[_n] = _r_type(0b0110011, _f3, _f7)
 
-for _i3, _n in enumerate(["mul", "mulh", "mulhsu", "mulhu",
+for _f3, _n in enumerate(["mul", "mulh", "mulhsu", "mulhu",
                           "div", "divu", "rem", "remu"]):
-    _add_r_type(_n, 0b0110011, _i3, 0b0000001)
+    _ENC[_n] = _r_type(0b0110011, _f3, 1)
 
-for _n, _f in [("addw", (0, 0)), ("subw", (0, 0b0100000)), ("sllw", (1, 0)),
-               ("srlw", (5, 0)), ("sraw", (5, 0b0100000))]:
-    _add_r_type(_n, 0b0111011, _f[0], _f[1], rv64_only=True)
+for _n, _f3, _f7 in [("addw", 0, 0), ("subw", 0, 0b0100000), ("sllw", 1, 0),
+                     ("srlw", 5, 0), ("sraw", 5, 0b0100000), ("mulw", 0, 1),
+                     ("divw", 4, 1), ("divuw", 5, 1), ("remw", 6, 1),
+                     ("remuw", 7, 1)]:
+    _ENC[_n] = _r_type(0b0111011, _f3, _f7)
 
-for _n, _i3 in [("mulw", 0), ("divw", 4), ("divuw", 5),
-                ("remw", 6), ("remuw", 7)]:
-    _add_r_type(_n, 0b0111011, _i3, 0b0000001, rv64_only=True)
-
-for _n, _i3 in [("addi", 0), ("slti", 2), ("sltiu", 3), ("xori", 4),
+for _n, _f3 in [("addi", 0), ("slti", 2), ("sltiu", 3), ("xori", 4),
                 ("ori", 6), ("andi", 7)]:
-    _add_i_type(_n, 0b0010011, _i3)
+    _ENC[_n] = _i_type(0b0010011, _f3)
 
-_add_i_type("addiw", 0b0011011, 0, rv64_only=True)
-_add_i_type("jalr", 0b1100111, 0)
+for _f3, _n in enumerate(["lb", "lh", "lw", "ld", "lbu", "lhu", "lwu"]):
+    _ENC[_n] = _i_type(0b0000011, _f3)
+
+_ENC["addiw"] = _i_type(0b0011011, 0)
+_ENC["jalr"] = _i_type(0b1100111, 0)
 
 
-def _add_shift(name, opcode, f3, top, narrow, rv64_only=False):
+def _shift(opcode, f3, top, narrow):
     def enc(ops, xlen):
-        if rv64_only and xlen != 64:
-            raise UnsupportedInstruction(f"{name} requires RV64")
         _count(ops, 3)
         hi = 31 if (narrow or xlen == 32) else 63
         sh = _imm(ops[2], 0, hi)
@@ -155,59 +152,36 @@ def _add_shift(name, opcode, f3, top, narrow, rv64_only=False):
         word = (f7 << shift) | (sh << 20) | (_reg(ops[1]).index << 15) | \
                (f3 << 12) | (_reg(ops[0]).index << 7) | opcode
         return word, 4
-    _ENC[name] = enc
+    return enc
 
 
-_add_shift("slli", 0b0010011, 1, 0, narrow=False)
-_add_shift("srli", 0b0010011, 5, 0, narrow=False)
-_add_shift("srai", 0b0010011, 5, 0b0100000, narrow=False)
-_add_shift("slliw", 0b0011011, 1, 0, narrow=True, rv64_only=True)
-_add_shift("srliw", 0b0011011, 5, 0, narrow=True, rv64_only=True)
-_add_shift("sraiw", 0b0011011, 5, 0b0100000, narrow=True, rv64_only=True)
+for _n, _f3, _top in [("sll", 1, 0), ("srl", 5, 0), ("sra", 5, 0b0100000)]:
+    _ENC[_n + "i"] = _shift(0b0010011, _f3, _top, narrow=False)
+    _ENC[_n + "iw"] = _shift(0b0011011, _f3, _top, narrow=True)
 
 
-def _add_load(name, f3, rv64_only=False):
+def _store(f3):
     def enc(ops, xlen):
-        if rv64_only and xlen != 64:
-            raise UnsupportedInstruction(f"{name} requires RV64")
-        _count(ops, 3)
-        return _pack_i(0b0000011, f3, _reg(ops[0]), _reg(ops[1]),
-                       _imm(ops[2], -2048, 2047)), 4
-    _ENC[name] = enc
-
-
-def _add_store(name, f3, rv64_only=False):
-    def enc(ops, xlen):
-        if rv64_only and xlen != 64:
-            raise UnsupportedInstruction(f"{name} requires RV64")
         _count(ops, 3)
         return _pack_s(0b0100011, f3, _reg(ops[1]), _reg(ops[0]),
                        _imm(ops[2], -2048, 2047)), 4
-    _ENC[name] = enc
+    return enc
 
 
-for _n, _i3 in [("lb", 0), ("lh", 1), ("lw", 2), ("lbu", 4), ("lhu", 5)]:
-    _add_load(_n, _i3)
-_add_load("lwu", 6, rv64_only=True)
-_add_load("ld", 3, rv64_only=True)
-
-for _n, _i3 in [("sb", 0), ("sh", 1), ("sw", 2)]:
-    _add_store(_n, _i3)
-_add_store("sd", 3, rv64_only=True)
+for _f3, _n in enumerate(["sb", "sh", "sw", "sd"]):
+    _ENC[_n] = _store(_f3)
 
 
-@_enc("lui")
-def _enc_lui(ops, xlen):
-    _count(ops, 2)
-    return ((_imm(ops[1], 0, 0xFFFFF) << 12) | (_reg(ops[0]).index << 7)
-            | 0b0110111), 4
+def _u_type(opcode):
+    def enc(ops, xlen):
+        _count(ops, 2)
+        return ((_imm(ops[1], 0, 0xFFFFF) << 12) | (_reg(ops[0]).index << 7)
+                | opcode), 4
+    return enc
 
 
-@_enc("auipc")
-def _enc_auipc(ops, xlen):
-    _count(ops, 2)
-    return ((_imm(ops[1], 0, 0xFFFFF) << 12) | (_reg(ops[0]).index << 7)
-            | 0b0010111), 4
+_ENC["lui"] = _u_type(0b0110111)
+_ENC["auipc"] = _u_type(0b0010111)
 
 
 @_enc("jal")
@@ -217,17 +191,17 @@ def _enc_jal(ops, xlen):
                    _imm(ops[1], -(1 << 20), (1 << 20) - 2, multiple=2)), 4
 
 
-def _add_branch(name, f3):
+def _branch(f3):
     def enc(ops, xlen):
         _count(ops, 3)
         return _pack_b(0b1100011, f3, _reg(ops[0]), _reg(ops[1]),
                        _imm(ops[2], -4096, 4094, multiple=2)), 4
-    _ENC[name] = enc
+    return enc
 
 
-for _n, _i3 in [("beq", 0), ("bne", 1), ("blt", 4), ("bge", 5),
+for _n, _f3 in [("beq", 0), ("bne", 1), ("blt", 4), ("bge", 5),
                 ("bltu", 6), ("bgeu", 7)]:
-    _add_branch(_n, _i3)
+    _ENC[_n] = _branch(_f3)
 
 
 @_enc("fence")
@@ -237,72 +211,44 @@ def _enc_fence(ops, xlen):
             | 0b0001111), 4
 
 
-@_enc("fence.i")
-def _enc_fence_i(ops, xlen):
-    _count(ops, 0)
-    return (0b001 << 12) | 0b0001111, 4
-
-
-@_enc("ecall")
-def _enc_ecall(ops, xlen):
-    _count(ops, 0)
-    return 0x00000073, 4
-
-
-@_enc("ebreak")
-def _enc_ebreak(ops, xlen):
-    _count(ops, 0)
-    return 0x00100073, 4
-
-
-def _add_csr(name, f3, immediate):
+def _csr(f3, immediate):
     def enc(ops, xlen):
         _count(ops, 3)
         csr = _imm(ops[1], 0, 4095)
-        if immediate:
-            src = _imm(ops[2], 0, 31)
-            return ((csr << 20) | (src << 15) | (f3 << 12) |
-                    (_reg(ops[0]).index << 7) | 0b1110011), 4
-        return ((csr << 20) | (_reg(ops[2]).index << 15) | (f3 << 12) |
+        src = _imm(ops[2], 0, 31) if immediate else _reg(ops[2]).index
+        return ((csr << 20) | (src << 15) | (f3 << 12) |
                 (_reg(ops[0]).index << 7) | 0b1110011), 4
-    _ENC[name] = enc
+    return enc
 
 
-for _n, _i3 in [("csrrw", 1), ("csrrs", 2), ("csrrc", 3)]:
-    _add_csr(_n, _i3, immediate=False)
-for _n, _i3 in [("csrrwi", 5), ("csrrsi", 6), ("csrrci", 7)]:
-    _add_csr(_n, _i3, immediate=True)
+for _n, _f3 in [("csrrw", 1), ("csrrs", 2), ("csrrc", 3)]:
+    _ENC[_n] = _csr(_f3, immediate=False)
+    _ENC[_n + "i"] = _csr(_f3 + 4, immediate=True)
 
 
-def _add_amo(base, funct5, has_rs2):
-    for width, f3 in (("w", 0b010), ("d", 0b011)):
-        for order, aqrl in (("", 0), (".aq", 0b10), (".rl", 0b01), (".aqrl", 0b11)):
-            name = f"{base}.{width}{order}"
-
-            def enc(ops, xlen, f3=f3, aqrl=aqrl, funct5=funct5,
-                    has_rs2=has_rs2, width=width, name=name):
-                if width == "d" and xlen != 64:
-                    raise UnsupportedInstruction(f"{name} requires RV64")
-                if has_rs2:
-                    _count(ops, 3)
-                    rd, rs2, rs1 = _reg(ops[0]), _reg(ops[1]), _reg(ops[2])
-                else:
-                    _count(ops, 2)
-                    rd, rs1 = _reg(ops[0]), _reg(ops[1])
-                    rs2 = reg(0)
-                f7 = (funct5 << 2) | aqrl
-                return _pack_r(0b0101111, f3, f7, rd, rs1, rs2), 4
-            _ENC[name] = enc
+def _amo(f3, f7, has_rs2):
+    def enc(ops, xlen):
+        if has_rs2:
+            _count(ops, 3)
+            rd, rs2, rs1 = _reg(ops[0]), _reg(ops[1]), _reg(ops[2])
+        else:
+            _count(ops, 2)
+            rd, rs1 = _reg(ops[0]), _reg(ops[1])
+            rs2 = reg(0)
+        return _pack_r(0b0101111, f3, f7, rd, rs1, rs2), 4
+    return enc
 
 
-_add_amo("lr", 0b00010, has_rs2=False)
-_add_amo("sc", 0b00011, has_rs2=True)
-for _base, _f5 in [("amoswap", 0b00001), ("amoadd", 0b00000),
-                   ("amoxor", 0b00100), ("amoand", 0b01100),
-                   ("amoor", 0b01000), ("amomin", 0b10000),
-                   ("amomax", 0b10100), ("amominu", 0b11000),
-                   ("amomaxu", 0b11100)]:
-    _add_amo(_base, _f5, has_rs2=True)
+for _base, _f5 in [("lr", 0b00010), ("sc", 0b00011), ("amoswap", 0b00001),
+                   ("amoadd", 0b00000), ("amoxor", 0b00100),
+                   ("amoand", 0b01100), ("amoor", 0b01000),
+                   ("amomin", 0b10000), ("amomax", 0b10100),
+                   ("amominu", 0b11000), ("amomaxu", 0b11100)]:
+    for _width, _f3 in (("w", 0b010), ("d", 0b011)):
+        for _order, _aqrl in (("", 0), (".aq", 0b10), (".rl", 0b01),
+                              (".aqrl", 0b11)):
+            _ENC[f"{_base}.{_width}{_order}"] = _amo(
+                _f3, (_f5 << 2) | _aqrl, has_rs2=_base != "lr")
 
 
 # --- compressed forms -------------------------------------------------------
@@ -311,36 +257,19 @@ def _ci_imm6(imm):
     return (((imm >> 5) & 1) << 12) | ((imm & 0x1F) << 2)
 
 
-@_enc("c.nop")
-def _enc_cnop(ops, xlen):
-    _count(ops, 0)
-    return 0x0001, 2
+def _ci(f3, nonzero):
+    """c.addi, c.addiw, c.li: rd != x0 and a 6-bit signed immediate."""
+    def enc(ops, xlen):
+        _count(ops, 2)
+        rd = _nonzero_reg(ops[0])
+        imm = _imm(ops[1], -32, 31, nonzero=nonzero)
+        return 0b01 | (f3 << 13) | (rd.index << 7) | _ci_imm6(imm), 2
+    return enc
 
 
-@_enc("c.addi")
-def _enc_caddi(ops, xlen):
-    _count(ops, 2)
-    rd = _nonzero_reg(ops[0])
-    imm = _imm(ops[1], -32, 31, nonzero=True)
-    return 0b01 | (0b000 << 13) | (rd.index << 7) | _ci_imm6(imm), 2
-
-
-@_enc("c.addiw")
-def _enc_caddiw(ops, xlen):
-    if xlen != 64:
-        raise UnsupportedInstruction("c.addiw requires RV64")
-    _count(ops, 2)
-    rd = _nonzero_reg(ops[0])
-    imm = _imm(ops[1], -32, 31)
-    return 0b01 | (0b001 << 13) | (rd.index << 7) | _ci_imm6(imm), 2
-
-
-@_enc("c.li")
-def _enc_cli(ops, xlen):
-    _count(ops, 2)
-    rd = _nonzero_reg(ops[0])
-    imm = _imm(ops[1], -32, 31)
-    return 0b01 | (0b010 << 13) | (rd.index << 7) | _ci_imm6(imm), 2
+_ENC["c.addi"] = _ci(0b000, nonzero=True)
+_ENC["c.addiw"] = _ci(0b001, nonzero=False)
+_ENC["c.li"] = _ci(0b010, nonzero=False)
 
 
 @_enc("c.addi16sp")
@@ -375,10 +304,8 @@ def _enc_caddi4spn(ops, xlen):
     return word, 2
 
 
-def _add_clmem(name, f3, quad, size, sp_rel, store, rv64_only=False):
+def _clmem(name, f3, quad, size, sp_rel, store):
     def enc(ops, xlen):
-        if rv64_only and xlen != 64:
-            raise UnsupportedInstruction(f"{name} requires RV64")
         if sp_rel:
             _count(ops, 2)
             r = _reg(ops[0])
@@ -416,38 +343,34 @@ def _add_clmem(name, f3, quad, size, sp_rel, store, rv64_only=False):
     _ENC[name] = enc
 
 
-_add_clmem("c.lw", 0b010, 0b00, 4, sp_rel=False, store=False)
-_add_clmem("c.sw", 0b110, 0b00, 4, sp_rel=False, store=True)
-_add_clmem("c.ld", 0b011, 0b00, 8, sp_rel=False, store=False, rv64_only=True)
-_add_clmem("c.sd", 0b111, 0b00, 8, sp_rel=False, store=True, rv64_only=True)
-_add_clmem("c.lwsp", 0b010, 0b10, 4, sp_rel=True, store=False)
-_add_clmem("c.swsp", 0b110, 0b10, 4, sp_rel=True, store=True)
-_add_clmem("c.ldsp", 0b011, 0b10, 8, sp_rel=True, store=False, rv64_only=True)
-_add_clmem("c.sdsp", 0b111, 0b10, 8, sp_rel=True, store=True, rv64_only=True)
+_clmem("c.lw", 0b010, 0b00, 4, sp_rel=False, store=False)
+_clmem("c.sw", 0b110, 0b00, 4, sp_rel=False, store=True)
+_clmem("c.ld", 0b011, 0b00, 8, sp_rel=False, store=False)
+_clmem("c.sd", 0b111, 0b00, 8, sp_rel=False, store=True)
+_clmem("c.lwsp", 0b010, 0b10, 4, sp_rel=True, store=False)
+_clmem("c.swsp", 0b110, 0b10, 4, sp_rel=True, store=True)
+_clmem("c.ldsp", 0b011, 0b10, 8, sp_rel=True, store=False)
+_clmem("c.sdsp", 0b111, 0b10, 8, sp_rel=True, store=True)
 
 
-def _cj_pack(imm):
-    return (((imm >> 11) & 1) << 12) | (((imm >> 4) & 1) << 11) | \
-           (((imm >> 8) & 3) << 9) | (((imm >> 10) & 1) << 8) | \
-           (((imm >> 6) & 1) << 7) | (((imm >> 7) & 1) << 6) | \
-           (((imm >> 1) & 7) << 3) | (((imm >> 5) & 1) << 2)
+def _cj(f3):
+    """c.j and c.jal: an 11-bit even offset, scrambled into bits 12..2."""
+    def enc(ops, xlen):
+        _count(ops, 1)
+        imm = _imm(ops[0], -2048, 2046, multiple=2)
+        return 0b01 | (f3 << 13) | \
+            (((imm >> 11) & 1) << 12) | (((imm >> 4) & 1) << 11) | \
+            (((imm >> 8) & 3) << 9) | (((imm >> 10) & 1) << 8) | \
+            (((imm >> 6) & 1) << 7) | (((imm >> 7) & 1) << 6) | \
+            (((imm >> 1) & 7) << 3) | (((imm >> 5) & 1) << 2), 2
+    return enc
 
 
-@_enc("c.j")
-def _enc_cj(ops, xlen):
-    _count(ops, 1)
-    return 0b01 | (0b101 << 13) | _cj_pack(_imm(ops[0], -2048, 2046, multiple=2)), 2
+_ENC["c.j"] = _cj(0b101)
+_ENC["c.jal"] = _cj(0b001)
 
 
-@_enc("c.jal")
-def _enc_cjal(ops, xlen):
-    if xlen != 32:
-        raise UnsupportedInstruction("c.jal is RV32-only")
-    _count(ops, 1)
-    return 0b01 | (0b001 << 13) | _cj_pack(_imm(ops[0], -2048, 2046, multiple=2)), 2
-
-
-def _add_cbranch(name, f3):
+def _cbranch(f3):
     def enc(ops, xlen):
         _count(ops, 2)
         rs = _prime(ops[0])
@@ -457,26 +380,24 @@ def _add_cbranch(name, f3):
                 (((imm >> 6) & 3) << 5) | (((imm >> 1) & 3) << 3) | \
                 (((imm >> 5) & 1) << 2)
         return word, 2
-    _ENC[name] = enc
+    return enc
 
 
-_add_cbranch("c.beqz", 0b110)
-_add_cbranch("c.bnez", 0b111)
+_ENC["c.beqz"] = _cbranch(0b110)
+_ENC["c.bnez"] = _cbranch(0b111)
 
 
-def _add_cshift(name, funct2):
+def _cshift(funct2):
     def enc(ops, xlen):
         _count(ops, 2)
         rd = _prime(ops[0])
         sh = _imm(ops[1], 1, 63 if xlen == 64 else 31)
-        word = 0b01 | (0b100 << 13) | (funct2 << 10) | (rd << 7)
-        word |= (((sh >> 5) & 1) << 12) | ((sh & 0x1F) << 2)
-        return word, 2
-    _ENC[name] = enc
+        return 0b01 | (0b100 << 13) | (funct2 << 10) | (rd << 7) | _ci_imm6(sh), 2
+    return enc
 
 
-_add_cshift("c.srli", 0b00)
-_add_cshift("c.srai", 0b01)
+_ENC["c.srli"] = _cshift(0b00)
+_ENC["c.srai"] = _cshift(0b01)
 
 
 @_enc("c.andi")
@@ -484,28 +405,22 @@ def _enc_candi(ops, xlen):
     _count(ops, 2)
     rd = _prime(ops[0])
     imm = _imm(ops[1], -32, 31)
-    word = 0b01 | (0b100 << 13) | (0b10 << 10) | (rd << 7)
-    word |= (((imm >> 5) & 1) << 12) | ((imm & 0x1F) << 2)
-    return word, 2
+    return 0b01 | (0b100 << 13) | (0b10 << 10) | (rd << 7) | _ci_imm6(imm), 2
 
 
-def _add_carith(name, hi_bit, funct2, rv64_only=False):
+def _carith(hi_bit, funct2):
     def enc(ops, xlen):
-        if rv64_only and xlen != 64:
-            raise UnsupportedInstruction(f"{name} requires RV64")
         _count(ops, 2)
         rd, rs2 = _prime(ops[0]), _prime(ops[1])
         return (0b01 | (0b100 << 13) | (hi_bit << 12) | (0b11 << 10) |
                 (rd << 7) | (funct2 << 5) | (rs2 << 2)), 2
-    _ENC[name] = enc
+    return enc
 
 
-_add_carith("c.sub", 0, 0b00)
-_add_carith("c.xor", 0, 0b01)
-_add_carith("c.or", 0, 0b10)
-_add_carith("c.and", 0, 0b11)
-_add_carith("c.subw", 1, 0b00, rv64_only=True)
-_add_carith("c.addw", 1, 0b01, rv64_only=True)
+for _n, _hi, _f2 in [("c.sub", 0, 0b00), ("c.xor", 0, 0b01), ("c.or", 0, 0b10),
+                     ("c.and", 0, 0b11), ("c.subw", 1, 0b00),
+                     ("c.addw", 1, 0b01)]:
+    _ENC[_n] = _carith(_hi, _f2)
 
 
 @_enc("c.slli")
@@ -513,82 +428,78 @@ def _enc_cslli(ops, xlen):
     _count(ops, 2)
     rd = _nonzero_reg(ops[0])
     sh = _imm(ops[1], 1, 63 if xlen == 64 else 31)
-    return (0b10 | (0b000 << 13) | (((sh >> 5) & 1) << 12) |
-            (rd.index << 7) | ((sh & 0x1F) << 2)), 2
+    return 0b10 | (rd.index << 7) | _ci_imm6(sh), 2
 
 
-@_enc("c.jr")
-def _enc_cjr(ops, xlen):
-    _count(ops, 1)
-    return 0b10 | (0b100 << 13) | (_nonzero_reg(ops[0]).index << 7), 2
+def _cr(hi_bit, has_rs2):
+    """c.jr, c.jalr, c.mv, c.add: rd/rs1 and rs2, neither x0."""
+    def enc(ops, xlen):
+        _count(ops, 1 + has_rs2)
+        rd = _nonzero_reg(ops[0])
+        rs2 = _nonzero_reg(ops[1]).index if has_rs2 else 0
+        return (0b10 | (0b100 << 13) | (hi_bit << 12) | (rd.index << 7) |
+                (rs2 << 2)), 2
+    return enc
 
 
-@_enc("c.jalr")
-def _enc_cjalr(ops, xlen):
-    _count(ops, 1)
-    return 0b10 | (0b100 << 13) | (1 << 12) | (_nonzero_reg(ops[0]).index << 7), 2
+_ENC["c.jr"] = _cr(0, has_rs2=False)
+_ENC["c.jalr"] = _cr(1, has_rs2=False)
+_ENC["c.mv"] = _cr(0, has_rs2=True)
+_ENC["c.add"] = _cr(1, has_rs2=True)
 
 
-@_enc("c.mv")
-def _enc_cmv(ops, xlen):
-    _count(ops, 2)
-    rd = _nonzero_reg(ops[0])
-    rs2 = _nonzero_reg(ops[1])
-    return 0b10 | (0b100 << 13) | (rd.index << 7) | (rs2.index << 2), 2
+# --- no-operand encodings ---------------------------------------------------
+
+def _fixed(word, width):
+    """An encoding with no operands."""
+    def enc(ops, xlen):
+        _count(ops, 0)
+        return word, width
+    return enc
 
 
-@_enc("c.add")
-def _enc_cadd(ops, xlen):
-    _count(ops, 2)
-    rd = _nonzero_reg(ops[0])
-    rs2 = _nonzero_reg(ops[1])
-    return (0b10 | (0b100 << 13) | (1 << 12) | (rd.index << 7) |
-            (rs2.index << 2)), 2
-
-
-@_enc("c.ebreak")
-def _enc_cebreak(ops, xlen):
-    _count(ops, 0)
-    return 0x9002, 2
+for _n, _word, _width in [("fence.i", 0x0000100F, 4), ("ecall", 0x00000073, 4),
+                          ("ebreak", 0x00100073, 4), ("c.nop", 0x0001, 2),
+                          ("c.ebreak", 0x9002, 2)]:
+    _ENC[_n] = _fixed(_word, _width)
 
 
 # --- pseudo spellings -------------------------------------------------------
 
+def _pseudo(base, fill):
+    """`base` with the operands `fill`, whose None slots take the pseudo's
+    own operands in order."""
+    def enc(ops, xlen):
+        _count(ops, fill.count(None))
+        given = iter(ops)
+        return _ENC[base](tuple(next(given) if f is None else f
+                                for f in fill), xlen)
+    return enc
+
+
+for _n, _base, _fill in [("mv", "addi", (None, None, 0)),
+                         ("ret", "jalr", (0, 1, 0)),
+                         ("jr", "jalr", (0, None, 0)),
+                         ("nop", "addi", (0, 0, 0)),
+                         ("j", "jal", (0, None))]:
+    _ENC[_n] = _pseudo(_base, _fill)
+
+
 @_enc("li")
 def _enc_li(ops, xlen):
     _count(ops, 2)
-    imm = _imm(ops[1], -2048, 2047)
-    return _ENC["addi"]((ops[0], 0, imm), xlen)
+    _imm(ops[1], -2048, 2047)          # before addi's register check
+    return _ENC["addi"]((ops[0], 0, ops[1]), xlen)
 
 
-@_enc("mv")
-def _enc_mv(ops, xlen):
-    _count(ops, 2)
-    return _ENC["addi"]((ops[0], ops[1], 0), xlen)
-
-
-@_enc("ret")
-def _enc_ret(ops, xlen):
-    _count(ops, 0)
-    return _ENC["jalr"]((0, 1, 0), xlen)
-
-
-@_enc("jr")
-def _enc_jr(ops, xlen):
-    _count(ops, 1)
-    return _ENC["jalr"]((0, ops[0], 0), xlen)
-
-
-@_enc("nop")
-def _enc_nop(ops, xlen):
-    _count(ops, 0)
-    return _ENC["addi"]((0, 0, 0), xlen)
-
-
-@_enc("j")
-def _enc_j(ops, xlen):
-    _count(ops, 1)
-    return _ENC["jal"]((0, ops[0]), xlen)
+# The mnemonics that exist at one register width only (the RV64 ones, the
+# .d atomics among them, and c.jal); every other one assembles at both.
+# `assemble` checks this before the encoder runs.
+_XLEN = dict.fromkeys(
+    "addw subw sllw srlw sraw mulw divw divuw remw remuw addiw slliw srliw "
+    "sraiw lwu ld sd c.addiw c.ld c.sd c.ldsp c.sdsp c.subw c.addw".split()
+    + [n for n in _ENC if n.split(".")[1:2] == ["d"]], 64)
+_XLEN["c.jal"] = 32
 
 
 def assemble(mnemonic: str, operands=(), xlen: int = 32) -> bytes:
@@ -597,7 +508,13 @@ def assemble(mnemonic: str, operands=(), xlen: int = 32) -> bytes:
         enc = _ENC[mnemonic]
     except KeyError:
         raise UnsupportedInstruction(f"unknown mnemonic: {mnemonic!r}") from None
-    word, width = enc(tuple(operands), xlen)
+    ops = tuple(operands)
+    only = _XLEN.get(mnemonic)
+    if only is not None and xlen != only:
+        raise UnsupportedInstruction(
+            f"{mnemonic} requires RV64" if only == 64
+            else f"{mnemonic} is RV32-only")
+    word, width = enc(ops, xlen)
     return word.to_bytes(width, "little")
 
 

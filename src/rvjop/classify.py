@@ -379,12 +379,10 @@ def dispatcher_at(image: ExecutableImage, address: int
     if seg is None or not seg.executable or (address - seg.vaddr) & 1:
         return None
     table = image.decode_table[seg.vaddr]
-    for term_addr in range(address, address + _BACKLINK_WINDOW + 1, 2):
-        term = table.at(term_addr)
-        if term is not None and term.is_terminator:
-            cand = _try_autonomous(table, term)
-            if cand is not None and cand.loop_entry == address:
-                return cand
+    for term in terminators(table, address, address + _BACKLINK_WINDOW + 1):
+        cand = _try_autonomous(table, term)
+        if cand is not None and cand.loop_entry == address:
+            return cand
     for d in find_dispatchers(image):
         if d.loop_entry == address:
             return d
@@ -430,9 +428,21 @@ def find_initializers(gadgets, dispatcher: DispatcherCandidate
 
 class AvailabilityRow(NamedTuple):
     register: Register
-    count: int
-    natural: int
-    shifted: int
+    gadgets: tuple[Gadget, ...]   # unique, jumping through `register`
+
+    @property
+    def count(self) -> int:
+        return len(self.gadgets)
+
+    @property
+    def natural(self) -> int:
+        """How many of the gadgets the linear sweep visits.  Computed on
+        read, so a caller that prints only counts runs no sweep."""
+        return sum(1 for g in self.gadgets if g.alignment == NATURAL)
+
+    @property
+    def shifted(self) -> int:
+        return sum(1 for g in self.gadgets if g.alignment == SHIFTED)
 
 
 def availability_stats(gadgets) -> list[AvailabilityRow]:
@@ -445,10 +455,7 @@ def availability_stats(gadgets) -> list[AvailabilityRow]:
     buckets: dict[Register, list[Gadget]] = {}
     for g in unique:
         buckets.setdefault(g.link_register, []).append(g)
-    rows = [AvailabilityRow(reg, len(gs),
-                            sum(1 for g in gs if g.alignment == NATURAL),
-                            sum(1 for g in gs if g.alignment == SHIFTED))
-            for reg, gs in buckets.items()]
+    rows = [AvailabilityRow(reg, tuple(gs)) for reg, gs in buckets.items()]
     rows.sort(key=lambda r: (-r.count, r.register.index))
     return rows
 

@@ -31,7 +31,7 @@ from .classify import (availability_stats, dispatcher_at, find_dispatchers,
 from .errors import ToolError, UsageError
 from .image import ExecutableImage, load_elf, load_raw
 from .isa import SP
-from .scanner import ScanConfig, dedupe, extract_gadgets
+from .scanner import MAX_GADGET_LEN, ScanConfig, dedupe, extract_gadgets
 
 OK = 0
 EMPTY = 1
@@ -58,6 +58,26 @@ def _load_image(args) -> ExecutableImage:
     raise UsageError("an input image is required (--binary or --raw)")
 
 
+def _int_in(lo: int, hi: int | None = None):
+    """An argparse type: an int in [lo, hi], unbounded above when hi is
+    None, so an out-of-range flag is a usage error like any other."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+        if value < lo or hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(
+                f"{value} is not in [{lo}, {hi}]" if hi is not None
+                else f"{value} is below {lo}")
+        return value
+    return parse
+
+
+_MAX_LEN = _int_in(0, MAX_GADGET_LEN)
+
+
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     # Omitted flags stay None, so building the parser does not import
     # rvjop.sim; `_sim_limits` fills in its defaults.
@@ -81,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="dump every gadget")
     _add_input_flags(p)
-    p.add_argument("--max", type=int, default=4,
+    p.add_argument("--max", type=_MAX_LEN, default=4,
                    help="interior instruction cap (default 4)")
     p.add_argument("--unique", action="store_true",
                    help="collapse byte-identical gadgets")
@@ -101,13 +121,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_input_flags(p)
     p.add_argument("--dispatcher", type=lambda s: int(s, 0), required=True,
                    metavar="ADDR", help="dispatcher loop entry address")
-    p.add_argument("--max", type=int, default=6,
+    p.add_argument("--max", type=_MAX_LEN, default=6,
                    help="interior instruction cap (default 6)")
 
     p = sub.add_parser("stats", help="availability per register")
     _add_input_flags(p)
-    p.add_argument("--max", type=int, default=4)
-    p.add_argument("--top", type=int, default=None,
+    p.add_argument("--max", type=_MAX_LEN, default=4)
+    p.add_argument("--top", type=_int_in(0), default=None,
                    help="keep only the N busiest registers")
 
     p = sub.add_parser("chain", help="build a payload from a chain file")

@@ -123,11 +123,6 @@ class DecodedInstruction(NamedTuple):
         return f"{m} " + ", ".join(str(o) for o in ops)
 
 
-def jalr_target(base_value: int, imm: int, xlen: int = 32) -> int:
-    """Indirect jump target: base plus sign-extended offset, bit 0 cleared."""
-    return (base_value + sext(imm & 0xFFF, 12)) & mask(xlen) & ~1
-
-
 _EMPTY: frozenset[Register] = frozenset()
 
 

@@ -100,8 +100,10 @@ def _interior_ok(insn: DecodedInstruction, config: ScanConfig) -> bool:
     return False
 
 
-def terminators(table: DecodedSegment) -> Iterator[DecodedInstruction]:
-    """Every indirect jump in the table's segment, in address order.
+def terminators(table: DecodedSegment, start: int | None = None,
+                end: int | None = None) -> Iterator[DecodedInstruction]:
+    """Every indirect jump in the table's segment, in address order; only
+    those at addresses in [start, end) when a window is given.
 
     One bit test per halfword finds the candidates: `hw & 0x707F ==
     0x0067` (jalr: opcode, funct3 0) or `hw & 0xE07F == 0x8002` (c.jr,
@@ -110,7 +112,9 @@ def terminators(table: DecodedSegment) -> Iterator[DecodedInstruction]:
     are decoded.
     """
     data, base = table.segment.data, table.segment.vaddr
-    for off in range(0, len(data) - 1, 2):
+    lo = 0 if start is None else max(0, start - base + 1) & ~1
+    hi = len(data) - 1 if end is None else min(len(data) - 1, end - base)
+    for off in range(lo, hi, 2):
         low = data[off] & 0x7F
         if (low == 0x67 and not data[off + 1] & 0x70
                 or low == 0x02 and data[off + 1] & 0xE0 == 0x80):

@@ -494,7 +494,8 @@ def _jal(m: Machine, insn: DecodedInstruction,
 
 def _jalr(m: Machine, insn: DecodedInstruction,
           size: int | None) -> Callable[[], int]:
-    # `decoder.jalr_target`, with the offset extended once
+    # the target is base plus the sign-extended offset, wrapped to XLEN,
+    # with bit 0 cleared; the offset is extended once, here
     cf = insn.control_flow
     regs, b = m.regs, cf.base.index
     off, keep = sext(cf.offset & 0xFFF, 12), m.mask & ~1

@@ -1,9 +1,15 @@
 """Assembler golden encodings and operand validation."""
 
+import hashlib
+import random
+
 import pytest
 
 from rvjop.assembler import assemble, supported_mnemonics
 from rvjop.errors import OperandOutOfRange, UnsupportedInstruction
+from rvjop.isa import REGISTERS
+
+from gen_llvm_golden import GOLDEN, REG_KINDS, SHAPES, imm_kind
 
 
 def word(b: bytes) -> int:
@@ -107,3 +113,96 @@ def test_supported_list_is_sorted_and_complete():
     for must in ("addi", "jalr", "c.jr", "lr.w.aqrl", "amomaxu.d.rl",
                  "csrrci", "ret"):
         assert must in ms
+
+
+# --- llvm-mc golden file ----------------------------------------------------
+
+# Golden-file cases where llvm and the assembler part ways, with the reason.
+LLVM_DIVERGENCES = {
+    (32, "fence", (0, 0)): "llvm spells a fence set with letters from "
+                           "iorw and has no spelling for the empty set",
+    (64, "fence", (0, 15)): "as above",
+}
+
+
+def _golden_cases():
+    """(xlen, mnemonic, operands, hex bytes or 'error') per golden line."""
+    for line in GOLDEN.read_text(encoding="ascii").splitlines():
+        if line.startswith("#"):
+            continue
+        xlen, m, ops, want = line.split()
+        operands = () if ops == "-" else tuple(
+            int(o) if o.lstrip("-").isdigit() else o for o in ops.split(","))
+        yield int(xlen), m, operands, want
+
+
+def test_llvm_golden():
+    """`assemble()` gives llvm-mc's bytes for seeded valid operands of
+    every mnemonic (regenerate with tests/gen_llvm_golden.py)."""
+    cases = list(_golden_cases())
+    assert {m for _, m, _, _ in cases} == set(supported_mnemonics())
+    diverged, mismatches = set(), []
+    for xlen, m, ops, want in cases:
+        got = assemble(m, ops, xlen=xlen).hex()    # divergences assemble too
+        if want == "error":
+            diverged.add((xlen, m, ops))
+        elif got != want:
+            mismatches.append((xlen, m, ops, got, want))
+    assert not mismatches, mismatches[:20]
+    assert diverged == set(LLVM_DIVERGENCES)
+
+
+# --- whole-assembler digest -------------------------------------------------
+
+ASSEMBLER_DIGEST = \
+    "689fe495cbb9892d509eef3b4ba9a89afd06b33f769b3d4badb61975d1a8286e"
+
+_JUNK = (True, False, None, "nope", 2.5, 32, -1, "x32")
+
+
+def _operand_pool(kind, xlen, rng):
+    """A field's edges, both sides of each, in several spellings."""
+    if kind in REG_KINDS:
+        ok = REG_KINDS[kind]
+        bad = [i for i in (0, 2, 7, 16) if i not in ok]
+        return [REGISTERS[ok[0]].name, REGISTERS[ok[-1]].name,
+                f"x{rng.choice(ok)}", rng.choice(ok), REGISTERS[ok[0]],
+                "fp"] + [REGISTERS[i].name for i in bad]
+    lo, hi, step, _ = imm_kind(kind, xlen)
+    return [lo, hi, lo - 1, hi + 1, lo + 1, 0, step, -step,
+            rng.randrange(lo, hi + 1, step)]
+
+
+def _digest_cases():
+    rng = random.Random(20261018)
+    for m in supported_mnemonics():
+        kinds = SHAPES[m][0]
+        for xlen in (32, 64):
+            pools = [_operand_pool(k, xlen, rng) for k in kinds]
+            tuples = [tuple(rng.choice(p) for p in pools) for _ in range(100)]
+            for i in range(len(kinds)):           # one junk operand
+                ops = list(tuples[0])
+                ops[i] = rng.choice(_JUNK)
+                tuples.append(tuple(ops))
+            tuples += [tuples[0][:-1], tuples[0] + (0,)]  # wrong counts
+            for ops in tuples:
+                yield m, ops, xlen
+
+
+def _digest_line(m, ops, xlen) -> str:
+    try:
+        result = assemble(m, ops, xlen=xlen).hex()
+    except (OperandOutOfRange, UnsupportedInstruction) as exc:
+        result = f"{type(exc).__name__}: {exc}"
+    return f"{xlen} {m} {ops!r} {result}"
+
+
+def test_assembler_digest():
+    """Bytes, or exception type and message, for a seeded sweep of edge,
+    invalid and miscounted operands of every mnemonic on RV32 and RV64
+    hash to a pinned value: any change to what the assembler accepts or
+    emits shows here."""
+    h = hashlib.sha256()
+    for case in _digest_cases():
+        h.update(_digest_line(*case).encode() + b"\n")
+    assert h.hexdigest() == ASSEMBLER_DIGEST

@@ -266,6 +266,27 @@ def test_stats_top_truncates(capsys, adg_blob):
     assert len(top.splitlines()[0]) <= len(full.splitlines()[0])
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--max", "40"], ["scan", "--max", "-1"],
+    ["stats", "--max", "33"], ["stats", "--top", "-1"],
+    ["initializers", "--dispatcher", "0", "--max", "40"],
+    ["initializers", "--dispatcher", "0", "--max", "-1"],
+])
+def test_out_of_range_counts_are_usage_errors(capsys, adg_blob, argv):
+    """An interior cap outside [0, 32] or a negative --top exits 2 with
+    argparse's message, not a traceback or a silently shortened table."""
+    blob, _ = adg_blob
+    code, out, err = run(capsys, *argv, *RAW(blob))
+    assert code == 2 and out == ""
+    assert f"argument {argv[-2]}: {argv[-1]} is " in err
+
+
+def test_scan_max_zero_is_valid(capsys, adg_blob):
+    blob, _ = adg_blob
+    code, out, _ = run(capsys, "scan", "--max", "0", *RAW(blob))
+    assert code == 0 and out.endswith(" gadgets\n")
+
+
 # --- chain ------------------------------------------------------------------
 
 CHAIN_TEXT = """\

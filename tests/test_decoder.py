@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvjop.decoder import (CondBranch, DecodedInstruction, DirectJump,
-                           IndirectJump, Trap, decode_one, jalr_target)
+                           IndirectJump, Trap, decode_one)
 from rvjop.errors import InvalidEncoding, Truncated
 from rvjop.isa import A0, A7, RA, SP, bits, reg, sext
 
@@ -199,27 +199,6 @@ def test_c_addiw_only_rv64():
     assert decode_one(raw, 0, 64).mnemonic == "c.addiw"
     # the same bits mean c.jal on RV32
     assert decode_one(raw, 0, 32).mnemonic == "c.jal"
-
-
-# --- jalr target arithmetic -------------------------------------------------
-
-def test_jalr_target_clears_bit0():
-    assert jalr_target(0x1001, 0) == 0x1000
-    assert jalr_target(0x1000, 3) == 0x1002
-
-
-def test_jalr_target_wraps():
-    assert jalr_target(0xFFFFFFFF, 1, 32) == 0
-    assert jalr_target(0, -2, 32) == 0xFFFFFFFE
-
-
-@given(base=st.integers(0, 2**32 - 1), imm=st.integers(-2048, 2047))
-@settings(max_examples=200, deadline=None)
-def test_jalr_target_props(base, imm):
-    t = jalr_target(base, imm, 32)
-    assert 0 <= t < 2**32
-    assert t & 1 == 0
-    assert (t - (base + imm)) % 2**32 in (0, 2**32 - 1, 1)
 
 
 # --- helper arithmetic ------------------------------------------------------

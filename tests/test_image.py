@@ -258,12 +258,20 @@ def _with_jumps(img, rng):
 @pytest.mark.parametrize("name,img", list(_lazy_images()),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_terminators_match_eager_reference(decode_log, name, img):
-    img = _with_jumps(img, random.Random(name))
+    rng = random.Random(name)
+    img = _with_jumps(img, rng)
     for seg in img.executable_segments:
         want_slots, _ = _eager_table(seg, img.xlen)
         want = [i for i in want_slots if i is not None and i.is_terminator]
-        got = list(terminators(img.decode_table[seg.vaddr]))
+        table = img.decode_table[seg.vaddr]
+        got = list(terminators(table))
         assert got == want
+        # an address window of any parity, past either end, or empty
+        for _ in range(20):
+            start = seg.vaddr + rng.randrange(-8, len(seg.data) + 8)
+            end = start + rng.randrange(-2, 70)
+            assert list(terminators(table, start, end)) == \
+                [i for i in want if start <= i.address < end]
         if len(seg.data) >= 64:
             assert want
         # the cut-off jalr at the end is read, and is no terminator

@@ -5,6 +5,8 @@ the same state with the cache as without it."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rvjop.sim
 from rvjop.assembler import assemble
@@ -323,6 +325,41 @@ def test_offset_return_does_not_pop():
     _, report = run_built(b, b.labels["start"], b.labels["end"])
     assert report.outcome == "reached"
     assert report.shadow_pops == 0
+
+
+def jalr_pc(base: int, imm: int, xlen: int = 32) -> int:
+    """The pc after one step of `jalr zero, imm(a0)` with a0 = base."""
+    b = CodeBuilder(xlen=xlen)
+    b.emit("jalr", "zero", "a0", imm)
+    m = new_machine(b.image())
+    m.poke("a0", base)
+    assert run_chain(m, b.base, b.base + 4, fuel=1).steps == 1
+    return m.pc
+
+
+def test_jalr_target_clears_bit0():
+    for xlen in (32, 64):
+        assert jalr_pc(0x1001, 0, xlen) == 0x1000
+        assert jalr_pc(0x1000, 3, xlen) == 0x1002
+
+
+def test_jalr_target_wraps():
+    assert jalr_pc(0xFFFFFFFF, 1, 32) == 0
+    assert jalr_pc(0, -2, 32) == 0xFFFFFFFE
+    assert jalr_pc(M64, 1, 64) == 0
+    assert jalr_pc(0, -2, 64) == 0xFFFFFFFFFFFFFFFE
+    assert jalr_pc(0xFFFFFFFF, 1, 64) == 0x100000000    # no wrap at 32 bits
+
+
+@given(data=st.data(), xlen=st.sampled_from([32, 64]),
+       imm=st.integers(-2048, 2047))
+@settings(max_examples=200, deadline=None)
+def test_jalr_target_props(data, xlen, imm):
+    base = data.draw(st.integers(0, 2**xlen - 1))
+    t = jalr_pc(base, imm, xlen)
+    assert 0 <= t < 2**xlen
+    assert t & 1 == 0
+    assert (t - (base + imm)) % 2**xlen in (0, 2**xlen - 1)
 
 
 # --- shadow stack -----------------------------------------------------------
