@@ -27,7 +27,8 @@ that register (`_table_step`: an add of 0, such as the HINT
 walk is pre-increment when that update comes before the load.  Classic
 bodies and stage twos are walked as gadgets, autonomous loop bodies
 from the loop entry to the call, whose return path may carry the
-update instead.
+update instead.  Classic and two-stage bodies are a view of the image's
+one gadget growth, widened on demand, so none is grown twice.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .decoder import (CondBranch, DecodedInstruction, DirectJump,
 from .decoder import decode_one  # noqa: F401  benchmarks/test_benchmark.py looks it up here
 from .image import DecodedSegment, ExecutableImage
 from .isa import RA, SP, A7, Register
-from .scanner import (NATURAL, SHIFTED, Gadget, ScanConfig, dedupe,
-                      extract_gadgets, terminators)
+from .scanner import (NATURAL, SHIFTED, Gadget, dedupe, extract_gadgets,
+                      terminators)
 
 # role kinds
 ARITH = "arith"
@@ -286,9 +287,6 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
         return_path=tuple(path))
 
 
-_DISPATCHER_SCAN = ScanConfig(max_len=6, allow_interior_branches=True)
-
-
 def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
     """Dispatcher candidates in an image, sorted by loop entry.
 
@@ -314,7 +312,7 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
     stage2: dict[Register, list[tuple[Gadget, Register, int,
                                       frozenset[Register]]]] = {}
     stage1: list[Gadget] = []
-    for g in dedupe(extract_gadgets(image, _DISPATCHER_SCAN)):
+    for g in dedupe(extract_gadgets(image, 6, branches=True)):
         target = g.link_register
         if target is RA or g.terminator.address in adg_terms:
             continue

@@ -31,7 +31,7 @@ from .classify import (availability_stats, dispatcher_at, find_dispatchers,
 from .errors import ToolError, UsageError
 from .image import ExecutableImage, load_elf, load_raw
 from .isa import SP
-from .scanner import MAX_GADGET_LEN, ScanConfig, dedupe, extract_gadgets
+from .scanner import MAX_GADGET_LEN, dedupe, extract_gadgets
 
 OK = 0
 EMPTY = 1
@@ -42,7 +42,7 @@ BADIMAGE = 3
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--binary", metavar="ELF", help="ELF image to analyze")
     p.add_argument("--raw", metavar="FILE", help="flat code blob")
-    p.add_argument("--base", type=lambda s: int(s, 0), default=0,
+    p.add_argument("--base", type=_ADDRESS, default=0,
                    help="load address for --raw (default 0)")
     p.add_argument("--xlen", type=int, choices=(32, 64), default=32,
                    help="register width for --raw (default 32)")
@@ -54,16 +54,20 @@ def _load_image(args) -> ExecutableImage:
     if args.binary:
         return load_elf(args.binary)
     if args.raw:
-        return load_raw(args.raw, args.base, args.xlen)
+        image = load_raw(args.raw, args.base, args.xlen)
+        if image.segments[0].end > 1 << args.xlen:
+            raise UsageError(f"--base 0x{args.base:x}: the image runs past "
+                             f"the {args.xlen}-bit address space")
+        return image
     raise UsageError("an input image is required (--binary or --raw)")
 
 
-def _int_in(lo: int, hi: int | None = None):
+def _int_in(lo: int, hi: int | None = None, base: int = 10):
     """An argparse type: an int in [lo, hi], unbounded above when hi is
     None, so an out-of-range flag is a usage error like any other."""
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = int(text, base)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid int value: {text!r}") from None
@@ -76,19 +80,25 @@ def _int_in(lo: int, hi: int | None = None):
 
 
 _MAX_LEN = _int_in(0, MAX_GADGET_LEN)
+_ADDRESS = _int_in(0, base=0)   # bounded by the image's XLEN once loaded
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     # Omitted flags stay None, so building the parser does not import
     # rvjop.sim; `_sim_limits` fills in its defaults.
-    p.add_argument("--fuel", type=int, default=None)
-    p.add_argument("--stack-top", type=lambda s: int(s, 0), default=None)
+    p.add_argument("--fuel", type=_int_in(0), default=None)
+    p.add_argument("--stack-top", type=_ADDRESS, default=None)
 
 
-def _sim_limits(args) -> tuple[int, int]:
+def _sim_limits(args, image: ExecutableImage) -> tuple[int, int]:
     """(fuel, stack top): the flags as given, else the interpreter's
-    defaults."""
+    defaults; an address past the image's XLEN is bad usage."""
     from .sim import DEFAULT_FUEL, DEFAULT_STACK_TOP
+    for flag, value in (("--stack-top", args.stack_top),
+                        ("--buffer-base", args.buffer_base)):
+        if value is not None and value >> image.xlen:
+            raise UsageError(f"{flag} 0x{value:x} is past the "
+                             f"{image.xlen}-bit address space")
     fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     top = DEFAULT_STACK_TOP if args.stack_top is None else args.stack_top
     return fuel, top
@@ -140,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write the manifest here instead of stdout")
     p.add_argument("--simulate", action="store_true",
                    help="also run the chain and report")
-    p.add_argument("--buffer-base", type=lambda s: int(s, 0), default=None,
+    p.add_argument("--buffer-base", type=_ADDRESS, default=None,
                    help="map the payload here when simulating "
                         "(default: the table base)")
     _add_sim_flags(p)
@@ -151,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--return-to", type=lambda s: int(s, 0), required=True)
     p.add_argument("--payload", metavar="FILE",
                    help="raw bytes to map at --buffer-base")
-    p.add_argument("--buffer-base", type=lambda s: int(s, 0), default=None)
+    p.add_argument("--buffer-base", type=_ADDRESS, default=None)
     _add_sim_flags(p)
     p.add_argument("--loop-entry", type=lambda s: int(s, 0), default=None,
                    help="count dispatch rounds at this address")
@@ -215,8 +225,7 @@ def _cmd_initializers(args) -> int:
               file=sys.stderr)
         print("0 candidates")
         return EMPTY
-    cfg = ScanConfig(max_len=args.max, allow_interior_branches=False)
-    gadgets = dedupe(extract_gadgets(image, cfg))
+    gadgets = dedupe(extract_gadgets(image, args.max))
     found = find_initializers(gadgets, target)
     for cand in found:
         sets = " ".join(
@@ -229,7 +238,7 @@ def _cmd_initializers(args) -> int:
 
 def _cmd_stats(args) -> int:
     image = _load_image(args)
-    gadgets = extract_gadgets(image, ScanConfig(max_len=args.max))
+    gadgets = extract_gadgets(image, args.max)
     rows = availability_stats(gadgets)
     pairs = [(r.register.name, r.count) for r in rows]
     total = sum(r.count for r in rows)
@@ -262,7 +271,7 @@ def _cmd_chain(args) -> int:
     if not args.simulate:
         return OK
     from .sim import new_machine, run_chain
-    fuel, stack_top = _sim_limits(args)
+    fuel, stack_top = _sim_limits(args, image)
     base = args.buffer_base if args.buffer_base is not None else spec.table_base
     machine = new_machine(image, payload=layout, buffer_base=base,
                           stack_top=stack_top)
@@ -275,8 +284,8 @@ def _cmd_chain(args) -> int:
 
 def _cmd_sim(args) -> int:
     from .sim import new_machine, run_chain
-    fuel, stack_top = _sim_limits(args)
     image = _load_image(args)
+    fuel, stack_top = _sim_limits(args, image)
     machine = new_machine(image, stack_top=stack_top)
     if args.payload:
         if args.buffer_base is None:

@@ -10,7 +10,8 @@ Each executable segment has a decode table that every static analysis
 reads (gadget growth, linear sweep, dispatcher search).  A halfword is
 decoded on first read, at most once per image, so a command that names
 one address reads only around it, and a whole-image scan reads only the
-indirect jumps and what backward growth probes around them.  The
+indirect jumps and what backward growth probes around them.  The image
+keeps that growth too, so every analysis of it reads one growth.  The
 interpreter does not use the table: it decodes live memory, which a
 payload may overwrite.
 """
@@ -120,6 +121,7 @@ class ExecutableImage:
         self.segments = segments
         self.xlen = xlen
         self.entry_point = entry_point
+        self.growth = None      # the scanner's, made by its first extraction
 
     @property
     def executable_segments(self) -> tuple[Segment, ...]:
@@ -137,12 +139,6 @@ class ExecutableImage:
             if seg.vaddr <= address < seg.end:
                 return seg
         return None
-
-    def byte_at(self, address: int) -> int:
-        seg = self.segment_containing(address)
-        if seg is None:
-            raise OutOfRange(f"address 0x{address:x} not in any segment")
-        return seg.data[address - seg.vaddr]
 
     def read(self, address: int, size: int) -> bytes:
         """Bytes for [address, address+size); spans never cross segments."""

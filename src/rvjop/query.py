@@ -13,7 +13,8 @@ A hit's dataflow summary and roles are computed the first time they are
 read.  Roles read the image's dispatcher index, which one `run_query`
 call builds at most once, and only when a roles field is read (`--role`
 or a record line).  So `--preserve` computes summaries only, and a plain
-listing computes neither and never searches for dispatchers.
+listing computes neither and never searches for dispatchers.  Hits and
+dispatchers read the image's one gadget growth, widened on demand.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .dataflow import DataflowSummary, summarize_dataflow
 from .errors import UsageError
 from .image import ExecutableImage
 from .isa import Register, is_register_name, reg
-from .scanner import (MAX_GADGET_LEN, Gadget, ScanConfig, dedupe,
-                      extract_gadgets)
+from .scanner import MAX_GADGET_LEN, Gadget, dedupe, extract_gadgets
 
 DEFAULT_MAX = 4
 
@@ -123,31 +123,6 @@ def parse_query(args: list[str]) -> Query:
     return q
 
 
-def query_to_argv(q: Query) -> list[str]:
-    """Canonical flag spelling; parse_query round-trips it."""
-    out = []
-    if q.op is not None:
-        out.append(f"--op={q.op}")
-    if q.rr is not None:
-        out.append(f"--rr={q.rr.name}")
-    if q.imm is not None:
-        out.append(f"--imm={q.imm}")
-    if q.max != DEFAULT_MAX:
-        out.append(f"--max={q.max}")
-    if q.link is not None:
-        out.append(f"--link={q.link.name}")
-    if q.preserve:
-        names = ",".join(sorted(r.name for r in q.preserve))
-        out.append(f"--preserve={names}")
-    if q.role is not None:
-        out.append(f"--role={q.role}")
-    if q.unique:
-        out.append("--unique")
-    if q.all_:
-        out.append("--all")
-    return out
-
-
 class QueryHit:
     def __init__(self, gadget: Gadget,
                  dispatchers: Callable[[], dict[int, list[DispatcherCandidate]]]):
@@ -181,7 +156,7 @@ def _wants_instruction(q: Query) -> bool:
 
 
 def run_query(image: ExecutableImage, q: Query) -> list[QueryHit]:
-    gadgets = extract_gadgets(image, ScanConfig(max_len=q.max))
+    gadgets = extract_gadgets(image, q.max)
     if q.unique:
         gadgets = dedupe(gadgets)
     dispatchers = cache(lambda: dispatcher_index(find_dispatchers(image)))

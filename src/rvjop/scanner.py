@@ -9,12 +9,15 @@ raw bytes finds, so halfwords far from every jump are never decoded.
 
 Interior instructions must fall through: direct jumps, indirect jumps,
 ecall/ebreak, and undecodable bytes all stop the backward extension.
-Conditional branches are admitted only when the config says so (loop-shaped
-dispatcher bodies need them; plain functional scans do not).
+Conditional branches are admitted only when a caller asks for them
+(loop-shaped dispatcher bodies need them; plain functional scans do not).
+An image keeps one growth that every `extract_gadgets` call reads a view
+of, widened only where a call asks for more than earlier calls grew.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
@@ -27,17 +30,6 @@ MAX_GADGET_LEN = 32
 
 NATURAL = "natural"
 SHIFTED = "shifted"
-
-
-class ScanConfig:
-    __slots__ = ("max_len", "allow_interior_branches")
-
-    def __init__(self, max_len: int = 4,
-                 allow_interior_branches: bool = False):
-        if not 0 <= max_len <= MAX_GADGET_LEN:
-            raise ValueError(f"max_len must be in [0, {MAX_GADGET_LEN}]")
-        self.max_len = max_len             # interior instruction bound
-        self.allow_interior_branches = allow_interior_branches
 
 
 class Gadget(NamedTuple):
@@ -59,11 +51,6 @@ class Gadget(NamedTuple):
     @property
     def interior(self) -> tuple[DecodedInstruction, ...]:
         return self.instructions[:-1]
-
-    @property
-    def length(self) -> int:
-        """Interior instruction count (terminator excluded)."""
-        return len(self.instructions) - 1
 
     @property
     def link_register(self) -> Register:
@@ -91,15 +78,6 @@ class Gadget(NamedTuple):
         return "; ".join(i.render() for i in self.instructions)
 
 
-def _interior_ok(insn: DecodedInstruction, config: ScanConfig) -> bool:
-    cf = insn.control_flow
-    if cf is None:
-        return True
-    if isinstance(cf, CondBranch):
-        return config.allow_interior_branches
-    return False
-
-
 def terminators(table: DecodedSegment, start: int | None = None,
                 end: int | None = None) -> Iterator[DecodedInstruction]:
     """Every indirect jump in the table's segment, in address order; only
@@ -123,44 +101,85 @@ def terminators(table: DecodedSegment, start: int | None = None,
                 yield insn
 
 
-def extract_gadgets(image: ExecutableImage,
-                    config: ScanConfig = ScanConfig()) -> list[Gadget]:
-    """All gadgets, sorted by start address then length.
+def extract_gadgets(image: ExecutableImage, max_len: int = 4,
+                    branches: bool = False) -> list[Gadget]:
+    """Gadgets of at most `max_len` interior instructions, through
+    conditional branches only when `branches`, by start then length.
+    Each terminator grows backwards: a predecessor is kept when its bytes
+    decode to a fall-through instruction whose width lands exactly on
+    the current start, and every prefix length is its own gadget."""
+    if not 0 <= max_len <= MAX_GADGET_LEN:
+        raise ValueError(f"max_len must be in [0, {MAX_GADGET_LEN}]")
+    if image.growth is None:
+        image.growth = _Growth(image)
+    return image.growth.view(max_len, branches)
 
-    For each terminator, grow backwards: a predecessor is kept when its
-    bytes decode to a fall-through instruction whose width lands exactly
-    on the current start.  Every prefix length from 0 to max_len yields
-    its own gadget.
+
+class _Growth:
+    """Every terminator's backward tree in one image, grown as far as the
+    widest request so far.  `found[k][n]` lists the gadgets of n interior
+    instructions, straight (k = 0) or through a conditional branch
+    (k = 1); kind k is grown to `depth[k]`, where a longer request resumes
+    (depth[1] never passes depth[0]: branches come with straight gadgets).
+    `waiting[n]` pairs each probed branch predecessor whose n-instruction
+    gadget no request has admitted yet with the gadget it precedes.
     """
-    out = []
-    for table in image.decode_table.values():
-        for term in terminators(table):
-            # Backward extension branches: a 2-byte and a 4-byte
-            # predecessor can both be valid, so walk the tree.  Forward
-            # decoding from any start is deterministic, which makes every
-            # discovered start unique to its chain.
-            stack: list[tuple[DecodedInstruction, ...]] = [(term,)]
-            while stack:
-                chain = stack.pop()
-                start = chain[0].address
-                out.append(Gadget(start, chain, table))
-                if len(chain) - 1 >= config.max_len:
+    __slots__ = ("depth", "found", "waiting")
+
+    def __init__(self, image: ExecutableImage):
+        self.depth = [0, 0]          # no branched gadget has length 0
+        self.found = tuple([[] for _ in range(MAX_GADGET_LEN + 1)]
+                           for _ in range(2))
+        self.found[0][0].extend(Gadget(t.address, (t,), table)
+                                for table in image.decode_table.values()
+                                for t in terminators(table))
+        self.waiting = [[] for _ in range(MAX_GADGET_LEN + 1)]
+
+    def view(self, max_len: int, branches: bool) -> list[Gadget]:
+        (old0, old1), found = self.depth, self.found
+        self.depth = [max(old0, max_len),
+                      max(old1, max_len) if branches else old1]
+        straight = list(found[0][old0]) if max_len > old0 else []
+        branched = list(found[1][old1]) if self.depth[1] > old1 else []
+        for n in range(old1 + 1, self.depth[1] + 1):
+            pairs, self.waiting[n] = self.waiting[n], []
+            branched += [self._add(1, insn, g) for insn, g in pairs]
+        self._grow(0, straight, branched)
+        self._grow(1, branched, branched)
+        # Decoding forward from a start is deterministic, so a start
+        # begins at most one gadget: its start alone orders the view.
+        out = [g for k in range(2 if branches else 1)
+               for run in found[k][:max_len + 1] for g in run]
+        out.sort(key=attrgetter("start"))
+        return out
+
+    def _add(self, kind: int, insn: DecodedInstruction, g: Gadget) -> Gadget:
+        child = Gadget(insn.address, (insn,) + g.instructions, g.table)
+        self.found[kind][len(g.instructions)].append(child)
+        return child
+
+    def _grow(self, kind: int, stack: list, branched: list) -> None:
+        """Grow the kind-`kind` gadgets on `stack` back to `depth[kind]`.
+        A branch predecessor's gadget joins `branched` when `depth[1]`
+        reaches its length, and waits otherwise.  A 2-byte and a 4-byte
+        predecessor can both be valid, so this walks a tree."""
+        depth, reach = self.depth[kind], self.depth[1]
+        while stack:
+            g = stack.pop()
+            n = len(g.instructions)         # a predecessor's gadget length
+            if n > depth:
+                continue
+            for width in (2, 4):
+                insn = g.table.at(g.start - width)
+                if insn is None or insn.width != width:
                     continue
-                for prev in _predecessors(table, start, config):
-                    stack.append((prev,) + chain)
-    out.sort(key=lambda g: (g.start, g.length))
-    return out
-
-
-def _predecessors(table: DecodedSegment, start: int,
-                  config: ScanConfig) -> list[DecodedInstruction]:
-    """Fall-through instructions whose width lands exactly on `start`."""
-    found = []
-    for width in (2, 4):
-        insn = table.at(start - width)
-        if insn is not None and insn.width == width and _interior_ok(insn, config):
-            found.append(insn)
-    return found
+                if insn.control_flow is None:
+                    stack.append(self._add(kind, insn, g))
+                elif isinstance(insn.control_flow, CondBranch):
+                    if n <= reach:
+                        branched.append(self._add(1, insn, g))
+                    else:
+                        self.waiting[n].append((insn, g))
 
 
 def dedupe(gadgets: list[Gadget]) -> list[Gadget]:

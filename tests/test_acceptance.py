@@ -22,8 +22,7 @@ from rvjop.decoder import decode_one
 from rvjop.errors import Diverges, InvalidEncoding, Truncated
 from rvjop.isa import reg
 from rvjop.query import parse_query, run_query
-from rvjop.scanner import (SHIFTED, ScanConfig, dedupe, extract_gadgets,
-                           gadget_at)
+from rvjop.scanner import SHIFTED, dedupe, extract_gadgets, gadget_at
 from rvjop.sim import new_machine, run_chain
 
 from conftest import (CJR_A5, SESSION_T0, TABLE_BASE, CodeBuilder,
@@ -179,7 +178,7 @@ def test_criterion_03_scanner_matches_oracle():
         nonempty = 0
         for seed in range(20):
             img = random_filled_image(seed)
-            got = as_set(extract_gadgets(img, ScanConfig(max_len=4)))
+            got = as_set(extract_gadgets(img, 4))
             want = brute_force(img, max_len=4)
             assert got == want, f"seed {seed}: {len(got ^ want)} diffs"
             nonempty += bool(got)
@@ -189,7 +188,7 @@ def test_criterion_03_scanner_matches_oracle():
 def test_criterion_04_shifted_gadget_regression():
     img, addrs = build_shifted_fixture()
     where = addrs["hide_cjr"] + 2
-    hits = [g for g in extract_gadgets(img, ScanConfig(max_len=4))
+    hits = [g for g in extract_gadgets(img, 4)
             if g.start == where and len(g.instructions) == 1]
     assert len(hits) == 1
     g = hits[0]
@@ -264,8 +263,7 @@ def test_criterion_06_initializer_pairing():
 
     (disp,) = [d for d in find_dispatchers(img)
                if d.kind == DISPATCHER_AUTONOMOUS]
-    gadgets = dedupe(extract_gadgets(
-        img, ScanConfig(max_len=6, allow_interior_branches=False)))
+    gadgets = dedupe(extract_gadgets(img, 6))
     found = find_initializers(gadgets, disp)
     starts = {c.gadget.start for c in found}
     assert b.labels["good"] in starts
@@ -487,7 +485,7 @@ def test_criterion_10_stats_partition_and_rendering():
     images += [img for _, img in build_clean_fixtures()]
     images += [random_filled_image(s) for s in range(5)]
     for img in images:
-        gadgets = list(extract_gadgets(img, ScanConfig(max_len=4)))
+        gadgets = list(extract_gadgets(img, 4))
         rows = availability_stats(gadgets)
         assert sum(r.count for r in rows) == len(dedupe(gadgets))
         assert len({r.register for r in rows}) == len(rows)

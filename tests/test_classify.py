@@ -14,8 +14,7 @@ from rvjop.classify import (ARITH, DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
 from rvjop.chain import parse_chain_text
 from rvjop.cli import main
 from rvjop.image import from_bytes, parse_elf
-from rvjop.scanner import (NATURAL, SHIFTED, ScanConfig, dedupe,
-                           extract_gadgets, gadget_at)
+from rvjop.scanner import NATURAL, SHIFTED, dedupe, extract_gadgets, gadget_at
 from rvjop.isa import RA, reg
 
 from conftest import (PF_R, PF_W, PF_X, TABLE_BASE, CodeBuilder,
@@ -428,8 +427,8 @@ def test_dispatcher_at_reads_around_the_loop_only(monkeypatch):
 # --- initializer pairing ----------------------------------------------------
 
 def _candidates(img, dispatcher, max_len=6):
-    cfg = ScanConfig(max_len=max_len)
-    return find_initializers(dedupe(extract_gadgets(img, cfg)), dispatcher)
+    return find_initializers(dedupe(extract_gadgets(img, max_len)),
+                             dispatcher)
 
 
 def test_initializer_found_for_adg(adg):
@@ -523,7 +522,7 @@ def test_initializer_role_agrees_with_pairing():
     assert b.labels["init"] in paired and b.labels["clobbered"] not in paired
     # one rule decides both: every gadget has the role exactly when the
     # source map that pairing reads gives it a stack seed
-    for g in extract_gadgets(img, ScanConfig(max_len=6)):
+    for g in extract_gadgets(img, 6):
         sets = initializer_sources(g) or {}
         seeds_stack = any(s.kind == "stack" for s in sets.values())
         assert (INITIALIZER in {r.kind for r in classify(g)}) == seeds_stack
@@ -533,7 +532,7 @@ def test_initializer_role_agrees_with_pairing():
 
 def test_availability_partition(adg):
     img, _ = adg
-    gadgets = extract_gadgets(img, ScanConfig(max_len=4))
+    gadgets = extract_gadgets(img, 4)
     rows = availability_stats(gadgets)
     total = len(dedupe(gadgets))
     assert sum(r.count for r in rows) == total
@@ -552,7 +551,7 @@ def test_availability_ordering():
     b.emit("c.jr", "a5")
     b.emit("c.jr", "t1")
     img = b.image()
-    rows = availability_stats(extract_gadgets(img, ScanConfig(max_len=1)))
+    rows = availability_stats(extract_gadgets(img, 1))
     assert rows[0].register.name == "a5"
     assert rows[0].count > rows[-1].count
 

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+import rvjop.cli
 import rvjop.image
 import rvjop.query
 import rvjop.sim
 from rvjop.cli import main
 from rvjop.query import parse_records
+from rvjop.scanner import extract_gadgets
 
 from conftest import (TABLE_BASE, CodeBuilder, benchmark_corpus,
                       build_adg_fixture, build_clean_fixtures,
@@ -285,6 +287,42 @@ def test_scan_max_zero_is_valid(capsys, adg_blob):
     blob, _ = adg_blob
     code, out, _ = run(capsys, "scan", "--max", "0", *RAW(blob))
     assert code == 0 and out.endswith(" gadgets\n")
+
+
+@pytest.fixture(scope="module")
+def ret_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "ret.bin"
+    path.write_bytes(bytes.fromhex("67800000"))                   # ret
+    return path
+
+
+@pytest.mark.parametrize("flags, last_line", [
+    (["--base", "-4"], "argument --base: -4 is below 0"),
+    (["--base=-0x10"], "argument --base: -16 is below 0"),
+    (["--base", "0x100000000"], "rvjop: --base 0x100000000: the image "
+                                "runs past the 32-bit address space"),
+    (["--base", "0xfffffffe"], "rvjop: --base 0xfffffffe: the image "
+                               "runs past the 32-bit address space"),
+    (["--base", "0xfffffffffffffffe", "--xlen", "64"],
+     "rvjop: --base 0xfffffffffffffffe: the image runs past the 64-bit "
+     "address space"),
+])
+def test_base_outside_the_address_space_is_a_usage_error(capsys, ret_blob,
+                                                         flags, last_line):
+    """A raw image's pcs are what a core of its XLEN can hold."""
+    code, out, err = run(capsys, "scan", "--raw", str(ret_blob), *flags)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].endswith(last_line)
+    if last_line.startswith("rvjop: "):
+        assert err == last_line + "\n"
+
+
+def test_base_at_the_top_of_the_address_space(capsys, ret_blob):
+    for flags, pc in ((["--base", "0xfffffffc"], "0xfffffffc"),
+                      (["--base", "0x100000000", "--xlen", "64"],
+                       "0x100000000")):
+        code, out, _ = run(capsys, "scan", "--raw", str(ret_blob), *flags)
+        assert code == 0 and out.startswith(f"{pc}: jalr zero, ra, 0\n")
 
 
 # --- chain ------------------------------------------------------------------
@@ -713,6 +751,41 @@ def test_roles_search_dispatchers_once_per_run(capsys, monkeypatch, adg_blob,
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--format", "records"],
+    ["query", "--role=dispatcher-classic"],
+    ["initializers", "--dispatcher", "{classic:#x}"],     # not autonomous
+])
+def test_commands_grow_each_gadget_once(capsys, monkeypatch, tmp_path, argv):
+    """A command that reads roles or pairs initializers probes the decode
+    table as often as one wide growth (six interior instructions,
+    branches included) plus the same command on an image whose growth is
+    already that wide: each terminator's tree is grown once."""
+    c = benchmark_corpus().build("scan-dense-rv32", 1)
+    path = tmp_path / "image.elf"
+    path.write_bytes(c.file_bytes)
+    argv = [argv[0], *c.image_args(path),
+            *(a.format(**c.labels) for a in argv[1:])]
+    probes = 0
+    real = rvjop.image.DecodedSegment.at
+
+    def counted(table, address):
+        nonlocal probes
+        probes += 1
+        return real(table, address)
+
+    monkeypatch.setattr(rvjop.image.DecodedSegment, "at", counted)
+    want = run(capsys, *argv)
+    total, probes = probes, 0
+    assert want[0] == 0
+    grown = rvjop.image.parse_elf(c.file_bytes)
+    extract_gadgets(grown, 6, branches=True)
+    wide, probes = probes, 0
+    monkeypatch.setattr(rvjop.cli, "_load_image", lambda args: grown)
+    assert run(capsys, *argv) == want
+    assert wide > 0 and total == wide + probes
+
+
 # --- interpreter limits: --fuel and --stack-top -----------------------------
 
 @pytest.fixture(scope="module")
@@ -789,6 +862,34 @@ def test_chain_simulate_stack_top_given_and_omitted(capsys, monkeypatch,
     monkeypatch.setattr(rvjop.sim, "DEFAULT_STACK_TOP", top)
     code, _, err = run(capsys, *argv)
     assert code == 3 and clash in err
+
+
+@pytest.mark.parametrize("flags, last_line", [
+    (["--fuel", "-1"], "argument --fuel: -1 is below 0"),
+    (["--stack-top", "-1"], "argument --stack-top: -1 is below 0"),
+    (["--buffer-base=-0x1000"], "argument --buffer-base: -4096 is below 0"),
+    (["--stack-top", "0x100000000"],
+     "rvjop: --stack-top 0x100000000 is past the 32-bit address space"),
+    (["--buffer-base", "0x100000000"],
+     "rvjop: --buffer-base 0x100000000 is past the 32-bit address space"),
+])
+@pytest.mark.parametrize("command", ["sim", "chain"])
+def test_sim_limits_out_of_range_are_usage_errors(capsys, tmp_path, sp_blob,
+                                                  adg_blob, command, flags,
+                                                  last_line):
+    """A negative count or address, or an address no RV32 pc can hold,
+    is bad usage before anything runs, on `sim` and `chain --simulate`."""
+    if command == "sim":
+        code, out, err = _sim(capsys, sp_blob, "f", *flags)
+    else:
+        blob, addrs = adg_blob
+        code, out, err = run(capsys, "chain", *RAW(blob), "--spec",
+                             str(chain_file(tmp_path, addrs)), "--simulate",
+                             *flags)
+    assert code == 2 and "Traceback" not in err
+    assert err.splitlines()[-1].endswith(last_line)
+    if last_line.startswith("rvjop: "):
+        assert err == last_line + "\n"
 
 
 @pytest.fixture(scope="module")

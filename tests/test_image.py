@@ -141,7 +141,7 @@ def test_segment_containing_and_byte_at():
     img = from_bytes(CODE, 0x400, 32)
     assert img.segment_containing(0x400).vaddr == 0x400
     assert img.segment_containing(0x399) is None
-    assert img.byte_at(0x400) == CODE[0]
+    assert img.read(0x400, 1) == CODE[:1]
 
 
 def test_overlapping_segments_rejected():

@@ -1,13 +1,11 @@
 """Query parsing, matching semantics, and report formats."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rvjop.errors import UsageError
 from rvjop.isa import reg
 from rvjop.query import (Query, emit_records, parse_query, parse_records,
-                         query_to_argv, render_listing, run_query)
+                         render_listing, run_query)
 
 from conftest import CodeBuilder
 
@@ -79,23 +77,26 @@ def test_parse_positional_rejected():
         parse_query(["li"])
 
 
-@given(st.builds(
-    Query,
-    op=st.one_of(st.none(), st.sampled_from(["li", "addi", "lw"])),
-    rr=st.one_of(st.none(), st.sampled_from([reg("a0"), reg("a2")])),
-    imm=st.one_of(st.none(), st.integers(-2048, 2047)),
-    max=st.integers(1, 32),
-    link=st.one_of(st.none(), st.sampled_from([reg("ra"), reg("a5")])),
-    preserve=st.frozensets(st.sampled_from([reg("s0"), reg("s1")]),
-                           max_size=2),
-    role=st.one_of(st.none(), st.sampled_from(["arith", "syscall"])),
-    unique=st.booleans(),
-    all_=st.booleans()))
-@settings(max_examples=100, deadline=None)
-def test_render_parse_identity(q):
-    if not q.has_filter:
-        return
-    assert parse_query(query_to_argv(q)) == q
+def test_parse_query_canonical_flags():
+    """Every flag, in the `--flag=value` spelling, to the Query it means."""
+    a0, a2, a5, s0, s1 = (reg(n) for n in ("a0", "a2", "a5", "s0", "s1"))
+    cases = [
+        (["--all"], Query(all_=True)),
+        (["--op=li"], Query(op="li")),
+        (["--rr=a2"], Query(rr=a2)),
+        (["--imm=-2048"], Query(imm=-2048)),
+        (["--imm=2047", "--max=32"], Query(imm=2047, max=32)),
+        (["--link=ra", "--max=1"], Query(link=reg("ra"), max=1)),
+        (["--preserve=s0,s1"], Query(preserve=frozenset({s0, s1}))),
+        (["--role=syscall", "--unique"], Query(role="syscall", unique=True)),
+        (["--op=lw", "--rr=a0", "--imm=0", "--max=6", "--link=a5",
+          "--preserve=s1", "--role=arith", "--unique", "--all"],
+         Query(op="lw", rr=a0, imm=0, max=6, link=a5,
+               preserve=frozenset({s1}), role="arith", unique=True,
+               all_=True)),
+    ]
+    for argv, want in cases:
+        assert parse_query(argv) == want, argv
 
 
 # --- matching ---------------------------------------------------------------

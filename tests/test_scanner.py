@@ -1,6 +1,7 @@
 """Scanner behavior checked against the independent forward enumerator."""
 
 import importlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,10 @@ from rvjop.assembler import assemble
 from rvjop.chain import parse_chain_text
 from rvjop.decoder import decode_one
 from rvjop.errors import InvalidEncoding, ToolError, Truncated
-from rvjop.image import from_bytes
+from rvjop.image import DecodedSegment, from_bytes
 from rvjop.query import Query, run_query
-from rvjop.scanner import (NATURAL, SHIFTED, Gadget, ScanConfig, dedupe,
-                           extract_gadgets, gadget_at, terminators)
+from rvjop.scanner import (NATURAL, SHIFTED, Gadget, dedupe, extract_gadgets,
+                           gadget_at, terminators)
 
 from conftest import (CJR_A5, TABLE_BASE, CodeBuilder, build_e2e_fixture,
                       build_shifted_fixture)
@@ -32,7 +33,7 @@ def test_matches_oracle_on_simple_image():
     b.emit("addi", "a2", "a2", 4)
     b.emit("c.jr", "a5")
     img = b.image()
-    got = as_set(extract_gadgets(img, ScanConfig(max_len=4)))
+    got = as_set(extract_gadgets(img, 4))
     want = brute_force(img, max_len=4)
     assert got == want
     assert len(got) > 0
@@ -46,13 +47,11 @@ def test_matches_oracle_with_branches_allowed():
     b.emit("ret")
     img = b.image()
     for allow in (False, True):
-        cfg = ScanConfig(max_len=4, allow_interior_branches=allow)
-        got = as_set(extract_gadgets(img, cfg))
+        got = as_set(extract_gadgets(img, 4, branches=allow))
         want = brute_force(img, max_len=4, allow_branches=allow)
         assert got == want
     # the branch is interior only when allowed
-    with_b = extract_gadgets(img, ScanConfig(max_len=4,
-                                             allow_interior_branches=True))
+    with_b = extract_gadgets(img, 4, branches=True)
     assert any(len(g.instructions) == 3 for g in with_b)
 
 
@@ -63,7 +62,7 @@ def test_every_prefix_emitted():
     b.emit("addi", "a2", "a2", 3)
     b.emit("ret")
     img = b.image()
-    gadgets = extract_gadgets(img, ScanConfig(max_len=3))
+    gadgets = extract_gadgets(img, 3)
     by_len = {}
     for g in gadgets:
         if g.terminator.control_flow.is_return:
@@ -73,7 +72,7 @@ def test_every_prefix_emitted():
 
 def test_shifted_gadget_alignment(shifted):
     img, addrs = shifted
-    gadgets = extract_gadgets(img, ScanConfig(max_len=2))
+    gadgets = extract_gadgets(img, 2)
     hidden = addrs["hide_cjr"] + 2
     match = [g for g in gadgets if g.start == hidden]
     assert match and all(g.alignment == SHIFTED for g in match)
@@ -102,7 +101,7 @@ def test_max_len_cap_and_ordering():
         b.emit("addi", "a0", "a0", k)
     b.emit("ret")
     img = b.image()
-    g2 = extract_gadgets(img, ScanConfig(max_len=2))
+    g2 = extract_gadgets(img, 2)
     assert all(len(g.instructions) - 1 <= 2 for g in g2)
     starts = [(g.start, len(g.instructions)) for g in g2]
     assert starts == sorted(starts)
@@ -115,7 +114,7 @@ def test_dedupe_keeps_lowest_address():
     b.emit("li", "a0", 1)
     b.emit("ret")
     img = b.image()
-    gadgets = extract_gadgets(img, ScanConfig(max_len=1))
+    gadgets = extract_gadgets(img, 1)
     unique = dedupe(gadgets)
     assert len(unique) < len(gadgets)
     bytes_seen = [tuple(x.encoding for x in g.instructions) for g in unique]
@@ -232,7 +231,7 @@ def test_extract_decodes_only_around_the_jumps(decode_log):
     for max_len in (0, 1, 4):
         decode_log.clear()
         img = from_bytes(code, 0x1000, 32)
-        gadgets = extract_gadgets(img, ScanConfig(max_len=max_len))
+        gadgets = extract_gadgets(img, max_len)
         # each addi's upper halfword is a c.nop hint, so growth also
         # starts a gadget one halfword into every addi it passes
         window = list(range(ret - 4 * max_len, ret + 2, 2))
@@ -241,11 +240,13 @@ def test_extract_decodes_only_around_the_jumps(decode_log):
         assert sorted(decode_log) == window
 
 
-# Halfwords and words for the property below: random ones, and indirect
-# jumps with random registers and immediates.
+# Halfwords and words for the property below: random ones, conditional
+# branches, and indirect jumps with random registers and immediates.
 _CODE_PIECES = st.one_of(
     st.binary(min_size=2, max_size=2),
     st.integers(0, 2**32 - 1).map(lambda w: (w | 3).to_bytes(4, "little")),
+    st.integers(0, 2**32 - 1).map(
+        lambda w: (w & ~0x7F | 0x63).to_bytes(4, "little")),       # b<cond>
     st.integers(0, 2**32 - 1).map(
         lambda w: (w & ~0x707F | 0x67).to_bytes(4, "little")),     # jalr
     st.integers(0, 2**16 - 1).map(
@@ -253,27 +254,67 @@ _CODE_PIECES = st.one_of(
 )
 
 
+def _probes(fn):
+    """(fn's result, how many times it read a decode table)."""
+    calls = 0
+    real = DecodedSegment.at
+
+    def counted(table, address):
+        nonlocal calls
+        calls += 1
+        return real(table, address)
+
+    with mock.patch.object(DecodedSegment, "at", counted):
+        return fn(), calls
+
+
+def _refuse_probes(table, address):
+    raise AssertionError(f"probed 0x{address:x}")
+
+
 @given(pieces=st.lists(_CODE_PIECES, max_size=40),
        tail=st.binary(max_size=1), xlen=st.sampled_from((32, 64)),
-       max_len=st.integers(0, 6), branches=st.booleans())
+       requests=st.lists(st.tuples(st.integers(0, 6), st.booleans()),
+                         min_size=1, max_size=4))
 @settings(max_examples=150, deadline=None)
-def test_extract_matches_oracle_on_random_code(pieces, tail, xlen, max_len,
-                                               branches):
-    img = from_bytes(b"".join(pieces) + tail, 0x2000, xlen)
-    gadgets = extract_gadgets(
-        img, ScanConfig(max_len=max_len, allow_interior_branches=branches))
-    assert as_set(gadgets) == brute_force(img, max_len=max_len,
-                                          allow_branches=branches)
-    for g in gadgets:
-        assert g.encoding == b"".join(x.encoding for x in g.instructions)
+def test_extract_matches_oracle_on_random_code(pieces, tail, xlen, requests):
+    """Requests in any order on one image: each reads the image's one
+    growth and equals a fresh growth and the oracle at its shape; one
+    that an earlier request covers (no shorter, and with branches if it
+    asks for them) reads no decode table; and growing in steps probes
+    the table exactly as often as growing to the widest shape at once."""
+    code = b"".join(pieces) + tail
+    img = from_bytes(code, 0x2000, xlen)
+    seen, probes = [], 0
+    widest = (max(n for n, _ in requests), any(b for _, b in requests))
+    for max_len, branches in requests + [widest]:
+        if any(n >= max_len and (b or not branches) for n, b in seen):
+            with mock.patch.object(DecodedSegment, "at", _refuse_probes):
+                gadgets = extract_gadgets(img, max_len, branches=branches)
+        else:
+            gadgets, calls = _probes(
+                lambda: extract_gadgets(img, max_len, branches=branches))
+            probes += calls
+        seen.append((max_len, branches))
+        fresh = extract_gadgets(from_bytes(code, 0x2000, xlen), max_len,
+                                branches=branches)
+        assert ([(g.start, g.instructions) for g in gadgets]
+                == [(g.start, g.instructions) for g in fresh])
+        assert as_set(gadgets) == brute_force(img, max_len=max_len,
+                                              allow_branches=branches)
+        for g in gadgets:
+            assert g.encoding == b"".join(x.encoding for x in g.instructions)
+    _, at_once = _probes(lambda: extract_gadgets(
+        from_bytes(code, 0x2000, xlen), widest[0], branches=widest[1]))
+    assert probes == at_once
 
 
-def test_scan_config_validation():
-    with pytest.raises(ValueError):
-        ScanConfig(max_len=-1)
-    with pytest.raises(ValueError):
-        ScanConfig(max_len=99)
-    assert ScanConfig(max_len=0).max_len == 0   # terminator-only scans
+def test_extract_max_len_validation():
+    img = from_bytes(bytes.fromhex("67800000"), 0x1000, 32)      # ret
+    for bad in (-1, 33, 99):
+        with pytest.raises(ValueError):
+            extract_gadgets(img, bad)
+    assert len(extract_gadgets(img, 0)) == 1    # terminator-only scans
 
 
 def test_gadget_properties():
@@ -281,10 +322,10 @@ def test_gadget_properties():
     b.emit("addi", "a2", "a2", 4)
     b.emit("c.jr", "a5")
     img = b.image()
-    g = [x for x in extract_gadgets(img, ScanConfig(max_len=1))
+    g = [x for x in extract_gadgets(img, 1)
          if len(x.instructions) == 2][0]
     assert g.link_register.name == "a5"
     assert not g.terminator_links
-    assert g.length == 1
+    assert len(g.interior) == 1
     assert g.end == b.base + 6
     assert "addi" in g.render()
