@@ -9,6 +9,9 @@ in its own submodule (`rvjop.decoder`, `rvjop.scanner`, ...); the package
 itself exports only the two image loaders.  A submodule that nothing has
 imported yet loads on first attribute access, so `rvjop.sim` works after
 `import rvjop` without the package importing every layer up front.
+Loading an image decodes nothing, so `import rvjop` and a load import
+only `rvjop.image` and `rvjop.errors`: the decoder loads with an image's
+first decode table, where every analysis starts.
 """
 
 from .image import load_elf, load_raw

@@ -412,8 +412,14 @@ def initializer_sources(gadget: Gadget, summary: DataflowSummary | None = None
 
 def find_initializers(gadgets, dispatcher: DispatcherCandidate
                       ) -> list[InitializerCandidate]:
+    required = dispatcher.required_registers
     out = []
     for g in gadgets:
+        # A summary's exits name only registers the gadget writes, so a
+        # gadget that does not write every required register cannot seed
+        # them all: skip its summary.
+        if required.difference(*(x.regs_written for x in g.instructions)):
+            continue
         sets = initializer_sources(g)
         if sets is None or dispatcher.unseeded(sets):
             continue

@@ -21,6 +21,12 @@ so no command pays start-up time for those three unless it runs them.
 
 from __future__ import annotations
 
+# Every command decodes, so the decoder loads first.  Without a bytecode
+# cache, compiling it needs about 2 MB of temporary memory, more than any
+# other module; compiled before the other layers load, it adds least to
+# the process's peak RSS.
+from . import decoder  # noqa: F401
+
 import argparse
 import sys
 
@@ -90,15 +96,21 @@ def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stack-top", type=_ADDRESS, default=None)
 
 
+def _check_addresses(args, image: ExecutableImage, *flags: str) -> None:
+    """An address flag that no pc or pointer of the image's XLEN can
+    hold is bad usage; an omitted one (None) passes."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value >> image.xlen:
+            raise UsageError(f"{flag} 0x{value:x} is past the "
+                             f"{image.xlen}-bit address space")
+
+
 def _sim_limits(args, image: ExecutableImage) -> tuple[int, int]:
     """(fuel, stack top): the flags as given, else the interpreter's
     defaults; an address past the image's XLEN is bad usage."""
     from .sim import DEFAULT_FUEL, DEFAULT_STACK_TOP
-    for flag, value in (("--stack-top", args.stack_top),
-                        ("--buffer-base", args.buffer_base)):
-        if value is not None and value >> image.xlen:
-            raise UsageError(f"{flag} 0x{value:x} is past the "
-                             f"{image.xlen}-bit address space")
+    _check_addresses(args, image, "--stack-top", "--buffer-base")
     fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     top = DEFAULT_STACK_TOP if args.stack_top is None else args.stack_top
     return fuel, top
@@ -129,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("initializers",
                        help="register seeders for a dispatcher")
     _add_input_flags(p)
-    p.add_argument("--dispatcher", type=lambda s: int(s, 0), required=True,
+    p.add_argument("--dispatcher", type=_ADDRESS, required=True,
                    metavar="ADDR", help="dispatcher loop entry address")
     p.add_argument("--max", type=_MAX_LEN, default=6,
                    help="interior instruction cap (default 6)")
@@ -157,13 +169,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="run code under the interpreter")
     _add_input_flags(p)
-    p.add_argument("--entry", type=lambda s: int(s, 0), required=True)
-    p.add_argument("--return-to", type=lambda s: int(s, 0), required=True)
+    p.add_argument("--entry", type=_ADDRESS, required=True)
+    p.add_argument("--return-to", type=_ADDRESS, required=True)
     p.add_argument("--payload", metavar="FILE",
                    help="raw bytes to map at --buffer-base")
     p.add_argument("--buffer-base", type=_ADDRESS, default=None)
     _add_sim_flags(p)
-    p.add_argument("--loop-entry", type=lambda s: int(s, 0), default=None,
+    p.add_argument("--loop-entry", type=_ADDRESS, default=None,
                    help="count dispatch rounds at this address")
     p.add_argument("--poke", action="append", default=[],
                    metavar="REG=VALUE", help="set a register before running")
@@ -219,6 +231,7 @@ def _describe_source(src) -> str:
 
 def _cmd_initializers(args) -> int:
     image = _load_image(args)
+    _check_addresses(args, image, "--dispatcher")
     target = dispatcher_at(image, args.dispatcher)
     if target is None:
         print(f"rvjop: no dispatcher at 0x{args.dispatcher:x}",
@@ -286,6 +299,7 @@ def _cmd_sim(args) -> int:
     from .sim import new_machine, run_chain
     image = _load_image(args)
     fuel, stack_top = _sim_limits(args, image)
+    _check_addresses(args, image, "--entry", "--return-to", "--loop-entry")
     machine = new_machine(image, stack_top=stack_top)
     if args.payload:
         if args.buffer_base is None:

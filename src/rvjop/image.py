@@ -14,17 +14,24 @@ indirect jumps and what backward growth probes around them.  The image
 keeps that growth too, so every analysis of it reads one growth.  The
 interpreter does not use the table: it decodes live memory, which a
 payload may overwrite.
+
+Loading an image decodes nothing, so this module does not import the
+decoder: it loads with the first decode table.  A table reads
+`decode_one` through the decoder module on every decode, so whatever
+that name is bound to at the time (a tracer's wrapper, say) is what runs.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .decoder import DecodedInstruction, decode_one
 from .errors import (InvalidEncoding, MalformedImage, NotElf, OutOfRange,
                      Truncated, WrongMachine)
+
+if TYPE_CHECKING:
+    from .decoder import DecodedInstruction
 
 _EM_RISCV = 243
 _PT_LOAD = 1
@@ -59,9 +66,11 @@ class DecodedSegment:
     on the raw bytes (`scanner.terminators`) and read around them.
     """
     __slots__ = ("segment", "xlen", "_table", "_size", "_swept",
-                 "_sweep_off")
+                 "_sweep_off", "_decoder")
 
     def __init__(self, segment: Segment, xlen: int):
+        from . import decoder
+        self._decoder = decoder
         self.segment = segment
         self.xlen = xlen
         n = len(segment.data) >> 1
@@ -83,8 +92,9 @@ class DecodedSegment:
     def _decode(self, off: int) -> DecodedInstruction | None:
         """Decode the halfword at even offset `off` and keep the result."""
         try:
-            insn = decode_one(self.segment.data[off:off + 4],
-                              self.segment.vaddr + off, self.xlen)
+            insn = self._decoder.decode_one(self.segment.data[off:off + 4],
+                                            self.segment.vaddr + off,
+                                            self.xlen)
         except (InvalidEncoding, Truncated):
             insn = None
         self._table[off >> 1] = insn

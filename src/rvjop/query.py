@@ -222,12 +222,18 @@ def record_for(hit: QueryHit) -> Record:
 
 
 def emit_records(hits: list[QueryHit]) -> str:
-    """One line per gadget: offset alignment link roles written."""
+    """One line per gadget: offset alignment link roles written.
+
+    Each hit's summary and roles are dropped once its line is built, so
+    the listing holds lines, not a summary per gadget; a later read
+    computes them again."""
     lines = []
     for h in hits:
         r = record_for(h)
         lines.append(f"0x{r.offset:08x} {r.alignment} {r.link} "
                      f"{_join(r.roles)} {_join(r.written)}")
+        vars(h).pop("summary", None)
+        vars(h).pop("roles", None)
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-import rvjop.image
+import rvjop.decoder
 from rvjop.assembler import assemble
 from rvjop.decoder import decode_one
 from rvjop.image import ExecutableImage, from_bytes, parse_elf
@@ -362,7 +362,7 @@ def decode_log(monkeypatch):
         log.append(address)
         return decode_one(data, address, xlen)
 
-    monkeypatch.setattr(rvjop.image, "decode_one", counted)
+    monkeypatch.setattr(rvjop.decoder, "decode_one", counted)
     return log
 
 

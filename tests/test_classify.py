@@ -23,7 +23,7 @@ from oracle import natural_starts
 
 # `import rvjop.classify` binds the function the package re-exports.
 CLASSIFY = sys.modules["rvjop.classify"]
-IMAGE = sys.modules["rvjop.image"]
+DECODER = sys.modules["rvjop.decoder"]
 
 
 def roles_of(image, address, context=None):
@@ -411,13 +411,13 @@ def test_dispatcher_at_reads_around_the_loop_only(monkeypatch):
     img = parse_elf(corpus.make_elf(e.base, bytes(e.buf), e.xlen))
     refuse_calls(monkeypatch, "find_dispatchers", "extract_gadgets")
     decoded = []
-    real = IMAGE.decode_one
+    real = DECODER.decode_one
 
     def counted(data, address, xlen):
         decoded.append(address)
         return real(data, address, xlen)
 
-    monkeypatch.setattr(IMAGE, "decode_one", counted)
+    monkeypatch.setattr(DECODER, "decode_one", counted)
     d = dispatcher_at(img, e.labels["loop"])
     assert (d.kind, d.loop_entry) == (DISPATCHER_AUTONOMOUS, e.labels["loop"])
     # the loop body and its return path, however deep the loop lies
@@ -526,6 +526,41 @@ def test_initializer_role_agrees_with_pairing():
         sets = initializer_sources(g) or {}
         seeds_stack = any(s.kind == "stack" for s in sets.values())
         assert (INITIALIZER in {r.kind for r in classify(g)}) == seeds_stack
+
+
+def _benchmark_images():
+    """The benchmark images (seeds 1-10, every workload), ten 64 KiB clean
+    RV64 draws and one 64 KiB dense draw."""
+    corpus = benchmark_corpus()
+    for w in corpus.WORKLOADS:
+        for seed in range(1, 11):
+            c = corpus.build(w, seed)
+            yield f"{w}/{seed}", (parse_elf(c.file_bytes) if c.fmt == "elf"
+                                  else from_bytes(c.code, c.base, c.xlen))
+    draws = [corpus._functions_image("scan-clean-rv64", seed, 0x10000, 64,
+                                     64 * 1024, False) for seed in range(1, 11)]
+    draws.append(corpus._dense_image(1, 64 * 1024))
+    for n, e in enumerate(draws):
+        yield f"64 KiB draw {n}", parse_elf(
+            corpus.make_elf(e.base, bytes(e.buf), e.xlen))
+
+
+def test_initializer_filter_matches_every_summary():
+    # find_initializers skips the summary of a gadget that does not write
+    # every required register; pairing by every gadget's summary must
+    # find the same candidates with the same sets.
+    for name, img in _benchmark_images():
+        gadgets = dedupe(extract_gadgets(img, 6))
+        sources = [(g, initializer_sources(g)) for g in gadgets]
+        by_required = {}
+        for d in find_dispatchers(img):
+            by_required.setdefault(d.required_registers, d)
+        assert by_required, name
+        for d in by_required.values():
+            want = [(g, sets) for g, sets in sources
+                    if sets is not None and not d.unseeded(sets)]
+            got = [tuple(c) for c in find_initializers(gadgets, d)]
+            assert got == want, (name, d.kind, hex(d.loop_entry))
 
 
 # --- availability stats -----------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rvjop.cli
+import rvjop.decoder
 import rvjop.image
 import rvjop.query
 import rvjop.sim
@@ -639,6 +640,23 @@ def test_image_load_skips_dataclasses(adg_blob, adg_elf):
         assert proc.returncode == 0, proc.stderr
 
 
+def test_image_load_skips_the_decoder(adg_blob, adg_elf):
+    # Loading decodes nothing; the first decode table loads the decoder.
+    blob, _ = adg_blob
+    elf, _ = adg_elf
+    for load in (f"rvjop.load_raw({str(blob)!r}, {BASE}, 32)",
+                 f"rvjop.load_elf({str(elf)!r})"):
+        proc = _fresh_python(
+            f"import sys, rvjop\nimage = {load}\n"
+            "assert sorted(m for m in sys.modules if m.startswith('rvjop'))"
+            " == ['rvjop', 'rvjop.errors', 'rvjop.image']\n"
+            "table = image.decode_table\n"
+            "assert 'rvjop.decoder' in sys.modules\n"
+            "segment = next(iter(table.values()))\n"
+            "assert segment.at(segment.segment.vaddr) is not None\n")
+        assert proc.returncode == 0, proc.stderr
+
+
 def test_package_loads_a_submodule_on_first_use():
     proc = _fresh_python("import sys, rvjop.cli\n"
                          "assert 'rvjop.sim' not in sys.modules\n"
@@ -712,13 +730,13 @@ def test_chain_decodes_less_than_the_image(capsys, monkeypatch, tmp_path):
     spec = tmp_path / "chain.txt"
     spec.write_text(c.chain_text())
     decoded = []
-    real = rvjop.image.decode_one
+    real = rvjop.decoder.decode_one
 
     def counted(data, address, xlen):
         decoded.append(address)
         return real(data, address, xlen)
 
-    monkeypatch.setattr(rvjop.image, "decode_one", counted)
+    monkeypatch.setattr(rvjop.decoder, "decode_one", counted)
     code, out, _ = run(capsys, "chain", *c.image_args(image),
                        "--spec", str(spec))
     assert code == 0 and "dispatcher-autonomous" in out
@@ -887,6 +905,46 @@ def test_sim_limits_out_of_range_are_usage_errors(capsys, tmp_path, sp_blob,
                              str(chain_file(tmp_path, addrs)), "--simulate",
                              *flags)
     assert code == 2 and "Traceback" not in err
+    assert err.splitlines()[-1].endswith(last_line)
+    if last_line.startswith("rvjop: "):
+        assert err == last_line + "\n"
+
+
+@pytest.mark.parametrize("flags, last_line", [
+    (["--entry", "-4"], "argument --entry: -4 is below 0"),
+    (["--return-to=-0x10"], "argument --return-to: -16 is below 0"),
+    (["--loop-entry", "-1"], "argument --loop-entry: -1 is below 0"),
+    (["--entry", "0x100000000"],
+     "rvjop: --entry 0x100000000 is past the 32-bit address space"),
+    (["--return-to", "0x100000010"],
+     "rvjop: --return-to 0x100000010 is past the 32-bit address space"),
+    (["--loop-entry", "0x100000000"],
+     "rvjop: --loop-entry 0x100000000 is past the 32-bit address space"),
+])
+def test_sim_addresses_out_of_range_are_usage_errors(capsys, sp_blob, flags,
+                                                     last_line):
+    """A pc no RV32 core can hold is bad usage before anything runs."""
+    code, out, err = _sim(capsys, sp_blob, "f", *flags)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1].endswith(last_line)
+    if last_line.startswith("rvjop: "):
+        assert err == last_line + "\n"
+
+
+@pytest.mark.parametrize("flags, last_line", [
+    (["--dispatcher", "-4"], "argument --dispatcher: -4 is below 0"),
+    (["--dispatcher=-0x10"], "argument --dispatcher: -16 is below 0"),
+    (["--dispatcher", "0x100000000"],
+     "rvjop: --dispatcher 0x100000000 is past the 32-bit address space"),
+    (["--dispatcher", "0x10000000000000000", "--xlen", "64"],
+     "rvjop: --dispatcher 0x10000000000000000 is past the 64-bit "
+     "address space"),
+])
+def test_dispatcher_out_of_range_is_a_usage_error(capsys, adg_blob, flags,
+                                                  last_line):
+    blob, _ = adg_blob
+    code, out, err = run(capsys, "initializers", *RAW(blob), *flags)
+    assert code == 2 and out == "" and "Traceback" not in err
     assert err.splitlines()[-1].endswith(last_line)
     if last_line.startswith("rvjop: "):
         assert err == last_line + "\n"

@@ -183,7 +183,7 @@ def test_each_halfword_decoded_once_per_image(monkeypatch):
         calls += 1
         return decode_one(*args)
 
-    for name in ("rvjop.image", "rvjop.scanner", "rvjop.classify"):
+    for name in ("rvjop.decoder", "rvjop.scanner", "rvjop.classify"):
         monkeypatch.setattr(importlib.import_module(name), "decode_one",
                             counting, raising=False)
     run_query(img, Query(all_=True))
