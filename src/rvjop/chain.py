@@ -390,7 +390,8 @@ def make_initializer(image: ExecutableImage, address: int,
 def parse_chain_text(text: str, image: ExecutableImage) -> ChainSpec:
     """Parse the line-oriented chain description.
 
-    Directives (one per line, '#' starts a comment):
+    Directives (one per line, '#' starts a comment), where every ADDR
+    must lie in [0, 2^XLEN) for the image's XLEN:
 
         dispatcher 0xADDR         loop-entry address of the dispatcher
         initializer 0xADDR        gadget address used to seed registers
@@ -416,6 +417,13 @@ def parse_chain_text(text: str, image: ExecutableImage) -> ChainSpec:
     def num(tok: str) -> int:
         return int(tok, 0)
 
+    def address(tok: str) -> int:
+        value = num(tok)
+        if not 0 <= value < 1 << image.xlen:
+            raise ValueError(f"address {tok} is outside the "
+                             f"{image.xlen}-bit address space")
+        return value
+
     for lineno, rawline in enumerate(text.splitlines(), 1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -424,13 +432,13 @@ def parse_chain_text(text: str, image: ExecutableImage) -> ChainSpec:
         key, args = parts[0], parts[1:]
         try:
             if key == "dispatcher":
-                dispatcher_addr = num(args[0])
+                dispatcher_addr = address(args[0])
             elif key == "initializer":
-                initializer_addr = num(args[0])
+                initializer_addr = address(args[0])
             elif key == "table-base":
-                table_base = num(args[0])
+                table_base = address(args[0])
             elif key == "return-to":
-                return_to = num(args[0])
+                return_to = address(args[0])
             elif key == "dispatch-reg":
                 dispatch_reg = reg(args[0])
             elif key == "reserve":
@@ -440,7 +448,7 @@ def parse_chain_text(text: str, image: ExecutableImage) -> ChainSpec:
                 name, _, val = args[0].partition("=")
                 overrides[reg(name)] = num(val)
             elif key == "step":
-                addr = num(args[0])
+                addr = address(args[0])
                 repeat = 1
                 note_from = 1
                 if len(args) > 1 and args[1].isdigit():

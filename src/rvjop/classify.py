@@ -92,11 +92,6 @@ class DispatcherCandidate(NamedTuple):
         return self.gadget.start
 
     @property
-    def links_with_ra(self) -> bool:
-        """True when the gadget that jumps through the target links ra."""
-        return (self.stage2 or self.gadget).terminator_links
-
-    @property
     def required_registers(self) -> frozenset[Register]:
         """Registers an initializer must set for this dispatcher to loop."""
         regs = {self.table_reg}

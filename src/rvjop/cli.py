@@ -36,7 +36,7 @@ from .classify import (availability_stats, dispatcher_at, find_dispatchers,
                        find_initializers, render_stats_table)
 from .errors import ToolError, UsageError
 from .image import ExecutableImage, load_elf, load_raw
-from .isa import SP
+from .isa import SP, Register, is_register_name, reg
 from .scanner import MAX_GADGET_LEN, dedupe, extract_gadgets
 
 OK = 0
@@ -68,8 +68,8 @@ def _load_image(args) -> ExecutableImage:
     raise UsageError("an input image is required (--binary or --raw)")
 
 
-def _int_in(lo: int, hi: int | None = None, base: int = 10):
-    """An argparse type: an int in [lo, hi], unbounded above when hi is
+def _int_in(lo: int | None = None, hi: int | None = None, base: int = 10):
+    """An argparse type: an int in [lo, hi], unbounded where a bound is
     None, so an out-of-range flag is a usage error like any other."""
     def parse(text: str) -> int:
         try:
@@ -77,12 +77,25 @@ def _int_in(lo: int, hi: int | None = None, base: int = 10):
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"invalid int value: {text!r}") from None
-        if value < lo or hi is not None and value > hi:
+        if (lo is not None and value < lo
+                or hi is not None and value > hi):
             raise argparse.ArgumentTypeError(
                 f"{value} is not in [{lo}, {hi}]" if hi is not None
                 else f"{value} is below {lo}")
         return value
     return parse
+
+
+def _register(text: str) -> Register:
+    """An argparse type: a register by ABI or x-number name."""
+    if not is_register_name(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a register")
+    return reg(text)
+
+
+def _registers(text: str) -> frozenset[Register]:
+    """An argparse type: a comma list of registers."""
+    return frozenset(_register(part) for part in text.split(","))
 
 
 _MAX_LEN = _int_in(0, MAX_GADGET_LEN)
@@ -128,15 +141,38 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unique", action="store_true",
                    help="collapse byte-identical gadgets")
     p.add_argument("--format", choices=("text", "records"), default="text")
+    p.set_defaults(run=_cmd_query, all_=True)
 
     p = sub.add_parser("query", help="filtered gadget search",
-                       epilog="filters: --op --rr --imm --max --link "
-                              "--preserve --role --unique --all")
+                       description="Gadgets that pass every filter given "
+                                   "(give one, or --all); --op, --rr and "
+                                   "--imm must all hold for one interior "
+                                   "instruction.")
     _add_input_flags(p)
+    p.add_argument("--op", metavar="MNEMONIC",
+                   help="instruction mnemonic, aliases included (li, mv)")
+    p.add_argument("--rr", type=_register, metavar="REG",
+                   help="register the instruction writes")
+    p.add_argument("--imm", type=_int_in(base=0), metavar="N",
+                   help="the instruction's immediate")
+    p.add_argument("--max", type=_int_in(1, MAX_GADGET_LEN, base=0),
+                   default=4, help="interior instruction cap (default 4)")
+    p.add_argument("--link", type=_register, metavar="REG",
+                   help="the terminator jumps through REG")
+    p.add_argument("--preserve", type=_registers, action="append",
+                   default=[], metavar="REG[,REG...]",
+                   help="the gadget leaves REG unchanged (repeatable)")
+    p.add_argument("--role", help="one of the classifier's roles")
+    p.add_argument("--all", dest="all_", action="store_true",
+                   help="every gadget the other filters let through")
+    p.add_argument("--unique", action="store_true",
+                   help="collapse byte-identical gadgets")
     p.add_argument("--format", choices=("text", "records"), default="text")
+    p.set_defaults(run=_cmd_query)
 
     p = sub.add_parser("dispatchers", help="dispatcher-shaped gadgets")
     _add_input_flags(p)
+    p.set_defaults(run=_cmd_dispatchers)
 
     p = sub.add_parser("initializers",
                        help="register seeders for a dispatcher")
@@ -145,12 +181,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="ADDR", help="dispatcher loop entry address")
     p.add_argument("--max", type=_MAX_LEN, default=6,
                    help="interior instruction cap (default 6)")
+    p.set_defaults(run=_cmd_initializers)
 
     p = sub.add_parser("stats", help="availability per register")
     _add_input_flags(p)
     p.add_argument("--max", type=_MAX_LEN, default=4)
     p.add_argument("--top", type=_int_in(0), default=None,
                    help="keep only the N busiest registers")
+    p.set_defaults(run=_cmd_stats)
 
     p = sub.add_parser("chain", help="build a payload from a chain file")
     _add_input_flags(p)
@@ -166,6 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="map the payload here when simulating "
                         "(default: the table base)")
     _add_sim_flags(p)
+    p.set_defaults(run=_cmd_chain)
 
     p = sub.add_parser("sim", help="run code under the interpreter")
     _add_input_flags(p)
@@ -179,24 +218,26 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="count dispatch rounds at this address")
     p.add_argument("--poke", action="append", default=[],
                    metavar="REG=VALUE", help="set a register before running")
+    p.set_defaults(run=_cmd_sim)
     return ap
 
 
-def _cmd_scan(args) -> int:
-    from .query import Query, emit_records, render_listing, run_query
-    image = _load_image(args)
-    q = Query(all_=True, max=args.max, unique=args.unique)
-    hits = run_query(image, q)
-    out = emit_records(hits) if args.format == "records" else render_listing(hits)
-    sys.stdout.write(out)
-    return OK if hits else EMPTY
+def _query(args):
+    """The Query that `query`'s flags ask for; `scan` asks for --all."""
+    from .query import Query
+    flags = vars(args)
+    q = Query(**{f: flags[f] for f in Query._fields if f in flags})
+    # --preserve gives one register set per use
+    q = q._replace(preserve=frozenset().union(*q.preserve))
+    if not q.has_filter:
+        raise UsageError("give at least one filter, or --all")
+    return q
 
 
-def _cmd_query(args, extra: list[str]) -> int:
-    from .query import emit_records, parse_query, render_listing, run_query
+def _cmd_query(args) -> int:
+    from .query import emit_records, render_listing, run_query
     image = _load_image(args)
-    q = parse_query(extra)
-    hits = run_query(image, q)
+    hits = run_query(image, _query(args))
     out = emit_records(hits) if args.format == "records" else render_listing(hits)
     sys.stdout.write(out)
     return OK if hits else EMPTY
@@ -321,38 +362,18 @@ def _cmd_sim(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = _build_parser()
-    extra: list[str] = []
     try:
-        if argv and argv[0] == "query":
-            args, extra = parser.parse_known_args(argv)
-        else:
-            args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "query":
-            return _cmd_query(args, extra)
-        if args.command == "dispatchers":
-            return _cmd_dispatchers(args)
-        if args.command == "initializers":
-            return _cmd_initializers(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "chain":
-            return _cmd_chain(args)
-        if args.command == "sim":
-            return _cmd_sim(args)
+        return args.run(args)
     except UsageError as exc:
         print(f"rvjop: {exc}", file=sys.stderr)
         return USAGE
     except (ToolError, OSError) as exc:
         print(f"rvjop: {exc}", file=sys.stderr)
         return BADIMAGE
-    return USAGE
 
 
 if __name__ == "__main__":

@@ -120,8 +120,7 @@ class DecodedSegment:
 
 
 class ExecutableImage:
-    def __init__(self, segments: tuple[Segment, ...], xlen: int,
-                 entry_point: int):
+    def __init__(self, segments: tuple[Segment, ...], xlen: int):
         last_end = None
         for seg in segments:
             if last_end is not None and seg.vaddr < last_end:
@@ -130,7 +129,6 @@ class ExecutableImage:
             last_end = seg.end
         self.segments = segments
         self.xlen = xlen
-        self.entry_point = entry_point
         self.growth = None      # the scanner's, made by its first extraction
 
     @property
@@ -184,16 +182,14 @@ def parse_elf(blob: bytes) -> ExecutableImage:
 
     try:
         if xlen == 32:
-            (e_machine, e_entry, e_phoff, e_phentsize, e_phnum) = (
+            (e_machine, e_phoff, e_phentsize, e_phnum) = (
                 struct.unpack_from("<H", blob, 18)[0],
-                struct.unpack_from("<I", blob, 24)[0],
                 struct.unpack_from("<I", blob, 28)[0],
                 struct.unpack_from("<H", blob, 42)[0],
                 struct.unpack_from("<H", blob, 44)[0])
         else:
-            (e_machine, e_entry, e_phoff, e_phentsize, e_phnum) = (
+            (e_machine, e_phoff, e_phentsize, e_phnum) = (
                 struct.unpack_from("<H", blob, 18)[0],
-                struct.unpack_from("<Q", blob, 24)[0],
                 struct.unpack_from("<Q", blob, 32)[0],
                 struct.unpack_from("<H", blob, 54)[0],
                 struct.unpack_from("<H", blob, 56)[0])
@@ -238,8 +234,7 @@ def parse_elf(blob: bytes) -> ExecutableImage:
         segs.append(Segment(vaddr=p_vaddr, data=data,
                             executable=bool(p_flags & _PF_X)))
 
-    return ExecutableImage(segments=_segments_sorted(segs), xlen=xlen,
-                           entry_point=e_entry)
+    return ExecutableImage(segments=_segments_sorted(segs), xlen=xlen)
 
 
 def load_raw(path: str, base: int, xlen: int) -> ExecutableImage:
@@ -251,9 +246,7 @@ def load_raw(path: str, base: int, xlen: int) -> ExecutableImage:
     return from_bytes(blob, base, xlen)
 
 
-def from_bytes(blob: bytes, base: int, xlen: int,
-               entry: int | None = None) -> ExecutableImage:
+def from_bytes(blob: bytes, base: int, xlen: int) -> ExecutableImage:
     """Wrap a byte blob as a single-segment executable image."""
     seg = Segment(vaddr=base, data=bytes(blob), executable=True)
-    return ExecutableImage(segments=(seg,), xlen=xlen,
-                           entry_point=base if entry is None else entry)
+    return ExecutableImage(segments=(seg,), xlen=xlen)

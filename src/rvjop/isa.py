@@ -73,11 +73,6 @@ ARG_REGS = tuple(REGISTERS[10:18])
 
 # --- bit fiddling -----------------------------------------------------------
 
-def bits(word: int, hi: int, lo: int) -> int:
-    """Extract word[hi:lo] inclusive."""
-    return (word >> lo) & ((1 << (hi - lo + 1)) - 1)
-
-
 def sext(value: int, width: int) -> int:
     """Sign-extend a width-bit value to a Python int."""
     sign = 1 << (width - 1)

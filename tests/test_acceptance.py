@@ -21,7 +21,7 @@ from rvjop.classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
 from rvjop.decoder import decode_one
 from rvjop.errors import Diverges, InvalidEncoding, Truncated
 from rvjop.isa import reg
-from rvjop.query import parse_query, run_query
+from rvjop.query import Query, run_query
 from rvjop.scanner import SHIFTED, dedupe, extract_gadgets, gadget_at
 from rvjop.sim import new_machine, run_chain
 
@@ -215,7 +215,7 @@ def test_criterion_05_dispatcher_detection():
     assert d.self_link.kind == "conditional"
     assert d.self_link.op == "lt"
     assert d.self_link.regs == (reg("s0"), reg("s1"))
-    assert d.links_with_ra
+    assert d.gadget.terminator_links
 
     b = CodeBuilder()
     b.emit("addi", "s1", "s1", 4)
@@ -285,43 +285,37 @@ QUERY_ROLES = [None, "arith", "load", "store", "syscall"]
 
 
 def _random_query(rng):
-    argv = []
+    q = Query(all_=True)
     if rng.random() < 0.5 and (op := rng.choice(QUERY_OPS)):
-        argv.append(f"--op={op}")
+        q = q._replace(op=op)
     if rng.random() < 0.4 and (imm := rng.choice(QUERY_IMMS)) is not None:
-        argv.append(f"--imm={imm}")
+        q = q._replace(imm=imm)
     if rng.random() < 0.4 and (rr := rng.choice(QUERY_RRS)):
-        argv.append(f"--rr={rr}")
+        q = q._replace(rr=reg(rr))
     if rng.random() < 0.3 and (link := rng.choice(QUERY_LINKS)):
-        argv.append(f"--link={link}")
+        q = q._replace(link=reg(link))
     if rng.random() < 0.3 and (role := rng.choice(QUERY_ROLES)):
-        argv.append(f"--role={role}")
-    argv.append(f"--max={rng.randrange(1, 5)}")
-    argv.append("--all")
-    return argv
+        q = q._replace(role=role)
+    return q._replace(max=rng.randrange(1, 5))
 
 
-def _augment(rng, argv):
+def _augment(rng, q):
     """One extra constraint; retries until the pick tightens something."""
     while True:
         kind = rng.randrange(6)
-        if kind == 0 and not any(a.startswith("--op=") for a in argv):
-            return argv + [f"--op={rng.choice(QUERY_OPS[1:])}"]
-        if kind == 1 and not any(a.startswith("--imm=") for a in argv):
-            return argv + [f"--imm={rng.choice(QUERY_IMMS[1:])}"]
-        if kind == 2 and not any(a.startswith("--rr=") for a in argv):
-            return argv + [f"--rr={rng.choice(QUERY_RRS[1:])}"]
-        if kind == 3 and not any(a.startswith("--link=") for a in argv):
-            return argv + [f"--link={rng.choice(QUERY_LINKS[1:])}"]
-        if kind == 4 and not any(a.startswith("--preserve=") for a in argv):
-            return argv + [f"--preserve={rng.choice(['s0', 's1', 'a2'])}"]
-        if kind == 5:
-            for i, a in enumerate(argv):
-                if a.startswith("--max="):
-                    cap = int(a.split("=")[1])
-                    if cap > 1:
-                        return argv[:i] + [f"--max={cap - 1}"] + argv[i + 1:]
-            continue
+        if kind == 0 and q.op is None:
+            return q._replace(op=rng.choice(QUERY_OPS[1:]))
+        if kind == 1 and q.imm is None:
+            return q._replace(imm=rng.choice(QUERY_IMMS[1:]))
+        if kind == 2 and q.rr is None:
+            return q._replace(rr=reg(rng.choice(QUERY_RRS[1:])))
+        if kind == 3 and q.link is None:
+            return q._replace(link=reg(rng.choice(QUERY_LINKS[1:])))
+        if kind == 4 and not q.preserve:
+            return q._replace(
+                preserve=frozenset({reg(rng.choice(["s0", "s1", "a2"]))}))
+        if kind == 5 and q.max > 1:
+            return q._replace(max=q.max - 1)
 
 
 def test_criterion_07_query_conformance():
@@ -336,8 +330,7 @@ def test_criterion_07_query_conformance():
     b.emit("add", "a2", "zero", "zero")   # right effect, wrong operation
     b.emit("ret")
     img = b.image()
-    hits = run_query(img, parse_query(
-        ["--op=li", "--imm=0", "--rr=a2", "--max=1"]))
+    hits = run_query(img, Query(op="li", imm=0, rr=reg("a2"), max=1))
     assert [h.gadget.start for h in hits] == [b.labels["target"]]
 
     rich, _ = build_e2e_fixture()
@@ -346,9 +339,9 @@ def test_criterion_07_query_conformance():
         base = _random_query(rng)
         extra = _augment(rng, base)
         wide = {(h.gadget.start, h.gadget.encoding)
-                for h in run_query(rich, parse_query(base))}
+                for h in run_query(rich, base)}
         narrow = {(h.gadget.start, h.gadget.encoding)
-                  for h in run_query(rich, parse_query(extra))}
+                  for h in run_query(rich, extra)}
         assert narrow <= wide, (base, extra)
 
 

@@ -500,6 +500,36 @@ def test_parse_chain_text_errors(lab):
             f"return-to 0x{addrs['landing']:x}\n", img)
 
 
+@pytest.mark.parametrize("directive", ["dispatcher", "initializer",
+                                       "table-base", "return-to", "step"])
+@pytest.mark.parametrize("value", ["-0x10", "-1", hex(1 << 32)])
+def test_parse_chain_text_addresses_in_xlen(lab, directive, value):
+    """An address outside [0, 2^32) on RV32 is a malformed line."""
+    img, addrs = lab
+    lines = [f"dispatcher 0x{addrs['loop']:x}",
+             f"initializer 0x{addrs['init']:x}",
+             f"table-base 0x{TABLE_BASE:x}",
+             f"return-to 0x{addrs['landing']:x}",
+             f"step 0x{addrs['g_one']:x}"]
+    n = next(i for i, line in enumerate(lines)
+             if line.startswith(directive + " "))
+    lines[n] = f"{directive} {value}"
+    with pytest.raises(ToolError, match=(
+            f"chain spec line {n + 1}: address {value} is outside the "
+            f"32-bit address space")):
+        parse_chain_text("\n".join(lines) + "\n", img)
+
+
+def test_parse_chain_text_top_address(lab):
+    img, addrs = lab
+    spec = parse_chain_text(
+        f"dispatcher 0x{addrs['loop']:x}\n"
+        f"initializer 0x{addrs['init']:x}\n"
+        f"table-base 0xffffffff\n"
+        f"return-to 0xffffffff\n", img)
+    assert spec.table_base == spec.return_to == (1 << 32) - 1
+
+
 def test_manifest_contents(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"])

@@ -110,7 +110,7 @@ def test_autonomous_dispatcher_fields(adg):
     assert d.table_reg is reg("s0")
     assert d.target_reg is reg("a5")
     assert d.stride == 4
-    assert d.links_with_ra
+    assert d.gadget.terminator_links
     assert not d.pre_increment
     assert d.self_link.kind == "conditional"
     assert d.self_link.op == "lt"
@@ -152,7 +152,7 @@ def test_classic_dispatcher_fields(classic):
     assert d.table_reg is reg("s0")
     assert d.target_reg is reg("a5")
     assert d.stride == 4
-    assert not d.links_with_ra
+    assert not d.gadget.terminator_links
     assert not d.pre_increment
 
 

@@ -14,7 +14,6 @@ import rvjop.image
 import rvjop.query
 import rvjop.sim
 from rvjop.cli import main
-from rvjop.query import parse_records
 from rvjop.scanner import extract_gadgets
 
 from conftest import (TABLE_BASE, CodeBuilder, benchmark_corpus,
@@ -115,8 +114,8 @@ def test_scan_records(capsys, adg_blob):
     blob, _ = adg_blob
     code, out, _ = run(capsys, "scan", *RAW(blob), "--format", "records")
     assert code == 0
-    recs = parse_records(out)
-    assert recs and all(r.link for r in recs)
+    recs = [line.split() for line in out.splitlines()]
+    assert recs and all(len(r) == 5 and r[2] for r in recs)
 
 
 def test_scan_empty_image(capsys, tmp_path):
@@ -162,6 +161,51 @@ def test_query_needs_a_filter(capsys, adg_blob):
     blob, _ = adg_blob
     code, _, err = run(capsys, "query", *RAW(blob))
     assert code == 2
+
+
+@pytest.mark.parametrize("cap", ["1", "4", "6"])
+def test_scan_is_the_query_for_everything(capsys, adg_blob, cap):
+    blob, _ = adg_blob
+    for fmt in ("text", "records"):
+        scan = run(capsys, "scan", *RAW(blob), "--max", cap, "--format", fmt)
+        query = run(capsys, "query", *RAW(blob), "--all", "--max", cap,
+                    "--format", fmt)
+        assert scan == query and scan[0] == 0
+
+
+def test_query_negative_immediate(capsys, tmp_path):
+    b = CodeBuilder(base=BASE)
+    b.emit("nop")
+    b.label("down")
+    b.emit("addi", "sp", "sp", -16)
+    b.emit("ret")
+    path = tmp_path / "down.bin"
+    path.write_bytes(b.blob())
+    want = f"0x{b.labels['down']:08x}: addi sp, sp, -16\n"
+    for imm in (["--imm=-0x10"], ["--imm", "-16"]):
+        code, out, _ = run(capsys, "query", *RAW(path), *imm, "--max=1")
+        assert code == 0 and out.startswith(want), imm
+    # a separate word that starts with "-" and is no decimal number reads
+    # as an option, so argparse finds --imm without its value
+    code, out, err = run(capsys, "query", *RAW(path), "--imm", "-0x10")
+    assert code == 2 and out == ""
+    assert "argument --imm: expected one argument" in err
+
+
+def test_query_bad_value_is_an_argparse_error(capsys, adg_blob):
+    blob, _ = adg_blob
+    code, out, err = run(capsys, "query", *RAW(blob), "--rr", "q9")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("usage: rvjop query ")
+    assert err.endswith(
+        "rvjop query: error: argument --rr: 'q9' is not a register\n")
+
+
+def test_query_accepts_flag_prefixes(capsys, adg_blob):
+    blob, _ = adg_blob
+    full = run(capsys, "query", *RAW(blob), "--preserve=s0", "--link=ra")
+    short = run(capsys, "query", *RAW(blob), "--pres=s0", "--lin=ra")
+    assert full == short and full[0] == 0
 
 
 # --- dispatchers and initializers -------------------------------------------
@@ -393,6 +437,20 @@ def test_chain_bad_spec_file(capsys, tmp_path, adg_blob):
     spec.write_text("dispatcher zzz\n")
     code, _, err = run(capsys, "chain", *RAW(blob), "--spec", str(spec))
     assert code == 3 and "line 1" in err
+
+
+@pytest.mark.parametrize("table", ["-0x10", hex(1 << 32)])
+def test_chain_table_base_outside_xlen(capsys, tmp_path, adg_blob, table):
+    """A table base no 32-bit pointer can hold is a malformed chain file."""
+    blob, addrs = adg_blob
+    spec = tmp_path / "chain.txt"
+    spec.write_text(CHAIN_TEXT.replace("{table:#x}", table).format(
+        loop=addrs["loop"], init=addrs["init"], landing=addrs["landing"],
+        g1=addrs["g_li_a0"], g2=addrs["g_bump_a2"]))
+    code, out, err = run(capsys, "chain", *RAW(blob), "--spec", str(spec))
+    assert code == 3 and out == ""
+    assert err == (f"rvjop: chain spec line 3: address {table} is outside "
+                   f"the 32-bit address space\n")
 
 
 def test_chain_step_on_undecodable_word(capsys, tmp_path, adg_blob):

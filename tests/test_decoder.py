@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rvjop.decoder import (CondBranch, DecodedInstruction, DirectJump,
                            IndirectJump, Trap, decode_one)
 from rvjop.errors import InvalidEncoding, Truncated
-from rvjop.isa import A0, A7, RA, SP, bits, reg, sext
+from rvjop.isa import A0, A7, RA, SP, reg, sext
 
 
 def d32(word: int, address: int = 0, xlen: int = 32):
@@ -202,14 +202,6 @@ def test_c_addiw_only_rv64():
 
 
 # --- helper arithmetic ------------------------------------------------------
-
-@given(st.integers(0, 2**32 - 1), st.integers(0, 31), st.integers(0, 31))
-@settings(max_examples=200, deadline=None)
-def test_bits_prop(word, a, b):
-    hi, lo = max(a, b), min(a, b)
-    got = bits(word, hi, lo)
-    assert got == (word >> lo) & ((1 << (hi - lo + 1)) - 1)
-
 
 @given(st.integers(0, 2**16 - 1))
 @settings(max_examples=200, deadline=None)

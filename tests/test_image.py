@@ -24,7 +24,6 @@ def test_parse_elf32():
                      (0x20000, DATA, PF_R | PF_W)], xlen=32, entry=0x10000)
     img = parse_elf(blob)
     assert img.xlen == 32
-    assert img.entry_point == 0x10000
     assert len(img.segments) == 2
     assert [s.executable for s in img.segments] == [True, False]
     assert img.read(0x10000, 4) == CODE[:4]
@@ -56,6 +55,18 @@ def test_wrong_machine():
     blob = make_elf([(0x10000, CODE, PF_R | PF_X)], xlen=32, machine=62)
     with pytest.raises(WrongMachine):
         parse_elf(blob)
+
+
+@pytest.mark.parametrize("xlen, header_end", [(32, 46), (64, 58)])
+def test_header_truncation_offsets(xlen, header_end):
+    # e_phnum is the last header field read; a file that stops anywhere
+    # before its end has a truncated header, one that holds it does not.
+    blob = make_elf([(0x10000, CODE, PF_R | PF_X)], xlen=xlen)
+    for size in range(16, header_end):
+        with pytest.raises(MalformedImage, match="ELF header truncated"):
+            parse_elf(blob[:size])
+    with pytest.raises(MalformedImage, match="program header 0 truncated"):
+        parse_elf(blob[:header_end])
 
 
 def test_big_endian_rejected():
@@ -252,7 +263,7 @@ def _with_jumps(img, rng):
             last = (len(data) - 2) & ~1
             data[last:last + 2] = (0x8067).to_bytes(2, "little")
         segs.append(seg._replace(data=bytes(data)))
-    return ExecutableImage(tuple(segs), img.xlen, img.entry_point)
+    return ExecutableImage(tuple(segs), img.xlen)
 
 
 @pytest.mark.parametrize("name,img", list(_lazy_images()),

@@ -1,17 +1,16 @@
-"""Query parsing, matching semantics, and report formats."""
+"""Query flags, matching semantics, and report formats."""
 
 import pytest
 
+from rvjop.cli import _build_parser, _query, main
 from rvjop.errors import UsageError
 from rvjop.isa import reg
-from rvjop.query import (Query, emit_records, parse_query, parse_records,
-                         render_listing, run_query)
+from rvjop.query import Query, emit_records, render_listing, run_query
 
 from conftest import CodeBuilder
 
 
-@pytest.fixture(scope="module")
-def fixture_image():
+def _fixture_builder():
     b = CodeBuilder()
     b.label("li_a2")
     b.emit("li", "a2", 0)
@@ -28,53 +27,80 @@ def fixture_image():
     b.label("save")
     b.emit("sw", "s0", "sp", 0)
     b.emit("ret")
+    return b
+
+
+@pytest.fixture(scope="module")
+def fixture_image():
+    b = _fixture_builder()
     return b.image(), dict(b.labels)
 
 
-# --- flag parsing -----------------------------------------------------------
+@pytest.fixture(scope="module")
+def fixture_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("query") / "fixture.bin"
+    path.write_bytes(_fixture_builder().blob())
+    return path
+
+
+# --- flag parsing, by the command line's parser ------------------------------
+
+def query_flags(argv):
+    """The Query that `rvjop query` builds from these filter flags."""
+    return _query(_build_parser().parse_args(["query", *argv]))
+
+
+def run_cli(capsys, blob, argv):
+    """`rvjop query` on `blob` with these flags: (exit code, stderr)."""
+    code = main(["query", "--raw", str(blob), *argv])
+    return code, capsys.readouterr().err
+
 
 def test_parse_both_spellings():
-    a = parse_query(["--op=li", "--imm=0", "--rr=a2"])
-    b = parse_query(["--op", "li", "--imm", "0", "--rr", "a2"])
+    a = query_flags(["--op=li", "--imm=0", "--rr=a2"])
+    b = query_flags(["--op", "li", "--imm", "0", "--rr", "a2"])
     assert a == b
     assert a.op == "li" and a.imm == 0 and a.rr is reg("a2")
 
 
 def test_parse_numeric_bases():
-    q = parse_query(["--imm=0x10"])
+    q = query_flags(["--imm=0x10"])
     assert q.imm == 16
 
 
 def test_parse_preserve_accumulates():
-    q = parse_query(["--preserve=s0,s1", "--preserve=a0"])
+    q = query_flags(["--preserve=s0,s1", "--preserve=a0"])
     assert {r.name for r in q.preserve} == {"s0", "s1", "a0"}
 
 
-def test_parse_rejects_unknown_flag():
-    with pytest.raises(UsageError) as ei:
-        parse_query(["--frobnicate=1"])
-    assert "frobnicate" in str(ei.value)
+def test_parse_rejects_unknown_flag(capsys, fixture_blob):
+    code, err = run_cli(capsys, fixture_blob, ["--frobnicate=1"])
+    assert code == 2 and "frobnicate" in err and "Traceback" not in err
 
 
-def test_parse_rejects_bad_values():
+def test_parse_rejects_bad_values(capsys, fixture_blob):
     for argv in (["--rr=q9"], ["--imm=ten"], ["--max=0"], ["--max=33"],
                  ["--link=zz"], ["--preserve=a0,zz"], ["--unique=1"],
                  ["--op"]):
-        with pytest.raises(UsageError):
-            parse_query(argv)
+        code, err = run_cli(capsys, fixture_blob, argv)
+        assert code == 2 and "error: argument" in err, argv
+        assert "Traceback" not in err, argv
 
 
-def test_parse_requires_a_filter():
+def test_parse_requires_a_filter(capsys, fixture_blob):
     with pytest.raises(UsageError):
-        parse_query([])
+        query_flags([])
     with pytest.raises(UsageError):
-        parse_query(["--max=2"])
-    assert parse_query(["--all"]).all_
+        query_flags(["--max=2"])
+    assert query_flags(["--all"]).all_
+    code, err = run_cli(capsys, fixture_blob, ["--max=2"])
+    assert code == 2 and err == "rvjop: give at least one filter, or --all\n"
 
 
-def test_parse_positional_rejected():
-    with pytest.raises(UsageError):
-        parse_query(["li"])
+def test_parse_positional_rejected(capsys, fixture_blob):
+    code, err = run_cli(capsys, fixture_blob, ["li"])
+    assert code == 2 and "unrecognized arguments: li" in err
+    assert "Traceback" not in err
 
 
 def test_parse_query_canonical_flags():
@@ -96,15 +122,14 @@ def test_parse_query_canonical_flags():
                all_=True)),
     ]
     for argv, want in cases:
-        assert parse_query(argv) == want, argv
+        assert query_flags(argv) == want, argv
 
 
 # --- matching ---------------------------------------------------------------
 
 def test_single_instruction_satisfies_all_conditions(fixture_image):
     img, addrs = fixture_image
-    hits = run_query(img, parse_query(["--op=li", "--imm=0", "--rr=a2",
-                                       "--max=1"]))
+    hits = run_query(img, Query(op="li", imm=0, rr=reg("a2"), max=1))
     starts = {h.gadget.start for h in hits}
     assert addrs["li_a2"] in starts
     assert addrs["li_a2_5"] not in starts    # imm differs
@@ -119,26 +144,26 @@ def test_conditions_not_satisfiable_across_instructions():
     b.emit("addi", "a0", "a0", 7)
     b.emit("ret")
     img = b.image()
-    assert run_query(img, parse_query(["--op=li", "--imm=7"])) == []
-    assert run_query(img, parse_query(["--op=li", "--imm=0"])) != []
+    assert run_query(img, Query(op="li", imm=7)) == []
+    assert run_query(img, Query(op="li", imm=0)) != []
 
 
 def test_link_filter(fixture_image):
     img, addrs = fixture_image
-    via_a5 = run_query(img, parse_query(["--all", "--link=a5"]))
+    via_a5 = run_query(img, Query(all_=True, link=reg("a5")))
     assert via_a5
     assert all(h.gadget.link_register is reg("a5") for h in via_a5)
 
 
 def test_preserve_filter(fixture_image):
     img, addrs = fixture_image
-    keep = run_query(img, parse_query(["--op=li", "--preserve=a2"]))
+    keep = run_query(img, Query(op="li", preserve=frozenset({reg("a2")})))
     assert {h.gadget.start for h in keep} == {addrs["li_a0"]}
 
 
 def test_role_filter(fixture_image):
     img, addrs = fixture_image
-    stores = run_query(img, parse_query(["--all", "--role=store"]))
+    stores = run_query(img, Query(all_=True, role="store"))
     assert any(h.gadget.start == addrs["save"] for h in stores)
     assert all("store" in h.roles for h in stores)
 
@@ -147,7 +172,7 @@ def test_max_monotonic(fixture_image):
     img, _ = fixture_image
     prev: set = set()
     for cap in range(1, 6):
-        q = parse_query(["--all", f"--max={cap}"])
+        q = Query(all_=True, max=cap)
         now = {(h.gadget.start, h.gadget.encoding)
                for h in run_query(img, q)}
         assert prev <= now
@@ -156,8 +181,8 @@ def test_max_monotonic(fixture_image):
 
 def test_unique_collapses(fixture_image):
     img, _ = fixture_image
-    every = run_query(img, parse_query(["--op=li"]))
-    unique = run_query(img, parse_query(["--op=li", "--unique"]))
+    every = run_query(img, Query(op="li"))
+    unique = run_query(img, Query(op="li", unique=True))
     encs = [h.gadget.encoding for h in unique]
     assert len(encs) == len(set(encs))
     assert len(unique) <= len(every)
@@ -165,7 +190,7 @@ def test_unique_collapses(fixture_image):
 
 def test_results_ordered_by_start(fixture_image):
     img, _ = fixture_image
-    hits = run_query(img, parse_query(["--all"]))
+    hits = run_query(img, Query(all_=True))
     starts = [h.gadget.start for h in hits]
     assert starts == sorted(starts)
 
@@ -174,8 +199,7 @@ def test_results_ordered_by_start(fixture_image):
 
 def test_listing_shape(fixture_image):
     img, addrs = fixture_image
-    hits = run_query(img, parse_query(["--op=li", "--imm=0", "--rr=a2",
-                                       "--max=1"]))
+    hits = run_query(img, Query(op="li", imm=0, rr=reg("a2"), max=1))
     text = render_listing(hits)
     assert f"0x{addrs['li_a2']:08x}:" in text
     assert text.rstrip().endswith("gadget" if len(hits) == 1 else "gadgets")
@@ -189,31 +213,24 @@ def test_empty_listing():
 
 def test_records_round_trip(fixture_image):
     img, _ = fixture_image
-    hits = run_query(img, parse_query(["--all"]))
-    text = emit_records(hits)
-    back = parse_records(text)
-    assert len(back) == len(hits)
-    for rec, hit in zip(back, hits):
-        assert rec.offset == hit.gadget.start
-        assert rec.alignment == hit.gadget.alignment
-        assert rec.link == hit.gadget.link_register.name
-        assert rec.roles == hit.roles
-        written = hit.summary.written | hit.summary.cond_written
-        assert set(rec.written) == {r.name for r in written}
+    hits = run_query(img, Query(all_=True))
+    lines = emit_records(hits).splitlines()
+    assert len(lines) == len(hits)
+    for line, hit in zip(lines, hits):
+        offset, alignment, link, roles, written = line.split()
+        assert int(offset, 16) == hit.gadget.start
+        assert alignment == hit.gadget.alignment
+        assert link == hit.gadget.link_register.name
+        assert roles == (",".join(hit.roles) or "-")
+        names = {r.name for r in hit.summary.written | hit.summary.cond_written}
+        assert written == (",".join(sorted(names)) or "-")
 
 
 def test_records_dash_for_empty(fixture_image):
     img, addrs = fixture_image
-    hits = run_query(img, parse_query(["--all", "--max=1"]))
+    hits = run_query(img, Query(all_=True, max=1))
     bare = [h for h in hits
             if not (h.summary.written | h.summary.cond_written)]
     assert bare, "need a gadget with no writes"
     text = emit_records(bare)
     assert text.splitlines()[0].split()[-1] == "-"
-
-
-def test_records_reject_malformed():
-    with pytest.raises(UsageError):
-        parse_records("0x10 natural ra arith\n")        # four fields
-    with pytest.raises(UsageError):
-        parse_records("zz natural ra arith a0\n")       # bad offset
