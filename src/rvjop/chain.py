@@ -1,10 +1,16 @@
 """Chain assembly: dispatch tables, payload layout, and static validation.
 
 A chain is an initializer, a dispatcher, and an ordered list of functional
-gadget steps.  The dispatch table holds one entry per expanded step plus
-the final return address; the payload buffer is the table followed by any
-data seeds (path strings and the like).  Register seeds are the values the
-initializer must load, placed at the stack offsets its loads read from.
+gadget steps, for one image: `ChainSpec.image`, which `parse_chain_text`
+fills in, decides XLEN (the table element width and the width of every
+seed) and which addresses the payload must stay clear of.  The dispatch
+table holds one entry per expanded step plus the final return address;
+the payload buffer is the table followed by any data seeds (path strings
+and the like).  Register seeds are the values the initializer must load,
+as the XLEN-bit values the registers will hold, placed at the stack
+offsets its loads read from.  Layout refuses a buffer that overlaps a
+segment of the image or runs past 2^XLEN, and a loop bound outside
+[0, 2^XLEN).
 
 Validation is static and best-effort: it proves nothing, it just catches
 the cheap mistakes (clobbered reserved registers, unbalanced stack motion,
@@ -21,11 +27,11 @@ from typing import NamedTuple
 
 from .classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_TWO_STAGE,
                        DispatcherCandidate, InitializerCandidate, Source,
-                       dispatcher_at, initializer_sources)
+                       dispatcher_at, initializer_at)
 from .dataflow import summarize_dataflow
 from .errors import AddressTooWide, Diverges, Overlap, ToolError
 from .image import ExecutableImage
-from .isa import ARG_REGS, RA, Register, reg
+from .isa import ARG_REGS, RA, Register, mask, reg
 from .scanner import Gadget, gadget_at
 
 ERROR = "error"
@@ -58,6 +64,7 @@ class ChainSpec(NamedTuple):
     steps: tuple[ChainStep, ...]
     return_to: int
     table_base: int
+    image: ExecutableImage                        # the image the chain runs in
     reserved: frozenset[Register] = frozenset()
     dispatch_reg: Register | None = None          # classic schemes only
     data_seeds: tuple[tuple[bytes, str], ...] = ()
@@ -133,7 +140,8 @@ def expand_entries(spec: ChainSpec) -> list[int]:
     return entries
 
 
-def build_dispatch_table(spec: ChainSpec, xlen: int) -> DispatchTable:
+def build_dispatch_table(spec: ChainSpec) -> DispatchTable:
+    xlen = spec.image.xlen
     elem = xlen // 8
     entries = expand_entries(spec)
     limit = 1 << xlen
@@ -151,18 +159,18 @@ def _sp_ledger(spec: ChainSpec, summaries) -> list[tuple[str, int | None]]:
     """(label, sp delta) for the initializer and each step, repeats
     folded in; None where a step moves sp by a non-constant amount.
     `summaries` holds each step's dataflow summary, in step order."""
-    ledger: list[tuple[str, int | None]] = [
-        ("initializer", spec.initializer.side_effects.sp_delta)]
+    init = summarize_dataflow(spec.initializer.gadget.instructions)
+    ledger: list[tuple[str, int | None]] = [("initializer", init.sp_delta)]
     for i, (step, summary) in enumerate(zip(spec.steps, summaries)):
         d = summary.sp_delta
         ledger.append((f"step {i}", None if d is None else d * step.repeat))
     return ledger
 
 
-def validate_chain(spec: ChainSpec, xlen: int) -> list[Diagnostic]:
+def validate_chain(spec: ChainSpec) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     disp = spec.dispatcher
-    elem = xlen // 8
+    elem = spec.image.xlen // 8
 
     if abs(disp.stride) != elem:
         diags.append(Diagnostic(ERROR, "StrideMismatch",
@@ -259,53 +267,59 @@ def validate_chain(spec: ChainSpec, xlen: int) -> list[Diagnostic]:
 
 # --- payload layout ---------------------------------------------------------
 
-def _branch_values(spec: ChainSpec, seed_ptr: int) -> list[int]:
-    """Table pointer values at each self-link evaluation.
+def _condition_bound(disp: DispatcherCandidate, table_left: bool,
+                     seed_ptr: int, rounds: int, xlen: int) -> int:
+    """Bound-register value keeping the branch taken at every evaluation.
 
-    After round k the pointer sits at seed + (k+1)*stride whether the
-    update runs before the load or after it; only the seed differs, and
-    layout already folded that in.
+    The self-link runs after each of `rounds` rounds.  After round k the
+    pointer sits at seed + k*stride whether the update runs before the
+    load or after it; only the seed differs, and layout already folded
+    that in.
     """
-    disp = spec.dispatcher
-    n = len(expand_entries(spec))
-    return [seed_ptr + (k + 1) * disp.stride for k in range(n - 1)]
-
-
-def _condition_bound(op: str, table_left: bool, values: list[int]
-                     ) -> tuple[int | None, str | None]:
-    """Bound-register value keeping the branch taken at every evaluation."""
-    if not values:
-        return 0, None
-    lo, hi = min(values), max(values)
-    gap = abs(values[1] - values[0]) if len(values) > 1 else 4
-    gap = gap or 4
-    if table_left:
-        if op in ("lt", "ltu"):
-            return hi + gap, None
-        if op in ("ge", "geu"):
-            return lo, None
-        if op == "ne":
-            return hi + gap, None
+    if rounds == 0:
+        return 0
+    op = disp.self_link.op
+    ends = (seed_ptr + disp.stride, seed_ptr + rounds * disp.stride)
+    lo, hi = min(ends), max(ends)
+    gap = (abs(disp.stride) if rounds > 1 else 0) or 4
+    if op == "ne" or (op in ("lt", "ltu") and table_left):
+        bound = hi + gap
+    elif op in ("lt", "ltu"):
+        bound = lo - gap
+    elif op in ("ge", "geu"):
+        bound = lo if table_left else hi
     else:
-        if op in ("lt", "ltu"):
-            return lo - gap, None
-        if op in ("ge", "geu"):
-            return hi, None
-        if op == "ne":
-            return hi + gap, None
-    return None, f"cannot keep a {op} self-link taken for every round"
+        raise ToolError(f"cannot keep a {op} self-link taken for every round")
+    if not 0 <= bound < 1 << xlen:
+        raise AddressTooWide(f"loop bound {bound:#x} is outside the "
+                             f"{xlen}-bit address space")
+    return bound
 
 
-def layout_payload(spec: ChainSpec, xlen: int,
-                   image: ExecutableImage | None = None) -> PayloadLayout:
+def layout_payload(spec: ChainSpec) -> PayloadLayout:
     disp = spec.dispatcher
-    table = build_dispatch_table(spec, xlen)
+    xlen = spec.image.xlen
+    table = build_dispatch_table(spec)
     n = len(table.entries)
     elem = table.element_size
 
+    mem_seeds = []
+    off = len(table.data)
+    for data, note in spec.data_seeds:
+        mem_seeds.append(MemorySeed(off, bytes(data), note))
+        off += len(data)
+    total = off
+    base, end = spec.table_base, spec.table_base + total
+    if end > 1 << xlen:
+        raise AddressTooWide(f"payload [0x{base:x}, 0x{end:x}) runs past "
+                             f"the {xlen}-bit address space")
+    for seg in spec.image.segments:
+        if base < seg.end and seg.vaddr < end:
+            raise Overlap(f"payload [0x{base:x}, 0x{end:x}) collides with "
+                          f"segment at 0x{seg.vaddr:x}")
+
     # Where must the table register point so round one reads entry one?
-    first_read = spec.table_base if disp.stride >= 0 \
-        else spec.table_base + (n - 1) * elem
+    first_read = base if disp.stride >= 0 else base + (n - 1) * elem
     seed_ptr = first_read - disp.load_offset
     if disp.pre_increment:
         seed_ptr -= disp.stride
@@ -318,10 +332,7 @@ def layout_payload(spec: ChainSpec, xlen: int,
         r1, r2 = disp.self_link.regs
         table_left = r1 is disp.table_reg
         bound_reg = r2 if table_left else r1
-        bound, problem = _condition_bound(disp.self_link.op, table_left,
-                                          _branch_values(spec, seed_ptr))
-        if problem is not None:
-            raise ToolError(problem)
+        bound = _condition_bound(disp, table_left, seed_ptr, n - 1, xlen)
         if bound_reg.index != 0 and bound_reg is not disp.table_reg:
             seeds[bound_reg] = bound
 
@@ -339,20 +350,8 @@ def layout_payload(spec: ChainSpec, xlen: int,
     for r in init.sets:
         seeds.setdefault(r, 0)
     seeds.update(spec.seed_overrides)
-
-    mem_seeds = []
-    off = len(table.data)
-    for data, note in spec.data_seeds:
-        mem_seeds.append(MemorySeed(off, bytes(data), note))
-        off += len(data)
-    total = off
-
-    if image is not None:
-        for seg in image.segments:
-            if spec.table_base < seg.end and seg.vaddr < spec.table_base + total:
-                raise Overlap(
-                    f"payload [0x{spec.table_base:x}, 0x{spec.table_base + total:x})"
-                    f" collides with segment at 0x{seg.vaddr:x}")
+    # Each seed as the XLEN-bit value its register or stack slot holds.
+    seeds = {r: v & mask(xlen) for r, v in seeds.items()}
 
     stack_writes = []
     unplaced = []
@@ -371,21 +370,6 @@ def layout_payload(spec: ChainSpec, xlen: int,
 
 
 # --- chain spec text format -------------------------------------------------
-
-def make_initializer(image: ExecutableImage, address: int,
-                     dispatcher: DispatcherCandidate) -> InitializerCandidate:
-    """Materialize and vet the gadget at `address` as the chain initializer."""
-    g = gadget_at(image, address)
-    sets = initializer_sources(g)
-    if sets is None:
-        raise ToolError(f"initializer at 0x{address:x} jumps through ra")
-    missing = dispatcher.unseeded(sets)
-    if missing:
-        names = ",".join(sorted(r.name for r in missing))
-        raise ToolError(
-            f"initializer at 0x{address:x} never loads {names}")
-    return InitializerCandidate(g, sets)
-
 
 def parse_chain_text(text: str, image: ExecutableImage) -> ChainSpec:
     """Parse the line-oriented chain description.
@@ -479,12 +463,13 @@ def parse_chain_text(text: str, image: ExecutableImage) -> ChainSpec:
     if chosen is None:
         raise ToolError(f"no dispatcher candidate at 0x{dispatcher_addr:x}")
 
-    initializer = make_initializer(image, initializer_addr, chosen)
+    initializer = initializer_at(image, initializer_addr, chosen)
     chain_steps = tuple(ChainStep(gadget_at(image, a), r, n)
                         for a, r, n in steps)
     return ChainSpec(dispatcher=chosen, initializer=initializer,
                      steps=chain_steps, return_to=return_to,
-                     table_base=table_base, reserved=frozenset(reserved),
+                     table_base=table_base, image=image,
+                     reserved=frozenset(reserved),
                      dispatch_reg=dispatch_reg, data_seeds=tuple(data_seeds),
                      seed_overrides=overrides)
 
@@ -507,11 +492,11 @@ def render_manifest(spec: ChainSpec, layout: PayloadLayout,
     lines.append("")
     lines.append("register seeds (loaded by the initializer):")
     for r, v in sorted(layout.register_seeds.items(), key=lambda kv: kv[0].index):
-        lines.append(f"  {r.name:5s} = 0x{v & 0xFFFFFFFFFFFFFFFF:x}")
+        lines.append(f"  {r.name:5s} = 0x{v:x}")
     if layout.stack_writes:
         lines.append("stack slots to prepare (relative to entry sp):")
         for w in layout.stack_writes:
-            lines.append(f"  sp{w.offset:<+5d} <- 0x{w.value & 0xFFFFFFFFFFFFFFFF:x}"
+            lines.append(f"  sp{w.offset:<+5d} <- 0x{w.value:x}"
                          f"  ({w.register.name})")
     for r, src in layout.unplaced_seeds:
         lines.append(f"  note: {r.name} loads via {src.kind} base "

@@ -40,10 +40,11 @@ from .dataflow import (Const, DataflowSummary, Source, const_add,
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
                       IndirectJump, Trap)
 from .decoder import decode_one  # noqa: F401  benchmarks/test_benchmark.py looks it up here
+from .errors import ToolError
 from .image import DecodedSegment, ExecutableImage
 from .isa import RA, SP, A7, Register
 from .scanner import (NATURAL, SHIFTED, Gadget, dedupe, extract_gadgets,
-                      terminators)
+                      gadget_at, terminators)
 
 # role kinds
 ARITH = "arith"
@@ -56,6 +57,9 @@ DISPATCHER_TWO_STAGE = "dispatcher-two-stage"
 DISPATCHER_AUTONOMOUS = "dispatcher-autonomous"
 INITIALIZER = "initializer"
 UNCLASSIFIED = "unclassified"
+ROLES = (ARITH, LOAD, STORE, CALL, SYSCALL, DISPATCHER_CLASSIC,
+         DISPATCHER_TWO_STAGE, DISPATCHER_AUTONOMOUS, INITIALIZER,
+         UNCLASSIFIED)
 
 _CSR_MNEMONICS = frozenset(
     ["csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci"])
@@ -113,10 +117,6 @@ class InitializerCandidate(NamedTuple):
     @property
     def link_register(self) -> Register:
         return self.gadget.link_register
-
-    @property
-    def side_effects(self) -> DataflowSummary:
-        return summarize_dataflow(self.gadget.instructions)
 
 
 # --- role classification ----------------------------------------------------
@@ -403,6 +403,22 @@ def initializer_sources(gadget: Gadget, summary: DataflowSummary | None = None
     if summary is None:
         summary = summarize_dataflow(gadget.instructions)
     return summary.loaded
+
+
+def initializer_at(image: ExecutableImage, address: int,
+                   dispatcher: DispatcherCandidate) -> InitializerCandidate:
+    """The gadget at `address` as an initializer for `dispatcher`;
+    ToolError unless it seeds every register the dispatcher needs."""
+    g = gadget_at(image, address)
+    sets = initializer_sources(g)
+    if sets is None:
+        raise ToolError(f"initializer at 0x{address:x} jumps through ra")
+    missing = dispatcher.unseeded(sets)
+    if missing:
+        names = ",".join(sorted(r.name for r in missing))
+        raise ToolError(
+            f"initializer at 0x{address:x} never loads {names}")
+    return InitializerCandidate(g, sets)
 
 
 def find_initializers(gadgets, dispatcher: DispatcherCandidate

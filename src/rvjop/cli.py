@@ -11,7 +11,8 @@ Subcommands:
     sim           execute under the shadow-stack interpreter
 
 Exit codes: 0 results or success, 1 nothing found (or an unsuccessful
-run), 2 bad usage, 3 unreadable or unsupported input image.
+run), 2 bad usage, 3 unreadable or unsupported input (an image, or a
+chain file or payload that cannot be built).
 
 Every command loads the image, decoder, scanner, dataflow and classify
 layers.  The query layer loads only for scan and query, the chain layer
@@ -32,8 +33,9 @@ import sys
 
 # Loaded with this module, so by every command: benchmarks/test_benchmark.py
 # looks `rvjop.classify` up in sys.modules right after `import rvjop.cli`.
-from .classify import (availability_stats, dispatcher_at, find_dispatchers,
-                       find_initializers, render_stats_table)
+from .classify import (ROLES, availability_stats, dispatcher_at,
+                       find_dispatchers, find_initializers,
+                       render_stats_table)
 from .errors import ToolError, UsageError
 from .image import ExecutableImage, load_elf, load_raw
 from .isa import SP, Register, is_register_name, reg
@@ -162,7 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preserve", type=_registers, action="append",
                    default=[], metavar="REG[,REG...]",
                    help="the gadget leaves REG unchanged (repeatable)")
-    p.add_argument("--role", help="one of the classifier's roles")
+    p.add_argument("--role", choices=ROLES, metavar="ROLE",
+                   help="one of the classifier's roles: %(choices)s")
     p.add_argument("--all", dest="all_", action="store_true",
                    help="every gadget the other filters let through")
     p.add_argument("--unique", action="store_true",
@@ -307,12 +310,12 @@ def _cmd_chain(args) -> int:
     image = _load_image(args)
     with open(args.spec, encoding="utf-8") as fh:
         spec = parse_chain_text(fh.read(), image)
-    diags = validate_chain(spec, image.xlen)
+    diags = validate_chain(spec)
     if has_errors(diags):
         for d in diags:
             print(str(d), file=sys.stderr)
         return EMPTY
-    layout = layout_payload(spec, image.xlen, image)
+    layout = layout_payload(spec)
     manifest = render_manifest(spec, layout, diags)
     if args.manifest:
         with open(args.manifest, "w", encoding="utf-8") as fh:

@@ -59,10 +59,6 @@ class MalformedImage(ToolError):
     """Structurally broken ELF (bad headers, overlap, unsupported byte order)."""
 
 
-class OutOfRange(ToolError):
-    """Address or span falls outside every loaded segment."""
-
-
 # --- query / chain ----------------------------------------------------------
 
 class UsageError(ToolError):
@@ -74,7 +70,8 @@ class Diverges(ToolError):
 
 
 class AddressTooWide(ToolError):
-    """A dispatch table entry does not fit the table element width."""
+    """A table entry, the payload buffer or a loop bound does not fit
+    the XLEN-bit address space."""
 
 
 class Overlap(ToolError):

@@ -2,9 +2,9 @@
 
 Only program headers matter here; section headers are ignored entirely
 (scanning operates on what gets mapped, not on link-time metadata).
-Little-endian images only.  Segments are kept byte-exact: slicing the
-image returns the same bytes the file supplied, padded with zeros where
-a segment's memory size exceeds its file size.
+Little-endian images only.  Segments are kept byte-exact: a segment's
+`data` holds the same bytes the file supplied, padded with zeros where
+its memory size exceeds its file size.
 
 Each executable segment has a decode table that every static analysis
 reads (gadget growth, linear sweep, dispatcher search).  A halfword is
@@ -27,8 +27,8 @@ import struct
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import (InvalidEncoding, MalformedImage, NotElf, OutOfRange,
-                     Truncated, WrongMachine)
+from .errors import (InvalidEncoding, MalformedImage, NotElf, Truncated,
+                     WrongMachine)
 
 if TYPE_CHECKING:
     from .decoder import DecodedInstruction
@@ -147,17 +147,6 @@ class ExecutableImage:
             if seg.vaddr <= address < seg.end:
                 return seg
         return None
-
-    def read(self, address: int, size: int) -> bytes:
-        """Bytes for [address, address+size); spans never cross segments."""
-        if size < 0:
-            raise OutOfRange(f"negative span {size}")
-        seg = self.segment_containing(address)
-        if seg is None or address + size > seg.end:
-            raise OutOfRange(
-                f"span [0x{address:x}, 0x{address + size:x}) not in any segment")
-        off = address - seg.vaddr
-        return seg.data[off:off + size]
 
 
 def _segments_sorted(segs: list[Segment]) -> tuple[Segment, ...]:

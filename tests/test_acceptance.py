@@ -13,11 +13,11 @@ import pytest
 
 from rvjop.assembler import assemble
 from rvjop.chain import (ChainSpec, ChainStep, has_errors, layout_payload,
-                         make_initializer, repetitions_for, validate_chain)
+                         repetitions_for, validate_chain)
 from rvjop.classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
                             DISPATCHER_TWO_STAGE, availability_stats,
                             find_dispatchers, find_initializers,
-                            render_stats_table)
+                            initializer_at, render_stats_table)
 from rvjop.decoder import decode_one
 from rvjop.errors import Diverges, InvalidEncoding, Truncated
 from rvjop.isa import reg
@@ -385,7 +385,7 @@ def _e2e_chain():
     img, addrs = build_e2e_fixture()
     (disp,) = [d for d in find_dispatchers(img)
                if d.kind == DISPATCHER_AUTONOMOUS]
-    init = make_initializer(img, addrs["init"], disp)
+    init = initializer_at(img, addrs["init"], disp)
     count = repetitions_for(2604, 4, 0)
     names = ["g_dirfd", "g_flags", "g_alloc", "g_open", ("g_count", count),
              "g_read", "g_outfd", "g_write", "g_release"]
@@ -397,14 +397,14 @@ def _e2e_chain():
     path_addr = TABLE_BASE + entries * 4
     spec = ChainSpec(
         dispatcher=disp, initializer=init, steps=tuple(steps),
-        return_to=addrs["landing"], table_base=TABLE_BASE,
+        return_to=addrs["landing"], table_base=TABLE_BASE, image=img,
         data_seeds=((b"flag.txt\x00", "path"),),
         seed_overrides={reg("a1"): path_addr})
     return img, addrs, spec, entries, path_addr
 
 
 def _simulate(img, addrs, spec):
-    layout = layout_payload(spec, 32, image=img)
+    layout = layout_payload(spec)
     m = new_machine(img, payload=layout, buffer_base=spec.table_base)
     return m, run_chain(m, addrs["init"], spec.return_to,
                         loop_entry=spec.dispatcher.loop_entry)
@@ -412,9 +412,9 @@ def _simulate(img, addrs, spec):
 
 def test_criterion_09_end_to_end_stealth():
     img, addrs, spec, entries, path_addr = _e2e_chain()
-    diags = validate_chain(spec, 32)
+    diags = validate_chain(spec)
     assert not has_errors(diags)
-    layout = layout_payload(spec, 32, image=img)
+    layout = layout_payload(spec)
     assert layout.memory_seeds[0].offset == entries * 4
 
     m, report = _simulate(img, addrs, spec)
@@ -441,14 +441,14 @@ def test_criterion_09_end_to_end_stealth():
     mut = spec._replace(steps=spec.steps[:4] + (ChainStep(hostile),)
                         + spec.steps[4:])
     assert any(d.code == "ClobbersReserved"
-               for d in validate_chain(mut, 32))
+               for d in validate_chain(mut))
     _, bad = _simulate(img, addrs, mut)
     assert not bad.stealth and bad.outcome != "reached"
 
     # dropping the stack release leaves sp shifted
     mut = spec._replace(steps=spec.steps[:-1])
     assert any(d.code == "UnbalancedStack"
-               for d in validate_chain(mut, 32))
+               for d in validate_chain(mut))
     _, bad = _simulate(img, addrs, mut)
     assert bad.outcome == "reached" and bad.final_sp_delta == -16
     assert not bad.stealth

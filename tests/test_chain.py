@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from rvjop.assembler import assemble
 from rvjop.chain import (ChainSpec, ChainStep, build_dispatch_table,
                          expand_entries, has_errors, layout_payload,
-                         make_initializer, parse_chain_text, render_manifest,
-                         repetitions_for, validate_chain)
+                         parse_chain_text, render_manifest, repetitions_for,
+                         validate_chain)
 from rvjop.classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
-                            DISPATCHER_TWO_STAGE, Source, find_dispatchers)
+                            DISPATCHER_TWO_STAGE, Source, find_dispatchers,
+                            initializer_at)
 from rvjop.decoder import decode_one
 from rvjop.errors import AddressTooWide, Diverges, Overlap, ToolError
+from rvjop.image import ExecutableImage
 from rvjop.isa import reg
 from rvjop.scanner import gadget_at
 from rvjop.sim import new_machine, run_chain
@@ -125,13 +127,14 @@ def dispatcher_at(img, entry, kind):
 
 def spec_for(img, addrs, steps, *, loop="loop", init="init", **kw):
     disp = dispatcher_at(img, addrs[loop], DISPATCHER_AUTONOMOUS)
-    ini = make_initializer(img, addrs[init], disp)
+    ini = initializer_at(img, addrs[init], disp)
     parts = []
     for s in steps:
         name, repeat = s if isinstance(s, tuple) else (s, 1)
         parts.append(ChainStep(gadget_at(img, addrs[name]), repeat))
     return ChainSpec(dispatcher=disp, initializer=ini, steps=tuple(parts),
-                     return_to=addrs["landing"], table_base=TABLE_BASE, **kw)
+                     return_to=addrs["landing"], table_base=TABLE_BASE,
+                     image=img, **kw)
 
 
 def codes(diags, severity=None):
@@ -192,7 +195,7 @@ def test_table_traversal_order(lab):
     spec = spec_for(img, addrs, ["g_one", ("g_two", 2)])
     assert expand_entries(spec) == [addrs["g_one"], addrs["g_two"],
                                     addrs["g_two"], addrs["landing"]]
-    table = build_dispatch_table(spec, 32)
+    table = build_dispatch_table(spec)
     assert table.element_size == 4
     assert table.entries == tuple(expand_entries(spec))
     assert table.data == b"".join(e.to_bytes(4, "little")
@@ -203,7 +206,7 @@ def test_table_memory_reversed_for_negative_stride(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one", "g_two"], loop="nloop",
                     init="ninit")
-    table = build_dispatch_table(spec, 32)
+    table = build_dispatch_table(spec)
     assert table.entries == (addrs["g_one"], addrs["g_two"],
                              addrs["landing"])
     assert table.data[0:4] == addrs["landing"].to_bytes(4, "little")
@@ -215,15 +218,16 @@ def test_table_rejects_wide_addresses(lab):
     spec = spec_for(img, addrs, ["g_one"])
     for bad in (1 << 32, -4):
         with pytest.raises(AddressTooWide):
-            build_dispatch_table(spec._replace(return_to=bad), 32)
-    build_dispatch_table(spec._replace(return_to=1 << 32), 64)
+            build_dispatch_table(spec._replace(return_to=bad))
+    wide = ExecutableImage(img.segments, 64)
+    build_dispatch_table(spec._replace(return_to=1 << 32, image=wide))
 
 
 # --- validation -------------------------------------------------------------
 
 def test_clean_chain_validates(lab):
     img, addrs = lab
-    diags = validate_chain(spec_for(img, addrs, ["g_one", "g_two"]), 32)
+    diags = validate_chain(spec_for(img, addrs, ["g_one", "g_two"]))
     assert not has_errors(diags)
     assert codes(diags, "info") == ["MustHold"]
     must = next(d for d in diags if d.code == "MustHold")
@@ -232,61 +236,63 @@ def test_clean_chain_validates(lab):
 
 def test_stride_element_mismatch(lab):
     img, addrs = lab
-    diags = validate_chain(spec_for(img, addrs, ["g_one"]), 64)
+    spec = spec_for(img, addrs, ["g_one"])
+    wide = spec._replace(dispatcher=spec.dispatcher._replace(stride=8))
+    diags = validate_chain(wide)
     assert "StrideMismatch" in codes(diags, "error")
+    assert "StrideMismatch" not in codes(validate_chain(spec))
 
 
 def test_bad_repeat(lab):
     img, addrs = lab
-    diags = validate_chain(spec_for(img, addrs, [("g_one", 0)]), 32)
+    diags = validate_chain(spec_for(img, addrs, [("g_one", 0)]))
     assert "BadRepeat" in codes(diags, "error")
 
 
 def test_autonomous_needs_return_like_steps(lab):
     img, addrs = lab
-    diags = validate_chain(spec_for(img, addrs, ["g_jr_t1"]), 32)
+    diags = validate_chain(spec_for(img, addrs, ["g_jr_t1"]))
     mismatch = [d for d in diags if d.code == "TerminatorMismatch"]
     assert mismatch and "t1" in mismatch[0].message
 
 
 def test_reserved_clobber_flagged(lab):
     img, addrs = lab
-    diags = validate_chain(spec_for(img, addrs, ["g_clobber"]), 32)
+    diags = validate_chain(spec_for(img, addrs, ["g_clobber"]))
     hits = [d for d in diags if d.code == "ClobbersReserved"]
     assert hits and "s0" in hits[0].message
 
     extra = spec_for(img, addrs, ["g_two"], reserved=frozenset({reg("a1")}))
-    assert "ClobbersReserved" in codes(validate_chain(extra, 32), "error")
+    assert "ClobbersReserved" in codes(validate_chain(extra), "error")
 
 
 def test_arg_clobber_before_syscall(lab):
     img, addrs = lab
     warned = validate_chain(
-        spec_for(img, addrs, ["g_one", "g_a0_two", "g_ecall"]), 32)
+        spec_for(img, addrs, ["g_one", "g_a0_two", "g_ecall"]))
     hits = [d for d in warned if d.code == "ArgClobbered"]
     assert hits and "a0" in hits[0].message and "step 0" in hits[0].message
 
     # read-modify-write keeps the earlier value relevant
     ok = validate_chain(
-        spec_for(img, addrs, ["g_one", "g_a0_bump", "g_ecall"]), 32)
+        spec_for(img, addrs, ["g_one", "g_a0_bump", "g_ecall"]))
     assert "ArgClobbered" not in codes(ok)
 
     # no syscall ever consumes it: not worth a warning
-    quiet = validate_chain(spec_for(img, addrs, ["g_one", "g_a0_two"]), 32)
+    quiet = validate_chain(spec_for(img, addrs, ["g_one", "g_a0_two"]))
     assert "ArgClobbered" not in codes(quiet)
 
 
 def test_stack_balance(lab):
     img, addrs = lab
-    bad = validate_chain(spec_for(img, addrs, [("g_alloc", 2), "g_release"]),
-                         32)
+    bad = validate_chain(spec_for(img, addrs, [("g_alloc", 2), "g_release"]))
     unb = [d for d in bad if d.code == "UnbalancedStack"]
     assert unb and "-16" in unb[0].message
 
-    good = validate_chain(spec_for(img, addrs, ["g_alloc", "g_release"]), 32)
+    good = validate_chain(spec_for(img, addrs, ["g_alloc", "g_release"]))
     assert "UnbalancedStack" not in codes(good)
 
-    fuzzy = validate_chain(spec_for(img, addrs, ["g_sp_var"]), 32)
+    fuzzy = validate_chain(spec_for(img, addrs, ["g_sp_var"]))
     assert "UnknownSpDelta" in codes(fuzzy, "warning")
     assert "UnbalancedStack" not in codes(fuzzy)
 
@@ -297,32 +303,32 @@ def test_dispatcher_moving_sp_warned(lab):
     alloc = decode_one(assemble("addi", ("sp", "sp", -16)))
     touched = spec.dispatcher._replace(
         return_path=spec.dispatcher.return_path + (alloc,))
-    diags = validate_chain(spec._replace(dispatcher=touched), 32)
+    diags = validate_chain(spec._replace(dispatcher=touched))
     assert "DispatcherTouchesSp" in codes(diags, "warning")
 
 
 def test_classic_validation(classic_lab):
     img, addrs = classic_lab
     disp = dispatcher_at(img, addrs["dispatch"], DISPATCHER_CLASSIC)
-    ini = make_initializer(img, addrs["init"], disp)
+    ini = initializer_at(img, addrs["init"], disp)
 
     def mk(names, **kw):
         steps = tuple(ChainStep(gadget_at(img, addrs[n])) for n in names)
         return ChainSpec(dispatcher=disp, initializer=ini, steps=steps,
                          return_to=addrs["landing"], table_base=TABLE_BASE,
-                         **kw)
+                         image=img, **kw)
 
-    ok = validate_chain(mk(["g_a", "g_b"], dispatch_reg=reg("t1")), 32)
+    ok = validate_chain(mk(["g_a", "g_b"], dispatch_reg=reg("t1")))
     assert not has_errors(ok)
     assert "MustHold" not in codes(ok)
 
-    missing = validate_chain(mk(["g_a"]), 32)
+    missing = validate_chain(mk(["g_a"]))
     assert "MissingDispatchReg" in codes(missing, "error")
 
-    wrong = validate_chain(mk(["g_ret"], dispatch_reg=reg("t1")), 32)
+    wrong = validate_chain(mk(["g_ret"], dispatch_reg=reg("t1")))
     assert "TerminatorMismatch" in codes(wrong, "error")
 
-    linking = validate_chain(mk(["g_link"], dispatch_reg=reg("t1")), 32)
+    linking = validate_chain(mk(["g_link"], dispatch_reg=reg("t1")))
     assert "LinkingStep" in codes(linking, "warning")
 
 
@@ -331,7 +337,7 @@ def test_classic_validation(classic_lab):
 def test_layout_autonomous_seeds(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one", "g_two"])
-    out = layout_payload(spec, 32)
+    out = layout_payload(spec)
     seeds = out.register_seeds
     assert seeds[reg("s0")] == TABLE_BASE
     # bound must stay above the pointer at every loop test: 3 entries
@@ -348,7 +354,7 @@ def test_layout_negative_stride_seeds(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one", "g_two"], loop="nloop",
                     init="ninit")
-    out = layout_payload(spec, 32)
+    out = layout_payload(spec)
     # pointer starts at the high end and counts down
     assert out.register_seeds[reg("s2")] == TABLE_BASE + 8
     assert out.register_seeds[reg("s3")] == TABLE_BASE + 8 - 12
@@ -357,12 +363,12 @@ def test_layout_negative_stride_seeds(lab):
 def test_layout_two_stage_seeds(two_stage):
     img, addrs = two_stage
     disp = dispatcher_at(img, addrs["stage1"], DISPATCHER_TWO_STAGE)
-    ini = make_initializer(img, addrs["init"], disp)
+    ini = initializer_at(img, addrs["init"], disp)
     spec = ChainSpec(dispatcher=disp, initializer=ini,
                      steps=(ChainStep(gadget_at(img, addrs["g_li_a0"])),),
                      return_to=addrs["landing"], table_base=TABLE_BASE,
-                     dispatch_reg=reg("t1"))
-    seeds = layout_payload(spec, 32).register_seeds
+                     image=img, dispatch_reg=reg("t1"))
+    seeds = layout_payload(spec).register_seeds
     assert seeds[reg("s0")] == TABLE_BASE - 4       # advanced before the load
     assert seeds[reg("t2")] == addrs["stage2"]
     assert seeds[reg("t1")] == addrs["stage1"]
@@ -373,7 +379,7 @@ def test_layout_overrides_win(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"],
                     seed_overrides={reg("s1"): 0x999})
-    out = layout_payload(spec, 32)
+    out = layout_payload(spec)
     assert out.register_seeds[reg("s1")] == 0x999
     w = next(w for w in out.stack_writes if w.register is reg("s1"))
     assert w.value == 0x999
@@ -383,7 +389,7 @@ def test_layout_data_seeds(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"],
                     data_seeds=((b"abc", "path"), (b"\x01\x02", "")))
-    out = layout_payload(spec, 32)
+    out = layout_payload(spec)
     assert [m.offset for m in out.memory_seeds] == [8, 11]
     assert out.total_size == 13
     buf = out.buffer
@@ -393,16 +399,58 @@ def test_layout_data_seeds(lab):
 def test_layout_overlap_with_image(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"])
-    layout_payload(spec, 32, image=img)
+    layout_payload(spec)
     inside = spec._replace(table_base=addrs["g_one"])
     with pytest.raises(Overlap):
-        layout_payload(inside, 32, image=img)
+        layout_payload(inside)
+
+
+def test_layout_payload_fits_the_address_space(lab):
+    img, addrs = lab
+    spec = spec_for(img, addrs, ["g_one"], data_seeds=((b"abc", ""),))
+    top = 1 << 32
+    layout_payload(spec._replace(table_base=top - 11))      # ends at 2^32
+    with pytest.raises(AddressTooWide, match=(
+            r"payload \[0xfffffff6, 0x100000001\) runs past the 32-bit "
+            r"address space")):
+        layout_payload(spec._replace(table_base=top - 10))
+
+
+def test_layout_loop_bound_fits_the_address_space(lab):
+    img, addrs = lab
+    # blt s0, s1: the bound sits one entry past the table's last
+    up = spec_for(img, addrs, ["g_one", "g_two"])
+    assert layout_payload(up._replace(table_base=(1 << 32) - 16)
+                          ).register_seeds[reg("s1")] == (1 << 32) - 4
+    with pytest.raises(AddressTooWide, match=(
+            "loop bound 0x100000000 is outside the 32-bit address space")):
+        layout_payload(up._replace(table_base=(1 << 32) - 12))
+    # blt s3, s2 counting down: the bound sits one entry below the table
+    down = spec_for(img, addrs, ["g_one", "g_two"], loop="nloop",
+                    init="ninit")
+    assert layout_payload(down._replace(table_base=4)
+                          ).register_seeds[reg("s3")] == 0
+    with pytest.raises(AddressTooWide, match=(
+            "loop bound -0x4 is outside the 32-bit address space")):
+        layout_payload(down._replace(table_base=0))
+
+
+def test_layout_seeds_are_xlen_bit_values(lab):
+    img, addrs = lab
+    spec = spec_for(img, addrs, ["g_one"],
+                    seed_overrides={reg("s1"): -100, reg("a0"): 1 << 32})
+    out = layout_payload(spec)
+    assert out.register_seeds[reg("s1")] == 0xffffff9c
+    assert out.register_seeds[reg("a0")] == 0
+    w = next(w for w in out.stack_writes if w.register is reg("s1"))
+    assert w.value == 0xffffff9c
+    assert "  s1    = 0xffffff9c" in render_manifest(spec, out, [])
 
 
 def test_layout_ledger_scales_repeats(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, [("g_alloc", 2), "g_release"])
-    out = layout_payload(spec, 32)
+    out = layout_payload(spec)
     assert out.sp_ledger == (("initializer", 0), ("step 0", -32),
                              ("step 1", 16))
 
@@ -413,7 +461,7 @@ def test_layout_surfaces_unplaced_sources(lab):
     sets = dict(spec.initializer.sets)
     sets[reg("a1")] = Source("mem", reg("a3"), 0)
     spec = spec._replace(initializer=spec.initializer._replace(sets=sets))
-    out = layout_payload(spec, 32)
+    out = layout_payload(spec)
     assert [(r.name, s.kind) for r, s in out.unplaced_seeds] == [("a1", "mem")]
     assert out.register_seeds[reg("a1")] == 0
     text = render_manifest(spec, out, [])
@@ -427,7 +475,7 @@ def test_manifest_signs_negative_offsets(lab):
     sets[reg("s0")] = Source("stack", reg("sp"), -12)
     sets[reg("a1")] = Source("mem", reg("a3"), -8)
     spec = spec._replace(initializer=spec.initializer._replace(sets=sets))
-    lines = render_manifest(spec, layout_payload(spec, 32), []).splitlines()
+    lines = render_manifest(spec, layout_payload(spec), []).splitlines()
     assert any(line.startswith("  sp-12   <- ") for line in lines)
     assert "  note: a1 loads via mem base a3-8; place it yourself" in lines
 
@@ -438,14 +486,14 @@ def test_initializer_rejects_ra_jump(lab):
     img, addrs = lab
     disp = dispatcher_at(img, addrs["loop"], DISPATCHER_AUTONOMOUS)
     with pytest.raises(ToolError, match="ra"):
-        make_initializer(img, addrs["g_one"], disp)
+        initializer_at(img, addrs["g_one"], disp)
 
 
 def test_initializer_must_cover_required(lab):
     img, addrs = lab
     disp = dispatcher_at(img, addrs["loop"], DISPATCHER_AUTONOMOUS)
     with pytest.raises(ToolError, match="never loads"):
-        make_initializer(img, addrs["g_jr_t1"], disp)
+        initializer_at(img, addrs["g_jr_t1"], disp)
 
 
 # --- chain text format ------------------------------------------------------
@@ -533,8 +581,8 @@ def test_parse_chain_text_top_address(lab):
 def test_manifest_contents(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"])
-    out = layout_payload(spec, 32)
-    diags = validate_chain(spec, 32)
+    out = layout_payload(spec)
+    diags = validate_chain(spec)
     text = render_manifest(spec, out, diags)
     assert "dispatcher-autonomous" in text
     assert f"0x{TABLE_BASE:08x}" in text
@@ -547,7 +595,7 @@ def test_manifest_contents(lab):
 # --- the layouts actually run -----------------------------------------------
 
 def run_layout(img, spec, entry, fuel=10_000):
-    out = layout_payload(spec, 32, image=img)
+    out = layout_payload(spec)
     m = new_machine(img, payload=out, buffer_base=spec.table_base)
     report = run_chain(m, entry, spec.return_to, fuel=fuel,
                        loop_entry=spec.dispatcher.loop_entry)
@@ -557,7 +605,7 @@ def run_layout(img, spec, entry, fuel=10_000):
 def test_autonomous_chain_runs(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one", "g_two"])
-    assert not has_errors(validate_chain(spec, 32))
+    assert not has_errors(validate_chain(spec))
     m, report = run_layout(img, spec, addrs["init"])
     assert report.outcome == "reached"
     assert report.dispatch_rounds == 3
@@ -578,15 +626,15 @@ def test_negative_stride_chain_runs(lab):
 def test_classic_chain_runs(classic_lab):
     img, addrs = classic_lab
     disp = dispatcher_at(img, addrs["dispatch"], DISPATCHER_CLASSIC)
-    ini = make_initializer(img, addrs["init"], disp)
+    ini = initializer_at(img, addrs["init"], disp)
     spec = ChainSpec(
         dispatcher=disp, initializer=ini,
         steps=(ChainStep(gadget_at(img, addrs["g_a"])),
                ChainStep(gadget_at(img, addrs["g_b"])),
                ChainStep(gadget_at(img, addrs["g_b"]))),
         return_to=addrs["landing"], table_base=TABLE_BASE,
-        dispatch_reg=reg("t1"))
-    assert not has_errors(validate_chain(spec, 32))
+        image=img, dispatch_reg=reg("t1"))
+    assert not has_errors(validate_chain(spec))
     m, report = run_layout(img, spec, addrs["init"])
     assert report.outcome == "reached"
     assert report.dispatch_rounds == 4
@@ -597,11 +645,11 @@ def test_classic_chain_runs(classic_lab):
 def test_two_stage_chain_runs(two_stage):
     img, addrs = two_stage
     disp = dispatcher_at(img, addrs["stage1"], DISPATCHER_TWO_STAGE)
-    ini = make_initializer(img, addrs["init"], disp)
+    ini = initializer_at(img, addrs["init"], disp)
     spec = ChainSpec(dispatcher=disp, initializer=ini,
                      steps=(ChainStep(gadget_at(img, addrs["g_li_a0"])),),
                      return_to=addrs["landing"], table_base=TABLE_BASE,
-                     dispatch_reg=reg("t1"))
+                     image=img, dispatch_reg=reg("t1"))
     m, report = run_layout(img, spec, addrs["init"])
     assert report.outcome == "reached"
     assert report.dispatch_rounds == 2

@@ -201,6 +201,15 @@ def test_query_bad_value_is_an_argparse_error(capsys, adg_blob):
         "rvjop query: error: argument --rr: 'q9' is not a register\n")
 
 
+def test_query_unknown_role_is_a_usage_error(capsys, adg_blob):
+    blob, _ = adg_blob
+    code, out, err = run(capsys, "query", *RAW(blob),
+                         "--role=dispatcher-clasic")
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert ("argument --role: invalid choice: 'dispatcher-clasic'"
+            in err)
+
+
 def test_query_accepts_flag_prefixes(capsys, adg_blob):
     blob, _ = adg_blob
     full = run(capsys, "query", *RAW(blob), "--preserve=s0", "--link=ra")
@@ -451,6 +460,51 @@ def test_chain_table_base_outside_xlen(capsys, tmp_path, adg_blob, table):
     assert code == 3 and out == ""
     assert err == (f"rvjop: chain spec line 3: address {table} is outside "
                    f"the 32-bit address space\n")
+
+
+# lw s0, 0(sp); lw s1, 4(sp); jr t0; then at 0xc a loop that advances s0
+# before its load (pre-increment): addi s0, s0, 4; lw a5, 0(s0);
+# jalr ra, a5; blt s0, s1, loop; then c.ret
+PRE_INCREMENT_BLOB = bytes.fromhex(
+    "0324010083244100678002001304440083270400e7800700e34a94fe8280")
+# the same with the load before the advance
+LOOP_BLOB = bytes.fromhex(
+    "0324010083244100678002008327040013044400e7800700e34a94fe8280")
+
+
+def test_chain_manifest_values_in_xlen_bits(capsys, tmp_path):
+    """On RV32 every seed prints as the 32-bit value its register holds:
+    a pre-increment pointer below the table and a negative seed wrap."""
+    blob = tmp_path / "pre.bin"
+    blob.write_bytes(PRE_INCREMENT_BLOB)
+    spec = tmp_path / "chain.txt"
+    spec.write_text("dispatcher 0x100c\ninitializer 0x1000\n"
+                    "table-base 0x0\nreturn-to 0x101c\nseed a0=-100\n")
+    code, out, _ = run(capsys, "chain", "--raw", str(blob), "--base",
+                       "0x1000", "--spec", str(spec))
+    lines = out.splitlines()
+    assert code == 0
+    assert "  s0    = 0xfffffffc" in lines
+    assert "  a0    = 0xffffff9c" in lines
+    assert "  sp+0    <- 0xfffffffc  (s0)" in lines
+
+
+@pytest.mark.parametrize("steps", [0, 2])
+def test_chain_payload_past_xlen(capsys, tmp_path, steps):
+    """A table base in range whose payload or loop bound runs past 2^32
+    is refused with one error line."""
+    blob = tmp_path / "loop.bin"
+    blob.write_bytes(LOOP_BLOB)
+    spec = tmp_path / "chain.txt"
+    spec.write_text("dispatcher 0xc\ninitializer 0x0\n"
+                    "table-base 0xffffffff\nreturn-to 0x1c\n"
+                    + "step 0x1c\n" * steps)
+    code, out, err = run(capsys, "chain", "--raw", str(blob), "--spec",
+                         str(spec))
+    assert code == 3 and out == ""
+    end = 0xffffffff + 4 * (steps + 1)
+    assert err == (f"rvjop: payload [0xffffffff, {end:#x}) runs past the "
+                   f"32-bit address space\n")
 
 
 def test_chain_step_on_undecodable_word(capsys, tmp_path, adg_blob):

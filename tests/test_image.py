@@ -7,8 +7,8 @@ from collections import Counter
 import pytest
 
 from rvjop.decoder import decode_one
-from rvjop.errors import (InvalidEncoding, MalformedImage, NotElf, OutOfRange,
-                          Truncated, WrongMachine)
+from rvjop.errors import (InvalidEncoding, MalformedImage, NotElf, Truncated,
+                          WrongMachine)
 from rvjop.image import ExecutableImage, from_bytes, load_raw, parse_elf
 from rvjop.scanner import terminators
 
@@ -26,8 +26,8 @@ def test_parse_elf32():
     assert img.xlen == 32
     assert len(img.segments) == 2
     assert [s.executable for s in img.segments] == [True, False]
-    assert img.read(0x10000, 4) == CODE[:4]
-    assert img.read(0x20000, 4) == DATA[:4]
+    assert img.segment_containing(0x10000).data == CODE
+    assert img.segment_containing(0x20000).data == DATA
 
 
 def test_parse_elf64():
@@ -89,7 +89,7 @@ def test_memsz_zero_fill():
     # grow p_memsz beyond p_filesz: the tail must read as zeros
     blob[52 + 20:52 + 24] = (len(CODE) + 8).to_bytes(4, "little")
     img = parse_elf(bytes(blob))
-    assert img.read(0x10000 + len(CODE), 8) == bytes(8)
+    assert img.segment_containing(0x10000).data == CODE + bytes(8)
 
 
 def test_memsz_below_filesz_rejected():
@@ -125,34 +125,24 @@ def test_zero_fill_of_1_mib_loads():
     img = parse_elf(make_zero_fill_elf(1 << 20))
     seg = img.segments[1]
     assert len(seg.data) == 4 + (1 << 20)
-    assert img.read(seg.end - 8, 8) == bytes(8)
+    assert seg.data[-8:] == bytes(8)
 
 
 def test_from_bytes_and_load_raw(tmp_path):
     img = from_bytes(CODE, 0x400, 32)
     assert img.segments[0].executable
-    assert img.read(0x400, 8) == CODE
+    assert img.segments[0].data == CODE
     p = tmp_path / "blob.bin"
     p.write_bytes(CODE)
     img2 = load_raw(str(p), 0x400, 32)
-    assert img2.read(0x400, 8) == CODE
-
-
-def test_read_rejects_cross_segment_and_holes():
-    blob = make_elf([(0x10000, CODE, PF_R | PF_X),
-                     (0x10010, DATA, PF_R)], xlen=32)
-    img = parse_elf(blob)
-    with pytest.raises(OutOfRange):
-        img.read(0x10000 + len(CODE) - 2, 4)  # runs off the segment
-    with pytest.raises(OutOfRange):
-        img.read(0x50000, 1)
+    assert img2.segments[0].data == CODE
 
 
 def test_segment_containing_and_byte_at():
     img = from_bytes(CODE, 0x400, 32)
     assert img.segment_containing(0x400).vaddr == 0x400
     assert img.segment_containing(0x399) is None
-    assert img.read(0x400, 1) == CODE[:1]
+    assert img.segment_containing(0x400 + len(CODE)) is None
 
 
 def test_overlapping_segments_rejected():

@@ -534,7 +534,7 @@ def test_store_widens_a_compressed_instruction():
 
 def test_e2e_chain_same_with_and_without_cache(monkeypatch):
     img, addrs, spec, _, _ = _e2e_chain()
-    layout = layout_payload(spec, 32, image=img)
+    layout = layout_payload(spec)
     decodes = []
     decode = rvjop.sim.decode_one
     monkeypatch.setattr(rvjop.sim, "decode_one",
