@@ -9,8 +9,8 @@ the payload buffer is the table followed by any data seeds (path strings
 and the like).  Register seeds are the values the initializer must load,
 as the XLEN-bit values the registers will hold, placed at the stack
 offsets its loads read from.  Layout refuses a buffer that overlaps a
-segment of the image or runs past 2^XLEN, and a loop bound outside
-[0, 2^XLEN).
+segment of the image or runs past 2^XLEN, and a dispatcher loop that no
+XLEN-bit bound keeps running for every round.
 
 Validation is static and best-effort: it proves nothing, it just catches
 the cheap mistakes (clobbered reserved registers, unbalanced stack motion,
@@ -272,27 +272,48 @@ def _condition_bound(disp: DispatcherCandidate, table_left: bool,
     """Bound-register value keeping the branch taken at every evaluation.
 
     The self-link runs after each of `rounds` rounds.  After round k the
-    pointer sits at seed + k*stride whether the update runs before the
-    load or after it; only the seed differs, and layout already folded
-    that in.
+    pointer holds seed + k*stride (mod 2^XLEN) whether the update runs
+    before the load or after it; only the seed differs, and layout already
+    folded that in.  `lt` and `ge` compare those values as signed XLEN-bit
+    numbers, the other branches as unsigned ones, so the bound is worked
+    out in the same domain: a signed bound may be negative.  Raises
+    `ToolError` when no XLEN-bit value keeps the branch taken.
     """
     if rounds == 0:
         return 0
-    op = disp.self_link.op
-    ends = (seed_ptr + disp.stride, seed_ptr + rounds * disp.stride)
-    lo, hi = min(ends), max(ends)
-    gap = (abs(disp.stride) if rounds > 1 else 0) or 4
-    if op == "ne" or (op in ("lt", "ltu") and table_left):
-        bound = hi + gap
-    elif op in ("lt", "ltu"):
-        bound = lo - gap
-    elif op in ("ge", "geu"):
-        bound = lo if table_left else hi
-    else:
+    op, stride = disp.self_link.op, disp.stride
+    if op not in ("ne", "lt", "ltu", "ge", "geu"):
         raise ToolError(f"cannot keep a {op} self-link taken for every round")
-    if not 0 <= bound < 1 << xlen:
-        raise AddressTooWide(f"loop bound {bound:#x} is outside the "
-                             f"{xlen}-bit address space")
+    size = 1 << xlen
+    low = -(size >> 1) if op in ("lt", "ge") else 0
+    high = low + size - 1
+    # The pointer's values as the branch reads them, and the least and
+    # greatest of them.  Its stride is the element size (validation checks
+    # it), so it spans less than the table, which fits the address space:
+    # it crosses the domain's edge at most once.
+    first = (seed_ptr + stride - low) % size + low
+    last = first + (rounds - 1) * stride
+    if low <= last <= high:
+        lo, hi = min(first, last), max(first, last)
+    elif stride > 0:
+        hi = first + (high - first) // stride * stride
+        lo = hi + stride - size
+    else:
+        lo = first - (first - low) // -stride * -stride
+        hi = lo + stride + size
+    if op in ("ge", "geu"):
+        return lo if table_left else hi
+    # above every value if the branch wants the pointer below the bound,
+    # else below every value; `ne` takes either, above if there is room
+    up = hi < high if op == "ne" else table_left
+    gap = (abs(stride) if rounds > 1 else 0) or 4
+    bound = min(hi + gap, high) if up else max(lo - gap, low)
+    if bound == (hi if up else lo):
+        r1, r2 = disp.self_link.regs
+        kind = "signed" if low else "unsigned"
+        raise ToolError(f"no {kind} {xlen}-bit loop bound keeps {r1.name} "
+                        f"{op} {r2.name} for every round: the table pointer "
+                        f"reaches {bound & (size - 1):#x}")
     return bound
 
 

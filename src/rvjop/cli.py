@@ -18,6 +18,15 @@ Every command loads the image, decoder, scanner, dataflow and classify
 layers.  The query layer loads only for scan and query, the chain layer
 only for chain, and the interpreter only for sim and chain --simulate,
 so no command pays start-up time for those three unless it runs them.
+
+`run()` is the process entry (`python -m rvjop.cli`, the `rvjop`
+script).  It runs the command with the cyclic garbage collector off: a
+command builds one analysis, prints it and exits, and its cyclic garbage
+does not grow with the image, while the collector's passes walk every
+decoded instruction and gadget, a cost that does.
+`main(argv)` leaves interpreter state alone, so tests and library callers
+keep the default collector.  Every file the CLI writes is closed by its
+`with` block before `run()` returns.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 from . import decoder  # noqa: F401
 
 import argparse
+import gc
 import sys
 
 # Loaded with this module, so by every command: benchmarks/test_benchmark.py
@@ -379,5 +389,20 @@ def main(argv: list[str] | None = None) -> int:
         return BADIMAGE
 
 
+def run() -> int:
+    """`main()` with the cyclic collector off (see the module docstring).
+
+    The cyclic garbage is the argument parser and, for `chain --simulate`,
+    the interpreter's handler closures, one set per distinct pc.  The
+    collector's passes would only walk the decoded instructions and
+    gadgets, which live until exit anyway.  The heap is frozen before
+    returning, so the collection at interpreter shutdown skips it too.
+    """
+    gc.disable()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -70,8 +70,8 @@ class Diverges(ToolError):
 
 
 class AddressTooWide(ToolError):
-    """A table entry, the payload buffer or a loop bound does not fit
-    the XLEN-bit address space."""
+    """A table entry or the payload buffer does not fit the XLEN-bit
+    address space."""
 
 
 class Overlap(ToolError):

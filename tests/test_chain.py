@@ -418,21 +418,37 @@ def test_layout_payload_fits_the_address_space(lab):
 
 def test_layout_loop_bound_fits_the_address_space(lab):
     img, addrs = lab
-    # blt s0, s1: the bound sits one entry past the table's last
+    # blt s0, s1 compares signed: the bound sits one entry past the
+    # pointer's last value read as a signed 32-bit number, or at the
+    # highest one if that is past it
     up = spec_for(img, addrs, ["g_one", "g_two"])
-    assert layout_payload(up._replace(table_base=(1 << 32) - 16)
-                          ).register_seeds[reg("s1")] == (1 << 32) - 4
-    with pytest.raises(AddressTooWide, match=(
-            "loop bound 0x100000000 is outside the 32-bit address space")):
-        layout_payload(up._replace(table_base=(1 << 32) - 12))
-    # blt s3, s2 counting down: the bound sits one entry below the table
+    for base, bound in [((1 << 32) - 16, (1 << 32) - 4),   # s0 -12, -8
+                        ((1 << 32) - 12, 0),               # s0 -8, -4
+                        (0x7ffffff8, 0x7fffffff)]:          # s0 2^31-4, -2^31
+        assert layout_payload(up._replace(table_base=base)
+                              ).register_seeds[reg("s1")] == bound
+    with pytest.raises(ToolError, match=(
+            "no signed 32-bit loop bound keeps s0 lt s1 for every round: "
+            "the table pointer reaches 0x7fffffff")):
+        layout_payload(up._replace(table_base=0x7ffffff7))
+    # read unsigned (bltu), the same walks need other bounds
+    link = up.dispatcher.self_link._replace(op="ltu")
+    ltu = up._replace(dispatcher=up.dispatcher._replace(self_link=link))
+    for base, bound in [((1 << 32) - 12, 0xffffffff),
+                        (0x7ffffff8, 0x80000004)]:
+        assert layout_payload(ltu._replace(table_base=base)
+                              ).register_seeds[reg("s1")] == bound
+    # blt s3, s2 counting down: the bound sits one entry below the table,
+    # negative below 0x0 and stored as its 32-bit pattern
     down = spec_for(img, addrs, ["g_one", "g_two"], loop="nloop",
                     init="ninit")
-    assert layout_payload(down._replace(table_base=4)
-                          ).register_seeds[reg("s3")] == 0
-    with pytest.raises(AddressTooWide, match=(
-            "loop bound -0x4 is outside the 32-bit address space")):
-        layout_payload(down._replace(table_base=0))
+    for base, bound in [(4, 0), (0, 0xfffffffc)]:
+        assert layout_payload(down._replace(table_base=base)
+                              ).register_seeds[reg("s3")] == bound
+    with pytest.raises(ToolError, match=(
+            "no signed 32-bit loop bound keeps s3 lt s2 for every round: "
+            "the table pointer reaches 0x80000000")):
+        layout_payload(down._replace(table_base=0x80000000))
 
 
 def test_layout_seeds_are_xlen_bit_values(lab):
@@ -594,9 +610,9 @@ def test_manifest_contents(lab):
 
 # --- the layouts actually run -----------------------------------------------
 
-def run_layout(img, spec, entry, fuel=10_000):
+def run_layout(img, spec, entry, fuel=10_000, **machine):
     out = layout_payload(spec)
-    m = new_machine(img, payload=out, buffer_base=spec.table_base)
+    m = new_machine(img, payload=out, buffer_base=spec.table_base, **machine)
     report = run_chain(m, entry, spec.return_to, fuel=fuel,
                        loop_entry=spec.dispatcher.loop_entry)
     return m, report
@@ -618,6 +634,32 @@ def test_negative_stride_chain_runs(lab):
     spec = spec_for(img, addrs, ["g_one", "g_two"], loop="nloop",
                     init="ninit")
     m, report = run_layout(img, spec, addrs["ninit"])
+    assert report.outcome == "reached"
+    assert report.dispatch_rounds == 3
+    assert m.get(reg("a0")) == 1 and m.get(reg("a1")) == 2
+
+
+def test_signed_bound_across_the_sign_bit_runs(lab):
+    # blt s0, s1 on a table whose pointer passes 0x80000000, the lowest
+    # signed 32-bit value: the branch stays taken as at TABLE_BASE
+    img, addrs = lab
+    spec = spec_for(img, addrs, ["g_one", "g_two"])
+    for base in (TABLE_BASE, 0x7ffffff8):
+        # the default stack top would overlap the table at 0x7ffffff8
+        m, report = run_layout(img, spec._replace(table_base=base),
+                               addrs["init"], stack_top=0x200000)
+        assert report.outcome == "reached", base
+        assert report.dispatch_rounds == 3
+        assert m.get(reg("a0")) == 1 and m.get(reg("a1")) == 2
+
+
+def test_negative_signed_bound_runs(lab):
+    # blt s3, s2 counting down to a table at 0x0: the bound is -4
+    img, addrs = lab
+    spec = spec_for(img, addrs, ["g_one", "g_two"], loop="nloop",
+                    init="ninit")._replace(table_base=0)
+    m, report = run_layout(img, spec, addrs["ninit"])
+    assert layout_payload(spec).register_seeds[reg("s3")] == 0xfffffffc
     assert report.outcome == "reached"
     assert report.dispatch_rounds == 3
     assert m.get(reg("a0")) == 1 and m.get(reg("a1")) == 2

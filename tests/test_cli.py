@@ -1,5 +1,7 @@
 """End-to-end command-line runs against files on disk."""
 
+import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -505,6 +507,38 @@ def test_chain_payload_past_xlen(capsys, tmp_path, steps):
     end = 0xffffffff + 4 * (steps + 1)
     assert err == (f"rvjop: payload [0xffffffff, {end:#x}) runs past the "
                    f"32-bit address space\n")
+
+
+def _adg_chain(tmp_path, adg_blob, table_base):
+    """The adg chain (blt s0, s1; three steps) with its table elsewhere."""
+    blob, addrs = adg_blob
+    spec = tmp_path / "chain.txt"
+    spec.write_text(CHAIN_TEXT.format(
+        loop=addrs["loop"], init=addrs["init"], table=table_base,
+        landing=addrs["landing"], g1=addrs["g_li_a0"],
+        g2=addrs["g_bump_a2"]))
+    return ["chain", *RAW(blob), "--spec", str(spec)]
+
+
+def test_chain_signed_bound_across_the_sign_bit(capsys, tmp_path, adg_blob):
+    """The pointer passes 0x80000000: blt reads it as negative, so the
+    bound is the highest signed value and the chain runs all its rounds."""
+    code, out, err = run(capsys, *_adg_chain(tmp_path, adg_blob, 0x7ffffff8),
+                         "--simulate", "--stack-top", "0x200000")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert "  s1    = 0x7fffffff" in lines
+    assert "outcome        reached" in lines
+    assert "dispatch rounds 4" in lines
+
+
+def test_chain_without_a_loop_bound(capsys, tmp_path, adg_blob):
+    """A pointer that reaches the highest signed value leaves blt no
+    bound: one error line, exit 3."""
+    code, out, err = run(capsys, *_adg_chain(tmp_path, adg_blob, 0x7ffffff3))
+    assert code == 3 and out == ""
+    assert err == ("rvjop: no signed 32-bit loop bound keeps s0 lt s1 for "
+                   "every round: the table pointer reaches 0x7fffffff\n")
 
 
 def test_chain_step_on_undecodable_word(capsys, tmp_path, adg_blob):
@@ -1113,3 +1147,123 @@ def test_chain_simulate_far_stack_overlap_and_wrap(capsys, far_stack_chain):
     # ... and a stack write that wraps past 2^32 is an error, not a crash.
     code, _, err = run(capsys, *far_stack_chain, "--stack-top", "0xfffff000")
     assert code == 3 and "stack write at sp+" in err
+
+
+# --- the process entry: run() keeps the cyclic collector off ----------------
+
+def _clean_corpus(tmp_path, scale, repeat=None):
+    """The benchmark's clean RV64 image (4 KiB at scale 1) and its chain
+    file, written under `tmp_path`; `repeat` overrides the counter step's."""
+    c = benchmark_corpus().build("scan-clean-rv64", 1, scale=scale)
+    if repeat is not None:
+        c = dataclasses.replace(c, repeat=repeat)
+    image = tmp_path / f"clean{scale}.elf"
+    image.write_bytes(c.file_bytes)
+    spec = tmp_path / f"clean{scale}-{c.repeat}.chain"
+    spec.write_text(c.chain_text())
+    return c, image, spec
+
+
+WHOLE_IMAGE = [
+    ["scan"], ["scan", "--format", "records"], ["query", "--all"],
+    ["query", "--role=call"], ["dispatchers"],
+    ["initializers", "--dispatcher", "{loop:#x}"], ["stats"],
+    ["chain", "--spec", "{spec}"], ["chain", "--spec", "{spec}", "--simulate"],
+]
+
+
+def _cyclic_garbage(capsys, argv):
+    """(exit code, objects the collector frees) for `main(argv)` run with
+    the collector off, as `run()` runs it."""
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+    finally:
+        freed = gc.collect()
+        gc.enable()
+    capsys.readouterr()
+    return code, freed
+
+
+@pytest.mark.parametrize("argv", WHOLE_IMAGE, ids=" ".join)
+def test_cyclic_garbage_does_not_grow_with_the_image(capsys, tmp_path, argv):
+    # What `run()` leaves uncollected is the same at 4 KiB and 64 KiB:
+    # the analysis itself is freed by reference counting.
+    counts = []
+    for scale in (1, 16):
+        c, image, spec = _clean_corpus(tmp_path, scale)
+        counts.append(_cyclic_garbage(capsys, [
+            argv[0], *c.image_args(image),
+            *(a.format(spec=spec, **c.labels) for a in argv[1:])]))
+    assert counts[0][0] == 0
+    assert counts[0] == counts[1]
+
+
+def test_cyclic_garbage_does_not_grow_with_the_chain(capsys, tmp_path):
+    # chain --simulate: the interpreter's cyclic garbage is bounded by the
+    # distinct pcs it runs, not by how many steps it takes.
+    counts = []
+    for repeat in (1, 16, 400):
+        c, image, spec = _clean_corpus(tmp_path, 1, repeat)
+        counts.append(_cyclic_garbage(capsys, [
+            "chain", *c.image_args(image), "--spec", str(spec),
+            "--simulate"]))
+    assert counts[0][0] == 0
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_main_leaves_the_collector_alone(adg_blob):
+    blob, _ = adg_blob
+    proc = _fresh_python(
+        "import gc, json, sys\n"
+        "frozen = gc.get_freeze_count()\n"
+        "import rvjop.cli\n"
+        "code = rvjop.cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, gc.isenabled(),"
+        " gc.get_freeze_count() - frozen]), file=sys.stderr)\n",
+        json.dumps(["dispatchers", *RAW(blob)]))
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0, True, 0], \
+        proc.stderr
+
+
+def test_run_disables_the_collector_and_returns_mains_code(monkeypatch):
+    seen = []
+
+    def fake_main(argv=None):
+        seen.append(gc.isenabled())
+        return 7
+
+    monkeypatch.setattr(rvjop.cli, "main", fake_main)
+    frozen = gc.get_freeze_count()
+    try:
+        assert rvjop.cli.run() == 7
+        assert seen == [False] and not gc.isenabled()
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+@pytest.mark.parametrize("case", ["found", "empty", "usage", "bad-image"])
+def test_module_entry_matches_main(capsys, tmp_path, adg_blob, case):
+    # `python -m rvjop.cli` goes through run(): the same exit code, stdout
+    # and stderr as main() in process.
+    blob, _ = adg_blob
+    empty = tmp_path / "ret.bin"
+    empty.write_bytes(bytes.fromhex("8280"))                    # c.ret
+    junk = tmp_path / "junk.elf"
+    junk.write_bytes(b"MZ not an elf at all")
+    argv, want_code = {
+        "found": (["dispatchers", *RAW(blob)], 0),
+        "empty": (["dispatchers", "--raw", str(empty)], 1),
+        "usage": (["dispatchers"], 2),                 # no image given
+        "bad-image": (["scan", "--binary", str(junk)], 3),
+    }[case]
+    want = run(capsys, *argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "rvjop.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert want[0] == want_code
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
