@@ -9,8 +9,9 @@ the payload buffer is the table followed by any data seeds (path strings
 and the like).  Register seeds are the values the initializer must load,
 as the XLEN-bit values the registers will hold, placed at the stack
 offsets its loads read from.  Layout refuses a buffer that overlaps a
-segment of the image or runs past 2^XLEN, and a dispatcher loop that no
-XLEN-bit bound keeps running for every round.
+segment of the image or runs past 2^XLEN (before it builds the table),
+and a dispatcher loop that no XLEN-bit bound, or x0 where the loop
+compares against it, keeps running for every round.
 
 Validation is static and best-effort: it proves nothing, it just catches
 the cheap mistakes (clobbered reserved registers, unbalanced stack motion,
@@ -267,8 +268,8 @@ def validate_chain(spec: ChainSpec) -> list[Diagnostic]:
 
 # --- payload layout ---------------------------------------------------------
 
-def _condition_bound(disp: DispatcherCandidate, table_left: bool,
-                     seed_ptr: int, rounds: int, xlen: int) -> int:
+def _condition_bound(disp: DispatcherCandidate, seed_ptr: int, rounds: int,
+                     xlen: int) -> int:
     """Bound-register value keeping the branch taken at every evaluation.
 
     The self-link runs after each of `rounds` rounds.  After round k the
@@ -276,17 +277,22 @@ def _condition_bound(disp: DispatcherCandidate, table_left: bool,
     before the load or after it; only the seed differs, and layout already
     folded that in.  `lt` and `ge` compare those values as signed XLEN-bit
     numbers, the other branches as unsigned ones, so the bound is worked
-    out in the same domain: a signed bound may be negative.  Raises
-    `ToolError` when no XLEN-bit value keeps the branch taken.
+    out in the same domain: a signed bound may be negative.  When the
+    bound register is x0 the bound is 0, and this only checks it.  Raises
+    `ToolError` when no XLEN-bit value (or 0, for x0) keeps the branch
+    taken.
     """
     if rounds == 0:
         return 0
     op, stride = disp.self_link.op, disp.stride
+    r1, r2 = disp.self_link.regs
+    table_left = r1 is disp.table_reg
     if op not in ("ne", "lt", "ltu", "ge", "geu"):
         raise ToolError(f"cannot keep a {op} self-link taken for every round")
     size = 1 << xlen
     low = -(size >> 1) if op in ("lt", "ge") else 0
     high = low + size - 1
+    kind = "signed" if low else "unsigned"
     # The pointer's values as the branch reads them, and the least and
     # greatest of them.  Its stride is the element size (validation checks
     # it), so it spans less than the table, which fits the address space:
@@ -301,6 +307,16 @@ def _condition_bound(disp: DispatcherCandidate, table_left: bool,
     else:
         lo = first - (first - low) // -stride * -stride
         hi = lo + stride + size
+    if (r2 if table_left else r1).index == 0:
+        # `ne` reads unsigned, where 0 lies below every value but 0 itself
+        if (op in ("ge", "geu") and (lo >= 0 if table_left else hi <= 0)
+                or op == "ne" and lo > 0
+                or op in ("lt", "ltu") and (hi < 0 if table_left else lo > 0)):
+            return 0
+        raise ToolError(f"{r1.name} {op} {r2.name} does not hold for every "
+                        f"round ({kind} {xlen}-bit): the table pointer runs "
+                        f"from {first & (size - 1):#x} to "
+                        f"{last & (size - 1):#x}")
     if op in ("ge", "geu"):
         return lo if table_left else hi
     # above every value if the branch wants the pointer below the bound,
@@ -309,8 +325,6 @@ def _condition_bound(disp: DispatcherCandidate, table_left: bool,
     gap = (abs(stride) if rounds > 1 else 0) or 4
     bound = min(hi + gap, high) if up else max(lo - gap, low)
     if bound == (hi if up else lo):
-        r1, r2 = disp.self_link.regs
-        kind = "signed" if low else "unsigned"
         raise ToolError(f"no {kind} {xlen}-bit loop bound keeps {r1.name} "
                         f"{op} {r2.name} for every round: the table pointer "
                         f"reaches {bound & (size - 1):#x}")
@@ -320,12 +334,13 @@ def _condition_bound(disp: DispatcherCandidate, table_left: bool,
 def layout_payload(spec: ChainSpec) -> PayloadLayout:
     disp = spec.dispatcher
     xlen = spec.image.xlen
-    table = build_dispatch_table(spec)
-    n = len(table.entries)
-    elem = table.element_size
+    elem = xlen // 8
+    # Sized from the repeats, so a payload past the address space is
+    # refused before its entries are expanded.
+    n = sum(max(step.repeat, 0) for step in spec.steps) + 1
 
     mem_seeds = []
-    off = len(table.data)
+    off = n * elem
     for data, note in spec.data_seeds:
         mem_seeds.append(MemorySeed(off, bytes(data), note))
         off += len(data)
@@ -338,6 +353,7 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
         if base < seg.end and seg.vaddr < end:
             raise Overlap(f"payload [0x{base:x}, 0x{end:x}) collides with "
                           f"segment at 0x{seg.vaddr:x}")
+    table = build_dispatch_table(spec)
 
     # Where must the table register point so round one reads entry one?
     first_read = base if disp.stride >= 0 else base + (n - 1) * elem
@@ -351,9 +367,8 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
 
     if disp.self_link.kind == "conditional":
         r1, r2 = disp.self_link.regs
-        table_left = r1 is disp.table_reg
-        bound_reg = r2 if table_left else r1
-        bound = _condition_bound(disp, table_left, seed_ptr, n - 1, xlen)
+        bound_reg = r2 if r1 is disp.table_reg else r1
+        bound = _condition_bound(disp, seed_ptr, n - 1, xlen)
         if bound_reg.index != 0 and bound_reg is not disp.table_reg:
             seeds[bound_reg] = bound
 

@@ -12,7 +12,9 @@ ecall/ebreak, and undecodable bytes all stop the backward extension.
 Conditional branches are admitted only when a caller asks for them
 (loop-shaped dispatcher bodies need them; plain functional scans do not).
 An image keeps one growth that every `extract_gadgets` call reads a view
-of, widened only where a call asks for more than earlier calls grew.
+of.  It grows one interior length at a time: straight gadgets to the
+longest request so far, and gadgets through a branch only as far as a
+request for branches asked, so no call grows what an earlier one did.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .image import DecodedSegment, ExecutableImage
 from .isa import RA, Register
 
 MAX_GADGET_LEN = 32
+GADGET_AT_LIMIT = 64     # instructions `gadget_at` reads before giving up
 
 NATURAL = "natural"
 SHIFTED = "shifted"
@@ -104,10 +107,8 @@ def terminators(table: DecodedSegment, start: int | None = None,
 def extract_gadgets(image: ExecutableImage, max_len: int = 4,
                     branches: bool = False) -> list[Gadget]:
     """Gadgets of at most `max_len` interior instructions, through
-    conditional branches only when `branches`, by start then length.
-    Each terminator grows backwards: a predecessor is kept when its bytes
-    decode to a fall-through instruction whose width lands exactly on
-    the current start, and every prefix length is its own gadget."""
+    conditional branches only when `branches`, by start.  Each length a
+    terminator grows backwards to is its own gadget."""
     if not 0 <= max_len <= MAX_GADGET_LEN:
         raise ValueError(f"max_len must be in [0, {MAX_GADGET_LEN}]")
     if image.growth is None:
@@ -116,70 +117,54 @@ def extract_gadgets(image: ExecutableImage, max_len: int = 4,
 
 
 class _Growth:
-    """Every terminator's backward tree in one image, grown as far as the
-    widest request so far.  `found[k][n]` lists the gadgets of n interior
-    instructions, straight (k = 0) or through a conditional branch
-    (k = 1); kind k is grown to `depth[k]`, where a longer request resumes
-    (depth[1] never passes depth[0]: branches come with straight gadgets).
-    `waiting[n]` pairs each probed branch predecessor whose n-instruction
-    gadget no request has admitted yet with the gadget it precedes.
-    """
-    __slots__ = ("depth", "found", "waiting")
+    """Every terminator's backward tree in one image, grown one interior
+    length at a time.  `levels[n]` pairs the straight gadgets of n
+    interior instructions with those through a conditional branch, and
+    the branched lists are complete up to length `branched`.  A new level
+    probes the straight level below: a fall-through predecessor makes a
+    straight gadget and a branch a branched one, so nothing waits.  Only
+    a request for branches grows the branched lists, level by level, from
+    every predecessor of the branched level below."""
+    __slots__ = ("levels", "branched")
 
     def __init__(self, image: ExecutableImage):
-        self.depth = [0, 0]          # no branched gadget has length 0
-        self.found = tuple([[] for _ in range(MAX_GADGET_LEN + 1)]
-                           for _ in range(2))
-        self.found[0][0].extend(Gadget(t.address, (t,), table)
-                                for table in image.decode_table.values()
-                                for t in terminators(table))
-        self.waiting = [[] for _ in range(MAX_GADGET_LEN + 1)]
+        self.levels = [([Gadget(t.address, (t,), table)
+                         for table in image.decode_table.values()
+                         for t in terminators(table)], [])]
+        self.branched = 0            # no branched gadget has length 0
 
     def view(self, max_len: int, branches: bool) -> list[Gadget]:
-        (old0, old1), found = self.depth, self.found
-        self.depth = [max(old0, max_len),
-                      max(old1, max_len) if branches else old1]
-        straight = list(found[0][old0]) if max_len > old0 else []
-        branched = list(found[1][old1]) if self.depth[1] > old1 else []
-        for n in range(old1 + 1, self.depth[1] + 1):
-            pairs, self.waiting[n] = self.waiting[n], []
-            branched += [self._add(1, insn, g) for insn, g in pairs]
-        self._grow(0, straight, branched)
-        self._grow(1, branched, branched)
+        levels = self.levels
+        while len(levels) <= max_len:
+            straight, branched = [], []
+            for g in levels[-1][0]:
+                for p in _predecessors(g):
+                    cf = p.instructions[0].control_flow
+                    (straight if cf is None else branched).append(p)
+            levels.append((straight, branched))
+        if branches:
+            for n in range(self.branched + 1, max_len + 1):
+                levels[n][1].extend(p for g in levels[n - 1][1]
+                                    for p in _predecessors(g))
+            self.branched = max(self.branched, max_len)
         # Decoding forward from a start is deterministic, so a start
         # begins at most one gadget: its start alone orders the view.
-        out = [g for k in range(2 if branches else 1)
-               for run in found[k][:max_len + 1] for g in run]
+        out = [g for level in levels[:max_len + 1]
+               for run in level[:2 if branches else 1] for g in run]
         out.sort(key=attrgetter("start"))
         return out
 
-    def _add(self, kind: int, insn: DecodedInstruction, g: Gadget) -> Gadget:
-        child = Gadget(insn.address, (insn,) + g.instructions, g.table)
-        self.found[kind][len(g.instructions)].append(child)
-        return child
 
-    def _grow(self, kind: int, stack: list, branched: list) -> None:
-        """Grow the kind-`kind` gadgets on `stack` back to `depth[kind]`.
-        A branch predecessor's gadget joins `branched` when `depth[1]`
-        reaches its length, and waits otherwise.  A 2-byte and a 4-byte
-        predecessor can both be valid, so this walks a tree."""
-        depth, reach = self.depth[kind], self.depth[1]
-        while stack:
-            g = stack.pop()
-            n = len(g.instructions)         # a predecessor's gadget length
-            if n > depth:
-                continue
-            for width in (2, 4):
-                insn = g.table.at(g.start - width)
-                if insn is None or insn.width != width:
-                    continue
-                if insn.control_flow is None:
-                    stack.append(self._add(kind, insn, g))
-                elif isinstance(insn.control_flow, CondBranch):
-                    if n <= reach:
-                        branched.append(self._add(1, insn, g))
-                    else:
-                        self.waiting[n].append((insn, g))
+def _predecessors(g: Gadget) -> Iterator[Gadget]:
+    """`g` grown by one instruction: a 2-byte and a 4-byte one can both
+    end at its start, and each must fall through or be a conditional
+    branch."""
+    for width in (2, 4):
+        insn = g.table.at(g.start - width)
+        if insn is not None and insn.width == width and (
+                insn.control_flow is None
+                or isinstance(insn.control_flow, CondBranch)):
+            yield Gadget(insn.address, (insn,) + g.instructions, g.table)
 
 
 def dedupe(gadgets: list[Gadget]) -> list[Gadget]:
@@ -193,8 +178,7 @@ def dedupe(gadgets: list[Gadget]) -> list[Gadget]:
     return sorted(best.values(), key=lambda g: g.start)
 
 
-def gadget_at(image: ExecutableImage, address: int,
-              limit: int = 64) -> Gadget:
+def gadget_at(image: ExecutableImage, address: int) -> Gadget:
     """Materialize the gadget that runs from `address` to its terminator.
 
     This is execution-order decoding for chain steps: interior syscalls
@@ -210,7 +194,7 @@ def gadget_at(image: ExecutableImage, address: int,
     table = image.decode_table[seg.vaddr]
     chain = []
     addr = address
-    for _ in range(limit):
+    for _ in range(GADGET_AT_LIMIT):
         insn = table.at(addr)
         if insn is None:
             # Decode again only to raise the decoder's own error.
@@ -223,4 +207,5 @@ def gadget_at(image: ExecutableImage, address: int,
             raise ToolError(
                 f"direct jump at 0x{addr:x} before any indirect terminator")
         addr += insn.width
-    raise ToolError(f"no terminator within {limit} instructions of 0x{address:x}")
+    raise ToolError(f"no terminator within {GADGET_AT_LIMIT} instructions "
+                    f"of 0x{address:x}")

@@ -451,6 +451,47 @@ def test_layout_loop_bound_fits_the_address_space(lab):
         layout_payload(down._replace(table_base=0x80000000))
 
 
+def _against_zero(spec, op, table):
+    """`spec` with its self-link rewritten to compare `table` and x0."""
+    link = spec.dispatcher.self_link._replace(
+        op=op, regs=(reg(table), reg("zero")))
+    return spec._replace(dispatcher=spec.dispatcher._replace(self_link=link))
+
+
+@pytest.mark.parametrize("op, base, holds", [
+    ("lt", 0x40000, False), ("lt", 0x80001000, True),
+    ("ge", 0x40000, True), ("ge", 0x80001000, False),
+    ("ltu", 0x40000, False), ("geu", 0x40000, True),
+    ("ne", 0x40000, True), ("ne", 0, True),
+])
+def test_layout_checks_a_zero_bound(lab, op, base, holds):
+    """x0 cannot be seeded, so layout checks that 0 keeps the branch
+    taken at every round, in the branch's signed or unsigned domain."""
+    img, addrs = lab
+    spec = _against_zero(spec_for(img, addrs, ["g_one", "g_two"]), op, "s0")
+    spec = spec._replace(table_base=base)
+    if holds:
+        seeds = layout_payload(spec).register_seeds
+        assert reg("zero") not in seeds and seeds[reg("s0")] == base
+    else:
+        with pytest.raises(ToolError, match=(
+                f"s0 {op} zero does not hold for every round")):
+            layout_payload(spec)
+
+
+def test_layout_checks_a_zero_bound_counting_down(lab):
+    # counting down to a table at 0x0, the pointer's last value is 0
+    img, addrs = lab
+    down = spec_for(img, addrs, ["g_one", "g_two"], loop="nloop",
+                    init="ninit")
+    ne = _against_zero(down, "ne", "s2")
+    layout_payload(ne._replace(table_base=4))
+    with pytest.raises(ToolError, match=(
+            r"s2 ne zero does not hold for every round \(unsigned 32-bit\): "
+            "the table pointer runs from 0x4 to 0x0")):
+        layout_payload(ne._replace(table_base=0))
+
+
 def test_layout_seeds_are_xlen_bit_values(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"],
@@ -663,6 +704,44 @@ def test_negative_signed_bound_runs(lab):
     assert report.outcome == "reached"
     assert report.dispatch_rounds == 3
     assert m.get(reg("a0")) == 1 and m.get(reg("a1")) == 2
+
+
+@pytest.fixture(scope="module")
+def zero_lab():
+    """An autonomous loop bounded by x0 (blt s0, zero), its initializer,
+    one ret gadget and a landing."""
+    b = CodeBuilder(base=0)
+    b.label("init")
+    b.emit("lw", "s0", "sp", 0)
+    b.emit("lw", "t0", "sp", 4)
+    b.emit("jr", "t0")
+    b.label("loop")
+    b.emit("lw", "a5", "s0", 0)
+    b.emit("jalr", "ra", "a5", 0)
+    b.emit("addi", "s0", "s0", 4)
+    b.branch("blt", "s0", "zero", "loop")
+    b.label("g_ret")
+    b.emit("ret")
+    b.label("landing")
+    b.emit("ebreak")
+    return b.image(), dict(b.labels)
+
+
+def test_zero_bound_chain_runs_only_below_zero(zero_lab):
+    """blt s0, zero keeps looping only while the signed pointer is
+    negative: a table at 0x40000 would leave after one round, so layout
+    refuses it; one at 0x80001000 runs every round."""
+    img, addrs = zero_lab
+    spec = spec_for(img, addrs, ["g_ret", "g_ret"])
+    with pytest.raises(ToolError, match=(
+            r"s0 lt zero does not hold for every round \(signed 32-bit\): "
+            "the table pointer runs from 0x40004 to 0x40008")):
+        layout_payload(spec._replace(table_base=0x40000))
+    m, report = run_layout(img, spec._replace(table_base=0x80001000),
+                           addrs["init"])
+    assert report.outcome == "reached"
+    assert report.dispatch_rounds == 3
+    assert report.stealth
 
 
 def test_classic_chain_runs(classic_lab):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import rvjop.chain
 import rvjop.cli
 import rvjop.decoder
 import rvjop.image
@@ -506,6 +507,28 @@ def test_chain_payload_past_xlen(capsys, tmp_path, steps):
     assert code == 3 and out == ""
     end = 0xffffffff + 4 * (steps + 1)
     assert err == (f"rvjop: payload [0xffffffff, {end:#x}) runs past the "
+                   f"32-bit address space\n")
+
+
+def test_chain_huge_repeat_is_refused_before_expansion(capsys, tmp_path,
+                                                      monkeypatch):
+    """A repeat too big for the address space is refused from the size
+    alone: no list of its entries is built."""
+    def refuse(spec):
+        raise AssertionError("expanded the dispatch table")
+
+    monkeypatch.setattr(rvjop.chain, "expand_entries", refuse)
+    blob = tmp_path / "loop.bin"
+    blob.write_bytes(LOOP_BLOB)
+    spec = tmp_path / "chain.txt"
+    spec.write_text("dispatcher 0xc\ninitializer 0x0\n"
+                    "table-base 0xfff00000\nreturn-to 0x1c\n"
+                    "step 0x1c 1000000000\n")
+    code, out, err = run(capsys, "chain", "--raw", str(blob), "--spec",
+                         str(spec))
+    assert code == 3 and out == ""
+    end = 0xfff00000 + 4 * (10**9 + 1)
+    assert err == (f"rvjop: payload [0xfff00000, {end:#x}) runs past the "
                    f"32-bit address space\n")
 
 

@@ -139,11 +139,12 @@ def test_gadget_at_follows_execution_order():
 
 def test_gadget_at_rejects_runaway():
     b = CodeBuilder()
-    for _ in range(40):
+    for _ in range(70):
         b.emit("nop")
     img = b.image()
-    with pytest.raises(ToolError):
-        gadget_at(img, b.base, limit=32)
+    with pytest.raises(ToolError, match="no terminator within 64 "
+                       f"instructions of 0x{b.base:x}"):
+        gadget_at(img, b.base)
 
 
 def test_gadget_at_raises_the_decoders_own_errors():
@@ -238,6 +239,29 @@ def test_extract_decodes_only_around_the_jumps(decode_log):
         assert [g.start for g in gadgets] == window
         # the ret and the halfwords its max_len predecessors span
         assert sorted(decode_log) == window
+
+
+def test_branches_grow_only_when_a_request_asks(decode_log):
+    """A straight request probes the branch before a jump but grows
+    nothing through it; the first request for branches decodes what
+    lies before the branch, and nothing else."""
+    b = CodeBuilder()
+    b.emit("addi", "a0", "a0", 1)
+    b.emit("addi", "a0", "a0", 1)
+    b.label("beq")
+    b.emit("beq", "a0", "a1", 8)
+    b.emit("addi", "a0", "a0", 1)
+    b.emit("jr", "a5")
+    img = b.image()
+    assert (b.base, b.labels["beq"]) == (0x10000, 0x10008)
+    extract_gadgets(img, 4)
+    # below the beq only the shifted path through an addi's upper
+    # halfword is decoded
+    assert sorted(decode_log) == [0x10006, 0x10008, 0x1000a, 0x1000c,
+                                  0x1000e, 0x10010]
+    decode_log.clear()
+    extract_gadgets(img, 4, branches=True)
+    assert sorted(decode_log) == [0x10000, 0x10002, 0x10004]
 
 
 # Halfwords and words for the property below: random ones, conditional
