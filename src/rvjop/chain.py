@@ -4,19 +4,21 @@ A chain is an initializer, a dispatcher, and an ordered list of functional
 gadget steps, for one image: `ChainSpec.image`, which `parse_chain_text`
 fills in, decides XLEN (the table element width and the width of every
 seed) and which addresses the payload must stay clear of.  The dispatch
-table holds one entry per expanded step plus the final return address;
-the payload buffer is the table followed by any data seeds (path strings
-and the like).  Register seeds are the values the initializer must load,
-as the XLEN-bit values the registers will hold, placed at the stack
-offsets its loads read from.  Layout refuses a buffer that overlaps a
-segment of the image or runs past 2^XLEN (before it builds the table),
-and a dispatcher loop that no XLEN-bit bound, or x0 where the loop
-compares against it, keeps running for every round.
+table holds one entry per repeat of each step plus the final return
+address; layout writes it once, a run of `repeat` copies of each step's
+entry at a time, so memory follows the payload size and not the number
+of steps.  The payload buffer is the table followed by any data seeds
+(path strings and the like).  Register seeds are the values the
+initializer must load, as the XLEN-bit values the registers will hold,
+placed at the stack offsets its loads read from.  Layout refuses a
+buffer that overlaps a segment of the image or runs past 2^XLEN (before
+it writes the table), and a dispatcher loop that no XLEN-bit bound, or
+x0 where the loop compares against it, keeps running for every round.
 
 Validation is static and best-effort: it proves nothing, it just catches
 the cheap mistakes (clobbered reserved registers, unbalanced stack motion,
-arguments overwritten before their syscall) before simulation does the
-real verdict.
+arguments overwritten before their syscall, a jump register the
+initializer leaves unseeded) before simulation does the real verdict.
 """
 
 from __future__ import annotations
@@ -79,12 +81,6 @@ class ChainSpec(NamedTuple):
         return frozenset(regs)
 
 
-class DispatchTable(NamedTuple):
-    entries: tuple[int, ...]      # traversal order, return address last
-    element_size: int
-    data: bytes                   # memory order (reversed for negative stride)
-
-
 class MemorySeed(NamedTuple):
     offset: int                   # from the buffer (table) base
     data: bytes
@@ -98,23 +94,13 @@ class StackWrite(NamedTuple):
 
 
 class PayloadLayout(NamedTuple):
-    table: DispatchTable
+    buffer: bytes                 # the table, then the data seeds
+    entries: int                  # table entries, return address included
     register_seeds: dict[Register, int]
     memory_seeds: tuple[MemorySeed, ...]
     stack_writes: tuple[StackWrite, ...]
     unplaced_seeds: tuple[tuple[Register, Source], ...]
-    total_size: int
     sp_ledger: tuple[tuple[str, int | None], ...]
-
-    @property
-    def buffer(self) -> bytes:
-        """Payload bytes to place at the table base."""
-        size = self.total_size
-        buf = bytearray(size)
-        buf[:len(self.table.data)] = self.table.data
-        for seed in self.memory_seeds:
-            buf[seed.offset:seed.offset + len(seed.data)] = seed.data
-        return bytes(buf)
 
 
 def repetitions_for(target: int, stride_per_use: int, start: int = 0) -> int:
@@ -131,27 +117,6 @@ def repetitions_for(target: int, stride_per_use: int, start: int = 0) -> int:
         raise Diverges(
             f"stride {stride_per_use} never reaches {target} from {start}")
     return math.ceil(abs(delta) / abs(stride_per_use))
-
-
-def expand_entries(spec: ChainSpec) -> list[int]:
-    entries = []
-    for step in spec.steps:
-        entries.extend([step.gadget.start] * step.repeat)
-    entries.append(spec.return_to)
-    return entries
-
-
-def build_dispatch_table(spec: ChainSpec) -> DispatchTable:
-    xlen = spec.image.xlen
-    elem = xlen // 8
-    entries = expand_entries(spec)
-    limit = 1 << xlen
-    for e in entries:
-        if not 0 <= e < limit:
-            raise AddressTooWide(f"entry 0x{e:x} does not fit {xlen} bits")
-    memory_order = entries if spec.dispatcher.stride >= 0 else entries[::-1]
-    data = b"".join(e.to_bytes(elem, "little") for e in memory_order)
-    return DispatchTable(entries=tuple(entries), element_size=elem, data=data)
 
 
 # --- validation -------------------------------------------------------------
@@ -183,6 +148,15 @@ def validate_chain(spec: ChainSpec) -> list[Diagnostic]:
         diags.append(Diagnostic(ERROR, "MissingDispatchReg",
                                 "classic schemes need the register gadgets "
                                 "jump back through"))
+
+    # Layout aims these at the loop entry only if the initializer loads them.
+    init = spec.initializer
+    for r in dict.fromkeys([init.link_register, spec.dispatch_reg]):
+        if r is not None and r not in init.sets:
+            diags.append(Diagnostic(
+                WARNING, "UnseededJumpReg",
+                f"initializer does not load {r.name}, which must hold the "
+                f"loop entry 0x{disp.loop_entry:x}"))
 
     # 1. terminator compatibility
     for i, step in enumerate(spec.steps):
@@ -331,12 +305,30 @@ def _condition_bound(disp: DispatcherCandidate, seed_ptr: int, rounds: int,
     return bound
 
 
+def _buffer(spec: ChainSpec) -> bytes:
+    """The payload bytes: the dispatch table in memory order, a run of
+    `repeat` copies of each step's entry and then the return address
+    (the runs reversed for a negative stride), followed by the data
+    seeds."""
+    xlen = spec.image.xlen
+    runs = [(step.gadget.start, step.repeat) for step in spec.steps]
+    runs.append((spec.return_to, 1))
+    for entry, _ in runs:
+        if not 0 <= entry < 1 << xlen:
+            raise AddressTooWide(f"entry 0x{entry:x} does not fit {xlen} bits")
+    if spec.dispatcher.stride < 0:
+        runs.reverse()
+    return b"".join([entry.to_bytes(xlen // 8, "little") * repeat
+                     for entry, repeat in runs]
+                    + [data for data, _ in spec.data_seeds])
+
+
 def layout_payload(spec: ChainSpec) -> PayloadLayout:
     disp = spec.dispatcher
     xlen = spec.image.xlen
     elem = xlen // 8
     # Sized from the repeats, so a payload past the address space is
-    # refused before its entries are expanded.
+    # refused before its table is written.
     n = sum(max(step.repeat, 0) for step in spec.steps) + 1
 
     mem_seeds = []
@@ -344,8 +336,7 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
     for data, note in spec.data_seeds:
         mem_seeds.append(MemorySeed(off, bytes(data), note))
         off += len(data)
-    total = off
-    base, end = spec.table_base, spec.table_base + total
+    base, end = spec.table_base, spec.table_base + off
     if end > 1 << xlen:
         raise AddressTooWide(f"payload [0x{base:x}, 0x{end:x}) runs past "
                              f"the {xlen}-bit address space")
@@ -353,7 +344,7 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
         if base < seg.end and seg.vaddr < end:
             raise Overlap(f"payload [0x{base:x}, 0x{end:x}) collides with "
                           f"segment at 0x{seg.vaddr:x}")
-    table = build_dispatch_table(spec)
+    buffer = _buffer(spec)
 
     # Where must the table register point so round one reads entry one?
     first_read = base if disp.stride >= 0 else base + (n - 1) * elem
@@ -400,9 +391,9 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
     ledger = _sp_ledger(spec, [summarize_dataflow(step.gadget.instructions)
                                for step in spec.steps])
     return PayloadLayout(
-        table=table, register_seeds=seeds, memory_seeds=tuple(mem_seeds),
-        stack_writes=tuple(stack_writes), unplaced_seeds=tuple(unplaced),
-        total_size=total, sp_ledger=tuple(ledger))
+        buffer=buffer, entries=n, register_seeds=seeds,
+        memory_seeds=tuple(mem_seeds), stack_writes=tuple(stack_writes),
+        unplaced_seeds=tuple(unplaced), sp_ledger=tuple(ledger))
 
 
 # --- chain spec text format -------------------------------------------------
@@ -521,10 +512,10 @@ def render_manifest(spec: ChainSpec, layout: PayloadLayout,
     lines.append(f"initializer  0x{spec.initializer.gadget.start:08x} "
                  f"jumps via {spec.initializer.link_register.name}")
     lines.append(f"table-base   0x{spec.table_base:08x}  "
-                 f"entries={len(layout.table.entries)}  "
-                 f"element={layout.table.element_size}")
+                 f"entries={layout.entries}  "
+                 f"element={spec.image.xlen // 8}")
     lines.append(f"return-to    0x{spec.return_to:08x}")
-    lines.append(f"payload size {layout.total_size} bytes")
+    lines.append(f"payload size {len(layout.buffer)} bytes")
     lines.append("")
     lines.append("register seeds (loaded by the initializer):")
     for r, v in sorted(layout.register_seeds.items(), key=lambda kv: kv[0].index):

@@ -319,7 +319,12 @@ def _cmd_chain(args) -> int:
                         render_manifest, validate_chain)
     image = _load_image(args)
     with open(args.spec, encoding="utf-8") as fh:
-        spec = parse_chain_text(fh.read(), image)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ToolError(f"chain spec {args.spec}: not UTF-8 text "
+                            f"({exc.reason} at byte {exc.start})") from None
+    spec = parse_chain_text(text, image)
     diags = validate_chain(spec)
     if has_errors(diags):
         for d in diags:

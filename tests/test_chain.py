@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rvjop.assembler import assemble
-from rvjop.chain import (ChainSpec, ChainStep, build_dispatch_table,
-                         expand_entries, has_errors, layout_payload,
+from rvjop.chain import (ChainSpec, ChainStep, has_errors, layout_payload,
                          parse_chain_text, render_manifest, repetitions_for,
                          validate_chain)
 from rvjop.classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
@@ -190,37 +189,40 @@ def test_repetitions_match_walk(target, magnitude, start, up):
 
 # --- dispatch tables --------------------------------------------------------
 
+def words(*entries):
+    return b"".join(e.to_bytes(4, "little") for e in entries)
+
+
 def test_table_traversal_order(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one", ("g_two", 2)])
-    assert expand_entries(spec) == [addrs["g_one"], addrs["g_two"],
-                                    addrs["g_two"], addrs["landing"]]
-    table = build_dispatch_table(spec)
-    assert table.element_size == 4
-    assert table.entries == tuple(expand_entries(spec))
-    assert table.data == b"".join(e.to_bytes(4, "little")
-                                  for e in table.entries)
+    out = layout_payload(spec)
+    assert out.entries == 4
+    assert out.buffer == words(addrs["g_one"], addrs["g_two"],
+                               addrs["g_two"], addrs["landing"])
 
 
 def test_table_memory_reversed_for_negative_stride(lab):
     img, addrs = lab
-    spec = spec_for(img, addrs, ["g_one", "g_two"], loop="nloop",
+    spec = spec_for(img, addrs, ["g_one", ("g_two", 2)], loop="nloop",
                     init="ninit")
-    table = build_dispatch_table(spec)
-    assert table.entries == (addrs["g_one"], addrs["g_two"],
-                             addrs["landing"])
-    assert table.data[0:4] == addrs["landing"].to_bytes(4, "little")
-    assert table.data[8:12] == addrs["g_one"].to_bytes(4, "little")
+    out = layout_payload(spec)
+    assert out.entries == 4
+    assert out.buffer == words(addrs["landing"], addrs["g_two"],
+                               addrs["g_two"], addrs["g_one"])
 
 
 def test_table_rejects_wide_addresses(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"])
     for bad in (1 << 32, -4):
-        with pytest.raises(AddressTooWide):
-            build_dispatch_table(spec._replace(return_to=bad))
+        with pytest.raises(AddressTooWide,
+                           match=f"entry 0x{bad:x} does not fit 32 bits"):
+            layout_payload(spec._replace(return_to=bad))
     wide = ExecutableImage(img.segments, 64)
-    build_dispatch_table(spec._replace(return_to=1 << 32, image=wide))
+    out = layout_payload(spec._replace(return_to=1 << 32, image=wide))
+    assert out.buffer == (addrs["g_one"].to_bytes(8, "little")
+                          + (1 << 32).to_bytes(8, "little"))
 
 
 # --- validation -------------------------------------------------------------
@@ -232,6 +234,33 @@ def test_clean_chain_validates(lab):
     assert codes(diags, "info") == ["MustHold"]
     must = next(d for d in diags if d.code == "MustHold")
     assert "s0" in must.message and "s1" in must.message
+
+
+def test_unseeded_jump_registers_warn(classic_lab):
+    """One warning per register layout aims at the loop entry but the
+    initializer does not load: its own jump register and dispatch-reg."""
+    img, addrs = classic_lab
+    disp = dispatcher_at(img, addrs["dispatch"], DISPATCHER_CLASSIC)
+    ini = initializer_at(img, addrs["init"], disp)
+    spec = ChainSpec(dispatcher=disp, initializer=ini,
+                     steps=(ChainStep(gadget_at(img, addrs["g_a"])),),
+                     return_to=addrs["landing"], table_base=TABLE_BASE,
+                     image=img, dispatch_reg=reg("t1"))
+
+    def warnings(**kw):
+        return [d.message for d in validate_chain(spec._replace(**kw))
+                if d.code == "UnseededJumpReg" and d.severity == "warning"]
+
+    entry = f"0x{addrs['dispatch']:x}"
+    assert warnings() == []
+    assert warnings(dispatch_reg=reg("a4")) == [
+        f"initializer does not load a4, which must hold the loop entry "
+        f"{entry}"]
+    no_t2 = ini._replace(sets={r: src for r, src in ini.sets.items()
+                               if r is not reg("t2")})
+    assert warnings(initializer=no_t2, dispatch_reg=reg("t2")) == [
+        f"initializer does not load t2, which must hold the loop entry "
+        f"{entry}"]
 
 
 def test_stride_element_mismatch(lab):
@@ -346,8 +375,8 @@ def test_layout_autonomous_seeds(lab):
     assert [w.register.name for w in out.stack_writes] == ["t0", "s0", "s1"]
     assert [w.offset for w in out.stack_writes] == [8, 0, 4]
     assert out.unplaced_seeds == ()
-    assert out.total_size == 12
-    assert out.buffer == out.table.data
+    assert out.buffer == words(addrs["g_one"], addrs["g_two"],
+                               addrs["landing"])
 
 
 def test_layout_negative_stride_seeds(lab):
@@ -391,8 +420,8 @@ def test_layout_data_seeds(lab):
                     data_seeds=((b"abc", "path"), (b"\x01\x02", "")))
     out = layout_payload(spec)
     assert [m.offset for m in out.memory_seeds] == [8, 11]
-    assert out.total_size == 13
     buf = out.buffer
+    assert len(buf) == 13
     assert buf[8:11] == b"abc" and buf[11:13] == b"\x01\x02"
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -477,7 +478,9 @@ LOOP_BLOB = bytes.fromhex(
 
 def test_chain_manifest_values_in_xlen_bits(capsys, tmp_path):
     """On RV32 every seed prints as the 32-bit value its register holds:
-    a pre-increment pointer below the table and a negative seed wrap."""
+    a pre-increment pointer below the table and a negative seed wrap.
+    The initializer jumps via t0 without loading it, which one warning
+    names."""
     blob = tmp_path / "pre.bin"
     blob.write_bytes(PRE_INCREMENT_BLOB)
     spec = tmp_path / "chain.txt"
@@ -490,6 +493,9 @@ def test_chain_manifest_values_in_xlen_bits(capsys, tmp_path):
     assert "  s0    = 0xfffffffc" in lines
     assert "  a0    = 0xffffff9c" in lines
     assert "  sp+0    <- 0xfffffffc  (s0)" in lines
+    assert [line for line in lines if "warning" in line] == [
+        "  warning: UnseededJumpReg: initializer does not load t0, which "
+        "must hold the loop entry 0x100c"]
 
 
 @pytest.mark.parametrize("steps", [0, 2])
@@ -513,11 +519,11 @@ def test_chain_payload_past_xlen(capsys, tmp_path, steps):
 def test_chain_huge_repeat_is_refused_before_expansion(capsys, tmp_path,
                                                       monkeypatch):
     """A repeat too big for the address space is refused from the size
-    alone: no list of its entries is built."""
+    alone: no table is written."""
     def refuse(spec):
-        raise AssertionError("expanded the dispatch table")
+        raise AssertionError("wrote the dispatch table")
 
-    monkeypatch.setattr(rvjop.chain, "expand_entries", refuse)
+    monkeypatch.setattr(rvjop.chain, "_buffer", refuse)
     blob = tmp_path / "loop.bin"
     blob.write_bytes(LOOP_BLOB)
     spec = tmp_path / "chain.txt"
@@ -530,6 +536,43 @@ def test_chain_huge_repeat_is_refused_before_expansion(capsys, tmp_path,
     end = 0xfff00000 + 4 * (10**9 + 1)
     assert err == (f"rvjop: payload [0xfff00000, {end:#x}) runs past the "
                    f"32-bit address space\n")
+
+
+def test_chain_long_run_memory_follows_the_payload(capsys, tmp_path):
+    """A step repeated 4,000,000 times is a 16 MB payload, laid out in
+    memory of the same order: no Python object per repeat."""
+    blob = tmp_path / "loop.bin"
+    blob.write_bytes(LOOP_BLOB)
+    spec = tmp_path / "chain.txt"
+    spec.write_text("dispatcher 0xc\ninitializer 0x0\n"
+                    "table-base 0x100000\nreturn-to 0x1c\n"
+                    "step 0x1c 4000000\n")
+    payload = tmp_path / "payload.bin"
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "chain", "--raw", str(blob), "--spec",
+                             str(spec), "--out", str(payload))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert "table-base   0x00100000  entries=4000001  element=4" in out
+    assert "payload size 16000004 bytes" in out.splitlines()
+    assert payload.read_bytes() == ((0x1c).to_bytes(4, "little") * 4000001)
+    assert peak < 64 << 20
+
+
+def test_chain_spec_not_utf8(capsys, tmp_path):
+    """A chain file that is not UTF-8 text is one error line, exit 3."""
+    blob = tmp_path / "loop.bin"
+    blob.write_bytes(LOOP_BLOB)
+    spec = tmp_path / "chain.txt"
+    spec.write_bytes(b"\xff\xfe\x00dispatcher 0xc\n")
+    code, out, err = run(capsys, "chain", "--raw", str(blob), "--spec",
+                         str(spec))
+    assert code == 3 and out == ""
+    assert err.startswith(f"rvjop: chain spec {spec}: not UTF-8 text")
+    assert err.count("\n") == 1
 
 
 def _adg_chain(tmp_path, adg_blob, table_base):
