@@ -24,9 +24,9 @@ initializer leaves unseeded) before simulation does the real verdict.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Mapping
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_TWO_STAGE,
                        DispatcherCandidate, InitializerCandidate, Source,
@@ -42,10 +42,15 @@ WARNING = "warning"
 INFO = "info"
 
 
-class Diagnostic(NamedTuple):
-    severity: str
-    code: str
-    message: str
+# Records are namedtuple subclasses (see `rvjop.decoder`); each field's
+# type is in the comment beside it.
+
+class Diagnostic(namedtuple("Diagnostic", (
+        "severity",     # str
+        "code",         # str
+        "message",      # str
+        ))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.severity}: {self.code}: {self.message}"
@@ -55,23 +60,27 @@ def has_errors(diagnostics) -> bool:
     return any(d.severity == ERROR for d in diagnostics)
 
 
-class ChainStep(NamedTuple):
-    gadget: Gadget
-    repeat: int = 1
-    note: str = ""
+class ChainStep(namedtuple("ChainStep", (
+        "gadget",       # Gadget
+        "repeat",       # int
+        "note",         # str
+        ), defaults=(1, ""))):
+    __slots__ = ()
 
 
-class ChainSpec(NamedTuple):
-    dispatcher: DispatcherCandidate
-    initializer: InitializerCandidate
-    steps: tuple[ChainStep, ...]
-    return_to: int
-    table_base: int
-    image: ExecutableImage                        # the image the chain runs in
-    reserved: frozenset[Register] = frozenset()
-    dispatch_reg: Register | None = None          # classic schemes only
-    data_seeds: tuple[tuple[bytes, str], ...] = ()
-    seed_overrides: Mapping[Register, int] = MappingProxyType({})
+class ChainSpec(namedtuple("ChainSpec", (
+        "dispatcher",   # DispatcherCandidate
+        "initializer",  # InitializerCandidate
+        "steps",        # tuple[ChainStep, ...]
+        "return_to",    # int
+        "table_base",   # int
+        "image",        # ExecutableImage: the image the chain runs in
+        "reserved",     # frozenset[Register]
+        "dispatch_reg",  # Register | None: classic schemes only
+        "data_seeds",   # tuple[tuple[bytes, str], ...]
+        "seed_overrides",  # Mapping[Register, int]
+        ), defaults=(frozenset(), None, (), MappingProxyType({})))):
+    __slots__ = ()
 
     @property
     def reserved_registers(self) -> frozenset[Register]:
@@ -81,26 +90,32 @@ class ChainSpec(NamedTuple):
         return frozenset(regs)
 
 
-class MemorySeed(NamedTuple):
-    offset: int                   # from the buffer (table) base
-    data: bytes
-    note: str = ""
+class MemorySeed(namedtuple("MemorySeed", (
+        "offset",       # int: from the buffer (table) base
+        "data",         # bytes
+        "note",         # str
+        ), defaults=("",))):
+    __slots__ = ()
 
 
-class StackWrite(NamedTuple):
-    offset: int                   # from the entry sp
-    value: int
-    register: Register
+class StackWrite(namedtuple("StackWrite", (
+        "offset",       # int: from the entry sp
+        "value",        # int
+        "register",     # Register
+        ))):
+    __slots__ = ()
 
 
-class PayloadLayout(NamedTuple):
-    buffer: bytes                 # the table, then the data seeds
-    entries: int                  # table entries, return address included
-    register_seeds: dict[Register, int]
-    memory_seeds: tuple[MemorySeed, ...]
-    stack_writes: tuple[StackWrite, ...]
-    unplaced_seeds: tuple[tuple[Register, Source], ...]
-    sp_ledger: tuple[tuple[str, int | None], ...]
+class PayloadLayout(namedtuple("PayloadLayout", (
+        "buffer",       # bytes: the table, then the data seeds
+        "entries",      # int: table entries, return address included
+        "register_seeds",  # dict[Register, int]
+        "memory_seeds",    # tuple[MemorySeed, ...]
+        "stack_writes",    # tuple[StackWrite, ...]
+        "unplaced_seeds",  # tuple[tuple[Register, Source], ...]
+        "sp_ledger",       # tuple[tuple[str, int | None], ...]
+        ))):
+    __slots__ = ()
 
 
 def repetitions_for(target: int, stride_per_use: int, start: int = 0) -> int:
@@ -315,7 +330,7 @@ def _buffer(spec: ChainSpec) -> bytes:
     runs.append((spec.return_to, 1))
     for entry, _ in runs:
         if not 0 <= entry < 1 << xlen:
-            raise AddressTooWide(f"entry 0x{entry:x} does not fit {xlen} bits")
+            raise AddressTooWide(f"entry {entry:#x} does not fit {xlen} bits")
     if spec.dispatcher.stride < 0:
         runs.reverse()
     return b"".join([entry.to_bytes(xlen // 8, "little") * repeat

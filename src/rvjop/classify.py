@@ -33,7 +33,7 @@ one gadget growth, widened on demand, so none is grown twice.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .dataflow import (Const, DataflowSummary, Source, const_add,
                        summarize_dataflow)
@@ -65,31 +65,40 @@ _CSR_MNEMONICS = frozenset(
     ["csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci"])
 
 
-class GadgetRole(NamedTuple):
-    kind: str
-    detail: object = None
+# Records are namedtuple subclasses (see `rvjop.decoder`); each field's
+# type is in the comment beside it.
+
+class GadgetRole(namedtuple("GadgetRole", (
+        "kind",         # str
+        "detail",       # object
+        ), defaults=(None,))):
+    __slots__ = ()
 
 
-class SelfLink(NamedTuple):
-    kind: str                                   # "none" | "unconditional" | "conditional"
-    regs: tuple[Register, Register] | None = None
-    op: str | None = None                       # branch condition for "conditional"
+class SelfLink(namedtuple("SelfLink", (
+        "kind",         # str: "none" | "unconditional" | "conditional"
+        "regs",         # tuple[Register, Register] | None
+        "op",           # str | None: branch condition for "conditional"
+        ), defaults=(None, None))):
+    __slots__ = ()
 
 
 NO_SELF_LINK = SelfLink("none")
 
 
-class DispatcherCandidate(NamedTuple):
-    kind: str                     # one of the three dispatcher role kinds
-    gadget: Gadget                # loop body (stage one for two-stage pairs)
-    table_reg: Register
-    stride: int
-    target_reg: Register
-    self_link: SelfLink
-    load_offset: int = 0          # displacement in the table load
-    pre_increment: bool = False   # pointer advanced before the load each round
-    return_path: tuple[DecodedInstruction, ...] = ()
-    stage2: Gadget | None = None
+class DispatcherCandidate(namedtuple("DispatcherCandidate", (
+        "kind",         # str: one of the three dispatcher role kinds
+        "gadget",       # Gadget: loop body (stage one for two-stage pairs)
+        "table_reg",    # Register
+        "stride",       # int
+        "target_reg",   # Register
+        "self_link",    # SelfLink
+        "load_offset",  # int: displacement in the table load
+        "pre_increment",  # bool: pointer advanced before the load each round
+        "return_path",  # tuple[DecodedInstruction, ...]
+        "stage2",       # Gadget | None
+        ), defaults=(0, False, (), None))):
+    __slots__ = ()
 
     @property
     def loop_entry(self) -> int:
@@ -110,9 +119,11 @@ class DispatcherCandidate(NamedTuple):
         return self.required_registers - sets.keys()
 
 
-class InitializerCandidate(NamedTuple):
-    gadget: Gadget
-    sets: dict[Register, Source]
+class InitializerCandidate(namedtuple("InitializerCandidate", (
+        "gadget",       # Gadget
+        "sets",         # dict[Register, Source]
+        ))):
+    __slots__ = ()
 
     @property
     def link_register(self) -> Register:
@@ -441,9 +452,12 @@ def find_initializers(gadgets, dispatcher: DispatcherCandidate
 
 # --- availability -----------------------------------------------------------
 
-class AvailabilityRow(NamedTuple):
-    register: Register
-    gadgets: tuple[Gadget, ...]   # unique, jumping through `register`
+class AvailabilityRow(namedtuple("AvailabilityRow", (
+        "register",     # Register
+        "gadgets",      # tuple[Gadget, ...]: unique, jumping through
+                        # `register`
+        ))):
+    __slots__ = ()
 
     @property
     def count(self) -> int:

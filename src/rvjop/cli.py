@@ -11,8 +11,8 @@ Subcommands:
     sim           execute under the shadow-stack interpreter
 
 Exit codes: 0 results or success, 1 nothing found (or an unsuccessful
-run), 2 bad usage, 3 unreadable or unsupported input (an image, or a
-chain file or payload that cannot be built).
+run, or a closed stdout), 2 bad usage, 3 unreadable or unsupported input
+(an image, or a chain file or payload that cannot be built).
 
 Every command loads the image, decoder, scanner, dataflow and classify
 layers.  The query layer loads only for scan and query, the chain layer
@@ -23,10 +23,17 @@ so no command pays start-up time for those three unless it runs them.
 script).  It runs the command with the cyclic garbage collector off: a
 command builds one analysis, prints it and exits, and its cyclic garbage
 does not grow with the image, while the collector's passes walk every
-decoded instruction and gadget, a cost that does.
+decoded instruction and gadget, a cost that does.  Then it flushes
+stdout and stderr and ends the process with `os._exit`, skipping the
+interpreter's finalization, which would only free that analysis object
+by object.  Every file the CLI writes is closed by its `with` block
+before `main` returns, so nothing else needs flushing.
 `main(argv)` leaves interpreter state alone, so tests and library callers
-keep the default collector.  Every file the CLI writes is closed by its
-`with` block before `run()` returns.
+keep the default collector.
+
+A closed stdout (`rvjop scan ... | head`) ends the command with no
+message and exit 1, whether the write that finds it runs in a command or
+in `run()`'s flush, and whether stdout is buffered or not.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ from . import decoder  # noqa: F401
 
 import argparse
 import gc
+import io
+import os
 import sys
 
 # Loaded with this module, so by every command: benchmarks/test_benchmark.py
@@ -50,6 +59,10 @@ from .errors import ToolError, UsageError
 from .image import ExecutableImage, load_elf, load_raw
 from .isa import SP, Register, is_register_name, reg
 from .scanner import MAX_GADGET_LEN, dedupe, extract_gadgets
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
 
 OK = 0
 EMPTY = 1
@@ -386,6 +399,8 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE if exc.code not in (0, None) else OK
     try:
         return args.run(args)
+    except BrokenPipeError:             # an OSError, but not a bad input
+        return _stdout_closed()
     except UsageError as exc:
         print(f"rvjop: {exc}", file=sys.stderr)
         return USAGE
@@ -394,20 +409,46 @@ def main(argv: list[str] | None = None) -> int:
         return BADIMAGE
 
 
-def run() -> int:
-    """`main()` with the cyclic collector off (see the module docstring).
+def _stdout_closed() -> int:
+    """Exit status for a stdout whose reader has gone, after the recipe
+    in the `signal` module's docs: no message, later flushes go to
+    /dev/null, and 1, Python's own status on EPIPE."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 1
+
+
+def run() -> NoReturn:
+    """`main()` with the cyclic collector off, then `os._exit` with its
+    code once stdout and stderr are flushed (see the module docstring).
 
     The cyclic garbage is the argument parser and, for `chain --simulate`,
     the interpreter's handler closures, one set per distinct pc.  The
     collector's passes would only walk the decoded instructions and
-    gadgets, which live until exit anyway.  The heap is frozen before
-    returning, so the collection at interpreter shutdown skips it too.
+    gadgets, which live until exit anyway.
     """
     gc.disable()
+    # A stream is None when its descriptor was closed at start (`>&-`).
+    if isinstance(getattr(sys.stdout, "buffer", None), io.RawIOBase):
+        # Unbuffered stdout (-u, PYTHONUNBUFFERED): its text layer drops
+        # the rest of a short write, so a reader that closes mid-write
+        # would go unnoticed.  A BufferedWriter retries the rest and meets
+        # the closed pipe; flushed at each line, it keeps output prompt.
+        out = sys.stdout
+        sys.stdout = io.TextIOWrapper(io.BufferedWriter(out.buffer),
+                                      out.encoding, out.errors,
+                                      line_buffering=True)
     code = main()
-    gc.freeze()
-    return code
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_closed()
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

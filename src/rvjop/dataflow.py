@@ -31,33 +31,44 @@ value.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .decoder import CondBranch, DecodedInstruction, MemAccess
 from .isa import A7, REGISTERS, S0, SP, Register, sext
 
-
-class Source(NamedTuple):
-    kind: str            # "stack" | "mem"
-    base: Register
-    offset: int          # entry-relative for sp, raw otherwise
+# Records are namedtuple subclasses (see `rvjop.decoder`); each field's
+# type is in the comment beside it.
 
 
-class Const(NamedTuple):
-    value: int
+class Source(namedtuple("Source", (
+        "kind",         # str: "stack" | "mem"
+        "base",         # Register
+        "offset",       # int: entry-relative for sp, raw otherwise
+        ))):
+    __slots__ = ()
 
 
-class Offset(NamedTuple):
-    reg: Register
-    delta: int           # added to reg's value at gadget entry
+class Const(namedtuple("Const", (
+        "value",        # int
+        ))):
+    __slots__ = ()
 
 
-class Loaded(NamedTuple):
-    source: Source
+class Offset(namedtuple("Offset", (
+        "reg",          # Register
+        "delta",        # int: added to reg's value at gadget entry
+        ))):
+    __slots__ = ()
 
 
-class Unknown(NamedTuple):
-    pass
+class Loaded(namedtuple("Loaded", (
+        "source",       # Source
+        ))):
+    __slots__ = ()
+
+
+class Unknown(namedtuple("Unknown", ())):
+    __slots__ = ()
 
 
 UNKNOWN = Unknown()
@@ -72,15 +83,19 @@ def _sp_offset(sp: Value | None) -> int | None:
     return sp.delta if type(sp) is Offset and sp.reg is SP else None
 
 
-class DataflowSummary(NamedTuple):
-    written: frozenset[Register]
-    cond_written: frozenset[Register]
-    read_before_write: frozenset[Register]
-    preserved: frozenset[Register]
-    exits: dict[Register, Value]       # written register -> value at exit
-    ecall_a7: Value | None             # a7 at the first ecall; None = no ecall
-    mem_reads: tuple[MemAccess, ...]   # sp offsets entry-relative if known
-    mem_writes: tuple[MemAccess, ...]
+class DataflowSummary(namedtuple("DataflowSummary", (
+        "written",              # frozenset[Register]
+        "cond_written",         # frozenset[Register]
+        "read_before_write",    # frozenset[Register]
+        "preserved",            # frozenset[Register]
+        "exits",        # dict[Register, Value]: written register -> its
+                        # value at exit
+        "ecall_a7",     # Value | None: a7 at the first ecall; None = no ecall
+        "mem_reads",    # tuple[MemAccess, ...]: sp offsets entry-relative
+                        # if known
+        "mem_writes",   # tuple[MemAccess, ...]
+        ))):
+    __slots__ = ()
 
     @property
     def sp_delta(self) -> int | None:

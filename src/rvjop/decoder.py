@@ -25,23 +25,35 @@ Python ints, independent of XLEN.
 
 from __future__ import annotations
 
-from typing import NamedTuple, NoReturn
+from collections import namedtuple
 
 from .errors import InvalidEncoding, Truncated
 from .isa import REGISTERS, RA, SP, ZERO, A7, Register, sext, mask
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
+
 
 # --- control flow and access descriptors ------------------------------------
+#
+# Records are `collections.namedtuple` subclasses: `typing.NamedTuple` would
+# compile a forward reference for every annotated field at import.  Each
+# field's type is in the comment beside it.
 
-class DirectJump(NamedTuple):
-    target: int
-    link: Register | None = None
+class DirectJump(namedtuple("DirectJump", (
+        "target",       # int
+        "link",         # Register | None
+        ), defaults=(None,))):
+    __slots__ = ()
 
 
-class IndirectJump(NamedTuple):
-    base: Register
-    offset: int
-    link: Register | None = None
+class IndirectJump(namedtuple("IndirectJump", (
+        "base",         # Register
+        "offset",       # int
+        "link",         # Register | None
+        ), defaults=(None,))):
+    __slots__ = ()
 
     @property
     def is_return(self) -> bool:
@@ -50,44 +62,54 @@ class IndirectJump(NamedTuple):
         return self.link is None and self.base is RA and self.offset == 0
 
 
-class CondBranch(NamedTuple):
-    target: int
-    regs: tuple[Register, Register]
-    op: str  # "eq" | "ne" | "lt" | "ge" | "ltu" | "geu"
+class CondBranch(namedtuple("CondBranch", (
+        "target",       # int
+        "regs",         # tuple[Register, Register]
+        "op",           # str: "eq" | "ne" | "lt" | "ge" | "ltu" | "geu"
+        ))):
+    __slots__ = ()
 
 
-class Trap(NamedTuple):
-    kind: str  # "ecall" | "ebreak"
+class Trap(namedtuple("Trap", (
+        "kind",         # str: "ecall" | "ebreak"
+        ))):
+    __slots__ = ()
 
 
 ControlFlow = DirectJump | IndirectJump | CondBranch | Trap
 
 
-class MemAccess(NamedTuple):
-    kind: str  # "load" | "store" | "amo"
-    base: Register
-    offset: int
-    size: int
+class MemAccess(namedtuple("MemAccess", (
+        "kind",         # str: "load" | "store" | "amo"
+        "base",         # Register
+        "offset",       # int
+        "size",         # int
+        ))):
+    __slots__ = ()
 
 
-class Alias(NamedTuple):
-    name: str
-    operands: tuple
+class Alias(namedtuple("Alias", (
+        "name",         # str
+        "operands",     # tuple
+        ))):
+    __slots__ = ()
 
 
-class DecodedInstruction(NamedTuple):
-    address: int
-    width: int          # 2 or 4
-    raw: int            # encoding word
-    mnemonic: str
-    operands: tuple
-    regs_read: frozenset[Register]
-    regs_written: frozenset[Register]
-    control_flow: ControlFlow | None = None
-    mem_access: MemAccess | None = None
-    imm: int | None = None
-    aliases: tuple[Alias, ...] = ()
-    base: Alias | None = None    # 32-bit form; `_ins` always sets it
+class DecodedInstruction(namedtuple("DecodedInstruction", (
+        "address",      # int
+        "width",        # int: 2 or 4
+        "raw",          # int: encoding word
+        "mnemonic",     # str
+        "operands",     # tuple
+        "regs_read",    # frozenset[Register]
+        "regs_written",  # frozenset[Register]
+        "control_flow",  # ControlFlow | None
+        "mem_access",   # MemAccess | None
+        "imm",          # int | None
+        "aliases",      # tuple[Alias, ...]
+        "base",         # Alias | None: the 32-bit form; `_ins` always sets it
+        ), defaults=(None, None, None, (), None))):
+    __slots__ = ()
 
     @property
     def is_terminator(self) -> bool:
@@ -139,7 +161,7 @@ def _two(a: Register, b: Register) -> frozenset[Register]:
     return _ONE[a.index or b.index]
 
 
-# Builds a record from a tuple of its fields: a NamedTuple's own
+# Builds a record from a tuple of its fields: a namedtuple's own
 # `__new__` takes them by keyword, one more call per record.
 _new = tuple.__new__
 

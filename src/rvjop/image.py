@@ -24,12 +24,13 @@ that name is bound to at the time (a tracer's wrapper, say) is what runs.
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (InvalidEncoding, MalformedImage, NotElf, Truncated,
                      WrongMachine)
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .decoder import DecodedInstruction
 
@@ -42,10 +43,13 @@ _PF_X = 1
 MAX_ZERO_FILL = 64 << 20
 
 
-class Segment(NamedTuple):
-    vaddr: int
-    data: bytes
-    executable: bool
+class Segment(namedtuple("Segment", (
+        "vaddr",        # int
+        "data",         # bytes
+        "executable",   # bool
+        ))):
+    # a namedtuple subclass (see `rvjop.decoder`); field types beside them
+    __slots__ = ()
 
     @property
     def end(self) -> int:

@@ -20,8 +20,9 @@ dispatchers read the image's one gadget growth, widened on demand.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable
 from functools import cache, cached_property
-from typing import Callable, NamedTuple
 
 from .classify import (DispatcherCandidate, classify, dispatcher_index,
                        find_dispatchers)
@@ -33,16 +34,20 @@ from .scanner import Gadget, dedupe, extract_gadgets
 DEFAULT_MAX = 4
 
 
-class Query(NamedTuple):
-    op: str | None = None
-    rr: Register | None = None
-    imm: int | None = None
-    max: int = DEFAULT_MAX
-    link: Register | None = None           # jump-through register
-    preserve: frozenset[Register] = frozenset()
-    role: str | None = None
-    unique: bool = False
-    all_: bool = False
+class Query(namedtuple("Query", (
+        "op",           # str | None
+        "rr",           # Register | None
+        "imm",          # int | None
+        "max",          # int
+        "link",         # Register | None: jump-through register
+        "preserve",     # frozenset[Register]
+        "role",         # str | None
+        "unique",       # bool
+        "all_",         # bool
+        ), defaults=(None, None, None, DEFAULT_MAX, None, frozenset(), None,
+                     False, False))):
+    # a namedtuple subclass (see `rvjop.decoder`); field types beside them
+    __slots__ = ()
 
     @property
     def has_filter(self) -> bool:

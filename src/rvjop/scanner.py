@@ -19,8 +19,9 @@ request for branches asked, so no call grows what an earlier one did.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from operator import attrgetter
-from typing import Iterator, NamedTuple
 
 from .decoder import (CondBranch, DecodedInstruction, DirectJump,
                       decode_one)
@@ -35,10 +36,14 @@ NATURAL = "natural"
 SHIFTED = "shifted"
 
 
-class Gadget(NamedTuple):
-    start: int
-    instructions: tuple[DecodedInstruction, ...]
-    table: DecodedSegment    # the decode table the gadget was read from
+class Gadget(namedtuple("Gadget", (
+        "start",        # int
+        "instructions",  # tuple[DecodedInstruction, ...]
+        "table",        # DecodedSegment: the decode table the gadget was
+                        # read from
+        ))):
+    # a namedtuple subclass (see `rvjop.decoder`); field types beside them
+    __slots__ = ()
 
     @property
     def alignment(self) -> str:

@@ -17,7 +17,13 @@ a closure, made by the factory for the instruction's effects shape, that
 already holds the register indices, immediate, masks, branch comparison,
 access size and signedness and fall-through pc, executes the instruction
 and returns the next pc.  The machine keeps the handler of every pc it
-has fetched, so a step is one dict lookup and one call.  A store drops
+has fetched, so a step is one dict lookup and one call.  The commonest
+steps make no further Python-level call: `addi` and `add` compute in
+the handler, a load reads the region the machine's last access hit
+(only a miss goes through `Machine.load`, which walks the regions and
+raises the unmapped fault), and a linking jump through ra or a return
+pushes or pops the shadow stack itself (only a return that does not
+match calls `_shadow_pop`, to raise the violation).  A store drops
 every cached pc in [address - 3, address + size), which covers any 2- or
 4-byte instruction overlapping the written bytes, so a payload that
 writes code runs the new bytes.  A fetch that faults caches nothing.  The
@@ -33,7 +39,8 @@ returns 0.
 from __future__ import annotations
 
 import operator
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from .decoder import _SHAPE, DecodedInstruction, decode_one
 from .errors import InvalidEncoding, Overlap, ToolError, Truncated
@@ -68,24 +75,31 @@ class _Violation(Exception):
         self.detail = detail
 
 
-class SyscallRecord(NamedTuple):
-    number: int
-    args: tuple[int, ...]      # a0..a5 at the ecall
-    address: int
-    result: int
+# Records are namedtuple subclasses (see `rvjop.decoder`); each field's
+# type is in the comment beside it.
+
+class SyscallRecord(namedtuple("SyscallRecord", (
+        "number",       # int
+        "args",         # tuple[int, ...]: a0..a5 at the ecall
+        "address",      # int
+        "result",       # int
+        ))):
+    __slots__ = ()
 
 
-class SimReport(NamedTuple):
-    outcome: str
-    steps: int
-    dispatch_rounds: int
-    syscalls: list[SyscallRecord]
-    shadow_pushes: int
-    shadow_pops: int
-    shadow_depth: int
-    final_sp_delta: int
-    fault: str | None = None
-    violation: str | None = None
+class SimReport(namedtuple("SimReport", (
+        "outcome",      # str
+        "steps",        # int
+        "dispatch_rounds",  # int
+        "syscalls",     # list[SyscallRecord]
+        "shadow_pushes",    # int
+        "shadow_pops",      # int
+        "shadow_depth",     # int
+        "final_sp_delta",   # int
+        "fault",        # str | None
+        "violation",    # str | None
+        ), defaults=(None, None))):
+    __slots__ = ()
 
     @property
     def stealth(self) -> bool:
@@ -128,7 +142,10 @@ class Machine:
         self.regs = [0] * 32
         self.pc = 0
         self.regions: list[tuple[int, bytearray]] = []
-        self._last_region: tuple[int, bytearray] | None = None
+        # [base, end, bytes] of the region the last access hit, updated in
+        # place (load handlers hold this list); empty until the first hit.
+        # Regions never overlap or go away, so a hit stays valid.
+        self._last: list = [0, 0, bytearray()]
         self.shadow_stack: list[int] = []
         self.shadow_pushes = 0
         self.shadow_pops = 0
@@ -148,19 +165,16 @@ class Machine:
                     f"[0x{base:x}, 0x{base + len(existing):x})")
         self.regions.append((start, buf))
         self.regions.sort(key=lambda r: r[0])
-        self._last_region = None
 
     def _locate(self, address: int, size: int) -> tuple[bytearray, int]:
         # Accesses cluster: try the region the last one hit first.
-        last = self._last_region
-        if last is not None:
-            base, buf = last
-            if base <= address and address + size <= base + len(buf):
-                return buf, address - base
-        for region in self.regions:
-            base, buf = region
-            if base <= address and address + size <= base + len(buf):
-                self._last_region = region
+        base, end, buf = self._last
+        if base <= address and address + size <= end:
+            return buf, address - base
+        for base, buf in self.regions:
+            end = base + len(buf)
+            if base <= address and address + size <= end:
+                self._last[:] = base, end, buf
                 return buf, address - base
         raise _Fault("unmapped",
                      f"{size}-byte access at 0x{address:x}")
@@ -215,11 +229,8 @@ class Machine:
         self._decoded[pc] = handler
         return handler
 
-    def _shadow_push(self, value: int) -> None:
-        self.shadow_stack.append(value & self.mask)
-        self.shadow_pushes += 1
-
     def _shadow_pop(self, target: int) -> None:
+        # A return handler pops a match itself and calls this to raise.
         if not self.shadow_stack:
             raise _Violation(
                 f"return to 0x{target:x} with an empty shadow stack")
@@ -360,16 +371,28 @@ _AMOS = {   # old and src sign-extended from the access width `low` masks
 def _alu(m: Machine, insn: DecodedInstruction,
          size: int | None) -> Callable[[], int]:
     rd, rs1, src = insn.base.operands
-    fn, regs, mask_ = _BASE_OPS[insn.base.name], m.regs, m.mask
+    name, regs, mask_ = insn.base.name, m.regs, m.mask
+    fn = _BASE_OPS[name]
     d, a, nxt = rd.index, rs1.index, _next_pc(m, insn)
     if d == 0:
         return lambda: nxt
     if type(src) is int:                # an immediate
+        if name == "addi":              # the commonest step: no call
+            def run():
+                regs[d] = (regs[a] + src) & mask_
+                return nxt
+            return run
+
         def run():
             regs[d] = fn(m, regs[a], src) & mask_
             return nxt
         return run
     b = src.index
+    if name == "add":
+        def run():
+            regs[d] = (regs[a] + regs[b]) & mask_
+            return nxt
+        return run
 
     def run():
         regs[d] = fn(m, regs[a], regs[b]) & mask_
@@ -407,14 +430,22 @@ def _load(m: Machine, insn: DecodedInstruction,
           size: int | None) -> Callable[[], int]:
     # Loads sign-extend unless the base name ends in u (lbu, lhu, lwu);
     # lr sign-extends like the load of its width.
+    # The region the machine's last access hit is tested here; a miss
+    # goes through `Machine.load`, which finds the region or faults.
     acc = insn.mem_access
-    regs, load, mask_ = m.regs, m.load, m.mask
+    regs, load, last, mask_ = m.regs, m.load, m._last, m.mask
     d, a, off = insn.base.operands[0].index, acc.base.index, acc.offset
     nxt = _next_pc(m, insn)
     sign = 0 if insn.base.name[-1] == "u" else 1 << (size * 8 - 1)
 
     def run():
-        value = load(regs[a] + off, size)
+        address = (regs[a] + off) & mask_
+        base, end, buf = last
+        if base <= address and address + size <= end:
+            address -= base
+            value = int.from_bytes(buf[address:address + size], "little")
+        else:
+            value = load(address, size)
         if d:
             regs[d] = ((value ^ sign) - sign) & mask_
         return nxt
@@ -489,7 +520,9 @@ def _jal(m: Machine, insn: DecodedInstruction,
     target = cf.target & m.mask
     if cf.link is None:
         return lambda: target
-    return _linked(m, insn, lambda: target)
+    # a jal is a jalr through x0, which reads 0, with its target (even,
+    # since the pc is) as the offset
+    return _linked(m, insn, 0, target)
 
 
 def _jalr(m: Machine, insn: DecodedInstruction,
@@ -499,41 +532,43 @@ def _jalr(m: Machine, insn: DecodedInstruction,
     cf = insn.control_flow
     regs, b = m.regs, cf.base.index
     off, keep = sext(cf.offset & 0xFFF, 12), m.mask & ~1
-
-    def jump():
-        return (regs[b] + off) & keep
     if cf.link is not None:
-        return _linked(m, insn, jump)
-    if cf.is_return:
-        pop = m._shadow_pop
+        return _linked(m, insn, b, off)
+    if not cf.is_return:
+        return lambda: (regs[b] + off) & keep
+    stack, pop = m.shadow_stack, m._shadow_pop
 
-        def run():
-            target = (regs[b] + off) & keep
-            pop(target)
+    def run():
+        target = (regs[b] + off) & keep
+        if stack and stack[-1] == target:
+            stack.pop()
+            m.shadow_pops += 1
             return target
-        return run
-    return jump
+        pop(target)                     # raises the violation
+    return run
 
 
-def _linked(m: Machine, insn: DecodedInstruction,
-            jump: Callable[[], int]) -> Callable[[], int]:
-    """A jump that writes the return address to its link register and,
-    when that is ra, pushes it on the shadow stack.  The target is taken
-    before the link is written, since the link may be the base."""
-    regs, link, ret = m.regs, insn.control_flow.link, _next_pc(m, insn)
+def _linked(m: Machine, insn: DecodedInstruction, b: int,
+            off: int) -> Callable[[], int]:
+    """A jump to register `b` plus `off` that writes the return address to
+    its link register and, when that is ra, pushes it on the shadow stack.
+    The target is taken before the link is written, since the link may be
+    the base."""
+    regs, keep, stack = m.regs, m.mask & ~1, m.shadow_stack
+    link, ret = insn.control_flow.link, _next_pc(m, insn)
     d = link.index
     if link is not RA:
         def run():
-            target = jump()
+            target = (regs[b] + off) & keep
             regs[d] = ret
             return target
         return run
-    push = m._shadow_push
 
     def run():
-        target = jump()
+        target = (regs[b] + off) & keep
         regs[d] = ret
-        push(ret)
+        stack.append(ret)
+        m.shadow_pushes += 1
         return target
     return run
 
@@ -613,18 +648,19 @@ def run_chain(machine: Machine, entry: int, return_to: int,
     sp_entry = machine.sp
     cached, build = machine._decoded.get, machine._handler
     rounds = 0
-    steps = 0
+    steps = 0                       # steps run: the loop index on a way out
     outcome = FUEL_EXHAUSTED
     fault = violation = None
     try:
-        while steps < fuel:
+        for steps in range(fuel):
             if pc == return_to:
                 outcome = REACHED
                 break
             if pc == loop_entry:
                 rounds += 1
             pc = (cached(pc) or build(pc))()
-            steps += 1
+        else:
+            steps = max(fuel, 0)
     except _Fault as exc:
         outcome = FAULT
         fault = str(exc)

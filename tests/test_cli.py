@@ -2,8 +2,10 @@
 
 import dataclasses
 import gc
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -827,7 +829,7 @@ def test_subcommand_loads_only_its_layers(tmp_path, adg_blob, argv, absent,
                          ids=SUBCOMMAND_IDS)
 def test_subcommand_start_up_skips_dataclasses(tmp_path, adg_blob, argv):
     # Building dataclasses compiles their methods at import time, and the
-    # module itself pulls in inspect: records are NamedTuples instead.
+    # module itself pulls in inspect: records are namedtuples instead.
     blob, addrs = adg_blob
     spec = chain_file(tmp_path, addrs)
     argv = [a.format(loop=hex(addrs["loop"]), spec=spec) for a in argv]
@@ -839,6 +841,37 @@ def test_subcommand_start_up_skips_dataclasses(tmp_path, adg_blob, argv):
         " file=sys.stderr)\n",
         json.dumps(argv))
     assert json.loads(proc.stderr.splitlines()[-1]) == [0, False], proc.stderr
+
+
+@pytest.mark.parametrize("cache", ["no bytecode cache", "bytecode cache"])
+def test_start_up_compiles_only_rvjop_sources(tmp_path, cache):
+    # Importing the layers compiles their own sources (none with a
+    # bytecode cache) and nothing else: `typing.NamedTuple` records would
+    # compile a forward reference for every annotated field.  The package
+    # is copied, so its bytecode cache, if any, starts empty.
+    shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "rvjop",
+                    tmp_path / "rvjop",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    if cache == "no bytecode cache":
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+    script = (
+        "import builtins, json, sys\n"
+        "names, compile_ = [], builtins.compile\n"
+        "def spy(source, filename, *args, **kwargs):\n"
+        "    names.append(str(filename))\n"
+        "    return compile_(source, filename, *args, **kwargs)\n"
+        "builtins.compile = spy\n"
+        "import rvjop.cli, rvjop.chain, rvjop.sim, rvjop.query\n"
+        "print(json.dumps(names), file=sys.stderr)\n")
+    sources = {str(p) for p in (tmp_path / "rvjop").glob("*.py")}
+    for run_ in ("first", "second"):        # the second reads any cache
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        names = json.loads(proc.stderr.splitlines()[-1])
+        assert set(names) <= sources, (run_, proc.stderr)
+    assert (names == []) == (cache == "bytecode cache")
 
 
 def test_image_load_skips_dataclasses(adg_blob, adg_elf):
@@ -1293,22 +1326,36 @@ def test_main_leaves_the_collector_alone(adg_blob):
         proc.stderr
 
 
-def test_run_disables_the_collector_and_returns_mains_code(monkeypatch):
-    seen = []
+def test_run_disables_the_collector_and_exits_with_mains_code(monkeypatch):
+    # run() never returns: with os._exit faked, main runs with the
+    # collector off, then stdout and stderr are flushed, then the process
+    # ends with main's code.
+    events = []
+
+    class Stream:
+        buffer = io.BytesIO()           # buffered: run() keeps the stream
+
+        def __init__(self, name):
+            self.name = name
+
+        def flush(self):
+            events.append(f"flush {self.name}")
 
     def fake_main(argv=None):
-        seen.append(gc.isenabled())
+        events.append(f"main, collector {'on' if gc.isenabled() else 'off'}")
         return 7
 
     monkeypatch.setattr(rvjop.cli, "main", fake_main)
-    frozen = gc.get_freeze_count()
+    monkeypatch.setattr(os, "_exit",
+                        lambda code: events.append(f"exit {code}"))
+    monkeypatch.setattr(sys, "stdout", Stream("stdout"))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr"))
     try:
-        assert rvjop.cli.run() == 7
-        assert seen == [False] and not gc.isenabled()
-        assert gc.get_freeze_count() > frozen
+        rvjop.cli.run()
     finally:
-        gc.unfreeze()
         gc.enable()
+    assert events == ["main, collector off", "flush stdout", "flush stderr",
+                      "exit 7"]
 
 
 @pytest.mark.parametrize("case", ["found", "empty", "usage", "bad-image"])
@@ -1333,3 +1380,64 @@ def test_module_entry_matches_main(capsys, tmp_path, adg_blob, case):
                           capture_output=True, text=True)
     assert want[0] == want_code
     assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+def test_module_entry_writes_the_same_chain_files(capsys, tmp_path, adg_blob):
+    # os._exit skips finalization: the payload and manifest are complete
+    # because each file is closed by its `with` block, and the simulation
+    # report is flushed before the exit.
+    blob, addrs = adg_blob
+    spec = chain_file(tmp_path, addrs)
+
+    def argv(tag):
+        return ["chain", *RAW(blob), "--spec", str(spec), "--simulate",
+                "--out", str(tmp_path / f"{tag}.bin"),
+                "--manifest", str(tmp_path / f"{tag}.txt")]
+    want = run(capsys, *argv("main"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-m", "rvjop.cli", *argv("entry")],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert want[0] == 0 and "outcome        reached" in want[1]
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+    for name in ("bin", "txt"):
+        assert ((tmp_path / f"entry.{name}").read_bytes()
+                == (tmp_path / f"main.{name}").read_bytes())
+
+
+def _many_dispatchers(count):
+    """`count` distinct classic dispatchers, `lw rd, 0(s0); addi s0, s0,
+    stride; jr rd`, for the target and stride pairs in turn."""
+    targets = [r for r in range(5, 32) if r != 8]
+    code = bytearray()
+    for k in range(count):
+        rd, stride = targets[k // 511 % len(targets)], 4 * (k % 511 + 1)
+        for word in (0x42003 | rd << 7, stride << 20 | 0x40413,
+                     rd << 15 | 0x67):
+            code += word.to_bytes(4, "little")
+    return bytes(code)
+
+
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["scan", "dispatchers"])
+def test_closed_stdout_exits_1_without_a_message(tmp_path, command,
+                                                  buffering):
+    # The reader takes 10 bytes and goes, as `| head -c 10` does.  The
+    # output is megabytes, more than a pipe holds, so the command is still
+    # writing: the write that finds the pipe closed ends it with exit 1
+    # and no message, with or without PYTHONUNBUFFERED.
+    blob = tmp_path / "dispatchers.bin"
+    blob.write_bytes(_many_dispatchers(3000))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rvjop.cli", command, "--raw", str(blob)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(os.read(proc.stdout.fileno(), 10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")

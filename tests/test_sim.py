@@ -93,6 +93,7 @@ def out(lines, want_reg="a0", **kw):
     ("rem", {"a1": -7 & M32, "a2": 2}, -1 & M32),
     ("divu", {"a1": -2 & M32, "a2": 2}, 0x7FFFFFFF),
     ("remu", {"a1": -1 & M32, "a2": 16}, 15),
+    ("add", {"a1": M32, "a2": 2}, 1),           # wraps at 32 bits
 ])
 def test_register_ops(mn, seed, expect):
     assert out([(mn, "a0", "a1", "a2")], seed=seed) == expect
@@ -111,6 +112,16 @@ def test_register_ops(mn, seed, expect):
 ])
 def test_immediate_ops(mn, seed, imm, expect):
     assert out([(mn, "a0", "a1", imm)], seed=seed) == expect
+
+
+@pytest.mark.parametrize("xlen,a1,imm,expect", [
+    (32, M32, 1, 0), (32, 0, -1, M32), (32, 0x7FFFFFFF, 1, 0x80000000),
+    (64, M64, 1, 0), (64, 0, -1, M64), (64, M32, 1, 1 << 32),
+])
+def test_addi_wraps_at_xlen(xlen, a1, imm, expect):
+    m = run_snippet([("addi", "a0", "a1", imm), ("addi", "zero", "a1", imm)],
+                    xlen=xlen, seed={"a1": a1})
+    assert m.get(reg("a0")) == expect and m.get(reg("zero")) == 0
 
 
 def test_division_by_zero_and_overflow():
@@ -376,7 +387,12 @@ def test_return_mismatch_is_a_violation():
     b.emit("ebreak")
     _, report = run_built(b, b.labels["start"], b.labels["end"])
     assert report.outcome == "violation"
-    assert "expected" in report.violation
+    ret = b.labels["start"] + 4
+    assert report.violation == (f"return to 0x{ret + 8:x}, shadow stack "
+                                f"expected 0x{ret:x}")
+    # the mismatched entry is popped; the faulting return is not a step
+    assert (report.steps, report.shadow_pushes, report.shadow_pops,
+            report.shadow_depth) == (2, 1, 1, 0)
     assert not report.stealth
 
 
@@ -389,7 +405,10 @@ def test_return_without_call_is_a_violation():
     _, report = run_built(b, b.labels["start"], b.labels["end"],
                           {"ra": b.labels["end"]})
     assert report.outcome == "violation"
-    assert "empty shadow stack" in report.violation
+    assert report.violation == (f"return to 0x{b.labels['end']:x} with an "
+                                "empty shadow stack")
+    assert (report.steps, report.shadow_pushes, report.shadow_pops,
+            report.shadow_depth) == (0, 0, 0, 0)
 
 
 def test_unlinked_jump_skips_the_shadow_stack():
@@ -680,6 +699,63 @@ def test_located_region_cache_keeps_faults():
         m.store(0x100e, 4, 0)
     assert str(exc.value) == "unmapped: 4-byte access at 0x100e"
     assert m.load(0x100c, 4) == 0x0f0e0d0c
+
+
+DATA_A, DATA_B = 0x200000, 0x300000
+
+
+def run_loads(lines, seed, regions, m=None):
+    """Run `lines` to their end marker on a machine with `regions` mapped
+    besides the code and stack (or on `m`, as it stands); return both."""
+    b = CodeBuilder()
+    for mn, *ops in lines:
+        b.emit(mn, *ops)
+    b.label("end")
+    b.emit("ebreak")
+
+    def make():
+        made = new_machine(b.image())
+        for start, data in regions:
+            made.map_region(start, data)
+        for name, value in seed.items():
+            made.poke(name, value)
+        return made
+    if m is None:
+        return run_both(make, b.base, b.labels["end"])
+    return m, run_chain(m, b.base, b.labels["end"])
+
+
+def test_load_after_a_hit_reads_another_region():
+    # each load's region differs from the one the last access hit
+    m, report = run_loads(
+        [("lw", "a0", "a1", 4), ("lw", "a2", "a3", 8), ("lbu", "a4", "a1", 0),
+         ("lh", "a5", "a3", 2)],
+        {"a1": DATA_A, "a3": DATA_B},
+        [(DATA_A, bytes(range(16))), (DATA_B, bytes(range(0x80, 0x90)))])
+    assert report.outcome == "reached"
+    assert [m.get(reg(r)) for r in ("a0", "a2", "a4", "a5")] == [
+        0x07060504, 0x8B8A8988, 0, 0xFFFF8382]
+
+
+@pytest.mark.parametrize("offset", [14, 16])     # straddles, then just past
+def test_load_past_the_hit_regions_end_faults(offset):
+    _, report = run_loads(
+        [("lw", "a0", "a1", 12), ("lw", "a2", "a1", offset)], {"a1": DATA_A},
+        [(DATA_A, bytes(16))])
+    assert report.outcome == "fault" and report.steps == 1
+    assert report.fault == (f"unmapped: 4-byte access at "
+                            f"0x{DATA_A + offset:x}")
+
+
+def test_load_reads_a_region_mapped_after_a_run():
+    lines = [("lw", "a0", "a1", 0), ("lw", "a2", "a3", 0)]
+    seed = {"a1": DATA_A, "a3": DATA_B}
+    m, report = run_loads(lines, seed, [(DATA_A, b"\x11" * 4)])
+    assert report.fault == f"unmapped: 4-byte access at 0x{DATA_B:x}"
+    m.map_region(DATA_B, b"\x22" * 4)
+    _, report = run_loads(lines, seed, (), m)
+    assert report.outcome == "reached"
+    assert (m.get(reg("a0")), m.get(reg("a2"))) == (0x11111111, 0x22222222)
 
 
 def test_int_region_maps_zeroes():
