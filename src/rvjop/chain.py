@@ -12,8 +12,10 @@ of steps.  The payload buffer is the table followed by any data seeds
 initializer must load, as the XLEN-bit values the registers will hold,
 placed at the stack offsets its loads read from.  Layout refuses a
 buffer that overlaps a segment of the image or runs past 2^XLEN (before
-it writes the table), and a dispatcher loop that no XLEN-bit bound, or
-x0 where the loop compares against it, keeps running for every round.
+it writes the table), a dispatcher loop that no XLEN-bit bound, or x0
+where the loop compares against it, keeps running for every round, and
+one whose self-link does not compare the table register with a register
+no round moves, such as a counted loop.
 
 Validation is static and best-effort: it proves nothing, it just catches
 the cheap mistakes (clobbered reserved registers, unbalanced stack motion,
@@ -136,6 +138,14 @@ def repetitions_for(target: int, stride_per_use: int, start: int = 0) -> int:
 
 # --- validation -------------------------------------------------------------
 
+def _round(disp: DispatcherCandidate):
+    """Dataflow summary of one dispatcher round: its body (stage one and
+    then stage two, for a two-stage pair), then its return path."""
+    stage2 = () if disp.stage2 is None else disp.stage2.instructions
+    return summarize_dataflow(tuple(disp.gadget.instructions) + stage2
+                              + disp.return_path)
+
+
 def _sp_ledger(spec: ChainSpec, summaries) -> list[tuple[str, int | None]]:
     """(label, sp delta) for the initializer and each step, repeats
     folded in; None where a step moves sp by a non-constant amount.
@@ -230,9 +240,7 @@ def validate_chain(spec: ChainSpec) -> list[Diagnostic]:
 
     # 4. stack ledger
     ledger = _sp_ledger(spec, summaries)
-    disp_delta = summarize_dataflow(
-        tuple(disp.gadget.instructions) + disp.return_path).sp_delta
-    if disp_delta != 0:
+    if _round(disp).sp_delta != 0:
         diags.append(Diagnostic(WARNING, "DispatcherTouchesSp",
                                 "dispatcher round moves sp"))
     unknown = any(d is None for _, d in ledger)
@@ -262,14 +270,12 @@ def _condition_bound(disp: DispatcherCandidate, seed_ptr: int, rounds: int,
     """Bound-register value keeping the branch taken at every evaluation.
 
     The self-link runs after each of `rounds` rounds.  After round k the
-    pointer holds seed + k*stride (mod 2^XLEN) whether the update runs
-    before the load or after it; only the seed differs, and layout already
-    folded that in.  `lt` and `ge` compare those values as signed XLEN-bit
-    numbers, the other branches as unsigned ones, so the bound is worked
-    out in the same domain: a signed bound may be negative.  When the
-    bound register is x0 the bound is 0, and this only checks it.  Raises
-    `ToolError` when no XLEN-bit value (or 0, for x0) keeps the branch
-    taken.
+    pointer holds seed + k*stride (mod 2^XLEN).  `lt` and `ge` compare
+    those values as signed XLEN-bit numbers, the other branches as
+    unsigned ones, so the bound is worked out in the same domain: a
+    signed bound may be negative.  When the bound register is x0 the
+    bound is 0, and this only checks it.  Raises `ToolError` when no
+    XLEN-bit value (or 0, for x0) keeps the branch taken.
     """
     if rounds == 0:
         return 0
@@ -364,8 +370,6 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
     # Where must the table register point so round one reads entry one?
     first_read = base if disp.stride >= 0 else base + (n - 1) * elem
     seed_ptr = first_read - disp.load_offset
-    if disp.pre_increment:
-        seed_ptr -= disp.stride
 
     seeds: dict[Register, int] = {}
     init = spec.initializer
@@ -374,8 +378,14 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
     if disp.self_link.kind == "conditional":
         r1, r2 = disp.self_link.regs
         bound_reg = r2 if r1 is disp.table_reg else r1
+        if (disp.table_reg not in (r1, r2)
+                or _round(disp).moved(bound_reg) != 0):
+            raise ToolError(f"cannot bound a loop on {r1.name} "
+                            f"{disp.self_link.op} {r2.name}: it must compare "
+                            f"the table register {disp.table_reg.name} with "
+                            f"a register no round moves")
         bound = _condition_bound(disp, seed_ptr, n - 1, xlen)
-        if bound_reg.index != 0 and bound_reg is not disp.table_reg:
+        if bound_reg.index != 0:
             seeds[bound_reg] = bound
 
     # The initializer's own jump register must aim at the dispatcher,

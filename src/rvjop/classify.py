@@ -19,16 +19,15 @@ Dispatcher shapes:
   terminator at the return path, something plain gadget extraction never
   does.
 
-All three shapes walk a table by one rule, `_table_walk`: the table
+All three shapes read a table by one rule, `_table_walk`: the table
 register is the base of the last load of the target register through
-another register, the update is the last add of a nonzero constant to
-that register (`_table_step`: an add of 0, such as the HINT
-`c.addi gp, 0`, advances nothing, so no candidate has stride 0), and the
-walk is pre-increment when that update comes before the load.  Classic
-bodies and stage twos are walked as gadgets, autonomous loop bodies
-from the loop entry to the call, whose return path may carry the
-update instead.  Classic and two-stage bodies are a view of the image's
-one gadget growth, widened on demand, so none is grown twice.
+another register, unwritten or moved by a constant up to that load.
+The stride is how far a whole round moves it (`DataflowSummary.moved`):
+a classic body; an autonomous loop's body and return path; a stage one,
+per register it adds a nonzero constant to in place, with stage twos
+that leave that register where it was.  A stride of 0 or of no known
+constant walks no table.  Classic and two-stage bodies are a view of the
+image's one gadget growth, widened on demand, so none is grown twice.
 """
 
 from __future__ import annotations
@@ -93,8 +92,9 @@ class DispatcherCandidate(namedtuple("DispatcherCandidate", (
         "stride",       # int
         "target_reg",   # Register
         "self_link",    # SelfLink
-        "load_offset",  # int: displacement in the table load
-        "pre_increment",  # bool: pointer advanced before the load each round
+        "load_offset",  # int: where the table load reads, from the
+                        # pointer at the start of a round
+        "pre_increment",  # bool: pointer moved before the load each round
         "return_path",  # tuple[DecodedInstruction, ...]
         "stage2",       # Gadget | None
         ), defaults=(0, False, (), None))):
@@ -186,24 +186,13 @@ _CONTINUATION_WINDOW = 8     # instructions examined after a linking jump
 _BACKLINK_WINDOW = 64        # bytes a self-link may reach backwards
 
 
-def _table_step(insn: DecodedInstruction) -> tuple[Register, int] | None:
-    """(register, stride) when `insn` adds a nonzero constant to a
-    register in place: the only table updates a dispatcher may use."""
-    got = const_add(insn)
-    if got is None:
-        return None
-    rd, rs1, imm = got
-    return (rd, imm) if rd is rs1 and imm != 0 else None
-
-
-def _table_walk(body, target: Register
-                ) -> tuple[Register, int, int | None, bool] | None:
-    """How `body` walks a table to reach `target`, or None if it does not.
+def _table_walk(body, target: Register) -> tuple[Register, int, bool] | None:
+    """How `body` reads `target` from a table, or None if it does not.
 
     The table register is the base of the last load of `target` through
-    another register.  Returns (table, load offset, stride of the last
-    `_table_step` of the table or None when nothing advances it, whether
-    that step comes before the load).
+    another register, and must be unwritten or moved by a constant up to
+    that load.  Returns (table, where the load reads relative to the
+    table register's entry value, whether the register moved first).
     """
     load = None
     for i, insn in enumerate(body):
@@ -214,12 +203,10 @@ def _table_walk(body, target: Register
     if load is None:
         return None
     at, table, offset = load
-    stride, pre = None, False
-    for i, insn in enumerate(body):
-        got = _table_step(insn)
-        if got is not None and got[0] is table:
-            stride, pre = got[1], i < at
-    return table, offset, stride, pre
+    before = 0
+    if any(table in insn.regs_written for insn in body[:at]):
+        before = summarize_dataflow(body[:at]).moved(table)
+    return None if before is None else (table, before + offset, before != 0)
 
 
 def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
@@ -278,12 +265,10 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
     walk = _table_walk(body[:-1], target_reg)
     if walk is None:
         return None
-    table_reg, load_offset, stride, pre_increment = walk
-    if stride is None:  # the update may sit on the return path instead
-        stride = next((got[1] for got in map(_table_step, path)
-                       if got is not None and got[0] is table_reg), None)
-        if stride is None:
-            return None
+    table_reg, load_offset, pre_increment = walk
+    stride = summarize_dataflow(body + path).moved(table_reg)
+    if not stride:
+        return None
 
     gadget = Gadget(back_target, tuple(body), table)
     return DispatcherCandidate(
@@ -310,10 +295,10 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
     # One table walk per gadget not already explained by an autonomous
     # loop.  A jump through a freshly loaded ra is a function epilogue,
     # and an sp table walks the stack; neither is table dispatch.  A walk
-    # that advances its table is a classic dispatcher: keep the shortest
-    # body per (terminator, table, target), since longer ones only add a
-    # prefix.  One that does not is a stage two; a gadget that never
-    # writes its jump register may be a stage one.
+    # that moves its table by a constant is a classic dispatcher: keep the
+    # shortest body per (terminator, table, target), since longer ones
+    # only add a prefix.  One that leaves it where it was is a stage two;
+    # a gadget that never writes its jump register may be a stage one.
     classic: dict[tuple, DispatcherCandidate] = {}
     stage2: dict[Register, list[tuple[Gadget, Register, int,
                                       frozenset[Register]]]] = {}
@@ -326,11 +311,14 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
         if walk is None:
             stage1.append(g)
             continue
-        table_reg, load_offset, stride, pre_increment = walk
+        table_reg, load_offset, pre_increment = walk
         if table_reg is SP:
             continue
+        summary = summarize_dataflow(g.instructions)
+        stride = summary.moved(table_reg)
         if stride is None:
-            summary = summarize_dataflow(g.instructions)
+            continue
+        if stride == 0:
             stage2.setdefault(table_reg, []).append(
                 (g, target, load_offset, summary.written | summary.cond_written))
             continue
@@ -343,24 +331,29 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
                 load_offset=load_offset, pre_increment=pre_increment)
     candidates.extend(classic.values())
 
-    # Stage one advances a table register and jumps, through a register
-    # it leaves alone, to a stage two that loads through that table.
+    # Stage one moves a table register by a constant and jumps, through a
+    # register it leaves alone, to a stage two that loads through that
+    # table.  Only a gadget with an in-place constant add is summarized.
     for g1 in stage1:
-        jump_reg = g1.link_register
-        updates = [got for got in map(_table_step, g1.interior)
-                   if got is not None and got[0] is not jump_reg]
-        if not updates:
+        tables = dict.fromkeys(
+            add[0] for add in map(const_add, g1.interior)
+            if add is not None and add[0] is add[1] and add[2] != 0)
+        if not tables:
             continue
+        jump_reg = g1.link_register
         summary1 = summarize_dataflow(g1.instructions)
         if jump_reg in (summary1.written | summary1.cond_written):
             continue
-        for table_reg, stride in updates:
-            for g2, target, load_offset, clobbered2 in stage2.get(table_reg, ()):
+        for table_reg in tables:
+            stride = summary1.moved(table_reg)
+            if not stride:
+                continue
+            for g2, target, offset, clobbered2 in stage2.get(table_reg, ()):
                 if jump_reg not in clobbered2:
                     candidates.append(DispatcherCandidate(
                         kind=DISPATCHER_TWO_STAGE, gadget=g1,
                         table_reg=table_reg, stride=stride, target_reg=target,
-                        self_link=NO_SELF_LINK, load_offset=load_offset,
+                        self_link=NO_SELF_LINK, load_offset=stride + offset,
                         pre_increment=True, stage2=g2))
     candidates.sort(key=lambda c: (c.loop_entry, c.kind))
     return candidates

@@ -17,10 +17,11 @@ value at the terminator (`exits`).  A register not yet written reads as
 * `Unknown`: every other write, such as a load through a written base
   or an add to a loaded value.
 
-`const_add` is the one constant-add rule, here and for dispatcher table
-pointers in `classify`.  A register copy is an add of 0, so `c.mv`
-(base form `add rd, zero, rs`) gets the value `mv` (`addi rd, rs, 0`)
-gets.  Rules read each instruction's 32-bit base form, so a compressed
+`const_add` is the one constant-add rule, and `DataflowSummary.moved`
+the one rule for how far a register moves: sp's and every dispatcher
+stride in `classify`.  A register copy is an add of 0, so `c.mv` (base
+form `add rd, zero, rs`) gets the value `mv` (`addi rd, rs, 0`) gets.
+Rules read each instruction's 32-bit base form, so a compressed
 instruction means exactly what its expansion means.
 
 No path-sensitivity: after an interior conditional branch, later writes
@@ -75,12 +76,12 @@ UNKNOWN = Unknown()
 Value = Const | Offset | Loaded | Unknown
 
 
-def _sp_offset(sp: Value | None) -> int | None:
-    """sp's offset from its entry value, given sp's value (None while
+def _moved(r: Register, value: Value | None) -> int | None:
+    """r's offset from its entry value, given r's value (None while
     unwritten); None once that offset is not a known constant."""
-    if sp is None:
+    if value is None:
         return 0
-    return sp.delta if type(sp) is Offset and sp.reg is SP else None
+    return value.delta if type(value) is Offset and value.reg is r else None
 
 
 class DataflowSummary(namedtuple("DataflowSummary", (
@@ -97,10 +98,14 @@ class DataflowSummary(namedtuple("DataflowSummary", (
         ))):
     __slots__ = ()
 
+    def moved(self, r: Register) -> int | None:
+        """r's offset at exit from its entry value: 0 when r is unwritten,
+        None unless it is a known constant."""
+        return _moved(r, self.exits.get(r))
+
     @property
     def sp_delta(self) -> int | None:
-        """sp's offset from its entry value at exit; None = unknown."""
-        return _sp_offset(self.exits.get(SP))
+        return self.moved(SP)
 
     @property
     def loaded(self) -> dict[Register, Source]:
@@ -155,7 +160,7 @@ def summarize_dataflow(instructions) -> DataflowSummary:
         if mem is not None:
             kind, base = mem.kind, mem.base
             if base is SP:
-                delta = _sp_offset(exits.get(SP))
+                delta = _moved(SP, exits.get(SP))
                 if delta:
                     mem = mem._replace(offset=mem.offset + delta)
                 if kind == "load" and delta is not None:

@@ -1,19 +1,21 @@
 """Image loading: ELF parsing, raw blobs, segment reads."""
 
 import random
+import struct
 import tracemalloc
 from collections import Counter
 
 import pytest
 
+from rvjop.cli import main
 from rvjop.decoder import decode_one
 from rvjop.errors import (InvalidEncoding, MalformedImage, NotElf, Truncated,
                           WrongMachine)
 from rvjop.image import ExecutableImage, from_bytes, load_raw, parse_elf
 from rvjop.scanner import terminators
 
-from conftest import (PF_R, PF_W, PF_X, make_elf, make_huge_segment_elf64,
-                      make_zero_fill_elf)
+from conftest import (PF_R, PF_W, PF_X, build_adg_fixture, make_elf,
+                      make_huge_segment_elf64, make_zero_fill_elf)
 
 CODE = bytes.fromhex("6780000073000000")      # ret; ecall
 DATA = b"just data, not code....."
@@ -292,3 +294,78 @@ def test_decode_table_reads_only_what_is_asked(decode_log):
     assert decode_log == [0x1080, 0x1000, 0x1004, 0x1008]
     assert not table.natural(0x1100)       # past the end: the whole sweep
     assert sorted(decode_log) == list(range(0x1000, 0x1100, 4))
+
+
+# --- program headers other than PT_LOAD -------------------------------------
+
+PT_LOAD, PT_NOTE = 1, 4
+PT_GNU_STACK, PT_RISCV_ATTRIBUTES = 0x6474E551, 0x70000003
+OTHER_HEADERS = (PT_NOTE, PT_GNU_STACK, PT_RISCV_ATTRIBUTES)
+
+
+def elf_with_headers(code: bytes, xlen: int, before=(), after=()) -> bytes:
+    """An ELF whose one R+X PT_LOAD segment holds `code` at 0x10000,
+    behind program headers of the types `before` and ahead of those of
+    the types `after`.  Each other header covers a 16-byte blob after the
+    code, as a note or attributes section would."""
+    ehsize, phentsize = (52, 32) if xlen == 32 else (64, 56)
+    types = [*before, PT_LOAD, *after]
+    ident = bytes([0x7F, 0x45, 0x4C, 0x46, xlen // 32, 1, 1, 0]) + bytes(8)
+    word = "I" if xlen == 32 else "Q"
+    ehdr = ident + struct.pack(f"<HHI{word}{word}{word}IHHHHHH", 2, 243, 1,
+                               0x10000, ehsize, 0, 0, ehsize, phentsize,
+                               len(types), 0, 0, 0)
+    code_off = ehsize + phentsize * len(types)
+    extra_off = code_off + len(code)
+    phdrs = []
+    for t in types:
+        off, vaddr, size, flags = ((code_off, 0x10000, len(code), PF_R | PF_X)
+                                   if t == PT_LOAD else
+                                   (extra_off, 0, 16, PF_R))
+        if xlen == 32:
+            phdrs.append(struct.pack("<8I", t, off, vaddr, vaddr, size, size,
+                                     flags, 4))
+        else:
+            phdrs.append(struct.pack("<2I6Q", t, flags, off, vaddr, vaddr,
+                                     size, size, 8))
+    return ehdr + b"".join(phdrs) + code + bytes(range(16))
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+@pytest.mark.parametrize("before, after", [
+    (OTHER_HEADERS, ()), ((), OTHER_HEADERS),
+    ((PT_NOTE,), (PT_GNU_STACK, PT_RISCV_ATTRIBUTES))])
+def test_other_program_headers_scan_like_none(capsys, tmp_path, xlen,
+                                              before, after):
+    code = build_adg_fixture(xlen)[0].segments[0].data
+    outs = []
+    for name, blob in (("plain", elf_with_headers(code, xlen)),
+                       ("other", elf_with_headers(code, xlen, before, after))):
+        img = parse_elf(blob)
+        assert [(s.vaddr, s.data, s.executable) for s in img.segments] == [
+            (0x10000, code, True)]
+        path = tmp_path / f"{name}.elf"
+        path.write_bytes(blob)
+        for argv in (["scan"], ["dispatchers"]):
+            status = main(argv + ["--binary", str(path)])
+            captured = capsys.readouterr()
+            outs.append((status, captured.out, captured.err))
+    assert outs[:2] == outs[2:]
+    assert outs[0][0] == 0 and outs[1][1].startswith("0x00010000 ")
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+@pytest.mark.parametrize("field, value, message", [
+    (4, b"\x03", "bad EI_CLASS 3"),
+    (None, b"\x10\x00", "e_phentsize 16 too small")])
+def test_bad_class_and_short_phentsize_exit_3(capsys, tmp_path, xlen, field,
+                                              value, message):
+    blob = bytearray(make_elf([(0x10000, CODE, PF_R | PF_X)], xlen=xlen))
+    at = field if field is not None else (42 if xlen == 32 else 54)
+    blob[at:at + len(value)] = value
+    path = tmp_path / "bad.elf"
+    path.write_bytes(bytes(blob))
+    assert main(["scan", "--binary", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"rvjop: {message}\n"
