@@ -13,9 +13,15 @@ initializer must load, as the XLEN-bit values the registers will hold,
 placed at the stack offsets its loads read from.  Layout refuses a
 buffer that overlaps a segment of the image or runs past 2^XLEN (before
 it writes the table), a dispatcher loop that no XLEN-bit bound, or x0
-where the loop compares against it, keeps running for every round, and
-one whose self-link does not compare the table register with a register
-no round moves, such as a counted loop.
+where the loop compares against it, keeps running for every round, one
+whose self-link does not compare the table register with a register no
+round moves, such as a counted loop, and two seeds of different values
+that the initializer loads from one stack slot.
+
+What a dispatcher round does is its candidate's `round`; each step and
+the initializer carry their own `summary`.  All three are computed on
+first read and kept, so validation and layout summarize each part of a
+chain once between them.
 
 Validation is static and best-effort: it proves nothing, it just catches
 the cheap mistakes (clobbered reserved registers, unbalanced stack motion,
@@ -28,12 +34,13 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Mapping
+from functools import cached_property
 from types import MappingProxyType
 
 from .classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_TWO_STAGE,
                        DispatcherCandidate, InitializerCandidate, Source,
                        dispatcher_at, initializer_at)
-from .dataflow import summarize_dataflow
+from .dataflow import DataflowSummary, summarize_dataflow
 from .errors import AddressTooWide, Diverges, Overlap, ToolError
 from .image import ExecutableImage
 from .isa import ARG_REGS, RA, Register, mask, reg
@@ -67,7 +74,11 @@ class ChainStep(namedtuple("ChainStep", (
         "repeat",       # int
         "note",         # str
         ), defaults=(1, ""))):
-    __slots__ = ()
+    # no `__slots__ = ()`: `summary` is cached in the instance's __dict__
+
+    @cached_property
+    def summary(self) -> DataflowSummary:
+        return summarize_dataflow(self.gadget.instructions)
 
 
 class ChainSpec(namedtuple("ChainSpec", (
@@ -138,22 +149,13 @@ def repetitions_for(target: int, stride_per_use: int, start: int = 0) -> int:
 
 # --- validation -------------------------------------------------------------
 
-def _round(disp: DispatcherCandidate):
-    """Dataflow summary of one dispatcher round: its body (stage one and
-    then stage two, for a two-stage pair), then its return path."""
-    stage2 = () if disp.stage2 is None else disp.stage2.instructions
-    return summarize_dataflow(tuple(disp.gadget.instructions) + stage2
-                              + disp.return_path)
-
-
-def _sp_ledger(spec: ChainSpec, summaries) -> list[tuple[str, int | None]]:
+def _sp_ledger(spec: ChainSpec) -> list[tuple[str, int | None]]:
     """(label, sp delta) for the initializer and each step, repeats
-    folded in; None where a step moves sp by a non-constant amount.
-    `summaries` holds each step's dataflow summary, in step order."""
-    init = summarize_dataflow(spec.initializer.gadget.instructions)
-    ledger: list[tuple[str, int | None]] = [("initializer", init.sp_delta)]
-    for i, (step, summary) in enumerate(zip(spec.steps, summaries)):
-        d = summary.sp_delta
+    folded in; None where a step moves sp by a non-constant amount."""
+    ledger: list[tuple[str, int | None]] = [
+        ("initializer", spec.initializer.summary.sp_delta)]
+    for i, step in enumerate(spec.steps):
+        d = step.summary.sp_delta
         ledger.append((f"step {i}", None if d is None else d * step.repeat))
     return ledger
 
@@ -207,11 +209,9 @@ def validate_chain(spec: ChainSpec) -> list[Diagnostic]:
                     f"step {i}: links with ra; each round grows a shadow stack"))
 
     # 2. reserved registers stay untouched
-    summaries = [summarize_dataflow(step.gadget.instructions)
-                 for step in spec.steps]
     reserved = spec.reserved_registers
-    for i, summary in enumerate(summaries):
-        hit = summary.clobbers(reserved)
+    for i, step in enumerate(spec.steps):
+        hit = step.summary.clobbers(reserved)
         if hit:
             names = ",".join(sorted(r.name for r in hit))
             diags.append(Diagnostic(ERROR, "ClobbersReserved",
@@ -222,8 +222,9 @@ def validate_chain(spec: ChainSpec) -> list[Diagnostic]:
     later_syscall = [False] * (len(spec.steps) + 1)
     for i in range(len(spec.steps) - 1, -1, -1):
         later_syscall[i] = (later_syscall[i + 1]
-                            or summaries[i].ecall_a7 is not None)
-    for i, summary in enumerate(summaries):
+                            or spec.steps[i].summary.ecall_a7 is not None)
+    for i, step in enumerate(spec.steps):
+        summary = step.summary
         has_ecall = summary.ecall_a7 is not None
         for r in summary.written | summary.cond_written:
             if r not in ARG_REGS:
@@ -239,8 +240,8 @@ def validate_chain(spec: ChainSpec) -> list[Diagnostic]:
             pending.clear()
 
     # 4. stack ledger
-    ledger = _sp_ledger(spec, summaries)
-    if _round(disp).sp_delta != 0:
+    ledger = _sp_ledger(spec)
+    if disp.round.sp_delta != 0:
         diags.append(Diagnostic(WARNING, "DispatcherTouchesSp",
                                 "dispatcher round moves sp"))
     unknown = any(d is None for _, d in ledger)
@@ -379,7 +380,7 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
         r1, r2 = disp.self_link.regs
         bound_reg = r2 if r1 is disp.table_reg else r1
         if (disp.table_reg not in (r1, r2)
-                or _round(disp).moved(bound_reg) != 0):
+                or disp.round.moved(bound_reg) != 0):
             raise ToolError(f"cannot bound a loop on {r1.name} "
                             f"{disp.self_link.op} {r2.name}: it must compare "
                             f"the table register {disp.table_reg.name} with "
@@ -407,14 +408,21 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
 
     stack_writes = []
     unplaced = []
+    slots: dict[int, Register] = {}     # sp offset -> first register loaded
     for r, src in sorted(init.sets.items(), key=lambda kv: kv[0].index):
         if src.kind == "stack" and src.base.index == 2:
+            first = slots.setdefault(src.offset, r)
+            if seeds[first] != seeds[r]:
+                raise ToolError(
+                    f"stack slot sp{src.offset:+d} cannot hold both "
+                    f"{first.name} = 0x{seeds[first]:x} and "
+                    f"{r.name} = 0x{seeds[r]:x}: the initializer loads "
+                    f"both from it")
             stack_writes.append(StackWrite(src.offset, seeds[r], r))
         else:
             unplaced.append((r, src))
 
-    ledger = _sp_ledger(spec, [summarize_dataflow(step.gadget.instructions)
-                               for step in spec.steps])
+    ledger = _sp_ledger(spec)
     return PayloadLayout(
         buffer=buffer, entries=n, register_seeds=seeds,
         memory_seeds=tuple(mem_seeds), stack_writes=tuple(stack_writes),

@@ -22,17 +22,25 @@ Dispatcher shapes:
 All three shapes read a table by one rule, `_table_walk`: the table
 register is the base of the last load of the target register through
 another register, unwritten or moved by a constant up to that load.
-The stride is how far a whole round moves it (`DataflowSummary.moved`):
-a classic body; an autonomous loop's body and return path; a stage one,
-per register it adds a nonzero constant to in place, with stage twos
-that leave that register where it was.  A stride of 0 or of no known
-constant walks no table.  Classic and two-stage bodies are a view of the
-image's one gadget growth, widened on demand, so none is grown twice.
+
+A candidate's `round` is the one model of what a round runs: the
+dataflow summary of its body (stage one, for a pair), then stage two,
+then the return path.  The stride is how far a round moves the table
+register (`DataflowSummary.moved`): read from the round of an
+autonomous loop, from the body's own summary for a classic one, and,
+per register a stage one adds a nonzero constant to in place, from
+stage one's summary, paired only with stage twos that leave that
+register where it was.  A stride of 0 or of no known constant walks no
+table.  `round` is computed on first read, so the search pays for it
+only for autonomous loops; chain validation and layout read it.
+Classic and two-stage bodies are a view of the image's one gadget
+growth, widened on demand, so none is grown twice.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 
 from .dataflow import (Const, DataflowSummary, Source, const_add,
                        summarize_dataflow)
@@ -98,7 +106,17 @@ class DispatcherCandidate(namedtuple("DispatcherCandidate", (
         "return_path",  # tuple[DecodedInstruction, ...]
         "stage2",       # Gadget | None
         ), defaults=(0, False, (), None))):
-    __slots__ = ()
+    # no `__slots__ = ()`: `round` is cached in the instance's __dict__
+
+    @cached_property
+    def round(self) -> DataflowSummary:
+        """Dataflow summary of one round: the body (stage one, for a
+        two-stage pair), then stage two, then the return path.  Computed
+        on first read and kept; no candidate `find_dispatchers` returns
+        has read it, and a copy made by `_replace` computes its own."""
+        stage2 = () if self.stage2 is None else self.stage2.instructions
+        return summarize_dataflow(self.gadget.instructions + stage2
+                                  + self.return_path)
 
     @property
     def loop_entry(self) -> int:
@@ -123,7 +141,11 @@ class InitializerCandidate(namedtuple("InitializerCandidate", (
         "gadget",       # Gadget
         "sets",         # dict[Register, Source]
         ))):
-    __slots__ = ()
+    # no `__slots__ = ()`: `summary` is cached in the instance's __dict__
+
+    @cached_property
+    def summary(self) -> DataflowSummary:
+        return summarize_dataflow(self.gadget.instructions)
 
     @property
     def link_register(self) -> Register:
@@ -266,16 +288,16 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
     if walk is None:
         return None
     table_reg, load_offset, pre_increment = walk
-    stride = summarize_dataflow(body + path).moved(table_reg)
-    if not stride:
-        return None
-
-    gadget = Gadget(back_target, tuple(body), table)
-    return DispatcherCandidate(
-        kind=DISPATCHER_AUTONOMOUS, gadget=gadget, table_reg=table_reg,
-        stride=stride, target_reg=target_reg, self_link=self_link,
-        load_offset=load_offset, pre_increment=pre_increment,
-        return_path=tuple(path))
+    cand = DispatcherCandidate(
+        kind=DISPATCHER_AUTONOMOUS, gadget=Gadget(back_target, tuple(body),
+                                                  table),
+        table_reg=table_reg, stride=0, target_reg=target_reg,
+        self_link=self_link, load_offset=load_offset,
+        pre_increment=pre_increment, return_path=tuple(path))
+    # The stride is how far the round moves the table register; the
+    # record `_replace` makes does not keep the round.
+    stride = cand.round.moved(table_reg)
+    return cand._replace(stride=stride) if stride else None
 
 
 def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
@@ -301,7 +323,7 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
     # a gadget that never writes its jump register may be a stage one.
     classic: dict[tuple, DispatcherCandidate] = {}
     stage2: dict[Register, list[tuple[Gadget, Register, int,
-                                      frozenset[Register]]]] = {}
+                                      DataflowSummary]]] = {}
     stage1: list[Gadget] = []
     for g in dedupe(extract_gadgets(image, 6, branches=True)):
         target = g.link_register
@@ -320,7 +342,7 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
             continue
         if stride == 0:
             stage2.setdefault(table_reg, []).append(
-                (g, target, load_offset, summary.written | summary.cond_written))
+                (g, target, load_offset, summary))
             continue
         key = (g.terminator.address, table_reg, target)
         cur = classic.get(key)
@@ -342,14 +364,14 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
             continue
         jump_reg = g1.link_register
         summary1 = summarize_dataflow(g1.instructions)
-        if jump_reg in (summary1.written | summary1.cond_written):
+        if summary1.clobbers((jump_reg,)):
             continue
         for table_reg in tables:
             stride = summary1.moved(table_reg)
             if not stride:
                 continue
-            for g2, target, offset, clobbered2 in stage2.get(table_reg, ()):
-                if jump_reg not in clobbered2:
+            for g2, target, offset, summary2 in stage2.get(table_reg, ()):
+                if not summary2.clobbers((jump_reg,)):
                     candidates.append(DispatcherCandidate(
                         kind=DISPATCHER_TWO_STAGE, gadget=g1,
                         table_reg=table_reg, stride=stride, target_reg=target,

@@ -116,7 +116,7 @@ class DataflowSummary(namedtuple("DataflowSummary", (
 
     def clobbers(self, regs) -> frozenset[Register]:
         """Registers from `regs` this gadget writes (even conditionally)."""
-        return (self.written | self.cond_written) & frozenset(regs)
+        return (self.written | self.cond_written).intersection(regs)
 
 
 _ALL_REGS = frozenset(REGISTERS)

@@ -351,6 +351,20 @@ def refuse_calls(monkeypatch, *names):
                 monkeypatch.setattr(mod, name, refuse)
 
 
+def count_calls(monkeypatch, name) -> list:
+    """Count calls of the function `name` wherever a module of the
+    package looks it up; returns a list that grows by one per call."""
+    calls = []
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("rvjop.")
+                and name in vars(mod)):
+            def counted(*args, real=vars(mod)[name]):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
 # --- pytest fixtures --------------------------------------------------------
 
 @pytest.fixture

@@ -13,12 +13,12 @@ from rvjop.classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
                             initializer_at)
 from rvjop.decoder import decode_one
 from rvjop.errors import AddressTooWide, Diverges, Overlap, ToolError
-from rvjop.image import ExecutableImage
+from rvjop.image import ExecutableImage, from_bytes, parse_elf
 from rvjop.isa import reg
 from rvjop.scanner import gadget_at
 from rvjop.sim import new_machine, run_chain
 
-from conftest import TABLE_BASE, CodeBuilder
+from conftest import TABLE_BASE, CodeBuilder, benchmark_corpus, count_calls
 
 
 @pytest.fixture(scope="module")
@@ -566,6 +566,46 @@ def test_manifest_signs_negative_offsets(lab):
     assert "  note: a1 loads via mem base a3-8; place it yourself" in lines
 
 
+# `lw s0,0(sp); lw s1,0(sp); lw t0,8(sp); jr t0` at 0x0, then at 0x10
+# `loop: lw a5,0(s0); jalr ra,a5; addi s0,s0,4; blt s0,s1,loop`, a `ret`
+# step at 0x20 and an ebreak landing at 0x24
+SHARED_BLOB = bytes.fromhex(
+    "0324010083240100832281006780020083270400e780070013044400e34a94fe"
+    "6780000073001000")
+SHARED_CHAIN = ("dispatcher 0x10\ninitializer 0x0\ntable-base 0x40000\n"
+                "return-to 0x24\nstep 0x20\nstep 0x20\n")
+
+
+def test_layout_refuses_a_slot_loaded_with_two_values():
+    # s0 wants the table pointer and s1 the bound above it, but both
+    # load the same stack slot
+    spec = parse_chain_text(SHARED_CHAIN, from_bytes(SHARED_BLOB, 0, 32))
+    with pytest.raises(ToolError) as exc:
+        layout_payload(spec)
+    assert str(exc.value) == ("stack slot sp+0 cannot hold both s0 = 0x40000 "
+                              "and s1 = 0x4000c: the initializer loads both "
+                              "from it")
+
+
+def test_layout_shares_a_slot_loaded_with_one_value(lab):
+    img, addrs = lab
+    spec = spec_for(img, addrs, ["g_one"])
+    sets = dict(spec.initializer.sets)
+    sets[reg("a0")] = sets[reg("a1")] = Source("stack", reg("sp"), 16)
+    spec = spec._replace(initializer=spec.initializer._replace(sets=sets))
+    out = layout_payload(spec)
+    assert [(w.offset, w.value, w.register.name) for w in out.stack_writes
+            if w.offset == 16] == [(16, 0, "a0"), (16, 0, "a1")]
+    # the values compared are the seeds after the overrides
+    with pytest.raises(ToolError, match=r"^stack slot sp\+16 cannot hold "
+                       r"both a0 = 0x0 and a1 = 0x5: "):
+        layout_payload(spec._replace(seed_overrides={reg("a1"): 5}))
+    shared = parse_chain_text(SHARED_CHAIN, from_bytes(SHARED_BLOB, 0, 32))
+    out = layout_payload(shared._replace(seed_overrides={reg("s1"): 0x40000}))
+    assert [(w.offset, w.value) for w in out.stack_writes] == [
+        (8, 0x10), (0, 0x40000), (0, 0x40000)]
+
+
 # --- initializer vetting ----------------------------------------------------
 
 def test_initializer_rejects_ra_jump(lab):
@@ -813,3 +853,102 @@ def test_wrong_bound_exits_early(lab):
     _, report = run_layout(img, spec, addrs["init"])
     assert report.outcome == "fault"
     assert "breakpoint" in report.fault
+
+
+# --- classic and two-stage layouts in every direction ------------------------
+
+def dispatch_lab(xlen, shape, stride, offset):
+    """A classic (`classic-post`: load, then advance; `classic-pre`:
+    advance, then load) or two-stage dispatcher on s0 reading targets at
+    `offset`, an initializer loading s0, t1, t2 and t3 from the stack and
+    jumping via t3, and two steps that jump back via t1."""
+    b = CodeBuilder(xlen=xlen)
+    w = xlen // 8
+    load = ("lw" if xlen == 32 else "ld", "a5", "s0", offset)
+    add = ("addi", "s0", "s0", stride)
+    b.label("loop")
+    if shape == "two-stage":
+        b.emit(*add)
+        b.emit("jr", "t2")
+        b.label("stage2")
+        b.emit(*load)
+    else:
+        for insn in ([load, add] if shape == "classic-post" else [add, load]):
+            b.emit(*insn)
+    b.emit("jr", "a5")
+    b.label("init")
+    for i, r in enumerate(("s0", "t1", "t2", "t3")):
+        b.emit(load[0], r, "sp", i * w)
+    b.emit("jr", "t3")
+    b.label("g_bump")
+    b.emit("addi", "a0", "a0", 1)
+    b.emit("jr", "t1")
+    b.label("g_li")
+    b.emit("li", "a1", 7)
+    b.emit("jr", "t1")
+    b.label("landing")
+    b.emit("ebreak")
+    return b.image(), dict(b.labels)
+
+
+@pytest.mark.parametrize("base", ["0x40000", "0x0", "top"])
+@pytest.mark.parametrize("offset", [0, 12, -8])
+@pytest.mark.parametrize("shape", ["classic-post", "classic-pre",
+                                   "two-stage"])
+@pytest.mark.parametrize("entries_per_round", [1, -1, 2, -2])
+@pytest.mark.parametrize("xlen", [32, 64])
+def test_classic_and_two_stage_layouts_reach(xlen, entries_per_round, shape,
+                                             offset, base):
+    """Each layout reaches with one dispatch round per table entry, from
+    a table at 0x40000, at 0 or ending at the top of memory; a stride of
+    two entries is refused."""
+    w = xlen // 8
+    img, a = dispatch_lab(xlen, shape, entries_per_round * w, offset)
+    kind = DISPATCHER_CLASSIC if shape != "two-stage" else DISPATCHER_TWO_STAGE
+    disp, = [d for d in find_dispatchers(img) if d.kind == kind
+             and d.loop_entry == a["loop"]
+             and (d.stage2 is None or d.stage2.start == a["stage2"])]
+    assert disp.pre_increment == (shape != "classic-post")
+    steps = (ChainStep(gadget_at(img, a["g_bump"]), 2),
+             ChainStep(gadget_at(img, a["g_li"])))
+    entries = 4
+    table_base = (1 << xlen) - entries * w if base == "top" else int(base, 0)
+    spec = ChainSpec(dispatcher=disp, initializer=initializer_at(
+                         img, a["init"], disp),
+                     steps=steps, return_to=a["landing"],
+                     table_base=table_base, image=img, dispatch_reg=reg("t1"))
+    diags = validate_chain(spec)
+    if abs(entries_per_round) == 2:
+        assert codes(diags, "error") == ["StrideMismatch"]
+        return
+    assert not has_errors(diags), diags
+    m, report = run_layout(img, spec, a["init"])
+    assert layout_payload(spec).entries == entries
+    assert report.outcome == "reached", report
+    assert report.dispatch_rounds == entries
+    assert m.get(reg("a0")) == 2 and m.get(reg("a1")) == 7
+
+
+# --- summaries: each part of a chain once ------------------------------------
+
+@pytest.mark.parametrize("workload", ["scan-dense-rv32", "scan-clean-rv64",
+                                      "chain-long"])
+def test_chain_summarizes_each_part_once(monkeypatch, workload):
+    """Parsing, validating and laying out a benchmark chain summarizes
+    the dispatcher's round twice (to find its stride, then for the
+    checks, from the record `_replace` made), the initializer twice (to
+    pair it, then for the ledger) and each step once: 13 calls, where
+    validation and layout used to summarize each part of the chain
+    again (24)."""
+    corpus = benchmark_corpus()
+    for seed in range(1, 4):
+        c = corpus.build(workload, seed)
+        img = parse_elf(c.file_bytes) if c.fmt == "elf" \
+            else from_bytes(c.code, c.base, c.xlen)
+        calls = count_calls(monkeypatch, "summarize_dataflow")
+        spec = parse_chain_text(c.chain_text(), img)
+        validate_chain(spec)
+        layout_payload(spec)
+        assert len(spec.steps) == 9
+        assert len(calls) <= 13, (seed, len(calls))
+        monkeypatch.undo()

@@ -7,10 +7,11 @@ from rvjop.chain import ChainSpec, ChainStep, validate_chain
 from rvjop.classify import (DISPATCHER_TWO_STAGE, find_dispatchers,
                             initializer_at)
 from rvjop.cli import main
+from rvjop.image import from_bytes, parse_elf
 from rvjop.isa import reg
 from rvjop.scanner import gadget_at
 
-from conftest import BASE, TABLE_BASE, CodeBuilder
+from conftest import BASE, TABLE_BASE, CodeBuilder, benchmark_corpus
 
 
 def run(capsys, *argv):
@@ -63,6 +64,23 @@ def reaches(out, rounds):
 
 
 # --- strides are the net move of a round ------------------------------------
+
+@pytest.mark.parametrize("workload", ["scan-dense-rv32", "scan-clean-rv64",
+                                      "chain-long"])
+def test_stride_is_the_rounds_move(workload):
+    """Every candidate's stride is how far its round moves the table
+    register, and no round is summarized until it is read."""
+    corpus = benchmark_corpus()
+    for seed in range(1, 4):
+        c = corpus.build(workload, seed)
+        img = parse_elf(c.file_bytes) if c.fmt == "elf" \
+            else from_bytes(c.code, c.base, c.xlen)
+        found = find_dispatchers(img)
+        assert found, seed
+        assert not any("round" in vars(d) for d in found), seed
+        for d in found:
+            assert d.stride == d.round.moved(d.table_reg), (seed, d)
+
 
 # `lw a5,0(s0); addi s0,s0,4; jalr ra,a5; addi s0,s0,4; blt s0,s1,loop`,
 # loaded by `lw s0,0(sp); lw s1,4(sp); lw t0,8(sp); jr t0` at 0x0
