@@ -19,9 +19,12 @@ Dispatcher shapes:
   terminator at the return path, something plain gadget extraction never
   does.
 
-All three shapes read a table by one rule, `_table_walk`: the table
-register is the base of the last load of the target register through
-another register, unwritten or moved by a constant up to that load.
+All three shapes read a table by one rule, `_table_walk`: the target
+register's last write in the body must be a load through another
+register, the table register, unwritten or moved by a constant up to
+that load.  A target written after its table load (`lw a5,0(s0); mv
+a5,a1; jr a5`) jumps to whatever that later write put there, not to a
+table entry, so the gadget walks no table.
 
 A candidate's `round` is the one model of what a round runs: the
 dataflow summary of its body (stage one, for a pair), then stage two,
@@ -32,7 +35,8 @@ per register a stage one adds a nonzero constant to in place, from
 stage one's summary, paired only with stage twos that leave that
 register where it was.  A stride of 0 or of no known constant walks no
 table.  `round` is computed on first read, so the search pays for it
-only for autonomous loops; chain validation and layout read it.
+only for autonomous loops, which keep the round their stride came from;
+chain validation and layout read it.
 Classic and two-stage bodies are a view of the image's one gadget
 growth, widened on demand, so none is grown twice.
 """
@@ -112,8 +116,8 @@ class DispatcherCandidate(namedtuple("DispatcherCandidate", (
     def round(self) -> DataflowSummary:
         """Dataflow summary of one round: the body (stage one, for a
         two-stage pair), then stage two, then the return path.  Computed
-        on first read and kept; no candidate `find_dispatchers` returns
-        has read it, and a copy made by `_replace` computes its own."""
+        on first read and kept; of the candidates `find_dispatchers`
+        returns, only autonomous loops hold it, from their stride."""
         stage2 = () if self.stage2 is None else self.stage2.instructions
         return summarize_dataflow(self.gadget.instructions + stage2
                                   + self.return_path)
@@ -211,17 +215,21 @@ _BACKLINK_WINDOW = 64        # bytes a self-link may reach backwards
 def _table_walk(body, target: Register) -> tuple[Register, int, bool] | None:
     """How `body` reads `target` from a table, or None if it does not.
 
-    The table register is the base of the last load of `target` through
-    another register, and must be unwritten or moved by a constant up to
-    that load.  Returns (table, where the load reads relative to the
-    table register's entry value, whether the register moved first).
+    The last write of `target` in `body` must be a load through another
+    register, the table register, which must be unwritten or moved by a
+    constant up to that load.  Returns (table, where the load reads
+    relative to the table register's entry value, whether the register
+    moved first).
     """
     load = None
     for i, insn in enumerate(body):
+        if target not in insn.regs_written:
+            continue
         mem = insn.mem_access
-        if (mem is not None and mem.kind == "load" and mem.base is not target
-                and target in insn.regs_written):
+        if mem is not None and mem.kind == "load" and mem.base is not target:
             load = i, mem.base, mem.offset
+        else:
+            load = None
     if load is None:
         return None
     at, table, offset = load
@@ -295,9 +303,13 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
         self_link=self_link, load_offset=load_offset,
         pre_increment=pre_increment, return_path=tuple(path))
     # The stride is how far the round moves the table register; the
-    # record `_replace` makes does not keep the round.
+    # record `_replace` makes keeps the round it was read from.
     stride = cand.round.moved(table_reg)
-    return cand._replace(stride=stride) if stride else None
+    if not stride:
+        return None
+    found = cand._replace(stride=stride)
+    found.round = cand.round
+    return found
 
 
 def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
@@ -436,7 +448,8 @@ def initializer_at(image: ExecutableImage, address: int,
     """The gadget at `address` as an initializer for `dispatcher`;
     ToolError unless it seeds every register the dispatcher needs."""
     g = gadget_at(image, address)
-    sets = initializer_sources(g)
+    summary = summarize_dataflow(g.instructions)
+    sets = initializer_sources(g, summary)
     if sets is None:
         raise ToolError(f"initializer at 0x{address:x} jumps through ra")
     missing = dispatcher.unseeded(sets)
@@ -444,7 +457,9 @@ def initializer_at(image: ExecutableImage, address: int,
         names = ",".join(sorted(r.name for r in missing))
         raise ToolError(
             f"initializer at 0x{address:x} never loads {names}")
-    return InitializerCandidate(g, sets)
+    found = InitializerCandidate(g, sets)
+    found.summary = summary             # kept for the stack ledger
+    return found
 
 
 def find_initializers(gadgets, dispatcher: DispatcherCandidate

@@ -29,7 +29,14 @@ interpreter's finalization, which would only free that analysis object
 by object.  Every file the CLI writes is closed by its `with` block
 before `main` returns, so nothing else needs flushing.
 `main(argv)` leaves interpreter state alone, so tests and library callers
-keep the default collector.
+keep the default collector.  Under `python -m rvjop.cli` the collector
+goes off at this module's first statement, before the layers load, so
+their imports run no collections; the `rvjop` script turns it off in
+`run()`.
+
+`main(argv)` builds the parser of the one subcommand `argv[0]` names,
+or of all seven when it names none (help, a typo, no command); both
+print the same usage line (`_build_parser`).
 
 A closed stdout (`rvjop scan ... | head`) ends the command with no
 message and exit 1, whether the write that finds it runs in a command or
@@ -38,6 +45,11 @@ in `run()`'s flush, and whether stdout is buffered or not.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()                # before the layers load; see `run()`
+
 # Every command decodes, so the decoder loads first.  Without a bytecode
 # cache, compiling it needs about 2 MB of temporary memory, more than any
 # other module; compiled before the other layers load, it adds least to
@@ -45,7 +57,6 @@ from __future__ import annotations
 from . import decoder  # noqa: F401
 
 import argparse
-import gc
 import io
 import os
 import sys
@@ -154,12 +165,8 @@ def _sim_limits(args, image: ExecutableImage) -> tuple[int, int]:
     return fuel, top
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="rvjop", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("scan", help="dump every gadget")
+def _scan_parser(sub, name: str) -> None:
+    p = sub.add_parser(name, help="dump every gadget")
     _add_input_flags(p)
     p.add_argument("--max", type=_MAX_LEN, default=4,
                    help="interior instruction cap (default 4)")
@@ -168,7 +175,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.set_defaults(run=_cmd_query, all_=True)
 
-    p = sub.add_parser("query", help="filtered gadget search",
+
+def _query_parser(sub, name: str) -> None:
+    p = sub.add_parser(name, help="filtered gadget search",
                        description="Gadgets that pass every filter given "
                                    "(give one, or --all); --op, --rr and "
                                    "--imm must all hold for one interior "
@@ -196,12 +205,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "records"), default="text")
     p.set_defaults(run=_cmd_query)
 
-    p = sub.add_parser("dispatchers", help="dispatcher-shaped gadgets")
+
+def _dispatchers_parser(sub, name: str) -> None:
+    p = sub.add_parser(name, help="dispatcher-shaped gadgets")
     _add_input_flags(p)
     p.set_defaults(run=_cmd_dispatchers)
 
-    p = sub.add_parser("initializers",
-                       help="register seeders for a dispatcher")
+
+def _initializers_parser(sub, name: str) -> None:
+    p = sub.add_parser(name, help="register seeders for a dispatcher")
     _add_input_flags(p)
     p.add_argument("--dispatcher", type=_ADDRESS, required=True,
                    metavar="ADDR", help="dispatcher loop entry address")
@@ -209,14 +221,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="interior instruction cap (default 6)")
     p.set_defaults(run=_cmd_initializers)
 
-    p = sub.add_parser("stats", help="availability per register")
+
+def _stats_parser(sub, name: str) -> None:
+    p = sub.add_parser(name, help="availability per register")
     _add_input_flags(p)
     p.add_argument("--max", type=_MAX_LEN, default=4)
     p.add_argument("--top", type=_int_in(0), default=None,
                    help="keep only the N busiest registers")
     p.set_defaults(run=_cmd_stats)
 
-    p = sub.add_parser("chain", help="build a payload from a chain file")
+
+def _chain_parser(sub, name: str) -> None:
+    p = sub.add_parser(name, help="build a payload from a chain file")
     _add_input_flags(p)
     p.add_argument("--spec", required=True, metavar="FILE",
                    help="chain description file")
@@ -232,7 +248,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_sim_flags(p)
     p.set_defaults(run=_cmd_chain)
 
-    p = sub.add_parser("sim", help="run code under the interpreter")
+
+def _sim_parser(sub, name: str) -> None:
+    p = sub.add_parser(name, help="run code under the interpreter")
     _add_input_flags(p)
     p.add_argument("--entry", type=_ADDRESS, required=True)
     p.add_argument("--return-to", type=_ADDRESS, required=True)
@@ -245,6 +263,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poke", action="append", default=[],
                    metavar="REG=VALUE", help="set a register before running")
     p.set_defaults(run=_cmd_sim)
+
+
+# subcommand -> the function that adds its parser, in help order
+_SUBPARSERS = {
+    "scan": _scan_parser, "query": _query_parser,
+    "dispatchers": _dispatchers_parser, "initializers": _initializers_parser,
+    "stats": _stats_parser, "chain": _chain_parser, "sim": _sim_parser,
+}
+
+
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser for `argv`: with only the subcommand `argv[0]` names,
+    or with all of them when it names none (help, a typo, no command).
+
+    A parser with one subcommand still prints every subcommand in its
+    usage line, so its messages read as the full parser's would.  The
+    full parser keeps argparse's own listing, so its errors name the
+    argument `command`.
+    """
+    ap = argparse.ArgumentParser(prog="rvjop", description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    names = [argv[0]] if argv and argv[0] in _SUBPARSERS else list(_SUBPARSERS)
+    listing = "{" + ",".join(_SUBPARSERS) + "}" if len(names) == 1 else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=listing)
+    for name in names:
+        _SUBPARSERS[name](sub, name)
     return ap
 
 
@@ -393,8 +437,10 @@ def _cmd_sim(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:

@@ -15,20 +15,20 @@ Each pc is decoded and dispatched once, the way Spike's decode cache
 does it.  The first fetch of a pc builds one handler for its instruction:
 a closure, made by the factory for the instruction's effects shape, that
 already holds the register indices, immediate, masks, branch comparison,
-access size and signedness and fall-through pc, executes the instruction
-and returns the next pc.  The machine keeps the handler of every pc it
-has fetched, so a step is one dict lookup and one call.  The commonest
-steps make no further Python-level call: `addi` and `add` compute in
-the handler, a load reads the region the machine's last access hit
-(only a miss goes through `Machine.load`, which walks the regions and
-raises the unmapped fault), and a linking jump through ra or a return
-pushes or pops the shadow stack itself (only a return that does not
-match calls `_shadow_pop`, to raise the violation).  A store drops
-every cached pc in [address - 3, address + size), which covers any 2- or
-4-byte instruction overlapping the written bytes, so a payload that
-writes code runs the new bytes.  A fetch that faults caches nothing.  The
-cache holds at most one entry per distinct pc run, so it is bounded by
-the fuel.
+memory `struct` and fall-through pc, executes the instruction and returns
+the next pc.  The machine keeps the handler of every pc it has fetched,
+so a step is one dict lookup and one call.  The commonest steps make no
+further Python-level call: `addi` and `add` compute in the handler, a
+load unpacks from the region the machine's last access hit (only a miss
+goes through `Machine._locate`, which walks the regions and raises the
+unmapped fault), and a linking jump through ra or a return pushes or pops
+the shadow stack itself (only a return that does not match calls
+`_shadow_pop`, to raise the violation).  Memory goes through one `Struct`
+per access width and signedness (`_MEMORY`): a load reads its value
+sign-extended; a store packs it masked to its width and drops the cached
+pc of every instruction the bytes overlap, [address - 3, address + size),
+so code a payload writes runs.  A fetch that faults caches nothing.  The
+cache holds at most one entry per distinct pc run: it is bounded by fuel.
 
 System calls are not forwarded anywhere.  Each ecall is recorded and a0
 gets a canned result from a fixed table: open-like calls yield descriptor
@@ -39,6 +39,7 @@ returns 0.
 from __future__ import annotations
 
 import operator
+import struct
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -55,6 +56,10 @@ OPENAT = 56
 READ = 63
 WRITE = 64
 DEFAULT_ECALL_RETURNS = {OPENAT: 5}
+
+# (access bytes, signed) -> the little-endian struct of that access
+_MEMORY = {(1 << i, s): struct.Struct("<" + ("bhiq" if s else "BHIQ")[i])
+           for i in range(4) for s in (False, True)}
 
 REACHED = "reached"
 VIOLATION = "violation"
@@ -180,8 +185,8 @@ class Machine:
                      f"{size}-byte access at 0x{address:x}")
 
     def load(self, address: int, size: int) -> int:
-        buf, off = self._locate(address & self.mask, size)
-        return int.from_bytes(buf[off:off + size], "little")
+        return _MEMORY[size, False].unpack_from(
+            *self._locate(address & self.mask, size))[0]
 
     def store(self, address: int, size: int, value: int) -> None:
         address &= self.mask
@@ -189,8 +194,7 @@ class Machine:
         decoded = self._decoded
         for pc in range(address - 3, address + size):
             decoded.pop(pc & self.mask, None)   # fetches wrap too
-        buf[off:off + size] = (value & ((1 << (size * 8)) - 1)
-                               ).to_bytes(size, "little")
+        _MEMORY[size, False].pack_into(buf, off, value & mask(size * 8))
 
     # -- registers ------------------------------------------------------
 
@@ -430,24 +434,21 @@ def _load(m: Machine, insn: DecodedInstruction,
           size: int | None) -> Callable[[], int]:
     # Loads sign-extend unless the base name ends in u (lbu, lhu, lwu);
     # lr sign-extends like the load of its width.
-    # The region the machine's last access hit is tested here; a miss
-    # goes through `Machine.load`, which finds the region or faults.
     acc = insn.mem_access
-    regs, load, last, mask_ = m.regs, m.load, m._last, m.mask
+    regs, locate, last, mask_ = m.regs, m._locate, m._last, m.mask
     d, a, off = insn.base.operands[0].index, acc.base.index, acc.offset
     nxt = _next_pc(m, insn)
-    sign = 0 if insn.base.name[-1] == "u" else 1 << (size * 8 - 1)
+    unpack = _MEMORY[size, insn.base.name[-1] != "u"].unpack_from
 
     def run():
         address = (regs[a] + off) & mask_
         base, end, buf = last
         if base <= address and address + size <= end:
-            address -= base
-            value = int.from_bytes(buf[address:address + size], "little")
+            value = unpack(buf, address - base)[0]
         else:
-            value = load(address, size)
+            value = unpack(*locate(address, size))[0]
         if d:
-            regs[d] = ((value ^ sign) - sign) & mask_
+            regs[d] = value & mask_
         return nxt
     return run
 
@@ -484,16 +485,15 @@ def _amo(m: Machine, insn: DecodedInstruction,
     # The operation runs at the access width: a .w op on RV64 reads the
     # low word of rs2, and rd gets the old word sign-extended.
     rd, rs2, rs1 = insn.base.operands
-    regs, load, store, mask_ = m.regs, m.load, m.store, m.mask
+    regs, locate, store, mask_ = m.regs, m._locate, m.store, m.mask
     d, s, a, nxt = rd.index, rs2.index, rs1.index, _next_pc(m, insn)
     combine = _AMOS[insn.base.name.split(".")[0][3:]]
-    low, sign = mask(size * 8), 1 << (size * 8 - 1)
+    unpack, low = _MEMORY[size, True].unpack_from, mask(size * 8)
 
     def run():
         address = regs[a]
-        old = (load(address, size) ^ sign) - sign
-        src = ((regs[s] & low) ^ sign) - sign
-        store(address, size, combine(old, src, low))
+        old = unpack(*locate(address, size))[0]
+        store(address, size, combine(old, sext(regs[s], size * 8), low))
         if d:
             regs[d] = old & mask_
         return nxt

@@ -935,11 +935,10 @@ def test_classic_and_two_stage_layouts_reach(xlen, entries_per_round, shape,
                                       "chain-long"])
 def test_chain_summarizes_each_part_once(monkeypatch, workload):
     """Parsing, validating and laying out a benchmark chain summarizes
-    the dispatcher's round twice (to find its stride, then for the
-    checks, from the record `_replace` made), the initializer twice (to
-    pair it, then for the ledger) and each step once: 13 calls, where
-    validation and layout used to summarize each part of the chain
-    again (24)."""
+    the dispatcher's round, the initializer and each of the 9 steps once:
+    11 calls, where the round and the initializer were summarized twice
+    (13) and validation and layout used to summarize each part of the
+    chain again (24)."""
     corpus = benchmark_corpus()
     for seed in range(1, 4):
         c = corpus.build(workload, seed)
@@ -950,5 +949,5 @@ def test_chain_summarizes_each_part_once(monkeypatch, workload):
         validate_chain(spec)
         layout_payload(spec)
         assert len(spec.steps) == 9
-        assert len(calls) <= 13, (seed, len(calls))
+        assert len(calls) == 11, (seed, len(calls))
         monkeypatch.undo()

@@ -244,6 +244,38 @@ def test_stride_zero_autonomous_is_rejected():
     assert find_dispatchers(b.image()) == []
 
 
+# Each shape's table load, then (`mv`) an overwrite of its jump target
+# before the jump, as `(mnemonic, *operands)` rows; "loop" is a label.
+_OVERWRITTEN_TARGETS = {
+    DISPATCHER_CLASSIC: [("lw", "a5", "s0", 0), ("addi", "s0", "s0", 4),
+                         ("mv", "a5", "a1"), ("jr", "a5")],
+    DISPATCHER_TWO_STAGE: [("addi", "s0", "s0", 4), ("jr", "t2"),
+                           ("lw", "s1", "s0", 16), ("mv", "s1", "a1"),
+                           ("jalr", "ra", "s1", 0)],
+    DISPATCHER_AUTONOMOUS: [("lw", "a5", "s0", 0), ("mv", "a5", "a1"),
+                            ("jalr", "ra", "a5", 0), ("addi", "s0", "s0", 4),
+                            ("blt", "s0", "s1", "loop"), ("ebreak",)],
+}
+
+
+@pytest.mark.parametrize("kind", list(_OVERWRITTEN_TARGETS))
+def test_target_overwritten_after_its_table_load_is_rejected(kind):
+    """The table load must be the jump target's last write: with the
+    `mv` after it the target is a1's value, not a table entry, and the
+    shape is no dispatcher; without it, it is one."""
+    def image(overwrite):
+        b = CodeBuilder()
+        b.label("loop")
+        for insn in _OVERWRITTEN_TARGETS[kind]:
+            if insn[0] == "blt":
+                b.branch(*insn)
+            elif insn[0] != "mv" or overwrite:
+                b.emit(*insn)
+        return b.image()
+    assert [d.kind for d in find_dispatchers(image(False))] == [kind]
+    assert find_dispatchers(image(True)) == []
+
+
 def _walk_in_body(update_first: bool) -> CodeBuilder:
     """An autonomous loop whose body both loads through s0 and advances
     it, in either order, plus an initializer, two steps and a landing."""

@@ -777,6 +777,53 @@ def test_cli_import_loads_no_assembler_and_keeps_submodules():
     assert proc.returncode == 0, proc.stderr
 
 
+# --- the parser: one subcommand's, printing as the full one would ----------
+
+COMMANDS = ["scan", "query", "dispatchers", "initializers", "stats", "chain",
+            "sim"]
+# what each subcommand requires, so that an extra argument is the error
+REQUIRED = {"initializers": ["--dispatcher", "0"], "chain": ["--spec", "x"],
+            "sim": ["--entry", "0", "--return-to", "0"]}
+PARSER_CASES = [
+    ["--help"], *([c, "--help"] for c in COMMANDS),
+    [], ["bogus"], ["--raw", "x"],
+    *([c, *REQUIRED.get(c, []), "--bogus"] for c in COMMANDS),
+    ["query", "--role", "dispatcher-clasic"], ["scan", "--max", "x"],
+    ["initializers", "--dispatcher", "zero"], ["chain", "--raw", "x"],
+]
+
+
+def _parse(capsys, parser, argv):
+    """(exit code or None, stdout, stderr) of parsing `argv`."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_one_subcommand_parser_prints_as_the_full_one(capsys, argv):
+    # Help and usage errors read the same whether the parser was built
+    # with every subcommand or only the one argv names.
+    want = _parse(capsys, rvjop.cli._build_parser(None), argv)
+    assert want[0] in (0, 2)
+    assert _parse(capsys, rvjop.cli._build_parser(argv), argv) == want
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_parser_holds_only_the_named_subcommand(capsys, command):
+    ap = rvjop.cli._build_parser([command])
+    others = [c for c in COMMANDS if c != command]
+    for other in others:
+        assert _parse(capsys, ap, [other, *REQUIRED.get(other, [])])[0] == 2
+    full = rvjop.cli._build_parser(None)
+    for c in COMMANDS:
+        assert _parse(capsys, full, [c, *REQUIRED.get(c, [])])[0] is None
+
+
 # --- start-up: each subcommand imports only its layers ----------------------
 
 def _fresh_python(script, *args):
@@ -1356,6 +1403,31 @@ def test_run_disables_the_collector_and_exits_with_mains_code(monkeypatch):
         gc.enable()
     assert events == ["main, collector off", "flush stdout", "flush stderr",
                       "exit 7"]
+
+
+def test_module_entry_imports_with_the_collector_off(adg_blob):
+    # `python -m rvjop.cli` turns the collector off at the module's first
+    # statement: a collection may run while the package loads and the
+    # module compiles, but none once the layers start loading.
+    blob, _ = adg_blob
+    proc = _fresh_python(
+        "import gc, json, os, runpy, sys, rvjop\n"
+        "seen, real_exit = [], os._exit\n"
+        "def spy(phase, info):\n"
+        "    if phase == 'start':\n"
+        "        seen.append(sorted(m for m in sys.modules if 'rvjop' in m))\n"
+        "def exit_(code):\n"
+        "    print(json.dumps([code, gc.isenabled(), seen]), file=sys.stderr)\n"
+        "    sys.stderr.flush()\n"
+        "    real_exit(code)\n"
+        "gc.callbacks.append(spy)\n"
+        "os._exit = exit_\n"
+        "sys.argv[1:] = json.loads(sys.argv[1])\n"
+        "runpy.run_module('rvjop.cli', run_name='__main__')\n",
+        json.dumps(["dispatchers", *RAW(blob)]))
+    code, enabled, seen = json.loads(proc.stderr.splitlines()[-1])
+    assert (code, enabled) == (0, False), proc.stderr
+    assert all(m == ["rvjop", "rvjop.errors", "rvjop.image"] for m in seen)
 
 
 @pytest.mark.parametrize("case", ["found", "empty", "usage", "bad-image"])

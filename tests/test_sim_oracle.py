@@ -158,6 +158,41 @@ def test_load(name, xlen):
     assert not failures, failures[:10]
 
 
+@pytest.mark.parametrize("name,xlen", list(_load_cases()))
+def test_load_from_the_last_region_and_after_a_switch(name, xlen):
+    """A load reads the oracle's value both when its region is the one
+    the machine's last access hit (the handler's own check) and when the
+    last access hit another region (the region walk), and a load that
+    runs past its region's end faults with the same text either way."""
+    size = sim_oracle.LOADS[name][0]
+    other = DATA + 0x100                 # a region of its own
+    m = Machine(xlen)
+    m.map_region(CODE, assemble(name, (RD, RS1, 0), xlen=xlen))
+    m.map_region(DATA, 16)
+    m.map_region(other, 16)
+    data = dict(m.regions)[DATA]
+    m._handler(CODE)                     # decoded now: the fetch reads no memory
+    failures = []
+    for pattern, last in itertools.product(_PATTERNS, (DATA, other)):
+        data[8:] = (pattern & ((1 << 64) - 1)).to_bytes(8, "little")
+        m.load(last, 1)                  # the last access hits `last`
+        assert m._last[0] == last
+        m.regs[RS1.index] = DATA + 8
+        report = run_chain(m, CODE, 0, fuel=1)
+        assert report.steps == 1 and m._last[0] == DATA, report.render()
+        if m.regs[RD.index] != sim_oracle.load(name, pattern, xlen):
+            failures.append((name, xlen, hex(pattern), hex(last),
+                             hex(m.regs[RD.index])))
+    assert not failures, failures[:10]
+    for last in (DATA, other):
+        m.load(last, 1)
+        m.regs[RS1.index] = DATA + 16 - size + 1
+        report = run_chain(m, CODE, 0, fuel=1)
+        assert report.outcome == "fault" and report.steps == 0
+        assert report.fault == (f"unmapped: {size}-byte access at "
+                                f"0x{DATA + 17 - size:x}")
+
+
 @pytest.mark.parametrize("xlen", [32, 64])
 def test_store(xlen):
     failures = []
