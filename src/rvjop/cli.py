@@ -34,9 +34,13 @@ goes off at this module's first statement, before the layers load, so
 their imports run no collections; the `rvjop` script turns it off in
 `run()`.
 
-`main(argv)` builds the parser of the one subcommand `argv[0]` names,
-or of all seven when it names none (help, a typo, no command); both
-print the same usage line (`_build_parser`).
+`main(argv)` reads argv straight from one table of the subcommands and
+their flags (`_COMMANDS`) when it is a subcommand followed by that
+subcommand's flags, each spelled out in full and given a valid value
+(`_table_parse`).  Everything else (help, an abbreviation, a usage
+error) goes to argparse's parser of all seven subcommands, built from
+the same table (`_build_parser`), so its text is argparse's own; only
+then do argparse and the gettext and locale modules behind it load.
 
 A closed stdout (`rvjop scan ... | head`) ends the command with no
 message and exit 1, whether the write that finds it runs in a command or
@@ -56,10 +60,10 @@ if __name__ == "__main__":
 # the process's peak RSS.
 from . import decoder  # noqa: F401
 
-import argparse
 import io
 import os
 import sys
+from types import SimpleNamespace
 
 # Loaded with this module, so by every command: benchmarks/test_benchmark.py
 # looks `rvjop.classify` up in sys.modules right after `import rvjop.cli`.
@@ -73,21 +77,13 @@ from .scanner import MAX_GADGET_LEN, dedupe, extract_gadgets
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
     from typing import NoReturn
 
 OK = 0
 EMPTY = 1
 USAGE = 2
 BADIMAGE = 3
-
-
-def _add_input_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--binary", metavar="ELF", help="ELF image to analyze")
-    p.add_argument("--raw", metavar="FILE", help="flat code blob")
-    p.add_argument("--base", type=_ADDRESS, default=0,
-                   help="load address for --raw (default 0)")
-    p.add_argument("--xlen", type=int, choices=(32, 64), default=32,
-                   help="register width for --raw (default 32)")
 
 
 def _load_image(args) -> ExecutableImage:
@@ -104,6 +100,13 @@ def _load_image(args) -> ExecutableImage:
     raise UsageError("an input image is required (--binary or --raw)")
 
 
+def _bad_value(message: str) -> Exception:
+    """argparse's error for a value its type refuses.  argparse loads
+    only here, on input that the table parse hands to it anyway."""
+    from argparse import ArgumentTypeError
+    return ArgumentTypeError(message)
+
+
 def _int_in(lo: int | None = None, hi: int | None = None, base: int = 10):
     """An argparse type: an int in [lo, hi], unbounded where a bound is
     None, so an out-of-range flag is a usage error like any other."""
@@ -111,13 +114,11 @@ def _int_in(lo: int | None = None, hi: int | None = None, base: int = 10):
         try:
             value = int(text, base)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
+            raise _bad_value(f"invalid int value: {text!r}") from None
         if (lo is not None and value < lo
                 or hi is not None and value > hi):
-            raise argparse.ArgumentTypeError(
-                f"{value} is not in [{lo}, {hi}]" if hi is not None
-                else f"{value} is below {lo}")
+            raise _bad_value(f"{value} is not in [{lo}, {hi}]"
+                             if hi is not None else f"{value} is below {lo}")
         return value
     return parse
 
@@ -125,7 +126,7 @@ def _int_in(lo: int | None = None, hi: int | None = None, base: int = 10):
 def _register(text: str) -> Register:
     """An argparse type: a register by ABI or x-number name."""
     if not is_register_name(text):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a register")
+        raise _bad_value(f"{text!r} is not a register")
     return reg(text)
 
 
@@ -138,11 +139,25 @@ _MAX_LEN = _int_in(0, MAX_GADGET_LEN)
 _ADDRESS = _int_in(0, base=0)   # bounded by the image's XLEN once loaded
 
 
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    # Omitted flags stay None, so building the parser does not import
-    # rvjop.sim; `_sim_limits` fills in its defaults.
-    p.add_argument("--fuel", type=_int_in(0), default=None)
-    p.add_argument("--stack-top", type=_ADDRESS, default=None)
+def _flag(name: str, **keywords) -> tuple[str, dict]:
+    """A row of the command table: a flag and its `add_argument` keywords."""
+    return name, keywords
+
+
+_INPUT_FLAGS = (
+    _flag("--binary", metavar="ELF", help="ELF image to analyze"),
+    _flag("--raw", metavar="FILE", help="flat code blob"),
+    _flag("--base", type=_ADDRESS, default=0,
+          help="load address for --raw (default 0)"),
+    _flag("--xlen", type=int, choices=(32, 64), default=32,
+          help="register width for --raw (default 32)"),
+)
+# Omitted flags stay None, so parsing does not import rvjop.sim;
+# `_sim_limits` fills in its defaults.
+_SIM_FLAGS = (
+    _flag("--fuel", type=_int_in(0), default=None),
+    _flag("--stack-top", type=_ADDRESS, default=None),
+)
 
 
 def _check_addresses(args, image: ExecutableImage, *flags: str) -> None:
@@ -163,133 +178,6 @@ def _sim_limits(args, image: ExecutableImage) -> tuple[int, int]:
     fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
     top = DEFAULT_STACK_TOP if args.stack_top is None else args.stack_top
     return fuel, top
-
-
-def _scan_parser(sub, name: str) -> None:
-    p = sub.add_parser(name, help="dump every gadget")
-    _add_input_flags(p)
-    p.add_argument("--max", type=_MAX_LEN, default=4,
-                   help="interior instruction cap (default 4)")
-    p.add_argument("--unique", action="store_true",
-                   help="collapse byte-identical gadgets")
-    p.add_argument("--format", choices=("text", "records"), default="text")
-    p.set_defaults(run=_cmd_query, all_=True)
-
-
-def _query_parser(sub, name: str) -> None:
-    p = sub.add_parser(name, help="filtered gadget search",
-                       description="Gadgets that pass every filter given "
-                                   "(give one, or --all); --op, --rr and "
-                                   "--imm must all hold for one interior "
-                                   "instruction.")
-    _add_input_flags(p)
-    p.add_argument("--op", metavar="MNEMONIC",
-                   help="instruction mnemonic, aliases included (li, mv)")
-    p.add_argument("--rr", type=_register, metavar="REG",
-                   help="register the instruction writes")
-    p.add_argument("--imm", type=_int_in(base=0), metavar="N",
-                   help="the instruction's immediate")
-    p.add_argument("--max", type=_int_in(1, MAX_GADGET_LEN, base=0),
-                   default=4, help="interior instruction cap (default 4)")
-    p.add_argument("--link", type=_register, metavar="REG",
-                   help="the terminator jumps through REG")
-    p.add_argument("--preserve", type=_registers, action="append",
-                   default=[], metavar="REG[,REG...]",
-                   help="the gadget leaves REG unchanged (repeatable)")
-    p.add_argument("--role", choices=ROLES, metavar="ROLE",
-                   help="one of the classifier's roles: %(choices)s")
-    p.add_argument("--all", dest="all_", action="store_true",
-                   help="every gadget the other filters let through")
-    p.add_argument("--unique", action="store_true",
-                   help="collapse byte-identical gadgets")
-    p.add_argument("--format", choices=("text", "records"), default="text")
-    p.set_defaults(run=_cmd_query)
-
-
-def _dispatchers_parser(sub, name: str) -> None:
-    p = sub.add_parser(name, help="dispatcher-shaped gadgets")
-    _add_input_flags(p)
-    p.set_defaults(run=_cmd_dispatchers)
-
-
-def _initializers_parser(sub, name: str) -> None:
-    p = sub.add_parser(name, help="register seeders for a dispatcher")
-    _add_input_flags(p)
-    p.add_argument("--dispatcher", type=_ADDRESS, required=True,
-                   metavar="ADDR", help="dispatcher loop entry address")
-    p.add_argument("--max", type=_MAX_LEN, default=6,
-                   help="interior instruction cap (default 6)")
-    p.set_defaults(run=_cmd_initializers)
-
-
-def _stats_parser(sub, name: str) -> None:
-    p = sub.add_parser(name, help="availability per register")
-    _add_input_flags(p)
-    p.add_argument("--max", type=_MAX_LEN, default=4)
-    p.add_argument("--top", type=_int_in(0), default=None,
-                   help="keep only the N busiest registers")
-    p.set_defaults(run=_cmd_stats)
-
-
-def _chain_parser(sub, name: str) -> None:
-    p = sub.add_parser(name, help="build a payload from a chain file")
-    _add_input_flags(p)
-    p.add_argument("--spec", required=True, metavar="FILE",
-                   help="chain description file")
-    p.add_argument("--out", metavar="FILE",
-                   help="write the payload buffer here")
-    p.add_argument("--manifest", metavar="FILE",
-                   help="write the manifest here instead of stdout")
-    p.add_argument("--simulate", action="store_true",
-                   help="also run the chain and report")
-    p.add_argument("--buffer-base", type=_ADDRESS, default=None,
-                   help="map the payload here when simulating "
-                        "(default: the table base)")
-    _add_sim_flags(p)
-    p.set_defaults(run=_cmd_chain)
-
-
-def _sim_parser(sub, name: str) -> None:
-    p = sub.add_parser(name, help="run code under the interpreter")
-    _add_input_flags(p)
-    p.add_argument("--entry", type=_ADDRESS, required=True)
-    p.add_argument("--return-to", type=_ADDRESS, required=True)
-    p.add_argument("--payload", metavar="FILE",
-                   help="raw bytes to map at --buffer-base")
-    p.add_argument("--buffer-base", type=_ADDRESS, default=None)
-    _add_sim_flags(p)
-    p.add_argument("--loop-entry", type=_ADDRESS, default=None,
-                   help="count dispatch rounds at this address")
-    p.add_argument("--poke", action="append", default=[],
-                   metavar="REG=VALUE", help="set a register before running")
-    p.set_defaults(run=_cmd_sim)
-
-
-# subcommand -> the function that adds its parser, in help order
-_SUBPARSERS = {
-    "scan": _scan_parser, "query": _query_parser,
-    "dispatchers": _dispatchers_parser, "initializers": _initializers_parser,
-    "stats": _stats_parser, "chain": _chain_parser, "sim": _sim_parser,
-}
-
-
-def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The parser for `argv`: with only the subcommand `argv[0]` names,
-    or with all of them when it names none (help, a typo, no command).
-
-    A parser with one subcommand still prints every subcommand in its
-    usage line, so its messages read as the full parser's would.  The
-    full parser keeps argparse's own listing, so its errors name the
-    argument `command`.
-    """
-    ap = argparse.ArgumentParser(prog="rvjop", description=__doc__,
-                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    names = [argv[0]] if argv and argv[0] in _SUBPARSERS else list(_SUBPARSERS)
-    listing = "{" + ",".join(_SUBPARSERS) + "}" if len(names) == 1 else None
-    sub = ap.add_subparsers(dest="command", required=True, metavar=listing)
-    for name in names:
-        _SUBPARSERS[name](sub, name)
-    return ap
 
 
 def _query(args):
@@ -436,13 +324,179 @@ def _cmd_sim(args) -> int:
     return OK if report.outcome == "reached" else EMPTY
 
 
+# subcommand -> (`add_parser` keywords, `set_defaults` keywords, its flags),
+# in help order
+_COMMANDS = {
+    "scan": ({"help": "dump every gadget"},
+             {"run": _cmd_query, "all_": True},
+             (*_INPUT_FLAGS,
+              _flag("--max", type=_MAX_LEN, default=4,
+                    help="interior instruction cap (default 4)"),
+              _flag("--unique", action="store_true",
+                    help="collapse byte-identical gadgets"),
+              _flag("--format", choices=("text", "records"), default="text"))),
+    "query": ({"help": "filtered gadget search",
+               "description": "Gadgets that pass every filter given (give "
+                              "one, or --all); --op, --rr and --imm must all "
+                              "hold for one interior instruction."},
+              {"run": _cmd_query},
+              (*_INPUT_FLAGS,
+               _flag("--op", metavar="MNEMONIC",
+                     help="instruction mnemonic, aliases included (li, mv)"),
+               _flag("--rr", type=_register, metavar="REG",
+                     help="register the instruction writes"),
+               _flag("--imm", type=_int_in(base=0), metavar="N",
+                     help="the instruction's immediate"),
+               _flag("--max", type=_int_in(1, MAX_GADGET_LEN, base=0),
+                     default=4, help="interior instruction cap (default 4)"),
+               _flag("--link", type=_register, metavar="REG",
+                     help="the terminator jumps through REG"),
+               _flag("--preserve", type=_registers, action="append",
+                     default=[], metavar="REG[,REG...]",
+                     help="the gadget leaves REG unchanged (repeatable)"),
+               _flag("--role", choices=ROLES, metavar="ROLE",
+                     help="one of the classifier's roles: %(choices)s"),
+               _flag("--all", dest="all_", action="store_true",
+                     help="every gadget the other filters let through"),
+               _flag("--unique", action="store_true",
+                     help="collapse byte-identical gadgets"),
+               _flag("--format", choices=("text", "records"),
+                     default="text"))),
+    "dispatchers": ({"help": "dispatcher-shaped gadgets"},
+                    {"run": _cmd_dispatchers},
+                    _INPUT_FLAGS),
+    "initializers": ({"help": "register seeders for a dispatcher"},
+                     {"run": _cmd_initializers},
+                     (*_INPUT_FLAGS,
+                      _flag("--dispatcher", type=_ADDRESS, required=True,
+                            metavar="ADDR",
+                            help="dispatcher loop entry address"),
+                      _flag("--max", type=_MAX_LEN, default=6,
+                            help="interior instruction cap (default 6)"))),
+    "stats": ({"help": "availability per register"},
+              {"run": _cmd_stats},
+              (*_INPUT_FLAGS,
+               _flag("--max", type=_MAX_LEN, default=4),
+               _flag("--top", type=_int_in(0), default=None,
+                     help="keep only the N busiest registers"))),
+    "chain": ({"help": "build a payload from a chain file"},
+              {"run": _cmd_chain},
+              (*_INPUT_FLAGS,
+               _flag("--spec", required=True, metavar="FILE",
+                     help="chain description file"),
+               _flag("--out", metavar="FILE",
+                     help="write the payload buffer here"),
+               _flag("--manifest", metavar="FILE",
+                     help="write the manifest here instead of stdout"),
+               _flag("--simulate", action="store_true",
+                     help="also run the chain and report"),
+               _flag("--buffer-base", type=_ADDRESS, default=None,
+                     help="map the payload here when simulating "
+                          "(default: the table base)"),
+               *_SIM_FLAGS)),
+    "sim": ({"help": "run code under the interpreter"},
+            {"run": _cmd_sim},
+            (*_INPUT_FLAGS,
+             _flag("--entry", type=_ADDRESS, required=True),
+             _flag("--return-to", type=_ADDRESS, required=True),
+             _flag("--payload", metavar="FILE",
+                   help="raw bytes to map at --buffer-base"),
+             _flag("--buffer-base", type=_ADDRESS, default=None),
+             *_SIM_FLAGS,
+             _flag("--loop-entry", type=_ADDRESS, default=None,
+                   help="count dispatch rounds at this address"),
+             _flag("--poke", action="append", default=[],
+                   metavar="REG=VALUE",
+                   help="set a register before running"))),
+}
+
+
+def _table_parse(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace the full parser gives for `argv`, read straight from
+    `_COMMANDS`, or None for any argv this parse does not decide.
+
+    It takes a known subcommand followed by that subcommand's flags, each
+    spelled out in full as `--flag value` (the value not starting with
+    "-") or `--flag=value` (`--flag` alone for a switch), every value
+    accepted by its type and choices, and every required flag given.
+    Help, abbreviations, `--`, negative numbers as separate words and
+    every error are left to argparse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, defaults, flags = _COMMANDS[argv[0]]
+    found = {"command": argv[0], **defaults}
+    by_name, required = {}, set()
+    for name, keywords in flags:
+        dest = keywords.get("dest") or name[2:].replace("-", "_")
+        by_name[name] = dest, keywords
+        action = keywords.get("action")
+        default = keywords.get("default",
+                               False if action == "store_true" else None)
+        found[dest] = list(default) if action == "append" else default
+        if keywords.get("required"):
+            required.add(name)
+    i = 1
+    while i < len(argv):
+        name, eq, value = argv[i].partition("=")
+        if name not in by_name:
+            return None
+        dest, keywords = by_name[name]
+        action = keywords.get("action")
+        i += 1
+        if action == "store_true":
+            if eq:
+                return None
+            found[dest] = True
+            continue
+        if not eq:
+            if i == len(argv) or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            i += 1
+        elif value == "--":             # argparse before 3.13 drops it
+            return None
+        try:
+            value = keywords.get("type", str)(value)
+        except Exception:           # argparse reports it, as before
+            return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        if action == "append":
+            found[dest].append(value)
+        else:
+            found[dest] = value
+        required.discard(name)
+    if required:
+        return None
+    return SimpleNamespace(**found)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """argparse's parser with every subcommand of `_COMMANDS`: for help,
+    usage errors and whatever else `_table_parse` declines."""
+    import argparse
+    ap = argparse.ArgumentParser(prog="rvjop", description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (about, defaults, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, **about)
+        for flag, keywords in flags:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(**defaults)
+    return ap
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    try:
-        args = _build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return USAGE if exc.code not in (0, None) else OK
+    args = _table_parse(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return USAGE if exc.code not in (0, None) else OK
     try:
         return args.run(args)
     except BrokenPipeError:             # an OSError, but not a bad input
@@ -469,10 +523,10 @@ def run() -> NoReturn:
     """`main()` with the cyclic collector off, then `os._exit` with its
     code once stdout and stderr are flushed (see the module docstring).
 
-    The cyclic garbage is the argument parser and, for `chain --simulate`,
-    the interpreter's handler closures, one set per distinct pc.  The
-    collector's passes would only walk the decoded instructions and
-    gadgets, which live until exit anyway.
+    The cyclic garbage is argparse's parser, where argparse parses, and,
+    for `chain --simulate`, the interpreter's handler closures, one set
+    per distinct pc.  The collector's passes would only walk the decoded
+    instructions and gadgets, which live until exit anyway.
     """
     gc.disable()
     # A stream is None when its descriptor was closed at start (`>&-`).

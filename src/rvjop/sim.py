@@ -611,8 +611,13 @@ def new_machine(image: ExecutableImage, *,
     the payload's stack writes land at their entry-sp-relative offsets,
     and it is the chain initializer's job to load them.  The scratch
     region spans `STACK_SLACK` bytes either side of `stack_top`, stretched
-    to cover the farthest stack write.
+    to cover the farthest stack write; a slack that leaves the address
+    space, where no access reaches it, is an error.
     """
+    if not STACK_SLACK <= stack_top <= (1 << image.xlen) - STACK_SLACK:
+        raise ToolError(f"stack top 0x{stack_top:x}: its {STACK_SLACK}-byte "
+                        f"slack runs outside the {image.xlen}-bit address "
+                        f"space")
     m = Machine(xlen=image.xlen)
     for seg in image.segments:
         m.map_region(seg.vaddr, seg.data)

@@ -12,6 +12,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rvjop.chain
 import rvjop.cli
@@ -777,7 +779,7 @@ def test_cli_import_loads_no_assembler_and_keeps_submodules():
     assert proc.returncode == 0, proc.stderr
 
 
-# --- the parser: one subcommand's, printing as the full one would ----------
+# --- the parser: the command table, and argparse for the rest -------------
 
 COMMANDS = ["scan", "query", "dispatchers", "initializers", "stats", "chain",
             "sim"]
@@ -806,22 +808,142 @@ def _parse(capsys, parser, argv):
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_one_subcommand_parser_prints_as_the_full_one(capsys, argv):
-    # Help and usage errors read the same whether the parser was built
-    # with every subcommand or only the one argv names.
-    want = _parse(capsys, rvjop.cli._build_parser(None), argv)
+    # Help and usage errors are argparse's: the table parse of the one
+    # subcommand argv names declines them, and main prints what the
+    # full parser prints.
+    assert rvjop.cli._table_parse(argv) is None
+    want = _parse(capsys, rvjop.cli._build_parser(), argv)
     assert want[0] in (0, 2)
-    assert _parse(capsys, rvjop.cli._build_parser(argv), argv) == want
+    assert run(capsys, *argv) == want
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_parser_holds_only_the_named_subcommand(capsys, command):
-    ap = rvjop.cli._build_parser([command])
-    others = [c for c in COMMANDS if c != command]
-    for other in others:
-        assert _parse(capsys, ap, [other, *REQUIRED.get(other, [])])[0] == 2
-    full = rvjop.cli._build_parser(None)
-    for c in COMMANDS:
-        assert _parse(capsys, full, [c, *REQUIRED.get(c, [])])[0] is None
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["scan", "-h"], ["scan", "--raw", "x", "--"],
+    ["query", "--raw", "x", "--imm", "-16"],        # argparse: a number
+    ["query", "--raw", "x", "--pres=s0"],           # argparse: --preserve
+    ["scan", "--raw", "-"],                         # argparse: the path "-"
+    ["scan", "--raw", "x", "--unique=yes"],
+    ["scan", "--raw=--"],                           # argparse < 3.13: []
+    ["chain", "--raw", "x"], ["sim", "--entry", "0", "--return-to"],
+    ["scan", "--xlen", "33"], ["query", "--rr", "q9"],
+    ["scan", "--raw", "x", "--op=li"], ["scan", "x"],
+], ids=" ".join)
+def test_table_parse_leaves_the_rest_to_argparse(argv):
+    assert rvjop.cli._table_parse(argv) is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--raw", "x", "--raw=y", "--max", "0", "--max=2"],
+    ["query", "--raw=", "--imm=-0x10", "--preserve", "s0,s1",
+     "--preserve=ra", "--role=call", "--all", "--all"],
+    ["query", "--op", "li=x", "--rr=x5", "--max=0x20"],
+    ["chain", "--spec=x", "--simulate", "--stack-top", "0x1000",
+     "--fuel=1_000"],
+    ["sim", "--entry", "0x10", "--return-to=16", "--poke", "a0=1",
+     "--poke=a1=-2", "--xlen", "64"],
+    ["initializers", "--dispatcher=0", "--binary", "a b"],
+    ["dispatchers"], ["stats", "--top", " 3"],
+], ids=" ".join)
+def test_table_parse_reads_as_argparse(argv):
+    args = rvjop.cli._table_parse(argv)
+    assert args is not None
+    assert vars(args) == vars(rvjop.cli._build_parser().parse_args(argv))
+
+
+def _table_flags(command):
+    return [name for name, _ in rvjop.cli._COMMANDS[command][2]]
+
+
+ALL_FLAGS = sorted({f for c in COMMANDS for f in _table_flags(c)})
+
+
+def test_random_argv_parse_as_argparse_does(capsys, monkeypatch, tmp_path,
+                                            adg_blob):
+    """`main` on argument lists drawn from the table's vocabulary returns
+    an exit code and raises nothing, and the table parse gives argparse's
+    namespace or declines.  Each list is a subcommand, flags the table
+    parse takes, then noise: abbreviations, `=` forms, repeats, other
+    subcommands' flags, negative and non-decimal numbers, and junk."""
+    blob, addrs = adg_blob
+    spec = chain_file(tmp_path, addrs)
+    files = {blob: blob.read_bytes(), spec: spec.read_bytes()}
+    monkeypatch.chdir(tmp_path)            # --out and --manifest land here
+    # a random entry point may spin: keep its run, and every --fuel in
+    # the pool, to a few thousand steps
+    monkeypatch.setattr(rvjop.sim, "DEFAULT_FUEL", 2000)
+    pool = ["0", "1", "4", "32", "64", "-1", "-16", "-0x10", "0x10", "0b101",
+            "0o7", "1_0", " 4", "4.0", "0x", *map(hex, addrs.values()),
+            str(blob), str(spec), "", "x", "li", "ra", "s0", "a0,s1", "q9",
+            "a0=5", "text", "records", "call", "dispatcher-classic", "-",
+            "--", "a b"]
+    values = st.sampled_from(pool)
+    required = {"initializers": ["--dispatcher", hex(addrs["loop"])],
+                "chain": ["--spec", str(spec)],
+                "sim": ["--entry", hex(addrs["init"]),
+                        "--return-to", hex(addrs["landing"])]}
+
+    def taken(command):
+        """Every one-flag argument the table parse takes after `command`."""
+        parts = [[name] for name in _table_flags(command)]
+        parts += [form for name in _table_flags(command) for v in pool
+                  for form in ([name, v], [f"{name}={v}"])]
+        return [part for part in parts if rvjop.cli._table_parse(
+            [command, *required.get(command, []), *part]) is not None]
+
+    clean = {c: st.sampled_from(taken(c)) for c in COMMANDS}
+    tally = {"table": 0, "argparse": 0}
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def check(data):
+        command = data.draw(st.sampled_from(COMMANDS + ["bogus", "--help"]))
+        own = _table_flags(command) if command in COMMANDS else ALL_FLAGS
+        flag = st.one_of(
+            st.sampled_from(own), st.sampled_from(ALL_FLAGS),
+            st.sampled_from(own).flatmap(
+                lambda f: st.integers(3, len(f) - 1).map(lambda k: f[:k])),
+            st.sampled_from(["-h", "--help", "--", "-x"]))
+        word = st.tuples(flag, values)
+        noise = st.one_of(
+            word.map(list), word.map(lambda fv: ["=".join(fv)]),
+            flag.map(lambda f: [f]), values.map(lambda v: [v]),
+            st.text(st.characters(blacklist_characters="\x00"),
+                    max_size=4).map(lambda j: [j]))
+        argv = [command]
+        if command in COMMANDS:
+            argv += data.draw(st.sampled_from([RAW(blob), []]))
+            if data.draw(st.booleans()):
+                argv += required.get(command, [])
+            for part in data.draw(st.lists(clean[command], max_size=4)):
+                argv += part
+        for part in data.draw(st.lists(noise, max_size=3)):
+            argv += part
+        for path, content in files.items():
+            if path.read_bytes() != content:    # --out wrote over it
+                path.write_bytes(content)
+        args = rvjop.cli._table_parse(argv)
+        if args is not None:
+            assert vars(args) == vars(
+                rvjop.cli._build_parser().parse_args(argv))
+        tally["table" if args is not None else "argparse"] += 1
+        assert main(argv) in (0, 1, 2, 3)
+        capsys.readouterr()
+
+    check()
+    assert tally["table"] and tally["argparse"], tally
+
+
+@pytest.mark.parametrize("workload",
+                         ["scan-dense-rv32", "scan-clean-rv64", "chain-long"])
+def test_benchmark_argv_take_the_table_path(tmp_path, workload):
+    benchmark_corpus()                      # puts benchmarks/ on sys.path
+    import session
+    prep = session.prepare(tmp_path, workload, 1)
+    for cmd in [*prep.commands, prep.records_check]:
+        args = rvjop.cli._table_parse(list(cmd.argv))
+        assert args is not None, cmd.argv
+        assert vars(args) == vars(rvjop.cli._build_parser().parse_args(
+            cmd.argv))
 
 
 # --- start-up: each subcommand imports only its layers ----------------------
@@ -835,21 +957,35 @@ def _fresh_python(script, *args):
 
 
 LAZY = ("rvjop.query", "rvjop.chain", "rvjop.sim")
+# what only help and usage errors load: argparse and, through it, gettext
+# and locale
+PARSER = ("argparse", "gettext", "locale")
 
 # (argv, modules it must not load, modules it must load) per subcommand
 SUBCOMMAND_IMPORTS = [
-    (["dispatchers"], LAZY, ()),
-    (["initializers", "--dispatcher", "{loop}"], LAZY, ()),
-    (["stats"], LAZY, ()),
-    (["scan"], ("rvjop.chain", "rvjop.sim"), ("rvjop.query",)),
-    (["query", "--op=li"], ("rvjop.chain", "rvjop.sim"), ("rvjop.query",)),
-    (["chain", "--spec", "{spec}"], ("rvjop.sim", "rvjop.query"),
+    (["dispatchers"], LAZY + PARSER, ()),
+    (["initializers", "--dispatcher", "{loop}"], LAZY + PARSER, ()),
+    (["stats"], LAZY + PARSER, ()),
+    (["scan"], ("rvjop.chain", "rvjop.sim", *PARSER), ("rvjop.query",)),
+    (["query", "--op=li"], ("rvjop.chain", "rvjop.sim", *PARSER),
+     ("rvjop.query",)),
+    (["chain", "--spec", "{spec}"], ("rvjop.sim", "rvjop.query", *PARSER),
      ("rvjop.chain",)),
-    (["chain", "--spec", "{spec}", "--simulate"], ("rvjop.query",),
+    (["chain", "--spec", "{spec}", "--simulate"], ("rvjop.query", *PARSER),
      ("rvjop.chain", "rvjop.sim")),
+    (["sim", "--entry", "{landing}", "--return-to", "{landing}"],
+     ("rvjop.chain", "rvjop.query", *PARSER), ("rvjop.sim",)),
 ]
 SUBCOMMAND_IDS = ["dispatchers", "initializers", "stats", "scan", "query",
-                  "chain", "chain-simulate"]
+                  "chain", "chain-simulate", "sim"]
+
+
+def _fill(argv, addrs, spec, blob):
+    """`argv` with its placeholders filled and the raw image flags added."""
+    argv = [a.format(loop=hex(addrs["loop"]), landing=hex(addrs["landing"]),
+                     spec=spec) for a in argv]
+    argv[1:1] = RAW(blob)
+    return argv
 
 
 @pytest.mark.parametrize("argv,absent,present", SUBCOMMAND_IMPORTS,
@@ -858,9 +994,7 @@ def test_subcommand_loads_only_its_layers(tmp_path, adg_blob, argv, absent,
                                           present):
     # A fresh interpreter per command: what it imports is what it pays for.
     blob, addrs = adg_blob
-    spec = chain_file(tmp_path, addrs)
-    argv = [a.format(loop=hex(addrs["loop"]), spec=spec) for a in argv]
-    argv[1:1] = RAW(blob)
+    argv = _fill(argv, addrs, chain_file(tmp_path, addrs), blob)
     proc = _fresh_python(
         "import json, sys, rvjop.cli\n"
         "code = rvjop.cli.main(json.loads(sys.argv[1]))\n"
@@ -878,9 +1012,7 @@ def test_subcommand_start_up_skips_dataclasses(tmp_path, adg_blob, argv):
     # Building dataclasses compiles their methods at import time, and the
     # module itself pulls in inspect: records are namedtuples instead.
     blob, addrs = adg_blob
-    spec = chain_file(tmp_path, addrs)
-    argv = [a.format(loop=hex(addrs["loop"]), spec=spec) for a in argv]
-    argv[1:1] = RAW(blob)
+    argv = _fill(argv, addrs, chain_file(tmp_path, addrs), blob)
     proc = _fresh_python(
         "import json, sys, rvjop.cli\n"
         "code = rvjop.cli.main(json.loads(sys.argv[1]))\n"
@@ -1293,6 +1425,20 @@ def test_chain_simulate_far_stack_overlap_and_wrap(capsys, far_stack_chain):
     # ... and a stack write that wraps past 2^32 is an error, not a crash.
     code, _, err = run(capsys, *far_stack_chain, "--stack-top", "0xfffff000")
     assert code == 3 and "stack write at sp+" in err
+
+
+def test_sim_stack_top_keeps_its_slack_addressable(capsys, tmp_path):
+    # addi sp, sp, -16; sw ra, 0(sp); addi sp, sp, 16; ret
+    path = tmp_path / "push.bin"
+    path.write_bytes(bytes.fromhex("130101ff232011001301010167800000"))
+    argv = ["sim", *RAW(path), "--entry", hex(BASE), "--return-to",
+            hex(BASE + 12), "--stack-top"]
+    code, out, _ = run(capsys, *argv, "0x8000")
+    assert code == 0 and "steps          3\n" in out
+    code, out, err = run(capsys, *argv, "0x8")
+    assert (code, out) == (3, "")
+    assert err == ("rvjop: stack top 0x8: its 4096-byte slack runs outside "
+                   "the 32-bit address space\n")
 
 
 # --- the process entry: run() keeps the cyclic collector off ----------------

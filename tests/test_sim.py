@@ -797,6 +797,25 @@ def test_new_machine_seeds_stack():
         new_machine(b.image(), payload=P)
 
 
+# addi sp, sp, -16; sw ra, 0(sp); addi sp, sp, 16; ret
+PUSH_POP = bytes.fromhex("130101ff232011001301010167800000")
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+def test_stack_slack_stays_in_the_address_space(xlen):
+    # Slack below 0 or past 2^XLEN is memory no masked access reaches, so
+    # a push from a stack top that low would fault at 0xfffffff8.
+    img = from_bytes(PUSH_POP, BASE, xlen)
+    slack, end = rvjop.sim.STACK_SLACK, 1 << xlen
+    for top in (slack, end - slack):
+        _, report = run_both(lambda: new_machine(img, stack_top=top),
+                             BASE, BASE + 12)
+        assert (report.outcome, report.steps) == ("reached", 3), hex(top)
+    for top in (0, 8, slack - 1, end - slack + 1, end - 8):
+        with pytest.raises(ToolError, match=f"^stack top {top:#x}: its "):
+            new_machine(img, stack_top=top)
+
+
 def test_final_sp_delta_reported():
     m = run_snippet([("addi", "sp", "sp", -16)])
     b = CodeBuilder()
