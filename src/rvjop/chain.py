@@ -51,7 +51,7 @@ WARNING = "warning"
 INFO = "info"
 
 
-# Records are namedtuple subclasses (see `rvjop.decoder`); each field's
+# Records are namedtuples (see `rvjop.decoder`); each field's
 # type is in the comment beside it.
 
 class Diagnostic(namedtuple("Diagnostic", (
@@ -103,32 +103,29 @@ class ChainSpec(namedtuple("ChainSpec", (
         return frozenset(regs)
 
 
-class MemorySeed(namedtuple("MemorySeed", (
-        "offset",       # int: from the buffer (table) base
-        "data",         # bytes
-        "note",         # str
-        ), defaults=("",))):
-    __slots__ = ()
+MemorySeed = namedtuple("MemorySeed", (
+    "offset",       # int: from the buffer (table) base
+    "data",         # bytes
+    "note",         # str
+), defaults=("",))
 
 
-class StackWrite(namedtuple("StackWrite", (
-        "offset",       # int: from the entry sp
-        "value",        # int
-        "register",     # Register
-        ))):
-    __slots__ = ()
+StackWrite = namedtuple("StackWrite", (
+    "offset",       # int: from the entry sp
+    "value",        # int
+    "register",     # Register
+))
 
 
-class PayloadLayout(namedtuple("PayloadLayout", (
-        "buffer",       # bytes: the table, then the data seeds
-        "entries",      # int: table entries, return address included
-        "register_seeds",  # dict[Register, int]
-        "memory_seeds",    # tuple[MemorySeed, ...]
-        "stack_writes",    # tuple[StackWrite, ...]
-        "unplaced_seeds",  # tuple[tuple[Register, Source], ...]
-        "sp_ledger",       # tuple[tuple[str, int | None], ...]
-        ))):
-    __slots__ = ()
+PayloadLayout = namedtuple("PayloadLayout", (
+    "buffer",       # bytes: the table, then the data seeds
+    "entries",      # int: table entries, return address included
+    "register_seeds",  # dict[Register, int]
+    "memory_seeds",    # tuple[MemorySeed, ...]
+    "stack_writes",    # tuple[StackWrite, ...]
+    "unplaced_seeds",  # tuple[tuple[Register, Source], ...]
+    "sp_ledger",       # tuple[tuple[str, int | None], ...]
+))
 
 
 def repetitions_for(target: int, stride_per_use: int, start: int = 0) -> int:

@@ -48,7 +48,7 @@ from functools import cached_property
 
 from .dataflow import (Const, DataflowSummary, Source, const_add,
                        summarize_dataflow)
-from .decoder import (CondBranch, DecodedInstruction, DirectJump,
+from .decoder import (_CSR, CondBranch, DecodedInstruction, DirectJump,
                       IndirectJump, Trap)
 from .decoder import decode_one  # noqa: F401  benchmarks/test_benchmark.py looks it up here
 from .errors import ToolError
@@ -72,26 +72,23 @@ ROLES = (ARITH, LOAD, STORE, CALL, SYSCALL, DISPATCHER_CLASSIC,
          DISPATCHER_TWO_STAGE, DISPATCHER_AUTONOMOUS, INITIALIZER,
          UNCLASSIFIED)
 
-_CSR_MNEMONICS = frozenset(
-    ["csrrw", "csrrs", "csrrc", "csrrwi", "csrrsi", "csrrci"])
+_CSR_MNEMONICS = frozenset(_CSR.values())
 
 
-# Records are namedtuple subclasses (see `rvjop.decoder`); each field's
+# Records are namedtuples (see `rvjop.decoder`); each field's
 # type is in the comment beside it.
 
-class GadgetRole(namedtuple("GadgetRole", (
-        "kind",         # str
-        "detail",       # object
-        ), defaults=(None,))):
-    __slots__ = ()
+GadgetRole = namedtuple("GadgetRole", (
+    "kind",         # str
+    "detail",       # object
+), defaults=(None,))
 
 
-class SelfLink(namedtuple("SelfLink", (
-        "kind",         # str: "none" | "unconditional" | "conditional"
-        "regs",         # tuple[Register, Register] | None
-        "op",           # str | None: branch condition for "conditional"
-        ), defaults=(None, None))):
-    __slots__ = ()
+SelfLink = namedtuple("SelfLink", (
+    "kind",         # str: "none" | "unconditional" | "conditional"
+    "regs",         # tuple[Register, Register] | None
+    "op",           # str | None: branch condition for "conditional"
+), defaults=(None, None))
 
 
 NO_SELF_LINK = SelfLink("none")

@@ -1,18 +1,7 @@
 """Command-line front end.
 
-Subcommands:
-
-    scan          dump every gadget in an image
-    query         filtered gadget search
-    dispatchers   dispatcher-shaped gadget report
-    initializers  register-seeding gadgets compatible with a dispatcher
-    stats         gadget availability per jump-through register
-    chain         build a payload from a chain description file
-    sim           execute under the shadow-stack interpreter
-
-Exit codes: 0 results or success, 1 nothing found (or an unsuccessful
-run, or a closed stdout), 2 bad usage, 3 unreadable or unsupported input
-(an image, or a chain file or payload that cannot be built).
+`_ABOUT` is what `rvjop --help` tells users: what rvjop does and its exit
+codes.  What follows is how this module runs the subcommands.
 
 Every command loads the image, decoder, scanner, dataflow and classify
 layers.  The query layer loads only for scan and query, the chain layer
@@ -160,6 +149,20 @@ _SIM_FLAGS = (
 )
 
 
+_ABOUT = """\
+Find jump-oriented gadgets in a RISC-V (RV32/RV64 IMAC) image (scan,
+query, dispatchers, initializers, stats), lay a chain of them out as a
+payload (chain), and run it under a shadow stack (sim, chain --simulate).
+
+exit codes:
+  0  results or success
+  1  nothing found, an unsuccessful run, or a closed stdout
+  2  bad usage
+  3  unreadable or unsupported input (an image, or a chain file or
+     payload that cannot be built)
+"""
+
+
 def _check_addresses(args, image: ExecutableImage, *flags: str) -> None:
     """An address flag that no pc or pointer of the image's XLEN can
     hold is bad usage; an omitted one (None) passes."""
@@ -172,12 +175,17 @@ def _check_addresses(args, image: ExecutableImage, *flags: str) -> None:
 
 def _sim_limits(args, image: ExecutableImage) -> tuple[int, int]:
     """(fuel, stack top): the flags as given, else the interpreter's
-    defaults; an address past the image's XLEN is bad usage."""
-    from .sim import DEFAULT_FUEL, DEFAULT_STACK_TOP
+    defaults.  An address past the image's XLEN is bad usage, and so is a
+    stack top whose slack (`sim.STACK_SLACK` bytes either side) leaves the
+    address space, where no access reaches it."""
+    from .sim import DEFAULT_FUEL, DEFAULT_STACK_TOP, stack_slack_problem
     _check_addresses(args, image, "--stack-top", "--buffer-base")
+    top = args.stack_top
+    problem = top is not None and stack_slack_problem(top, image.xlen)
+    if problem:
+        raise UsageError(f"--stack-top {problem}")
     fuel = DEFAULT_FUEL if args.fuel is None else args.fuel
-    top = DEFAULT_STACK_TOP if args.stack_top is None else args.stack_top
-    return fuel, top
+    return fuel, DEFAULT_STACK_TOP if top is None else top
 
 
 def _query(args):
@@ -477,7 +485,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """argparse's parser with every subcommand of `_COMMANDS`: for help,
     usage errors and whatever else `_table_parse` declines."""
     import argparse
-    ap = argparse.ArgumentParser(prog="rvjop", description=__doc__,
+    ap = argparse.ArgumentParser(prog="rvjop", description=_ABOUT,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (about, defaults, flags) in _COMMANDS.items():

@@ -37,39 +37,34 @@ from collections import namedtuple
 from .decoder import CondBranch, DecodedInstruction, MemAccess
 from .isa import A7, REGISTERS, S0, SP, Register, sext
 
-# Records are namedtuple subclasses (see `rvjop.decoder`); each field's
+# Records are namedtuples (see `rvjop.decoder`); each field's
 # type is in the comment beside it.
 
 
-class Source(namedtuple("Source", (
-        "kind",         # str: "stack" | "mem"
-        "base",         # Register
-        "offset",       # int: entry-relative for sp, raw otherwise
-        ))):
-    __slots__ = ()
+Source = namedtuple("Source", (
+    "kind",         # str: "stack" | "mem"
+    "base",         # Register
+    "offset",       # int: entry-relative for sp, raw otherwise
+))
 
 
-class Const(namedtuple("Const", (
-        "value",        # int
-        ))):
-    __slots__ = ()
+Const = namedtuple("Const", (
+    "value",        # int
+))
 
 
-class Offset(namedtuple("Offset", (
-        "reg",          # Register
-        "delta",        # int: added to reg's value at gadget entry
-        ))):
-    __slots__ = ()
+Offset = namedtuple("Offset", (
+    "reg",          # Register
+    "delta",        # int: added to reg's value at gadget entry
+))
 
 
-class Loaded(namedtuple("Loaded", (
-        "source",       # Source
-        ))):
-    __slots__ = ()
+Loaded = namedtuple("Loaded", (
+    "source",       # Source
+))
 
 
-class Unknown(namedtuple("Unknown", ())):
-    __slots__ = ()
+Unknown = namedtuple("Unknown", ())
 
 
 UNKNOWN = Unknown()

@@ -13,22 +13,27 @@ ones) are not supported.
 Decoding has two parts.  `_decode32` and `_decode16` decide which
 instruction an encoding is: its name and operands and, for a compressed
 instruction, its 32-bit expansion (`base`; a 32-bit instruction is its own
-base).  `_effects` says what a base instruction does: registers read and
-written, control flow, memory access, immediate and pseudo spellings (li,
-mv, nop, ret, jr, j).  It is written once per base mnemonic, and a
-compressed instruction takes all of it from its expansion.  `base` is the
-one expansion every consumer reads (interpreter, dataflow, classification),
-so no other module knows how a C form expands; it is also the first alias
-of a compressed instruction.  Immediates are kept sign-extended as plain
-Python ints, independent of XLEN.
+base).  `_decode32` reads maps of funct fields to mnemonics, and
+`_decode16` a table with one row per compressed encoding (`_ROWS`).  These
+maps and rows are the one statement of each encoding: `rvjop.assembler`
+encodes from them.  `_effects` says what a base instruction does:
+registers read and written, control flow, memory access, immediate and
+pseudo spellings (li, mv, nop, ret, jr, j).  It is written once per base
+mnemonic, and a compressed instruction takes all of it from its
+expansion.  `base` is the one expansion every consumer reads
+(interpreter, dataflow, classification), so no other module knows how a C
+form expands; it is also the first alias of a compressed instruction.
+Immediates are kept sign-extended as plain Python ints, independent of
+XLEN.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import itemgetter
 
 from .errors import InvalidEncoding, Truncated
-from .isa import REGISTERS, RA, SP, ZERO, A7, Register, sext, mask
+from .isa import REGISTERS, RA, A7, Register, mask, reg, sext
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -37,15 +42,15 @@ if TYPE_CHECKING:
 
 # --- control flow and access descriptors ------------------------------------
 #
-# Records are `collections.namedtuple` subclasses: `typing.NamedTuple` would
-# compile a forward reference for every annotated field at import.  Each
-# field's type is in the comment beside it.
+# Records are `collections.namedtuple` classes, subclassed only to add a
+# property or method: `typing.NamedTuple` would compile a forward reference
+# for every annotated field at import.  Each field's type is in the comment
+# beside it.
 
-class DirectJump(namedtuple("DirectJump", (
-        "target",       # int
-        "link",         # Register | None
-        ), defaults=(None,))):
-    __slots__ = ()
+DirectJump = namedtuple("DirectJump", (
+    "target",       # int
+    "link",         # Register | None
+), defaults=(None,))
 
 
 class IndirectJump(namedtuple("IndirectJump", (
@@ -62,37 +67,33 @@ class IndirectJump(namedtuple("IndirectJump", (
         return self.link is None and self.base is RA and self.offset == 0
 
 
-class CondBranch(namedtuple("CondBranch", (
-        "target",       # int
-        "regs",         # tuple[Register, Register]
-        "op",           # str: "eq" | "ne" | "lt" | "ge" | "ltu" | "geu"
-        ))):
-    __slots__ = ()
+CondBranch = namedtuple("CondBranch", (
+    "target",       # int
+    "regs",         # tuple[Register, Register]
+    "op",           # str: "eq" | "ne" | "lt" | "ge" | "ltu" | "geu"
+))
 
 
-class Trap(namedtuple("Trap", (
-        "kind",         # str: "ecall" | "ebreak"
-        ))):
-    __slots__ = ()
+Trap = namedtuple("Trap", (
+    "kind",         # str: "ecall" | "ebreak"
+))
 
 
 ControlFlow = DirectJump | IndirectJump | CondBranch | Trap
 
 
-class MemAccess(namedtuple("MemAccess", (
-        "kind",         # str: "load" | "store" | "amo"
-        "base",         # Register
-        "offset",       # int
-        "size",         # int
-        ))):
-    __slots__ = ()
+MemAccess = namedtuple("MemAccess", (
+    "kind",         # str: "load" | "store" | "amo"
+    "base",         # Register
+    "offset",       # int
+    "size",         # int
+))
 
 
-class Alias(namedtuple("Alias", (
-        "name",         # str
-        "operands",     # tuple
-        ))):
-    __slots__ = ()
+Alias = namedtuple("Alias", (
+    "name",         # str
+    "operands",     # tuple
+))
 
 
 class DecodedInstruction(namedtuple("DecodedInstruction", (
@@ -107,7 +108,8 @@ class DecodedInstruction(namedtuple("DecodedInstruction", (
         "mem_access",   # MemAccess | None
         "imm",          # int | None
         "aliases",      # tuple[Alias, ...]
-        "base",         # Alias | None: the 32-bit form; `_ins` always sets it
+        "base",         # Alias | None: the 32-bit form; decoding always
+                        # sets it
         ), defaults=(None, None, None, (), None))):
     __slots__ = ()
 
@@ -166,26 +168,13 @@ def _two(a: Register, b: Register) -> frozenset[Register]:
 _new = tuple.__new__
 
 
-def _ins(address, width, raw, mnemonic, operands, xlen, base=None):
-    """The instruction `mnemonic operands`, with the effects of its base
-    form.  `base` is a compressed form's 32-bit expansion; it also goes
-    first in `aliases`.  A 32-bit form is its own base."""
-    if base is None:
-        base = _new(Alias, (mnemonic, operands))
-        reads, writes, cf, mem, imm, aliases = _effects(
-            mnemonic, operands, address, xlen)
-    else:
-        reads, writes, cf, mem, imm, pseudo = _effects(
-            base.name, base.operands, address, xlen)
-        if mnemonic == "c.mv":
-            # mv spells c.mv; its expansion `add rd, zero, rs` has no pseudo
-            pseudo = (Alias("mv", operands),)
-        aliases = (base, *pseudo)
-        if not operands or type(operands[-1]) is not int:
-            imm = None    # no immediate operand: c.nop, c.jr, c.jalr
-    return _new(DecodedInstruction, (address, width, raw, mnemonic, operands,
+def _ins(address, word, mnemonic, operands, xlen):
+    """The 32-bit instruction `mnemonic operands`: its own base form."""
+    reads, writes, cf, mem, imm, aliases = _effects(
+        mnemonic, operands, address, xlen)
+    return _new(DecodedInstruction, (address, 4, word, mnemonic, operands,
                                      reads, writes, cf, mem, imm, aliases,
-                                     base))
+                                     _new(Alias, (mnemonic, operands))))
 
 
 # --- effects of a base instruction ------------------------------------------
@@ -269,6 +258,9 @@ def _effects(name: str, ops: tuple, address: int, xlen: int) -> tuple:
 
 
 # --- 32-bit decode ----------------------------------------------------------
+#
+# These maps from funct fields to mnemonics are the one statement of each
+# encoding: `rvjop.assembler` encodes from them too.
 
 _BRANCHES = {0b000: "beq", 0b001: "bne", 0b100: "blt",
              0b101: "bge", 0b110: "bltu", 0b111: "bgeu"}
@@ -294,12 +286,20 @@ _OP32 = {(0b000, 0): "addw", (0b000, 0b0100000): "subw",
          (0b000, 1): "mulw", (0b100, 1): "divw", (0b101, 1): "divuw",
          (0b110, 1): "remw", (0b111, 1): "remuw"}
 
-_SHIFT32 = {(0b001, 0): "slliw", (0b101, 0): "srliw",
-            (0b101, 0b0100000): "sraiw"}
+_OP_IMM32 = {0b000: "addiw"}
 
-_AMO = {0b00001: "amoswap", 0b00000: "amoadd", 0b00100: "amoxor",
-        0b01100: "amoand", 0b01000: "amoor", 0b10000: "amomin",
-        0b10100: "amomax", 0b11000: "amominu", 0b11100: "amomaxu"}
+# By (funct3, funct7); on RV64 funct7 is the six bits above shamt, shifted
+# left one.
+_SHIFTS = {(0b001, 0): "slli", (0b101, 0): "srli", (0b101, 0b0100000): "srai"}
+_SHIFT32 = {key: name + "w" for key, name in _SHIFTS.items()}
+
+_AMO = {0b00010: "lr", 0b00011: "sc", 0b00001: "amoswap", 0b00000: "amoadd",
+        0b00100: "amoxor", 0b01100: "amoand", 0b01000: "amoor",
+        0b10000: "amomin", 0b10100: "amomax", 0b11000: "amominu",
+        0b11100: "amomaxu"}
+
+_AMO_WIDTHS = {0b010: ".w"}
+_AMO_WIDTHS_RV64 = {**_AMO_WIDTHS, 0b011: ".d"}
 
 _ORDERS = ("", ".rl", ".aq", ".aqrl")   # by (aq << 1) | rl
 
@@ -318,12 +318,13 @@ _SHAPE = {
     **{n: ("branch", None) for n in _BRANCHES.values()},
     **{n: ("load", _WIDTH[n[1]]) for n in _LOADS_RV64.values()},
     **{n: ("store", _WIDTH[n[1]]) for n in _STORES_RV64.values()},
-    **{n: ("imm", None) for n in (*_OP_IMM.values(), "slli", "srli", "srai",
-                                  "addiw", *_SHIFT32.values())},
+    **{n: ("imm", None) for n in (*_OP_IMM.values(), *_OP_IMM32.values(),
+                                  *_SHIFTS.values(), *_SHIFT32.values())},
     **{n: ("reg", None) for n in (*_OP.values(), *_OP32.values())},
-    **{f"{n}{suffix}{order}": (n if n in ("lr", "sc") else "amo", size)
-       for suffix, size in ((".w", 4), (".d", 8)) for order in _ORDERS
-       for n in ("lr", "sc", *_AMO.values())},
+    **{f"{n}{width}{order}": (n if n in ("lr", "sc") else "amo",
+                              _WIDTH[width[1]])
+       for width in _AMO_WIDTHS_RV64.values() for order in _ORDERS
+       for n in _AMO.values()},
     **{n: ("csr", None) for n in _CSR.values()},
     **{n: ("system", None) for n in ("fence", "fence.i", "ecall", "ebreak")},
 }
@@ -406,22 +407,14 @@ def _decode32(word: int, address: int, xlen: int) -> tuple[str, tuple]:
         return table[funct3], (rs2, rs1, _imm_s(word))
 
     if opcode == 0b0010011:  # op-imm
-        if funct3 == 0b001 or funct3 == 0b101:
-            shbits = 6 if xlen == 64 else 5
-            shamt = (word >> 20) & ((1 << shbits) - 1)
-            top = word >> (20 + shbits)
-            if funct3 == 0b001:
-                if top != 0:
-                    _invalid(address, word)
-                name = "slli"
-            elif top == 0:
-                name = "srli"
-            elif top == (0b0100000 >> (shbits - 5)):
-                name = "srai"
-            else:
-                _invalid(address, word)
-            return name, (rd, rs1, shamt)
-        return _OP_IMM[funct3], (rd, rs1, _imm_i(word))
+        name = _OP_IMM.get(funct3)
+        if name is not None:
+            return name, (rd, rs1, _imm_i(word))
+        shbits = 6 if xlen == 64 else 5
+        name = _SHIFTS.get((funct3, word >> (20 + shbits) << (shbits - 5)))
+        if name is None:
+            _invalid(address, word)
+        return name, (rd, rs1, (word >> 20) & ((1 << shbits) - 1))
 
     # op, and op-32 on RV64
     if opcode == 0b0110011 or (opcode == 0b0111011 and xlen == 64):
@@ -431,31 +424,25 @@ def _decode32(word: int, address: int, xlen: int) -> tuple[str, tuple]:
         return name, (rd, rs1, rs2)
 
     if opcode == 0b0011011 and xlen == 64:  # op-imm-32
-        if funct3 == 0b000:
-            return "addiw", (rd, rs1, _imm_i(word))
+        name = _OP_IMM32.get(funct3)
+        if name is not None:
+            return name, (rd, rs1, _imm_i(word))
         name = _SHIFT32.get((funct3, funct7))
         if name is None:
             _invalid(address, word)
         return name, (rd, rs1, (word >> 20) & 31)
 
     if opcode == 0b0101111:  # amo
-        if funct3 == 0b010:
-            suffix = ".w"
-        elif funct3 == 0b011 and xlen == 64:
-            suffix = ".d"
-        else:
+        width = (_AMO_WIDTHS_RV64 if xlen == 64 else _AMO_WIDTHS).get(funct3)
+        name = _AMO.get(word >> 27)
+        if width is None or name is None:
             _invalid(address, word)
-        funct5 = word >> 27
-        suffix += _ORDERS[(word >> 25) & 3]
-        if funct5 == 0b00010:  # lr
+        name += width + _ORDERS[(word >> 25) & 3]
+        if name[:2] == "lr":
             if rs2.index != 0:
                 _invalid(address, word)
-            return "lr" + suffix, (rd, rs1)
-        if funct5 == 0b00011:
-            return "sc" + suffix, (rd, rs2, rs1)
-        if funct5 in _AMO:
-            return _AMO[funct5] + suffix, (rd, rs2, rs1)
-        _invalid(address, word)
+            return name, (rd, rs1)
+        return name, (rd, rs2, rs1)
 
     if opcode == 0b0001111:  # fence / fence.i
         if funct3 == 0b000:
@@ -481,147 +468,216 @@ def _decode32(word: int, address: int, xlen: int) -> tuple[str, tuple]:
 
 
 # --- 16-bit decode ----------------------------------------------------------
+#
+# One row per compressed encoding, in the ISA manual's terms:
+#
+# - bits 15..0, in the first 23 columns.  "0" and "1" must match and "-"
+#   may be anything.  A letter marks a field: d is rd, t rs2 and s rs1,
+#   each naming x8..x15 when three bits wide (rd', rs2', rs1'), and i
+#   (signed) or u (unsigned) holds the immediate;
+# - the register width the row exists at, "-" for both;
+# - the mnemonic.  Its operands are its register fields in the order d, t,
+#   s, then the immediate;
+# - which immediate bits the i or u letters hold, left to right, in the
+#   manual's notation: "5:3|2|6" is uimm[5:3|2|6].  c.lui's operand is
+#   its nzimm[17:12], written as bits 5:0;
+# - the 32-bit expansion, in which d, t, s and i stand for the operands.
+#
+# The first row that matches an encoding decodes it.  A row named "fp" (a
+# float load or store) or "undefined" is reserved: decoding it raises
+# InvalidEncoding with that subcode, as does an encoding no row matches.
+# `rvjop.assembler` encodes from these rows.
+_ROWS = """
+000 00000000 --- 00    -  undefined
+000 uuuuuuuu ddd 00    -  c.addi4spn  5:4|9:6|2|3            addi d,sp,i
+001 ----------- 00     -  fp
+010 uuu sss uu ddd 00  -  c.lw        5:3|2|6                lw d,s,i
+011 uuu sss uu ddd 00  64 c.ld        5:3|7:6                ld d,s,i
+011 ----------- 00     32 fp
+101 ----------- 00     -  fp
+110 uuu sss uu ttt 00  -  c.sw        5:3|2|6                sw t,s,i
+111 uuu sss uu ttt 00  64 c.sd        5:3|7:6                sd t,s,i
+111 ----------- 00     32 fp
+000 - 00000 ----- 01   -  c.nop                              addi zero,zero,0
+000 i ddddd iiiii 01   -  c.addi      5|4:0                  addi d,d,i
+001 - 00000 ----- 01   64 undefined
+001 i ddddd iiiii 01   64 c.addiw     5|4:0                  addiw d,d,i
+001 iiiiiiiiiii 01     32 c.jal       11|4|9:8|10|6|7|3:1|5  jal ra,i
+010 i ddddd iiiii 01   -  c.li        5|4:0                  addi d,zero,i
+011 0 ----- 00000 01   -  undefined
+011 i 00010 iiiii 01   -  c.addi16sp  9|4|6|8:7|5            addi sp,sp,i
+011 i ddddd iiiii 01   -  c.lui       5|4:0                  lui d,i
+100 1 0- --- ----- 01  32 undefined
+100 u 00 ddd uuuuu 01  -  c.srli      5|4:0                  srli d,d,i
+100 u 01 ddd uuuuu 01  -  c.srai      5|4:0                  srai d,d,i
+100 i 10 ddd iiiii 01  -  c.andi      5|4:0                  andi d,d,i
+100 0 11 ddd 00 ttt 01 -  c.sub                              sub d,d,t
+100 0 11 ddd 01 ttt 01 -  c.xor                              xor d,d,t
+100 0 11 ddd 10 ttt 01 -  c.or                               or d,d,t
+100 0 11 ddd 11 ttt 01 -  c.and                              and d,d,t
+100 1 11 ddd 00 ttt 01 64 c.subw                             subw d,d,t
+100 1 11 ddd 01 ttt 01 64 c.addw                             addw d,d,t
+101 iiiiiiiiiii 01     -  c.j         11|4|9:8|10|6|7|3:1|5  jal zero,i
+110 iii sss iiiii 01   -  c.beqz      8|4:3|7:6|2:1|5        beq s,zero,i
+111 iii sss iiiii 01   -  c.bnez      8|4:3|7:6|2:1|5        bne s,zero,i
+000 1 ----- ----- 10   32 undefined
+000 u ddddd uuuuu 10   -  c.slli      5|4:0                  slli d,d,i
+001 ----------- 10     -  fp
+010 - 00000 ----- 10   -  undefined
+010 u ddddd uuuuu 10   -  c.lwsp      5|4:2|7:6              lw d,sp,i
+011 - 00000 ----- 10   64 undefined
+011 u ddddd uuuuu 10   64 c.ldsp      5|4:3|8:6              ld d,sp,i
+011 ----------- 10     32 fp
+100 0 00000 ----- 10   -  undefined
+100 0 sssss 00000 10   -  c.jr                               jalr zero,s,0
+100 0 ddddd ttttt 10   -  c.mv                               add d,zero,t
+100 1 00000 00000 10   -  c.ebreak                           ebreak
+100 1 00000 ----- 10   -  undefined
+100 1 sssss 00000 10   -  c.jalr                             jalr ra,s,0
+100 1 ddddd ttttt 10   -  c.add                              add d,d,t
+101 ----------- 10     -  fp
+110 uuuuuu ttttt 10    -  c.swsp      5:2|7:6                sw t,sp,i
+111 uuuuuu ttttt 10    64 c.sdsp      5:3|8:6                sd t,sp,i
+111 ----------- 10     32 fp
+"""
 
-# The three-bit register fields of the compressed ISA name x8..x15.
-_RVC_REGS = REGISTERS[8:16]
-
-
-def _decode16(hw: int, address: int, xlen: int) -> tuple[str, tuple, Alias]:
-    """(mnemonic, operands, 32-bit expansion) of a compressed instruction."""
-    quadrant = hw & 0b11
-    funct3 = hw >> 13
-
-    if quadrant == 0b00:
-        if hw == 0:
-            _invalid(address, hw)  # defined illegal instruction
-        if funct3 == 0b000:  # c.addi4spn: nzuimm[5:4|9:6|2|3] = inst[12:5]
-            imm = ((hw >> 7) & 0x30 | (hw >> 1) & 0x3C0 | (hw >> 4) & 0x4
-                   | (hw >> 2) & 0x8)
-            if imm == 0:
-                _invalid(address, hw)
-            rd = _RVC_REGS[(hw >> 2) & 7]
-            return "c.addi4spn", (rd, imm), Alias("addi", (rd, SP, imm))
-        r, rs1 = _RVC_REGS[(hw >> 2) & 7], _RVC_REGS[(hw >> 7) & 7]
-        if funct3 in (0b010, 0b110):  # c.lw / c.sw: uimm[5:3|2|6]
-            imm = (hw >> 7) & 0x38 | (hw >> 4) & 0x4 | (hw << 1) & 0x40
-            name = "lw" if funct3 == 0b010 else "sw"
-            return "c." + name, (r, rs1, imm), Alias(name, (r, rs1, imm))
-        if funct3 in (0b011, 0b111) and xlen == 64:  # c.ld / c.sd
-            imm = (hw >> 7) & 0x38 | (hw << 1) & 0xC0   # uimm[5:3|7:6]
-            name = "ld" if funct3 == 0b011 else "sd"
-            return "c." + name, (r, rs1, imm), Alias(name, (r, rs1, imm))
-        if funct3 == 0b100:
-            _invalid(address, hw)
-        _invalid(address, hw, "fp")  # c.flw / c.fsw (RV32), c.fld / c.fsd
-
-    if quadrant == 0b01:
-        rd = REGISTERS[(hw >> 7) & 31]
-        # imm[5] = inst[12], imm[4:0] = inst[6:2]
-        imm = (((hw >> 7) & 0x20 | (hw >> 2) & 0x1F) ^ 0x20) - 0x20
-        if funct3 == 0b000:  # c.nop / c.addi
-            if rd.index == 0:
-                return "c.nop", (), Alias("addi", (ZERO, ZERO, 0))
-            return "c.addi", (rd, imm), Alias("addi", (rd, rd, imm))
-        if funct3 == 0b001:
-            if xlen == 64:  # c.addiw
-                if rd.index == 0:
-                    _invalid(address, hw)
-                return "c.addiw", (rd, imm), Alias("addiw", (rd, rd, imm))
-            imm = _cj_imm(hw)  # c.jal (RV32 only)
-            return "c.jal", (imm,), Alias("jal", (RA, imm))
-        if funct3 == 0b010:  # c.li
-            return "c.li", (rd, imm), Alias("addi", (rd, ZERO, imm))
-        if funct3 == 0b011:
-            if rd.index == 2:  # c.addi16sp: nzimm[9|4|6|8:7|5]
-                imm = ((hw >> 3) & 0x200 | (hw >> 2) & 0x10 | (hw << 1) & 0x40
-                       | (hw << 4) & 0x180 | (hw << 3) & 0x20)
-                imm = (imm ^ 0x200) - 0x200
-                if imm == 0:
-                    _invalid(address, hw)
-                return "c.addi16sp", (imm,), Alias("addi", (SP, SP, imm))
-            if imm == 0:  # c.lui
-                _invalid(address, hw)
-            return "c.lui", (rd, imm), Alias("lui", (rd, imm & 0xFFFFF))
-        if funct3 == 0b100:
-            sub = (hw >> 10) & 3
-            rd = _RVC_REGS[(hw >> 7) & 7]
-            if sub in (0b00, 0b01):  # c.srli / c.srai: shamt[5|4:0]
-                shamt = (hw >> 7) & 0x20 | (hw >> 2) & 0x1F
-                if xlen == 32 and shamt >= 32:
-                    _invalid(address, hw)
-                name = "srli" if sub == 0 else "srai"
-                return "c." + name, (rd, shamt), Alias(name, (rd, rd, shamt))
-            if sub == 0b10:  # c.andi
-                return "c.andi", (rd, imm), Alias("andi", (rd, rd, imm))
-            # register-register group
-            rs2 = _RVC_REGS[(hw >> 2) & 7]
-            low = (hw >> 5) & 3
-            if not hw & 0x1000:
-                name = ("sub", "xor", "or", "and")[low]
-            else:
-                if xlen != 64 or low > 0b01:
-                    _invalid(address, hw)
-                name = ("subw", "addw")[low]
-            return "c." + name, (rd, rs2), Alias(name, (rd, rd, rs2))
-        if funct3 == 0b101:  # c.j
-            imm = _cj_imm(hw)
-            return "c.j", (imm,), Alias("jal", (ZERO, imm))
-        # c.beqz / c.bnez: offset[8|4:3] = inst[12:10], [7:6|2:1|5] = inst[6:2]
-        rs1 = _RVC_REGS[(hw >> 7) & 7]
-        imm = ((hw >> 4) & 0x100 | (hw >> 7) & 0x18 | (hw << 1) & 0xC0
-               | (hw >> 2) & 0x6 | (hw << 3) & 0x20)
-        imm = (imm ^ 0x100) - 0x100
-        name = "beq" if funct3 == 0b110 else "bne"
-        return f"c.{name}z", (rs1, imm), Alias(name, (rs1, ZERO, imm))
-
-    # quadrant 0b10
-    rd = REGISTERS[(hw >> 7) & 31]     # rd or rs1
-    rs2 = REGISTERS[(hw >> 2) & 31]
-    if funct3 == 0b000:  # c.slli: shamt[5|4:0]
-        shamt = (hw >> 7) & 0x20 | (hw >> 2) & 0x1F
-        if xlen == 32 and shamt >= 32:
-            _invalid(address, hw)
-        return "c.slli", (rd, shamt), Alias("slli", (rd, rd, shamt))
-    if funct3 == 0b010:  # c.lwsp: uimm[5] = inst[12], [4:2|7:6] = inst[6:2]
-        if rd.index == 0:
-            _invalid(address, hw)
-        imm = (hw >> 7) & 0x20 | (hw >> 2) & 0x1C | (hw << 4) & 0xC0
-        return "c.lwsp", (rd, imm), Alias("lw", (rd, SP, imm))
-    if funct3 == 0b011 and xlen == 64:  # c.ldsp: uimm[5], [4:3|8:6]
-        if rd.index == 0:
-            _invalid(address, hw)
-        imm = (hw >> 7) & 0x20 | (hw >> 2) & 0x18 | (hw << 4) & 0x1C0
-        return "c.ldsp", (rd, imm), Alias("ld", (rd, SP, imm))
-    if funct3 == 0b100:
-        if not hw & 0x1000:
-            if rs2.index == 0:  # c.jr
-                if rd.index == 0:
-                    _invalid(address, hw)
-                return "c.jr", (rd,), Alias("jalr", (ZERO, rd, 0))
-            if rd.index == 0:  # c.mv
-                _invalid(address, hw)
-            return "c.mv", (rd, rs2), Alias("add", (rd, ZERO, rs2))
-        if rs2.index == 0:
-            if rd.index == 0:  # c.ebreak
-                return "c.ebreak", (), Alias("ebreak", ())
-            return "c.jalr", (rd,), Alias("jalr", (RA, rd, 0))
-        if rd.index == 0:  # c.add
-            _invalid(address, hw)
-        return "c.add", (rd, rs2), Alias("add", (rd, rd, rs2))
-    if funct3 == 0b110:  # c.swsp: uimm[5:2|7:6] = inst[12:7]
-        imm = (hw >> 7) & 0x3C | (hw >> 1) & 0xC0
-        return "c.swsp", (rs2, imm), Alias("sw", (rs2, SP, imm))
-    if funct3 == 0b111 and xlen == 64:  # c.sdsp: uimm[5:3|8:6] = inst[12:7]
-        imm = (hw >> 7) & 0x38 | (hw >> 1) & 0x1C0
-        return "c.sdsp", (rs2, imm), Alias("sd", (rs2, SP, imm))
-    _invalid(address, hw, "fp")  # c.flwsp / c.fswsp (RV32), c.fldsp / c.fsdsp
+_MASK = str.maketrans("01-dtsiu", "11000000")
+_MATCH = str.maketrans("-dtsiu", "000000")
 
 
-def _cj_imm(hw: int) -> int:
-    # offset[11|4|9:8|10|6|7|3:1|5] = inst[12:2]
-    v = ((hw >> 1) & 0xB40 | (hw >> 7) & 0x10 | (hw << 2) & 0x400
-         | (hw << 1) & 0x80 | (hw >> 2) & 0xE | (hw << 3) & 0x20)
-    return (v ^ 0x800) - 0x800
+def _row(line: str) -> tuple:
+    """A row of `_ROWS` as (xlen or None, mask, match, mnemonic, register
+    fields, immediate, expansion).
+
+    A register field is (shift, width).  The immediate is None or
+    ((instruction bit, immediate bit) pairs, whether it is signed).  The
+    expansion is () for a reserved row, else (mnemonic, operands), each of
+    its operands the index of one of the row's, a fixed register's name or
+    "0"."""
+    bits = line[:23].replace(" ", "")
+    xlen, name, *rest = line[23:].split()
+    xlen = None if xlen == "-" else int(xlen)
+    mask = int(bits.translate(_MASK), 2)
+    match = int(bits.translate(_MATCH), 2)
+    if not rest:
+        return xlen, mask, match, name, (), None, ()
+    letters = [c for c in "dts" if c in bits]
+    regs = tuple((15 - bits.rindex(c), bits.count(c)) for c in letters)
+    imm = None
+    if "i" in bits or "u" in bits:
+        order = []
+        for part in rest.pop(0).split("|"):
+            hi, _, lo = part.partition(":")
+            order += range(int(hi), int(lo or hi) - 1, -1)
+        imm = (tuple(zip((15 - k for k, c in enumerate(bits) if c in "iu"),
+                         order)), "i" in bits)
+        letters.append("i")
+    args = rest[1].split(",") if len(rest) > 1 else ()
+    return xlen, mask, match, name, regs, imm, (rest[0], tuple(
+        letters.index(a) if a in letters else a for a in args))
+
+
+_COMPRESSED = tuple(_row(line) for line in _ROWS.strip().splitlines())
+
+# The three-bit register fields name x8..x15; read five bits wide, as
+# `_decode16` reads every field, they repeat.
+_PRIMED = REGISTERS[8:16] * 4
+
+
+def _sums(weights: list[int]) -> tuple[int, ...]:
+    """The sum of `weights[k]` over the set bits k of each index."""
+    table = (0,)
+    for w in weights:
+        table += tuple(map(w.__add__, table))
+    return table
+
+
+def _halves(imm) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """An immediate's value by instruction bits 12..7 and by bits 6..2: it
+    is the sum of the two.  A signed immediate's top bit weighs
+    negatively."""
+    pairs, signed = imm
+    weights = [0] * 13
+    for at, b in pairs:
+        weights[at] = 1 << b
+    if signed:
+        at, b = max(pairs, key=itemgetter(1))
+        weights[at] = -(1 << b)
+    return _sums(weights[7:]), _sums(weights[2:7])
+
+
+def _pick(places: list[int]):
+    """The function giving a pool's items at `places`, as a tuple."""
+    if len(places) > 1:
+        return itemgetter(*places)
+    return itemgetter(slice(places[0], places[0] + 1) if places else slice(0))
+
+
+_HALVES: dict = {}      # `_halves` by layout, for `_plan`
+
+
+def _plan(name, regs, imm, expansion) -> tuple:
+    """What `_decode16` needs of an instruction row.  It decodes the row
+    into the pool (first register, second register, immediate, fixed
+    register) and picks the operands and the expansion's out of it: the
+    immediate is 0 in a row without one, and no expansion names more than
+    one fixed register."""
+    fields = [(shift, REGISTERS if width == 5 else _PRIMED)
+              for shift, width in regs]
+    (s1, t1), (s2, t2) = fields + [(0, REGISTERS)] * (2 - len(fields))
+    base, args = expansion
+    fixed = [a for a in args if a in ("zero", "ra", "sp")]
+    places = [3 if a in fixed else 2 if a in (len(regs), "0") else a
+              for a in args]
+    base_of = _pick(places)
+    if base == "lui":       # lui d,i holds imm[31:12], a 20-bit field
+        base_of = lambda pool: (pool[0], pool[2] & 0xFFFFF)
+    ops = [*range(len(regs)), *[2] * (imm is not None)]
+    if imm not in _HALVES:
+        _HALVES[imm] = _halves(imm) if imm else (None, None)
+    return (name, s1, t1, s2, t2, *_HALVES[imm],
+            reg(fixed[0]) if fixed else None, _pick(ops), base, base_of)
+
+
+# By xlen, then by an encoding's bits 15..12 and quadrant (`hw & 0xF003`):
+# the rows to try, as (mask, match, plan or reserved subcode).  A row that
+# leaves bit 12 free is tried under both of its values.
+_C16 = {xlen: {top << 12 | q: [] for top in range(16) for q in range(3)}
+        for xlen in (32, 64)}
+for _x, _mask, _match, _name, *_rest in _COMPRESSED:
+    _try = (_mask, _match, _plan(_name, *_rest) if _rest[2] else _name)
+    for _key in {_match & 0xF003, _match & 0xF003 | 0x1000 & ~_mask}:
+        for _xlen in (32, 64) if _x is None else (_x,):
+            _C16[_xlen][_key].append(_try)
+for _buckets in _C16.values():
+    for _key, _rows in _buckets.items():
+        _buckets[_key] = (*_rows, (0, 0, "undefined"))
+
+
+def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
+    """The compressed instruction `hw`, with the effects of its 32-bit
+    expansion, which also goes first in its aliases."""
+    for care, match, row in _C16[xlen][hw & 0xF003]:
+        if hw & care == match:
+            break
+    if type(row) is str:
+        _invalid(address, hw, row)
+    name, s1, t1, s2, t2, high, low, fixed, ops_of, base, base_of = row
+    pool = (t1[hw >> s1 & 31], t2[hw >> s2 & 31],
+            high[hw >> 7 & 63] + low[hw >> 2 & 31] if high else 0, fixed)
+    operands = ops_of(pool)
+    base_ops = base_of(pool)
+    reads, writes, cf, mem, imm, pseudo = _effects(base, base_ops, address,
+                                                   xlen)
+    if high is None:
+        imm = None      # no immediate operand: c.nop, c.jr, c.mv, ...
+    if name == "c.mv":
+        # mv spells c.mv; its expansion `add rd, zero, rs` has no pseudo
+        pseudo = (_new(Alias, ("mv", operands)),)
+    base = _new(Alias, (base, base_ops))
+    return _new(DecodedInstruction, (address, 2, hw, name, operands, reads,
+                                     writes, cf, mem, imm, (base, *pseudo),
+                                     base))
 
 
 def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruction:
@@ -636,8 +692,7 @@ def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruct
         raise Truncated(address, 2, len(data))
     hw = data[0] | (data[1] << 8)
     if hw & 0b11 != 0b11:
-        name, operands, base = _decode16(hw, address, xlen)
-        return _ins(address, 2, hw, name, operands, xlen, base)
+        return _decode16(hw, address, xlen)
     if hw & 0b11111 == 0b11111:
         # 48-bit and longer encodings are out of scope
         raise InvalidEncoding(address, hw)
@@ -645,4 +700,4 @@ def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruct
         raise Truncated(address, 4, len(data))
     word = hw | (data[2] << 16) | (data[3] << 24)
     name, operands = _decode32(word, address, xlen)
-    return _ins(address, 4, word, name, operands, xlen)
+    return _ins(address, word, name, operands, xlen)

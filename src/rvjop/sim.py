@@ -80,16 +80,15 @@ class _Violation(Exception):
         self.detail = detail
 
 
-# Records are namedtuple subclasses (see `rvjop.decoder`); each field's
+# Records are namedtuples (see `rvjop.decoder`); each field's
 # type is in the comment beside it.
 
-class SyscallRecord(namedtuple("SyscallRecord", (
-        "number",       # int
-        "args",         # tuple[int, ...]: a0..a5 at the ecall
-        "address",      # int
-        "result",       # int
-        ))):
-    __slots__ = ()
+SyscallRecord = namedtuple("SyscallRecord", (
+    "number",       # int
+    "args",         # tuple[int, ...]: a0..a5 at the ecall
+    "address",      # int
+    "result",       # int
+))
 
 
 class SimReport(namedtuple("SimReport", (
@@ -601,6 +600,16 @@ _FACTORIES = {
 }
 
 
+def stack_slack_problem(stack_top: int, xlen: int) -> str | None:
+    """What is wrong with `stack_top` as a stack top at `xlen`, or None:
+    its `STACK_SLACK` bytes either side must stay in the address space,
+    where accesses reach them."""
+    if STACK_SLACK <= stack_top <= (1 << xlen) - STACK_SLACK:
+        return None
+    return (f"0x{stack_top:x}: its {STACK_SLACK}-byte slack runs outside "
+            f"the {xlen}-bit address space")
+
+
 def new_machine(image: ExecutableImage, *,
                 payload=None, buffer_base: int | None = None,
                 stack_top: int = DEFAULT_STACK_TOP) -> Machine:
@@ -614,10 +623,9 @@ def new_machine(image: ExecutableImage, *,
     to cover the farthest stack write; a slack that leaves the address
     space, where no access reaches it, is an error.
     """
-    if not STACK_SLACK <= stack_top <= (1 << image.xlen) - STACK_SLACK:
-        raise ToolError(f"stack top 0x{stack_top:x}: its {STACK_SLACK}-byte "
-                        f"slack runs outside the {image.xlen}-bit address "
-                        f"space")
+    problem = stack_slack_problem(stack_top, image.xlen)
+    if problem:
+        raise ToolError(f"stack top {problem}")
     m = Machine(xlen=image.xlen)
     for seg in image.segments:
         m.map_region(seg.vaddr, seg.data)

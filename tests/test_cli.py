@@ -103,6 +103,18 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_shows_usage_not_implementation_notes(capsys, flag):
+    code, out, err = run(capsys, flag)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: rvjop ")
+    for status in ("0  results or success", "1  nothing found",
+                   "2  bad usage", "3  unreadable or unsupported input"):
+        assert status in out
+    for note in ("os._exit", "collector", "_table_parse"):
+        assert note not in out
+
+
 def test_unknown_subcommand_is_usage(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
@@ -1435,10 +1447,43 @@ def test_sim_stack_top_keeps_its_slack_addressable(capsys, tmp_path):
             hex(BASE + 12), "--stack-top"]
     code, out, _ = run(capsys, *argv, "0x8000")
     assert code == 0 and "steps          3\n" in out
+    # A slack that leaves the address space is bad usage, as a stack top
+    # past it is (`sim.new_machine` raises for library callers).
     code, out, err = run(capsys, *argv, "0x8")
-    assert (code, out) == (3, "")
-    assert err == ("rvjop: stack top 0x8: its 4096-byte slack runs outside "
-                   "the 32-bit address space\n")
+    assert (code, out) == (2, "")
+    assert err == ("rvjop: --stack-top 0x8: its 4096-byte slack runs "
+                   "outside the 32-bit address space\n")
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+@pytest.mark.parametrize("command", ["sim", "chain"])
+def test_stack_top_slack_outside_the_address_space_is_bad_usage(
+        capsys, tmp_path, sp_blob, adg_blob, command, xlen):
+    """Both ends, on RV32 and RV64: the stack tops whose slack just fits
+    run, and one byte further either way is bad usage, as a stack top
+    past the address space is."""
+    if command == "sim":
+        path, labels = sp_blob
+        argv = ["sim", *RAW(path), "--xlen", str(xlen),
+                "--entry", hex(labels["f"]), "--return-to",
+                hex(labels["end"]), "--poke", f"t1={labels['end']:#x}"]
+    elif xlen == 32:
+        blob, addrs = adg_blob
+        argv = ["chain", *RAW(blob), "--spec",
+                str(chain_file(tmp_path, addrs)), "--simulate"]
+    else:
+        c, image, spec = _clean_corpus(tmp_path, 1)
+        argv = ["chain", *c.image_args(image), "--spec", str(spec),
+                "--simulate"]
+    slack, end = rvjop.sim.STACK_SLACK, 1 << xlen
+    for top in (slack, end - slack):
+        code, _, err = run(capsys, *argv, "--stack-top", hex(top))
+        assert code == 0, err
+    for top in (0, 8, slack - 1, end - slack + 1, end - 1):
+        code, _, err = run(capsys, *argv, "--stack-top", hex(top))
+        assert code == 2 and err == (
+            f"rvjop: --stack-top {top:#x}: its {slack}-byte slack runs "
+            f"outside the {xlen}-bit address space\n")
 
 
 # --- the process entry: run() keeps the cyclic collector off ----------------

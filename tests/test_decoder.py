@@ -281,3 +281,26 @@ def test_decoder_digest():
         for data in _digest_inputs():
             h.update(_digest_line(data, xlen).encode() + b"\n")
     assert h.hexdigest() == DECODER_DIGEST
+
+
+# --- records ----------------------------------------------------------------
+
+def test_records_have_no_instance_dict():
+    """Every record of the package is a namedtuple whose instances carry
+    no `__dict__`, except the three that cache a summary in theirs."""
+    import importlib
+    import pkgutil
+
+    import rvjop
+    caching = {"DispatcherCandidate", "InitializerCandidate", "ChainStep"}
+    records = {}
+    for info in pkgutil.iter_modules(rvjop.__path__):
+        module = importlib.import_module(f"rvjop.{info.name}")
+        for name, cls in vars(module).items():
+            if (isinstance(cls, type) and issubclass(cls, tuple)
+                    and hasattr(cls, "_fields")
+                    and cls.__module__ == module.__name__):
+                record = cls._make([None] * len(cls._fields))
+                records[name] = hasattr(record, "__dict__")
+    assert len(records) == 29
+    assert {name for name, has in records.items() if has} == caching
