@@ -2,13 +2,13 @@
 
 Covers every canonical mnemonic the decoder produces plus the pseudo
 spellings li, mv, ret, jr, j, and nop (expanded to their 4-byte base
-forms).  The encodings come from `rvjop.decoder`: its maps of funct
-fields to mnemonics for the 32-bit forms, and its rows for the compressed
-ones.  Besides the major opcodes and the few fixed words, this module
-states only what decoding does not need: operand ranges, the HINT and
-reserved forms it refuses, and the error texts.  Operands follow the
-decoder's conventions: registers may be given as Register objects, ABI
-names, or indices; immediates are ints.
+forms).  The encodings come from `rvjop.decoder`: every row of its
+instruction table, 32-bit and compressed, encodes through one encoder,
+which writes the row's fixed bits and each operand into its field, and
+takes each operand's range from the field.  This module states only what
+decoding does not need: the HINT and reserved forms it refuses, and the
+error texts.  Operands follow the decoder's conventions: registers may be
+given as Register objects, ABI names, or indices; immediates are ints.
 
 Raises UnsupportedInstruction for unknown mnemonics and OperandOutOfRange
 for operands that do not fit their encoding fields.
@@ -16,12 +16,7 @@ for operands that do not fit their encoding fields.
 
 from __future__ import annotations
 
-from functools import partial
-
-from .decoder import (_AMO, _AMO_WIDTHS, _AMO_WIDTHS_RV64, _BRANCHES,
-                      _COMPRESSED, _CSR, _LOADS, _LOADS_RV64, _OP, _OP32,
-                      _OP_IMM, _OP_IMM32, _ORDERS, _SHIFT32, _SHIFTS, _STORES,
-                      _STORES_RV64)
+from .decoder import _COMPRESSED, _WIDE
 from .errors import OperandOutOfRange, UnsupportedInstruction
 from .isa import Register, reg
 
@@ -57,194 +52,14 @@ def _count(ops, n: int):
         raise OperandOutOfRange(f"expected {n} operands, got {len(ops)}")
 
 
-# --- 32-bit format packers --------------------------------------------------
-
-def _pack_r(opcode, f3, f7, rd, rs1, rs2):
-    return (f7 << 25) | (rs2.index << 20) | (rs1.index << 15) | \
-           (f3 << 12) | (rd.index << 7) | opcode
-
-
-def _pack_i(opcode, f3, rd, rs1, imm):
-    return ((imm & 0xFFF) << 20) | (rs1.index << 15) | (f3 << 12) | \
-           (rd.index << 7) | opcode
-
-
-def _pack_s(opcode, f3, rs1, rs2, imm):
-    imm &= 0xFFF
-    return ((imm >> 5) << 25) | (rs2.index << 20) | (rs1.index << 15) | \
-           (f3 << 12) | ((imm & 0x1F) << 7) | opcode
-
-
-def _pack_b(opcode, f3, rs1, rs2, imm):
-    imm &= 0x1FFF
-    return ((imm >> 12) << 31) | (((imm >> 5) & 0x3F) << 25) | \
-           (rs2.index << 20) | (rs1.index << 15) | (f3 << 12) | \
-           (((imm >> 1) & 0xF) << 8) | (((imm >> 11) & 1) << 7) | opcode
-
-
-def _pack_j(opcode, rd, imm):
-    imm &= 0x1FFFFF
-    return ((imm >> 20) << 31) | (((imm >> 1) & 0x3FF) << 21) | \
-           (((imm >> 11) & 1) << 20) | (((imm >> 12) & 0xFF) << 12) | \
-           (rd.index << 7) | opcode
-
-
-# --- encoder table ----------------------------------------------------------
-# Each entry maps a mnemonic to a function of (operands, xlen) returning
-# (word, width).  The factories below build one such function per
-# instruction format, and the loops after them bind it to each mnemonic
-# of the decoder's maps and compressed rows.
-
-_ENC: dict = {}
-
-# The mnemonics that exist at one register width only, by that width:
-# those only the decoder's RV64 maps name, and the compressed rows of one
-# width.  `assemble` checks this before the encoder runs.
-_XLEN: dict = {}
-
-
-def _enc(name):
-    def wrap(fn):
-        _ENC[name] = fn
-        return fn
-    return wrap
-
-
-def _r_type(opcode, f3, f7):
-    def enc(ops, xlen):
-        _count(ops, 3)
-        return _pack_r(opcode, f3, f7, _reg(ops[0]), _reg(ops[1]), _reg(ops[2])), 4
-    return enc
-
-
-def _i_type(opcode, f3):
-    def enc(ops, xlen):
-        _count(ops, 3)
-        return _pack_i(opcode, f3, _reg(ops[0]), _reg(ops[1]),
-                       _imm(ops[2], -2048, 2047)), 4
-    return enc
-
-
-def _shift(opcode, narrow, f3, top):
-    def enc(ops, xlen):
-        _count(ops, 3)
-        hi = 31 if (narrow or xlen == 32) else 63
-        sh = _imm(ops[2], 0, hi)
-        f7 = top if (narrow or xlen == 32) else top >> 1
-        shift = 25 if (narrow or xlen == 32) else 26
-        word = (f7 << shift) | (sh << 20) | (_reg(ops[1]).index << 15) | \
-               (f3 << 12) | (_reg(ops[0]).index << 7) | opcode
-        return word, 4
-    return enc
-
-
-def _store(f3):
-    def enc(ops, xlen):
-        _count(ops, 3)
-        return _pack_s(0b0100011, f3, _reg(ops[1]), _reg(ops[0]),
-                       _imm(ops[2], -2048, 2047)), 4
-    return enc
-
-
-def _branch(f3):
-    def enc(ops, xlen):
-        _count(ops, 3)
-        return _pack_b(0b1100011, f3, _reg(ops[0]), _reg(ops[1]),
-                       _imm(ops[2], -4096, 4094, multiple=2)), 4
-    return enc
-
-
-def _csr(f3):
-    def enc(ops, xlen):
-        _count(ops, 3)
-        csr = _imm(ops[1], 0, 4095)
-        src = _imm(ops[2], 0, 31) if f3 & 0b100 else _reg(ops[2]).index
-        return ((csr << 20) | (src << 15) | (f3 << 12) |
-                (_reg(ops[0]).index << 7) | 0b1110011), 4
-    return enc
-
-
-def _amo(f3, f7, has_rs2):
-    def enc(ops, xlen):
-        if has_rs2:
-            _count(ops, 3)
-            rd, rs2, rs1 = _reg(ops[0]), _reg(ops[1]), _reg(ops[2])
-        else:
-            _count(ops, 2)
-            rd, rs1 = _reg(ops[0]), _reg(ops[1])
-            rs2 = reg(0)
-        return _pack_r(0b0101111, f3, f7, rd, rs1, rs2), 4
-    return enc
-
-
-def _amos(widths: dict) -> dict:
-    """The decoder's atomics at `widths`, as a map like the others: by
-    (funct3, funct7, whether rs2 is an operand)."""
-    return {(f3, f5 << 2 | aqrl, name != "lr"): name + width + order
-            for f5, name in _AMO.items() for f3, width in widths.items()
-            for aqrl, order in enumerate(_ORDERS)}
-
-
-# The RV64 maps come after the ones they extend, so that a mnemonic both
-# widths have is bound at both.
-for _table, _make, _width in (
-        (_OP, partial(_r_type, 0b0110011), None),
-        (_OP32, partial(_r_type, 0b0111011), 64),
-        (_OP_IMM, partial(_i_type, 0b0010011), None),
-        (_OP_IMM32, partial(_i_type, 0b0011011), 64),
-        (_SHIFTS, partial(_shift, 0b0010011, False), None),
-        (_SHIFT32, partial(_shift, 0b0011011, True), 64),
-        (_LOADS, partial(_i_type, 0b0000011), None),
-        (_LOADS_RV64, partial(_i_type, 0b0000011), 64),
-        (_STORES, _store, None),
-        (_STORES_RV64, _store, 64),
-        (_BRANCHES, _branch, None),
-        (_CSR, _csr, None),
-        (_amos(_AMO_WIDTHS), _amo, None),
-        (_amos(_AMO_WIDTHS_RV64), _amo, 64)):
-    for _key, _n in _table.items():
-        if _n not in _ENC:
-            _ENC[_n] = _make(*_key) if type(_key) is tuple else _make(_key)
-            if _width:
-                _XLEN[_n] = _width
-
-_ENC["jalr"] = _i_type(0b1100111, 0)
-
-
-def _u_type(opcode):
-    def enc(ops, xlen):
-        _count(ops, 2)
-        return ((_imm(ops[1], 0, 0xFFFFF) << 12) | (_reg(ops[0]).index << 7)
-                | opcode), 4
-    return enc
-
-
-_ENC["lui"] = _u_type(0b0110111)
-_ENC["auipc"] = _u_type(0b0010111)
-
-
-@_enc("jal")
-def _enc_jal(ops, xlen):
-    _count(ops, 2)
-    return _pack_j(0b1101111, _reg(ops[0]),
-                   _imm(ops[1], -(1 << 20), (1 << 20) - 2, multiple=2)), 4
-
-
-@_enc("fence")
-def _enc_fence(ops, xlen):
-    _count(ops, 2)
-    return ((_imm(ops[0], 0, 15) << 24) | (_imm(ops[1], 0, 15) << 20)
-            | 0b0001111), 4
-
-
-# --- compressed forms -------------------------------------------------------
+# --- encoders ---------------------------------------------------------------
 #
-# Every compressed row of the decoder encodes through `_compressed`: its
-# fixed bits, then each operand into its field.  What the rows do not
-# state is below: the forms the assembler refuses though they fit their
-# fields.  These are the HINTs (rd = x0, a zero addend or shift), the
-# reserved forms whose immediate is zero, and the shifts past the
-# register width.
+# Every row of the decoder's tables, 32-bit and compressed, encodes
+# through `_encoder`: its fixed bits, then each operand into its field.
+# What the rows do not state is below: the forms the assembler refuses
+# though they fit their fields.  These are the compressed HINTs (rd = x0,
+# a zero addend or shift), the reserved forms whose immediate is zero,
+# and the compressed shifts past the register width.
 
 # Registers refused in a mnemonic's full-width fields, with the message.
 _REFUSED = {
@@ -261,10 +76,12 @@ _NONZERO = ("c.addi", "c.addi16sp", "c.lui")
 _LOWEST = {"c.addi4spn": 4, "c.slli": 1, "c.srli": 1, "c.srai": 1}
 
 
-def _compressed(name, match, regs, imm, shift):
-    """The encoder of a compressed row: `regs` are its register fields,
-    `imm` its immediate's layout, and `shift` whether it shifts (its
-    amount stays below the register width)."""
+def _encoder(name, match, fields, imm, order, shift):
+    """The encoder of a row: `fields` are its fields and `imm` its
+    immediate's layout, `order` gives its operands, each the index of a
+    field or, after them, of the immediate, and `shift` says whether the
+    immediate is a compressed shift (its amount stays below the register
+    width)."""
     refused, message = _REFUSED.get(name, ((), ""))
     if imm is not None:
         pairs, signed = imm
@@ -272,48 +89,71 @@ def _compressed(name, match, regs, imm, shift):
         multiple = 1 << min(bits)
         top = 1 << max(bits) + (not signed)
         lo = _LOWEST.get(name, -top if signed else 0)
+    width = 4 if match & 3 == 3 else 2
+    # Operands in the order they are checked, for which refusal is the
+    # error: a 32-bit row with an unsigned immediate (a shift amount,
+    # lui's, a CSR number) checks it first, then its fields from the
+    # highest bits down; every other row checks them in order.
+    checks = list(enumerate(order))
+    if width == 4 and imm is not None and not signed:
+        checks.sort(key=lambda c: -fields[c[1]][0] if c[1] < len(fields)
+                    else -32)
 
     def enc(ops, xlen):
-        _count(ops, len(regs) + (imm is not None))
+        _count(ops, len(order))
         word = match
-        for op, (at, width) in zip(ops, regs):
-            if width == 3:
-                word |= _prime(op) << at
+        for i, k in checks:
+            op = ops[i]
+            if k == len(fields):                    # the immediate
+                hi = min(top - multiple, xlen - 1) if shift else top - multiple
+                value = _imm(op, lo, hi, multiple, name in _NONZERO)
+                for at, b in pairs:
+                    word |= (value >> b & 1) << at
                 continue
-            r = _reg(op)
-            if r.index in refused:
-                raise OperandOutOfRange(message)
-            word |= r.index << at
-        if imm is not None:
-            hi = min(top - multiple, xlen - 1) if shift else top - multiple
-            value = _imm(ops[-1], lo, hi, multiple, name in _NONZERO)
-            for at, b in pairs:
-                word |= (value >> b & 1) << at
-        return word, 2
+            at, size, letter = fields[k]
+            if letter not in "dts":                 # a small number
+                word |= _imm(op, 0, (1 << size) - 1) << at
+            elif size == 3:
+                word |= _prime(op) << at
+            else:
+                r = _reg(op)
+                if r.index in refused:
+                    raise OperandOutOfRange(message)
+                word |= r.index << at
+        return word, width
     return enc
 
 
-for _width, _, _match, _n, _regs, _imm_layout, _expansion in _COMPRESSED:
-    if _expansion:          # an instruction, not a reserved slot
-        _ENC[_n] = _compressed(_n, _match, _regs, _imm_layout,
-                               _expansion[0] in _SHIFTS.values())
-        if _width:
+# Each entry maps a mnemonic to a function of (operands, xlen) returning
+# (word, width).
+_ENC: dict = {}
+
+# The mnemonics that exist at one register width only, by that width: the
+# rows of one width.  `assemble` checks this before the encoder runs.
+_XLEN: dict = {}
+
+# The expansions of the compressed shifts (a 32-bit row's tail names its
+# effects rule, never one of these).
+_SHIFTS = ("slli", "srli", "srai")
+
+
+def _at_width(rv32, rv64):
+    """The encoder of a mnemonic with one row per register width."""
+    return lambda ops, xlen: (rv32 if xlen == 32 else rv64)(ops, xlen)
+
+
+for _width, _, _match, _n, _fields, _imm_layout, _tail in _WIDE + _COMPRESSED:
+    if _tail:               # an instruction, not a reserved slot
+        _order = _tail[1] if _match & 3 == 3 else \
+            range(len(_fields) + (_imm_layout is not None))
+        _e = _encoder(_n, _match, _fields, _imm_layout, _order,
+                      _tail[0] in _SHIFTS)
+        if _n in _ENC:      # its RV64 row, after its RV32 one
+            _e = _at_width(_ENC[_n], _e)
+            del _XLEN[_n]
+        elif _width:
             _XLEN[_n] = _width
-
-
-# --- no-operand encodings ---------------------------------------------------
-
-def _fixed(word):
-    """A 32-bit encoding with no operands."""
-    def enc(ops, xlen):
-        _count(ops, 0)
-        return word, 4
-    return enc
-
-
-for _n, _word in [("fence.i", 0x0000100F), ("ecall", 0x00000073),
-                 ("ebreak", 0x00100073)]:
-    _ENC[_n] = _fixed(_word)
+        _ENC[_n] = _e
 
 
 # --- pseudo spellings -------------------------------------------------------
@@ -337,11 +177,13 @@ for _n, _base, _fill in [("mv", "addi", (None, None, 0)),
     _ENC[_n] = _pseudo(_base, _fill)
 
 
-@_enc("li")
 def _enc_li(ops, xlen):
     _count(ops, 2)
     _imm(ops[1], -2048, 2047)          # before addi's register check
     return _ENC["addi"]((ops[0], 0, ops[1]), xlen)
+
+
+_ENC["li"] = _enc_li
 
 
 def assemble(mnemonic: str, operands=(), xlen: int = 32) -> bytes:

@@ -48,7 +48,7 @@ from functools import cached_property
 
 from .dataflow import (Const, DataflowSummary, Source, const_add,
                        summarize_dataflow)
-from .decoder import (_CSR, CondBranch, DecodedInstruction, DirectJump,
+from .decoder import (_SHAPE, CondBranch, DecodedInstruction, DirectJump,
                       IndirectJump, Trap)
 from .decoder import decode_one  # noqa: F401  benchmarks/test_benchmark.py looks it up here
 from .errors import ToolError
@@ -72,7 +72,8 @@ ROLES = (ARITH, LOAD, STORE, CALL, SYSCALL, DISPATCHER_CLASSIC,
          DISPATCHER_TWO_STAGE, DISPATCHER_AUTONOMOUS, INITIALIZER,
          UNCLASSIFIED)
 
-_CSR_MNEMONICS = frozenset(_CSR.values())
+_CSR_MNEMONICS = frozenset(n for n, (kind, _) in _SHAPE.items()
+                           if kind == "csr")
 
 
 # Records are namedtuples (see `rvjop.decoder`); each field's

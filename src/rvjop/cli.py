@@ -271,6 +271,8 @@ def _cmd_chain(args) -> int:
     from .chain import (has_errors, layout_payload, parse_chain_text,
                         render_manifest, validate_chain)
     image = _load_image(args)
+    # A usage error writes nothing: the limits are checked before layout.
+    limits = _sim_limits(args, image) if args.simulate else None
     with open(args.spec, encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -296,7 +298,7 @@ def _cmd_chain(args) -> int:
     if not args.simulate:
         return OK
     from .sim import new_machine, run_chain
-    fuel, stack_top = _sim_limits(args, image)
+    fuel, stack_top = limits
     base = args.buffer_base if args.buffer_base is not None else spec.table_base
     machine = new_machine(image, payload=layout, buffer_base=base,
                           stack_top=stack_top)

@@ -13,10 +13,13 @@ ones) are not supported.
 Decoding has two parts.  `_decode32` and `_decode16` decide which
 instruction an encoding is: its name and operands and, for a compressed
 instruction, its 32-bit expansion (`base`; a 32-bit instruction is its own
-base).  `_decode32` reads maps of funct fields to mnemonics, and
-`_decode16` a table with one row per compressed encoding (`_ROWS`).  These
-maps and rows are the one statement of each encoding: `rvjop.assembler`
-encodes from them.  `_effects` says what a base instruction does:
+base).  Both read one table with a row per encoding, `_ROWS32` and
+`_ROWS16` in one grammar: the row's bits with its fields marked, the
+register width it exists at, its mnemonic and immediate layout.  The
+first row that matches an encoding decodes it, and the reserved slots
+(float, vector, undefined) are rows of their own.  The rows are the one
+statement of each encoding: `rvjop.assembler` encodes from them.
+`_effects` says what a base instruction does:
 registers read and written, control flow, memory access, immediate and
 pseudo spellings (li, mv, nop, ret, jr, j).  It is written once per base
 mnemonic, and a compressed instruction takes all of it from its
@@ -30,6 +33,7 @@ XLEN.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 from operator import itemgetter
 
 from .errors import InvalidEncoding, Truncated
@@ -168,15 +172,6 @@ def _two(a: Register, b: Register) -> frozenset[Register]:
 _new = tuple.__new__
 
 
-def _ins(address, word, mnemonic, operands, xlen):
-    """The 32-bit instruction `mnemonic operands`: its own base form."""
-    reads, writes, cf, mem, imm, aliases = _effects(
-        mnemonic, operands, address, xlen)
-    return _new(DecodedInstruction, (address, 4, word, mnemonic, operands,
-                                     reads, writes, cf, mem, imm, aliases,
-                                     _new(Alias, (mnemonic, operands))))
-
-
 # --- effects of a base instruction ------------------------------------------
 
 _NOP = Alias("nop", ())
@@ -257,237 +252,143 @@ def _effects(name: str, ops: tuple, address: int, xlen: int) -> tuple:
     return _EMPTY, _EMPTY, None, None, None, ()     # fence, fence.i
 
 
-# --- 32-bit decode ----------------------------------------------------------
+# --- the instruction table --------------------------------------------------
 #
-# These maps from funct fields to mnemonics are the one statement of each
-# encoding: `rvjop.assembler` encodes from them too.
-
-_BRANCHES = {0b000: "beq", 0b001: "bne", 0b100: "blt",
-             0b101: "bge", 0b110: "bltu", 0b111: "bgeu"}
-
-_LOADS = {0b000: "lb", 0b001: "lh", 0b010: "lw", 0b100: "lbu", 0b101: "lhu"}
-_LOADS_RV64 = {**_LOADS, 0b110: "lwu", 0b011: "ld"}
-
-_STORES = {0b000: "sb", 0b001: "sh", 0b010: "sw"}
-_STORES_RV64 = {**_STORES, 0b011: "sd"}
-
-_OP_IMM = {0b000: "addi", 0b010: "slti", 0b011: "sltiu",
-           0b100: "xori", 0b110: "ori", 0b111: "andi"}
-
-_OP = {(0b000, 0): "add", (0b000, 0b0100000): "sub",
-       (0b001, 0): "sll", (0b010, 0): "slt", (0b011, 0): "sltu",
-       (0b100, 0): "xor", (0b101, 0): "srl", (0b101, 0b0100000): "sra",
-       (0b110, 0): "or", (0b111, 0): "and",
-       **{(funct3, 0b0000001): name for funct3, name in enumerate(
-           ("mul", "mulh", "mulhsu", "mulhu", "div", "divu", "rem", "remu"))}}
-
-_OP32 = {(0b000, 0): "addw", (0b000, 0b0100000): "subw",
-         (0b001, 0): "sllw", (0b101, 0): "srlw", (0b101, 0b0100000): "sraw",
-         (0b000, 1): "mulw", (0b100, 1): "divw", (0b101, 1): "divuw",
-         (0b110, 1): "remw", (0b111, 1): "remuw"}
-
-_OP_IMM32 = {0b000: "addiw"}
-
-# By (funct3, funct7); on RV64 funct7 is the six bits above shamt, shifted
-# left one.
-_SHIFTS = {(0b001, 0): "slli", (0b101, 0): "srli", (0b101, 0b0100000): "srai"}
-_SHIFT32 = {key: name + "w" for key, name in _SHIFTS.items()}
-
-_AMO = {0b00010: "lr", 0b00011: "sc", 0b00001: "amoswap", 0b00000: "amoadd",
-        0b00100: "amoxor", 0b01100: "amoand", 0b01000: "amoor",
-        0b10000: "amomin", 0b10100: "amomax", 0b11000: "amominu",
-        0b11100: "amomaxu"}
-
-_AMO_WIDTHS = {0b010: ".w"}
-_AMO_WIDTHS_RV64 = {**_AMO_WIDTHS, 0b011: ".d"}
-
-_ORDERS = ("", ".rl", ".aq", ".aqrl")   # by (aq << 1) | rl
-
-_CSR = {0b001: "csrrw", 0b010: "csrrs", 0b011: "csrrc",
-        0b101: "csrrwi", 0b110: "csrrsi", 0b111: "csrrci"}
-
-_FP_OPCODES = frozenset([0x07, 0x27, 0x43, 0x47, 0x4B, 0x4F, 0x53])
-
-_WIDTH = {"b": 1, "h": 2, "w": 4, "d": 8}   # by the letter after l/s
-
-# Each base mnemonic's rule in `_effects` and, for a memory access, its
-# size in bytes.
-_SHAPE = {
-    "lui": ("upper", None), "auipc": ("upper", None),
-    "jal": ("jal", None), "jalr": ("jalr", None),
-    **{n: ("branch", None) for n in _BRANCHES.values()},
-    **{n: ("load", _WIDTH[n[1]]) for n in _LOADS_RV64.values()},
-    **{n: ("store", _WIDTH[n[1]]) for n in _STORES_RV64.values()},
-    **{n: ("imm", None) for n in (*_OP_IMM.values(), *_OP_IMM32.values(),
-                                  *_SHIFTS.values(), *_SHIFT32.values())},
-    **{n: ("reg", None) for n in (*_OP.values(), *_OP32.values())},
-    **{f"{n}{width}{order}": (n if n in ("lr", "sc") else "amo",
-                              _WIDTH[width[1]])
-       for width in _AMO_WIDTHS_RV64.values() for order in _ORDERS
-       for n in _AMO.values()},
-    **{n: ("csr", None) for n in _CSR.values()},
-    **{n: ("system", None) for n in ("fence", "fence.i", "ecall", "ebreak")},
-}
-
-
-# Immediates and fields come out of the encoding by inline shifts and
-# masks, and sign-extend as `(v ^ sign) - sign`: this is the hot path of
-# every decode, so it calls no helper per field.
-
-def _imm_i(w: int) -> int:
-    # imm[11:0] = inst[31:20]
-    return ((w >> 20) ^ 0x800) - 0x800
-
-
-def _imm_s(w: int) -> int:
-    # imm[11:5] = inst[31:25], imm[4:0] = inst[11:7]
-    return (((w >> 20) & 0xFE0 | (w >> 7) & 0x1F) ^ 0x800) - 0x800
-
-
-def _imm_b(w: int) -> int:
-    # imm[12|10:5] = inst[31:25], imm[4:1|11] = inst[11:7]
-    v = ((w >> 19) & 0x1000 | (w << 4) & 0x800 | (w >> 20) & 0x7E0
-         | (w >> 7) & 0x1E)
-    return (v ^ 0x1000) - 0x1000
-
-
-def _imm_j(w: int) -> int:
-    # imm[20|10:1|11|19:12] = inst[31:12]
-    v = ((w >> 11) & 0x100000 | w & 0xFF000 | (w >> 9) & 0x800
-         | (w >> 20) & 0x7FE)
-    return (v ^ 0x100000) - 0x100000
-
-
-def _invalid(address: int, word: int,
-             subcode: str = "undefined") -> NoReturn:
-    """Raise the decoder's error for the encoding `word` at `address`."""
-    raise InvalidEncoding(address, word, subcode)
-
-
-def _decode32(word: int, address: int, xlen: int) -> tuple[str, tuple]:
-    """(mnemonic, operands) of a 32-bit instruction."""
-    opcode = word & 0x7F
-    rd = REGISTERS[(word >> 7) & 31]
-    rs1 = REGISTERS[(word >> 15) & 31]
-    rs2 = REGISTERS[(word >> 20) & 31]
-    funct3 = (word >> 12) & 7
-    funct7 = word >> 25
-
-    if opcode in _FP_OPCODES:
-        _invalid(address, word, "fp")
-    if opcode == 0x57:
-        _invalid(address, word, "vector")
-
-    if opcode == 0b0110111:
-        return "lui", (rd, word >> 12)
-    if opcode == 0b0010111:
-        return "auipc", (rd, word >> 12)
-    if opcode == 0b1101111:
-        return "jal", (rd, _imm_j(word))
-    if opcode == 0b1100111:
-        if funct3 != 0:
-            _invalid(address, word)
-        return "jalr", (rd, rs1, _imm_i(word))
-
-    if opcode == 0b1100011:  # branches
-        if funct3 not in _BRANCHES:
-            _invalid(address, word)
-        return _BRANCHES[funct3], (rs1, rs2, _imm_b(word))
-
-    if opcode == 0b0000011:  # loads
-        table = _LOADS_RV64 if xlen == 64 else _LOADS
-        if funct3 not in table:
-            _invalid(address, word)
-        return table[funct3], (rd, rs1, _imm_i(word))
-
-    if opcode == 0b0100011:  # stores
-        table = _STORES_RV64 if xlen == 64 else _STORES
-        if funct3 not in table:
-            _invalid(address, word)
-        return table[funct3], (rs2, rs1, _imm_s(word))
-
-    if opcode == 0b0010011:  # op-imm
-        name = _OP_IMM.get(funct3)
-        if name is not None:
-            return name, (rd, rs1, _imm_i(word))
-        shbits = 6 if xlen == 64 else 5
-        name = _SHIFTS.get((funct3, word >> (20 + shbits) << (shbits - 5)))
-        if name is None:
-            _invalid(address, word)
-        return name, (rd, rs1, (word >> 20) & ((1 << shbits) - 1))
-
-    # op, and op-32 on RV64
-    if opcode == 0b0110011 or (opcode == 0b0111011 and xlen == 64):
-        name = (_OP if opcode == 0b0110011 else _OP32).get((funct3, funct7))
-        if name is None:
-            _invalid(address, word)
-        return name, (rd, rs1, rs2)
-
-    if opcode == 0b0011011 and xlen == 64:  # op-imm-32
-        name = _OP_IMM32.get(funct3)
-        if name is not None:
-            return name, (rd, rs1, _imm_i(word))
-        name = _SHIFT32.get((funct3, funct7))
-        if name is None:
-            _invalid(address, word)
-        return name, (rd, rs1, (word >> 20) & 31)
-
-    if opcode == 0b0101111:  # amo
-        width = (_AMO_WIDTHS_RV64 if xlen == 64 else _AMO_WIDTHS).get(funct3)
-        name = _AMO.get(word >> 27)
-        if width is None or name is None:
-            _invalid(address, word)
-        name += width + _ORDERS[(word >> 25) & 3]
-        if name[:2] == "lr":
-            if rs2.index != 0:
-                _invalid(address, word)
-            return name, (rd, rs1)
-        return name, (rd, rs2, rs1)
-
-    if opcode == 0b0001111:  # fence / fence.i
-        if funct3 == 0b000:
-            return "fence", ((word >> 24) & 15, (word >> 20) & 15)
-        if funct3 == 0b001:
-            return "fence.i", ()
-        _invalid(address, word)
-
-    if opcode == 0b1110011:  # system
-        if funct3 == 0b000:
-            if word == 0x00000073:
-                return "ecall", ()
-            if word == 0x00100073:
-                return "ebreak", ()
-            _invalid(address, word)
-        if funct3 in _CSR:
-            src = (word >> 15) & 31     # zimm in the immediate forms
-            return _CSR[funct3], (rd, word >> 20,
-                                  src if funct3 & 0b100 else REGISTERS[src])
-        _invalid(address, word)
-
-    _invalid(address, word)
-
-
-# --- 16-bit decode ----------------------------------------------------------
+# One row per encoding, in the ISA manual's terms, 32-bit and compressed
+# alike.  The 32-bit rows follow riscv-opcodes (one instruction a line,
+# its fixed bits and named fields):
 #
-# One row per compressed encoding, in the ISA manual's terms:
-#
-# - bits 15..0, in the first 23 columns.  "0" and "1" must match and "-"
-#   may be anything.  A letter marks a field: d is rd, t rs2 and s rs1,
-#   each naming x8..x15 when three bits wide (rd', rs2', rs1'), and i
-#   (signed) or u (unsigned) holds the immediate;
+# - the bits, 31..0 in the first 38 columns of a 32-bit row and 15..0 in
+#   the first 23 of a compressed one.  "0" and "1" must match and "-" may
+#   be anything.  A letter marks a field: d is rd, t rs2 and s rs1, each
+#   naming x8..x15 when three bits wide (rd', rs2', rs1'); i (signed) or
+#   u (unsigned) holds the immediate; p (pred), q (succ) and z (zimm) are
+#   small numbers; "oo" are an atomic's aq and rl bits, and the row stands
+#   for four, one per ordering, whose suffix its mnemonic takes;
 # - the register width the row exists at, "-" for both;
-# - the mnemonic.  Its operands are its register fields in the order d, t,
-#   s, then the immediate;
+# - the mnemonic;
 # - which immediate bits the i or u letters hold, left to right, in the
-#   manual's notation: "5:3|2|6" is uimm[5:3|2|6].  c.lui's operand is
-#   its nzimm[17:12], written as bits 5:0;
-# - the 32-bit expansion, in which d, t, s and i stand for the operands.
+#   manual's notation: "5:3|2|6" is uimm[5:3|2|6].  lui's operand is its
+#   imm[31:12] and c.lui's its nzimm[17:12], each written from bit 0;
+# - for a 32-bit row, the rule of `_effects` it follows (`_SHAPE`), then
+#   its operands in the assembler's order: "i" is the immediate, the
+#   other letters are fields.  A compressed row's operands are its fields
+#   in the order d, t, s, then the immediate, and its last column is its
+#   32-bit expansion, in which those letters stand for the operands.
 #
-# The first row that matches an encoding decodes it.  A row named "fp" (a
-# float load or store) or "undefined" is reserved: decoding it raises
-# InvalidEncoding with that subcode, as does an encoding no row matches.
-# `rvjop.assembler` encodes from these rows.
-_ROWS = """
+# The first row that matches an encoding decodes it.  A row named "fp"
+# (a float opcode, or a float load or store), "vector" or "undefined" is
+# reserved: decoding it raises InvalidEncoding with that subcode, as does
+# an encoding no row matches.  `rvjop.assembler` encodes from these rows.
+_ROWS32 = """
+------- ----- ----- --- ----- 0000111 -  fp
+------- ----- ----- --- ----- 0100111 -  fp
+------- ----- ----- --- ----- 1000011 -  fp
+------- ----- ----- --- ----- 1000111 -  fp
+------- ----- ----- --- ----- 1001011 -  fp
+------- ----- ----- --- ----- 1001111 -  fp
+------- ----- ----- --- ----- 1010011 -  fp
+------- ----- ----- --- ----- 1010111 -  vector
+uuuuuuu uuuuu uuuuu uuu ddddd 0110111 -  lui       19:0            upper d,i
+uuuuuuu uuuuu uuuuu uuu ddddd 0010111 -  auipc     19:0            upper d,i
+iiiiiii iiiii iiiii iii ddddd 1101111 -  jal       20|10:1|11|19:12 jal d,i
+iiiiiii iiiii sssss 000 ddddd 1100111 -  jalr      11:0            jalr d,s,i
+iiiiiii ttttt sssss 000 iiiii 1100011 -  beq       12|10:5|4:1|11  branch s,t,i
+iiiiiii ttttt sssss 001 iiiii 1100011 -  bne       12|10:5|4:1|11  branch s,t,i
+iiiiiii ttttt sssss 100 iiiii 1100011 -  blt       12|10:5|4:1|11  branch s,t,i
+iiiiiii ttttt sssss 101 iiiii 1100011 -  bge       12|10:5|4:1|11  branch s,t,i
+iiiiiii ttttt sssss 110 iiiii 1100011 -  bltu      12|10:5|4:1|11  branch s,t,i
+iiiiiii ttttt sssss 111 iiiii 1100011 -  bgeu      12|10:5|4:1|11  branch s,t,i
+iiiiiii iiiii sssss 000 ddddd 0000011 -  lb        11:0            load d,s,i
+iiiiiii iiiii sssss 001 ddddd 0000011 -  lh        11:0            load d,s,i
+iiiiiii iiiii sssss 010 ddddd 0000011 -  lw        11:0            load d,s,i
+iiiiiii iiiii sssss 011 ddddd 0000011 64 ld        11:0            load d,s,i
+iiiiiii iiiii sssss 100 ddddd 0000011 -  lbu       11:0            load d,s,i
+iiiiiii iiiii sssss 101 ddddd 0000011 -  lhu       11:0            load d,s,i
+iiiiiii iiiii sssss 110 ddddd 0000011 64 lwu       11:0            load d,s,i
+iiiiiii ttttt sssss 000 iiiii 0100011 -  sb        11:5|4:0        store t,s,i
+iiiiiii ttttt sssss 001 iiiii 0100011 -  sh        11:5|4:0        store t,s,i
+iiiiiii ttttt sssss 010 iiiii 0100011 -  sw        11:5|4:0        store t,s,i
+iiiiiii ttttt sssss 011 iiiii 0100011 64 sd        11:5|4:0        store t,s,i
+iiiiiii iiiii sssss 000 ddddd 0010011 -  addi      11:0            imm d,s,i
+iiiiiii iiiii sssss 010 ddddd 0010011 -  slti      11:0            imm d,s,i
+iiiiiii iiiii sssss 011 ddddd 0010011 -  sltiu     11:0            imm d,s,i
+iiiiiii iiiii sssss 100 ddddd 0010011 -  xori      11:0            imm d,s,i
+iiiiiii iiiii sssss 110 ddddd 0010011 -  ori       11:0            imm d,s,i
+iiiiiii iiiii sssss 111 ddddd 0010011 -  andi      11:0            imm d,s,i
+0000000 uuuuu sssss 001 ddddd 0010011 32 slli      4:0             imm d,s,i
+000000u uuuuu sssss 001 ddddd 0010011 64 slli      5:0             imm d,s,i
+0000000 uuuuu sssss 101 ddddd 0010011 32 srli      4:0             imm d,s,i
+000000u uuuuu sssss 101 ddddd 0010011 64 srli      5:0             imm d,s,i
+0100000 uuuuu sssss 101 ddddd 0010011 32 srai      4:0             imm d,s,i
+010000u uuuuu sssss 101 ddddd 0010011 64 srai      5:0             imm d,s,i
+0000000 ttttt sssss 000 ddddd 0110011 -  add                       reg d,s,t
+0100000 ttttt sssss 000 ddddd 0110011 -  sub                       reg d,s,t
+0000000 ttttt sssss 001 ddddd 0110011 -  sll                       reg d,s,t
+0000000 ttttt sssss 010 ddddd 0110011 -  slt                       reg d,s,t
+0000000 ttttt sssss 011 ddddd 0110011 -  sltu                      reg d,s,t
+0000000 ttttt sssss 100 ddddd 0110011 -  xor                       reg d,s,t
+0000000 ttttt sssss 101 ddddd 0110011 -  srl                       reg d,s,t
+0100000 ttttt sssss 101 ddddd 0110011 -  sra                       reg d,s,t
+0000000 ttttt sssss 110 ddddd 0110011 -  or                        reg d,s,t
+0000000 ttttt sssss 111 ddddd 0110011 -  and                       reg d,s,t
+0000001 ttttt sssss 000 ddddd 0110011 -  mul                       reg d,s,t
+0000001 ttttt sssss 001 ddddd 0110011 -  mulh                      reg d,s,t
+0000001 ttttt sssss 010 ddddd 0110011 -  mulhsu                    reg d,s,t
+0000001 ttttt sssss 011 ddddd 0110011 -  mulhu                     reg d,s,t
+0000001 ttttt sssss 100 ddddd 0110011 -  div                       reg d,s,t
+0000001 ttttt sssss 101 ddddd 0110011 -  divu                      reg d,s,t
+0000001 ttttt sssss 110 ddddd 0110011 -  rem                       reg d,s,t
+0000001 ttttt sssss 111 ddddd 0110011 -  remu                      reg d,s,t
+iiiiiii iiiii sssss 000 ddddd 0011011 64 addiw     11:0            imm d,s,i
+0000000 uuuuu sssss 001 ddddd 0011011 64 slliw     4:0             imm d,s,i
+0000000 uuuuu sssss 101 ddddd 0011011 64 srliw     4:0             imm d,s,i
+0100000 uuuuu sssss 101 ddddd 0011011 64 sraiw     4:0             imm d,s,i
+0000000 ttttt sssss 000 ddddd 0111011 64 addw                      reg d,s,t
+0100000 ttttt sssss 000 ddddd 0111011 64 subw                      reg d,s,t
+0000000 ttttt sssss 001 ddddd 0111011 64 sllw                      reg d,s,t
+0000000 ttttt sssss 101 ddddd 0111011 64 srlw                      reg d,s,t
+0100000 ttttt sssss 101 ddddd 0111011 64 sraw                      reg d,s,t
+0000001 ttttt sssss 000 ddddd 0111011 64 mulw                      reg d,s,t
+0000001 ttttt sssss 100 ddddd 0111011 64 divw                      reg d,s,t
+0000001 ttttt sssss 101 ddddd 0111011 64 divuw                     reg d,s,t
+0000001 ttttt sssss 110 ddddd 0111011 64 remw                      reg d,s,t
+0000001 ttttt sssss 111 ddddd 0111011 64 remuw                     reg d,s,t
+00010oo 00000 sssss 010 ddddd 0101111 -  lr.w                      lr d,s
+00011oo ttttt sssss 010 ddddd 0101111 -  sc.w                      sc d,t,s
+00001oo ttttt sssss 010 ddddd 0101111 -  amoswap.w                 amo d,t,s
+00000oo ttttt sssss 010 ddddd 0101111 -  amoadd.w                  amo d,t,s
+00100oo ttttt sssss 010 ddddd 0101111 -  amoxor.w                  amo d,t,s
+01100oo ttttt sssss 010 ddddd 0101111 -  amoand.w                  amo d,t,s
+01000oo ttttt sssss 010 ddddd 0101111 -  amoor.w                   amo d,t,s
+10000oo ttttt sssss 010 ddddd 0101111 -  amomin.w                  amo d,t,s
+10100oo ttttt sssss 010 ddddd 0101111 -  amomax.w                  amo d,t,s
+11000oo ttttt sssss 010 ddddd 0101111 -  amominu.w                 amo d,t,s
+11100oo ttttt sssss 010 ddddd 0101111 -  amomaxu.w                 amo d,t,s
+00010oo 00000 sssss 011 ddddd 0101111 64 lr.d                      lr d,s
+00011oo ttttt sssss 011 ddddd 0101111 64 sc.d                      sc d,t,s
+00001oo ttttt sssss 011 ddddd 0101111 64 amoswap.d                 amo d,t,s
+00000oo ttttt sssss 011 ddddd 0101111 64 amoadd.d                  amo d,t,s
+00100oo ttttt sssss 011 ddddd 0101111 64 amoxor.d                  amo d,t,s
+01100oo ttttt sssss 011 ddddd 0101111 64 amoand.d                  amo d,t,s
+01000oo ttttt sssss 011 ddddd 0101111 64 amoor.d                   amo d,t,s
+10000oo ttttt sssss 011 ddddd 0101111 64 amomin.d                  amo d,t,s
+10100oo ttttt sssss 011 ddddd 0101111 64 amomax.d                  amo d,t,s
+11000oo ttttt sssss 011 ddddd 0101111 64 amominu.d                 amo d,t,s
+11100oo ttttt sssss 011 ddddd 0101111 64 amomaxu.d                 amo d,t,s
+----ppp pqqqq ----- 000 ----- 0001111 -  fence                     system p,q
+------- ----- ----- 001 ----- 0001111 -  fence.i                   system
+0000000 00000 00000 000 00000 1110011 -  ecall                     system
+0000000 00001 00000 000 00000 1110011 -  ebreak                    system
+uuuuuuu uuuuu sssss 001 ddddd 1110011 -  csrrw     11:0            csr d,i,s
+uuuuuuu uuuuu sssss 010 ddddd 1110011 -  csrrs     11:0            csr d,i,s
+uuuuuuu uuuuu sssss 011 ddddd 1110011 -  csrrc     11:0            csr d,i,s
+uuuuuuu uuuuu zzzzz 101 ddddd 1110011 -  csrrwi    11:0            csr d,i,z
+uuuuuuu uuuuu zzzzz 110 ddddd 1110011 -  csrrsi    11:0            csr d,i,z
+uuuuuuu uuuuu zzzzz 111 ddddd 1110011 -  csrrci    11:0            csr d,i,z
+"""
+
+_ROWS16 = """
 000 00000000 --- 00    -  undefined
 000 uuuuuuuu ddd 00    -  c.addi4spn  5:4|9:6|2|3            addi d,sp,i
 001 ----------- 00     -  fp
@@ -541,50 +442,116 @@ _ROWS = """
 111 ----------- 10     32 fp
 """
 
-_MASK = str.maketrans("01-dtsiu", "11000000")
-_MATCH = str.maketrans("-dtsiu", "000000")
+_ORDERS = ("", ".rl", ".aq", ".aqrl")   # by (aq << 1) | rl
+_RESERVED = ("fp", "vector", "undefined")
+_FIELDS = "dtspqz"                      # in the order of a row's fields
+_MASK = str.maketrans("01-dtsiupqzo", "110000000000")
+_MATCH = str.maketrans("-dtsiupqzo", "0000000000")
+_LETTERS = str.maketrans("01", "--")
 
 
-def _row(line: str) -> tuple:
-    """A row of `_ROWS` as (xlen or None, mask, match, mnemonic, register
-    fields, immediate, expansion).
+def _parse(text: str, columns: int) -> tuple:
+    """The rows of `text`, whose bits take its first `columns` columns."""
+    rows = []
+    for line in text.strip().splitlines():
+        bits = line[:columns].replace(" ", "")
+        row = _row(bits, *line[columns:].split())
+        if "oo" not in bits:
+            rows.append(row)
+            continue
+        x, mask, match, name, *rest = row
+        at = len(bits) - 2 - bits.index("oo")
+        rows += [(x, mask | 3 << at, match | k << at, name + order, *rest)
+                 for k, order in enumerate(_ORDERS)]
+    return tuple(rows)
 
-    A register field is (shift, width).  The immediate is None or
-    ((instruction bit, immediate bit) pairs, whether it is signed).  The
-    expansion is () for a reserved row, else (mnemonic, operands), each of
-    its operands the index of one of the row's, a fixed register's name or
-    "0"."""
-    bits = line[:23].replace(" ", "")
-    xlen, name, *rest = line[23:].split()
-    xlen = None if xlen == "-" else int(xlen)
+
+def _row(bits: str, xlen: str, name: str, *rest: str) -> tuple:
+    """A row as (xlen or None, mask, match, mnemonic, fields, immediate,
+    tail).  The fields and immediate are its `_layout`.  The tail is ()
+    for a reserved row, else the effects rule of a 32-bit row or the
+    expansion's mnemonic of a compressed one, then the layout's
+    operands."""
     mask = int(bits.translate(_MASK), 2)
     match = int(bits.translate(_MATCH), 2)
-    if not rest:
+    xlen = None if xlen == "-" else int(xlen)
+    if name in _RESERVED:
         return xlen, mask, match, name, (), None, ()
-    letters = [c for c in "dts" if c in bits]
-    regs = tuple((15 - bits.rindex(c), bits.count(c)) for c in letters)
+    if "i" not in bits and "u" not in bits:
+        rest = ("", *rest)
+    order, word, *args = rest
+    fields, imm, operands = _layout(bits.translate(_LETTERS), order, *args)
+    return xlen, mask, match, name, fields, imm, (word, operands)
+
+
+@cache
+def _layout(bits: str, order: str, args: str = "") -> tuple:
+    """(fields, immediate, operands) of the rows whose letters lie as in
+    `bits`, their immediate's bits in `order`.
+
+    A field is (lowest bit, width, letter), in the order of `_FIELDS`.
+    The immediate is None or ((instruction bit, immediate bit) pairs,
+    whether it is signed).  The operands are those in `args`: each the
+    index of one of the fields or, after them, of the immediate, or a
+    fixed register's name or "0"."""
+    top = len(bits) - 1
+    letters = [c for c in _FIELDS if c in bits]
+    fields = tuple((top - bits.rindex(c), bits.count(c), c) for c in letters)
     imm = None
-    if "i" in bits or "u" in bits:
-        order = []
-        for part in rest.pop(0).split("|"):
+    if order:
+        places = []
+        for part in order.split("|"):
             hi, _, lo = part.partition(":")
-            order += range(int(hi), int(lo or hi) - 1, -1)
-        imm = (tuple(zip((15 - k for k, c in enumerate(bits) if c in "iu"),
-                         order)), "i" in bits)
+            places += range(int(hi), int(lo or hi) - 1, -1)
+        imm = (tuple(zip((top - k for k, c in enumerate(bits) if c in "iu"),
+                         places)), "i" in bits)
         letters.append("i")
-    args = rest[1].split(",") if len(rest) > 1 else ()
-    return xlen, mask, match, name, regs, imm, (rest[0], tuple(
-        letters.index(a) if a in letters else a for a in args))
+    return fields, imm, tuple(letters.index(a) if a in letters else a
+                              for a in args.split(",") if a)
 
 
-_COMPRESSED = tuple(_row(line) for line in _ROWS.strip().splitlines())
+_WIDE = _parse(_ROWS32, 38)
+_COMPRESSED = _parse(_ROWS16, 23)
 
-# The three-bit register fields name x8..x15; read five bits wide, as
-# `_decode16` reads every field, they repeat.
+_WIDTH = {"b": 1, "h": 2, "w": 4, "d": 8}   # by the letter after l/s
+
+
+def _shape(name: str, kind: str) -> tuple[str, int | None]:
+    """A base mnemonic's rule in `_effects` and, for a memory access, its
+    size in bytes: by the letter after l or s, or after an atomic's
+    first dot."""
+    if kind in ("load", "store"):
+        return kind, _WIDTH[name[1]]
+    if kind in ("lr", "sc", "amo"):
+        return kind, _WIDTH[name[name.index(".") + 1]]
+    return kind, None
+
+
+_SHAPE = {row[3]: _shape(row[3], row[6][0]) for row in _WIDE if row[6]}
+
+
+# --- decode -----------------------------------------------------------------
+#
+# A row decodes by a plan built once: its fields read five bits wide
+# through a table of their operands, and its immediate as the sum of one
+# table lookup per group of instruction bits, a signed immediate's top bit
+# weighing negatively, so there is no sign step and no helper call per
+# field.  This is the hot path of every decode.
+
+# The three-bit register fields name x8..x15; read five bits wide, they
+# repeat.
 _PRIMED = REGISTERS[8:16] * 4
 
 
-def _sums(weights: list[int]) -> tuple[int, ...]:
+def _field(width: int, letter: str) -> tuple:
+    """A field's operand by the five bits from its lowest."""
+    if letter in "dts":
+        return REGISTERS if width == 5 else _PRIMED
+    return tuple(v & (1 << width) - 1 for v in range(32))
+
+
+@cache
+def _sums(weights: tuple[int, ...]) -> tuple[int, ...]:
     """The sum of `weights[k]` over the set bits k of each index."""
     table = (0,)
     for w in weights:
@@ -592,18 +559,18 @@ def _sums(weights: list[int]) -> tuple[int, ...]:
     return table
 
 
-def _halves(imm) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """An immediate's value by instruction bits 12..7 and by bits 6..2: it
-    is the sum of the two.  A signed immediate's top bit weighs
-    negatively."""
+@cache
+def _immediate(imm, groups: tuple) -> tuple[tuple[int, ...], ...]:
+    """An immediate's value by each group (lowest bit, width) of
+    instruction bits: it is the sum of the groups'."""
     pairs, signed = imm
-    weights = [0] * 13
+    weights = [0] * 32
     for at, b in pairs:
         weights[at] = 1 << b
     if signed:
         at, b = max(pairs, key=itemgetter(1))
         weights[at] = -(1 << b)
-    return _sums(weights[7:]), _sums(weights[2:7])
+    return tuple(_sums(tuple(weights[lo:lo + n])) for lo, n in groups)
 
 
 def _pick(places: list[int]):
@@ -613,45 +580,106 @@ def _pick(places: list[int]):
     return itemgetter(slice(places[0], places[0] + 1) if places else slice(0))
 
 
-_HALVES: dict = {}      # `_halves` by layout, for `_plan`
+def _reads(fields, n: int) -> list:
+    """(lowest bit, table) of each field, padded to `n` with x0..x31."""
+    return [(at, _field(width, c)) for at, width, c in fields] + \
+        [(0, REGISTERS)] * (n - len(fields))
 
 
-def _plan(name, regs, imm, expansion) -> tuple:
-    """What `_decode16` needs of an instruction row.  It decodes the row
-    into the pool (first register, second register, immediate, fixed
-    register) and picks the operands and the expansion's out of it: the
-    immediate is 0 in a row without one, and no expansion names more than
-    one fixed register."""
-    fields = [(shift, REGISTERS if width == 5 else _PRIMED)
-              for shift, width in regs]
-    (s1, t1), (s2, t2) = fields + [(0, REGISTERS)] * (2 - len(fields))
+@cache
+def _plan32(fields, imm, tail) -> tuple:
+    """What `_decode32` needs of an instruction row, after its name.  It
+    decodes the row into the pool (first field, second, third,
+    immediate) and picks the operands out of it."""
+    (s1, t1), (s2, t2), (s3, t3) = _reads(fields, 3)
+    places = [3 if a == len(fields) else a for a in tail[1]]
+    return (s1, t1, s2, t2, s3, t3,
+            imm and _immediate(imm, ((25, 7), (20, 5), (12, 8), (7, 5))),
+            _pick(places))
+
+
+@cache
+def _plan16(fields, imm, expansion) -> tuple:
+    """What `_decode16` needs of an instruction row, after its name.  It
+    decodes the row into the pool (first register, second register,
+    immediate, fixed register) and picks the operands and the
+    expansion's out of it: the immediate is 0 in a row without one, and
+    no expansion names more than one fixed register."""
+    (s1, t1), (s2, t2) = _reads(fields, 2)
     base, args = expansion
     fixed = [a for a in args if a in ("zero", "ra", "sp")]
-    places = [3 if a in fixed else 2 if a in (len(regs), "0") else a
+    places = [3 if a in fixed else 2 if a in (len(fields), "0") else a
               for a in args]
     base_of = _pick(places)
     if base == "lui":       # lui d,i holds imm[31:12], a 20-bit field
         base_of = lambda pool: (pool[0], pool[2] & 0xFFFFF)
-    ops = [*range(len(regs)), *[2] * (imm is not None)]
-    if imm not in _HALVES:
-        _HALVES[imm] = _halves(imm) if imm else (None, None)
-    return (name, s1, t1, s2, t2, *_HALVES[imm],
-            reg(fixed[0]) if fixed else None, _pick(ops), base, base_of)
+    ops = [*range(len(fields)), *[2] * (imm is not None)]
+    high, low = _immediate(imm, ((7, 6), (2, 5))) if imm else (None, None)
+    return (s1, t1, s2, t2, high, low, reg(fixed[0]) if fixed else None,
+            _pick(ops), base, base_of)
 
 
-# By xlen, then by an encoding's bits 15..12 and quadrant (`hw & 0xF003`):
-# the rows to try, as (mask, match, plan or reserved subcode).  A row that
-# leaves bit 12 free is tried under both of its values.
-_C16 = {xlen: {top << 12 | q: [] for top in range(16) for q in range(3)}
-        for xlen in (32, 64)}
-for _x, _mask, _match, _name, *_rest in _COMPRESSED:
-    _try = (_mask, _match, _plan(_name, *_rest) if _rest[2] else _name)
-    for _key in {_match & 0xF003, _match & 0xF003 | 0x1000 & ~_mask}:
-        for _xlen in (32, 64) if _x is None else (_x,):
-            _C16[_xlen][_key].append(_try)
-for _buckets in _C16.values():
-    for _key, _rows in _buckets.items():
-        _buckets[_key] = (*_rows, (0, 0, "undefined"))
+@cache
+def _subsets(bits: int) -> tuple[int, ...]:
+    """Every value whose set bits are among `bits`."""
+    subsets = [0]
+    for b in range(bits.bit_length()):
+        if bits >> b & 1:
+            subsets += [s | 1 << b for s in subsets]
+    return tuple(subsets)
+
+
+def _buckets(rows: tuple, key: int, plan) -> dict:
+    """By xlen, then by an encoding's bits under `key`: the rows to try,
+    as (mask, match, plan or reserved subcode), ending in one that
+    matches anything, "undefined".  A row that leaves a key bit free is
+    tried under both of its values."""
+    table: dict = {32: {}, 64: {}}
+    for x, mask, match, name, fields, imm, tail in rows:
+        entry = (mask, match, (name, *plan(fields, imm, tail)) if tail
+                 else name)
+        for k in _subsets(key & ~mask):
+            for xlen in (32, 64) if x is None else (x,):
+                table[xlen].setdefault(match & key | k, []).append(entry)
+    last = (0, 0, "undefined")
+    keys = [k | q for q in {row[2] & 3 for row in rows}
+            for k in _subsets(key & ~3)]
+    return {xlen: {**dict.fromkeys(keys, (last,)),
+                   **{k: (*tried, last) for k, tried in buckets.items()}}
+            for xlen, buckets in table.items()}
+
+
+# By xlen, then by an encoding's funct3 and opcode, or its bits 15..12 and
+# quadrant.
+_C32 = _buckets(_WIDE, 0x707F, _plan32)
+_C16 = _buckets(_COMPRESSED, 0xF003, _plan16)
+
+
+def _invalid(address: int, word: int,
+             subcode: str = "undefined") -> NoReturn:
+    """Raise the decoder's error for the encoding `word` at `address`."""
+    raise InvalidEncoding(address, word, subcode)
+
+
+def _decode32(word: int, address: int, xlen: int) -> DecodedInstruction:
+    """The 32-bit instruction `word`: its own base form."""
+    for care, match, row in _C32[xlen][word & 0x707F]:
+        if word & care == match:
+            break
+    if type(row) is str:
+        _invalid(address, word, row)
+    name, s1, t1, s2, t2, s3, t3, imm, ops_of = row
+    if imm:
+        a, b, c, d = imm
+        imm = (a[word >> 25] + b[word >> 20 & 31] + c[word >> 12 & 255]
+               + d[word >> 7 & 31])
+    operands = ops_of((t1[word >> s1 & 31], t2[word >> s2 & 31],
+                       t3[word >> s3 & 31], imm))
+    reads, writes, cf, mem, imm, aliases = _effects(name, operands, address,
+                                                    xlen)
+    return _new(DecodedInstruction, (address, 4, word, name, operands, reads,
+                                     writes, cf, mem, imm, aliases,
+                                     _new(Alias, (name, operands))))
 
 
 def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
@@ -698,6 +726,4 @@ def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruct
         raise InvalidEncoding(address, hw)
     if len(data) < 4:
         raise Truncated(address, 4, len(data))
-    word = hw | (data[2] << 16) | (data[3] << 24)
-    name, operands = _decode32(word, address, xlen)
-    return _ins(address, word, name, operands, xlen)
+    return _decode32(hw | (data[2] << 16) | (data[3] << 24), address, xlen)

@@ -200,15 +200,16 @@ def parse_elf(blob: bytes) -> ExecutableImage:
     zero_fill = 0
     for i in range(e_phnum):
         off = e_phoff + i * e_phentsize
-        try:
-            if xlen == 32:
-                p_type, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, p_flags, _al = \
-                    struct.unpack_from("<8I", blob, off)
-            else:
-                p_type, p_flags, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, _al = \
-                    struct.unpack_from("<2I6Q", blob, off)
-        except struct.error:
-            raise MalformedImage(f"program header {i} truncated") from None
+        # Bound the header before reading it: an offset of 2**63 or more
+        # does not fit the index `unpack_from` takes.
+        if off + min_phentsize > len(blob):
+            raise MalformedImage(f"program header {i} truncated")
+        if xlen == 32:
+            p_type, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, p_flags, _al = \
+                struct.unpack_from("<8I", blob, off)
+        else:
+            p_type, p_flags, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, _al = \
+                struct.unpack_from("<2I6Q", blob, off)
         if p_type != _PT_LOAD:
             continue
         if p_offset + p_filesz > len(blob):

@@ -1,4 +1,5 @@
-"""Golden encodings for the assembler, taken from llvm-mc.
+"""Golden encodings for the assembler and golden decodes for the decoder,
+taken from llvm-mc.
 
 Runs `llvm-mc-14 --show-encoding -M no-aliases` over seeded valid operand
 tuples for every mnemonic the assembler supports, on RV32 and RV64, and
@@ -7,6 +8,18 @@ writes `assembler_llvm_golden.txt` next to this file.  The tier-1 test
 file and needs no llvm, so only regenerating it needs the tool:
 
     PYTHONPATH=src python tests/gen_llvm_golden.py
+
+In its decoder mode it runs `llvm-mc-14 --disassemble -M no-aliases`
+(`-mattr=+m,+a`) over 32-bit words on RV32 and RV64 and writes
+`decoder_llvm_golden.txt.gz`, which `test_decoder.py::test_llvm_golden`
+reads the same way:
+
+    PYTHONPATH=src python tests/gen_llvm_golden.py decoder
+
+The words are every opcode x funct3 x funct7 with the register fields
+(rd, rs1, rs2) at (0, 0, 0), (0, 0, 1) and (31, 31, 31), then seeded
+random words.  They depend on nothing in rvjop, so the file is the same
+whichever tree writes it.
 
 The 32-bit forms assemble with `-mattr=+m,+a` and no `+c`, because with
 `+c` llvm compresses `addi a0, a0, 1` to `c.addi`.  The `c.*` forms
@@ -17,6 +30,7 @@ in the assembler's operand order and the llvm spelling of its operands;
 
 from __future__ import annotations
 
+import gzip
 import random
 import re
 import subprocess
@@ -27,9 +41,11 @@ from rvjop.assembler import supported_mnemonics
 from rvjop.isa import REGISTERS
 
 GOLDEN = Path(__file__).with_name("assembler_llvm_golden.txt")
+DECODER_GOLDEN = Path(__file__).with_name("decoder_llvm_golden.txt.gz")
 LLVM_MC = "llvm-mc-14"
 SEED = 20261018
 PER_FORM = 6                       # tuples per (mnemonic, XLEN)
+SEEDED_WORDS = 16384               # random words after the corner sweep
 
 # Register kinds: the indices a field accepts.
 REG_KINDS = {
@@ -203,7 +219,57 @@ def format_ops(ops) -> str:
     return ",".join(map(str, ops)) or "-"
 
 
+def decoder_words() -> list[int]:
+    """The words the decoder golden holds, in its order."""
+    corners = [f7 << 25 | rs2 << 20 | rs1 << 15 | f3 << 12 | rd << 7 | op
+               for op in range(3, 128, 4) for f3 in range(8)
+               for f7 in range(128)
+               for rd, rs1, rs2 in ((0, 0, 0), (0, 0, 1), (31, 31, 31))]
+    rng = random.Random(SEED)
+    return corners + [rng.getrandbits(32) | 3 for _ in range(SEEDED_WORDS)]
+
+
+def disassemble(xlen: int, words: list[int]) -> list[str | None]:
+    """llvm's text for each word (mnemonic, one space, operands), or None
+    where llvm reports an invalid encoding."""
+    lines = [" ".join(f"0x{b:02x}" for b in w.to_bytes(4, "little"))
+             for w in words]
+    proc = subprocess.run(
+        [LLVM_MC, "--disassemble", "-M", "no-aliases",
+         f"-triple=riscv{xlen}", "-mattr=+m,+a"],
+        input="\n".join(lines) + "\n", capture_output=True, text=True)
+    found = re.findall(r"^<stdin>:(\d+):\d+: warning: invalid instruction "
+                       r"encoding", proc.stderr, re.MULTILINE)
+    bad = {int(n) - 1 for n in found}
+    texts = iter(" ".join(line.split("\t")[1:]).strip()
+                 for line in proc.stdout.splitlines()
+                 if line.startswith("\t") and line.strip() != ".text")
+    if len(bad) != len(found):
+        raise RuntimeError("llvm-mc reported one word invalid twice")
+    out = [None if i in bad else next(texts) for i in range(len(words))]
+    if next(texts, None) is not None:
+        raise RuntimeError("llvm-mc printed more instructions than expected")
+    return out
+
+
+def main_decoder() -> int:
+    words = decoder_words()
+    rv32, rv64 = disassemble(32, words), disassemble(64, words)
+    text = (f"# {LLVM_MC} --disassemble -M no-aliases -mattr=+m,+a; written "
+            f"by tests/gen_llvm_golden.py decoder (seed {SEED})\n"
+            "# word rv32-text|rv64-text ('-' invalid, '=' as on RV32)\n")
+    text += "".join(f"{w:08x} {a or '-'}|{'=' if a == b else b or '-'}\n"
+                    for w, a, b in zip(words, rv32, rv64))
+    # mtime 0: the same words give the same bytes
+    DECODER_GOLDEN.write_bytes(gzip.compress(text.encode("ascii"), mtime=0))
+    print(f"{len(words)} words, {rv32.count(None)} invalid on RV32 and "
+          f"{rv64.count(None)} on RV64 -> {DECODER_GOLDEN.name}")
+    return 0
+
+
 def main() -> int:
+    if sys.argv[1:] == ["decoder"]:
+        return main_decoder()
     all_cases = list(cases(random.Random(SEED)))
     groups: dict[tuple[int, bool], list[int]] = {}
     for i, (xlen, m, _) in enumerate(all_cases):

@@ -919,8 +919,10 @@ def test_random_argv_parse_as_argparse_does(capsys, monkeypatch, tmp_path,
         noise = st.one_of(
             word.map(list), word.map(lambda fv: ["=".join(fv)]),
             flag.map(lambda f: [f]), values.map(lambda v: [v]),
-            st.text(st.characters(blacklist_characters="\x00"),
-                    max_size=4).map(lambda j: [j]))
+            # junk as an argv holds it: bytes but NUL, decoded as Python
+            # decodes its arguments (surrogates for what is not UTF-8)
+            st.binary(max_size=4).map(
+                lambda j: [os.fsdecode(j.replace(b"\x00", b""))]))
         argv = [command]
         if command in COMMANDS:
             argv += data.draw(st.sampled_from([RAW(blob), []]))
@@ -941,6 +943,10 @@ def test_random_argv_parse_as_argparse_does(capsys, monkeypatch, tmp_path,
         assert main(argv) in (0, 1, 2, 3)
         capsys.readouterr()
 
+    # stderr with a process's error handler: argparse echoes an argument
+    # that is not UTF-8 in its usage error, and a process's stderr
+    # writes it backslash-escaped where the captured one would raise
+    sys.stderr.reconfigure(errors="backslashreplace")
     check()
     assert tally["table"] and tally["argparse"], tally
 
@@ -1484,6 +1490,23 @@ def test_stack_top_slack_outside_the_address_space_is_bad_usage(
         assert code == 2 and err == (
             f"rvjop: --stack-top {top:#x}: its {slack}-byte slack runs "
             f"outside the {xlen}-bit address space\n")
+
+
+@pytest.mark.parametrize("flag", ["--stack-top=0x8",
+                                  "--buffer-base=0x1_0000_0000"])
+def test_chain_simulate_usage_error_writes_nothing(capsys, tmp_path, adg_blob,
+                                                   flag):
+    # the limits are bad usage, so neither the manifest (stdout or
+    # --manifest) nor the payload is written
+    blob, addrs = adg_blob
+    out, manifest = tmp_path / "payload.bin", tmp_path / "manifest.txt"
+    argv = ["chain", *RAW(blob), "--spec", str(chain_file(tmp_path, addrs)),
+            "--simulate", flag, "--out", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "") and err.startswith("rvjop: ")
+    code, stdout, _ = run(capsys, *argv, "--manifest", str(manifest))
+    assert (code, stdout) == (2, "")
+    assert not out.exists() and not manifest.exists()
 
 
 # --- the process entry: run() keeps the cyclic collector off ----------------

@@ -1,6 +1,7 @@
 """Decoder behavior: golden encodings, width rules, rejection classes,
 return discrimination, aliases, and immediate reconstruction."""
 
+import gzip
 import hashlib
 import random
 
@@ -12,6 +13,8 @@ from rvjop.decoder import (CondBranch, DecodedInstruction, DirectJump,
                            IndirectJump, Trap, decode_one)
 from rvjop.errors import InvalidEncoding, Truncated
 from rvjop.isa import A0, A7, RA, SP, reg, sext
+
+from gen_llvm_golden import DECODER_GOLDEN
 
 
 def d32(word: int, address: int = 0, xlen: int = 32):
@@ -281,6 +284,84 @@ def test_decoder_digest():
         for data in _digest_inputs():
             h.update(_digest_line(data, xlen).encode() + b"\n")
     assert h.hexdigest() == DECODER_DIGEST
+
+
+# --- llvm-mc golden file, 32-bit half ---------------------------------------
+
+# Where the decoder and llvm-mc 14 part ways on the golden words, by (the
+# decoder's mnemonic, llvm's), "-" for an invalid encoding: the words on
+# RV32 and on RV64, and why.
+LLVM_DIVERGENCES = {
+    ("fence", "-"): (427, 427, "the decoder takes any fm, rs1 and rd in a "
+                     "fence; llvm wants fm 0 (or fence.tso's) and rs1 = rd "
+                     "= x0"),
+    ("fence.i", "-"): (462, 462, "the decoder takes any imm, rs1 and rd in "
+                       "a fence.i; llvm wants them all zero"),
+    ("-", "slli"): (4, 0, "llvm 14 takes shamt[5] = 1 on RV32, which the "
+                    "ISA reserves"),
+    ("-", "srli"): (3, 0, "as above"),
+    ("-", "srai"): (4, 0, "as above"),
+    ("-", "fmv.w.x"): (1, 1, "llvm 14 decodes fmv.w.x and fmv.x.w without "
+                       "+f; the decoder reports every float opcode as fp"),
+    ("-", "fmv.x.w"): (1, 1, "as above"),
+    ("-", "sfence.vma"): (2, 2, "the decoder has no privileged "
+                          "instructions"),
+    ("csrrw", "unimp"): (1, 1, "llvm spells csrrw zero, cycle, zero as "
+                         "unimp even with -M no-aliases"),
+}
+
+_LLVM_FENCE_SET = {"unknown": 0, **{
+    "".join(c for c, bit in zip("iorw", (8, 4, 2, 1)) if n & bit): n
+    for n in range(1, 16)}}
+
+
+def _llvm_as_rendered(word: int, text: str) -> str:
+    """llvm's text for `word` in `render()`'s spelling: jalr's memory
+    operand as base and offset, fence sets as numbers, and a CSR as the
+    number in bits 31..20 (llvm names the CSRs it knows)."""
+    name, _, ops = text.partition(" ")
+    parts = ops.split(", ") if ops else []
+    if name == "jalr":
+        off, _, base = parts[1].partition("(")
+        parts[1:] = [base[:-1], off]
+    elif name == "fence":
+        parts = [str(_LLVM_FENCE_SET[p]) for p in parts]
+    elif name.startswith("csr"):
+        parts[1] = str(word >> 20)
+    return " ".join([name, ", ".join(parts)]).rstrip()
+
+
+def _llvm_golden_lines():
+    """(word, xlen, llvm's text or '-') for each golden word and XLEN."""
+    text = gzip.decompress(DECODER_GOLDEN.read_bytes()).decode("ascii")
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        word, _, texts = line.partition(" ")
+        rv32, rv64 = texts.split("|")
+        yield int(word, 16), 32, rv32
+        yield int(word, 16), 64, rv32 if rv64 == "=" else rv64
+
+
+def test_llvm_golden():
+    """The decoder agrees with llvm-mc on validity, mnemonic and operands
+    of every 32-bit opcode x funct3 x funct7 corner and of seeded words,
+    but for the classes in LLVM_DIVERGENCES (regenerate with
+    `tests/gen_llvm_golden.py decoder`)."""
+    diverged = {}
+    for word, xlen, theirs in _llvm_golden_lines():
+        try:
+            ours = d32(word, 0, xlen).render()
+        except InvalidEncoding:
+            ours = "-"
+        if theirs != "-":
+            theirs = _llvm_as_rendered(word, theirs)
+        if ours != theirs:
+            key = (ours.split(" ")[0], theirs.split(" ")[0])
+            counts = diverged.setdefault(key, {32: 0, 64: 0})
+            counts[xlen] += 1
+    assert diverged == {key: {32: rv32, 64: rv64} for key, (rv32, rv64, _)
+                        in LLVM_DIVERGENCES.items()}
 
 
 # --- records ----------------------------------------------------------------

@@ -6,11 +6,14 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import rvjop.image
 from rvjop.cli import main
 from rvjop.decoder import decode_one
-from rvjop.errors import (InvalidEncoding, MalformedImage, NotElf, Truncated,
-                          WrongMachine)
+from rvjop.errors import (InvalidEncoding, MalformedImage, NotElf, ToolError,
+                          Truncated, WrongMachine)
 from rvjop.image import ExecutableImage, from_bytes, load_raw, parse_elf
 from rvjop.scanner import terminators
 
@@ -69,6 +72,41 @@ def test_header_truncation_offsets(xlen, header_end):
             parse_elf(blob[:size])
     with pytest.raises(MalformedImage, match="program header 0 truncated"):
         parse_elf(blob[:header_end])
+
+
+@pytest.mark.parametrize("top", [0x7F, 0x80])
+def test_program_header_offset_past_the_file(top):
+    # e_phoff's top byte (byte 39 of an ELF64 header): from 0x80 on the
+    # offset is 2**63 or more, past any index
+    blob = bytearray(make_elf([(0x10000, CODE, PF_R | PF_X)], xlen=64))
+    blob[39] = top
+    with pytest.raises(MalformedImage, match="program header 0 truncated"):
+        parse_elf(bytes(blob))
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+def test_mutated_elf_raises_only_tool_errors(monkeypatch, xlen):
+    """`parse_elf` on a small ELF with bytes overwritten and its tail cut
+    off returns an image or raises a ToolError, nothing else."""
+    # a mutated memsz may ask for zero fill: keep each draw's small
+    monkeypatch.setattr(rvjop.image, "MAX_ZERO_FILL", 1 << 16)
+    blob = make_elf([(0x10000, CODE, PF_R | PF_X),
+                     (0x20000, DATA, PF_R | PF_W)], xlen=xlen)
+    byte = st.tuples(st.integers(0, len(blob) - 1), st.integers(0, 255))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(byte, max_size=6), st.integers(0, len(blob)))
+    @example([(39, 0x80)], len(blob))
+    def check(edits, size):
+        mutated = bytearray(blob)
+        for at, value in edits:
+            mutated[at] = value
+        try:
+            parse_elf(bytes(mutated[:size]))
+        except ToolError:
+            pass
+
+    check()
 
 
 def test_big_endian_rejected():
