@@ -72,8 +72,10 @@ ROLES = (ARITH, LOAD, STORE, CALL, SYSCALL, DISPATCHER_CLASSIC,
          DISPATCHER_TWO_STAGE, DISPATCHER_AUTONOMOUS, INITIALIZER,
          UNCLASSIFIED)
 
-_CSR_MNEMONICS = frozenset(n for n, (kind, _) in _SHAPE.items()
-                           if kind == "csr")
+# base mnemonics whose effects rule computes a register from registers
+# and immediates
+_ALU_MNEMONICS = frozenset(n for n, (kind, _) in _SHAPE.items()
+                           if kind in ("imm", "reg", "upper"))
 
 
 # Records are namedtuples (see `rvjop.decoder`); each field's
@@ -157,9 +159,7 @@ class InitializerCandidate(namedtuple("InitializerCandidate", (
 # --- role classification ----------------------------------------------------
 
 def _is_alu_write(insn: DecodedInstruction) -> bool:
-    return (insn.control_flow is None and insn.mem_access is None
-            and insn.regs_written and insn.mnemonic not in _CSR_MNEMONICS
-            and not insn.mnemonic.startswith("fence"))
+    return insn.base.name in _ALU_MNEMONICS and bool(insn.regs_written)
 
 
 def classify(gadget: Gadget, summary: DataflowSummary | None = None,
@@ -191,8 +191,13 @@ def classify(gadget: Gadget, summary: DataflowSummary | None = None,
         roles.append(GadgetRole(SYSCALL, sysno))
 
     if dispatchers:
+        # each kind once, with its first candidate: a stage one pairs
+        # with every stage two that loads through it
+        kinds = set()
         for cand in dispatchers.get(gadget.start, ()):
-            if cand.gadget.encoding == gadget.encoding:
+            if (cand.kind not in kinds
+                    and cand.gadget.encoding == gadget.encoding):
+                kinds.add(cand.kind)
                 roles.append(GadgetRole(cand.kind, cand))
 
     sets = initializer_sources(gadget, summary)

@@ -23,8 +23,8 @@ from collections import namedtuple
 from collections.abc import Iterator
 from operator import attrgetter
 
-from .decoder import (CondBranch, DecodedInstruction, DirectJump,
-                      decode_one)
+from .decoder import (_COMPRESSED, _WIDE, CondBranch, DecodedInstruction,
+                      DirectJump, decode_one)
 from .errors import ToolError
 from .image import DecodedSegment, ExecutableImage
 from .isa import RA, Register
@@ -86,24 +86,46 @@ class Gadget(namedtuple("Gadget", (
         return "; ".join(i.render() for i in self.instructions)
 
 
+def _byte_test(rows) -> tuple[int, int, int, int]:
+    """A bit test that every encoding of the instruction-table `rows`
+    passes, on the bytes of its low halfword: (low byte's mask, its
+    match, high byte's mask, its match).  It keeps the fixed bits of the
+    halfword on which the rows agree."""
+    match = rows[0][2]
+    mask = 0xFFFF
+    for row in rows:
+        mask &= row[1] & ~(row[2] ^ match)
+    match &= mask
+    return mask & 0xFF, match & 0xFF, mask >> 8, match >> 8
+
+
+# jalr's row, and the compressed rows that expand to jalr (c.jr, c.jalr)
+_JALR = _byte_test([row for row in _WIDE if row[3] == "jalr"])
+_C_JALR = _byte_test([row for row in _COMPRESSED
+                      if row[6] and row[6][0] == "jalr"])
+
+
 def terminators(table: DecodedSegment, start: int | None = None,
                 end: int | None = None) -> Iterator[DecodedInstruction]:
     """Every indirect jump in the table's segment, in address order; only
     those at addresses in [start, end) when a window is given.
 
-    One bit test per halfword finds the candidates: `hw & 0x707F ==
-    0x0067` (jalr: opcode, funct3 0) or `hw & 0xE07F == 0x8002` (c.jr,
-    c.jalr, c.ebreak: quadrant 2, rs2 zero, funct3 100), done a byte at a
-    time.  Every indirect jump passes it, and only the halfwords that pass
-    are decoded.
+    One bit test per halfword finds the candidates: the fixed bits of
+    jalr's row of the instruction table (`_JALR`: opcode, funct3 0) or
+    those that c.jr's and c.jalr's rows share (`_C_JALR`: quadrant 2,
+    funct4 100-, rs2 zero, which c.ebreak passes too), done a byte at a
+    time.  Every indirect jump passes it, and only the halfwords that
+    pass are decoded.
     """
     data, base = table.segment.data, table.segment.vaddr
     lo = 0 if start is None else max(0, start - base + 1) & ~1
     hi = len(data) - 1 if end is None else min(len(data) - 1, end - base)
+    m0, v0, m1, v1 = _JALR
+    n0, w0, n1, w1 = _C_JALR
     for off in range(lo, hi, 2):
-        low = data[off] & 0x7F
-        if (low == 0x67 and not data[off + 1] & 0x70
-                or low == 0x02 and data[off + 1] & 0xE0 == 0x80):
+        low = data[off]
+        if (low & m0 == v0 and data[off + 1] & m1 == v1
+                or low & n0 == w0 and data[off + 1] & n1 == w1):
             insn = table.at(base + off)
             if insn is not None and insn.is_terminator:
                 yield insn

@@ -30,6 +30,15 @@ pc of every instruction the bytes overlap, [address - 3, address + size),
 so code a payload writes runs.  A fetch that faults caches nothing.  The
 cache holds at most one entry per distinct pc run: it is bounded by fuel.
 
+The operation table (`_OPS`) states the 18 register-register operations of
+RV32I/RV64I and M, each a function of (XLEN, rs1, rs2), and derives the
+other ALU forms from them, the way the ISA manual defines them: an
+immediate form is its register operation with the immediate as rs2,
+masked to XLEN once when the handler is built, and an RV64 `.w` form runs
+its base operation at XLEN 32 on the low 32 bits and sign-extends the
+result.  An AMO's add, xor, and and or are the same operations at the
+access width; `_AMOS` holds the rest (swap, min, max, minu, maxu).
+
 System calls are not forwarded anywhere.  Each ecall is recorded and a0
 gets a canned result from a fixed table: open-like calls yield descriptor
 5, read and write report the full requested count, anything else
@@ -267,13 +276,10 @@ _BRANCHES = {
 
 
 def _signed(fn):
-    def wrap(m: Machine, a: int, b: int) -> int:
-        return fn(to_signed(a, m.xlen), to_signed(b, m.xlen))
+    """`fn` on the operands read as signed `xlen`-bit values."""
+    def wrap(xlen: int, a: int, b: int) -> int:
+        return fn(to_signed(a, xlen), to_signed(b, xlen))
     return wrap
-
-
-def _shamt(m: Machine, b: int) -> int:
-    return b & (m.xlen - 1)
 
 
 def _div(a: int, b: int) -> int:
@@ -289,72 +295,60 @@ def _rem(a: int, b: int) -> int:
     return a - _div(a, b) * b
 
 
-def _word(fn):
-    """RV64 .w forms: compute on the low 32 bits, sign-extend the result."""
-    def wrap(m: Machine, a: int, b: int) -> int:
-        r = fn(m, a & 0xFFFFFFFF, b)
-        return sext(r & 0xFFFFFFFF, 32) & m.mask
+def _word(op):
+    """An RV64 .w form: `op` at XLEN 32 on the low 32 bits of each
+    operand, its 32-bit result sign-extended."""
+    def wrap(xlen: int, a: int, b: int) -> int:
+        return sext(op(32, a & 0xFFFFFFFF, b & 0xFFFFFFFF) & 0xFFFFFFFF, 32)
     return wrap
 
 
-_BASE_OPS = {
-    "addi": lambda m, a, b: a + b,
-    "add": lambda m, a, b: a + b,
-    "sub": lambda m, a, b: a - b,
-    "andi": lambda m, a, b: a & b,
-    "and": lambda m, a, b: a & b,
-    "ori": lambda m, a, b: a | b,
-    "or": lambda m, a, b: a | b,
-    "xori": lambda m, a, b: a ^ b,
-    "xor": lambda m, a, b: a ^ b,
-    "slti": _signed(lambda a, b: int(a < b)),
+# The register-register operations of RV32I/RV64I and M, as functions of
+# (XLEN, rs1, rs2) on unsigned XLEN-bit values; the handler masks the
+# result to XLEN.
+_OPS = {
+    "add": lambda x, a, b: a + b,
+    "sub": lambda x, a, b: a - b,
+    "and": lambda x, a, b: a & b,
+    "or": lambda x, a, b: a | b,
+    "xor": lambda x, a, b: a ^ b,
     "slt": _signed(lambda a, b: int(a < b)),
-    "sltiu": lambda m, a, b: int(a < (b & m.mask)),
-    "sltu": lambda m, a, b: int(a < b),
-    "slli": lambda m, a, b: a << _shamt(m, b),
-    "sll": lambda m, a, b: a << _shamt(m, b),
-    "srli": lambda m, a, b: a >> _shamt(m, b),
-    "srl": lambda m, a, b: a >> _shamt(m, b),
-    "srai": lambda m, a, b: to_signed(a, m.xlen) >> _shamt(m, b),
-    "sra": lambda m, a, b: to_signed(a, m.xlen) >> _shamt(m, b),
-    "mul": lambda m, a, b: a * b,
-    "mulh": lambda m, a, b: (to_signed(a, m.xlen)
-                             * to_signed(b, m.xlen)) >> m.xlen,
-    "mulhu": lambda m, a, b: (a * b) >> m.xlen,
-    "mulhsu": lambda m, a, b: (to_signed(a, m.xlen) * b) >> m.xlen,
+    "sltu": lambda x, a, b: int(a < b),
+    "sll": lambda x, a, b: a << (b & (x - 1)),
+    "srl": lambda x, a, b: a >> (b & (x - 1)),
+    "sra": lambda x, a, b: to_signed(a, x) >> (b & (x - 1)),
+    "mul": lambda x, a, b: a * b,
+    "mulh": lambda x, a, b: to_signed(a, x) * to_signed(b, x) >> x,
+    "mulhsu": lambda x, a, b: to_signed(a, x) * b >> x,
+    "mulhu": lambda x, a, b: a * b >> x,
     "div": _signed(_div),
-    "divu": lambda m, a, b: m.mask if b == 0 else a // b,
+    "divu": lambda x, a, b: a // b if b else -1,
     "rem": _signed(_rem),
-    "remu": lambda m, a, b: a if b == 0 else a % b,
-    "addiw": _word(lambda m, a, b: a + b),
-    "addw": _word(lambda m, a, b: a + b),
-    "subw": _word(lambda m, a, b: a - b),
-    "slliw": _word(lambda m, a, b: a << (b & 31)),
-    "srliw": _word(lambda m, a, b: (a & 0xFFFFFFFF) >> (b & 31)),
-    "sraiw": _word(lambda m, a, b: sext(a, 32) >> (b & 31)),
-    "sllw": _word(lambda m, a, b: a << (b & 31)),
-    "srlw": _word(lambda m, a, b: (a & 0xFFFFFFFF) >> (b & 31)),
-    "sraw": _word(lambda m, a, b: sext(a, 32) >> (b & 31)),
-    "mulw": _word(lambda m, a, b: a * b),
-    "divw": _word(lambda m, a, b: _div(sext(a, 32), sext(b & 0xFFFFFFFF, 32))),
-    "divuw": _word(lambda m, a, b: 0xFFFFFFFF if b & 0xFFFFFFFF == 0
-                   else a // (b & 0xFFFFFFFF)),
-    "remw": _word(lambda m, a, b: _rem(sext(a, 32), sext(b & 0xFFFFFFFF, 32))),
-    "remuw": _word(lambda m, a, b: a if b & 0xFFFFFFFF == 0
-                   else a % (b & 0xFFFFFFFF)),
+    "remu": lambda x, a, b: a % b if b else a,
 }
 
 
-_AMOS = {   # old and src sign-extended from the access width `low` masks
-    "swap": lambda old, src, low: src,
-    "add": lambda old, src, low: old + src,
-    "xor": lambda old, src, low: old ^ src,
-    "or": lambda old, src, low: old | src,
-    "and": lambda old, src, low: old & src,
-    "min": lambda old, src, low: min(old, src),
-    "max": lambda old, src, low: max(old, src),
-    "minu": lambda old, src, low: min(old & low, src & low),
-    "maxu": lambda old, src, low: max(old & low, src & low),
+def _operation(name: str, kind: str):
+    """The operation of an ALU mnemonic of `_SHAPE` kind `kind`.  An
+    immediate form is its register operation, whose name is its own
+    without the i (addi: add, sltiu: sltu, slliw: sllw), with the
+    immediate as rs2; a .w form runs its base operation on the low words
+    (`_word`)."""
+    if kind == "imm":
+        name = name.replace("i", "", 1)
+    return _OPS.get(name) or _word(_OPS[name[:-1]])
+
+
+_OPS.update({name: _operation(name, kind)
+             for name, (kind, _) in _SHAPE.items() if kind in ("imm", "reg")})
+
+
+_AMOS = {   # the AMO operations `_OPS` lacks, on values of the access width
+    "swap": lambda x, old, src: src,
+    "min": _signed(min),
+    "max": _signed(max),
+    "minu": lambda x, old, src: min(old, src),
+    "maxu": lambda x, old, src: max(old, src),
 }
 
 
@@ -374,12 +368,13 @@ _AMOS = {   # old and src sign-extended from the access width `low` masks
 def _alu(m: Machine, insn: DecodedInstruction,
          size: int | None) -> Callable[[], int]:
     rd, rs1, src = insn.base.operands
-    name, regs, mask_ = insn.base.name, m.regs, m.mask
-    fn = _BASE_OPS[name]
+    name, regs, mask_, xlen = insn.base.name, m.regs, m.mask, m.xlen
+    fn = _OPS[name]
     d, a, nxt = rd.index, rs1.index, _next_pc(m, insn)
     if d == 0:
         return lambda: nxt
-    if type(src) is int:                # an immediate
+    if type(src) is int:                # an immediate, as rs2 would hold it
+        src &= mask_
         if name == "addi":              # the commonest step: no call
             def run():
                 regs[d] = (regs[a] + src) & mask_
@@ -387,7 +382,7 @@ def _alu(m: Machine, insn: DecodedInstruction,
             return run
 
         def run():
-            regs[d] = fn(m, regs[a], src) & mask_
+            regs[d] = fn(xlen, regs[a], src) & mask_
             return nxt
         return run
     b = src.index
@@ -398,7 +393,7 @@ def _alu(m: Machine, insn: DecodedInstruction,
         return run
 
     def run():
-        regs[d] = fn(m, regs[a], regs[b]) & mask_
+        regs[d] = fn(xlen, regs[a], regs[b]) & mask_
         return nxt
     return run
 
@@ -486,13 +481,14 @@ def _amo(m: Machine, insn: DecodedInstruction,
     rd, rs2, rs1 = insn.base.operands
     regs, locate, store, mask_ = m.regs, m._locate, m.store, m.mask
     d, s, a, nxt = rd.index, rs2.index, rs1.index, _next_pc(m, insn)
-    combine = _AMOS[insn.base.name.split(".")[0][3:]]
-    unpack, low = _MEMORY[size, True].unpack_from, mask(size * 8)
+    op = insn.base.name.split(".")[0][3:]
+    combine, bits = _AMOS.get(op) or _OPS[op], size * 8
+    unpack, low = _MEMORY[size, True].unpack_from, mask(bits)
 
     def run():
         address = regs[a]
         old = unpack(*locate(address, size))[0]
-        store(address, size, combine(old, sext(regs[s], size * 8), low))
+        store(address, size, combine(bits, old & low, regs[s] & low))
         if d:
             regs[d] = old & mask_
         return nxt

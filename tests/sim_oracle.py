@@ -161,3 +161,15 @@ def branch_taken(name: str, a: int, b: int, xlen: int) -> bool:
     ua, ub = _bits(a, xlen), _bits(b, xlen)
     return {"beq": ua == ub, "bne": ua != ub, "blt": sa < sb,
             "bge": sa >= sb, "bltu": ua < ub, "bgeu": ua >= ub}[name]
+
+
+def jump(name: str, pc: int, base: int, offset: int,
+         xlen: int) -> tuple[int, int]:
+    """(pc after, rd after) for `jal rd, offset` at `pc`, or for `jalr rd,
+    offset(rs1)` at `pc` with rs1 = base, when rd is not x0.
+
+    jal jumps to pc + offset; jalr to base + offset with bit 0 cleared,
+    rs1 read before rd is written.  Both wrap at 2^XLEN, and rd gets the
+    address of the next instruction, pc + 4."""
+    target = pc + offset if name == "jal" else (base + offset) & ~1
+    return _bits(target, xlen), _bits(pc + 4, xlen)

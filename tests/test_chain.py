@@ -541,6 +541,20 @@ def test_layout_ledger_scales_repeats(lab):
                              ("step 1", 16))
 
 
+def test_manifest_ledger_marks_a_step_that_moves_sp_by_a_register(lab):
+    img, addrs = lab
+    spec = spec_for(img, addrs, ["g_alloc", "g_sp_var", "g_release"])
+    out = layout_payload(spec)
+    assert out.sp_ledger == (("initializer", 0), ("step 0", -16),
+                             ("step 1", None), ("step 2", 16))
+    text = render_manifest(spec, out, [])
+    assert text.split("stack ledger:\n")[1].splitlines()[:3] == [
+        "  initializer  sp+0 -> +0",
+        "  step 0       sp-16 -> -16",
+        "  step 1       sp?? (unknown)",
+    ]
+
+
 def test_layout_surfaces_unplaced_sources(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"])

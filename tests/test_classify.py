@@ -233,6 +233,30 @@ def test_two_stage_stage_one_through_ra_is_rejected():
     assert len(_two_stage_with_stage_one_jump(("jr", "t2"))) == 1
 
 
+def test_stage_one_of_two_pairs_names_its_kind_once(capsys, tmp_path):
+    b = CodeBuilder(base=0)               # a raw blob's base
+    b.emit("addi", "s0", "s0", 4)         # stage one
+    b.emit("jr", "t2")
+    b.emit("lw", "a5", "s0", 0)           # stage two through a5
+    b.emit("jr", "a5")
+    b.emit("lw", "a4", "s0", 0)           # stage two through a4
+    b.emit("jr", "a4")
+    img = b.image()
+    found = find_dispatchers(img)
+    assert [d.stage2.start for d in found] == [8, 16]
+    roles = classify(gadget_at(img, 0), dispatchers=dispatcher_index(found))
+    assert [r.kind for r in roles] == [ARITH, DISPATCHER_TWO_STAGE]
+    assert roles[1].detail is found[0]
+    blob = tmp_path / "pair.bin"
+    blob.write_bytes(img.segments[0].data)
+    assert main(["scan", "--raw", str(blob), "--format", "records"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "0x00000000 natural t2 arith,dispatcher-two-stage s0")
+    assert main(["query", "--raw", str(blob),
+                 "--role", DISPATCHER_TWO_STAGE]) == 0
+    assert capsys.readouterr().out.startswith("0x00000000: addi s0, s0, 4")
+
+
 def test_stride_zero_autonomous_is_rejected():
     b = CodeBuilder()
     b.label("loop")

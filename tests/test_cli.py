@@ -21,6 +21,7 @@ import rvjop.decoder
 import rvjop.image
 import rvjop.query
 import rvjop.sim
+from rvjop.assembler import assemble
 from rvjop.cli import main
 from rvjop.scanner import extract_gadgets
 
@@ -512,6 +513,23 @@ def test_chain_manifest_values_in_xlen_bits(capsys, tmp_path):
     assert [line for line in lines if "warning" in line] == [
         "  warning: UnseededJumpReg: initializer does not load t0, which "
         "must hold the loop entry 0x100c"]
+
+
+@pytest.mark.parametrize("step,message", [
+    ("0x1e", "direct jump at 0x1e before any indirect terminator"),
+    ("0x1000", "0x1000 is not in an executable segment"),
+])
+def test_chain_step_that_is_no_gadget(capsys, tmp_path, step, message):
+    """A step at an address no gadget runs from (a direct jump before any
+    indirect one, or no code at all) is one error line, exit 3."""
+    blob = tmp_path / "jump.bin"
+    blob.write_bytes(LOOP_BLOB + assemble("jal", ("zero", -2)))
+    spec = tmp_path / "chain.txt"
+    spec.write_text("dispatcher 0xc\ninitializer 0x0\n"
+                    f"table-base 0x40000\nreturn-to 0x1c\nstep {step}\n")
+    code, out, err = run(capsys, "chain", "--raw", str(blob), "--spec",
+                         str(spec))
+    assert (code, out, err) == (3, "", f"rvjop: {message}\n")
 
 
 @pytest.mark.parametrize("steps", [0, 2])

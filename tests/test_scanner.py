@@ -16,8 +16,9 @@ from rvjop.query import Query, run_query
 from rvjop.scanner import (NATURAL, SHIFTED, Gadget, dedupe, extract_gadgets,
                            gadget_at, terminators)
 
-from conftest import (CJR_A5, TABLE_BASE, CodeBuilder, build_e2e_fixture,
-                      build_shifted_fixture)
+from conftest import (CJR_A5, PF_R, PF_W, PF_X, TABLE_BASE, CodeBuilder,
+                      build_e2e_fixture, build_shifted_fixture,
+                      make_elf_image)
 from oracle import brute_force
 
 
@@ -162,6 +163,23 @@ def test_gadget_at_raises_the_decoders_own_errors():
         gadget_at(img, b.labels["tail"])
     assert str(exc.value) == (f"truncated fetch at 0x{b.base + 12:x}: "
                               f"need 2 bytes, have 0")
+
+
+def test_gadget_at_rejects_data_and_a_direct_jump_first():
+    code = b"".join(assemble(*insn) for insn in (
+        ("nop", ()), ("jal", ("zero", 4)), ("ret", ())))
+    img = make_elf_image([(0x10000, code, PF_R | PF_X),
+                          (0x20000, bytes(16), PF_R | PF_W)])
+    for address in (0x20000, 0x30000):
+        with pytest.raises(ToolError) as exc:
+            gadget_at(img, address)
+        assert str(exc.value) == (f"0x{address:x} is not in an executable "
+                                  f"segment")
+    with pytest.raises(ToolError) as exc:
+        gadget_at(img, 0x10000)
+    assert str(exc.value) == ("direct jump at 0x10004 before any indirect "
+                              "terminator")
+    assert gadget_at(img, 0x10008).terminator.control_flow.is_return
 
 
 def test_gadget_at_rejects_odd_offset():

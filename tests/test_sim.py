@@ -394,6 +394,15 @@ def test_return_mismatch_is_a_violation():
     assert (report.steps, report.shadow_pushes, report.shadow_pops,
             report.shadow_depth) == (2, 1, 1, 0)
     assert not report.stealth
+    assert report.render().splitlines() == [
+        "outcome        violation",
+        f"violation      {report.violation}",
+        "steps          2",
+        "dispatch rounds 0",
+        "shadow stack   pushes=1 pops=1 depth=0",
+        "sp delta       +0",
+        "stealth        no",
+    ]
 
 
 def test_return_without_call_is_a_violation():

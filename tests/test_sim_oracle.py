@@ -2,11 +2,12 @@
 
 Each case assembles one instruction, runs exactly one step of it on a
 `Machine` from chosen register and memory values, and compares the
-destination register (and, for stores and AMOs, memory) with what the
-oracle derives from the ISA spec.  The values are the edges where
-implementations go wrong: 0, ±1, the most negative and most positive
-XLEN values, on RV64 `.w` operands with and without sign-extended upper
-halves, shift amounts around 32 and 64, division by zero and overflow.
+destination register (and, for stores and AMOs, memory; for branches
+and jumps, the pc) with what the oracle derives from the ISA spec.  The
+values are the edges where implementations go wrong: 0, ±1, the most
+negative and most positive XLEN values, on RV64 `.w` operands with and
+without sign-extended upper halves, shift amounts around 32 and 64,
+division by zero and overflow.
 """
 
 import itertools
@@ -15,8 +16,9 @@ import pytest
 
 import sim_oracle
 from rvjop.assembler import assemble
-from rvjop.isa import reg
-from rvjop.sim import Machine, run_chain
+from rvjop.decoder import _SHAPE, _WIDE
+from rvjop.isa import RA, reg
+from rvjop.sim import _OPS, Machine, run_chain
 
 CODE = 0x1000
 DATA = 0x8000
@@ -116,6 +118,35 @@ def test_immediate_op(name, xlen, imms):
             want = sim_oracle.alu(name, a, imm, xlen)
             _check(failures, plain, plain.step({RS1: a}).regs[RD.index],
                    want, a, imm)
+    assert not failures, failures[:10]
+
+
+def _alu_rows():
+    """(mnemonic, XLEN) of every ALU row of the instruction table: each
+    32-bit row whose `_SHAPE` kind is imm or reg, at each XLEN it exists
+    at."""
+    rows = set()
+    for xlen, _, _, name, _, _, tail in _WIDE:
+        if tail and _SHAPE[name][0] in ("imm", "reg"):
+            rows.update((name, x) for x in (32, 64) if xlen in (None, x))
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("name,xlen", _alu_rows())
+def test_every_alu_row_has_an_operation_the_oracle_checks(name, xlen):
+    """A row added to the table without semantics fails here, not as a
+    KeyError at a chain's first step: the interpreter has its operation,
+    the oracle lists it, and one step of it agrees with the oracle."""
+    assert name in _OPS
+    assert (name in sim_oracle.REGISTER_OPS
+            or name in sim_oracle.IMMEDIATE_OF
+            or xlen == 64 and name in sim_oracle.WORD_OPS)
+    failures = []
+    src = 1 if _SHAPE[name][0] == "imm" else RS2
+    s = Stepper(name, (RD, RS1, src), xlen)
+    for a in _edges(xlen):
+        got = s.step({RS1: a, RS2: 1}).regs[RD.index]
+        _check(failures, s, got, sim_oracle.alu(name, a, 1, xlen), a)
     assert not failures, failures[:10]
 
 
@@ -262,4 +293,74 @@ def test_branch(name, xlen):
         want = CODE + 64 if sim_oracle.branch_taken(name, a, b, xlen) \
             else CODE + 4
         _check(failures, s, s.step({RS1: a, RS2: b}).pc, want, a, b)
+    assert not failures, failures[:10]
+
+
+# --- jumps ----------------------------------------------------------------
+
+def _jump_step(mnemonic, ops, xlen, at, regs):
+    """A machine after one step of `mnemonic ops` placed at `at`, from
+    the registers `regs`, and the step's report."""
+    m = Machine(xlen)
+    m.map_region(at, assemble(mnemonic, ops, xlen=xlen))
+    for r, value in regs.items():
+        m.regs[r.index] = value
+    report = run_chain(m, at, at + 2, fuel=1)
+    assert report.outcome == "fuel-exhausted" and report.steps == 1, (
+        mnemonic, ops, report.render())
+    return m, report
+
+
+def _check_jump(failures, name, m, report, rd, want, before, *inputs):
+    """The pc, rd and the shadow stack after one jump: rd gets the link
+    unless it is x0, no other register changes, and a link through ra
+    is pushed on the shadow stack."""
+    want_pc, link = want
+    after = list(before)
+    if rd.index:
+        after[rd.index] = link
+    got = (m.pc, m.regs, m.shadow_stack, report.shadow_pushes)
+    pushed = [link] if rd is RA else []
+    if got != (want_pc, after, pushed, len(pushed)):
+        failures.append((name, rd.name, [hex(v) for v in inputs],
+                         hex(m.pc), hex(want_pc)))
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+@pytest.mark.parametrize("rd", ["zero", "ra", "t0"])
+def test_jal(rd, xlen):
+    """Forward, backward and across 2^XLEN either way, from code at the
+    bottom and at the top of the address space."""
+    rd, top = reg(rd), 1 << xlen
+    failures = []
+    for at, offset in ((CODE, 64), (CODE, -64), (CODE, -CODE),
+                       (CODE, -CODE - 64), (top - 4, -8), (top - 4, 8),
+                       (top - 8, 0x7FFF0)):
+        m, report = _jump_step("jal", (rd, offset), xlen, at, {})
+        want = sim_oracle.jump("jal", at, 0, offset, xlen)
+        _check_jump(failures, "jal", m, report, rd, want, [0] * 32,
+                    at, offset)
+    assert not failures, failures[:10]
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+@pytest.mark.parametrize("rd", ["zero", "ra", "t0"])
+@pytest.mark.parametrize("same", [False, True], ids=["rs1", "rs1=rd"])
+def test_jalr(rd, same, xlen):
+    """Odd sums (bit 0 cleared), sums past 2^XLEN, and rs1 = rd, whose
+    old value the target reads.  No case is a return (rd x0, rs1 ra)."""
+    rd = reg(rd)
+    rs1 = rd if same else RS1
+    top = 1 << xlen
+    bases = sorted(set(_edges(xlen) + [CODE + 1, top - 2]))
+    failures = []
+    for base, offset in itertools.product(bases,
+                                          (0, 1, -1, 8, 2047, -2048)):
+        before = [0] * 32
+        before[rs1.index] = base if rs1.index else 0
+        m, report = _jump_step("jalr", (rd, rs1, offset), xlen, CODE,
+                               {rs1: before[rs1.index]})
+        want = sim_oracle.jump("jalr", CODE, before[rs1.index], offset, xlen)
+        _check_jump(failures, "jalr", m, report, rd, want, before,
+                    base, offset)
     assert not failures, failures[:10]
