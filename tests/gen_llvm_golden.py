@@ -21,6 +21,12 @@ The words are every opcode x funct3 x funct7 with the register fields
 random words.  They depend on nothing in rvjop, so the file is the same
 whichever tree writes it.
 
+Its compressed mode does the same for every halfword whose low two bits
+are not 11 (49,152 patterns), with `-mattr=+m,+a,+c`, and writes
+`decoder_llvm_golden16.txt.gz` for `test_decoder.py::test_llvm_golden16`:
+
+    PYTHONPATH=src python tests/gen_llvm_golden.py compressed
+
 The 32-bit forms assemble with `-mattr=+m,+a` and no `+c`, because with
 `+c` llvm compresses `addi a0, a0, 1` to `c.addi`.  The `c.*` forms
 assemble with `-mattr=+c`.  `SHAPES` names each mnemonic's operand kinds
@@ -42,6 +48,7 @@ from rvjop.isa import REGISTERS
 
 GOLDEN = Path(__file__).with_name("assembler_llvm_golden.txt")
 DECODER_GOLDEN = Path(__file__).with_name("decoder_llvm_golden.txt.gz")
+COMPRESSED_GOLDEN = Path(__file__).with_name("decoder_llvm_golden16.txt.gz")
 LLVM_MC = "llvm-mc-14"
 SEED = 20261018
 PER_FORM = 6                       # tuples per (mnemonic, XLEN)
@@ -229,14 +236,20 @@ def decoder_words() -> list[int]:
     return corners + [rng.getrandbits(32) | 3 for _ in range(SEEDED_WORDS)]
 
 
-def disassemble(xlen: int, words: list[int]) -> list[str | None]:
-    """llvm's text for each word (mnemonic, one space, operands), or None
-    where llvm reports an invalid encoding."""
-    lines = [" ".join(f"0x{b:02x}" for b in w.to_bytes(4, "little"))
+def compressed_words() -> list[int]:
+    """Every halfword the compressed golden holds, in its order."""
+    return [hw for hw in range(1 << 16) if hw & 3 != 3]
+
+
+def disassemble(xlen: int, words: list[int], width: int = 4,
+                attrs: str = "+m,+a") -> list[str | None]:
+    """llvm's text for each `width`-byte word (mnemonic, one space,
+    operands), or None where llvm reports an invalid encoding."""
+    lines = [" ".join(f"0x{b:02x}" for b in w.to_bytes(width, "little"))
              for w in words]
     proc = subprocess.run(
         [LLVM_MC, "--disassemble", "-M", "no-aliases",
-         f"-triple=riscv{xlen}", "-mattr=+m,+a"],
+         f"-triple=riscv{xlen}", f"-mattr={attrs}"],
         input="\n".join(lines) + "\n", capture_output=True, text=True)
     found = re.findall(r"^<stdin>:(\d+):\d+: warning: invalid instruction "
                        r"encoding", proc.stderr, re.MULTILINE)
@@ -252,24 +265,31 @@ def disassemble(xlen: int, words: list[int]) -> list[str | None]:
     return out
 
 
-def main_decoder() -> int:
-    words = decoder_words()
-    rv32, rv64 = disassemble(32, words), disassemble(64, words)
-    text = (f"# {LLVM_MC} --disassemble -M no-aliases -mattr=+m,+a; written "
-            f"by tests/gen_llvm_golden.py decoder (seed {SEED})\n"
+def write_decoder_golden(path: Path, words: list[int], width: int,
+                         attrs: str, mode: str) -> int:
+    """Disassemble `words` on RV32 and RV64 and write them to `path`."""
+    rv32 = disassemble(32, words, width, attrs)
+    rv64 = disassemble(64, words, width, attrs)
+    digits = 2 * width
+    text = (f"# {LLVM_MC} --disassemble -M no-aliases -mattr={attrs}; "
+            f"written by tests/gen_llvm_golden.py {mode} (seed {SEED})\n"
             "# word rv32-text|rv64-text ('-' invalid, '=' as on RV32)\n")
-    text += "".join(f"{w:08x} {a or '-'}|{'=' if a == b else b or '-'}\n"
+    text += "".join(f"{w:0{digits}x} {a or '-'}|{'=' if a == b else b or '-'}\n"
                     for w, a, b in zip(words, rv32, rv64))
     # mtime 0: the same words give the same bytes
-    DECODER_GOLDEN.write_bytes(gzip.compress(text.encode("ascii"), mtime=0))
+    path.write_bytes(gzip.compress(text.encode("ascii"), mtime=0))
     print(f"{len(words)} words, {rv32.count(None)} invalid on RV32 and "
-          f"{rv64.count(None)} on RV64 -> {DECODER_GOLDEN.name}")
+          f"{rv64.count(None)} on RV64 -> {path.name}")
     return 0
 
 
 def main() -> int:
     if sys.argv[1:] == ["decoder"]:
-        return main_decoder()
+        return write_decoder_golden(DECODER_GOLDEN, decoder_words(), 4,
+                                    "+m,+a", "decoder")
+    if sys.argv[1:] == ["compressed"]:
+        return write_decoder_golden(COMPRESSED_GOLDEN, compressed_words(), 2,
+                                    "+m,+a,+c", "compressed")
     all_cases = list(cases(random.Random(SEED)))
     groups: dict[tuple[int, bool], list[int]] = {}
     for i, (xlen, m, _) in enumerate(all_cases):

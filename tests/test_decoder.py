@@ -14,7 +14,7 @@ from rvjop.decoder import (CondBranch, DecodedInstruction, DirectJump,
 from rvjop.errors import InvalidEncoding, Truncated
 from rvjop.isa import A0, A7, RA, SP, reg, sext
 
-from gen_llvm_golden import DECODER_GOLDEN
+from gen_llvm_golden import COMPRESSED_GOLDEN, DECODER_GOLDEN
 
 
 def d32(word: int, address: int = 0, xlen: int = 32):
@@ -286,7 +286,7 @@ def test_decoder_digest():
     assert h.hexdigest() == DECODER_DIGEST
 
 
-# --- llvm-mc golden file, 32-bit half ---------------------------------------
+# --- llvm-mc golden files ---------------------------------------------------
 
 # Where the decoder and llvm-mc 14 part ways on the golden words, by (the
 # decoder's mnemonic, llvm's), "-" for an invalid encoding: the words on
@@ -310,6 +310,30 @@ LLVM_DIVERGENCES = {
                          "unimp even with -M no-aliases"),
 }
 
+# The same for the compressed golden: every halfword whose low two bits
+# are not 11.  llvm 14 accepts the HINTs and RV128 spellings the decoder
+# reserves, and spells the rest of the HINTs its own way.
+LLVM_DIVERGENCES16 = {
+    ("-", "c.slli"): (1024, 0, "shamt[5] = 1 is reserved on RV32; llvm 14 "
+                      "takes it"),
+    ("-", "c.srli"): (256, 0, "as above"),
+    ("-", "c.srai"): (256, 0, "as above"),
+    ("-", "c.lui"): (31, 31, "c.lui with immediate 0 is reserved; llvm "
+                     "takes it"),
+    ("-", "c.mv"): (31, 31, "c.mv and c.add with rd = x0 are HINTs, which "
+                    "the decoder rejects; llvm takes them"),
+    ("-", "c.add"): (31, 31, "as above"),
+    ("-", "c.unimp"): (1, 1, "the all-zero halfword is undefined to the "
+                       "decoder; llvm names it c.unimp"),
+    ("c.nop", "c.nop"): (63, 63, "llvm prints a c.nop HINT's nonzero "
+                         "immediate; the decoder's c.nop has no operand"),
+    ("c.slli", "c.slli64"): (32, 32, "shamt 0 is a HINT the decoder takes "
+                             "as c.slli; llvm spells it as RV128's "
+                             "c.slli64"),
+    ("c.srli", "c.srli64"): (8, 8, "as above"),
+    ("c.srai", "c.srai64"): (8, 8, "as above"),
+}
+
 _LLVM_FENCE_SET = {"unknown": 0, **{
     "".join(c for c, bit in zip("iorw", (8, 4, 2, 1)) if n & bit): n
     for n in range(1, 16)}}
@@ -317,8 +341,10 @@ _LLVM_FENCE_SET = {"unknown": 0, **{
 
 def _llvm_as_rendered(word: int, text: str) -> str:
     """llvm's text for `word` in `render()`'s spelling: jalr's memory
-    operand as base and offset, fence sets as numbers, and a CSR as the
-    number in bits 31..20 (llvm names the CSRs it knows)."""
+    operand as base and offset, fence sets as numbers, a CSR as the
+    number in bits 31..20 (llvm names the CSRs it knows), no sp operand
+    in c.addi4spn and c.addi16sp, and c.lui's immediate as the signed
+    six bits it holds (llvm writes the 20 bits of its expansion)."""
     name, _, ops = text.partition(" ")
     parts = ops.split(", ") if ops else []
     if name == "jalr":
@@ -328,19 +354,36 @@ def _llvm_as_rendered(word: int, text: str) -> str:
         parts = [str(_LLVM_FENCE_SET[p]) for p in parts]
     elif name.startswith("csr"):
         parts[1] = str(word >> 20)
+    elif name in ("c.addi4spn", "c.addi16sp"):
+        parts.remove("sp")
+    elif name == "c.lui":
+        parts[1] = str(sext(int(parts[1]), 20))
     return " ".join([name, ", ".join(parts)]).rstrip()
 
 
-def _llvm_golden_lines():
-    """(word, xlen, llvm's text or '-') for each golden word and XLEN."""
-    text = gzip.decompress(DECODER_GOLDEN.read_bytes()).decode("ascii")
+def _llvm_divergences(golden) -> dict:
+    """How often the decoder and the llvm text of `golden` part ways, by
+    (the decoder's mnemonic, llvm's) and XLEN."""
+    text = gzip.decompress(golden.read_bytes()).decode("ascii")
+    diverged = {}
     for line in text.splitlines():
         if line.startswith("#"):
             continue
         word, _, texts = line.partition(" ")
         rv32, rv64 = texts.split("|")
-        yield int(word, 16), 32, rv32
-        yield int(word, 16), 64, rv32 if rv64 == "=" else rv64
+        data = bytes.fromhex(word)[::-1]    # the golden writes the number
+        for xlen, theirs in ((32, rv32), (64, rv32 if rv64 == "=" else rv64)):
+            try:
+                ours = decode_one(data, 0, xlen).render()
+            except InvalidEncoding:
+                ours = "-"
+            if theirs != "-":
+                theirs = _llvm_as_rendered(int(word, 16), theirs)
+            if ours != theirs:
+                key = (ours.split(" ")[0], theirs.split(" ")[0])
+                counts = diverged.setdefault(key, {32: 0, 64: 0})
+                counts[xlen] += 1
+    return diverged
 
 
 def test_llvm_golden():
@@ -348,20 +391,18 @@ def test_llvm_golden():
     of every 32-bit opcode x funct3 x funct7 corner and of seeded words,
     but for the classes in LLVM_DIVERGENCES (regenerate with
     `tests/gen_llvm_golden.py decoder`)."""
-    diverged = {}
-    for word, xlen, theirs in _llvm_golden_lines():
-        try:
-            ours = d32(word, 0, xlen).render()
-        except InvalidEncoding:
-            ours = "-"
-        if theirs != "-":
-            theirs = _llvm_as_rendered(word, theirs)
-        if ours != theirs:
-            key = (ours.split(" ")[0], theirs.split(" ")[0])
-            counts = diverged.setdefault(key, {32: 0, 64: 0})
-            counts[xlen] += 1
-    assert diverged == {key: {32: rv32, 64: rv64} for key, (rv32, rv64, _)
-                        in LLVM_DIVERGENCES.items()}
+    assert _llvm_divergences(DECODER_GOLDEN) == {
+        key: {32: rv32, 64: rv64}
+        for key, (rv32, rv64, _) in LLVM_DIVERGENCES.items()}
+
+
+def test_llvm_golden16():
+    """The decoder agrees with llvm-mc on validity, mnemonic and operands
+    of every 16-bit pattern, but for the classes in LLVM_DIVERGENCES16
+    (regenerate with `tests/gen_llvm_golden.py compressed`)."""
+    assert _llvm_divergences(COMPRESSED_GOLDEN) == {
+        key: {32: rv32, 64: rv64}
+        for key, (rv32, rv64, _) in LLVM_DIVERGENCES16.items()}
 
 
 # --- records ----------------------------------------------------------------
