@@ -10,14 +10,16 @@ of the first halfword are not 0b11 the instruction is compressed (2 bytes),
 otherwise it is a 4-byte instruction.  Longer encodings (low five bits all
 ones) are not supported.
 
-Decoding has two parts.  `_decode32` and `_decode16` decide which
-instruction an encoding is: its name and operands and, for a compressed
-instruction, its 32-bit expansion (`base`; a 32-bit instruction is its own
-base).  Both read one table with a row per encoding, `_ROWS32` and
-`_ROWS16` in one grammar: the row's bits with its fields marked, the
-register width it exists at, its mnemonic and immediate layout.  The
-first row that matches an encoding decodes it, and the reserved slots
-(float, vector, undefined) are rows of their own.  The rows are the one
+Decoding has two parts.  `_decode` decides which instruction an
+encoding of either width is: its name and operands and its base form
+(`base`), the 32-bit instruction it stands for, which for a compressed
+instruction is its expansion and for a 32-bit one is itself.  It reads
+one table with a row per encoding, `_ROWS32` and `_ROWS16` in one
+grammar: the row's bits with its fields marked, the register width it
+exists at, its mnemonic and immediate layout.  The first row that matches
+an encoding decodes it, and the reserved slots (float, vector, undefined)
+are rows of their own.  `_plan` turns each row, once, into what `_decode`
+reads of it, the same way for both widths.  The rows are the one
 statement of each encoding: `rvjop.assembler` encodes from them.
 `_effects` says what a base instruction does:
 registers read and written, control flow, memory access, immediate and
@@ -536,11 +538,17 @@ _SHAPE = {row[3]: _shape(row[3], row[6][0]) for row in _WIDE if row[6]}
 # through a table of their operands, and its immediate as the sum of one
 # table lookup per group of instruction bits, a signed immediate's top bit
 # weighing negatively, so there is no sign step and no helper call per
-# field.  This is the hot path of every decode.
+# field.  Both widths read the same groups, and a group that holds none of
+# a row's immediate bits looks up zeros.  This is the hot path of every
+# decode.
 
 # The three-bit register fields name x8..x15; read five bits wide, they
 # repeat.
 _PRIMED = REGISTERS[8:16] * 4
+
+# The groups (lowest bit, width) of instruction bits an immediate is read
+# by: 31..25, 24..20, 19..12, 11..7 and 6..2.
+_GROUPS = ((25, 7), (20, 5), (12, 8), (7, 5), (2, 5))
 
 
 def _field(width: int, letter: str) -> tuple:
@@ -560,9 +568,9 @@ def _sums(weights: tuple[int, ...]) -> tuple[int, ...]:
 
 
 @cache
-def _immediate(imm, groups: tuple) -> tuple[tuple[int, ...], ...]:
-    """An immediate's value by each group (lowest bit, width) of
-    instruction bits: it is the sum of the groups'."""
+def _immediate(imm) -> tuple[tuple[int, ...], ...]:
+    """An immediate's value by each of `_GROUPS`: it is the sum of the
+    groups'."""
     pairs, signed = imm
     weights = [0] * 32
     for at, b in pairs:
@@ -570,7 +578,7 @@ def _immediate(imm, groups: tuple) -> tuple[tuple[int, ...], ...]:
     if signed:
         at, b = max(pairs, key=itemgetter(1))
         weights[at] = -(1 << b)
-    return tuple(_sums(tuple(weights[lo:lo + n])) for lo, n in groups)
+    return tuple(_sums(tuple(weights[lo:lo + n])) for lo, n in _GROUPS)
 
 
 def _pick(places: list[int]):
@@ -580,43 +588,30 @@ def _pick(places: list[int]):
     return itemgetter(slice(places[0], places[0] + 1) if places else slice(0))
 
 
-def _reads(fields, n: int) -> list:
-    """(lowest bit, table) of each field, padded to `n` with x0..x31."""
-    return [(at, _field(width, c)) for at, width, c in fields] + \
-        [(0, REGISTERS)] * (n - len(fields))
+def _plan(name: str, fields, imm, tail, width: int) -> tuple:
+    """What `_decode` needs of an instruction row: its name, then how it
+    decodes the row into the pool (field 1, field 2, field 3, immediate,
+    fixed register) and picks the operands and its base form's out of it.
 
-
-@cache
-def _plan32(fields, imm, tail) -> tuple:
-    """What `_decode32` needs of an instruction row, after its name.  It
-    decodes the row into the pool (first field, second, third,
-    immediate) and picks the operands out of it."""
-    (s1, t1), (s2, t2), (s3, t3) = _reads(fields, 3)
-    places = [3 if a == len(fields) else a for a in tail[1]]
-    return (s1, t1, s2, t2, s3, t3,
-            imm and _immediate(imm, ((25, 7), (20, 5), (12, 8), (7, 5))),
-            _pick(places))
-
-
-@cache
-def _plan16(fields, imm, expansion) -> tuple:
-    """What `_decode16` needs of an instruction row, after its name.  It
-    decodes the row into the pool (first register, second register,
-    immediate, fixed register) and picks the operands and the
-    expansion's out of it: the immediate is 0 in a row without one, and
-    no expansion names more than one fixed register."""
-    (s1, t1), (s2, t2) = _reads(fields, 2)
-    base, args = expansion
+    A 32-bit row is its own base form.  A compressed row's is its
+    expansion, and its operands are its fields, then its immediate.  An
+    expansion names at most one fixed register, and its "0" is the
+    immediate of a row without one, which is 0."""
+    (s1, t1), (s2, t2), (s3, t3) = \
+        [(at, _field(n, c)) for at, n, c in fields] + \
+        [(0, REGISTERS)] * (3 - len(fields))
+    base, args = tail
     fixed = [a for a in args if a in ("zero", "ra", "sp")]
-    places = [3 if a in fixed else 2 if a in (len(fields), "0") else a
-              for a in args]
-    base_of = _pick(places)
-    if base == "lui":       # lui d,i holds imm[31:12], a 20-bit field
-        base_of = lambda pool: (pool[0], pool[2] & 0xFFFFF)
-    ops = [*range(len(fields)), *[2] * (imm is not None)]
-    high, low = _immediate(imm, ((7, 6), (2, 5))) if imm else (None, None)
-    return (s1, t1, s2, t2, high, low, reg(fixed[0]) if fixed else None,
-            _pick(ops), base, base_of)
+    slot = {**dict.fromkeys(fixed, 4), len(fields): 3, "0": 3}
+    base_of = _pick([slot.get(a, a) for a in args])
+    ops_of = _pick([slot.get(a, a)
+                    for a in range(len(fields) + (imm is not None))])
+    if width == 4:          # its own base form, in its operands' order
+        base, ops_of = name, base_of
+    if name == "c.lui":     # lui d,i holds imm[31:12], a 20-bit field
+        base_of = lambda pool: (pool[0], pool[3] & 0xFFFFF)
+    return (name, s1, t1, s2, t2, s3, t3, imm and _immediate(imm),
+            reg(fixed[0]) if fixed else None, ops_of, base, base_of)
 
 
 @cache
@@ -629,15 +624,15 @@ def _subsets(bits: int) -> tuple[int, ...]:
     return tuple(subsets)
 
 
-def _buckets(rows: tuple, key: int, plan) -> dict:
+def _buckets(rows: tuple, key: int, width: int) -> dict:
     """By xlen, then by an encoding's bits under `key`: the rows to try,
     as (mask, match, plan or reserved subcode), ending in one that
     matches anything, "undefined".  A row that leaves a key bit free is
     tried under both of its values."""
     table: dict = {32: {}, 64: {}}
     for x, mask, match, name, fields, imm, tail in rows:
-        entry = (mask, match, (name, *plan(fields, imm, tail)) if tail
-                 else name)
+        entry = (mask, match,
+                 _plan(name, fields, imm, tail, width) if tail else name)
         for k in _subsets(key & ~mask):
             for xlen in (32, 64) if x is None else (x,):
                 table[xlen].setdefault(match & key | k, []).append(entry)
@@ -651,8 +646,8 @@ def _buckets(rows: tuple, key: int, plan) -> dict:
 
 # By xlen, then by an encoding's funct3 and opcode, or its bits 15..12 and
 # quadrant.
-_C32 = _buckets(_WIDE, 0x707F, _plan32)
-_C16 = _buckets(_COMPRESSED, 0xF003, _plan16)
+_C32 = _buckets(_WIDE, 0x707F, 4)
+_C16 = _buckets(_COMPRESSED, 0xF003, 2)
 
 
 def _invalid(address: int, word: int,
@@ -661,50 +656,38 @@ def _invalid(address: int, word: int,
     raise InvalidEncoding(address, word, subcode)
 
 
-def _decode32(word: int, address: int, xlen: int) -> DecodedInstruction:
-    """The 32-bit instruction `word`: its own base form."""
-    for care, match, row in _C32[xlen][word & 0x707F]:
-        if word & care == match:
+def _decode(raw: int, width: int, tried: tuple, address: int,
+            xlen: int) -> DecodedInstruction:
+    """The `width`-byte instruction `raw`, by the first row of `tried`
+    that matches it, with the effects of its base form, which also goes
+    first in a compressed instruction's aliases."""
+    for care, match, row in tried:
+        if raw & care == match:
             break
     if type(row) is str:
-        _invalid(address, word, row)
-    name, s1, t1, s2, t2, s3, t3, imm, ops_of = row
+        _invalid(address, raw, row)
+    name, s1, t1, s2, t2, s3, t3, imm, fixed, ops_of, base, base_of = row
+    value = 0
     if imm:
-        a, b, c, d = imm
-        imm = (a[word >> 25] + b[word >> 20 & 31] + c[word >> 12 & 255]
-               + d[word >> 7 & 31])
-    operands = ops_of((t1[word >> s1 & 31], t2[word >> s2 & 31],
-                       t3[word >> s3 & 31], imm))
-    reads, writes, cf, mem, imm, aliases = _effects(name, operands, address,
-                                                    xlen)
-    return _new(DecodedInstruction, (address, 4, word, name, operands, reads,
-                                     writes, cf, mem, imm, aliases,
-                                     _new(Alias, (name, operands))))
-
-
-def _decode16(hw: int, address: int, xlen: int) -> DecodedInstruction:
-    """The compressed instruction `hw`, with the effects of its 32-bit
-    expansion, which also goes first in its aliases."""
-    for care, match, row in _C16[xlen][hw & 0xF003]:
-        if hw & care == match:
-            break
-    if type(row) is str:
-        _invalid(address, hw, row)
-    name, s1, t1, s2, t2, high, low, fixed, ops_of, base, base_of = row
-    pool = (t1[hw >> s1 & 31], t2[hw >> s2 & 31],
-            high[hw >> 7 & 63] + low[hw >> 2 & 31] if high else 0, fixed)
+        a, b, c, d, e = imm
+        value = (a[raw >> 25] + b[raw >> 20 & 31] + c[raw >> 12 & 255]
+                 + d[raw >> 7 & 31] + e[raw >> 2 & 31])
+    pool = (t1[raw >> s1 & 31], t2[raw >> s2 & 31], t3[raw >> s3 & 31],
+            value, fixed)
     operands = ops_of(pool)
-    base_ops = base_of(pool)
-    reads, writes, cf, mem, imm, pseudo = _effects(base, base_ops, address,
-                                                   xlen)
-    if high is None:
-        imm = None      # no immediate operand: c.nop, c.jr, c.mv, ...
-    if name == "c.mv":
-        # mv spells c.mv; its expansion `add rd, zero, rs` has no pseudo
-        pseudo = (_new(Alias, ("mv", operands)),)
+    base_ops = operands if base_of is ops_of else base_of(pool)
+    reads, writes, cf, mem, value, aliases = _effects(base, base_ops,
+                                                      address, xlen)
+    if imm is None:
+        value = None        # no immediate operand: c.nop, c.jr, add, ...
     base = _new(Alias, (base, base_ops))
-    return _new(DecodedInstruction, (address, 2, hw, name, operands, reads,
-                                     writes, cf, mem, imm, (base, *pseudo),
+    if width == 2:
+        if name == "c.mv":
+            # mv spells c.mv; its expansion `add rd, zero, rs` has no pseudo
+            aliases = (_new(Alias, ("mv", operands)),)
+        aliases = (base, *aliases)
+    return _new(DecodedInstruction, (address, width, raw, name, operands,
+                                     reads, writes, cf, mem, value, aliases,
                                      base))
 
 
@@ -720,10 +703,11 @@ def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruct
         raise Truncated(address, 2, len(data))
     hw = data[0] | (data[1] << 8)
     if hw & 0b11 != 0b11:
-        return _decode16(hw, address, xlen)
+        return _decode(hw, 2, _C16[xlen][hw & 0xF003], address, xlen)
     if hw & 0b11111 == 0b11111:
         # 48-bit and longer encodings are out of scope
         raise InvalidEncoding(address, hw)
     if len(data) < 4:
         raise Truncated(address, 4, len(data))
-    return _decode32(hw | (data[2] << 16) | (data[3] << 24), address, xlen)
+    word = hw | (data[2] << 16) | (data[3] << 24)
+    return _decode(word, 4, _C32[xlen][word & 0x707F], address, xlen)
