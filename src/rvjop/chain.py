@@ -565,10 +565,13 @@ def render_manifest(spec: ChainSpec, layout: PayloadLayout,
             lines.append(f"  +0x{seed.offset:x} {len(seed.data)}B {preview}"
                          f" {seed.note}".rstrip())
     lines.append("stack ledger:")
-    running = 0
+    running = 0         # None once a move is unknown: so is every total
     for label, delta in layout.sp_ledger:
         if delta is None:
+            running = None
             lines.append(f"  {label:12s} sp?? (unknown)")
+        elif running is None:
+            lines.append(f"  {label:12s} sp{delta:+d} -> ??")
         else:
             running += delta
             lines.append(f"  {label:12s} sp{delta:+d} -> {running:+d}")

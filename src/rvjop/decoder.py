@@ -685,7 +685,7 @@ def _decode(raw: int, width: int, tried: tuple, address: int,
         if name == "c.mv":
             # mv spells c.mv; its expansion `add rd, zero, rs` has no pseudo
             aliases = (_new(Alias, ("mv", operands)),)
-        aliases = (base, *aliases)
+        aliases = (base,) + aliases
     return _new(DecodedInstruction, (address, width, raw, name, operands,
                                      reads, writes, cf, mem, value, aliases,
                                      base))

@@ -233,8 +233,6 @@ def parse_elf(blob: bytes) -> ExecutableImage:
 
 def load_raw(path: str, base: int, xlen: int) -> ExecutableImage:
     """Map a flat file as one executable segment at `base`."""
-    if xlen not in (32, 64):
-        raise MalformedImage(f"xlen must be 32 or 64, got {xlen}")
     with open(path, "rb") as fh:
         blob = fh.read()
     return from_bytes(blob, base, xlen)
@@ -242,5 +240,7 @@ def load_raw(path: str, base: int, xlen: int) -> ExecutableImage:
 
 def from_bytes(blob: bytes, base: int, xlen: int) -> ExecutableImage:
     """Wrap a byte blob as a single-segment executable image."""
+    if xlen not in (32, 64):
+        raise MalformedImage(f"xlen must be 32 or 64, got {xlen}")
     seg = Segment(vaddr=base, data=bytes(blob), executable=True)
     return ExecutableImage(segments=(seg,), xlen=xlen)

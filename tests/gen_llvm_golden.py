@@ -241,8 +241,8 @@ def compressed_words() -> list[int]:
     return [hw for hw in range(1 << 16) if hw & 3 != 3]
 
 
-def disassemble(xlen: int, words: list[int], width: int = 4,
-                attrs: str = "+m,+a") -> list[str | None]:
+def disassemble(xlen: int, words: list[int], width: int,
+                attrs: str) -> list[str | None]:
     """llvm's text for each `width`-byte word (mnemonic, one space,
     operands), or None where llvm reports an invalid encoding."""
     lines = [" ".join(f"0x{b:02x}" for b in w.to_bytes(width, "little"))
@@ -270,11 +270,10 @@ def write_decoder_golden(path: Path, words: list[int], width: int,
     """Disassemble `words` on RV32 and RV64 and write them to `path`."""
     rv32 = disassemble(32, words, width, attrs)
     rv64 = disassemble(64, words, width, attrs)
-    digits = 2 * width
     text = (f"# {LLVM_MC} --disassemble -M no-aliases -mattr={attrs}; "
             f"written by tests/gen_llvm_golden.py {mode} (seed {SEED})\n"
             "# word rv32-text|rv64-text ('-' invalid, '=' as on RV32)\n")
-    text += "".join(f"{w:0{digits}x} {a or '-'}|{'=' if a == b else b or '-'}\n"
+    text += "".join(f"{w:0{2 * width}x} {a or '-'}|{'=' if a == b else b or '-'}\n"
                     for w, a, b in zip(words, rv32, rv64))
     # mtime 0: the same words give the same bytes
     path.write_bytes(gzip.compress(text.encode("ascii"), mtime=0))

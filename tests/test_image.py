@@ -178,6 +178,19 @@ def test_from_bytes_and_load_raw(tmp_path):
     assert img2.segments[0].data == CODE
 
 
+@pytest.mark.parametrize("xlen", [0, 16, 48, 128])
+def test_raw_loaders_refuse_other_xlens(tmp_path, xlen):
+    """An XLEN the decoder has no tables for is a MalformedImage from
+    either raw loader, not a ValueError at the first decode."""
+    with pytest.raises(MalformedImage, match=f"xlen must be 32 or 64, "
+                                             f"got {xlen}"):
+        from_bytes(CODE, 0, xlen)
+    p = tmp_path / "blob.bin"
+    p.write_bytes(CODE)
+    with pytest.raises(MalformedImage, match=f"got {xlen}"):
+        load_raw(str(p), 0, xlen)
+
+
 def test_segment_containing_and_byte_at():
     img = from_bytes(CODE, 0x400, 32)
     assert img.segment_containing(0x400).vaddr == 0x400

@@ -175,6 +175,27 @@ def test_zero_register_swallows_writes():
     assert m.get(reg("zero")) == 0 and m.get(reg("a0")) == 0
 
 
+@pytest.mark.parametrize("xlen", [32, 64])
+@pytest.mark.parametrize("line", [
+    ("lui", "zero", 0x12345),
+    ("auipc", "zero", 1),               # Zicfilp's lpad 1
+    ("csrrs", "zero", 0x340, "a0"),
+])
+def test_constant_written_to_zero_only_advances(line, xlen):
+    """lui, auipc and a CSR read with rd = x0 take one step to the next
+    instruction and change no register."""
+    b = CodeBuilder(xlen=xlen)
+    b.emit(*line)
+    b.label("end")
+    b.emit("ebreak")
+    m, report = run_built(b, b.base, b.labels["end"], {"a0": 3})
+    before = new_machine(b.image())
+    before.poke("a0", 3)
+    assert report.outcome == "reached" and report.steps == 1
+    assert m.pc == b.labels["end"] == b.base + 4
+    assert m.regs == before.regs
+
+
 def test_csr_reads_zero_and_fence_is_inert():
     m = run_snippet([("li", "a0", 3),
                      ("fence", 0xF, 0xF),
