@@ -1,11 +1,12 @@
 """Single-instruction assembler: the decoder's tables, read backwards.
 
 Covers every canonical mnemonic the decoder produces plus the pseudo
-spellings li, mv, ret, jr, j, and nop (expanded to their 4-byte base
-forms).  The encodings come from `rvjop.decoder`: every row of its
-instruction table, 32-bit and compressed, encodes through one encoder,
-which writes the row's fixed bits and each operand into its field, and
-takes each operand's range from the field.  This module states only what
+spellings of its `PSEUDOS` table (li, mv, ret, jr, j and nop), each
+encoded by its first row, a 4-byte base form.  The encodings come from
+`rvjop.decoder`: every row of its instruction table, 32-bit and
+compressed, encodes through one encoder, which writes the row's fixed
+bits and each operand into its field, and takes each operand's range from
+the field.  This module states only what
 decoding does not need: the HINT and reserved forms it refuses, and the
 error texts.  Operands follow the decoder's conventions: registers may be
 given as Register objects, ABI names, or indices; immediates are ints.
@@ -16,7 +17,7 @@ for operands that do not fit their encoding fields.
 
 from __future__ import annotations
 
-from .decoder import _COMPRESSED, _WIDE
+from .decoder import _COMPRESSED, _WIDE, PSEUDOS
 from .errors import OperandOutOfRange, UnsupportedInstruction
 from .isa import Register, reg
 
@@ -169,18 +170,17 @@ def _pseudo(base, fill):
     return enc
 
 
-for _n, _base, _fill in [("mv", "addi", (None, None, 0)),
-                         ("ret", "jalr", (0, 1, 0)),
-                         ("jr", "jalr", (0, None, 0)),
-                         ("nop", "addi", (0, 0, 0)),
-                         ("j", "jal", (0, None))]:
-    _ENC[_n] = _pseudo(_base, _fill)
+for _n, _base, _fill in PSEUDOS:       # each pseudo by its first row
+    _ENC.setdefault(_n, _pseudo(_base, _fill))
+
+
+_li = _ENC["li"]
 
 
 def _enc_li(ops, xlen):
     _count(ops, 2)
     _imm(ops[1], -2048, 2047)          # before addi's register check
-    return _ENC["addi"]((ops[0], 0, ops[1]), xlen)
+    return _li(ops, xlen)
 
 
 _ENC["li"] = _enc_li

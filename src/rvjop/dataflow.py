@@ -26,8 +26,8 @@ instruction means exactly what its expansion means.
 
 No path-sensitivity: after an interior conditional branch, later writes
 count as conditional (`cond_written`; they may or may not happen at run
-time) and leave the preserved set, while `exits` keeps the fall-through
-value.
+time) and count as clobbers (`clobbers`), while `exits` keeps the
+fall-through value.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .decoder import CondBranch, DecodedInstruction, MemAccess
-from .isa import A7, REGISTERS, S0, SP, Register, sext
+from .isa import A7, S0, SP, Register, sext
 
 # Records are namedtuples (see `rvjop.decoder`); each field's
 # type is in the comment beside it.
@@ -83,7 +83,6 @@ class DataflowSummary(namedtuple("DataflowSummary", (
         "written",              # frozenset[Register]
         "cond_written",         # frozenset[Register]
         "read_before_write",    # frozenset[Register]
-        "preserved",            # frozenset[Register]
         "exits",        # dict[Register, Value]: written register -> its
                         # value at exit
         "ecall_a7",     # Value | None: a7 at the first ecall; None = no ecall
@@ -112,9 +111,6 @@ class DataflowSummary(namedtuple("DataflowSummary", (
     def clobbers(self, regs) -> frozenset[Register]:
         """Registers from `regs` this gadget writes (even conditionally)."""
         return (self.written | self.cond_written).intersection(regs)
-
-
-_ALL_REGS = frozenset(REGISTERS)
 
 
 def const_add(insn: DecodedInstruction
@@ -199,7 +195,6 @@ def summarize_dataflow(instructions) -> DataflowSummary:
         written=frozenset(written),
         cond_written=frozenset(cond_written),
         read_before_write=frozenset(rbw),
-        preserved=_ALL_REGS - written - cond_written,
         exits=exits,
         ecall_a7=ecall_a7,
         mem_reads=tuple(mem_reads),

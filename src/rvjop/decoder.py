@@ -22,12 +22,13 @@ are rows of their own.  `_plan` turns each row, once, into what `_decode`
 reads of it, the same way for both widths.  The rows are the one
 statement of each encoding: `rvjop.assembler` encodes from them.
 `_effects` says what a base instruction does:
-registers read and written, control flow, memory access, immediate and
-pseudo spellings (li, mv, nop, ret, jr, j).  It is written once per base
-mnemonic, and a compressed instruction takes all of it from its
-expansion.  `base` is the one expansion every consumer reads
-(interpreter, dataflow, classification), so no other module knows how a C
-form expands; it is also the first alias of a compressed instruction.
+registers read and written, control flow, memory access and immediate.
+It is written once per base mnemonic, and a compressed instruction takes
+all of it from its expansion.  `base` is the one expansion every consumer
+reads (interpreter, dataflow, classification), so no other module knows
+how a C form expands.  Pseudo spellings (nop, li, mv, ret, jr, j) are
+rows of one table, `PSEUDOS`, that both `DecodedInstruction.spelling`
+and the assembler read; a decoded instruction stores none.
 Immediates are kept sign-extended as plain Python ints, independent of
 XLEN.
 """
@@ -39,12 +40,7 @@ from functools import cache
 from operator import itemgetter
 
 from .errors import InvalidEncoding, Truncated
-from .isa import REGISTERS, RA, A7, Register, mask, reg, sext
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from typing import NoReturn
-
+from .isa import REGISTERS, RA, A7, ZERO, Register, mask, reg, sext
 
 # --- control flow and access descriptors ------------------------------------
 #
@@ -113,10 +109,9 @@ class DecodedInstruction(namedtuple("DecodedInstruction", (
         "control_flow",  # ControlFlow | None
         "mem_access",   # MemAccess | None
         "imm",          # int | None
-        "aliases",      # tuple[Alias, ...]
         "base",         # Alias | None: the 32-bit form; decoding always
                         # sets it
-        ), defaults=(None, None, None, (), None))):
+        ), defaults=(None, None, None, None))):
     __slots__ = ()
 
     @property
@@ -125,10 +120,23 @@ class DecodedInstruction(namedtuple("DecodedInstruction", (
         return isinstance(self.control_flow, IndirectJump)
 
     def matches_op(self, name: str) -> bool:
-        """Pseudo-aware mnemonic test: canonical name or any alias."""
-        if self.mnemonic == name:
-            return True
-        return any(a.name == name for a in self.aliases)
+        """Pseudo-aware mnemonic test: `name` is the mnemonic, the base
+        form's or the pseudo spelling's."""
+        if name not in _PSEUDO_NAMES:
+            return name == self.mnemonic or name == self.base.name
+        spelled = self.spelling if self.mnemonic in _SPELLED else None
+        return spelled is not None and spelled.name == name
+
+    @property
+    def spelling(self) -> Alias | None:
+        """The pseudo spelling: by the first row of `PSEUDOS` that its
+        base form matches, or for c.mv its own form."""
+        own, rows = _SPELLED.get(self.mnemonic, _UNSPELLED)
+        ops = self.operands if own else self.base.operands
+        for pseudo, fixed, want, pick in rows:
+            if fixed(ops) == want:
+                return _new(Alias, (pseudo, pick(ops)))
+        return None
 
     @property
     def encoding(self) -> bytes:
@@ -176,82 +184,67 @@ _new = tuple.__new__
 
 # --- effects of a base instruction ------------------------------------------
 
-_NOP = Alias("nop", ())
-_RET = Alias("ret", ())
 _ECALL = Trap("ecall")
 _EBREAK = Trap("ebreak")
 
 
 def _effects(name: str, ops: tuple, address: int, xlen: int) -> tuple:
     """What the base instruction `name ops` at `address` does: (regs read,
-    regs written, control flow, memory access, imm, pseudo aliases).
+    regs written, control flow, memory access, imm).
 
     Written once per base mnemonic; a compressed instruction gets its
     effects from its expansion."""
     kind, size = _SHAPE[name]
     if kind == "imm":                           # rd, rs1, imm
         rd, rs1, imm = ops
-        pseudo = ()
-        if name == "addi":
-            if rs1.index == 0:
-                pseudo = (_NOP,) if rd.index == 0 and imm == 0 \
-                    else (Alias("li", (rd, imm)),)
-            elif imm == 0:
-                pseudo = (Alias("mv", (rd, rs1)),)
-        return _ONE[rs1.index], _ONE[rd.index], None, None, imm, pseudo
+        return _ONE[rs1.index], _ONE[rd.index], None, None, imm
     if kind == "reg":                           # rd, rs1, rs2
         rd, rs1, rs2 = ops
-        return _two(rs1, rs2), _ONE[rd.index], None, None, None, ()
+        return _two(rs1, rs2), _ONE[rd.index], None, None, None
     if kind == "load":                          # rd, rs1, imm
         rd, rs1, imm = ops
         return (_ONE[rs1.index], _ONE[rd.index], None,
-                MemAccess("load", rs1, imm, size), imm, ())
+                MemAccess("load", rs1, imm, size), imm)
     if kind == "store":                         # rs2, rs1, imm
         rs2, rs1, imm = ops
         return (_two(rs1, rs2), _EMPTY, None,
-                MemAccess("store", rs1, imm, size), imm, ())
+                MemAccess("store", rs1, imm, size), imm)
     if kind == "branch":                        # rs1, rs2, imm
         rs1, rs2, imm = ops
         cf = CondBranch((address + imm) & mask(xlen), (rs1, rs2), name[1:])
-        return _two(rs1, rs2), _EMPTY, cf, None, imm, ()
+        return _two(rs1, rs2), _EMPTY, cf, None, imm
     if kind == "jal":                           # rd, imm
         rd, imm = ops
-        link = rd if rd.index else None
-        pseudo = () if link else (Alias("j", (imm,)),)
-        cf = DirectJump((address + imm) & mask(xlen), link)
-        return _EMPTY, _ONE[rd.index], cf, None, imm, pseudo
+        cf = DirectJump((address + imm) & mask(xlen), rd if rd.index else None)
+        return _EMPTY, _ONE[rd.index], cf, None, imm
     if kind == "jalr":                          # rd, rs1, imm
         rd, rs1, imm = ops
-        link = rd if rd.index else None
-        pseudo = ()
-        if link is None and imm == 0:
-            pseudo = (_RET,) if rs1 is RA else (Alias("jr", (rs1,)),)
-        cf = IndirectJump(rs1, imm, link)
-        return _ONE[rs1.index], _ONE[rd.index], cf, None, imm, pseudo
+        cf = IndirectJump(rs1, imm, rd if rd.index else None)
+        return _ONE[rs1.index], _ONE[rd.index], cf, None, imm
     if kind == "upper":                         # rd, imm[31:12]
         rd, f = ops
-        return _EMPTY, _ONE[rd.index], None, None, sext(f << 12, 32), ()
+        return _EMPTY, _ONE[rd.index], None, None, sext(f << 12, 32)
     if kind == "lr":                            # rd, rs1
         rd, rs1 = ops
         return (_ONE[rs1.index], _ONE[rd.index], None,
-                MemAccess("load", rs1, 0, size), None, ())
+                MemAccess("load", rs1, 0, size), None)
     if kind == "sc" or kind == "amo":           # rd, rs2, rs1
         rd, rs2, rs1 = ops
         return (_two(rs1, rs2), _ONE[rd.index], None,
                 MemAccess("store" if kind == "sc" else kind, rs1, 0, size),
-                None, ())
+                None)
     if kind == "csr":                           # rd, csr, rs1 or zimm
         rd, _, src = ops
         if name[-1] == "i":
-            return _EMPTY, _ONE[rd.index], None, None, src, ()
-        return _ONE[src.index], _ONE[rd.index], None, None, None, ()
+            return _EMPTY, _ONE[rd.index], None, None, src
+        return _ONE[src.index], _ONE[rd.index], None, None, None
     if name == "ecall":
         # By convention the syscall id travels in a7; record the read so a
         # bare ecall shows a7 as an external dependency.
-        return _ONE[A7.index], _EMPTY, _ECALL, None, None, ()
+        return _ONE[A7.index], _EMPTY, _ECALL, None, None
     if name == "ebreak":
-        return _EMPTY, _EMPTY, _EBREAK, None, None, ()
-    return _EMPTY, _EMPTY, None, None, None, ()     # fence, fence.i
+        return _EMPTY, _EMPTY, _EBREAK, None, None
+    return _EMPTY, _EMPTY, None, None, None     # fence, fence.i
 
 
 # --- the instruction table --------------------------------------------------
@@ -650,22 +643,15 @@ _C32 = _buckets(_WIDE, 0x707F, 4)
 _C16 = _buckets(_COMPRESSED, 0xF003, 2)
 
 
-def _invalid(address: int, word: int,
-             subcode: str = "undefined") -> NoReturn:
-    """Raise the decoder's error for the encoding `word` at `address`."""
-    raise InvalidEncoding(address, word, subcode)
-
-
 def _decode(raw: int, width: int, tried: tuple, address: int,
             xlen: int) -> DecodedInstruction:
     """The `width`-byte instruction `raw`, by the first row of `tried`
-    that matches it, with the effects of its base form, which also goes
-    first in a compressed instruction's aliases."""
+    that matches it, with the effects of its base form."""
     for care, match, row in tried:
         if raw & care == match:
             break
     if type(row) is str:
-        _invalid(address, raw, row)
+        raise InvalidEncoding(address, raw, row)
     name, s1, t1, s2, t2, s3, t3, imm, fixed, ops_of, base, base_of = row
     value = 0
     if imm:
@@ -676,19 +662,12 @@ def _decode(raw: int, width: int, tried: tuple, address: int,
             value, fixed)
     operands = ops_of(pool)
     base_ops = operands if base_of is ops_of else base_of(pool)
-    reads, writes, cf, mem, value, aliases = _effects(base, base_ops,
-                                                      address, xlen)
+    reads, writes, cf, mem, value = _effects(base, base_ops, address, xlen)
     if imm is None:
         value = None        # no immediate operand: c.nop, c.jr, add, ...
-    base = _new(Alias, (base, base_ops))
-    if width == 2:
-        if name == "c.mv":
-            # mv spells c.mv; its expansion `add rd, zero, rs` has no pseudo
-            aliases = (_new(Alias, ("mv", operands)),)
-        aliases = (base,) + aliases
     return _new(DecodedInstruction, (address, width, raw, name, operands,
-                                     reads, writes, cf, mem, value, aliases,
-                                     base))
+                                     reads, writes, cf, mem, value,
+                                     _new(Alias, (base, base_ops))))
 
 
 def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruction:
@@ -711,3 +690,41 @@ def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruct
         raise Truncated(address, 4, len(data))
     word = hw | (data[2] << 16) | (data[3] << 24)
     return _decode(word, 4, _C32[xlen][word & 0x707F], address, xlen)
+
+
+# --- pseudo spellings -------------------------------------------------------
+#
+# One row per pseudo spelling, in the order they are recognized: the
+# pseudo, the mnemonic it spells and that mnemonic's operands, in which a
+# register or an int is a fixed operand and None an operand of the pseudo,
+# in order.  An instruction is spelled by the first row that it matches
+# (`DecodedInstruction.spelling`): a compressed one by its base form, but
+# c.mv by its own, as its expansion `add rd, zero, rs` has no pseudo.
+# `rvjop.assembler` encodes each pseudo by its first row.
+PSEUDOS = (
+    ("nop", "addi", (ZERO, ZERO, 0)),
+    ("li", "addi", (None, ZERO, None)),
+    ("mv", "addi", (None, None, 0)),
+    ("ret", "jalr", (ZERO, RA, 0)),
+    ("jr", "jalr", (ZERO, None, 0)),
+    ("j", "jal", (ZERO, None)),
+    ("mv", "c.mv", (None, None)),
+)
+
+_PSEUDO_NAMES = frozenset(pseudo for pseudo, _, _ in PSEUDOS)
+
+# By decoded mnemonic: whether its rows read its own form or its base
+# form, and the rows, each as the pseudo, the function giving a form's
+# fixed operands, their values, and the function giving the pseudo's
+# operands.  A compressed mnemonic without rows of its own takes its
+# expansion's.
+_SPELLED: dict = {}
+_UNSPELLED = (True, ())
+for _pseudo, _name, _fill in PSEUDOS:
+    _fixed = _pick([i for i, f in enumerate(_fill) if f is not None])
+    _SPELLED.setdefault(_name, (True, []))[1].append((
+        _pseudo, _fixed, _fixed(_fill),
+        _pick([i for i, f in enumerate(_fill) if f is None])))
+for _row in _COMPRESSED:
+    if _row[6] and _row[6][0] in _SPELLED:
+        _SPELLED.setdefault(_row[3], (False, _SPELLED[_row[6][0]][1]))

@@ -18,23 +18,34 @@ class InvalidEncoding(ToolError):
 
     `subcode` distinguishes why: "undefined" for patterns outside the
     supported sets, "fp" for float opcodes, "vector" for vector opcodes.
+    The fields are the exception's `args`, so it pickles and copies, and
+    the message is formatted only when it is read: most invalid encodings
+    a sweep meets are dropped unread.
     """
 
     def __init__(self, address: int, word: int, subcode: str = "undefined"):
+        super().__init__(address, word, subcode)
         self.address = address
         self.word = word
         self.subcode = subcode
-        super().__init__(f"invalid encoding 0x{word:x} at 0x{address:x} ({subcode})")
+
+    def __str__(self) -> str:
+        return (f"invalid encoding 0x{self.word:x} at 0x{self.address:x} "
+                f"({self.subcode})")
 
 
 class Truncated(ToolError):
     """Fewer bytes available than the instruction width requires."""
 
     def __init__(self, address: int, needed: int, got: int):
+        super().__init__(address, needed, got)
         self.address = address
         self.needed = needed
         self.got = got
-        super().__init__(f"truncated fetch at 0x{address:x}: need {needed} bytes, have {got}")
+
+    def __str__(self) -> str:
+        return (f"truncated fetch at 0x{self.address:x}: need {self.needed} "
+                f"bytes, have {self.got}")
 
 
 class UnsupportedInstruction(ToolError):

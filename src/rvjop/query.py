@@ -103,7 +103,7 @@ def run_query(image: ExecutableImage, q: Query) -> list[QueryHit]:
         if q.link is not None and g.link_register is not q.link:
             continue
         hit = QueryHit(g, dispatchers)
-        if q.preserve and not q.preserve <= hit.summary.preserved:
+        if q.preserve and hit.summary.clobbers(q.preserve):
             continue
         if q.role is not None and q.role not in hit.roles:
             continue

@@ -522,11 +522,11 @@ def _jal(m: Machine, insn: DecodedInstruction,
 
 def _jalr(m: Machine, insn: DecodedInstruction,
           size: int | None) -> Callable[[], int]:
-    # the target is base plus the sign-extended offset, wrapped to XLEN,
-    # with bit 0 cleared; the offset is extended once, here
+    # the target is base plus the offset (the decoder gives it
+    # sign-extended), wrapped to XLEN, with bit 0 cleared
     cf = insn.control_flow
     regs, b = m.regs, cf.base.index
-    off, keep = sext(cf.offset & 0xFFF, 12), m.mask & ~1
+    off, keep = cf.offset, m.mask & ~1
     if cf.link is not None:
         return _linked(m, insn, b, off)
     if not cf.is_return:

@@ -8,6 +8,7 @@ compressed-window and RV64-only cases.
 from __future__ import annotations
 
 from rvjop.assembler import supported_mnemonics
+from rvjop.decoder import PSEUDOS as _PSEUDO_ROWS
 
 XR = ("zero", "a0", "t6")            # any register field
 XS = ("zero", "sp", "a5")
@@ -35,7 +36,7 @@ AMO_BASES = ("amoswap", "amoadd", "amoxor", "amoand", "amoor",
              "amomin", "amomax", "amominu", "amomaxu")
 ORDERINGS = ("", ".aq", ".rl", ".aqrl")
 
-PSEUDOS = frozenset({"li", "mv", "ret", "jr", "nop", "j"})
+PSEUDOS = frozenset(pseudo for pseudo, _, _ in _PSEUDO_ROWS)
 
 
 def iter_probes():

@@ -31,10 +31,10 @@ def test_written_and_rbw():
 
 
 def test_preserved_complement():
+    """A register is preserved when the gadget does not clobber it."""
     s = summarize_dataflow(seq(("li", "a0", 5), ("ret",)))
     assert A0 in s.written
-    assert A1 in s.preserved
-    assert SP in s.preserved
+    assert s.clobbers({A0, A1, SP}) == {A0}
 
 
 def test_sp_delta_constant_sum():
@@ -107,7 +107,7 @@ def test_cond_written_after_branch():
                                ("ret",)))
     assert A2 in s.cond_written
     assert A2 not in s.written
-    assert A2 not in s.preserved
+    assert s.clobbers({A2}) == {A2}
 
 
 def test_clobbers_helper():

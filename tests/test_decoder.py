@@ -1,20 +1,24 @@
 """Decoder behavior: golden encodings, width rules, rejection classes,
 return discrimination, aliases, and immediate reconstruction."""
 
+import copy
 import gzip
 import hashlib
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rvjop.decoder import (CondBranch, DecodedInstruction, DirectJump,
-                           IndirectJump, Trap, decode_one)
+from rvjop.assembler import assemble
+from rvjop.decoder import (PSEUDOS, CondBranch, DecodedInstruction,
+                           DirectJump, IndirectJump, Trap, decode_one)
 from rvjop.errors import InvalidEncoding, Truncated
-from rvjop.isa import A0, A7, RA, SP, reg, sext
+from rvjop.isa import A0, A1, A7, RA, SP, T0, reg, sext
 
-from gen_llvm_golden import COMPRESSED_GOLDEN, DECODER_GOLDEN
+from gen_llvm_golden import (COMPRESSED_GOLDEN, DECODER_GOLDEN, REG_KINDS,
+                             SHAPES, imm_kind)
 
 
 def d32(word: int, address: int = 0, xlen: int = 32):
@@ -177,6 +181,33 @@ def test_undefined_subcode(word):
     assert ei.value.subcode == "undefined"
 
 
+@pytest.mark.parametrize("exc,text", [
+    (InvalidEncoding(0x10, 0x7), "invalid encoding 0x7 at 0x10 (undefined)"),
+    (InvalidEncoding(0x10, 0x52007, "fp"),
+     "invalid encoding 0x52007 at 0x10 (fp)"),
+    (InvalidEncoding(0x8000, 0x2008057, "vector"),
+     "invalid encoding 0x2008057 at 0x8000 (vector)"),
+    (Truncated(0x44, 4, 2), "truncated fetch at 0x44: need 4 bytes, have 2"),
+])
+def test_decode_errors_text_pickle_and_copy(exc, text):
+    """The message is the same however the exception was made: raised,
+    unpickled or copied."""
+    assert str(exc) == text
+    for twin in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+        assert type(twin) is type(exc) and twin.args == exc.args
+        assert vars(twin) == vars(exc)
+        assert str(twin) == text
+
+
+def test_decode_error_from_the_decoder_reads_the_same():
+    with pytest.raises(InvalidEncoding) as ei:
+        d32(0x00052007, 0x10)
+    assert str(ei.value) == "invalid encoding 0x52007 at 0x10 (fp)"
+    with pytest.raises(Truncated) as ei:
+        decode_one(b"\x67\x80", 0x44, 32)
+    assert str(ei.value) == "truncated fetch at 0x44: need 4 bytes, have 2"
+
+
 # --- RV64 differences -------------------------------------------------------
 
 def test_rv64_ld_and_lwu():
@@ -241,8 +272,62 @@ def test_render_amo():
 def test_compressed_expansion_alias():
     x = d16(0x4110)                      # c.lw a2, 0(a0)
     assert x.mnemonic == "c.lw"
-    assert any(a.name == "lw" for a in x.aliases)
+    assert x.matches_op("lw") and x.base.name == "lw"
+    assert x.spelling is None
     assert x.mem_access.size == 4
+
+
+# --- pseudo spellings -------------------------------------------------------
+
+def _own_operands(pseudo: str, xlen: int) -> tuple:
+    """Operands of `pseudo` that make no earlier row match: a distinct
+    register other than x0 per register, a nonzero immediate."""
+    ops = []
+    for k, kind in enumerate(SHAPES[pseudo][0]):
+        if kind in REG_KINDS:
+            ops.append(f"a{k}")
+        else:
+            ops.append(3 * imm_kind(kind, xlen)[2])
+    return tuple(ops)
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+@pytest.mark.parametrize("pseudo,mnemonic,fill", PSEUDOS)
+def test_pseudo_row_round_trips(pseudo, mnemonic, fill, xlen):
+    """The pseudo, and its row's mnemonic with the row's operands, both
+    decode to an instruction spelled by the pseudo."""
+    ops = _own_operands(pseudo, xlen)
+    given = iter(ops)
+    full = tuple(next(given) if f is None else f for f in fill)
+    want = (pseudo, tuple(reg(o) if type(o) is str else o for o in ops))
+    for data in (assemble(pseudo, ops, xlen), assemble(mnemonic, full, xlen)):
+        x = decode_one(data, 0, xlen)
+        assert x.spelling == want, x.render()
+        assert x.matches_op(pseudo)
+
+
+@pytest.mark.parametrize("mnemonic,ops,spelled,not_spelled", [
+    ("addi", ("zero", "zero", 0), ("nop", ()), "li"),
+    ("addi", ("t0", "zero", 0), ("li", (T0, 0)), "mv"),
+    ("jalr", ("zero", "ra", 0), ("ret", ()), "jr"),
+])
+def test_first_matching_row_spells(mnemonic, ops, spelled, not_spelled):
+    x = decode_one(assemble(mnemonic, ops), 0, 32)
+    assert x.spelling == spelled
+    assert x.matches_op(spelled[0]) and x.matches_op(mnemonic)
+    assert not x.matches_op(not_spelled)
+
+
+def test_only_c_mv_spells_mv_by_its_own_form():
+    """32-bit `add a0, zero, a1` is no mv; c.mv a0, a1, whose base form it
+    is, is."""
+    wide = decode_one(assemble("add", ("a0", "zero", "a1")), 0, 32)
+    assert wide.matches_op("add") and not wide.matches_op("mv")
+    assert wide.spelling is None
+    short = decode_one(assemble("c.mv", ("a0", "a1")), 0, 32)
+    assert short.base == wide.base
+    assert all(short.matches_op(m) for m in ("c.mv", "add", "mv"))
+    assert short.spelling == ("mv", (A0, A1))
 
 
 # --- whole-decoder digest ---------------------------------------------------
@@ -254,6 +339,9 @@ DECODER_DIGEST = \
 
 _FIELDS = list(DecodedInstruction._fields)
 _REG_SETS = [_FIELDS.index("regs_read"), _FIELDS.index("regs_written")]
+# Where the digest's lines hold a compressed instruction's base form, then
+# the pseudo spelling: the place of a field that held them.
+_SPELLED_AT = _FIELDS.index("imm") + 1
 
 
 def _digest_inputs():
@@ -272,6 +360,10 @@ def _digest_line(data: bytes, xlen: int) -> str:
     values = [getattr(insn, name) for name in _FIELDS]
     for i in _REG_SETS:                   # register sets: order by index
         values[i] = sorted(r.index for r in values[i])
+    spelled = (insn.base,) if insn.width == 2 else ()
+    if insn.spelling is not None:
+        spelled += (insn.spelling,)
+    values.insert(_SPELLED_AT, spelled)
     return f"{data.hex()} {values!r} {insn.render()}"
 
 
