@@ -43,7 +43,7 @@ from .classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_TWO_STAGE,
 from .dataflow import DataflowSummary, summarize_dataflow
 from .errors import AddressTooWide, Diverges, Overlap, ToolError
 from .image import ExecutableImage
-from .isa import ARG_REGS, RA, Register, mask, reg
+from .isa import ARG_REGS, Register, mask, reg
 from .scanner import Gadget, gadget_at
 
 ERROR = "error"
@@ -200,7 +200,7 @@ def validate_chain(spec: ChainSpec) -> list[Diagnostic]:
                     ERROR, "TerminatorMismatch",
                     f"step {i}: must jump back via "
                     f"{spec.dispatch_reg.name} (ends via {cf.base.name})"))
-            elif cf.link is RA:
+            elif cf.pushes:
                 diags.append(Diagnostic(
                     WARNING, "LinkingStep",
                     f"step {i}: links with ra; each round grows a shadow stack"))

@@ -140,6 +140,18 @@ class DispatcherCandidate(namedtuple("DispatcherCandidate", (
         """Required registers an initializer seeding `sets` leaves unset."""
         return self.required_registers - sets.keys()
 
+    def on(self, gadget: Gadget) -> DispatcherCandidate | None:
+        """This candidate on `gadget`, a byte-identical copy of its body.
+        A classic or two-stage shape is a property of the body's bytes,
+        and `find_dispatchers` reports each distinct body once, so any
+        copy is that dispatcher.  An autonomous loop also needs the
+        return path after its body: None for any copy but its own."""
+        if gadget.start == self.gadget.start:
+            return self
+        if self.kind == DISPATCHER_AUTONOMOUS:
+            return None
+        return self._replace(gadget=gadget)
+
 
 class InitializerCandidate(namedtuple("InitializerCandidate", (
         "gadget",       # Gadget
@@ -163,12 +175,14 @@ def _is_alu_write(insn: DecodedInstruction) -> bool:
 
 
 def classify(gadget: Gadget, summary: DataflowSummary | None = None,
-             dispatchers: dict[int, list[DispatcherCandidate]] | None = None
+             dispatchers: dict[bytes, list[DispatcherCandidate]] | None = None
              ) -> list[GadgetRole]:
-    """Roles for one gadget.  Pure in (gadget bytes, summary, context).
+    """Roles for one gadget.  Pure in (gadget bytes, summary, context),
+    but for an autonomous loop, whose return path follows its bytes.
 
-    `dispatchers` maps gadget start addresses to candidates found by
-    find_dispatchers; without it only body-local roles are assigned.
+    `dispatchers` maps gadget bytes to candidates found by
+    find_dispatchers (`dispatcher_index`); without it only body-local
+    roles are assigned.
     """
     if summary is None:
         summary = summarize_dataflow(gadget.instructions)
@@ -194,9 +208,9 @@ def classify(gadget: Gadget, summary: DataflowSummary | None = None,
         # each kind once, with its first candidate: a stage one pairs
         # with every stage two that loads through it
         kinds = set()
-        for cand in dispatchers.get(gadget.start, ()):
-            if (cand.kind not in kinds
-                    and cand.gadget.encoding == gadget.encoding):
+        for cand in dispatchers.get(gadget.encoding, ()):
+            cand = None if cand.kind in kinds else cand.on(gadget)
+            if cand is not None:
                 kinds.add(cand.kind)
                 roles.append(GadgetRole(cand.kind, cand))
 
@@ -245,7 +259,7 @@ def _table_walk(body, target: Register) -> tuple[Register, int, bool] | None:
 def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
                     ) -> DispatcherCandidate | None:
     cf = term.control_flow
-    if not isinstance(cf, IndirectJump) or cf.link is not RA:
+    if not cf.pushes:
         return None
     target_reg = cf.base
 
@@ -398,16 +412,18 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
 
 def dispatcher_at(image: ExecutableImage, address: int
                   ) -> DispatcherCandidate | None:
-    """The first `find_dispatchers` candidate whose loop entry is
-    `address`, found by reading around `address` when it can.
+    """The first `find_dispatchers` candidate whose body is the code at
+    `address`, on that copy of it (`DispatcherCandidate.on`), found by
+    reading around `address` when it can.
 
     At most one autonomous loop starts at `address`: its body decodes
     forward from there with no jump before the call, which sits at most
     `_BACKLINK_WINDOW` bytes further on.  Candidates sort by (loop
     entry, kind), autonomous first, so that loop is the answer when
     there is one.  Only otherwise does the whole-image search run, for
-    classic and two-stage entries.  An address at no even offset of an
-    executable segment is no loop entry: None, with no search.
+    classic and two-stage bodies whose bytes start at `address`.  An
+    address at no even offset of an executable segment is no loop
+    entry: None, with no search.
     """
     seg = image.segment_containing(address)
     if seg is None or not seg.executable or (address - seg.vaddr) & 1:
@@ -418,16 +434,19 @@ def dispatcher_at(image: ExecutableImage, address: int
         if cand is not None and cand.loop_entry == address:
             return cand
     for d in find_dispatchers(image):
-        if d.loop_entry == address:
-            return d
+        if seg.data.startswith(d.gadget.encoding, address - seg.vaddr):
+            found = d.on(gadget_at(image, address))
+            if found is not None:
+                return found
     return None
 
 
-def dispatcher_index(candidates) -> dict[int, list[DispatcherCandidate]]:
-    """Start-address index usable as classify() context."""
-    index: dict[int, list[DispatcherCandidate]] = {}
+def dispatcher_index(candidates) -> dict[bytes, list[DispatcherCandidate]]:
+    """Body-bytes index usable as classify() context: byte-identical
+    copies of a body look up the same candidates."""
+    index: dict[bytes, list[DispatcherCandidate]] = {}
     for c in candidates:
-        index.setdefault(c.gadget.start, []).append(c)
+        index.setdefault(c.gadget.encoding, []).append(c)
     return index
 
 
@@ -436,10 +455,11 @@ def dispatcher_index(candidates) -> dict[int, list[DispatcherCandidate]]:
 def initializer_sources(gadget: Gadget, summary: DataflowSummary | None = None
                         ) -> dict[Register, Source] | None:
     """What `gadget` seeds as an initializer (its summary's `loaded`
-    registers), or None when its terminator jumps through or links ra:
-    an initializer must hand control on without a return or a call."""
+    registers), or None when its terminator jumps through ra or pushes a
+    shadow stack: an initializer must hand control on without a return
+    or a call."""
     cf = gadget.terminator.control_flow
-    if cf.base is RA or cf.link is RA:
+    if cf.base is RA or cf.pushes:
         return None
     if summary is None:
         summary = summarize_dataflow(gadget.instructions)

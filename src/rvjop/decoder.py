@@ -28,7 +28,9 @@ all of it from its expansion.  `base` is the one expansion every consumer
 reads (interpreter, dataflow, classification), so no other module knows
 how a C form expands.  Pseudo spellings (nop, li, mv, ret, jr, j) are
 rows of one table, `PSEUDOS`, that both `DecodedInstruction.spelling`
-and the assembler read; a decoded instruction stores none.
+and the assembler read; a decoded instruction stores none.  The jump
+records state the shadow-stack rule, which jumps push (`pushes`) and
+which pop (`is_return`, read from the ret row), for every other layer.
 Immediates are kept sign-extended as plain Python ints, independent of
 XLEN.
 """
@@ -49,13 +51,26 @@ from .isa import REGISTERS, RA, A7, ZERO, Register, mask, reg, sext
 # for every annotated field at import.  Each field's type is in the comment
 # beside it.
 
-DirectJump = namedtuple("DirectJump", (
-    "target",       # int
-    "link",         # Register | None
-), defaults=(None,))
+class _Jump:
+    """The shadow-stack rule, stated once for both jump records: a jump
+    pushes its return address when it links ra (`pushes`), and pops and
+    compares when it is the jalr that `PSEUDOS` spells ret (`is_return`,
+    which no jal is).  Every other jump touches nothing.  The scanner,
+    classification, chain validation and the interpreter read these two
+    answers, so a change of rule is made here."""
+    __slots__ = ()
+    is_return = False
+    pushes = property(lambda self: self.link is RA)
 
 
-class IndirectJump(namedtuple("IndirectJump", (
+class DirectJump(_Jump, namedtuple("DirectJump", (
+        "target",       # int
+        "link",         # Register | None
+        ), defaults=(None,))):
+    __slots__ = ()
+
+
+class IndirectJump(_Jump, namedtuple("IndirectJump", (
         "base",         # Register
         "offset",       # int
         "link",         # Register | None
@@ -64,9 +79,8 @@ class IndirectJump(namedtuple("IndirectJump", (
 
     @property
     def is_return(self) -> bool:
-        # Return-like is exactly the no-link jump through ra with offset 0
-        # (jalr x0, 0(ra) and its compressed spelling).
-        return self.link is None and self.base is RA and self.offset == 0
+        # its jalr form (rd, rs1, imm) against the ret row's operands
+        return (self.link or ZERO, self.base, self.offset) == _RETURN
 
 
 CondBranch = namedtuple("CondBranch", (
@@ -713,6 +727,9 @@ PSEUDOS = (
 
 _PSEUDO_NAMES = frozenset(pseudo for pseudo, _, _ in PSEUDOS)
 
+# The operands of the jalr spelled ret: the jump that pops a shadow stack.
+_RETURN = next(ops for pseudo, _, ops in PSEUDOS if pseudo == "ret")
+
 # By decoded mnemonic: whether its rows read its own form or its base
 # form, and the rows, each as the pseudo, the function giving a form's
 # fixed operands, their values, and the function giving the pseudo's
@@ -725,6 +742,6 @@ for _pseudo, _name, _fill in PSEUDOS:
     _SPELLED.setdefault(_name, (True, []))[1].append((
         _pseudo, _fixed, _fixed(_fill),
         _pick([i for i, f in enumerate(_fill) if f is None])))
-for _row in _COMPRESSED:
-    if _row[6] and _row[6][0] in _SPELLED:
-        _SPELLED.setdefault(_row[3], (False, _SPELLED[_row[6][0]][1]))
+for _, _, _, _name, _, _, _tail in _COMPRESSED:
+    if _tail and _tail[0] in _SPELLED:
+        _SPELLED.setdefault(_name, (False, _SPELLED[_tail[0]][1]))

@@ -59,7 +59,7 @@ class Query(namedtuple("Query", (
 
 class QueryHit:
     def __init__(self, gadget: Gadget,
-                 dispatchers: Callable[[], dict[int, list[DispatcherCandidate]]]):
+                 dispatchers: Callable[[], dict[bytes, list[DispatcherCandidate]]]):
         self.gadget = gadget
         # The run's classify() context: the dispatcher index, built on the
         # first call and shared by every hit of the run.

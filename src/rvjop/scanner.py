@@ -27,7 +27,7 @@ from .decoder import (_COMPRESSED, _WIDE, CondBranch, DecodedInstruction,
                       DirectJump, decode_one)
 from .errors import ToolError
 from .image import DecodedSegment, ExecutableImage
-from .isa import RA, Register
+from .isa import Register
 
 MAX_GADGET_LEN = 32
 GADGET_AT_LIMIT = 64     # instructions `gadget_at` reads before giving up
@@ -67,8 +67,9 @@ class Gadget(namedtuple("Gadget", (
 
     @property
     def terminator_links(self) -> bool:
-        """True when the terminator writes ra (a jalr-style call)."""
-        return self.terminator.control_flow.link is RA
+        """True when the terminator is a call: it pushes a shadow stack
+        (`rvjop.decoder`'s rule)."""
+        return self.terminator.control_flow.pushes
 
     @property
     def encoding(self) -> bytes:

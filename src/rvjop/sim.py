@@ -5,11 +5,14 @@ byte regions, and an instruction budget.  It exists to answer one question
 about a chain: does control flow reach the designated return address with
 the stack balanced and the shadow stack satisfied?
 
-Shadow stack model: a jump that links through ra pushes the return
-address; a return-like jump (jalr x0, 0(ra) or its compressed spelling)
-pops and compares.  Indirect jumps through any other register touch
-nothing.  A pop from an empty stack or a mismatched compare terminates
-the run as a violation, the way an enforcing implementation would.
+Shadow stack model: `rvjop.decoder`'s rule, which the scanner,
+classification and chain validation read too.  A jump whose record
+`pushes` (it links ra) pushes the return address; one that `is_return`
+(jalr x0, 0(ra), spelled ret, or its compressed form) pops and compares.
+Other jumps touch nothing.  A pop from an empty stack or a mismatched
+compare terminates the run as a violation, the way an enforcing
+implementation would.  Which jumps push or pop is decided when a
+handler is built, so it costs no step anything.
 
 Each pc is decoded and dispatched once, the way Spike's decode cache
 does it.  The first fetch of a pc builds one handler for its instruction:
@@ -21,13 +24,12 @@ so a step is one dict lookup and one call.  The commonest steps make no
 further Python-level call: `addi` and `add` compute in the handler, a
 load unpacks from the region the machine's last access hit (only a miss
 goes through `Machine._locate`, which walks the regions and raises the
-unmapped fault), and a linking jump through ra or a return pushes or pops
-the shadow stack itself (only a return that does not match calls
-`_shadow_pop`, to raise the violation).  Memory goes through one `Struct`
-per access width and signedness (`_MEMORY`): a load reads its value
-sign-extended; a store packs it masked to its width and drops the cached
-pc of every instruction the bytes overlap, [address - 3, address + size),
-so code a payload writes runs.  A fetch that faults caches nothing.  The
+unmapped fault), and a jump that pushes or pops the shadow stack does
+it in its handler.  Memory goes through one `Struct` per access width
+and signedness (`_MEMORY`): a load reads its value sign-extended; a
+store packs it masked to its width and drops the cached pc of every
+instruction the bytes overlap, [address - 3, address + size), so code a
+payload writes runs.  A fetch that faults caches nothing.  The
 cache holds at most one entry per distinct pc run: it is bounded by fuel.
 
 The operation table (`_OPS`) states the 18 register-register operations of
@@ -52,10 +54,10 @@ import struct
 from collections import namedtuple
 from collections.abc import Callable
 
-from .decoder import _SHAPE, DecodedInstruction, decode_one
+from .decoder import _SHAPE, DecodedInstruction, DirectJump, decode_one
 from .errors import InvalidEncoding, Overlap, ToolError, Truncated
 from .image import ExecutableImage
-from .isa import RA, SP, Register, mask, reg, sext, to_signed
+from .isa import SP, Register, mask, reg, sext, to_signed
 
 DEFAULT_FUEL = 1_000_000
 DEFAULT_STACK_TOP = 0x7FFF_F000
@@ -240,18 +242,6 @@ class Machine:
         handler = _FACTORIES[kind](self, insn, size)
         self._decoded[pc] = handler
         return handler
-
-    def _shadow_pop(self, target: int) -> None:
-        # A return handler pops a match itself and calls this to raise.
-        if not self.shadow_stack:
-            raise _Violation(
-                f"return to 0x{target:x} with an empty shadow stack")
-        expected = self.shadow_stack.pop()
-        self.shadow_pops += 1
-        if expected != target & self.mask:
-            raise _Violation(
-                f"return to 0x{target & self.mask:x}, shadow stack "
-                f"expected 0x{expected:x}")
 
     def _ecall(self, pc: int) -> None:
         number = self.regs[17]
@@ -509,50 +499,40 @@ def _branch(m: Machine, insn: DecodedInstruction,
     return run
 
 
-def _jal(m: Machine, insn: DecodedInstruction,
-         size: int | None) -> Callable[[], int]:
-    cf = insn.control_flow
-    target = cf.target & m.mask
-    if cf.link is None:
-        return lambda: target
-    # a jal is a jalr through x0, which reads 0, with its target (even,
-    # since the pc is) as the offset
-    return _linked(m, insn, 0, target)
-
-
-def _jalr(m: Machine, insn: DecodedInstruction,
+def _jump(m: Machine, insn: DecodedInstruction,
           size: int | None) -> Callable[[], int]:
-    # the target is base plus the offset (the decoder gives it
-    # sign-extended), wrapped to XLEN, with bit 0 cleared
+    """jal and jalr.  The target is the base register plus the offset
+    (the decoder gives it sign-extended), wrapped to XLEN, with bit 0
+    cleared; a jal is a jalr through x0, which reads 0, with its target
+    (even, since the pc is) as the offset.  The shadow stack follows
+    `rvjop.decoder`'s rule, read once here: a return pops the top and
+    compares it with its target, and a jump that pushes appends its
+    link.  The target is taken before the link is written, since the
+    link may be the base."""
     cf = insn.control_flow
-    regs, b = m.regs, cf.base.index
-    off, keep = cf.offset, m.mask & ~1
-    if cf.link is not None:
-        return _linked(m, insn, b, off)
-    if not cf.is_return:
-        return lambda: (regs[b] + off) & keep
-    stack, pop = m.shadow_stack, m._shadow_pop
-
-    def run():
-        target = (regs[b] + off) & keep
-        if stack and stack[-1] == target:
-            stack.pop()
-            m.shadow_pops += 1
-            return target
-        pop(target)                     # raises the violation
-    return run
-
-
-def _linked(m: Machine, insn: DecodedInstruction, b: int,
-            off: int) -> Callable[[], int]:
-    """A jump to register `b` plus `off` that writes the return address to
-    its link register and, when that is ra, pushes it on the shadow stack.
-    The target is taken before the link is written, since the link may be
-    the base."""
     regs, keep, stack = m.regs, m.mask & ~1, m.shadow_stack
-    link, ret = insn.control_flow.link, _next_pc(m, insn)
-    d = link.index
-    if link is not RA:
+    b, off = ((0, cf.target) if type(cf) is DirectJump
+              else (cf.base.index, cf.offset))
+    if cf.is_return:
+        def run():
+            target = (regs[b] + off) & keep
+            if not stack:
+                raise _Violation(
+                    f"return to 0x{target:x} with an empty shadow stack")
+            expected = stack.pop()
+            m.shadow_pops += 1
+            if expected != target:
+                raise _Violation(f"return to 0x{target:x}, shadow stack "
+                                 f"expected 0x{expected:x}")
+            return target
+        return run
+    if cf.link is None:
+        if not b:
+            target = off & keep
+            return lambda: target
+        return lambda: (regs[b] + off) & keep
+    d, ret = cf.link.index, _next_pc(m, insn)
+    if not cf.pushes:
         def run():
             target = (regs[b] + off) & keep
             regs[d] = ret
@@ -592,7 +572,7 @@ def _next_pc(m: Machine, insn: DecodedInstruction) -> int:
 _FACTORIES = {
     "imm": _alu, "reg": _alu, "upper": _upper, "csr": _csr,
     "load": _load, "lr": _load, "store": _store, "sc": _sc, "amo": _amo,
-    "branch": _branch, "jal": _jal, "jalr": _jalr, "system": _system,
+    "branch": _branch, "jal": _jump, "jalr": _jump, "system": _system,
 }
 
 

@@ -163,13 +163,46 @@ def branch_taken(name: str, a: int, b: int, xlen: int) -> bool:
             "bge": sa >= sb, "bltu": ua < ub, "bgeu": ua >= ub}[name]
 
 
+# The compressed jumps: the 32-bit jump each stands for and the rd it
+# writes, x1 when it links.  c.jr and c.jalr have no offset: it is 0.
+COMPRESSED_JUMPS = {"c.j": ("jal", 0), "c.jal": ("jal", 1),
+                    "c.jr": ("jalr", 0), "c.jalr": ("jalr", 1)}
+
+
 def jump(name: str, pc: int, base: int, offset: int,
          xlen: int) -> tuple[int, int]:
     """(pc after, rd after) for `jal rd, offset` at `pc`, or for `jalr rd,
-    offset(rs1)` at `pc` with rs1 = base, when rd is not x0.
+    offset(rs1)` at `pc` with rs1 = base, when rd is not x0, or for one
+    of `COMPRESSED_JUMPS`.
 
     jal jumps to pc + offset; jalr to base + offset with bit 0 cleared,
     rs1 read before rd is written.  Both wrap at 2^XLEN, and rd gets the
-    address of the next instruction, pc + 4."""
+    address of the next instruction: pc + 4, or pc + 2 after a
+    compressed jump."""
+    size = 4
+    if name in COMPRESSED_JUMPS:
+        name, size = COMPRESSED_JUMPS[name][0], 2
     target = pc + offset if name == "jal" else (base + offset) & ~1
-    return _bits(target, xlen), _bits(pc + 4, xlen)
+    return _bits(target, xlen), _bits(pc + size, xlen)
+
+
+def shadow(name: str, rd: int, rs1: int, offset: int, stack: list[int],
+           target: int, link: int) -> tuple[list[int], bool]:
+    """(shadow stack after, whether it is a violation) for the jump `name`
+    writing x`rd` (for a compressed jump, the rd it implies) through
+    x`rs1` plus `offset` (a jal's rs1 is 0), from `stack`, to `target`
+    with return address `link`.
+
+    The shadow stack follows the return-address convention of the ISA's
+    calls and returns: a jump that writes x1 pushes its return address,
+    and `jalr x0, 0(x1)`, the jump that `ret` and `c.jr x1` stand for,
+    pops.  A top equal to the target pops; an empty stack or another top
+    is a violation.  Every other jump leaves the stack as it was."""
+    name = COMPRESSED_JUMPS.get(name, (name,))[0]
+    if name == "jalr" and rd == 0 and rs1 == 1 and offset == 0:
+        if not stack or stack[-1] != target:
+            return stack, True
+        return stack[:-1], False
+    if rd == 1:
+        return stack + [link], False
+    return stack, False

@@ -18,7 +18,9 @@ from rvjop.isa import reg
 from rvjop.scanner import gadget_at
 from rvjop.sim import new_machine, run_chain
 
-from conftest import TABLE_BASE, CodeBuilder, benchmark_corpus, count_calls
+from conftest import (TABLE_BASE, CodeBuilder, benchmark_corpus,
+                      build_adg_fixture, build_classic_fixture,
+                      build_two_stage_fixture, count_calls)
 
 
 @pytest.fixture(scope="module")
@@ -966,3 +968,112 @@ def test_chain_summarizes_each_part_once(monkeypatch, workload):
         assert len(spec.steps) == 9
         assert len(calls) == 11, (seed, len(calls))
         monkeypatch.undo()
+
+
+# --- hostile chain files ----------------------------------------------------
+
+def _valid_chain_texts():
+    """(image, chain text) that parse, validate and lay out: an
+    autonomous chain at both XLENs, a classic one and a two-stage one,
+    between them using every directive of `parse_chain_text`."""
+    out = []
+    for xlen in (32, 64):
+        img, a = build_adg_fixture(xlen)
+        out.append((img, f"dispatcher {a['loop']:#x}\n"
+                         f"initializer {a['init']:#x}\n"
+                         f"table-base {TABLE_BASE:#x}  # the buffer\n"
+                         f"return-to {a['landing']:#x}\n"
+                         f"step {a['g_li_a0']:#x} 2 a0 gets 1\n"
+                         f"step {a['g_bump_a2']:#x}\n"
+                         "reserve s2,s3\nseed a3=0x5\n"
+                         "data str:/bin/sh path\ndata hex:00ff raw\n"))
+    for build, loop, step in ((build_classic_fixture, "dispatch", "g_li_a0"),
+                              (build_two_stage_fixture, "stage1", "g_li_a0")):
+        img, a = build()
+        out.append((img, f"dispatcher {a[loop]:#x}\n"
+                         f"initializer {a['init']:#x}\n"
+                         f"table-base {TABLE_BASE:#x}\n"
+                         f"return-to {a['landing']:#x}\n"
+                         "dispatch-reg t1\n"
+                         f"step {a[step]:#x} 3\n"))
+    return out
+
+
+_CHAIN_TEXTS = _valid_chain_texts()
+_DIRECTIVES = ("dispatcher", "initializer", "table-base", "return-to",
+               "dispatch-reg", "reserve", "seed", "step", "data")
+_TOKENS = st.one_of(
+    st.sampled_from(_DIRECTIVES + (
+        "a5", "t1", "ra", "zero", "x0", "x32", "fp", "s0,s1", "a0=",
+        "=5", "a0=0x" + "f" * 20, "hex:", "hex:0", "hex:zz", "str:",
+        "str:\x00", "#", "0x", "0b101", "0o17", "1_000", "-1", "0x-4",
+        "1e3", "٣", "0x5", "2")),
+    st.sampled_from(("５", "²", "１２", "0x５", "٣٣", "Ⅻ", "²³",
+                     "step ", "\ud800", "\udfff", "str:\ud800",
+                     "a0=\udc80", "hex:\ud83d")),
+    st.integers(-(1 << 70), 1 << 70).map(hex),
+    st.integers(0, 1 << 40).map(str),
+    st.text(st.characters(codec=None, categories=None), max_size=6))
+
+
+@st.composite
+def _hostile_chain(draw):
+    """A valid chain text, mutated: lines dropped, repeated or added,
+    tokens replaced, and lines cut short."""
+    img, text = draw(st.sampled_from(_CHAIN_TEXTS))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        op = draw(st.sampled_from(("drop", "repeat", "add", "token", "cut")))
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if op == "add" or not lines:
+            words = [draw(st.sampled_from(_DIRECTIVES))]
+            words += draw(st.lists(_TOKENS, max_size=4))
+            lines.insert(at, " ".join(words))
+        elif op == "drop":
+            del lines[at]
+        elif op == "repeat":
+            lines.insert(at, lines[at])
+        elif op == "token":
+            words = lines[at].split(" ")
+            k = draw(st.integers(0, len(words) - 1))
+            words[k] = draw(_TOKENS)
+            lines[at] = " ".join(words)
+        else:
+            lines[at] = lines[at][:draw(st.integers(0, len(lines[at])))]
+    return img, "\n".join(lines) + draw(st.sampled_from(("", "\n", "\r\n")))
+
+
+# Layout writes one table entry per repeat: a chain asking for more than
+# this many is laid out only by the tests of large payloads, so every
+# example here runs in bounded time and memory.
+_LAYOUT_ENTRIES = 1 << 12
+
+
+@given(_hostile_chain())
+@settings(max_examples=400, deadline=None)
+def test_hostile_chain_text_raises_only_tool_errors(chain):
+    """`parse_chain_text` on a mutated chain file, then `validate_chain`
+    and `layout_payload` on whatever parses: nothing but `ToolError`
+    escapes."""
+    img, text = chain
+    try:
+        spec = parse_chain_text(text, img)
+    except ToolError:
+        return
+    for check in (validate_chain, layout_payload):
+        if check is layout_payload and sum(
+                s.repeat for s in spec.steps) > _LAYOUT_ENTRIES:
+            return
+        try:
+            check(spec)
+        except ToolError:
+            pass
+
+
+def test_the_hostile_chains_start_valid():
+    """Unmutated, each chain text lays out with no error diagnostic, so
+    the property test starts from chains that reach every layer."""
+    for img, text in _CHAIN_TEXTS:
+        spec = parse_chain_text(text, img)
+        assert not has_errors(validate_chain(spec)), text
+        layout_payload(spec)

@@ -257,6 +257,103 @@ def test_stage_one_of_two_pairs_names_its_kind_once(capsys, tmp_path):
     assert capsys.readouterr().out.startswith("0x00000000: addi s0, s0, 4")
 
 
+def _copies(initializer=False):
+    """`lw a5,0(s0); addi s0,s0,4; jr a5` at 0x0 and again at 0xc, and
+    with `initializer`, then an initializer at 0x18 and c.ret at 0x24."""
+    b = CodeBuilder(base=0)               # a raw blob's base
+    for _ in range(2):
+        b.emit("lw", "a5", "s0", 0)
+        b.emit("addi", "s0", "s0", 4)
+        b.emit("jr", "a5")
+    if initializer:
+        b.emit("lw", "s0", "sp", 0)
+        b.emit("lw", "a5", "sp", 4)
+        b.emit("jr", "a5")
+        b.emit("c.jr", "ra")
+    return b.image()
+
+
+def test_byte_identical_dispatcher_copies_share_its_role():
+    """A classic or two-stage dispatcher is a property of its body's
+    bytes: `find_dispatchers` lists the body once, at its first copy,
+    and every copy gets the role and answers `dispatcher_at`, re-based
+    to its own address."""
+    img = _copies()
+    found = find_dispatchers(img)
+    assert [(d.kind, d.loop_entry) for d in found] == [
+        (DISPATCHER_CLASSIC, 0)]
+    context = dispatcher_index(found)
+    for start in (0x0, 0xc):
+        g = gadget_at(img, start)
+        roles = classify(g, dispatchers=context)
+        assert [r.kind for r in roles] == [LOAD, DISPATCHER_CLASSIC,
+                                           INITIALIZER]
+        assert roles[1].detail == found[0]._replace(gadget=g)
+        assert dispatcher_at(img, start) == roles[1].detail
+    assert dispatcher_at(img, 0x4) is None
+
+
+def test_only_its_own_copy_is_an_autonomous_loop():
+    """An autonomous loop needs the return path after its body, so a
+    copy of the body alone is no loop, while a copy of the whole loop is
+    one of its own."""
+    b = CodeBuilder(base=0)
+    for name in ("loop", "copy"):
+        b.label(name)
+        b.emit("lw", "a5", "s0", 0)
+        b.emit("addi", "s0", "s0", 4)
+        b.emit("jalr", "ra", "a5", 0)
+        b.branch("blt", "s0", "s1", name)
+    b.label("body")                       # the body, then no way back
+    b.emit("lw", "a5", "s0", 0)
+    b.emit("addi", "s0", "s0", 4)
+    b.emit("jalr", "ra", "a5", 0)
+    b.emit("ebreak")
+    img = b.image()
+    a = b.labels
+    found = find_dispatchers(img)
+    assert [(d.kind, d.loop_entry) for d in found] == [
+        (DISPATCHER_AUTONOMOUS, a["loop"]),
+        (DISPATCHER_AUTONOMOUS, a["copy"])]
+    context = dispatcher_index(found)
+    assert len(context) == 1              # one body, two loops
+    for name, want in (("loop", found[0]), ("copy", found[1])):
+        roles = classify(gadget_at(img, a[name]), dispatchers=context)
+        assert [r.detail for r in roles if r.kind == DISPATCHER_AUTONOMOUS
+                ] == [want], name
+        assert dispatcher_at(img, a[name]) == want
+    body = gadget_at(img, a["body"])
+    assert body.encoding == found[0].gadget.encoding
+    assert DISPATCHER_AUTONOMOUS not in {
+        r.kind for r in classify(body, dispatchers=context)}
+    assert dispatcher_at(img, a["body"]) is None
+
+
+def test_a_chain_names_either_copy(capsys, tmp_path):
+    """The copies through the command line: `scan --format records`
+    gives both the dispatcher role, `dispatchers` lists one, and a chain
+    naming the second copy lays out with its loop entry."""
+    img = _copies(initializer=True)
+    blob = tmp_path / "copies.bin"
+    blob.write_bytes(img.segments[0].data)
+    assert main(["scan", "--raw", str(blob), "--format", "records"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[3] for line in lines if line.split()[0] in (
+        "0x00000000", "0x0000000c")] == [
+        "load,dispatcher-classic,initializer"] * 2
+    assert main(["dispatchers", "--raw", str(blob)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1 candidate"
+    spec = tmp_path / "copy.chain"
+    spec.write_text("dispatcher 0xc\ninitializer 0x18\ntable-base 0x40000\n"
+                    "return-to 0x24\ndispatch-reg a5\n")
+    assert main(["chain", "--raw", str(blob), "--spec", str(spec),
+                 "--simulate"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("dispatcher   dispatcher-classic entry=0x0000000c")
+    assert "  a5    = 0xc" in out
+    assert "outcome        reached" in out
+
+
 def test_stride_zero_autonomous_is_rejected():
     b = CodeBuilder()
     b.label("loop")

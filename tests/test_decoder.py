@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rvjop import decoder
 from rvjop.assembler import assemble
 from rvjop.decoder import (PSEUDOS, CondBranch, DecodedInstruction,
                            DirectJump, IndirectJump, Trap, decode_one)
 from rvjop.errors import InvalidEncoding, Truncated
-from rvjop.isa import A0, A1, A7, RA, SP, T0, reg, sext
+from rvjop.isa import A0, A1, A7, RA, REGISTERS, SP, T0, reg, sext
 
 from gen_llvm_golden import (COMPRESSED_GOLDEN, DECODER_GOLDEN, REG_KINDS,
                              SHAPES, imm_kind)
@@ -328,6 +329,30 @@ def test_only_c_mv_spells_mv_by_its_own_form():
     assert short.base == wide.base
     assert all(short.matches_op(m) for m in ("c.mv", "add", "mv"))
     assert short.spelling == ("mv", (A0, A1))
+
+
+def test_tables_parse_again():
+    """The row text parses to the same tables after import: no
+    module-level name shadows a function the parse calls."""
+    assert decoder._parse(decoder._ROWS32, 38) == decoder._WIDE
+    assert decoder._parse(decoder._ROWS16, 23) == decoder._COMPRESSED
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+def test_a_jump_pops_when_spelled_ret_and_pushes_when_it_links_ra(xlen):
+    """The shadow-stack rule of the jump records: over jalr at every rd
+    and rs1 and a few offsets, and c.jr and c.jalr at every rs1, a jump
+    pops (`is_return`) exactly when `PSEUDOS` spells it ret, and pushes
+    exactly when it writes ra."""
+    names = [r.name for r in REGISTERS]
+    forms = [("jalr", (rd, rs1, off)) for rd in names for rs1 in names
+             for off in (0, 2, -2)]
+    forms += [(c, (rs1,)) for c in ("c.jr", "c.jalr") for rs1 in names[1:]]
+    for mnemonic, ops in forms:
+        x = decode_one(assemble(mnemonic, ops, xlen), 0, xlen)
+        cf = x.control_flow
+        assert cf.is_return == x.matches_op("ret"), x.render()
+        assert cf.pushes == (RA in x.regs_written), x.render()
 
 
 # --- whole-decoder digest ---------------------------------------------------

@@ -3,11 +3,11 @@
 Each case assembles one instruction, runs exactly one step of it on a
 `Machine` from chosen register and memory values, and compares the
 destination register (and, for stores and AMOs, memory; for branches
-and jumps, the pc) with what the oracle derives from the ISA spec.  The
-values are the edges where implementations go wrong: 0, ±1, the most
-negative and most positive XLEN values, on RV64 `.w` operands with and
-without sign-extended upper halves, shift amounts around 32 and 64,
-division by zero and overflow.
+and jumps, the pc; for jumps, the shadow stack) with what the oracle
+derives from the ISA spec.  The values are the edges where
+implementations go wrong: 0, ±1, the most negative and most positive
+XLEN values, on RV64 `.w` operands with and without sign-extended upper
+halves, shift amounts around 32 and 64, division by zero and overflow.
 """
 
 import itertools
@@ -16,8 +16,8 @@ import pytest
 
 import sim_oracle
 from rvjop.assembler import assemble
-from rvjop.decoder import _SHAPE, _WIDE
-from rvjop.isa import RA, reg
+from rvjop.decoder import _SHAPE, _WIDE, decode_one
+from rvjop.isa import RA, REGISTERS, ZERO, reg
 from rvjop.sim import _OPS, Machine, run_chain
 
 CODE = 0x1000
@@ -298,32 +298,41 @@ def test_branch(name, xlen):
 
 # --- jumps ----------------------------------------------------------------
 
-def _jump_step(mnemonic, ops, xlen, at, regs):
+def _jump_step(mnemonic, ops, xlen, at, regs, stack=()):
     """A machine after one step of `mnemonic ops` placed at `at`, from
-    the registers `regs`, and the step's report."""
+    the registers `regs` and the shadow stack `stack`, and the step's
+    report."""
     m = Machine(xlen)
     m.map_region(at, assemble(mnemonic, ops, xlen=xlen))
     for r, value in regs.items():
         m.regs[r.index] = value
-    report = run_chain(m, at, at + 2, fuel=1)
-    assert report.outcome == "fuel-exhausted" and report.steps == 1, (
-        mnemonic, ops, report.render())
-    return m, report
+    m.shadow_stack[:] = stack
+    return m, run_chain(m, at, at + 2, fuel=1)
 
 
-def _check_jump(failures, name, m, report, rd, want, before, *inputs):
-    """The pc, rd and the shadow stack after one jump: rd gets the link
-    unless it is x0, no other register changes, and a link through ra
-    is pushed on the shadow stack."""
-    want_pc, link = want
-    after = list(before)
-    if rd.index:
-        after[rd.index] = link
-    got = (m.pc, m.regs, m.shadow_stack, report.shadow_pushes)
-    pushed = [link] if rd is RA else []
-    if got != (want_pc, after, pushed, len(pushed)):
-        failures.append((name, rd.name, [hex(v) for v in inputs],
-                         hex(m.pc), hex(want_pc)))
+def _check_jump(failures, name, at, m, report, rd, rs1, offset, before,
+                stack, *inputs):
+    """The outcome, pc, registers and shadow stack after one jump, as the
+    oracle has them: rd gets the link unless it is x0, no other register
+    changes, and the shadow stack pushes and pops by `sim_oracle.shadow`.
+    A violation leaves the pc and the registers as they were."""
+    want_pc, link = sim_oracle.jump(name, at, before[rs1.index], offset,
+                                    m.xlen)
+    after, violation = sim_oracle.shadow(name, rd.index, rs1.index, offset,
+                                         list(stack), want_pc, link)
+    got = (report.outcome, m.pc, m.regs)
+    if violation:
+        want = ("violation", at, before)
+    else:
+        regs = list(before)
+        if rd.index:
+            regs[rd.index] = link
+        want = ("fuel-exhausted", want_pc, regs)
+        got += (m.shadow_stack, report.shadow_pushes - report.shadow_pops)
+        want += (after, len(after) - len(stack))
+    if got != want:
+        failures.append((name, rd.name, rs1.name, [hex(v) for v in inputs],
+                         got[0], hex(got[1]), want[0], hex(want[1])))
 
 
 @pytest.mark.parametrize("xlen", [32, 64])
@@ -337,9 +346,8 @@ def test_jal(rd, xlen):
                        (CODE, -CODE - 64), (top - 4, -8), (top - 4, 8),
                        (top - 8, 0x7FFF0)):
         m, report = _jump_step("jal", (rd, offset), xlen, at, {})
-        want = sim_oracle.jump("jal", at, 0, offset, xlen)
-        _check_jump(failures, "jal", m, report, rd, want, [0] * 32,
-                    at, offset)
+        _check_jump(failures, "jal", at, m, report, rd, ZERO, offset,
+                    [0] * 32, (), at, offset)
     assert not failures, failures[:10]
 
 
@@ -360,7 +368,116 @@ def test_jalr(rd, same, xlen):
         before[rs1.index] = base if rs1.index else 0
         m, report = _jump_step("jalr", (rd, rs1, offset), xlen, CODE,
                                {rs1: before[rs1.index]})
-        want = sim_oracle.jump("jalr", CODE, before[rs1.index], offset, xlen)
-        _check_jump(failures, "jalr", m, report, rd, want, before,
-                    base, offset)
+        _check_jump(failures, "jalr", CODE, m, report, rd, rs1, offset,
+                    before, (), base, offset)
+    assert not failures, failures[:10]
+
+
+def _compressed_cases():
+    for xlen in (32, 64):
+        for name in sim_oracle.COMPRESSED_JUMPS:
+            if name != "c.jal" or xlen == 32:   # RV64's slot is c.addiw
+                yield name, xlen
+
+
+@pytest.mark.parametrize("name,xlen", list(_compressed_cases()))
+def test_compressed_jump(name, xlen):
+    """A compressed jump links pc + 2, which wraps to 0 from the top of
+    the address space; c.jr and c.jalr clear bit 0 of their base, and
+    c.jalr ra reads ra before it writes the link.  From an empty shadow
+    stack, c.jr ra is a violation."""
+    top = 1 << xlen
+    rd = REGISTERS[sim_oracle.COMPRESSED_JUMPS[name][1]]
+    bases = sorted(set(_edges(xlen) + [CODE + 1, top - 2]))
+    failures = []
+    for at in (CODE, top - 2):
+        if name in ("c.j", "c.jal"):
+            for offset in (64, -64, 2046, -2048):
+                m, report = _jump_step(name, (offset,), xlen, at, {})
+                _check_jump(failures, name, at, m, report, rd, ZERO, offset,
+                            [0] * 32, (), at, offset)
+            continue
+        for rs1, base in itertools.product((RS1, RA), bases):
+            before = [0] * 32
+            before[rs1.index] = base
+            m, report = _jump_step(name, (rs1,), xlen, at, {rs1: base})
+            _check_jump(failures, name, at, m, report, rd, rs1, 0, before,
+                        (), at, base)
+    assert not failures, failures[:10]
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+@pytest.mark.parametrize("name,ops", [("jalr", ("zero", "ra", 0)),
+                                      ("c.jr", ("ra",))],
+                         ids=["ret", "c.jr-ra"])
+def test_return(name, ops, xlen):
+    """A return pops a top equal to its target (bit 0 of ra cleared),
+    whatever lies below it; an empty stack or another top is a
+    violation."""
+    failures = []
+    for ra in (CODE + 0x40, CODE + 0x41, (1 << xlen) - 2):
+        want = ra & ~1
+        for stack in ((), (want,), (want ^ 4,), (want, want ^ 4),
+                      (want ^ 4, want)):
+            before = [0] * 32
+            before[RA.index] = ra
+            m, report = _jump_step(name, ops, xlen, CODE, {RA: ra}, stack)
+            _check_jump(failures, name, CODE, m, report, ZERO, RA, 0,
+                        before, stack, ra, *stack)
+    assert not failures, failures[:10]
+
+
+def _jump_encodings(xlen):
+    """(mnemonic, operands, rd, rs1, offset) of every jump encoding that
+    `test_every_jump_follows_one_shadow_stack_rule` steps: jal over every
+    rd and jalr over every rd and rs1, each at a few offsets, c.j, c.jal
+    on RV32, and c.jr and c.jalr over every rs1 but x0."""
+    for rd in REGISTERS:
+        for offset in (-64, 8, 2048):
+            yield "jal", (rd.name, offset), rd, ZERO, offset
+        for rs1, offset in itertools.product(REGISTERS, (0, 4, -4)):
+            yield "jalr", (rd.name, rs1.name, offset), rd, rs1, offset
+    for name, x in _compressed_cases():
+        if x != xlen:
+            continue
+        rd = REGISTERS[sim_oracle.COMPRESSED_JUMPS[name][1]]
+        if name in ("c.j", "c.jal"):
+            for offset in (-64, 8, 2046):
+                yield name, (offset,), rd, ZERO, offset
+        else:
+            for rs1 in REGISTERS[1:]:
+                yield name, (rs1.name,), rd, rs1, 0
+
+
+@pytest.mark.parametrize("xlen", [32, 64])
+def test_every_jump_follows_one_shadow_stack_rule(xlen):
+    """One step of every jump encoding, from an empty shadow stack and
+    from one whose top is the jump's target.  The step pushes exactly
+    when the decoded record `pushes` and pops exactly when it
+    `is_return` (from the empty stack, a violation); the oracle's
+    shadow stack pushes and pops on the same jumps, and the whole step
+    agrees with the oracle."""
+    failures = []
+    for name, ops, rd, rs1, offset in _jump_encodings(xlen):
+        cf = decode_one(assemble(name, ops, xlen=xlen), CODE,
+                        xlen).control_flow
+        rule = (cf.pushes, cf.is_return)
+        before = [0] * 32
+        before[rs1.index] = CODE + 0x100 if rs1.index else 0
+        target, link = sim_oracle.jump(name, CODE, before[rs1.index],
+                                       offset, xlen)
+        for stack in ((), (target,)):
+            m, report = _jump_step(name, ops, xlen, CODE,
+                                   {rs1: before[rs1.index]}, stack)
+            stepped = (report.shadow_pushes == 1,
+                       report.shadow_pops == 1
+                       or report.outcome == "violation")
+            after, violation = sim_oracle.shadow(
+                name, rd.index, rs1.index, offset, list(stack), target, link)
+            oracle = (len(after) > len(stack),
+                      violation or len(after) < len(stack))
+            if not rule == stepped == oracle:
+                failures.append((name, ops, stack, rule, stepped, oracle))
+            _check_jump(failures, name, CODE, m, report, rd, rs1, offset,
+                        before, stack, *stack)
     assert not failures, failures[:10]
