@@ -78,7 +78,8 @@ class ChainStep(namedtuple("ChainStep", (
 
     @cached_property
     def summary(self) -> DataflowSummary:
-        return summarize_dataflow(self.gadget.instructions)
+        return summarize_dataflow(self.gadget.instructions,
+                                  self.gadget.table.xlen)
 
 
 class ChainSpec(namedtuple("ChainSpec", (

@@ -71,6 +71,9 @@ UNCLASSIFIED = "unclassified"
 ROLES = (ARITH, LOAD, STORE, CALL, SYSCALL, DISPATCHER_CLASSIC,
          DISPATCHER_TWO_STAGE, DISPATCHER_AUTONOMOUS, INITIALIZER,
          UNCLASSIFIED)
+# the roles classify() reads from the gadget alone, with no dispatcher
+# index: whether a gadget holds one needs no dispatcher search
+LOCAL_ROLES = frozenset((ARITH, LOAD, STORE, CALL, SYSCALL, INITIALIZER))
 
 # base mnemonics whose effects rule computes a register from registers
 # and immediates
@@ -120,7 +123,7 @@ class DispatcherCandidate(namedtuple("DispatcherCandidate", (
         returns, only autonomous loops hold it, from their stride."""
         stage2 = () if self.stage2 is None else self.stage2.instructions
         return summarize_dataflow(self.gadget.instructions + stage2
-                                  + self.return_path)
+                                  + self.return_path, self.gadget.table.xlen)
 
     @property
     def loop_entry(self) -> int:
@@ -161,7 +164,8 @@ class InitializerCandidate(namedtuple("InitializerCandidate", (
 
     @cached_property
     def summary(self) -> DataflowSummary:
-        return summarize_dataflow(self.gadget.instructions)
+        return summarize_dataflow(self.gadget.instructions,
+                                  self.gadget.table.xlen)
 
     @property
     def link_register(self) -> Register:
@@ -185,7 +189,7 @@ def classify(gadget: Gadget, summary: DataflowSummary | None = None,
     roles are assigned.
     """
     if summary is None:
-        summary = summarize_dataflow(gadget.instructions)
+        summary = summarize_dataflow(gadget.instructions, gadget.table.xlen)
     roles: list[GadgetRole] = []
 
     has_mem = bool(summary.mem_reads or summary.mem_writes)
@@ -229,7 +233,8 @@ _CONTINUATION_WINDOW = 8     # instructions examined after a linking jump
 _BACKLINK_WINDOW = 64        # bytes a self-link may reach backwards
 
 
-def _table_walk(body, target: Register) -> tuple[Register, int, bool] | None:
+def _table_walk(body, target: Register, xlen: int
+                ) -> tuple[Register, int, bool] | None:
     """How `body` reads `target` from a table, or None if it does not.
 
     The last write of `target` in `body` must be a load through another
@@ -252,7 +257,7 @@ def _table_walk(body, target: Register) -> tuple[Register, int, bool] | None:
     at, table, offset = load
     before = 0
     if any(table in insn.regs_written for insn in body[:at]):
-        before = summarize_dataflow(body[:at]).moved(table)
+        before = summarize_dataflow(body[:at], xlen).moved(table)
     return None if before is None else (table, before + offset, before != 0)
 
 
@@ -309,7 +314,7 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
         if isinstance(insn.control_flow, (IndirectJump, DirectJump, Trap)):
             return None
 
-    walk = _table_walk(body[:-1], target_reg)
+    walk = _table_walk(body[:-1], target_reg, table.xlen)
     if walk is None:
         return None
     table_reg, load_offset, pre_increment = walk
@@ -358,14 +363,14 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
         target = g.link_register
         if target is RA or g.terminator.address in adg_terms:
             continue
-        walk = _table_walk(g.interior, target)
+        walk = _table_walk(g.interior, target, image.xlen)
         if walk is None:
             stage1.append(g)
             continue
         table_reg, load_offset, pre_increment = walk
         if table_reg is SP:
             continue
-        summary = summarize_dataflow(g.instructions)
+        summary = summarize_dataflow(g.instructions, image.xlen)
         stride = summary.moved(table_reg)
         if stride is None:
             continue
@@ -392,7 +397,7 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
         if not tables:
             continue
         jump_reg = g1.link_register
-        summary1 = summarize_dataflow(g1.instructions)
+        summary1 = summarize_dataflow(g1.instructions, image.xlen)
         if summary1.clobbers((jump_reg,)):
             continue
         for table_reg in tables:
@@ -462,7 +467,7 @@ def initializer_sources(gadget: Gadget, summary: DataflowSummary | None = None
     if cf.base is RA or cf.pushes:
         return None
     if summary is None:
-        summary = summarize_dataflow(gadget.instructions)
+        summary = summarize_dataflow(gadget.instructions, gadget.table.xlen)
     return summary.loaded
 
 
@@ -471,7 +476,7 @@ def initializer_at(image: ExecutableImage, address: int,
     """The gadget at `address` as an initializer for `dispatcher`;
     ToolError unless it seeds every register the dispatcher needs."""
     g = gadget_at(image, address)
-    summary = summarize_dataflow(g.instructions)
+    summary = summarize_dataflow(g.instructions, image.xlen)
     sets = initializer_sources(g, summary)
     if sets is None:
         raise ToolError(f"initializer at 0x{address:x} jumps through ra")

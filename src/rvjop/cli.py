@@ -30,6 +30,9 @@ subcommand's flags, each spelled out in full and given a valid value
 error) goes to argparse's parser of all seven subcommands, built from
 the same table (`_build_parser`), so its text is argparse's own; only
 then do argparse and the gettext and locale modules behind it load.
+What argparse stores without reading it through the flag's type and
+choices, `--flag=--`, is then a usage error (`_check_values`), so no
+value reaches a command unread on any Python version.
 
 A closed stdout (`rvjop scan ... | head`) ends the command with no
 message and exit 1, whether the write that finds it runs in a command or
@@ -421,6 +424,11 @@ _COMMANDS = {
 }
 
 
+def _dest(name: str, keywords: dict) -> str:
+    """Where a flag of `_COMMANDS` is stored, as argparse names it."""
+    return keywords.get("dest") or name[2:].replace("-", "_")
+
+
 def _table_parse(argv: list[str]) -> SimpleNamespace | None:
     """The namespace the full parser gives for `argv`, read straight from
     `_COMMANDS`, or None for any argv this parse does not decide.
@@ -438,7 +446,7 @@ def _table_parse(argv: list[str]) -> SimpleNamespace | None:
     found = {"command": argv[0], **defaults}
     by_name, required = {}, set()
     for name, keywords in flags:
-        dest = keywords.get("dest") or name[2:].replace("-", "_")
+        dest = _dest(name, keywords)
         by_name[name] = dest, keywords
         action = keywords.get("action")
         default = keywords.get("default",
@@ -483,6 +491,19 @@ def _table_parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**found)
 
 
+def _check_values(args) -> None:
+    """Usage error for a flag value that argparse did not read through
+    the flag's type and choices.  Before Python 3.13 argparse stores
+    `--flag=--` as [] without calling either, and from 3.13 it gives an
+    untyped flag the string "--".  `_table_parse` takes neither, and
+    neither parse takes `--flag --`: "--" is no flag's value."""
+    for name, keywords in _COMMANDS[args.command][2]:
+        value = getattr(args, _dest(name, keywords))
+        for v in value if keywords.get("action") == "append" else (value,):
+            if type(v) is list or v == "--":
+                raise UsageError(f"argument {name}: expected one argument")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """argparse's parser with every subcommand of `_COMMANDS`: for help,
     usage errors and whatever else `_table_parse` declines."""
@@ -508,6 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return USAGE if exc.code not in (0, None) else OK
     try:
+        _check_values(args)
         return args.run(args)
     except BrokenPipeError:             # an OSError, but not a bad input
         return _stdout_closed()

@@ -6,8 +6,11 @@ through to the next.  It gives every register the gadget writes one
 value at the terminator (`exits`).  A register not yet written reads as
 `Offset(r, 0)`, and the zero register as `Const(0)`.  A write gives:
 
-* `Const(c)`: `lui`'s immediate, or a constant add to a constant (the
-  sum sign-extended from 32 bits for `addiw`); so `li` is a constant;
+* `Const(c)`, an XLEN-bit value in [0, 2^XLEN): an ALU row (`_SHAPE`
+  kind imm or reg) whose inputs are all constants, folded through
+  `rvjop.decoder`'s operation table (`_OPS`), the one the interpreter
+  computes by, or lui or auipc, whose value the pc and immediate fix
+  (`decoder._upper_value`); so `li` is a constant, and `auipc` is one;
 * `Offset(r, c)`, r's entry value plus c: a constant add to an offset,
   which covers `mv`, `c.mv`, `addi rd, rs, imm` and sp's motion;
 * `Loaded(source)`, a load from memory an attacker can prepare: based
@@ -17,12 +20,15 @@ value at the terminator (`exits`).  A register not yet written reads as
 * `Unknown`: every other write, such as a load through a written base
   or an add to a loaded value.
 
-`const_add` is the one constant-add rule, and `DataflowSummary.moved`
-the one rule for how far a register moves: sp's and every dispatcher
-stride in `classify`.  A register copy is an add of 0, so `c.mv` (base
-form `add rd, zero, rs`) gets the value `mv` (`addi rd, rs, 0`) gets.
-Rules read each instruction's 32-bit base form, so a compressed
-instruction means exactly what its expansion means.
+The walk has no arithmetic of its own, so it and the machine agree on
+every constant.  `const_add` is the one constant-add rule for offsets,
+and `DataflowSummary.moved` the one rule for how far a register moves:
+sp's and every dispatcher stride in `classify`.  A register copy is an
+add of 0, so `c.mv` (base form `add rd, zero, rs`) gets the value `mv`
+(`addi rd, rs, 0`) gets.  An offset's constant is not wrapped to XLEN,
+and on RV64 `addiw` adds to an offset as `addi` does.  Rules read each
+instruction's 32-bit base form, so a compressed instruction means
+exactly what its expansion means.
 
 No path-sensitivity: after an interior conditional branch, later writes
 count as conditional (`cond_written`; they may or may not happen at run
@@ -34,8 +40,9 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .decoder import CondBranch, DecodedInstruction, MemAccess
-from .isa import A7, S0, SP, Register, sext
+from .decoder import (_OPS, _SHAPE, CondBranch, DecodedInstruction,
+                      MemAccess, _upper_value)
+from .isa import A7, S0, SP, Register, mask
 
 # Records are namedtuples (see `rvjop.decoder`); each field's
 # type is in the comment beside it.
@@ -49,7 +56,7 @@ Source = namedtuple("Source", (
 
 
 Const = namedtuple("Const", (
-    "value",        # int
+    "value",        # int: in [0, 2^XLEN)
 ))
 
 
@@ -130,8 +137,43 @@ def const_add(insn: DecodedInstruction
     return None
 
 
-def summarize_dataflow(instructions) -> DataflowSummary:
-    """Summarize a gadget body (iterable of DecodedInstruction) in order."""
+def _known(operand: Register | int, exits: dict[Register, Value],
+           full: int) -> int | None:
+    """An ALU operand's value when it is a known constant, else None: an
+    immediate masked to XLEN (`full`), as the interpreter masks it, or a
+    register holding a constant (the zero register 0)."""
+    if type(operand) is int:
+        return operand & full
+    if operand.index == 0:
+        return 0
+    v = exits.get(operand)
+    return v.value if type(v) is Const else None
+
+
+def _alu(insn: DecodedInstruction, exits: dict[Register, Value],
+         xlen: int, full: int) -> Value:
+    """The value an ALU row writes: its operation on known operands,
+    masked to XLEN; else a constant add to an offset (`const_add`); else
+    Unknown."""
+    name, (_, rs1, src) = insn.base
+    a, b = _known(rs1, exits, full), _known(src, exits, full)
+    if a is not None and b is not None:
+        return Const(_OPS[name](xlen, a, b) & full)
+    add = const_add(insn)
+    if add is not None:
+        _, rs, imm = add
+        v = exits.get(rs)
+        if v is None:                   # rs's entry value
+            return Offset(rs, imm)
+        if type(v) is Offset:
+            return Offset(v.reg, v.delta + imm)
+    return UNKNOWN
+
+
+def summarize_dataflow(instructions, xlen: int) -> DataflowSummary:
+    """Summarize a gadget body (iterable of DecodedInstruction) in order,
+    at register width `xlen`."""
+    full = mask(xlen)
     exits: dict[Register, Value] = {}
     written: set[Register] = set()
     cond_written: set[Register] = set()
@@ -164,20 +206,11 @@ def summarize_dataflow(instructions) -> DataflowSummary:
             if kind in ("store", "amo"):
                 mem_writes.append(mem)
         elif insn.regs_written:
-            add = const_add(insn)
-            if add is not None:
-                _, rs1, imm = add
-                v = exits.get(rs1)
-                if v is None:        # rs1's entry value; zero's is 0
-                    value = Const(imm) if rs1.index == 0 else Offset(rs1, imm)
-                elif type(v) is Offset:
-                    value = Offset(v.reg, v.delta + imm)
-                elif type(v) is Const:
-                    c = v.value + imm
-                    value = Const(sext(c, 32) if insn.base.name == "addiw"
-                                  else c)
-            elif insn.base.name == "lui":
-                value = Const(insn.imm)
+            kind = _SHAPE[insn.base.name][0]
+            if kind == "imm" or kind == "reg":
+                value = _alu(insn, exits, xlen, full)
+            elif kind == "upper":
+                value = Const(_upper_value(insn, xlen))
         elif ecall_a7 is None and insn.mnemonic == "ecall":
             ecall_a7 = exits.get(A7, Offset(A7, 0))
 

@@ -33,6 +33,17 @@ records state the shadow-stack rule, which jumps push (`pushes`) and
 which pop (`is_return`, read from the ret row), for every other layer.
 Immediates are kept sign-extended as plain Python ints, independent of
 XLEN.
+
+The operation table (`_OPS`) says what every ALU row computes, for both
+the interpreter (`rvjop.sim`) and the dataflow walk (`rvjop.dataflow`).
+It states the 18 register-register operations of RV32I/RV64I and M,
+each a function of (XLEN, rs1, rs2) on unsigned XLEN-bit values, and
+derives the other imm and reg rows of `_SHAPE` from them, the way the
+ISA manual defines them: an immediate form is its register operation
+with the immediate, masked to XLEN, as rs2, and an RV64 `.w` form runs
+its base operation at XLEN 32 on the low 32 bits and sign-extends the
+result.  A reader masks each result to XLEN.  `_upper_value` is the one
+rule for what lui and auipc write.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ from functools import cache
 from operator import itemgetter
 
 from .errors import InvalidEncoding, Truncated
-from .isa import REGISTERS, RA, A7, ZERO, Register, mask, reg, sext
+from .isa import REGISTERS, RA, A7, ZERO, Register, mask, reg, sext, to_signed
 
 # --- control flow and access descriptors ------------------------------------
 #
@@ -537,6 +548,83 @@ def _shape(name: str, kind: str) -> tuple[str, int | None]:
 
 
 _SHAPE = {row[3]: _shape(row[3], row[6][0]) for row in _WIDE if row[6]}
+
+
+# --- the operation table ----------------------------------------------------
+
+def _signed(fn):
+    """`fn` on the operands read as signed `xlen`-bit values."""
+    def wrap(xlen: int, a: int, b: int) -> int:
+        return fn(to_signed(a, xlen), to_signed(b, xlen))
+    return wrap
+
+
+def _div(a: int, b: int) -> int:
+    if b == 0:
+        return -1
+    q = abs(a) // abs(b)
+    return -q if (a < 0) != (b < 0) else q
+
+
+def _rem(a: int, b: int) -> int:
+    if b == 0:
+        return a
+    return a - _div(a, b) * b
+
+
+def _word(op):
+    """An RV64 .w form: `op` at XLEN 32 on the low 32 bits of each
+    operand, its 32-bit result sign-extended."""
+    def wrap(xlen: int, a: int, b: int) -> int:
+        return sext(op(32, a & 0xFFFFFFFF, b & 0xFFFFFFFF) & 0xFFFFFFFF, 32)
+    return wrap
+
+
+# The register-register operations of RV32I/RV64I and M, as functions of
+# (XLEN, rs1, rs2) on unsigned XLEN-bit values; a reader masks the result
+# to XLEN.
+_OPS = {
+    "add": lambda x, a, b: a + b,
+    "sub": lambda x, a, b: a - b,
+    "and": lambda x, a, b: a & b,
+    "or": lambda x, a, b: a | b,
+    "xor": lambda x, a, b: a ^ b,
+    "slt": _signed(lambda a, b: int(a < b)),
+    "sltu": lambda x, a, b: int(a < b),
+    "sll": lambda x, a, b: a << (b & (x - 1)),
+    "srl": lambda x, a, b: a >> (b & (x - 1)),
+    "sra": lambda x, a, b: to_signed(a, x) >> (b & (x - 1)),
+    "mul": lambda x, a, b: a * b,
+    "mulh": lambda x, a, b: to_signed(a, x) * to_signed(b, x) >> x,
+    "mulhsu": lambda x, a, b: to_signed(a, x) * b >> x,
+    "mulhu": lambda x, a, b: a * b >> x,
+    "div": _signed(_div),
+    "divu": lambda x, a, b: a // b if b else -1,
+    "rem": _signed(_rem),
+    "remu": lambda x, a, b: a % b if b else a,
+}
+
+
+def _operation(name: str, kind: str):
+    """The operation of an ALU mnemonic of `_SHAPE` kind `kind`.  An
+    immediate form is its register operation, whose name is its own
+    without the i (addi: add, sltiu: sltu, slliw: sllw), with the
+    immediate as rs2; a .w form runs its base operation on the low words
+    (`_word`)."""
+    if kind == "imm":
+        name = name.replace("i", "", 1)
+    return _OPS.get(name) or _word(_OPS[name[:-1]])
+
+
+_OPS.update({name: _operation(name, kind)
+             for name, (kind, _) in _SHAPE.items() if kind in ("imm", "reg")})
+
+
+def _upper_value(insn: DecodedInstruction, xlen: int) -> int:
+    """What lui or auipc writes: its immediate, plus its pc for auipc, as
+    an XLEN-bit value."""
+    pc = insn.address if insn.base.name == "auipc" else 0
+    return (insn.imm + pc) & mask(xlen)
 
 
 # --- decode -----------------------------------------------------------------

@@ -12,9 +12,11 @@ per gadget, five space-separated fields.
 
 A hit's dataflow summary and roles are computed the first time they are
 read.  Roles read the image's dispatcher index, which one `run_query`
-call builds at most once, and only when a roles field is read (`--role`
-or a record line).  So `--preserve` computes summaries only, and a plain
-listing computes neither and never searches for dispatchers.  Hits and
+call builds at most once, and only when a roles field is read (a
+dispatcher role or `unclassified` for `--role`, or a record line).  A
+role read from the gadget alone (`LOCAL_ROLES`) filters with no index.
+So `--preserve` computes summaries only, and a plain listing computes
+neither and never searches for dispatchers.  Hits and
 dispatchers read the image's one gadget growth, widened on demand.
 """
 
@@ -24,8 +26,8 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import cache, cached_property
 
-from .classify import (DispatcherCandidate, classify, dispatcher_index,
-                       find_dispatchers)
+from .classify import (LOCAL_ROLES, DispatcherCandidate, classify,
+                       dispatcher_index, find_dispatchers)
 from .dataflow import DataflowSummary, summarize_dataflow
 from .image import ExecutableImage
 from .isa import Register
@@ -67,12 +69,20 @@ class QueryHit:
 
     @cached_property
     def summary(self) -> DataflowSummary:
-        return summarize_dataflow(self.gadget.instructions)
+        return summarize_dataflow(self.gadget.instructions,
+                                  self.gadget.table.xlen)
 
     @cached_property
     def roles(self) -> tuple[str, ...]:
         return tuple(r.kind for r in
                      classify(self.gadget, self.summary, self.dispatchers()))
+
+    def has_role(self, role: str) -> bool:
+        """Whether `role` is among the gadget's roles; one of
+        `LOCAL_ROLES` is read with no dispatcher index."""
+        if role not in LOCAL_ROLES:
+            return role in self.roles
+        return role in (r.kind for r in classify(self.gadget, self.summary))
 
 
 def _instruction_match(q: Query, insn) -> bool:
@@ -105,7 +115,7 @@ def run_query(image: ExecutableImage, q: Query) -> list[QueryHit]:
         hit = QueryHit(g, dispatchers)
         if q.preserve and hit.summary.clobbers(q.preserve):
             continue
-        if q.role is not None and q.role not in hit.roles:
+        if q.role is not None and not hit.has_role(q.role):
             continue
         hits.append(hit)
     return hits

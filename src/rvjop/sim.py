@@ -32,14 +32,12 @@ instruction the bytes overlap, [address - 3, address + size), so code a
 payload writes runs.  A fetch that faults caches nothing.  The
 cache holds at most one entry per distinct pc run: it is bounded by fuel.
 
-The operation table (`_OPS`) states the 18 register-register operations of
-RV32I/RV64I and M, each a function of (XLEN, rs1, rs2), and derives the
-other ALU forms from them, the way the ISA manual defines them: an
-immediate form is its register operation with the immediate as rs2,
-masked to XLEN once when the handler is built, and an RV64 `.w` form runs
-its base operation at XLEN 32 on the low 32 bits and sign-extends the
-result.  An AMO's add, xor, and and or are the same operations at the
-access width; `_AMOS` holds the rest (swap, min, max, minu, maxu).
+ALU handlers compute by `rvjop.decoder`'s operation table (`_OPS`),
+which the dataflow walk reads too: an immediate is masked to XLEN once,
+when the handler is built, and each result is masked to XLEN.  lui and
+auipc write `decoder._upper_value`.  An AMO's add, xor, and and or are
+`_OPS`' operations at the access width; `_AMOS` holds the rest (swap,
+min, max, minu, maxu).
 
 System calls are not forwarded anywhere.  Each ecall is recorded and a0
 gets a canned result from a fixed table: open-like calls yield descriptor
@@ -54,10 +52,11 @@ import struct
 from collections import namedtuple
 from collections.abc import Callable
 
-from .decoder import _SHAPE, DecodedInstruction, DirectJump, decode_one
+from .decoder import (_OPS, _SHAPE, DecodedInstruction, DirectJump,
+                      _signed, _upper_value, decode_one)
 from .errors import InvalidEncoding, Overlap, ToolError, Truncated
 from .image import ExecutableImage
-from .isa import SP, Register, mask, reg, sext, to_signed
+from .isa import SP, Register, mask, reg, to_signed
 
 DEFAULT_FUEL = 1_000_000
 DEFAULT_STACK_TOP = 0x7FFF_F000
@@ -265,74 +264,6 @@ _BRANCHES = {
 }
 
 
-def _signed(fn):
-    """`fn` on the operands read as signed `xlen`-bit values."""
-    def wrap(xlen: int, a: int, b: int) -> int:
-        return fn(to_signed(a, xlen), to_signed(b, xlen))
-    return wrap
-
-
-def _div(a: int, b: int) -> int:
-    if b == 0:
-        return -1
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
-def _rem(a: int, b: int) -> int:
-    if b == 0:
-        return a
-    return a - _div(a, b) * b
-
-
-def _word(op):
-    """An RV64 .w form: `op` at XLEN 32 on the low 32 bits of each
-    operand, its 32-bit result sign-extended."""
-    def wrap(xlen: int, a: int, b: int) -> int:
-        return sext(op(32, a & 0xFFFFFFFF, b & 0xFFFFFFFF) & 0xFFFFFFFF, 32)
-    return wrap
-
-
-# The register-register operations of RV32I/RV64I and M, as functions of
-# (XLEN, rs1, rs2) on unsigned XLEN-bit values; the handler masks the
-# result to XLEN.
-_OPS = {
-    "add": lambda x, a, b: a + b,
-    "sub": lambda x, a, b: a - b,
-    "and": lambda x, a, b: a & b,
-    "or": lambda x, a, b: a | b,
-    "xor": lambda x, a, b: a ^ b,
-    "slt": _signed(lambda a, b: int(a < b)),
-    "sltu": lambda x, a, b: int(a < b),
-    "sll": lambda x, a, b: a << (b & (x - 1)),
-    "srl": lambda x, a, b: a >> (b & (x - 1)),
-    "sra": lambda x, a, b: to_signed(a, x) >> (b & (x - 1)),
-    "mul": lambda x, a, b: a * b,
-    "mulh": lambda x, a, b: to_signed(a, x) * to_signed(b, x) >> x,
-    "mulhsu": lambda x, a, b: to_signed(a, x) * b >> x,
-    "mulhu": lambda x, a, b: a * b >> x,
-    "div": _signed(_div),
-    "divu": lambda x, a, b: a // b if b else -1,
-    "rem": _signed(_rem),
-    "remu": lambda x, a, b: a % b if b else a,
-}
-
-
-def _operation(name: str, kind: str):
-    """The operation of an ALU mnemonic of `_SHAPE` kind `kind`.  An
-    immediate form is its register operation, whose name is its own
-    without the i (addi: add, sltiu: sltu, slliw: sllw), with the
-    immediate as rs2; a .w form runs its base operation on the low words
-    (`_word`)."""
-    if kind == "imm":
-        name = name.replace("i", "", 1)
-    return _OPS.get(name) or _word(_OPS[name[:-1]])
-
-
-_OPS.update({name: _operation(name, kind)
-             for name, (kind, _) in _SHAPE.items() if kind in ("imm", "reg")})
-
-
 _AMOS = {   # the AMO operations `_OPS` lacks, on values of the access width
     "swap": lambda x, old, src: src,
     "min": _signed(min),
@@ -391,10 +322,7 @@ def _alu(m: Machine, insn: DecodedInstruction,
 def _upper(m: Machine, insn: DecodedInstruction,
            size: int | None) -> Callable[[], int]:
     # lui and auipc write a value the pc and the immediate fix
-    value = insn.imm & m.mask
-    if insn.base.name == "auipc":
-        value = (value + insn.address) & m.mask
-    return _constant(m, insn, value)
+    return _constant(m, insn, _upper_value(insn, m.xlen))
 
 
 def _csr(m: Machine, insn: DecodedInstruction,

@@ -880,6 +880,32 @@ def test_table_parse_reads_as_argparse(argv):
     assert vars(args) == vars(rvjop.cli._build_parser().parse_args(argv))
 
 
+def _value_flags():
+    """(command, flag) for every flag of the table that takes a value."""
+    for command, (_, _, flags) in rvjop.cli._COMMANDS.items():
+        for name, keywords in flags:
+            if keywords.get("action") != "store_true":
+                yield command, name
+
+
+@pytest.mark.parametrize("command,flag", list(_value_flags()),
+                         ids=[" ".join(cf) for cf in _value_flags()])
+def test_a_flag_spelled_with_dash_dash_is_a_usage_error(capsys, adg_blob,
+                                                        command, flag):
+    """`--flag=--`, which argparse before 3.13 stores as [] without
+    reading it through the flag's type or choices, exits 2 before the
+    command runs, with no output and no traceback."""
+    blob, _ = adg_blob
+    required = {"query": ["--all"],
+                "initializers": ["--dispatcher", "0x0"],
+                "chain": ["--spec", str(blob)],
+                "sim": ["--entry", "0x0", "--return-to", "0x0"]}
+    argv = [command, *RAW(blob), *required.get(command, []), f"{flag}=--"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}" in err and "Traceback" not in err
+
+
 def _table_flags(command):
     return [name for name, _ in rvjop.cli._COMMANDS[command][2]]
 
@@ -1208,7 +1234,7 @@ def test_chain_decodes_less_than_the_image(capsys, monkeypatch, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["scan", "--format", "records"],
     ["query", "--all", "--format", "records"],
-    ["query", "--all", "--role", "call"],
+    ["query", "--all", "--role", "unclassified"],
     ["query", "--op=li", "--role", "dispatcher-autonomous"],
 ])
 def test_roles_search_dispatchers_once_per_run(capsys, monkeypatch, adg_blob,
@@ -1227,6 +1253,16 @@ def test_roles_search_dispatchers_once_per_run(capsys, monkeypatch, adg_blob,
     assert len(calls) == 1
     run(capsys, *argv)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("role", ["arith", "load", "store", "call", "syscall",
+                                  "initializer"])
+def test_a_role_read_from_the_gadget_alone_searches_no_dispatchers(
+        capsys, monkeypatch, adg_blob, role):
+    blob, _ = adg_blob
+    refuse_calls(monkeypatch, "find_dispatchers")
+    code, _, err = run(capsys, "query", *RAW(blob), "--all", "--role", role)
+    assert code in (0, 1) and err == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -73,9 +73,10 @@ def test_dataflow_agrees():
         load = decode_one(assemble("lw", ("t2", "sp", 4), xlen=xlen),
                           CODE + 4, xlen)
         for name, fn in [
-                ("summarize_dataflow", lambda i: summarize_dataflow((i, load))),
+                ("summarize_dataflow",
+                 lambda i: summarize_dataflow((i, load), xlen)),
                 ("seeded summarize_dataflow",
-                 lambda i: summarize_dataflow(_seeded(i, xlen))),
+                 lambda i: summarize_dataflow(_seeded(i, xlen), xlen)),
                 ("const_add", const_add)]:
             if fn(short) != fn(full):
                 failures.append((short.render(), name, fn(short), fn(full)))

@@ -2,12 +2,14 @@
 
 import pytest
 
+from rvjop.classify import LOCAL_ROLES
 from rvjop.cli import _build_parser, _query, main
 from rvjop.errors import UsageError
+from rvjop.image import from_bytes, parse_elf
 from rvjop.isa import reg
 from rvjop.query import Query, emit_records, render_listing, run_query
 
-from conftest import CodeBuilder
+from conftest import CodeBuilder, benchmark_corpus, refuse_calls
 
 
 def _fixture_builder():
@@ -166,6 +168,27 @@ def test_role_filter(fixture_image):
     stores = run_query(img, Query(all_=True, role="store"))
     assert any(h.gadget.start == addrs["save"] for h in stores)
     assert all("store" in h.roles for h in stores)
+
+
+@pytest.mark.parametrize("workload",
+                         ["scan-dense-rv32", "scan-clean-rv64", "chain-long"])
+def test_local_roles_filter_with_no_dispatcher_search(monkeypatch, workload):
+    """A role read from the gadget alone lists the hits the full roles
+    give, on each workload's seed-1 image, with the dispatcher search
+    refused."""
+    assert LOCAL_ROLES == {"arith", "load", "store", "call", "syscall",
+                           "initializer"}
+    c = benchmark_corpus().build(workload, 1)
+    img = (parse_elf(c.file_bytes) if c.fmt == "elf"
+           else from_bytes(c.code, c.base, c.xlen))
+    every = run_query(img, Query(all_=True, max=6))
+    want = {role: [(h.gadget.start, h.gadget.end) for h in every
+                   if role in h.roles] for role in LOCAL_ROLES}
+    assert want["initializer"] and want["load"]
+    refuse_calls(monkeypatch, "find_dispatchers")
+    for role in sorted(LOCAL_ROLES):
+        got = run_query(img, Query(role=role, max=6))
+        assert [(h.gadget.start, h.gadget.end) for h in got] == want[role]
 
 
 def test_max_monotonic(fixture_image):

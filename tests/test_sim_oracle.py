@@ -8,17 +8,25 @@ derives from the ISA spec.  The values are the edges where
 implementations go wrong: 0, ±1, the most negative and most positive
 XLEN values, on RV64 `.w` operands with and without sign-extended upper
 halves, shift amounts around 32 and 64, division by zero and overflow.
+
+The dataflow walk folds constants through the interpreter's operation
+table, so each ALU row and lui and auipc are checked there too: on
+constant inputs, its exit is the Const that one step and the oracle
+give.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sim_oracle
 from rvjop.assembler import assemble
-from rvjop.decoder import _SHAPE, _WIDE, decode_one
+from rvjop.dataflow import Const, summarize_dataflow
+from rvjop.decoder import _OPS, _SHAPE, _WIDE, decode_one
 from rvjop.isa import RA, REGISTERS, ZERO, reg
-from rvjop.sim import _OPS, Machine, run_chain
+from rvjop.sim import Machine, run_chain
 
 CODE = 0x1000
 DATA = 0x8000
@@ -150,15 +158,76 @@ def test_every_alu_row_has_an_operation_the_oracle_checks(name, xlen):
     assert not failures, failures[:10]
 
 
+
+
+# --- the dataflow walk folds constants by the same table -------------------
+
+def _walk(items, xlen):
+    """The dataflow summary of `items`, each (mnemonic, *operands),
+    assembled from CODE on."""
+    insns, pc = [], CODE
+    for mnemonic, *ops in items:
+        insns.append(decode_one(assemble(mnemonic, tuple(ops), xlen=xlen),
+                                pc, xlen))
+        pc += insns[-1].width
+    return summarize_dataflow(insns, xlen)
+
+
+def _seed(r, value, xlen):
+    """Instructions that leave `value` in `r`, 11 bits at a time: an addi
+    from zero, then slli and ori."""
+    chunks = [value >> 11 * k & 0x7FF for k in reversed(range(-(-xlen // 11)))]
+    body = [("addi", r, ZERO, chunks[0])]
+    for chunk in chunks[1:]:
+        body += [("slli", r, r, 11), ("ori", r, r, chunk)]
+    return body
+
+
+def _immediates(name, xlen):
+    """Every immediate of `name`'s row at `xlen`, or None for a reg row."""
+    imm = next(imm for x, _, _, n, _, imm, tail in _WIDE
+               if n == name and tail and x in (None, xlen))
+    if imm is None:
+        return None
+    n = len(imm[0])
+    if imm[1]:
+        return st.integers(-(1 << n - 1), (1 << n - 1) - 1)
+    return st.integers(0, (1 << n) - 1)
+
+
+@pytest.mark.parametrize("name,xlen", _alu_rows())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_the_walk_folds_every_alu_row_as_one_step(name, xlen, data):
+    """An imm or reg row whose inputs are constants exits as the Const
+    that one interpreter step of it gives, which is the oracle's; the
+    operands are edges or any XLEN-bit value."""
+    operand = st.one_of(st.sampled_from(_edges(xlen)),
+                        st.integers(0, (1 << xlen) - 1))
+    imms = _immediates(name, xlen)
+    a = data.draw(operand)
+    b = data.draw(operand if imms is None else imms)
+    src = RS2 if imms is None else b
+    want = sim_oracle.alu(name, a, b, xlen)
+    s = Stepper(name, (RD, RS1, src), xlen)
+    assert s.step({RS1: a, RS2: b}).regs[RD.index] == want
+    body = _seed(RS1, a, xlen) + (_seed(RS2, b, xlen) if imms is None else [])
+    summary = _walk(body + [(name, RD, RS1, src), ("ret",)], xlen)
+    assert summary.exits[RS1] == Const(a)
+    assert summary.exits[RD] == Const(want)
+
+
 @pytest.mark.parametrize("xlen", [32, 64])
 @pytest.mark.parametrize("name", ["lui", "auipc"])
-def test_upper_immediate(name, xlen):
-    failures = []
-    for imm20 in (0, 1, 0x7FFFF, 0x80000, 0xFFFFF):
-        s = Stepper(name, (RD, imm20), xlen)
-        want = sim_oracle.upper(name, imm20, CODE, xlen)
-        _check(failures, s, s.step({}).regs[RD.index], want, imm20)
-    assert not failures, failures[:10]
+@settings(max_examples=50, deadline=None)
+@given(imm20=st.one_of(st.sampled_from((0, 1, 0x7FFFF, 0x80000, 0xFFFFF)),
+                       st.integers(0, 0xFFFFF)))
+def test_upper_immediate(name, xlen, imm20):
+    """One step of lui or auipc writes the oracle's value, and the walk
+    folds it to that Const."""
+    want = sim_oracle.upper(name, imm20, CODE, xlen)
+    assert Stepper(name, (RD, imm20), xlen).step({}).regs[RD.index] == want
+    assert _walk([(name, RD, imm20), ("ret",)], xlen).exits[RD] == Const(want)
 
 
 _PATTERNS = (0, 0x7F, 0x80, 0xFF, 0x7FFF, 0x8000, 0xFFFF, 0x7FFFFFFF,
