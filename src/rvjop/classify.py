@@ -73,7 +73,8 @@ ROLES = (ARITH, LOAD, STORE, CALL, SYSCALL, DISPATCHER_CLASSIC,
          UNCLASSIFIED)
 # the roles classify() reads from the gadget alone, with no dispatcher
 # index: whether a gadget holds one needs no dispatcher search
-LOCAL_ROLES = frozenset((ARITH, LOAD, STORE, CALL, SYSCALL, INITIALIZER))
+LOCAL_ROLES = frozenset(ROLES) - {DISPATCHER_CLASSIC, DISPATCHER_TWO_STAGE,
+                                  DISPATCHER_AUTONOMOUS, UNCLASSIFIED}
 
 # base mnemonics whose effects rule computes a register from registers
 # and immediates

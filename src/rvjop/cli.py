@@ -31,7 +31,7 @@ error) goes to argparse's parser of all seven subcommands, built from
 the same table (`_build_parser`), so its text is argparse's own; only
 then do argparse and the gettext and locale modules behind it load.
 What argparse stores without reading it through the flag's type and
-choices, `--flag=--`, is then a usage error (`_check_values`), so no
+choices, `--flag=--`, is then a usage error (`_unread_value`), so no
 value reaches a command unread on any Python version.
 
 A closed stdout (`rvjop scan ... | head`) ends the command with no
@@ -491,17 +491,19 @@ def _table_parse(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**found)
 
 
-def _check_values(args) -> None:
-    """Usage error for a flag value that argparse did not read through
-    the flag's type and choices.  Before Python 3.13 argparse stores
-    `--flag=--` as [] without calling either, and from 3.13 it gives an
-    untyped flag the string "--".  `_table_parse` takes neither, and
-    neither parse takes `--flag --`: "--" is no flag's value."""
+def _unread_value(args) -> str | None:
+    """The flag whose value argparse stored without reading it through
+    the flag's type and choices, if any.  Before Python 3.13 argparse
+    stores `--flag=--` as [] without calling either, and from 3.13 it
+    gives an untyped flag the string "--".  `_table_parse` takes
+    neither, and neither parse takes `--flag --`: "--" is no flag's
+    value."""
     for name, keywords in _COMMANDS[args.command][2]:
         value = getattr(args, _dest(name, keywords))
         for v in value if keywords.get("action") == "append" else (value,):
             if type(v) is list or v == "--":
-                raise UsageError(f"argument {name}: expected one argument")
+                return name
+    return None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -528,8 +530,12 @@ def main(argv: list[str] | None = None) -> int:
             args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return USAGE if exc.code not in (0, None) else OK
+        flag = _unread_value(args)
+        if flag is not None:
+            print(f"rvjop: argument {flag}: expected one argument",
+                  file=sys.stderr)
+            return USAGE
     try:
-        _check_values(args)
         return args.run(args)
     except BrokenPipeError:             # an OSError, but not a bad input
         return _stdout_closed()

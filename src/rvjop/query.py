@@ -73,16 +73,22 @@ class QueryHit:
                                   self.gadget.table.xlen)
 
     @cached_property
+    def local_roles(self) -> tuple[str, ...]:
+        """The roles classify() gives with no dispatcher index."""
+        return tuple(r.kind for r in classify(self.gadget, self.summary))
+
+    @cached_property
     def roles(self) -> tuple[str, ...]:
-        return tuple(r.kind for r in
-                     classify(self.gadget, self.summary, self.dispatchers()))
+        index = self.dispatchers()
+        if self.gadget.encoding not in index:   # classify adds nothing
+            return self.local_roles
+        return tuple(r.kind for r in classify(self.gadget, self.summary, index))
 
     def has_role(self, role: str) -> bool:
         """Whether `role` is among the gadget's roles; one of
         `LOCAL_ROLES` is read with no dispatcher index."""
-        if role not in LOCAL_ROLES:
-            return role in self.roles
-        return role in (r.kind for r in classify(self.gadget, self.summary))
+        return role in (self.local_roles if role in LOCAL_ROLES
+                        else self.roles)
 
 
 def _instruction_match(q: Query, insn) -> bool:
@@ -163,4 +169,5 @@ def emit_records(hits: list[QueryHit]) -> str:
                      f"{_join(h.roles)} {_join(written)}")
         vars(h).pop("summary", None)
         vars(h).pop("roles", None)
+        vars(h).pop("local_roles", None)
     return "\n".join(lines) + ("\n" if lines else "")
