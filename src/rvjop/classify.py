@@ -339,12 +339,14 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
     """Dispatcher candidates in an image, sorted by loop entry.
 
     Autonomous-shape detection reads the bytes after each linking jump;
-    the classic and two-stage rules read the image's gadgets.
+    the classic and two-stage rules read the image's gadgets.  Both read
+    the one gadget list: every terminator is a gadget of its own.
     """
+    gadgets = extract_gadgets(image, 6, branches=True)
     candidates: list[DispatcherCandidate] = []
-    for table in image.decode_table.values():
-        for term in terminators(table):
-            cand = _try_autonomous(table, term)
+    for g in gadgets:
+        if len(g.instructions) == 1:        # a terminator on its own
+            cand = _try_autonomous(g.table, g.terminator)
             if cand is not None:
                 candidates.append(cand)
     adg_terms = {c.gadget.terminator.address for c in candidates}
@@ -360,7 +362,7 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
     stage2: dict[Register, list[tuple[Gadget, Register, int,
                                       DataflowSummary]]] = {}
     stage1: list[Gadget] = []
-    for g in dedupe(extract_gadgets(image, 6, branches=True)):
+    for g in dedupe(gadgets):
         target = g.link_register
         if target is RA or g.terminator.address in adg_terms:
             continue

@@ -11,6 +11,9 @@ value at the terminator (`exits`).  A register not yet written reads as
   `rvjop.decoder`'s operation table (`_OPS`), the one the interpreter
   computes by, or lui or auipc, whose value the pc and immediate fix
   (`decoder._upper_value`); so `li` is a constant, and `auipc` is one;
+  and the link a jal or jalr writes, its return address pc + width, as
+  the machine writes it (the walk models the jump's own write only, not
+  what the code it jumps to does);
 * `Offset(r, c)`, r's entry value plus c: a constant add to an offset,
   which covers `mv`, `c.mv`, `addi rd, rs, imm` and sp's motion;
 * `Loaded(source)`, a load from memory an attacker can prepare: based
@@ -211,6 +214,8 @@ def summarize_dataflow(instructions, xlen: int) -> DataflowSummary:
                 value = _alu(insn, exits, xlen, full)
             elif kind == "upper":
                 value = Const(_upper_value(insn, xlen))
+            elif kind == "jal" or kind == "jalr":
+                value = Const((insn.address + insn.width) & full)
         elif ecall_a7 is None and insn.mnemonic == "ecall":
             ecall_a7 = exits.get(A7, Offset(A7, 0))
 

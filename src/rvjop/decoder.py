@@ -18,9 +18,12 @@ one table with a row per encoding, `_ROWS32` and `_ROWS16` in one
 grammar: the row's bits with its fields marked, the register width it
 exists at, its mnemonic and immediate layout.  The first row that matches
 an encoding decodes it, and the reserved slots (float, vector, undefined)
-are rows of their own.  `_plan` turns each row, once, into what `_decode`
-reads of it, the same way for both widths.  The rows are the one
-statement of each encoding: `rvjop.assembler` encodes from them.
+are rows of their own.  `_plan` turns a row into what `_decode` reads of
+it, the same way for both widths, once: the first time a decode tries
+the row.  `_bucket` lists the rows to try for an encoding's opcode bits
+the first time a decode reads those bits, so an import plans no row.
+The rows are the one statement of each encoding: `rvjop.assembler`
+encodes from them.
 `_effects` says what a base instruction does:
 registers read and written, control flow, memory access and immediate.
 It is written once per base mnemonic, and a compressed instruction takes
@@ -629,13 +632,13 @@ def _upper_value(insn: DecodedInstruction, xlen: int) -> int:
 
 # --- decode -----------------------------------------------------------------
 #
-# A row decodes by a plan built once: its fields read five bits wide
-# through a table of their operands, and its immediate as the sum of one
-# table lookup per group of instruction bits, a signed immediate's top bit
-# weighing negatively, so there is no sign step and no helper call per
-# field.  Both widths read the same groups, and a group that holds none of
-# a row's immediate bits looks up zeros.  This is the hot path of every
-# decode.
+# A row decodes by a plan built the first time a decode tries the row:
+# its fields read five bits wide through a table of their operands, and
+# its immediate as the sum of one table lookup per group of instruction
+# bits, a signed immediate's top bit weighing negatively, so there is no
+# sign step and no helper call per field.  Both widths read the same
+# groups, and a group that holds none of a row's immediate bits looks up
+# zeros.  This is the hot path of every decode.
 
 # The three-bit register fields name x8..x15; read five bits wide, they
 # repeat.
@@ -683,6 +686,7 @@ def _pick(places: list[int]):
     return itemgetter(slice(places[0], places[0] + 1) if places else slice(0))
 
 
+@cache
 def _plan(name: str, fields, imm, tail, width: int) -> tuple:
     """What `_decode` needs of an instruction row: its name, then how it
     decodes the row into the pool (field 1, field 2, field 3, immediate,
@@ -709,40 +713,26 @@ def _plan(name: str, fields, imm, tail, width: int) -> tuple:
             reg(fixed[0]) if fixed else None, ops_of, base, base_of)
 
 
-@cache
-def _subsets(bits: int) -> tuple[int, ...]:
-    """Every value whose set bits are among `bits`."""
-    subsets = [0]
-    for b in range(bits.bit_length()):
-        if bits >> b & 1:
-            subsets += [s | 1 << b for s in subsets]
-    return tuple(subsets)
-
-
-def _buckets(rows: tuple, key: int, width: int) -> dict:
-    """By xlen, then by an encoding's bits under `key`: the rows to try,
-    as (mask, match, plan or reserved subcode), ending in one that
-    matches anything, "undefined".  A row that leaves a key bit free is
-    tried under both of its values."""
-    table: dict = {32: {}, 64: {}}
-    for x, mask, match, name, fields, imm, tail in rows:
-        entry = (mask, match,
-                 _plan(name, fields, imm, tail, width) if tail else name)
-        for k in _subsets(key & ~mask):
-            for xlen in (32, 64) if x is None else (x,):
-                table[xlen].setdefault(match & key | k, []).append(entry)
-    last = (0, 0, "undefined")
-    keys = [k | q for q in {row[2] & 3 for row in rows}
-            for k in _subsets(key & ~3)]
-    return {xlen: {**dict.fromkeys(keys, (last,)),
-                   **{k: (*tried, last) for k, tried in buckets.items()}}
-            for xlen, buckets in table.items()}
-
-
 # By xlen, then by an encoding's funct3 and opcode, or its bits 15..12 and
-# quadrant.
-_C32 = _buckets(_WIDE, 0x707F, 4)
-_C16 = _buckets(_COMPRESSED, 0xF003, 2)
+# quadrant: the rows to try, listed by `_bucket` the first time a decode
+# reads the key.
+_C32: dict = {32: {}, 64: {}}
+_C16: dict = {32: {}, 64: {}}
+
+
+def _bucket(buckets: dict, rows: tuple, key: int, raw: int, width: int,
+            xlen: int) -> tuple:
+    """The rows of `rows` to try at `xlen` on an encoding whose bits under
+    `key` are those of `raw`, in row order, as (mask, match, plan or
+    reserved subcode), ending in one that matches anything, "undefined";
+    stored in `buckets[xlen]` under those bits."""
+    bits = raw & key
+    tried = buckets[xlen][bits] = (*[
+        (mask, match, _plan(name, fields, imm, tail, width) if tail else name)
+        for x, mask, match, name, fields, imm, tail in rows
+        if x in (None, xlen) and not (bits ^ match) & mask & key],
+        (0, 0, "undefined"))
+    return tried
 
 
 def _decode(raw: int, width: int, tried: tuple, address: int,
@@ -784,14 +774,18 @@ def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruct
         raise Truncated(address, 2, len(data))
     hw = data[0] | (data[1] << 8)
     if hw & 0b11 != 0b11:
-        return _decode(hw, 2, _C16[xlen][hw & 0xF003], address, xlen)
+        return _decode(hw, 2, _C16[xlen].get(hw & 0xF003)
+                       or _bucket(_C16, _COMPRESSED, 0xF003, hw, 2, xlen),
+                       address, xlen)
     if hw & 0b11111 == 0b11111:
         # 48-bit and longer encodings are out of scope
         raise InvalidEncoding(address, hw)
     if len(data) < 4:
         raise Truncated(address, 4, len(data))
     word = hw | (data[2] << 16) | (data[3] << 24)
-    return _decode(word, 4, _C32[xlen][word & 0x707F], address, xlen)
+    return _decode(word, 4, _C32[xlen].get(word & 0x707F)
+                   or _bucket(_C32, _WIDE, 0x707F, word, 4, xlen),
+                   address, xlen)
 
 
 # --- pseudo spellings -------------------------------------------------------
@@ -818,18 +812,24 @@ _PSEUDO_NAMES = frozenset(pseudo for pseudo, _, _ in PSEUDOS)
 # The operands of the jalr spelled ret: the jump that pops a shadow stack.
 _RETURN = next(ops for pseudo, _, ops in PSEUDOS if pseudo == "ret")
 
-# By decoded mnemonic: whether its rows read its own form or its base
-# form, and the rows, each as the pseudo, the function giving a form's
-# fixed operands, their values, and the function giving the pseudo's
-# operands.  A compressed mnemonic without rows of its own takes its
-# expansion's.
-_SPELLED: dict = {}
+
+def _spelled() -> dict:
+    """By decoded mnemonic: whether its rows read its own form or its base
+    form, and the rows, each as the pseudo, the function giving a form's
+    fixed operands, their values, and the function giving the pseudo's
+    operands.  A compressed mnemonic without rows of its own takes its
+    expansion's."""
+    spelled: dict = {}
+    for pseudo, name, fill in PSEUDOS:
+        fixed = _pick([i for i, f in enumerate(fill) if f is not None])
+        spelled.setdefault(name, (True, []))[1].append((
+            pseudo, fixed, fixed(fill),
+            _pick([i for i, f in enumerate(fill) if f is None])))
+    for _, _, _, name, _, _, tail in _COMPRESSED:
+        if tail and tail[0] in spelled:
+            spelled.setdefault(name, (False, spelled[tail[0]][1]))
+    return spelled
+
+
+_SPELLED = _spelled()
 _UNSPELLED = (True, ())
-for _pseudo, _name, _fill in PSEUDOS:
-    _fixed = _pick([i for i, f in enumerate(_fill) if f is not None])
-    _SPELLED.setdefault(_name, (True, []))[1].append((
-        _pseudo, _fixed, _fixed(_fill),
-        _pick([i for i, f in enumerate(_fill) if f is None])))
-for _, _, _, _name, _, _, _tail in _COMPRESSED:
-    if _tail and _tail[0] in _SPELLED:
-        _SPELLED.setdefault(_name, (False, _SPELLED[_tail[0]][1]))

@@ -14,11 +14,12 @@ from rvjop.classify import (ARITH, DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
 from rvjop.chain import parse_chain_text
 from rvjop.cli import main
 from rvjop.image import from_bytes, parse_elf
-from rvjop.scanner import NATURAL, SHIFTED, dedupe, extract_gadgets, gadget_at
+from rvjop.scanner import (NATURAL, SHIFTED, dedupe, extract_gadgets,
+                           gadget_at, terminators)
 from rvjop.isa import RA, reg
 
 from conftest import (PF_R, PF_W, PF_X, TABLE_BASE, CodeBuilder,
-                      benchmark_corpus, make_elf, refuse_calls)
+                      benchmark_corpus, count_calls, make_elf, refuse_calls)
 from oracle import natural_starts
 
 # `import rvjop.classify` binds the function the package re-exports.
@@ -468,6 +469,39 @@ def test_chain_through_body_walk_reaches_its_end(capsys, tmp_path,
 def test_no_dispatchers_in_plain_code(clean_images):
     for name, img in clean_images:
         assert find_dispatchers(img) == [], name
+
+
+def _search_images():
+    """The benchmark's three seed-1 images, and an ELF of two code
+    segments, the higher first, each holding an autonomous loop: lw a5,
+    0(s0); addi s0, s0, 4; jalr ra, a5; blt s0, s1, loop."""
+    corpus = benchmark_corpus()
+    for workload in ("scan-dense-rv32", "scan-clean-rv64", "chain-long"):
+        c = corpus.build(workload, 1)
+        yield workload, (parse_elf(c.file_bytes) if c.fmt == "elf"
+                         else from_bytes(c.code, c.base, c.xlen))
+    loop = bytes.fromhex("8327040013044400e7800700e34a94fe")
+    yield "two segments", parse_elf(make_elf(
+        [(0x20000, loop, PF_R | PF_X), (0x10000, loop, PF_R | PF_X)]))
+
+
+def test_dispatcher_search_scans_each_table_once(monkeypatch):
+    """A fresh image's search scans each decode table's bytes for
+    terminators once, for its gadget growth; the autonomous pass reads
+    the one-instruction gadgets, and finds what a pass over every
+    terminator of every table finds."""
+    for name, img in _search_images():
+        calls = count_calls(monkeypatch, "terminators")
+        found = find_dispatchers(img)
+        assert len(calls) == len(img.decode_table), name
+        monkeypatch.undo()
+        tried = [CLASSIFY._try_autonomous(table, t)
+                 for table in img.decode_table.values()
+                 for t in terminators(table)]
+        want = sorted(filter(None, tried), key=lambda c: c.loop_entry)
+        assert [c for c in found if c.kind == DISPATCHER_AUTONOMOUS] == \
+            want, name
+    assert len(want) == 2           # the two-segment ELF: one per segment
 
 
 def test_dispatcher_role_tagging(adg):

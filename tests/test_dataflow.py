@@ -188,7 +188,7 @@ EXITS = [
     (32, [("c.slli", "sp", 4), ("lw", "s0", "sp", 8)],
      {"sp": UNKNOWN, "s0": UNKNOWN}),
     (32, [("beq", "a0", "a1", 8), ("li", "a2", 1)], {"a2": Const(1)}),
-    (32, [("jalr", "ra", "a5", 0)], {"ra": UNKNOWN}),
+    (32, [("jalr", "ra", "a5", 0)], {"ra": Const(4)}),
     (32, [("c.mv", "a0", "a1")], {"a0": Offset(A1, 0)}),
     (64, [("add", "a0", "a1", "zero")], {"a0": Offset(A1, 0)}),
     (32, [("li", "a1", 7), ("c.mv", "a0", "a1")],
@@ -268,8 +268,9 @@ def test_a7_at_the_first_ecall():
                          ["scan-dense-rv32", "scan-clean-rv64", "chain-long"])
 def test_constant_exits_match_execution(workload):
     """Every distinct straight, memory-free gadget of a workload's seed-1
-    image, run to its terminator from two seeded register states, leaves
-    each register the walk calls a constant holding that constant."""
+    image, run through its terminator from two seeded register states,
+    leaves each register the walk calls a constant holding that constant:
+    a linking terminator's link too."""
     c = benchmark_corpus().build(workload, 1)
     img = (parse_elf(c.file_bytes) if c.fmt == "elf"
            else from_bytes(c.code, c.base, c.xlen))
@@ -289,6 +290,12 @@ def test_constant_exits_match_execution(workload):
             report = run_chain(m, g.start, g.terminator.address,
                                fuel=len(g.instructions))
             assert report.outcome == "reached", (g.render(), report.render())
+            # the terminator, one step: its target has bit 0 clear, so it
+            # never lands on 1 and the run ends with its fuel (or, for a
+            # ret, with the shadow stack's verdict, before any write)
+            report = run_chain(m, g.terminator.address, 1, fuel=1)
+            assert report.outcome in ("fuel-exhausted", "violation"), \
+                (g.render(), report.render())
             assert {i: m.regs[i] for i in consts} == consts, g.render()
         checked += 1
     assert checked

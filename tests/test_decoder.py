@@ -4,8 +4,12 @@ return discrimination, aliases, and immediate reconstruction."""
 import copy
 import gzip
 import hashlib
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -401,6 +405,55 @@ def test_decoder_digest():
         for data in _digest_inputs():
             h.update(_digest_line(data, xlen).encode() + b"\n")
     assert h.hexdigest() == DECODER_DIGEST
+
+
+# --- dispatch buckets -------------------------------------------------------
+
+def test_buckets_are_listed_on_first_read():
+    # A fresh interpreter: importing the command line lists no bucket, and
+    # one decode of an RV32 word lists the one bucket it reads.
+    code = ("import rvjop.cli\n"
+            "from rvjop import decoder as d\n"
+            "sizes = lambda: [len(t[x]) for t in (d._C16, d._C32)"
+            " for x in (32, 64)]\n"
+            "assert sizes() == [0, 0, 0, 0], sizes()\n"
+            "d.decode_one(bytes.fromhex('83270400'))\n"
+            "assert sizes() == [0, 0, 1, 0], sizes()\n"
+            "assert list(d._C32[32]) == [0x2003], list(d._C32[32])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_buckets_list_the_rows_that_agree_with_their_key():
+    """Each bucket the digest inputs read lists, in row order, every row
+    of its xlen that some encoding with the key's bits can match, then
+    the catch-all: checked against a filter written bit by bit."""
+    for xlen in (32, 64):
+        for data in _digest_inputs():
+            try:
+                decode_one(data, 0, xlen)
+            except (InvalidEncoding, Truncated):
+                pass
+        for key, buckets, rows in ((0x707F, decoder._C32, decoder._WIDE),
+                                   (0xF003, decoder._C16,
+                                    decoder._COMPRESSED)):
+            for bits, tried in buckets[xlen].items():
+                want = [(mask, match, name)
+                        for x, mask, match, name, *_ in rows
+                        if x in (None, xlen)
+                        and all(bits >> b & 1 == match >> b & 1
+                                for b in range(16)   # both keys' bits
+                                if key >> b & mask >> b & 1)]
+                got = [(mask, match, row if type(row) is str else row[0])
+                       for mask, match, row in tried]
+                assert got == want + [(0, 0, "undefined")], (xlen, hex(bits))
+        # every key: 3 quadrants of 16, and 28 opcodes (bits 4..2 not
+        # 111) of 8 funct3 values
+        assert len(decoder._C16[xlen]) == 48
+        assert len(decoder._C32[xlen]) == 224
 
 
 # --- llvm-mc golden files ---------------------------------------------------

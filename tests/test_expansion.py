@@ -8,7 +8,7 @@ same machine state after one step.
 """
 
 from rvjop.assembler import assemble, supported_mnemonics
-from rvjop.dataflow import const_add, summarize_dataflow
+from rvjop.dataflow import Const, const_add, summarize_dataflow
 from rvjop.decoder import decode_one
 from rvjop.isa import ZERO
 from rvjop.sim import Machine, run_chain
@@ -67,19 +67,30 @@ def _seeded(insn, xlen):
     return prefix + (insn,)
 
 
+def _linked_as_short(summary):
+    # A 4-byte jump links 2 bytes further on than a 2-byte one, as in
+    # `_fall_through_as_short`.
+    fix = lambda v: Const(CODE + 2) if v == Const(CODE + 4) else v
+    return summary._replace(exits={r: fix(v)
+                                   for r, v in summary.exits.items()})
+
+
 def test_dataflow_agrees():
     failures = []
     for short, full, xlen in pairs():
         load = decode_one(assemble("lw", ("t2", "sp", 4), xlen=xlen),
                           CODE + 4, xlen)
-        for name, fn in [
+        for name, fn, as_short in [
                 ("summarize_dataflow",
-                 lambda i: summarize_dataflow((i, load), xlen)),
+                 lambda i: summarize_dataflow((i, load), xlen),
+                 _linked_as_short),
                 ("seeded summarize_dataflow",
-                 lambda i: summarize_dataflow(_seeded(i, xlen), xlen)),
-                ("const_add", const_add)]:
-            if fn(short) != fn(full):
-                failures.append((short.render(), name, fn(short), fn(full)))
+                 lambda i: summarize_dataflow(_seeded(i, xlen), xlen),
+                 _linked_as_short),
+                ("const_add", const_add, lambda v: v)]:
+            got, want = fn(short), as_short(fn(full))
+            if got != want:
+                failures.append((short.render(), name, got, want))
     assert not failures, failures[:10]
 
 
