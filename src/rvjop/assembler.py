@@ -125,14 +125,6 @@ def _encoder(name, match, fields, imm, order, shift):
     return enc
 
 
-# Each entry maps a mnemonic to a function of (operands, xlen) returning
-# (word, width).
-_ENC: dict = {}
-
-# The mnemonics that exist at one register width only, by that width: the
-# rows of one width.  `assemble` checks this before the encoder runs.
-_XLEN: dict = {}
-
 # The expansions of the compressed shifts (a 32-bit row's tail names its
 # effects rule, never one of these).
 _SHIFTS = ("slli", "srli", "srai")
@@ -143,36 +135,44 @@ def _at_width(rv32, rv64):
     return lambda ops, xlen: (rv32 if xlen == 32 else rv64)(ops, xlen)
 
 
-for _width, _, _match, _n, _fields, _imm_layout, _tail in _WIDE + _COMPRESSED:
-    if _tail:               # an instruction, not a reserved slot
-        _order = _tail[1] if _match & 3 == 3 else \
-            range(len(_fields) + (_imm_layout is not None))
-        _e = _encoder(_n, _match, _fields, _imm_layout, _order,
-                      _tail[0] in _SHIFTS)
-        if _n in _ENC:      # its RV64 row, after its RV32 one
-            _e = _at_width(_ENC[_n], _e)
-            del _XLEN[_n]
-        elif _width:
-            _XLEN[_n] = _width
-        _ENC[_n] = _e
-
-
-# --- pseudo spellings -------------------------------------------------------
-
 def _pseudo(base, fill):
-    """`base` with the operands `fill`, whose None slots take the pseudo's
-    own operands in order."""
+    """The encoder `base` with the operands `fill`, whose None slots take
+    the pseudo's own operands in order."""
     def enc(ops, xlen):
         _count(ops, fill.count(None))
         given = iter(ops)
-        return _ENC[base](tuple(next(given) if f is None else f
-                                for f in fill), xlen)
+        return base(tuple(next(given) if f is None else f for f in fill),
+                    xlen)
     return enc
 
 
-for _n, _base, _fill in PSEUDOS:       # each pseudo by its first row
-    _ENC.setdefault(_n, _pseudo(_base, _fill))
+def _tables():
+    """(encoders, widths).  The encoders map each mnemonic to a function
+    of (operands, xlen) returning (word, width): every row of the
+    decoder's tables, then each pseudo spelling by its first row.  The
+    widths map the mnemonics that exist at one register width only to
+    that width: the rows of one width.  `assemble` checks it before the
+    encoder runs."""
+    encoders: dict = {}
+    widths: dict = {}
+    for width, _, match, name, fields, imm, tail in _WIDE + _COMPRESSED:
+        if not tail:        # a reserved slot, not an instruction
+            continue
+        order = tail[1] if match & 3 == 3 else \
+            range(len(fields) + (imm is not None))
+        enc = _encoder(name, match, fields, imm, order, tail[0] in _SHIFTS)
+        if name in encoders:    # its RV64 row, after its RV32 one
+            enc = _at_width(encoders[name], enc)
+            del widths[name]
+        elif width:
+            widths[name] = width
+        encoders[name] = enc
+    for name, base, fill in PSEUDOS:
+        encoders.setdefault(name, _pseudo(encoders[base], fill))
+    return encoders, widths
 
+
+_ENC, _XLEN = _tables()
 
 _li = _ENC["li"]
 

@@ -41,9 +41,10 @@ from .classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_TWO_STAGE,
                        DispatcherCandidate, InitializerCandidate, Source,
                        dispatcher_at, initializer_at)
 from .dataflow import DataflowSummary, summarize_dataflow
+from .decoder import CondBranch
 from .errors import AddressTooWide, Diverges, Overlap, ToolError
 from .image import ExecutableImage
-from .isa import ARG_REGS, Register, mask, reg
+from .isa import ARG_REGS, SP, Register, mask, reg
 from .scanner import Gadget, gadget_at
 
 ERROR = "error"
@@ -253,7 +254,7 @@ def validate_chain(spec: ChainSpec) -> list[Diagnostic]:
                                     f"chain ends with net sp delta {net:+d}"))
 
     # 5. loop-condition obligation
-    if disp.self_link.kind == "conditional":
+    if isinstance(disp.self_link, CondBranch):
         r1, r2 = disp.self_link.regs
         diags.append(Diagnostic(
             INFO, "MustHold",
@@ -374,7 +375,7 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
     init = spec.initializer
     seeds[disp.table_reg] = seed_ptr
 
-    if disp.self_link.kind == "conditional":
+    if isinstance(disp.self_link, CondBranch):
         r1, r2 = disp.self_link.regs
         bound_reg = r2 if r1 is disp.table_reg else r1
         if (disp.table_reg not in (r1, r2)
@@ -408,7 +409,7 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
     unplaced = []
     slots: dict[int, Register] = {}     # sp offset -> first register loaded
     for r, src in sorted(init.sets.items(), key=lambda kv: kv[0].index):
-        if src.kind == "stack" and src.base.index == 2:
+        if src.base is SP:
             first = slots.setdefault(src.offset, r)
             if seeds[first] != seeds[r]:
                 raise ToolError(

@@ -85,35 +85,19 @@ _ALU_MNEMONICS = frozenset(n for n, (kind, _) in _SHAPE.items()
 # Records are namedtuples (see `rvjop.decoder`); each field's
 # type is in the comment beside it.
 
-GadgetRole = namedtuple("GadgetRole", (
-    "kind",         # str
-    "detail",       # object
-), defaults=(None,))
-
-
-SelfLink = namedtuple("SelfLink", (
-    "kind",         # str: "none" | "unconditional" | "conditional"
-    "regs",         # tuple[Register, Register] | None
-    "op",           # str | None: branch condition for "conditional"
-), defaults=(None, None))
-
-
-NO_SELF_LINK = SelfLink("none")
-
-
 class DispatcherCandidate(namedtuple("DispatcherCandidate", (
         "kind",         # str: one of the three dispatcher role kinds
         "gadget",       # Gadget: loop body (stage one for two-stage pairs)
         "table_reg",    # Register
         "stride",       # int
-        "target_reg",   # Register
-        "self_link",    # SelfLink
+        "self_link",    # CondBranch | DirectJump | None: an autonomous
+                        # loop's back edge, `return_path[-1].control_flow`
         "load_offset",  # int: where the table load reads, from the
                         # pointer at the start of a round
         "pre_increment",  # bool: pointer moved before the load each round
         "return_path",  # tuple[DecodedInstruction, ...]
         "stage2",       # Gadget | None
-        ), defaults=(0, False, (), None))):
+        ), defaults=(None, 0, False, (), None))):
     # no `__slots__ = ()`: `round` is cached in the instance's __dict__
 
     @cached_property
@@ -131,10 +115,15 @@ class DispatcherCandidate(namedtuple("DispatcherCandidate", (
         return self.gadget.start
 
     @property
+    def target_reg(self) -> Register:
+        """The register the dispatcher jumps through to a table entry."""
+        return (self.stage2 or self.gadget).link_register
+
+    @property
     def required_registers(self) -> frozenset[Register]:
         """Registers an initializer must set for this dispatcher to loop."""
         regs = {self.table_reg}
-        if self.self_link.kind == "conditional":
+        if isinstance(self.self_link, CondBranch):
             regs.update(r for r in self.self_link.regs if r.index != 0)
         if self.kind == DISPATCHER_TWO_STAGE:
             regs.add(self.gadget.link_register)
@@ -181,50 +170,48 @@ def _is_alu_write(insn: DecodedInstruction) -> bool:
 
 def classify(gadget: Gadget, summary: DataflowSummary | None = None,
              dispatchers: dict[bytes, list[DispatcherCandidate]] | None = None
-             ) -> list[GadgetRole]:
-    """Roles for one gadget.  Pure in (gadget bytes, summary, context),
-    but for an autonomous loop, whose return path follows its bytes.
+             ) -> list[str]:
+    """Role names for one gadget, from `ROLES`, each at most once.  Pure
+    in (gadget bytes, summary, context), but for an autonomous loop,
+    whose return path follows its bytes.
 
     `dispatchers` maps gadget bytes to candidates found by
     find_dispatchers (`dispatcher_index`); without it only body-local
-    roles are assigned.
+    roles are assigned.  A syscall's number is the summary's `ecall_a7`,
+    and a dispatcher role's candidate is `dispatcher_at`'s.
     """
     if summary is None:
         summary = summarize_dataflow(gadget.instructions, gadget.table.xlen)
-    roles: list[GadgetRole] = []
+    roles: list[str] = []
 
     has_mem = bool(summary.mem_reads or summary.mem_writes)
     if not has_mem and any(_is_alu_write(i) for i in gadget.interior):
-        roles.append(GadgetRole(ARITH))
+        roles.append(ARITH)
     if summary.mem_reads:
-        roles.append(GadgetRole(LOAD))
+        roles.append(LOAD)
     if summary.mem_writes:
-        roles.append(GadgetRole(STORE))
+        roles.append(STORE)
     if gadget.terminator_links:
-        roles.append(GadgetRole(CALL))
+        roles.append(CALL)
 
     a7 = summary.ecall_a7
-    sysno = a7.value if type(a7) is Const else None
-    if a7 is not None and (sysno is not None
+    if a7 is not None and (type(a7) is Const
                            or A7 in summary.read_before_write):
-        roles.append(GadgetRole(SYSCALL, sysno))
+        roles.append(SYSCALL)
 
     if dispatchers:
-        # each kind once, with its first candidate: a stage one pairs
-        # with every stage two that loads through it
-        kinds = set()
+        # each kind once: a stage one pairs with every stage two that
+        # loads through it
         for cand in dispatchers.get(gadget.encoding, ()):
-            cand = None if cand.kind in kinds else cand.on(gadget)
-            if cand is not None:
-                kinds.add(cand.kind)
-                roles.append(GadgetRole(cand.kind, cand))
+            if cand.kind not in roles and cand.on(gadget) is not None:
+                roles.append(cand.kind)
 
     sets = initializer_sources(gadget, summary)
     if sets and any(src.kind == "stack" for src in sets.values()):
-        roles.append(GadgetRole(INITIALIZER))
+        roles.append(INITIALIZER)
 
     if not roles:
-        roles.append(GadgetRole(UNCLASSIFIED))
+        roles.append(UNCLASSIFIED)
     return roles
 
 
@@ -264,10 +251,8 @@ def _table_walk(body, target: Register, xlen: int
 
 def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
                     ) -> DispatcherCandidate | None:
-    cf = term.control_flow
-    if not cf.pushes:
+    if not term.control_flow.pushes:
         return None
-    target_reg = cf.base
 
     # Walk the return path: straight-line code after the call, up to the
     # first control transfer, which must lead back to the loop entry.
@@ -278,22 +263,15 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
         insn = table.at(addr)
         if insn is None:
             return None
-        flow = insn.control_flow
-        if flow is None:
-            path.append(insn)
-            addr += insn.width
-            continue
-        if isinstance(flow, CondBranch):
-            self_link = SelfLink("conditional", flow.regs, flow.op)
-        elif isinstance(flow, DirectJump) and flow.link is None:
-            self_link = SelfLink("unconditional")
-        else:
-            return None
-        back_target = flow.target
         path.append(insn)
-        break
-    if self_link is None:
+        self_link = insn.control_flow
+        if self_link is not None:
+            break
+        addr += insn.width
+    if not (isinstance(self_link, CondBranch)
+            or isinstance(self_link, DirectJump) and self_link.link is None):
         return None
+    back_target = self_link.target
     if not (term.address - _BACKLINK_WINDOW <= back_target <= term.address):
         return None
 
@@ -315,16 +293,16 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
         if isinstance(insn.control_flow, (IndirectJump, DirectJump, Trap)):
             return None
 
-    walk = _table_walk(body[:-1], target_reg, table.xlen)
+    walk = _table_walk(body[:-1], term.control_flow.base, table.xlen)
     if walk is None:
         return None
     table_reg, load_offset, pre_increment = walk
     cand = DispatcherCandidate(
         kind=DISPATCHER_AUTONOMOUS, gadget=Gadget(back_target, tuple(body),
                                                   table),
-        table_reg=table_reg, stride=0, target_reg=target_reg,
-        self_link=self_link, load_offset=load_offset,
-        pre_increment=pre_increment, return_path=tuple(path))
+        table_reg=table_reg, stride=0, self_link=self_link,
+        load_offset=load_offset, pre_increment=pre_increment,
+        return_path=tuple(path))
     # The stride is how far the round moves the table register; the
     # record `_replace` makes keeps the round it was read from.
     stride = cand.round.moved(table_reg)
@@ -359,8 +337,7 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
     # only add a prefix.  One that leaves it where it was is a stage two;
     # a gadget that never writes its jump register may be a stage one.
     classic: dict[tuple, DispatcherCandidate] = {}
-    stage2: dict[Register, list[tuple[Gadget, Register, int,
-                                      DataflowSummary]]] = {}
+    stage2: dict[Register, list[tuple[Gadget, int, DataflowSummary]]] = {}
     stage1: list[Gadget] = []
     for g in dedupe(gadgets):
         target = g.link_register
@@ -378,16 +355,15 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
         if stride is None:
             continue
         if stride == 0:
-            stage2.setdefault(table_reg, []).append(
-                (g, target, load_offset, summary))
+            stage2.setdefault(table_reg, []).append((g, load_offset, summary))
             continue
         key = (g.terminator.address, table_reg, target)
         cur = classic.get(key)
         if cur is None or len(g.instructions) < len(cur.gadget.instructions):
             classic[key] = DispatcherCandidate(
                 kind=DISPATCHER_CLASSIC, gadget=g, table_reg=table_reg,
-                stride=stride, target_reg=target, self_link=NO_SELF_LINK,
-                load_offset=load_offset, pre_increment=pre_increment)
+                stride=stride, load_offset=load_offset,
+                pre_increment=pre_increment)
     candidates.extend(classic.values())
 
     # Stage one moves a table register by a constant and jumps, through a
@@ -407,13 +383,13 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
             stride = summary1.moved(table_reg)
             if not stride:
                 continue
-            for g2, target, offset, summary2 in stage2.get(table_reg, ()):
+            for g2, offset, summary2 in stage2.get(table_reg, ()):
                 if not summary2.clobbers((jump_reg,)):
                     candidates.append(DispatcherCandidate(
                         kind=DISPATCHER_TWO_STAGE, gadget=g1,
-                        table_reg=table_reg, stride=stride, target_reg=target,
-                        self_link=NO_SELF_LINK, load_offset=stride + offset,
-                        pre_increment=True, stage2=g2))
+                        table_reg=table_reg, stride=stride,
+                        load_offset=stride + offset, pre_increment=True,
+                        stage2=g2))
     candidates.sort(key=lambda c: (c.loop_entry, c.kind))
     return candidates
 
@@ -428,9 +404,10 @@ def dispatcher_at(image: ExecutableImage, address: int
     forward from there with no jump before the call, which sits at most
     `_BACKLINK_WINDOW` bytes further on.  Candidates sort by (loop
     entry, kind), autonomous first, so that loop is the answer when
-    there is one.  Only otherwise does the whole-image search run, for
-    classic and two-stage bodies whose bytes start at `address`.  An
-    address at no even offset of an executable segment is no loop
+    there is one.  Only otherwise does the whole-image search run, and
+    the gadget at `address` looks its bytes up in its `dispatcher_index`,
+    the rule `classify` finds a copy by.  An address at no even offset
+    of an executable segment, or one no gadget runs from, is no loop
     entry: None, with no search.
     """
     seg = image.segment_containing(address)
@@ -441,11 +418,14 @@ def dispatcher_at(image: ExecutableImage, address: int
         cand = _try_autonomous(table, term)
         if cand is not None and cand.loop_entry == address:
             return cand
-    for d in find_dispatchers(image):
-        if seg.data.startswith(d.gadget.encoding, address - seg.vaddr):
-            found = d.on(gadget_at(image, address))
-            if found is not None:
-                return found
+    try:
+        g = gadget_at(image, address)
+    except ToolError:
+        return None
+    for d in dispatcher_index(find_dispatchers(image)).get(g.encoding, ()):
+        found = d.on(g)
+        if found is not None:
+            return found
     return None
 
 

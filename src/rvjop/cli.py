@@ -49,8 +49,9 @@ if __name__ == "__main__":
 # Every command decodes, so the decoder loads first.  Without a bytecode
 # cache, compiling it needs about 2 MB of temporary memory, more than any
 # other module; compiled before the other layers load, it adds least to
-# the process's peak RSS.
-from . import decoder  # noqa: F401
+# the process's peak RSS.  Importing a name from it, not the module
+# itself, makes `python -X importtime` time it on a line of its own.
+from .decoder import CondBranch
 
 import io
 import os
@@ -214,7 +215,7 @@ def _cmd_query(args) -> int:
 
 def _describe_dispatcher(d) -> str:
     cond = ""
-    if d.self_link.kind == "conditional":
+    if isinstance(d.self_link, CondBranch):
         r1, r2 = d.self_link.regs
         cond = f" while {r1.name} {d.self_link.op} {r2.name}"
     extra = f" stage2=0x{d.stage2.start:08x}" if d.stage2 is not None else ""

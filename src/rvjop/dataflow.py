@@ -51,11 +51,16 @@ from .isa import A7, S0, SP, Register, mask
 # type is in the comment beside it.
 
 
-Source = namedtuple("Source", (
-    "kind",         # str: "stack" | "mem"
-    "base",         # Register
-    "offset",       # int: entry-relative for sp, raw otherwise
-))
+class Source(namedtuple("Source", (
+        "base",         # Register
+        "offset",       # int: entry-relative for sp, raw otherwise
+        ))):
+    __slots__ = ()
+
+    @property
+    def kind(self) -> str:
+        """`stack` for a load through sp or s0 (the frame), else `mem`."""
+        return "stack" if self.base is SP or self.base is S0 else "mem"
 
 
 Const = namedtuple("Const", (
@@ -200,10 +205,9 @@ def summarize_dataflow(instructions, xlen: int) -> DataflowSummary:
                 if delta:
                     mem = mem._replace(offset=mem.offset + delta)
                 if kind == "load" and delta is not None:
-                    value = Loaded(Source("stack", SP, mem.offset))
+                    value = Loaded(Source(SP, mem.offset))
             elif kind == "load" and base not in exits:
-                value = Loaded(Source("stack" if base is S0 else "mem",
-                                      base, mem.offset))
+                value = Loaded(Source(base, mem.offset))
             if kind in ("load", "amo"):
                 mem_reads.append(mem)
             if kind in ("store", "amo"):

@@ -55,7 +55,7 @@ from collections import namedtuple
 from functools import cache
 from operator import itemgetter
 
-from .errors import InvalidEncoding, Truncated
+from .errors import InvalidEncoding, ToolError, Truncated
 from .isa import REGISTERS, RA, A7, ZERO, Register, mask, reg, sext, to_signed
 
 # --- control flow and access descriptors ------------------------------------
@@ -766,10 +766,11 @@ def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruct
     """Decode the instruction at the start of `data`.
 
     Raises Truncated when fewer bytes are available than the encoding
-    needs, InvalidEncoding for unsupported patterns.
+    needs, InvalidEncoding for unsupported patterns, and ToolError for
+    an XLEN other than 32 or 64.
     """
     if xlen not in (32, 64):
-        raise ValueError(f"xlen must be 32 or 64, got {xlen}")
+        raise ToolError(f"xlen must be 32 or 64, got {xlen}")
     if len(data) < 2:
         raise Truncated(address, 2, len(data))
     hw = data[0] | (data[1] << 8)

@@ -75,14 +75,14 @@ class QueryHit:
     @cached_property
     def local_roles(self) -> tuple[str, ...]:
         """The roles classify() gives with no dispatcher index."""
-        return tuple(r.kind for r in classify(self.gadget, self.summary))
+        return tuple(classify(self.gadget, self.summary))
 
     @cached_property
     def roles(self) -> tuple[str, ...]:
         index = self.dispatchers()
         if self.gadget.encoding not in index:   # classify adds nothing
             return self.local_roles
-        return tuple(r.kind for r in classify(self.gadget, self.summary, index))
+        return tuple(classify(self.gadget, self.summary, index))
 
     def has_role(self, role: str) -> bool:
         """Whether `role` is among the gadget's roles; one of

@@ -136,9 +136,10 @@ def extract_gadgets(image: ExecutableImage, max_len: int = 4,
                     branches: bool = False) -> list[Gadget]:
     """Gadgets of at most `max_len` interior instructions, through
     conditional branches only when `branches`, by start.  Each length a
-    terminator grows backwards to is its own gadget."""
+    terminator grows backwards to is its own gadget.  ToolError unless
+    `max_len` is in [0, MAX_GADGET_LEN]."""
     if not 0 <= max_len <= MAX_GADGET_LEN:
-        raise ValueError(f"max_len must be in [0, {MAX_GADGET_LEN}]")
+        raise ToolError(f"max_len must be in [0, {MAX_GADGET_LEN}]")
     if image.growth is None:
         image.growth = _Growth(image)
     return image.growth.view(max_len, branches)

@@ -18,7 +18,7 @@ from rvjop.classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
                             DISPATCHER_TWO_STAGE, availability_stats,
                             find_dispatchers, find_initializers,
                             initializer_at, render_stats_table)
-from rvjop.decoder import decode_one
+from rvjop.decoder import CondBranch, decode_one
 from rvjop.errors import Diverges, InvalidEncoding, Truncated
 from rvjop.isa import reg
 from rvjop.query import Query, run_query
@@ -212,7 +212,7 @@ def test_criterion_05_dispatcher_detection():
     d = auto[0]
     assert d.table_reg is reg("s0")
     assert d.stride == 4
-    assert d.self_link.kind == "conditional"
+    assert type(d.self_link) is CondBranch
     assert d.self_link.op == "lt"
     assert d.self_link.regs == (reg("s0"), reg("s1"))
     assert d.gadget.terminator_links

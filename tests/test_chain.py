@@ -562,7 +562,7 @@ def test_layout_surfaces_unplaced_sources(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"])
     sets = dict(spec.initializer.sets)
-    sets[reg("a1")] = Source("mem", reg("a3"), 0)
+    sets[reg("a1")] = Source(reg("a3"), 0)
     spec = spec._replace(initializer=spec.initializer._replace(sets=sets))
     out = layout_payload(spec)
     assert [(r.name, s.kind) for r, s in out.unplaced_seeds] == [("a1", "mem")]
@@ -575,8 +575,8 @@ def test_manifest_signs_negative_offsets(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"])
     sets = dict(spec.initializer.sets)
-    sets[reg("s0")] = Source("stack", reg("sp"), -12)
-    sets[reg("a1")] = Source("mem", reg("a3"), -8)
+    sets[reg("s0")] = Source(reg("sp"), -12)
+    sets[reg("a1")] = Source(reg("a3"), -8)
     spec = spec._replace(initializer=spec.initializer._replace(sets=sets))
     lines = render_manifest(spec, layout_payload(spec), []).splitlines()
     assert any(line.startswith("  sp-12   <- ") for line in lines)
@@ -608,7 +608,7 @@ def test_layout_shares_a_slot_loaded_with_one_value(lab):
     img, addrs = lab
     spec = spec_for(img, addrs, ["g_one"])
     sets = dict(spec.initializer.sets)
-    sets[reg("a0")] = sets[reg("a1")] = Source("stack", reg("sp"), 16)
+    sets[reg("a0")] = sets[reg("a1")] = Source(reg("sp"), 16)
     spec = spec._replace(initializer=spec.initializer._replace(sets=sets))
     out = layout_payload(spec)
     assert [(w.offset, w.value, w.register.name) for w in out.stack_writes

@@ -5,18 +5,21 @@ import sys
 import pytest
 
 from rvjop.classify import (ARITH, DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
-                            DISPATCHER_TWO_STAGE, INITIALIZER, LOAD, STORE,
-                            SYSCALL, UNCLASSIFIED, availability_stats,
+                            DISPATCHER_TWO_STAGE, INITIALIZER, LOAD, ROLES,
+                            STORE, SYSCALL, UNCLASSIFIED, availability_stats,
                             classify, dispatcher_at, dispatcher_index,
                             find_dispatchers,
                             find_initializers, initializer_sources,
                             render_stats_table)
 from rvjop.chain import parse_chain_text
+from rvjop.dataflow import Const, Offset, summarize_dataflow
+from rvjop.decoder import CondBranch
 from rvjop.cli import main
 from rvjop.image import from_bytes, parse_elf
 from rvjop.scanner import (NATURAL, SHIFTED, dedupe, extract_gadgets,
                            gadget_at, terminators)
-from rvjop.isa import RA, reg
+from rvjop.errors import ToolError
+from rvjop.isa import A7, RA, reg
 
 from conftest import (PF_R, PF_W, PF_X, TABLE_BASE, CodeBuilder,
                       benchmark_corpus, count_calls, make_elf, refuse_calls)
@@ -29,7 +32,7 @@ DECODER = sys.modules["rvjop.decoder"]
 
 def roles_of(image, address, context=None):
     g = gadget_at(image, address)
-    return {r.kind for r in classify(g, dispatchers=context)}
+    return set(classify(g, dispatchers=context))
 
 
 # --- body-local roles -------------------------------------------------------
@@ -59,9 +62,9 @@ def test_syscall_role_with_id():
     b.emit("ret")
     img = b.image()
     g = gadget_at(img, b.labels["g"])
-    roles = classify(g)
-    sys_roles = [r for r in roles if r.kind == SYSCALL]
-    assert sys_roles and sys_roles[0].detail == 56
+    assert SYSCALL in classify(g)
+    # the number is the summary's, where classify() reads the role from
+    assert summarize_dataflow(g.instructions, 32).ecall_a7 == Const(56)
 
 
 def test_syscall_role_inherited_a7():
@@ -70,9 +73,10 @@ def test_syscall_role_inherited_a7():
     b.emit("ecall")
     b.emit("ret")
     img = b.image()
-    roles = {r.kind: r for r in classify(gadget_at(img, b.labels["g"]))}
-    assert SYSCALL in roles
-    assert roles[SYSCALL].detail is None   # caller must have set a7
+    g = gadget_at(img, b.labels["g"])
+    assert SYSCALL in classify(g)
+    # the caller must have set a7: its entry value, no number
+    assert summarize_dataflow(g.instructions, 32).ecall_a7 == Offset(A7, 0)
 
 
 @pytest.mark.parametrize("body, sysno", [
@@ -88,8 +92,8 @@ def test_syscall_id_through_addiw_on_rv64(body, sysno):
     b.emit("ecall")
     b.emit("ret")
     g = gadget_at(b.image(), b.labels["g"])
-    sys_roles = [r for r in classify(g) if r.kind == SYSCALL]
-    assert [r.detail for r in sys_roles] == [sysno]
+    assert classify(g).count(SYSCALL) == 1
+    assert summarize_dataflow(g.instructions, 64).ecall_a7 == Const(sysno)
 
 
 def test_unclassified_fallback():
@@ -113,7 +117,9 @@ def test_autonomous_dispatcher_fields(adg):
     assert d.stride == 4
     assert d.gadget.terminator_links
     assert not d.pre_increment
-    assert d.self_link.kind == "conditional"
+    # the back edge is the blt's own decoded record
+    assert d.self_link is d.return_path[-1].control_flow
+    assert type(d.self_link) is CondBranch
     assert d.self_link.op == "lt"
     assert d.self_link.regs == (reg("s0"), reg("s1"))
     assert d.required_registers == {reg("s0"), reg("s1")}
@@ -246,8 +252,8 @@ def test_stage_one_of_two_pairs_names_its_kind_once(capsys, tmp_path):
     found = find_dispatchers(img)
     assert [d.stage2.start for d in found] == [8, 16]
     roles = classify(gadget_at(img, 0), dispatchers=dispatcher_index(found))
-    assert [r.kind for r in roles] == [ARITH, DISPATCHER_TWO_STAGE]
-    assert roles[1].detail is found[0]
+    assert roles == [ARITH, DISPATCHER_TWO_STAGE]
+    assert dispatcher_at(img, 0) == found[0]
     blob = tmp_path / "pair.bin"
     blob.write_bytes(img.segments[0].data)
     assert main(["scan", "--raw", str(blob), "--format", "records"]) == 0
@@ -286,11 +292,10 @@ def test_byte_identical_dispatcher_copies_share_its_role():
     context = dispatcher_index(found)
     for start in (0x0, 0xc):
         g = gadget_at(img, start)
-        roles = classify(g, dispatchers=context)
-        assert [r.kind for r in roles] == [LOAD, DISPATCHER_CLASSIC,
-                                           INITIALIZER]
-        assert roles[1].detail == found[0]._replace(gadget=g)
-        assert dispatcher_at(img, start) == roles[1].detail
+        assert classify(g, dispatchers=context) == [
+            LOAD, DISPATCHER_CLASSIC, INITIALIZER]
+        assert context[g.encoding][0].on(g) == found[0]._replace(gadget=g)
+        assert dispatcher_at(img, start) == found[0]._replace(gadget=g)
     assert dispatcher_at(img, 0x4) is None
 
 
@@ -319,14 +324,13 @@ def test_only_its_own_copy_is_an_autonomous_loop():
     context = dispatcher_index(found)
     assert len(context) == 1              # one body, two loops
     for name, want in (("loop", found[0]), ("copy", found[1])):
-        roles = classify(gadget_at(img, a[name]), dispatchers=context)
-        assert [r.detail for r in roles if r.kind == DISPATCHER_AUTONOMOUS
-                ] == [want], name
+        g = gadget_at(img, a[name])
+        assert classify(g, dispatchers=context).count(
+            DISPATCHER_AUTONOMOUS) == 1, name
         assert dispatcher_at(img, a[name]) == want
     body = gadget_at(img, a["body"])
     assert body.encoding == found[0].gadget.encoding
-    assert DISPATCHER_AUTONOMOUS not in {
-        r.kind for r in classify(body, dispatchers=context)}
+    assert DISPATCHER_AUTONOMOUS not in classify(body, dispatchers=context)
     assert dispatcher_at(img, a["body"]) is None
 
 
@@ -509,8 +513,7 @@ def test_dispatcher_role_tagging(adg):
     found = find_dispatchers(img)
     context = dispatcher_index(found)
     d = [x for x in found if x.kind == DISPATCHER_AUTONOMOUS][0]
-    roles = {r.kind for r in classify(d.gadget, dispatchers=context)}
-    assert DISPATCHER_AUTONOMOUS in roles
+    assert DISPATCHER_AUTONOMOUS in classify(d.gadget, dispatchers=context)
 
 
 def test_dispatcher_at_rejects_non_code_addresses_without_a_search(
@@ -564,6 +567,84 @@ def test_dispatcher_at_is_the_first_full_search_candidate(monkeypatch,
             want = next((d for d in full if d.loop_entry == a), None)
             assert dispatcher_at(img, a) == want, (seed, hex(a))
         monkeypatch.undo()
+
+
+def _dispatcher_at_by_prefix(image, address, full):
+    """The reference copy rule: the first of `full` whose body's bytes
+    start at `address`, on the gadget there, after the autonomous loop
+    that starts at `address`, if one does."""
+    seg = image.segment_containing(address)
+    if seg is None or not seg.executable or (address - seg.vaddr) & 1:
+        return None
+    table = image.decode_table[seg.vaddr]
+    for term in terminators(table, address,
+                            address + CLASSIFY._BACKLINK_WINDOW + 1):
+        cand = CLASSIFY._try_autonomous(table, term)
+        if cand is not None and cand.loop_entry == address:
+            return cand
+    for d in full:
+        if seg.data.startswith(d.gadget.encoding, address - seg.vaddr):
+            found = d.on(gadget_at(image, address))
+            if found is not None:
+                return found
+    return None
+
+
+def _seed1_images_and_doubles():
+    """Each workload's seed-1 image, and the same code twice over: the
+    seed-1 images hold no second copy of any dispatcher body."""
+    corpus = benchmark_corpus()
+    for w in corpus.WORKLOADS:
+        c = corpus.build(w, 1)
+        for n in (1, 2):
+            code = c.code * n
+            yield f"{w}/1 x{n}", (
+                parse_elf(corpus.make_elf(c.base, code, c.xlen))
+                if c.fmt == "elf" else from_bytes(code, c.base, c.xlen))
+
+
+def test_dispatcher_at_finds_a_copy_by_its_index(monkeypatch):
+    """`dispatcher_at` looks the gadget at an address up in the
+    dispatcher index, as `classify` does: at every candidate entry and
+    every byte-identical copy of a body (even offsets), the answer is
+    the reference's, which matches body bytes at the address; where no
+    gadget runs from the address, there is no search at all."""
+    copies = 0                  # answers at a copy, not at an entry
+    for name, img in _seed1_images_and_doubles():
+        full = find_dispatchers(img)
+        monkeypatch.setattr(CLASSIFY, "find_dispatchers", lambda image: full)
+        probes = set()
+        for seg in img.segments:
+            if not seg.executable:
+                continue
+            for d in full:
+                at = seg.data.find(d.gadget.encoding)
+                while at >= 0:
+                    if not at & 1:
+                        probes.add(seg.vaddr + at)
+                    at = seg.data.find(d.gadget.encoding, at + 1)
+        assert {d.loop_entry for d in full} <= probes, name
+        for a in sorted(probes):
+            want = _dispatcher_at_by_prefix(img, a, full)
+            assert dispatcher_at(img, a) == want, (name, hex(a))
+            copies += want is not None and all(
+                d.loop_entry != a for d in full)
+        # addresses in the code that no gadget runs from
+        seg = next(s for s in img.segments if s.executable)
+        dead = []
+        for a in range(seg.vaddr, seg.vaddr + len(seg.data), 2):
+            try:
+                gadget_at(img, a)
+            except ToolError:
+                dead.append(a)
+            if len(dead) == 50:
+                break
+        assert dead, name
+        refuse_calls(monkeypatch, "find_dispatchers")
+        for a in dead:
+            assert dispatcher_at(img, a) is None, (name, hex(a))
+        monkeypatch.undo()
+    assert copies
 
 
 @pytest.mark.parametrize("workload", ["scan-dense-rv32", "scan-clean-rv64",
@@ -712,24 +793,58 @@ def test_initializer_role_agrees_with_pairing():
     for g in extract_gadgets(img, 6):
         sets = initializer_sources(g) or {}
         seeds_stack = any(s.kind == "stack" for s in sets.values())
-        assert (INITIALIZER in {r.kind for r in classify(g)}) == seeds_stack
+        assert (INITIALIZER in classify(g)) == seeds_stack
+
+
+def _workload_images(seeds):
+    """The benchmark images of every workload at `seeds`, by name."""
+    corpus = benchmark_corpus()
+    for w in corpus.WORKLOADS:
+        for seed in seeds:
+            c = corpus.build(w, seed)
+            yield f"{w}/{seed}", (parse_elf(c.file_bytes) if c.fmt == "elf"
+                                  else from_bytes(c.code, c.base, c.xlen))
 
 
 def _benchmark_images():
     """The benchmark images (seeds 1-10, every workload), ten 64 KiB clean
     RV64 draws and one 64 KiB dense draw."""
     corpus = benchmark_corpus()
-    for w in corpus.WORKLOADS:
-        for seed in range(1, 11):
-            c = corpus.build(w, seed)
-            yield f"{w}/{seed}", (parse_elf(c.file_bytes) if c.fmt == "elf"
-                                  else from_bytes(c.code, c.base, c.xlen))
+    yield from _workload_images(range(1, 11))
     draws = [corpus._functions_image("scan-clean-rv64", seed, 0x10000, 64,
                                      64 * 1024, False) for seed in range(1, 11)]
     draws.append(corpus._dense_image(1, 64 * 1024))
     for n, e in enumerate(draws):
         yield f"64 KiB draw {n}", parse_elf(
             corpus.make_elf(e.base, bytes(e.buf), e.xlen))
+
+
+def test_candidates_derive_target_and_back_edge_from_their_code():
+    """What a candidate no longer stores is read from its code: the
+    target register's last write in the body (stage two, for a pair) is
+    a load through the table register; the back edge of an autonomous
+    loop is the return path's last jump, and no other shape has one;
+    and classify() names each role of a candidate's body once."""
+    seen = set()
+    for name, img in _workload_images(range(1, 4)):
+        found = find_dispatchers(img)
+        context = dispatcher_index(found)
+        for d in found:
+            seen.add(d.kind)
+            body = (d.stage2 or d.gadget).instructions
+            last = [i for i in body if d.target_reg in i.regs_written][-1]
+            mem = last.mem_access
+            assert (mem.kind, mem.base) == ("load", d.table_reg), name
+            if d.kind == DISPATCHER_AUTONOMOUS:
+                assert d.self_link is d.return_path[-1].control_flow
+                assert d.self_link is not None
+            else:
+                assert d.self_link is None and d.return_path == ()
+            roles = classify(d.gadget, dispatchers=context)
+            assert len(set(roles)) == len(roles), name
+            assert set(roles) <= set(ROLES) and d.kind in roles, name
+    assert seen == {DISPATCHER_CLASSIC, DISPATCHER_TWO_STAGE,
+                    DISPATCHER_AUTONOMOUS}
 
 
 def test_initializer_filter_matches_every_summary():

@@ -249,6 +249,23 @@ def test_dispatchers_lists_the_loop(capsys, adg_blob):
     assert out.rstrip().splitlines()[-1].split()[1].startswith("candidate")
 
 
+def test_dispatchers_lists_a_stage_one_with_each_stage_two(capsys, tmp_path):
+    # addi s0, s0, 4; jr t2; then two stage twos: lw a5, 0(s0); jr a5 and
+    # lw a4, 0(s0); jr a4.  Each line's target is its stage two's jump
+    # register.
+    blob = tmp_path / "pairs.bin"
+    blob.write_bytes(bytes.fromhex(
+        "130444006780030083270400678007000327040067000700"))
+    code, out, err = run(capsys, "dispatchers", "--raw", str(blob))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "0x00000000 dispatcher-two-stage table=s0 stride=+4 target=a5 pre "
+        "stage2=0x00000008",
+        "0x00000000 dispatcher-two-stage table=s0 stride=+4 target=a4 pre "
+        "stage2=0x00000010",
+        "2 candidates"]
+
+
 def test_dispatchers_clean_image(capsys, tmp_path):
     name, img = build_clean_fixtures()[0]
     path = tmp_path / "clean.bin"
@@ -807,6 +824,27 @@ def test_cli_import_loads_no_assembler_and_keeps_submodules():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importtime_times_the_decoder_on_its_own_line():
+    # `python -X importtime` gives a module a line of its own only when it
+    # loads through a plain import, not through a package's from-list;
+    # the CLI imports a name from the decoder, so the decoder's start-up
+    # is not counted as rvjop.cli's, and the decoder loads before the
+    # layers that decode.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c",
+                           "import rvjop.cli"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    timed = [line.rsplit("|", 1)[-1].strip()
+             for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    assert "rvjop.decoder" in timed
+    first = timed.index("rvjop.decoder")
+    for layer in ("rvjop.dataflow", "rvjop.scanner", "rvjop.classify"):
+        assert timed.index(layer) > first, layer
 
 
 # --- the parser: the command table, and argparse for the rest -------------

@@ -70,13 +70,13 @@ def test_stack_loads_entry_relative():
                 ("addi", "sp", "sp", 16),
                 ("ret",))
     s = summarize_dataflow(insns, 32)
-    assert s.loaded == {A0: Source("stack", SP, -12)}
+    assert s.loaded == {A0: Source(SP, -12)}
     assert s.sp_delta == 0
 
 
 def test_stack_loads_through_s0():
     got = summarize_dataflow(seq(("lw", "a1", "s0", 8), ("ret",)), 32).loaded
-    assert got == {A1: Source("stack", reg("s0"), 8)}
+    assert got == {A1: Source(reg("s0"), 8)}
 
 
 def test_loaded_sources_s0_counts_only_while_unwritten():
@@ -84,7 +84,7 @@ def test_loaded_sources_s0_counts_only_while_unwritten():
     got = summarize_dataflow(seq(("lw", "s0", "sp", 0),
                                  ("lw", "s1", "s0", 4),
                                  ("jr", "t0")), 32).loaded
-    assert got == {reg("s0"): Source("stack", SP, 0)}
+    assert got == {reg("s0"): Source(SP, 0)}
 
 
 def test_loaded_sources_drops_double_indirection():
@@ -152,7 +152,7 @@ def test_const_values_invalidated_by_unknown():
 # --- exit values ------------------------------------------------------------
 
 def _stack(offset):
-    return Loaded(Source("stack", SP, offset))
+    return Loaded(Source(SP, offset))
 
 
 EXITS = [
@@ -178,8 +178,8 @@ EXITS = [
      {"sp": Offset(SP, 0), "a0": _stack(-12)}),
     (32, [("c.lwsp", "a0", 8)], {"a0": _stack(8)}),
     (32, [("lw", "a1", "s0", 8)],
-     {"a1": Loaded(Source("stack", reg("s0"), 8))}),
-    (32, [("lw", "a1", "a2", 4)], {"a1": Loaded(Source("mem", A2, 4))}),
+     {"a1": Loaded(Source(reg("s0"), 8))}),
+    (32, [("lw", "a1", "a2", 4)], {"a1": Loaded(Source(A2, 4))}),
     (32, [("lw", "a0", "sp", 0), ("lw", "a0", "a0", 0)], {"a0": UNKNOWN}),
     (32, [("lw", "s0", "sp", 0), ("lw", "s1", "s0", 4)],
      {"s0": _stack(0), "s1": UNKNOWN}),
@@ -227,7 +227,7 @@ def test_sp_rebuilt_through_a_copy_has_a_known_delta():
                 ("ret",))
     s = summarize_dataflow(insns, 32)
     assert s.sp_delta == 16
-    assert s.loaded == {A0: Source("stack", SP, 20)}
+    assert s.loaded == {A0: Source(SP, 20)}
 
 
 @pytest.mark.parametrize("xlen", [32, 64])
@@ -247,7 +247,7 @@ def test_sp_rebuilt_through_c_mv_has_a_known_delta():
                                ("lw", "a0", "sp", 4),
                                ("ret",)), 32)
     assert s.sp_delta == 16
-    assert s.loaded == {A0: Source("stack", SP, 20)}
+    assert s.loaded == {A0: Source(SP, 20)}
 
 
 def test_a7_at_the_first_ecall():

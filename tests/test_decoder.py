@@ -19,7 +19,7 @@ from rvjop import decoder
 from rvjop.assembler import assemble
 from rvjop.decoder import (PSEUDOS, CondBranch, DecodedInstruction,
                            DirectJump, IndirectJump, Trap, decode_one)
-from rvjop.errors import InvalidEncoding, Truncated
+from rvjop.errors import InvalidEncoding, ToolError, Truncated
 from rvjop.isa import A0, A1, A7, RA, REGISTERS, SP, T0, reg, sext
 
 from gen_llvm_golden import (COMPRESSED_GOLDEN, DECODER_GOLDEN, REG_KINDS,
@@ -140,6 +140,13 @@ def test_truncated():
         decode_one(b"\x67\x80", 0, 32)   # 4-byte encoding, 2 bytes given
     with pytest.raises(Truncated):
         decode_one(b"", 0, 32)
+
+
+def test_unsupported_xlen_is_a_tool_error():
+    # every public entry point succeeds or raises a ToolError
+    for data in (b"\x67\x80\x00\x00", b"\x82\x80"):
+        with pytest.raises(ToolError, match="xlen must be 32 or 64, got 48"):
+            decode_one(data, 0, xlen=48)
 
 
 def test_truncated_reports_need():
@@ -594,5 +601,35 @@ def test_records_have_no_instance_dict():
                     and cls.__module__ == module.__name__):
                 record = cls._make([None] * len(cls._fields))
                 records[name] = hasattr(record, "__dict__")
-    assert len(records) == 29
+    assert len(records) == 27
     assert {name for name, has in records.items() if has} == caching
+
+
+def test_no_module_runs_a_loop_at_module_scope():
+    """A `for` at module scope binds its loop variables as module
+    globals, which a later helper of the same name would silently
+    rebind; every module builds its tables inside functions instead."""
+    import ast
+    import pkgutil
+
+    import rvjop
+
+    def module_scope(body):
+        for stmt in body:
+            yield stmt
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                for field in ("body", "orelse", "finalbody"):
+                    yield from module_scope(getattr(stmt, field, ()))
+                for handler in getattr(stmt, "handlers", ()):
+                    yield from module_scope(handler.body)
+
+    loops = []
+    for info in pkgutil.iter_modules(rvjop.__path__):
+        path = Path(rvjop.__path__[0]) / f"{info.name}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        loops += [f"{info.name}:{stmt.lineno}"
+                  for stmt in module_scope(tree.body)
+                  if isinstance(stmt, (ast.For, ast.AsyncFor))]
+    assert len(list(pkgutil.iter_modules(rvjop.__path__))) >= 12
+    assert loops == []

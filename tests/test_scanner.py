@@ -354,7 +354,7 @@ def test_extract_matches_oracle_on_random_code(pieces, tail, xlen, requests):
 def test_extract_max_len_validation():
     img = from_bytes(bytes.fromhex("67800000"), 0x1000, 32)      # ret
     for bad in (-1, 33, 99):
-        with pytest.raises(ValueError):
+        with pytest.raises(ToolError):
             extract_gadgets(img, bad)
     assert len(extract_gadgets(img, 0)) == 1    # terminator-only scans
 
