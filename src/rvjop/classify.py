@@ -48,14 +48,13 @@ from functools import cached_property
 
 from .dataflow import (Const, DataflowSummary, Source, const_add,
                        summarize_dataflow)
-from .decoder import (_SHAPE, CondBranch, DecodedInstruction, DirectJump,
-                      IndirectJump, Trap)
+from .decoder import _SHAPE, CondBranch, DecodedInstruction, DirectJump, Trap
 from .decoder import decode_one  # noqa: F401  benchmarks/test_benchmark.py looks it up here
 from .errors import ToolError
-from .image import DecodedSegment, ExecutableImage
+from .image import ExecutableImage
 from .isa import RA, SP, A7, Register
 from .scanner import (NATURAL, SHIFTED, Gadget, dedupe, extract_gadgets,
-                      gadget_at, terminators)
+                      gadget_at)
 
 # role kinds
 ARITH = "arith"
@@ -249,18 +248,25 @@ def _table_walk(body, target: Register, xlen: int
     return None if before is None else (table, before + offset, before != 0)
 
 
-def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
+def _try_autonomous(image: ExecutableImage, call: Gadget
                     ) -> DispatcherCandidate | None:
+    """The autonomous loop whose body ends at `call`'s terminator, or
+    None.  The body is the gadget that runs from the back edge's target
+    (`gadget_at`), and it must end at that call: `gadget_at` refuses a
+    direct jump or undecodable bytes on the way and stops at the first
+    indirect jump, and it allows exit-guard branches.  An ecall or
+    ebreak in the body leaves the loop, so it is refused here."""
+    term = call.terminator
     if not term.control_flow.pushes:
         return None
 
     # Walk the return path: straight-line code after the call, up to the
     # first control transfer, which must lead back to the loop entry.
     path: list[DecodedInstruction] = []
-    addr = term.address + term.width
+    addr = call.end
     self_link = None
     for _ in range(_CONTINUATION_WINDOW):
-        insn = table.at(addr)
+        insn = call.table.at(addr)
         if insn is None:
             return None
         path.append(insn)
@@ -274,35 +280,22 @@ def _try_autonomous(table: DecodedSegment, term: DecodedInstruction
     back_target = self_link.target
     if not (term.address - _BACKLINK_WINDOW <= back_target <= term.address):
         return None
-
-    # The body must decode contiguously from the entry and land exactly
-    # on the call.
-    body: list[DecodedInstruction] = []
-    addr = back_target
-    while addr < term.address + term.width:
-        insn = table.at(addr)
-        if insn is None:
-            return None
-        body.append(insn)
-        addr += insn.width
-    if body[-1].address != term.address:
+    try:
+        loop = gadget_at(image, back_target)
+    except ToolError:
         return None
-    # The loop body runs from the entry to the call; nothing in it may
-    # leave the loop unconditionally (exit-guard branches are fine).
-    for insn in body[:-1]:
-        if isinstance(insn.control_flow, (IndirectJump, DirectJump, Trap)):
-            return None
+    if loop.terminator.address != term.address or any(
+            isinstance(insn.control_flow, Trap) for insn in loop.interior):
+        return None
 
-    walk = _table_walk(body[:-1], term.control_flow.base, table.xlen)
+    walk = _table_walk(loop.interior, term.control_flow.base, image.xlen)
     if walk is None:
         return None
     table_reg, load_offset, pre_increment = walk
     cand = DispatcherCandidate(
-        kind=DISPATCHER_AUTONOMOUS, gadget=Gadget(back_target, tuple(body),
-                                                  table),
-        table_reg=table_reg, stride=0, self_link=self_link,
-        load_offset=load_offset, pre_increment=pre_increment,
-        return_path=tuple(path))
+        kind=DISPATCHER_AUTONOMOUS, gadget=loop, table_reg=table_reg,
+        stride=0, self_link=self_link, load_offset=load_offset,
+        pre_increment=pre_increment, return_path=tuple(path))
     # The stride is how far the round moves the table register; the
     # record `_replace` makes keeps the round it was read from.
     stride = cand.round.moved(table_reg)
@@ -324,7 +317,7 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
     candidates: list[DispatcherCandidate] = []
     for g in gadgets:
         if len(g.instructions) == 1:        # a terminator on its own
-            cand = _try_autonomous(g.table, g.terminator)
+            cand = _try_autonomous(image, g)
             if cand is not None:
                 candidates.append(cand)
     adg_terms = {c.gadget.terminator.address for c in candidates}
@@ -398,30 +391,26 @@ def dispatcher_at(image: ExecutableImage, address: int
                   ) -> DispatcherCandidate | None:
     """The first `find_dispatchers` candidate whose body is the code at
     `address`, on that copy of it (`DispatcherCandidate.on`), found by
-    reading around `address` when it can.
+    reading the gadget that runs from `address` (`gadget_at`) once.
 
-    At most one autonomous loop starts at `address`: its body decodes
-    forward from there with no jump before the call, which sits at most
-    `_BACKLINK_WINDOW` bytes further on.  Candidates sort by (loop
-    entry, kind), autonomous first, so that loop is the answer when
-    there is one.  Only otherwise does the whole-image search run, and
-    the gadget at `address` looks its bytes up in its `dispatcher_index`,
-    the rule `classify` finds a copy by.  An address at no even offset
-    of an executable segment, or one no gadget runs from, is no loop
-    entry: None, with no search.
+    At most one autonomous loop starts at `address`: its body runs from
+    the entry to the call with no jump before the call, so the call is
+    the first indirect jump decoding forward from the entry, which is
+    that gadget's terminator.  Candidates sort by (loop entry, kind),
+    autonomous first, so that loop is the answer when there is one.
+    Only otherwise does the whole-image search run, and the gadget looks
+    its bytes up in its `dispatcher_index`, the rule `classify` finds a
+    copy by.  An address no gadget runs from (outside executable code,
+    at an odd offset, or before a direct jump or undecodable bytes) is
+    no loop entry: None, with no search.
     """
-    seg = image.segment_containing(address)
-    if seg is None or not seg.executable or (address - seg.vaddr) & 1:
-        return None
-    table = image.decode_table[seg.vaddr]
-    for term in terminators(table, address, address + _BACKLINK_WINDOW + 1):
-        cand = _try_autonomous(table, term)
-        if cand is not None and cand.loop_entry == address:
-            return cand
     try:
         g = gadget_at(image, address)
     except ToolError:
         return None
+    cand = _try_autonomous(image, g)
+    if cand is not None and cand.loop_entry == address:
+        return cand
     for d in dispatcher_index(find_dispatchers(image)).get(g.encoding, ()):
         found = d.on(g)
         if found is not None:
@@ -462,7 +451,9 @@ def initializer_at(image: ExecutableImage, address: int,
     summary = summarize_dataflow(g.instructions, image.xlen)
     sets = initializer_sources(g, summary)
     if sets is None:
-        raise ToolError(f"initializer at 0x{address:x} jumps through ra")
+        base = g.link_register
+        how = "jumps" if base is RA else "calls"
+        raise ToolError(f"initializer at 0x{address:x} {how} through {base}")
     missing = dispatcher.unseeded(sets)
     if missing:
         names = ",".join(sorted(r.name for r in missing))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import struct
 from collections import namedtuple
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (InvalidEncoding, MalformedImage, NotElf, Truncated,
                      WrongMachine)
@@ -37,6 +38,15 @@ if TYPE_CHECKING:
 _EM_RISCV = 243
 _PT_LOAD = 1
 _PF_X = 1
+
+# Per EI_CLASS: the address width, the ELF header's (e_machine, e_phoff,
+# e_phentsize, e_phnum) from byte 18 on, a program header (its size is
+# the least e_phentsize), and which of its fields are (p_type, p_flags,
+# p_offset, p_vaddr, p_filesz, p_memsz).
+_CLASSES = {1: (32, struct.Struct("<H8xI10xHH"), struct.Struct("<8I"),
+                itemgetter(0, 6, 1, 2, 4, 5)),
+            2: (64, struct.Struct("<H12xQ14xHH"), struct.Struct("<2I6Q"),
+                itemgetter(0, 1, 2, 3, 5, 6))}
 
 # Bytes of zero fill (memsz beyond filesz) one image may ask for in all:
 # a header of a hundred bytes could otherwise ask for gigabytes.
@@ -167,33 +177,21 @@ def parse_elf(blob: bytes) -> ExecutableImage:
     if len(blob) < 16 or blob[:4] != b"\x7fELF":
         raise NotElf("missing ELF magic")
     ei_class, ei_data = blob[4], blob[5]
-    if ei_class not in (1, 2):
+    if ei_class not in _CLASSES:
         raise MalformedImage(f"bad EI_CLASS {ei_class}")
     if ei_data != 1:
         raise MalformedImage("big-endian ELF not supported")
-    xlen = 32 if ei_class == 1 else 64
+    xlen, header, phdr, fields = _CLASSES[ei_class]
 
     try:
-        if xlen == 32:
-            (e_machine, e_phoff, e_phentsize, e_phnum) = (
-                struct.unpack_from("<H", blob, 18)[0],
-                struct.unpack_from("<I", blob, 28)[0],
-                struct.unpack_from("<H", blob, 42)[0],
-                struct.unpack_from("<H", blob, 44)[0])
-        else:
-            (e_machine, e_phoff, e_phentsize, e_phnum) = (
-                struct.unpack_from("<H", blob, 18)[0],
-                struct.unpack_from("<Q", blob, 32)[0],
-                struct.unpack_from("<H", blob, 54)[0],
-                struct.unpack_from("<H", blob, 56)[0])
+        e_machine, e_phoff, e_phentsize, e_phnum = header.unpack_from(blob, 18)
     except struct.error:
         raise MalformedImage("ELF header truncated") from None
 
     if e_machine != _EM_RISCV:
         raise WrongMachine(f"e_machine {e_machine}, expected {_EM_RISCV}")
 
-    min_phentsize = 32 if xlen == 32 else 56
-    if e_phnum and e_phentsize < min_phentsize:
+    if e_phnum and e_phentsize < phdr.size:
         raise MalformedImage(f"e_phentsize {e_phentsize} too small")
 
     segs: list[Segment] = []
@@ -202,14 +200,10 @@ def parse_elf(blob: bytes) -> ExecutableImage:
         off = e_phoff + i * e_phentsize
         # Bound the header before reading it: an offset of 2**63 or more
         # does not fit the index `unpack_from` takes.
-        if off + min_phentsize > len(blob):
+        if off + phdr.size > len(blob):
             raise MalformedImage(f"program header {i} truncated")
-        if xlen == 32:
-            p_type, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, p_flags, _al = \
-                struct.unpack_from("<8I", blob, off)
-        else:
-            p_type, p_flags, p_offset, p_vaddr, _paddr, p_filesz, p_memsz, _al = \
-                struct.unpack_from("<2I6Q", blob, off)
+        p_type, p_flags, p_offset, p_vaddr, p_filesz, p_memsz = fields(
+            phdr.unpack_from(blob, off))
         if p_type != _PT_LOAD:
             continue
         if p_offset + p_filesz > len(blob):

@@ -106,10 +106,8 @@ _C_JALR = _byte_test([row for row in _COMPRESSED
                       if row[6] and row[6][0] == "jalr"])
 
 
-def terminators(table: DecodedSegment, start: int | None = None,
-                end: int | None = None) -> Iterator[DecodedInstruction]:
-    """Every indirect jump in the table's segment, in address order; only
-    those at addresses in [start, end) when a window is given.
+def terminators(table: DecodedSegment) -> Iterator[DecodedInstruction]:
+    """Every indirect jump in the table's segment, in address order.
 
     One bit test per halfword finds the candidates: the fixed bits of
     jalr's row of the instruction table (`_JALR`: opcode, funct3 0) or
@@ -119,11 +117,9 @@ def terminators(table: DecodedSegment, start: int | None = None,
     pass are decoded.
     """
     data, base = table.segment.data, table.segment.vaddr
-    lo = 0 if start is None else max(0, start - base + 1) & ~1
-    hi = len(data) - 1 if end is None else min(len(data) - 1, end - base)
     m0, v0, m1, v1 = _JALR
     n0, w0, n1, w1 = _C_JALR
-    for off in range(lo, hi, 2):
+    for off in range(0, len(data) - 1, 2):
         low = data[off]
         if (low & m0 == v0 and data[off + 1] & m1 == v1
                 or low & n0 == w0 and data[off + 1] & n1 == w1):
@@ -210,9 +206,10 @@ def dedupe(gadgets: list[Gadget]) -> list[Gadget]:
 def gadget_at(image: ExecutableImage, address: int) -> Gadget:
     """Materialize the gadget that runs from `address` to its terminator.
 
-    This is execution-order decoding for chain steps: interior syscalls
-    and branches are allowed here because they simply execute; only the
-    first indirect jump ends the sequence.
+    This is execution-order decoding, the one forward read of the code
+    at an address (chain steps, `dispatcher_at`, an autonomous loop's
+    body): interior syscalls and branches are allowed here because they
+    simply execute; only the first indirect jump ends the sequence.
     """
     seg = image.segment_containing(address)
     if seg is None or not seg.executable:

@@ -632,6 +632,32 @@ def test_initializer_rejects_ra_jump(lab):
         initializer_at(img, addrs["g_one"], disp)
 
 
+@pytest.mark.parametrize("terminator,how", [
+    (("jr", "ra"), "jumps through ra"),
+    (("jalr", "ra", "ra", 0), "jumps through ra"),
+    (("jalr", "ra", "t0", 0), "calls through t0"),
+    (("c.jalr", "a0"), "calls through a0"),
+])
+def test_initializer_refusal_names_the_jump(terminator, how):
+    """An initializer must hand control on without a return or a call:
+    a jump through ra is named as one, and a call through any other
+    register as a call through it."""
+    b = CodeBuilder(base=0)
+    b.emit("lw", "s0", "sp", 0)
+    b.emit("lw", "s1", "sp", 4)
+    b.emit(*terminator)
+    b.label("loop")
+    b.emit("lw", "a5", "s0", 0)
+    b.emit("addi", "s0", "s0", 4)
+    b.emit("jalr", "ra", "a5", 0)
+    b.branch("blt", "s0", "s1", "loop")
+    img = b.image()
+    disp = dispatcher_at(img, b.labels["loop"], DISPATCHER_AUTONOMOUS)
+    with pytest.raises(ToolError) as exc:
+        initializer_at(img, 0, disp)
+    assert str(exc.value) == f"initializer at 0x0 {how}"
+
+
 def test_initializer_must_cover_required(lab):
     img, addrs = lab
     disp = dispatcher_at(img, addrs["loop"], DISPATCHER_AUTONOMOUS)

@@ -3,6 +3,8 @@
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rvjop.classify import (ARITH, DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
                             DISPATCHER_TWO_STAGE, INITIALIZER, LOAD, ROLES,
@@ -13,11 +15,11 @@ from rvjop.classify import (ARITH, DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
                             render_stats_table)
 from rvjop.chain import parse_chain_text
 from rvjop.dataflow import Const, Offset, summarize_dataflow
-from rvjop.decoder import CondBranch
+from rvjop.decoder import CondBranch, DirectJump, IndirectJump, Trap
 from rvjop.cli import main
 from rvjop.image import from_bytes, parse_elf
-from rvjop.scanner import (NATURAL, SHIFTED, dedupe, extract_gadgets,
-                           gadget_at, terminators)
+from rvjop.scanner import (NATURAL, SHIFTED, Gadget, dedupe,
+                           extract_gadgets, gadget_at, terminators)
 from rvjop.errors import ToolError
 from rvjop.isa import A7, RA, reg
 
@@ -499,13 +501,137 @@ def test_dispatcher_search_scans_each_table_once(monkeypatch):
         found = find_dispatchers(img)
         assert len(calls) == len(img.decode_table), name
         monkeypatch.undo()
-        tried = [CLASSIFY._try_autonomous(table, t)
+        tried = [CLASSIFY._try_autonomous(img,
+                                          Gadget(t.address, (t,), table))
                  for table in img.decode_table.values()
                  for t in terminators(table)]
         want = sorted(filter(None, tried), key=lambda c: c.loop_entry)
         assert [c for c in found if c.kind == DISPATCHER_AUTONOMOUS] == \
             want, name
     assert len(want) == 2           # the two-segment ELF: one per segment
+
+
+def _body_by_walk(table, start, call):
+    """The reference loop body: the instructions that decode one after
+    another from `start` and land exactly on `call`, none before it an
+    indirect jump, a direct jump or a Trap; ToolError otherwise."""
+    body, addr = [], start
+    while addr <= call.address:
+        insn = table.at(addr)
+        if insn is None or insn.address != call.address and isinstance(
+                insn.control_flow, (IndirectJump, DirectJump, Trap)):
+            raise ToolError(f"no loop body from 0x{start:x}")
+        body.append(insn)
+        addr += insn.width
+    if not body or body[-1].address != call.address:
+        raise ToolError(f"no loop body from 0x{start:x}")
+    return Gadget(start, tuple(body), table)
+
+
+def _autonomous_by_walk(image, call):
+    """`_try_autonomous` with its loop body read by the contiguous walk
+    instead of `gadget_at`."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(CLASSIFY, "gadget_at", lambda _, start: _body_by_walk(
+            call.table, start, call.terminator))
+        return CLASSIFY._try_autonomous(image, call)
+
+
+def _linking_jumps(img):
+    """Each linking indirect jump of `img`, as a gadget of its own."""
+    for table in img.decode_table.values():
+        for t in terminators(table):
+            if t.control_flow.pushes:
+                yield Gadget(t.address, (t,), table)
+
+
+def test_autonomous_body_is_the_contiguous_walk():
+    """`_try_autonomous` reads a loop body through `gadget_at`: at every
+    linking jump of the benchmark images, seeds 1-3, it finds what the
+    contiguous walk from the back edge's target finds."""
+    corpus = benchmark_corpus()
+    found = 0
+    for workload in corpus.WORKLOADS:
+        for seed in (1, 2, 3):
+            c = corpus.build(workload, seed)
+            img = parse_elf(c.file_bytes) if c.fmt == "elf" \
+                else from_bytes(c.code, c.base, c.xlen)
+            for call in _linking_jumps(img):
+                want = _autonomous_by_walk(img, call)
+                assert CLASSIFY._try_autonomous(img, call) == want, (
+                    workload, seed, hex(call.start))
+                found += want is not None
+    assert found >= 9               # a planted loop per image at least
+
+
+def _loop_image(body, back=0, call=("jalr", "ra", "a5", 0),
+                edge="blt", prefix=0):
+    """`prefix` c.nops, then at `loop`: `body`, `call`, and a back edge
+    (the branch `edge s0, s1`, or `j`) to `back` bytes past `loop`; an
+    ebreak after it.  Returns the image, the loop entry and the call."""
+    b = CodeBuilder(base=0x1000)
+    for _ in range(prefix):
+        b.emit("c.nop")
+    loop = b.label("loop")
+    for insn in body:
+        b.emit(*insn)
+    at = b.here
+    b.emit(*call)
+    if edge == "j":
+        b.emit("j", loop + back - b.here)
+    else:
+        b.emit(edge, "s0", "s1", loop + back - b.here)
+    b.emit("ebreak")
+    img = b.image()
+    return img, loop, gadget_at(img, at)
+
+
+_LOAD, _STEP = ("lw", "a5", "s0", 0), ("addi", "s0", "s0", 4)
+
+
+@pytest.mark.parametrize("body,back,found", [
+    ((_LOAD, _STEP), 0, True),
+    ((_LOAD, ("beq", "a0", "a1", 12), _STEP), 0, True),   # an exit guard
+    ((_LOAD, ("ecall",), _STEP), 0, False),
+    ((_LOAD, ("j", 4), _STEP), 0, False),
+    ((_LOAD, _STEP, ("jr", "t0")), 0, False),
+    ((_LOAD, _STEP), 2, False),           # into the middle of the lw
+    ((_LOAD, _STEP), -4, False),          # before the segment starts
+], ids=["loop", "exit-guard", "ecall", "j", "jr", "mid-insn", "before"])
+def test_autonomous_body_pinned_cases(body, back, found):
+    img, loop, call = _loop_image(body, back)
+    got = CLASSIFY._try_autonomous(img, call)
+    assert got == _autonomous_by_walk(img, call)
+    if found:
+        assert (got.kind, got.loop_entry, got.stride) == (
+            DISPATCHER_AUTONOMOUS, loop, 4)
+        assert got.gadget == gadget_at(img, loop)
+    else:
+        assert got is None
+
+
+_BODY = st.sampled_from([
+    _LOAD, _STEP, ("addi", "s0", "s0", -4), ("nop",), ("c.nop",),
+    ("mv", "a5", "a1"), ("ecall",), ("c.ebreak",), ("beq", "a0", "a1", 8),
+    ("j", 4), ("jr", "t0"), ("c.jr", "t0"), ("jalr", "ra", "t1", 0)])
+
+
+@given(parts=st.lists(st.lists(_BODY, max_size=3), min_size=3, max_size=3),
+       back=st.one_of(st.just(0),
+                      st.integers(-40, 2).map(lambda n: 2 * n)),
+       call=st.sampled_from([("jalr", "ra", "a5", 0), ("c.jalr", "a5")]),
+       edge=st.sampled_from(["blt", "bge", "j"]),
+       prefix=st.integers(0, 3))
+@settings(max_examples=200, deadline=None)
+def test_autonomous_body_is_the_contiguous_walk_on_drawn_loops(
+        parts, back, call, edge, prefix):
+    # drawn code around a table load and a step, so that many draws are
+    # loops
+    body = parts[0] + [_LOAD] + parts[1] + [_STEP] + parts[2]
+    img, _, _ = _loop_image(body, back, call, edge, prefix)
+    for jump in _linking_jumps(img):
+        assert CLASSIFY._try_autonomous(img, jump) == \
+            _autonomous_by_walk(img, jump)
 
 
 def test_dispatcher_role_tagging(adg):
@@ -569,19 +695,22 @@ def test_dispatcher_at_is_the_first_full_search_candidate(monkeypatch,
         monkeypatch.undo()
 
 
-def _dispatcher_at_by_prefix(image, address, full):
+def _dispatcher_at_by_prefix(image, address, full, jumps):
     """The reference copy rule: the first of `full` whose body's bytes
     start at `address`, on the gadget there, after the autonomous loop
-    that starts at `address`, if one does."""
+    that starts at `address`, if one does, tried at every indirect jump
+    of `jumps` (the segment's `terminators`) in [address, address +
+    _BACKLINK_WINDOW]."""
     seg = image.segment_containing(address)
     if seg is None or not seg.executable or (address - seg.vaddr) & 1:
         return None
     table = image.decode_table[seg.vaddr]
-    for term in terminators(table, address,
-                            address + CLASSIFY._BACKLINK_WINDOW + 1):
-        cand = CLASSIFY._try_autonomous(table, term)
-        if cand is not None and cand.loop_entry == address:
-            return cand
+    for term in jumps[seg.vaddr]:
+        if address <= term.address <= address + CLASSIFY._BACKLINK_WINDOW:
+            cand = CLASSIFY._try_autonomous(
+                image, Gadget(term.address, (term,), table))
+            if cand is not None and cand.loop_entry == address:
+                return cand
     for d in full:
         if seg.data.startswith(d.gadget.encoding, address - seg.vaddr):
             found = d.on(gadget_at(image, address))
@@ -605,27 +734,22 @@ def _seed1_images_and_doubles():
 
 def test_dispatcher_at_finds_a_copy_by_its_index(monkeypatch):
     """`dispatcher_at` looks the gadget at an address up in the
-    dispatcher index, as `classify` does: at every candidate entry and
-    every byte-identical copy of a body (even offsets), the answer is
-    the reference's, which matches body bytes at the address; where no
+    dispatcher index, as `classify` does: at every address of the code
+    and 4 bytes either side, the answer is the reference's, which tries
+    the indirect jumps within `_BACKLINK_WINDOW` bytes for an autonomous
+    loop and matches body bytes at the address, so every candidate entry
+    and every byte-identical copy of a body are among them; where no
     gadget runs from the address, there is no search at all."""
     copies = 0                  # answers at a copy, not at an entry
     for name, img in _seed1_images_and_doubles():
         full = find_dispatchers(img)
         monkeypatch.setattr(CLASSIFY, "find_dispatchers", lambda image: full)
-        probes = set()
-        for seg in img.segments:
-            if not seg.executable:
-                continue
-            for d in full:
-                at = seg.data.find(d.gadget.encoding)
-                while at >= 0:
-                    if not at & 1:
-                        probes.add(seg.vaddr + at)
-                    at = seg.data.find(d.gadget.encoding, at + 1)
-        assert {d.loop_entry for d in full} <= probes, name
-        for a in sorted(probes):
-            want = _dispatcher_at_by_prefix(img, a, full)
+        jumps = {vaddr: list(terminators(table))
+                 for vaddr, table in img.decode_table.items()}
+        probes = [a for seg in img.executable_segments
+                  for a in range(seg.vaddr - 4, seg.end + 4)]
+        for a in probes:
+            want = _dispatcher_at_by_prefix(img, a, full, jumps)
             assert dispatcher_at(img, a) == want, (name, hex(a))
             copies += want is not None and all(
                 d.loop_entry != a for d in full)

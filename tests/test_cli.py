@@ -549,6 +549,25 @@ def test_chain_step_that_is_no_gadget(capsys, tmp_path, step, message):
     assert (code, out, err) == (3, "", f"rvjop: {message}\n")
 
 
+@pytest.mark.parametrize("terminator,message", [
+    (("ret",), "initializer at 0x0 jumps through ra"),
+    (("jalr", "ra", "t0", 0), "initializer at 0x0 calls through t0"),
+])
+def test_chain_initializer_that_returns_or_calls(capsys, tmp_path,
+                                                 terminator, message):
+    """An initializer ending in a return or a call is one error line,
+    exit 3, naming the jump it ends in."""
+    blob = tmp_path / "init.bin"
+    blob.write_bytes(LOOP_BLOB[:8] + assemble(terminator[0], terminator[1:])
+                     + LOOP_BLOB[12:])
+    spec = tmp_path / "chain.txt"
+    spec.write_text("dispatcher 0xc\ninitializer 0x0\n"
+                    "table-base 0x40000\nreturn-to 0x1c\n")
+    code, out, err = run(capsys, "chain", "--raw", str(blob), "--spec",
+                         str(spec))
+    assert (code, out, err) == (3, "", f"rvjop: {message}\n")
+
+
 @pytest.mark.parametrize("steps", [0, 2])
 def test_chain_payload_past_xlen(capsys, tmp_path, steps):
     """A table base in range whose payload or loop bound runs past 2^32

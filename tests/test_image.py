@@ -320,12 +320,6 @@ def test_terminators_match_eager_reference(decode_log, name, img):
         table = img.decode_table[seg.vaddr]
         got = list(terminators(table))
         assert got == want
-        # an address window of any parity, past either end, or empty
-        for _ in range(20):
-            start = seg.vaddr + rng.randrange(-8, len(seg.data) + 8)
-            end = start + rng.randrange(-2, 70)
-            assert list(terminators(table, start, end)) == \
-                [i for i in want if start <= i.address < end]
         if len(seg.data) >= 64:
             assert want
         # the cut-off jalr at the end is read, and is no terminator
