@@ -19,9 +19,9 @@ round moves, such as a counted loop, and two seeds of different values
 that the initializer loads from one stack slot.
 
 What a dispatcher round does is its candidate's `round`; each step and
-the initializer carry their own `summary`.  All three are computed on
-first read and kept, so validation and layout summarize each part of a
-chain once between them.
+the initializer carry their own `summary`.  The initializer's is the one
+pairing read; the other two are computed on first read and kept, so
+validation and layout summarize each part of a chain once between them.
 
 Validation is static and best-effort: it proves nothing, it just catches
 the cheap mistakes (clobbered reserved registers, unbalanced stack motion,
@@ -373,6 +373,7 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
 
     seeds: dict[Register, int] = {}
     init = spec.initializer
+    sets = init.sets            # `loaded` is built anew on each read
     seeds[disp.table_reg] = seed_ptr
 
     if isinstance(disp.self_link, CondBranch):
@@ -390,16 +391,16 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
 
     # The initializer's own jump register must aim at the dispatcher,
     # and on classic schemes so must the register gadgets return through.
-    if init.link_register in init.sets:
+    if init.link_register in sets:
         seeds[init.link_register] = disp.loop_entry
-    if spec.dispatch_reg is not None and spec.dispatch_reg in init.sets:
+    if spec.dispatch_reg is not None and spec.dispatch_reg in sets:
         seeds.setdefault(spec.dispatch_reg, disp.loop_entry)
     if disp.kind == DISPATCHER_TWO_STAGE and disp.stage2 is not None:
         j = disp.gadget.link_register
-        if j in init.sets:
+        if j in sets:
             seeds[j] = disp.stage2.start
 
-    for r in init.sets:
+    for r in sets:
         seeds.setdefault(r, 0)
     seeds.update(spec.seed_overrides)
     # Each seed as the XLEN-bit value its register or stack slot holds.
@@ -408,7 +409,7 @@ def layout_payload(spec: ChainSpec) -> PayloadLayout:
     stack_writes = []
     unplaced = []
     slots: dict[int, Register] = {}     # sp offset -> first register loaded
-    for r, src in sorted(init.sets.items(), key=lambda kv: kv[0].index):
+    for r, src in sorted(sets.items(), key=lambda kv: kv[0].index):
         if src.base is SP:
             first = slots.setdefault(src.offset, r)
             if seeds[first] != seeds[r]:

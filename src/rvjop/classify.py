@@ -147,14 +147,18 @@ class DispatcherCandidate(namedtuple("DispatcherCandidate", (
 
 class InitializerCandidate(namedtuple("InitializerCandidate", (
         "gadget",       # Gadget
-        "sets",         # dict[Register, Source]
+        "summary",      # DataflowSummary: the gadget's
         ))):
-    # no `__slots__ = ()`: `summary` is cached in the instance's __dict__
+    """A gadget that seeds every register a dispatcher needs.  `summary`
+    is the one pairing computed (`find_initializers`, `initializer_at`);
+    the seeds and the chain's stack ledger read it, not a new one."""
+    __slots__ = ()
 
-    @cached_property
-    def summary(self) -> DataflowSummary:
-        return summarize_dataflow(self.gadget.instructions,
-                                  self.gadget.table.xlen)
+    @property
+    def sets(self) -> dict[Register, Source]:
+        """The registers the gadget seeds, by source: its summary's
+        `loaded`."""
+        return self.summary.loaded
 
     @property
     def link_register(self) -> Register:
@@ -429,14 +433,19 @@ def dispatcher_index(candidates) -> dict[bytes, list[DispatcherCandidate]]:
 
 # --- initializer pairing ----------------------------------------------------
 
+def _hands_on(gadget: Gadget) -> bool:
+    """Whether `gadget`'s terminator neither jumps through ra nor pushes
+    a shadow stack: an initializer must hand control on without a return
+    or a call."""
+    cf = gadget.terminator.control_flow
+    return cf.base is not RA and not cf.pushes
+
+
 def initializer_sources(gadget: Gadget, summary: DataflowSummary | None = None
                         ) -> dict[Register, Source] | None:
     """What `gadget` seeds as an initializer (its summary's `loaded`
-    registers), or None when its terminator jumps through ra or pushes a
-    shadow stack: an initializer must hand control on without a return
-    or a call."""
-    cf = gadget.terminator.control_flow
-    if cf.base is RA or cf.pushes:
+    registers), or None unless it hands control on (`_hands_on`)."""
+    if not _hands_on(gadget):
         return None
     if summary is None:
         summary = summarize_dataflow(gadget.instructions, gadget.table.xlen)
@@ -448,19 +457,17 @@ def initializer_at(image: ExecutableImage, address: int,
     """The gadget at `address` as an initializer for `dispatcher`;
     ToolError unless it seeds every register the dispatcher needs."""
     g = gadget_at(image, address)
-    summary = summarize_dataflow(g.instructions, image.xlen)
-    sets = initializer_sources(g, summary)
-    if sets is None:
+    if not _hands_on(g):
         base = g.link_register
         how = "jumps" if base is RA else "calls"
         raise ToolError(f"initializer at 0x{address:x} {how} through {base}")
-    missing = dispatcher.unseeded(sets)
+    found = InitializerCandidate(g, summarize_dataflow(g.instructions,
+                                                       image.xlen))
+    missing = dispatcher.unseeded(found.sets)
     if missing:
         names = ",".join(sorted(r.name for r in missing))
         raise ToolError(
             f"initializer at 0x{address:x} never loads {names}")
-    found = InitializerCandidate(g, sets)
-    found.summary = summary             # kept for the stack ledger
     return found
 
 
@@ -472,12 +479,13 @@ def find_initializers(gadgets, dispatcher: DispatcherCandidate
         # A summary's exits name only registers the gadget writes, so a
         # gadget that does not write every required register cannot seed
         # them all: skip its summary.
-        if required.difference(*(x.regs_written for x in g.instructions)):
+        if (not _hands_on(g) or required.difference(
+                *(x.regs_written for x in g.instructions))):
             continue
-        sets = initializer_sources(g)
-        if sets is None or dispatcher.unseeded(sets):
-            continue
-        out.append(InitializerCandidate(g, sets))
+        cand = InitializerCandidate(g, summarize_dataflow(g.instructions,
+                                                          g.table.xlen))
+        if not dispatcher.unseeded(cand.sets):
+            out.append(cand)
     out.sort(key=lambda c: c.gadget.start)
     return out
 

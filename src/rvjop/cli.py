@@ -205,10 +205,13 @@ def _query(args):
 
 
 def _cmd_query(args) -> int:
-    from .query import emit_records, render_listing, run_query
+    from .query import (dispatcher_lookup, emit_records, render_listing,
+                        run_query)
     image = _load_image(args)
-    hits = run_query(image, _query(args))
-    out = emit_records(hits) if args.format == "records" else render_listing(hits)
+    dispatchers = dispatcher_lookup(image)
+    hits = run_query(image, _query(args), dispatchers)
+    out = (emit_records(hits, dispatchers) if args.format == "records"
+           else render_listing(hits))
     sys.stdout.write(out)
     return OK if hits else EMPTY
 

@@ -10,27 +10,28 @@ in (see `rvjop.cli`).  Two output shapes: a human listing with one
 disassembled instruction per line, and a machine-readable record line
 per gadget, five space-separated fields.
 
-A hit's dataflow summary and roles are computed the first time they are
-read.  Roles read the image's dispatcher index, which one `run_query`
-call builds at most once, and only when a roles field is read (a
-dispatcher role or `unclassified` for `--role`, or a record line).  A
-role read from the gadget alone (`LOCAL_ROLES`) filters with no index.
-So `--preserve` computes summaries only, and a plain listing computes
-neither and never searches for dispatchers.  Hits and
-dispatchers read the image's one gadget growth, widened on demand.
+A hit is the `Gadget` itself; nothing is computed ahead or kept on it.
+`run_query` summarizes a gadget only for `--preserve` or `--role`, and
+reads its roles only for `--role`, so a plain listing computes neither.
+`emit_records` computes each line's summary and roles as it builds the
+line.  A dispatcher role, `unclassified` and a record line read the
+image's dispatcher index; a role read from the gadget alone
+(`LOCAL_ROLES`) does not.  The command builds one `dispatcher_lookup`
+and hands it to both, so the dispatcher search runs at most once per
+command, and only when an index is read.  Hits and dispatchers read the
+image's one gadget growth, widened on demand.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable
-from functools import cache, cached_property
+from functools import cache
 
 from .classify import (LOCAL_ROLES, DispatcherCandidate, classify,
                        dispatcher_index, find_dispatchers)
 from .dataflow import DataflowSummary, summarize_dataflow
 from .image import ExecutableImage
-from .isa import Register
 from .scanner import Gadget, dedupe, extract_gadgets
 
 DEFAULT_MAX = 4
@@ -59,38 +60,6 @@ class Query(namedtuple("Query", (
                 or self.all_)
 
 
-class QueryHit:
-    def __init__(self, gadget: Gadget,
-                 dispatchers: Callable[[], dict[bytes, list[DispatcherCandidate]]]):
-        self.gadget = gadget
-        # The run's classify() context: the dispatcher index, built on the
-        # first call and shared by every hit of the run.
-        self.dispatchers = dispatchers
-
-    @cached_property
-    def summary(self) -> DataflowSummary:
-        return summarize_dataflow(self.gadget.instructions,
-                                  self.gadget.table.xlen)
-
-    @cached_property
-    def local_roles(self) -> tuple[str, ...]:
-        """The roles classify() gives with no dispatcher index."""
-        return tuple(classify(self.gadget, self.summary))
-
-    @cached_property
-    def roles(self) -> tuple[str, ...]:
-        index = self.dispatchers()
-        if self.gadget.encoding not in index:   # classify adds nothing
-            return self.local_roles
-        return tuple(classify(self.gadget, self.summary, index))
-
-    def has_role(self, role: str) -> bool:
-        """Whether `role` is among the gadget's roles; one of
-        `LOCAL_ROLES` is read with no dispatcher index."""
-        return role in (self.local_roles if role in LOCAL_ROLES
-                        else self.roles)
-
-
 def _instruction_match(q: Query, insn) -> bool:
     if q.op is not None and not insn.matches_op(q.op):
         return False
@@ -105,11 +74,27 @@ def _wants_instruction(q: Query) -> bool:
     return q.op is not None or q.imm is not None or q.rr is not None
 
 
-def run_query(image: ExecutableImage, q: Query) -> list[QueryHit]:
+def _summary(g: Gadget) -> DataflowSummary:
+    return summarize_dataflow(g.instructions, g.table.xlen)
+
+
+def dispatcher_lookup(image: ExecutableImage
+                      ) -> Callable[[], dict[bytes, list[DispatcherCandidate]]]:
+    """The image's dispatcher index (`dispatcher_index`), searched for on
+    the first call and kept for the later ones."""
+    return cache(lambda: dispatcher_index(find_dispatchers(image)))
+
+
+def run_query(image: ExecutableImage, q: Query,
+              dispatchers: Callable[[], dict] | None = None) -> list[Gadget]:
+    """The gadgets that pass every filter of `q`, by start address.
+    `dispatchers` is the command's `dispatcher_lookup(image)`, if it
+    shares one with `emit_records`."""
+    if dispatchers is None:
+        dispatchers = dispatcher_lookup(image)
     gadgets = extract_gadgets(image, q.max)
     if q.unique:
         gadgets = dedupe(gadgets)
-    dispatchers = cache(lambda: dispatcher_index(find_dispatchers(image)))
 
     hits = []
     for g in gadgets:
@@ -118,18 +103,21 @@ def run_query(image: ExecutableImage, q: Query) -> list[QueryHit]:
             continue
         if q.link is not None and g.link_register is not q.link:
             continue
-        hit = QueryHit(g, dispatchers)
-        if q.preserve and hit.summary.clobbers(q.preserve):
-            continue
-        if q.role is not None and not hit.has_role(q.role):
-            continue
-        hits.append(hit)
+        if q.preserve or q.role is not None:
+            summary = _summary(g)
+            if summary.clobbers(q.preserve):
+                continue
+            if q.role is not None:
+                index = None if q.role in LOCAL_ROLES else dispatchers()
+                if q.role not in classify(g, summary, index):
+                    continue
+        hits.append(g)
     return hits
 
 
 # --- output formats ---------------------------------------------------------
 
-def render_listing(hits: list[QueryHit]) -> str:
+def render_listing(hits: list[Gadget]) -> str:
     """Disassembly listing, one gadget per stanza.
 
     Gadgets grown from one terminator share their instructions, so each
@@ -138,7 +126,7 @@ def render_listing(hits: list[QueryHit]) -> str:
     blocks = []
     for h in hits:
         lines = []
-        for x in h.gadget.instructions:
+        for x in h.instructions:
             line = text.get(x.address)
             if line is None:
                 line = text[x.address] = f"0x{x.address:08x}: {x.render()}"
@@ -154,20 +142,19 @@ def _join(items) -> str:
     return ",".join(items) if items else "-"
 
 
-def emit_records(hits: list[QueryHit]) -> str:
+def emit_records(hits: list[Gadget],
+                 dispatchers: Callable[[], dict]) -> str:
     """One line per gadget: offset alignment link roles written.
 
-    Each hit's summary and roles are dropped once its line is built, so
-    the listing holds lines, not a summary per gadget; a later read
-    computes them again."""
+    Each line's summary and roles are computed as it is built, and
+    `dispatchers` (`dispatcher_lookup`) is first called for the first
+    line."""
     lines = []
-    for h in hits:
-        g, summary = h.gadget, h.summary
+    for g in hits:
+        summary = _summary(g)
+        roles = classify(g, summary, dispatchers())
         written = sorted(r.name for r in summary.written | summary.cond_written)
         lines.append(f"0x{g.start:08x} {g.alignment} "
                      f"{g.terminator.control_flow.base.name} "
-                     f"{_join(h.roles)} {_join(written)}")
-        vars(h).pop("summary", None)
-        vars(h).pop("roles", None)
-        vars(h).pop("local_roles", None)
+                     f"{_join(roles)} {_join(written)}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -331,17 +331,15 @@ def test_criterion_07_query_conformance():
     b.emit("ret")
     img = b.image()
     hits = run_query(img, Query(op="li", imm=0, rr=reg("a2"), max=1))
-    assert [h.gadget.start for h in hits] == [b.labels["target"]]
+    assert [h.start for h in hits] == [b.labels["target"]]
 
     rich, _ = build_e2e_fixture()
     rng = random.Random(0x9E12)
     for _ in range(100):
         base = _random_query(rng)
         extra = _augment(rng, base)
-        wide = {(h.gadget.start, h.gadget.encoding)
-                for h in run_query(rich, base)}
-        narrow = {(h.gadget.start, h.gadget.encoding)
-                  for h in run_query(rich, extra)}
+        wide = {(h.start, h.encoding) for h in run_query(rich, base)}
+        narrow = {(h.start, h.encoding) for h in run_query(rich, extra)}
         assert narrow <= wide, (base, extra)
 
 

@@ -11,6 +11,7 @@ from rvjop.chain import (ChainSpec, ChainStep, has_errors, layout_payload,
 from rvjop.classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
                             DISPATCHER_TWO_STAGE, Source, find_dispatchers,
                             initializer_at)
+from rvjop.dataflow import Loaded
 from rvjop.decoder import decode_one
 from rvjop.errors import AddressTooWide, Diverges, Overlap, ToolError
 from rvjop.image import ExecutableImage, from_bytes, parse_elf
@@ -21,6 +22,14 @@ from rvjop.sim import new_machine, run_chain
 from conftest import (TABLE_BASE, CodeBuilder, benchmark_corpus,
                       build_adg_fixture, build_classic_fixture,
                       build_two_stage_fixture, count_calls)
+
+
+def with_sets(init, sets):
+    """`init` seeding `sets` instead: its summary's loaded exits replaced."""
+    exits = {r: v for r, v in init.summary.exits.items()
+             if type(v) is not Loaded}
+    exits.update((r, Loaded(src)) for r, src in sets.items())
+    return init._replace(summary=init.summary._replace(exits=exits))
 
 
 @pytest.fixture(scope="module")
@@ -258,8 +267,8 @@ def test_unseeded_jump_registers_warn(classic_lab):
     assert warnings(dispatch_reg=reg("a4")) == [
         f"initializer does not load a4, which must hold the loop entry "
         f"{entry}"]
-    no_t2 = ini._replace(sets={r: src for r, src in ini.sets.items()
-                               if r is not reg("t2")})
+    no_t2 = with_sets(ini, {r: src for r, src in ini.sets.items()
+                            if r is not reg("t2")})
     assert warnings(initializer=no_t2, dispatch_reg=reg("t2")) == [
         f"initializer does not load t2, which must hold the loop entry "
         f"{entry}"]
@@ -563,7 +572,7 @@ def test_layout_surfaces_unplaced_sources(lab):
     spec = spec_for(img, addrs, ["g_one"])
     sets = dict(spec.initializer.sets)
     sets[reg("a1")] = Source(reg("a3"), 0)
-    spec = spec._replace(initializer=spec.initializer._replace(sets=sets))
+    spec = spec._replace(initializer=with_sets(spec.initializer, sets))
     out = layout_payload(spec)
     assert [(r.name, s.kind) for r, s in out.unplaced_seeds] == [("a1", "mem")]
     assert out.register_seeds[reg("a1")] == 0
@@ -577,7 +586,7 @@ def test_manifest_signs_negative_offsets(lab):
     sets = dict(spec.initializer.sets)
     sets[reg("s0")] = Source(reg("sp"), -12)
     sets[reg("a1")] = Source(reg("a3"), -8)
-    spec = spec._replace(initializer=spec.initializer._replace(sets=sets))
+    spec = spec._replace(initializer=with_sets(spec.initializer, sets))
     lines = render_manifest(spec, layout_payload(spec), []).splitlines()
     assert any(line.startswith("  sp-12   <- ") for line in lines)
     assert "  note: a1 loads via mem base a3-8; place it yourself" in lines
@@ -609,7 +618,7 @@ def test_layout_shares_a_slot_loaded_with_one_value(lab):
     spec = spec_for(img, addrs, ["g_one"])
     sets = dict(spec.initializer.sets)
     sets[reg("a0")] = sets[reg("a1")] = Source(reg("sp"), 16)
-    spec = spec._replace(initializer=spec.initializer._replace(sets=sets))
+    spec = spec._replace(initializer=with_sets(spec.initializer, sets))
     out = layout_payload(spec)
     assert [(w.offset, w.value, w.register.name) for w in out.stack_writes
             if w.offset == 16] == [(16, 0, "a0"), (16, 0, "a1")]

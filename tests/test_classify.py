@@ -985,7 +985,7 @@ def test_initializer_filter_matches_every_summary():
         for d in by_required.values():
             want = [(g, sets) for g, sets in sources
                     if sets is not None and not d.unseeded(sets)]
-            got = [tuple(c) for c in find_initializers(gadgets, d)]
+            got = [(c.gadget, c.sets) for c in find_initializers(gadgets, d)]
             assert got == want, (name, d.kind, hex(d.loop_entry))
 
 

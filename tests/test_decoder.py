@@ -586,12 +586,12 @@ def test_llvm_golden16():
 
 def test_records_have_no_instance_dict():
     """Every record of the package is a namedtuple whose instances carry
-    no `__dict__`, except the three that cache a summary in theirs."""
+    no `__dict__`, except the two that cache a summary in theirs."""
     import importlib
     import pkgutil
 
     import rvjop
-    caching = {"DispatcherCandidate", "InitializerCandidate", "ChainStep"}
+    caching = {"DispatcherCandidate", "ChainStep"}
     records = {}
     for info in pkgutil.iter_modules(rvjop.__path__):
         module = importlib.import_module(f"rvjop.{info.name}")

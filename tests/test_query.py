@@ -2,14 +2,18 @@
 
 import pytest
 
-from rvjop.classify import LOCAL_ROLES
+from rvjop.classify import (LOCAL_ROLES, ROLES, classify, dispatcher_index,
+                            find_dispatchers)
 from rvjop.cli import _build_parser, _query, main
+from rvjop.dataflow import summarize_dataflow
 from rvjop.errors import UsageError
 from rvjop.image import from_bytes, parse_elf
 from rvjop.isa import reg
-from rvjop.query import Query, emit_records, render_listing, run_query
+from rvjop.query import (Query, dispatcher_lookup, emit_records,
+                         render_listing, run_query)
+from rvjop.scanner import Gadget, extract_gadgets
 
-from conftest import CodeBuilder, benchmark_corpus, refuse_calls
+from conftest import CodeBuilder, benchmark_corpus, count_calls, refuse_calls
 
 
 def _fixture_builder():
@@ -30,6 +34,21 @@ def _fixture_builder():
     b.emit("sw", "s0", "sp", 0)
     b.emit("ret")
     return b
+
+
+def summary_of(g):
+    return summarize_dataflow(g.instructions, g.table.xlen)
+
+
+def roles_of(g, img):
+    """The roles a query reads for `g`, from a fresh dispatcher search."""
+    return classify(g, summary_of(g), dispatcher_index(find_dispatchers(img)))
+
+
+def workload_image(workload, seed):
+    c = benchmark_corpus().build(workload, seed)
+    return (parse_elf(c.file_bytes) if c.fmt == "elf"
+            else from_bytes(c.code, c.base, c.xlen))
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +151,7 @@ def test_parse_query_canonical_flags():
 def test_single_instruction_satisfies_all_conditions(fixture_image):
     img, addrs = fixture_image
     hits = run_query(img, Query(op="li", imm=0, rr=reg("a2"), max=1))
-    starts = {h.gadget.start for h in hits}
+    starts = {h.start for h in hits}
     assert addrs["li_a2"] in starts
     assert addrs["li_a2_5"] not in starts    # imm differs
     assert addrs["li_a0"] not in starts      # register differs
@@ -154,20 +173,20 @@ def test_link_filter(fixture_image):
     img, addrs = fixture_image
     via_a5 = run_query(img, Query(all_=True, link=reg("a5")))
     assert via_a5
-    assert all(h.gadget.link_register is reg("a5") for h in via_a5)
+    assert all(h.link_register is reg("a5") for h in via_a5)
 
 
 def test_preserve_filter(fixture_image):
     img, addrs = fixture_image
     keep = run_query(img, Query(op="li", preserve=frozenset({reg("a2")})))
-    assert {h.gadget.start for h in keep} == {addrs["li_a0"]}
+    assert {h.start for h in keep} == {addrs["li_a0"]}
 
 
 def test_role_filter(fixture_image):
     img, addrs = fixture_image
     stores = run_query(img, Query(all_=True, role="store"))
-    assert any(h.gadget.start == addrs["save"] for h in stores)
-    assert all("store" in h.roles for h in stores)
+    assert any(h.start == addrs["save"] for h in stores)
+    assert all("store" in roles_of(h, img) for h in stores)
 
 
 @pytest.mark.parametrize("workload",
@@ -178,17 +197,17 @@ def test_local_roles_filter_with_no_dispatcher_search(monkeypatch, workload):
     refused."""
     assert LOCAL_ROLES == {"arith", "load", "store", "call", "syscall",
                            "initializer"}
-    c = benchmark_corpus().build(workload, 1)
-    img = (parse_elf(c.file_bytes) if c.fmt == "elf"
-           else from_bytes(c.code, c.base, c.xlen))
+    img = workload_image(workload, 1)
     every = run_query(img, Query(all_=True, max=6))
-    want = {role: [(h.gadget.start, h.gadget.end) for h in every
-                   if role in h.roles] for role in LOCAL_ROLES}
+    index = dispatcher_index(find_dispatchers(img))
+    roles = [classify(h, summary_of(h), index) for h in every]
+    want = {role: [(h.start, h.end) for h, r in zip(every, roles)
+                   if role in r] for role in LOCAL_ROLES}
     assert want["initializer"] and want["load"]
     refuse_calls(monkeypatch, "find_dispatchers")
     for role in sorted(LOCAL_ROLES):
         got = run_query(img, Query(role=role, max=6))
-        assert [(h.gadget.start, h.gadget.end) for h in got] == want[role]
+        assert [(h.start, h.end) for h in got] == want[role]
 
 
 def test_max_monotonic(fixture_image):
@@ -196,7 +215,7 @@ def test_max_monotonic(fixture_image):
     prev: set = set()
     for cap in range(1, 6):
         q = Query(all_=True, max=cap)
-        now = {(h.gadget.start, h.gadget.encoding)
+        now = {(h.start, h.encoding)
                for h in run_query(img, q)}
         assert prev <= now
         prev = now
@@ -206,7 +225,7 @@ def test_unique_collapses(fixture_image):
     img, _ = fixture_image
     every = run_query(img, Query(op="li"))
     unique = run_query(img, Query(op="li", unique=True))
-    encs = [h.gadget.encoding for h in unique]
+    encs = [h.encoding for h in unique]
     assert len(encs) == len(set(encs))
     assert len(unique) <= len(every)
 
@@ -214,7 +233,7 @@ def test_unique_collapses(fixture_image):
 def test_results_ordered_by_start(fixture_image):
     img, _ = fixture_image
     hits = run_query(img, Query(all_=True))
-    starts = [h.gadget.start for h in hits]
+    starts = [h.start for h in hits]
     assert starts == sorted(starts)
 
 
@@ -237,15 +256,16 @@ def test_empty_listing():
 def test_records_round_trip(fixture_image):
     img, _ = fixture_image
     hits = run_query(img, Query(all_=True))
-    lines = emit_records(hits).splitlines()
+    lines = emit_records(hits, dispatcher_lookup(img)).splitlines()
     assert len(lines) == len(hits)
     for line, hit in zip(lines, hits):
         offset, alignment, link, roles, written = line.split()
-        assert int(offset, 16) == hit.gadget.start
-        assert alignment == hit.gadget.alignment
-        assert link == hit.gadget.link_register.name
-        assert roles == (",".join(hit.roles) or "-")
-        names = {r.name for r in hit.summary.written | hit.summary.cond_written}
+        assert int(offset, 16) == hit.start
+        assert alignment == hit.alignment
+        assert link == hit.link_register.name
+        assert roles == (",".join(roles_of(hit, img)) or "-")
+        summary = summary_of(hit)
+        names = {r.name for r in summary.written | summary.cond_written}
         assert written == (",".join(sorted(names)) or "-")
 
 
@@ -253,7 +273,92 @@ def test_records_dash_for_empty(fixture_image):
     img, addrs = fixture_image
     hits = run_query(img, Query(all_=True, max=1))
     bare = [h for h in hits
-            if not (h.summary.written | h.summary.cond_written)]
+            if not (summary_of(h).written | summary_of(h).cond_written)]
     assert bare, "need a gadget with no writes"
-    text = emit_records(bare)
+    text = emit_records(bare, dispatcher_lookup(img))
     assert text.splitlines()[0].split()[-1] == "-"
+
+
+# --- hits are gadgets, against a restated reference -------------------------
+
+def _reference(img):
+    """(gadget, summary, roles, record line) for every gadget a query
+    reads, each summary and roles computed here, from scratch."""
+    index = dispatcher_index(find_dispatchers(img))
+    rows = []
+    for g in extract_gadgets(img, 4):
+        summary = summary_of(g)
+        roles = classify(g, summary, index)
+        written = sorted(r.name
+                         for r in summary.written | summary.cond_written)
+        rows.append((g, summary, roles,
+                     f"0x{g.start:08x} {g.alignment} "
+                     f"{g.terminator.control_flow.base.name} "
+                     f"{','.join(roles) or '-'} {','.join(written) or '-'}"))
+    return rows
+
+
+def _listing_starts(text):
+    """The first address of each stanza of a listing, and its count line."""
+    *stanzas, count = text.rstrip("\n").split("\n\n")
+    return [int(s.split(":", 1)[0], 16) for s in stanzas], count
+
+
+@pytest.mark.parametrize("workload, seed", [
+    *((w, seed) for w in ("scan-dense-rv32", "scan-clean-rv64", "chain-long")
+      for seed in (1, 2, 3)),
+    ("fixture", None)])
+def test_hits_and_records_match_a_restated_reference(fixture_image, workload,
+                                                     seed):
+    """For every role (and none), with and without `--preserve`, the hits
+    are the gadgets the reference keeps, each a `Gadget`; the listing
+    shows them in order, and the record lines are the reference's."""
+    img = (fixture_image[0] if workload == "fixture"
+           else workload_image(workload, seed))
+    name = f"{workload}/{seed}"
+    rows = _reference(img)
+    for preserve in (frozenset(), frozenset({reg("s0")})):
+        for role in (None, *ROLES):
+            kept = [(g, line) for g, summary, roles, line in rows
+                    if not summary.clobbers(preserve)
+                    and (role is None or role in roles)]
+            want = [g for g, _ in kept]
+            lines = [line for _, line in kept]
+            dispatchers = dispatcher_lookup(img)
+            hits = run_query(img, Query(all_=True, preserve=preserve,
+                                        role=role), dispatchers)
+            assert all(type(h) is Gadget for h in hits), (name, role)
+            assert hits == want, (name, role, preserve)
+            starts, count = _listing_starts(render_listing(hits))
+            assert starts == [g.start for g in want], (name, role)
+            assert count.split()[0] == str(len(want))
+            assert emit_records(hits, dispatchers).splitlines() == lines, \
+                (name, role, preserve)
+
+
+@pytest.mark.parametrize("argv, searches", [
+    (["--all", "--role", "dispatcher-classic", "--format", "records"], 1),
+    (["--all", "--format", "records"], 1),
+    (["--all"], 0),
+    (["--all", "--preserve", "s0"], 0),
+    (["--all", "--role", "load"], 0),
+    (["--all", "--role", "initializer", "--format", "records"], 1),
+])
+def test_query_searches_dispatchers_at_most_once(capsys, monkeypatch, tmp_path,
+                                                 argv, searches):
+    """The role filter and the record lines share one dispatcher search,
+    which a text listing and a role read from the gadget alone never
+    run."""
+    c = benchmark_corpus().build("scan-dense-rv32", 1)
+    image = tmp_path / "image.elf"
+    image.write_bytes(c.file_bytes)
+    calls = count_calls(monkeypatch, "find_dispatchers")
+    code = main(["query", *c.image_args(image), *argv])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert len(calls) == searches
+
+
+def test_records_of_no_hits_search_nothing():
+    def refuse():
+        raise AssertionError("dispatcher index read")
+    assert emit_records([], refuse) == ""
