@@ -9,6 +9,8 @@ in its own submodule (`rvjop.decoder`, `rvjop.scanner`, ...); the package
 itself exports only the two image loaders.  A submodule that nothing has
 imported yet loads on first attribute access, so `rvjop.sim` works after
 `import rvjop` without the package importing every layer up front.
+`rvjop.classify` and `rvjop.query` read `rvjop.dataflow` this way, so it
+loads with the first gadget summary.
 Loading an image decodes nothing, so `import rvjop` and a load import
 only `rvjop.image` and `rvjop.errors`: the decoder loads with an image's
 first decode table, where every analysis starts.

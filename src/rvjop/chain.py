@@ -38,7 +38,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_TWO_STAGE,
-                       DispatcherCandidate, InitializerCandidate, Source,
+                       DispatcherCandidate, InitializerCandidate,
                        dispatcher_at, initializer_at)
 from .dataflow import DataflowSummary, summarize_dataflow
 from .decoder import CondBranch

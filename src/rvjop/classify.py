@@ -46,8 +46,10 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 
-from .dataflow import (Const, DataflowSummary, Source, const_add,
-                       summarize_dataflow)
+# `rvjop.dataflow` is read through the package on each use, so it loads
+# with the first summary: a command that summarizes no gadget skips it.
+import rvjop
+
 from .decoder import _SHAPE, CondBranch, DecodedInstruction, DirectJump, Trap
 from .decoder import decode_one  # noqa: F401  benchmarks/test_benchmark.py looks it up here
 from .errors import ToolError
@@ -55,6 +57,10 @@ from .image import ExecutableImage
 from .isa import RA, SP, A7, Register
 from .scanner import (NATURAL, SHIFTED, Gadget, dedupe, extract_gadgets,
                       gadget_at)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .dataflow import DataflowSummary, Source
 
 # role kinds
 ARITH = "arith"
@@ -106,8 +112,9 @@ class DispatcherCandidate(namedtuple("DispatcherCandidate", (
         on first read and kept; of the candidates `find_dispatchers`
         returns, only autonomous loops hold it, from their stride."""
         stage2 = () if self.stage2 is None else self.stage2.instructions
-        return summarize_dataflow(self.gadget.instructions + stage2
-                                  + self.return_path, self.gadget.table.xlen)
+        return rvjop.dataflow.summarize_dataflow(
+            self.gadget.instructions + stage2 + self.return_path,
+            self.gadget.table.xlen)
 
     @property
     def loop_entry(self) -> int:
@@ -184,7 +191,8 @@ def classify(gadget: Gadget, summary: DataflowSummary | None = None,
     and a dispatcher role's candidate is `dispatcher_at`'s.
     """
     if summary is None:
-        summary = summarize_dataflow(gadget.instructions, gadget.table.xlen)
+        summary = rvjop.dataflow.summarize_dataflow(gadget.instructions,
+                                                    gadget.table.xlen)
     roles: list[str] = []
 
     has_mem = bool(summary.mem_reads or summary.mem_writes)
@@ -198,7 +206,7 @@ def classify(gadget: Gadget, summary: DataflowSummary | None = None,
         roles.append(CALL)
 
     a7 = summary.ecall_a7
-    if a7 is not None and (type(a7) is Const
+    if a7 is not None and (type(a7) is rvjop.dataflow.Const
                            or A7 in summary.read_before_write):
         roles.append(SYSCALL)
 
@@ -248,7 +256,8 @@ def _table_walk(body, target: Register, xlen: int
     at, table, offset = load
     before = 0
     if any(table in insn.regs_written for insn in body[:at]):
-        before = summarize_dataflow(body[:at], xlen).moved(table)
+        before = rvjop.dataflow.summarize_dataflow(body[:at],
+                                                   xlen).moved(table)
     return None if before is None else (table, before + offset, before != 0)
 
 
@@ -285,7 +294,7 @@ def _try_autonomous(image: ExecutableImage, call: Gadget
     if not (term.address - _BACKLINK_WINDOW <= back_target <= term.address):
         return None
     try:
-        loop = gadget_at(image, back_target)
+        loop = gadget_at(image, back_target, decoder_error=False)
     except ToolError:
         return None
     if loop.terminator.address != term.address or any(
@@ -347,7 +356,8 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
         table_reg, load_offset, pre_increment = walk
         if table_reg is SP:
             continue
-        summary = summarize_dataflow(g.instructions, image.xlen)
+        summary = rvjop.dataflow.summarize_dataflow(g.instructions,
+                                                    image.xlen)
         stride = summary.moved(table_reg)
         if stride is None:
             continue
@@ -368,12 +378,13 @@ def find_dispatchers(image: ExecutableImage) -> list[DispatcherCandidate]:
     # table.  Only a gadget with an in-place constant add is summarized.
     for g1 in stage1:
         tables = dict.fromkeys(
-            add[0] for add in map(const_add, g1.interior)
+            add[0] for add in map(rvjop.dataflow.const_add, g1.interior)
             if add is not None and add[0] is add[1] and add[2] != 0)
         if not tables:
             continue
         jump_reg = g1.link_register
-        summary1 = summarize_dataflow(g1.instructions, image.xlen)
+        summary1 = rvjop.dataflow.summarize_dataflow(g1.instructions,
+                                                     image.xlen)
         if summary1.clobbers((jump_reg,)):
             continue
         for table_reg in tables:
@@ -409,7 +420,7 @@ def dispatcher_at(image: ExecutableImage, address: int
     no loop entry: None, with no search.
     """
     try:
-        g = gadget_at(image, address)
+        g = gadget_at(image, address, decoder_error=False)
     except ToolError:
         return None
     cand = _try_autonomous(image, g)
@@ -448,7 +459,8 @@ def initializer_sources(gadget: Gadget, summary: DataflowSummary | None = None
     if not _hands_on(gadget):
         return None
     if summary is None:
-        summary = summarize_dataflow(gadget.instructions, gadget.table.xlen)
+        summary = rvjop.dataflow.summarize_dataflow(gadget.instructions,
+                                                    gadget.table.xlen)
     return summary.loaded
 
 
@@ -461,8 +473,8 @@ def initializer_at(image: ExecutableImage, address: int,
         base = g.link_register
         how = "jumps" if base is RA else "calls"
         raise ToolError(f"initializer at 0x{address:x} {how} through {base}")
-    found = InitializerCandidate(g, summarize_dataflow(g.instructions,
-                                                       image.xlen))
+    found = InitializerCandidate(g, rvjop.dataflow.summarize_dataflow(
+        g.instructions, image.xlen))
     missing = dispatcher.unseeded(found.sets)
     if missing:
         names = ",".join(sorted(r.name for r in missing))
@@ -482,8 +494,8 @@ def find_initializers(gadgets, dispatcher: DispatcherCandidate
         if (not _hands_on(g) or required.difference(
                 *(x.regs_written for x in g.instructions))):
             continue
-        cand = InitializerCandidate(g, summarize_dataflow(g.instructions,
-                                                          g.table.xlen))
+        cand = InitializerCandidate(g, rvjop.dataflow.summarize_dataflow(
+            g.instructions, g.table.xlen))
         if not dispatcher.unseeded(cand.sets):
             out.append(cand)
     out.sort(key=lambda c: c.gadget.start)

@@ -3,10 +3,14 @@
 `_ABOUT` is what `rvjop --help` tells users: what rvjop does and its exit
 codes.  What follows is how this module runs the subcommands.
 
-Every command loads the image, decoder, scanner, dataflow and classify
-layers.  The query layer loads only for scan and query, the chain layer
-only for chain, and the interpreter only for sim and chain --simulate,
-so no command pays start-up time for those three unless it runs them.
+Every command loads the image, decoder, scanner and classify layers.
+The dataflow layer loads with the first gadget a command summarizes:
+dispatchers, initializers, chain, scan --format records, and a query by
+role or --preserve.  So stats, sim, a text scan and a query by
+instruction never load it.  The query layer loads only for scan and
+query, the chain layer only for chain, and the interpreter only for sim
+and chain --simulate, so no command pays start-up time for those
+layers unless it runs them.
 
 `run()` is the process entry (`python -m rvjop.cli`, the `rvjop`
 script).  It runs the command with the cyclic garbage collector off: a

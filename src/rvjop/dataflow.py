@@ -164,9 +164,12 @@ def _alu(insn: DecodedInstruction, exits: dict[Register, Value],
     masked to XLEN; else a constant add to an offset (`const_add`); else
     Unknown."""
     name, (_, rs1, src) = insn.base
-    a, b = _known(rs1, exits, full), _known(src, exits, full)
-    if a is not None and b is not None:
-        return Const(_OPS[name](xlen, a, b) & full)
+    a = exits.get(rs1)                  # x0 has no entry; it reads 0
+    if type(a) is Const or rs1.index == 0:
+        b = _known(src, exits, full)
+        if b is not None:
+            a = 0 if a is None else a.value
+            return Const(_OPS[name](xlen, a, b) & full)
     add = const_add(insn)
     if add is not None:
         _, rs, imm = add

@@ -20,8 +20,12 @@ exists at, its mnemonic and immediate layout.  The first row that matches
 an encoding decodes it, and the reserved slots (float, vector, undefined)
 are rows of their own.  `_plan` turns a row into what `_decode` reads of
 it, the same way for both widths, once: the first time a decode tries
-the row.  `_bucket` lists the rows to try for an encoding's opcode bits
-the first time a decode reads those bits, so an import plans no row.
+the row.  Which rows a decode tries depends on the encoding's key
+bits: funct3 and opcode, or a compressed encoding's bits 15..12 and
+quadrant.  `_index` maps each value of them to the rows that can match
+it, in one pass over a width's rows at an XLEN, the first time a decode
+reads that width there.  `_bucket` plans the rows of one value the first
+time a decode reads it.  So an import builds no index and plans no row.
 The rows are the one statement of each encoding: `rvjop.assembler`
 encodes from them.
 `_effects` says what a base instruction does:
@@ -713,24 +717,44 @@ def _plan(name: str, fields, imm, tail, width: int) -> tuple:
             reg(fixed[0]) if fixed else None, ops_of, base, base_of)
 
 
-# By xlen, then by an encoding's funct3 and opcode, or its bits 15..12 and
-# quadrant: the rows to try, listed by `_bucket` the first time a decode
-# reads the key.
+@cache
+def _index(width: int, xlen: int) -> dict[int, list[tuple]]:
+    """By each value of an encoding's key bits (funct3 and opcode of a
+    32-bit encoding, bits 15..12 and the quadrant of a compressed one),
+    the `width`-byte rows of `xlen` that such an encoding can match, in
+    row order, from one pass over the rows: a row's key bits under its
+    mask are its match's, and its other key bits take every value."""
+    rows, key = (_WIDE, 0x707F) if width == 4 else (_COMPRESSED, 0xF003)
+    index: dict[int, list[tuple]] = {}
+    for row in rows:
+        x, mask, match = row[:3]
+        if x not in (None, xlen):
+            continue
+        free = key & ~mask
+        bits = free
+        while True:             # every subset of the free bits, once
+            index.setdefault(match & key | bits, []).append(row)
+            if not bits:
+                break
+            bits = bits - 1 & free
+    return index
+
+
+# By xlen, then by the key bits: the rows to try, listed by `_bucket` the
+# first time a decode reads those bits.
 _C32: dict = {32: {}, 64: {}}
 _C16: dict = {32: {}, 64: {}}
 
 
-def _bucket(buckets: dict, rows: tuple, key: int, raw: int, width: int,
-            xlen: int) -> tuple:
-    """The rows of `rows` to try at `xlen` on an encoding whose bits under
-    `key` are those of `raw`, in row order, as (mask, match, plan or
-    reserved subcode), ending in one that matches anything, "undefined";
-    stored in `buckets[xlen]` under those bits."""
-    bits = raw & key
-    tried = buckets[xlen][bits] = (*[
+def _bucket(width: int, xlen: int, bits: int) -> tuple:
+    """The rows to try at `xlen` on a `width`-byte encoding whose key
+    bits are `bits` (`_index`), as (mask, match, plan or reserved
+    subcode), ending in one that matches anything, "undefined"; stored
+    in `_C32[xlen]` or `_C16[xlen]` under those bits."""
+    tried = (_C32 if width == 4 else _C16)[xlen][bits] = (*[
         (mask, match, _plan(name, fields, imm, tail, width) if tail else name)
-        for x, mask, match, name, fields, imm, tail in rows
-        if x in (None, xlen) and not (bits ^ match) & mask & key],
+        for _, mask, match, name, fields, imm, tail
+        in _index(width, xlen).get(bits, ())],
         (0, 0, "undefined"))
     return tried
 
@@ -776,8 +800,7 @@ def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruct
     hw = data[0] | (data[1] << 8)
     if hw & 0b11 != 0b11:
         return _decode(hw, 2, _C16[xlen].get(hw & 0xF003)
-                       or _bucket(_C16, _COMPRESSED, 0xF003, hw, 2, xlen),
-                       address, xlen)
+                       or _bucket(2, xlen, hw & 0xF003), address, xlen)
     if hw & 0b11111 == 0b11111:
         # 48-bit and longer encodings are out of scope
         raise InvalidEncoding(address, hw)
@@ -785,8 +808,7 @@ def decode_one(data: bytes, address: int = 0, xlen: int = 32) -> DecodedInstruct
         raise Truncated(address, 4, len(data))
     word = hw | (data[2] << 16) | (data[3] << 24)
     return _decode(word, 4, _C32[xlen].get(word & 0x707F)
-                   or _bucket(_C32, _WIDE, 0x707F, word, 4, xlen),
-                   address, xlen)
+                   or _bucket(4, xlen, word & 0x707F), address, xlen)
 
 
 # --- pseudo spellings -------------------------------------------------------

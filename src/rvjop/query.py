@@ -28,11 +28,17 @@ from collections import namedtuple
 from collections.abc import Callable
 from functools import cache
 
+# `rvjop.dataflow` loads with the first summary, as in `rvjop.classify`.
+import rvjop
+
 from .classify import (LOCAL_ROLES, DispatcherCandidate, classify,
                        dispatcher_index, find_dispatchers)
-from .dataflow import DataflowSummary, summarize_dataflow
 from .image import ExecutableImage
 from .scanner import Gadget, dedupe, extract_gadgets
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .dataflow import DataflowSummary
 
 DEFAULT_MAX = 4
 
@@ -75,7 +81,7 @@ def _wants_instruction(q: Query) -> bool:
 
 
 def _summary(g: Gadget) -> DataflowSummary:
-    return summarize_dataflow(g.instructions, g.table.xlen)
+    return rvjop.dataflow.summarize_dataflow(g.instructions, g.table.xlen)
 
 
 def dispatcher_lookup(image: ExecutableImage

@@ -203,13 +203,19 @@ def dedupe(gadgets: list[Gadget]) -> list[Gadget]:
     return sorted(best.values(), key=lambda g: g.start)
 
 
-def gadget_at(image: ExecutableImage, address: int) -> Gadget:
+def gadget_at(image: ExecutableImage, address: int,
+              decoder_error: bool = True) -> Gadget:
     """Materialize the gadget that runs from `address` to its terminator.
 
     This is execution-order decoding, the one forward read of the code
     at an address (chain steps, `dispatcher_at`, an autonomous loop's
     body): interior syscalls and branches are allowed here because they
     simply execute; only the first indirect jump ends the sequence.
+
+    Raises ToolError saying why no gadget runs from `address`.  At bytes
+    that do not decode that is the decoder's own error, which takes a
+    second decode of them; a caller that drops the error passes
+    `decoder_error=False` and gets a plain ToolError instead.
     """
     seg = image.segment_containing(address)
     if seg is None or not seg.executable:
@@ -223,6 +229,8 @@ def gadget_at(image: ExecutableImage, address: int) -> Gadget:
     for _ in range(GADGET_AT_LIMIT):
         insn = table.at(addr)
         if insn is None:
+            if not decoder_error:
+                raise ToolError(f"0x{addr:x} does not decode")
             # Decode again only to raise the decoder's own error.
             off = addr - seg.vaddr
             insn = decode_one(seg.data[off:off + 4], addr, image.xlen)

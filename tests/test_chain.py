@@ -9,9 +9,9 @@ from rvjop.chain import (ChainSpec, ChainStep, has_errors, layout_payload,
                          parse_chain_text, render_manifest, repetitions_for,
                          validate_chain)
 from rvjop.classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
-                            DISPATCHER_TWO_STAGE, Source, find_dispatchers,
+                            DISPATCHER_TWO_STAGE, find_dispatchers,
                             initializer_at)
-from rvjop.dataflow import Loaded
+from rvjop.dataflow import Loaded, Source
 from rvjop.decoder import decode_one
 from rvjop.errors import AddressTooWide, Diverges, Overlap, ToolError
 from rvjop.image import ExecutableImage, from_bytes, parse_elf

@@ -532,8 +532,9 @@ def _autonomous_by_walk(image, call):
     """`_try_autonomous` with its loop body read by the contiguous walk
     instead of `gadget_at`."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(CLASSIFY, "gadget_at", lambda _, start: _body_by_walk(
-            call.table, start, call.terminator))
+        m.setattr(CLASSIFY, "gadget_at",
+                  lambda _, start, decoder_error=True: _body_by_walk(
+                      call.table, start, call.terminator))
         return CLASSIFY._try_autonomous(image, call)
 
 

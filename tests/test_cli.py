@@ -850,7 +850,8 @@ def test_importtime_times_the_decoder_on_its_own_line():
     # loads through a plain import, not through a package's from-list;
     # the CLI imports a name from the decoder, so the decoder's start-up
     # is not counted as rvjop.cli's, and the decoder loads before the
-    # layers that decode.
+    # layers that decode.  The dataflow layer loads with the first
+    # summary, not with the CLI.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-X", "importtime", "-c",
@@ -862,8 +863,9 @@ def test_importtime_times_the_decoder_on_its_own_line():
              if line.startswith("import time:")]
     assert "rvjop.decoder" in timed
     first = timed.index("rvjop.decoder")
-    for layer in ("rvjop.dataflow", "rvjop.scanner", "rvjop.classify"):
+    for layer in ("rvjop.scanner", "rvjop.classify"):
         assert timed.index(layer) > first, layer
+    assert "rvjop.dataflow" not in timed
 
 
 # --- the parser: the command table, and argparse for the rest -------------
@@ -1082,18 +1084,22 @@ PARSER = ("argparse", "gettext", "locale")
 
 # (argv, modules it must not load, modules it must load) per subcommand
 SUBCOMMAND_IMPORTS = [
-    (["dispatchers"], LAZY + PARSER, ()),
-    (["initializers", "--dispatcher", "{loop}"], LAZY + PARSER, ()),
-    (["stats"], LAZY + PARSER, ()),
-    (["scan"], ("rvjop.chain", "rvjop.sim", *PARSER), ("rvjop.query",)),
-    (["query", "--op=li"], ("rvjop.chain", "rvjop.sim", *PARSER),
+    (["dispatchers"], LAZY + PARSER, ("rvjop.dataflow",)),
+    (["initializers", "--dispatcher", "{loop}"], LAZY + PARSER,
+     ("rvjop.dataflow",)),
+    (["stats"], ("rvjop.dataflow", *LAZY, *PARSER), ()),
+    (["scan"], ("rvjop.dataflow", "rvjop.chain", "rvjop.sim", *PARSER),
+     ("rvjop.query",)),
+    (["query", "--op=li"],
+     ("rvjop.dataflow", "rvjop.chain", "rvjop.sim", *PARSER),
      ("rvjop.query",)),
     (["chain", "--spec", "{spec}"], ("rvjop.sim", "rvjop.query", *PARSER),
-     ("rvjop.chain",)),
+     ("rvjop.chain", "rvjop.dataflow")),
     (["chain", "--spec", "{spec}", "--simulate"], ("rvjop.query", *PARSER),
-     ("rvjop.chain", "rvjop.sim")),
+     ("rvjop.chain", "rvjop.dataflow", "rvjop.sim")),
     (["sim", "--entry", "{landing}", "--return-to", "{landing}"],
-     ("rvjop.chain", "rvjop.query", *PARSER), ("rvjop.sim",)),
+     ("rvjop.dataflow", "rvjop.chain", "rvjop.query", *PARSER),
+     ("rvjop.sim",)),
 ]
 SUBCOMMAND_IDS = ["dispatchers", "initializers", "stats", "scan", "query",
                   "chain", "chain-simulate", "sim"]

@@ -417,15 +417,18 @@ def test_decoder_digest():
 # --- dispatch buckets -------------------------------------------------------
 
 def test_buckets_are_listed_on_first_read():
-    # A fresh interpreter: importing the command line lists no bucket, and
-    # one decode of an RV32 word lists the one bucket it reads.
+    # A fresh interpreter: importing the command line builds no row index
+    # and lists no bucket, and one decode of an RV32 word builds the RV32
+    # index of 32-bit rows and lists the one bucket it reads.
     code = ("import rvjop.cli\n"
             "from rvjop import decoder as d\n"
             "sizes = lambda: [len(t[x]) for t in (d._C16, d._C32)"
             " for x in (32, 64)]\n"
             "assert sizes() == [0, 0, 0, 0], sizes()\n"
+            "assert d._index.cache_info().currsize == 0\n"
             "d.decode_one(bytes.fromhex('83270400'))\n"
             "assert sizes() == [0, 0, 1, 0], sizes()\n"
+            "assert d._index.cache_info().currsize == 1\n"
             "assert list(d._C32[32]) == [0x2003], list(d._C32[32])\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -461,6 +464,24 @@ def test_buckets_list_the_rows_that_agree_with_their_key():
         # 111) of 8 funct3 values
         assert len(decoder._C16[xlen]) == 48
         assert len(decoder._C32[xlen]) == 224
+
+
+def test_row_index_lists_the_rows_the_filter_picks():
+    """For both widths and XLENs and every value of the key bits (64
+    compressed, 1,024 32-bit), the row index lists exactly the rows of
+    that XLEN that the filter `not (bits ^ match) & mask & key` picks,
+    in row order."""
+    for width, key, rows, count in ((4, 0x707F, decoder._WIDE, 1024),
+                                    (2, 0xF003, decoder._COMPRESSED, 64)):
+        values = [v for v in range(key + 1) if not v & ~key]
+        assert len(values) == count
+        for xlen in (32, 64):
+            index = decoder._index(width, xlen)
+            assert set(index) <= set(values)
+            for bits in values:
+                want = [row for row in rows if row[0] in (None, xlen)
+                        and not (bits ^ row[2]) & row[1] & key]
+                assert index.get(bits, []) == want, (width, xlen, hex(bits))
 
 
 # --- llvm-mc golden files ---------------------------------------------------

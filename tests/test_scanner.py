@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rvjop.scanner
 from rvjop.assembler import assemble
 from rvjop.chain import parse_chain_text
 from rvjop.decoder import decode_one
@@ -163,6 +164,32 @@ def test_gadget_at_raises_the_decoders_own_errors():
         gadget_at(img, b.labels["tail"])
     assert str(exc.value) == (f"truncated fetch at 0x{b.base + 12:x}: "
                               f"need 2 bytes, have 0")
+
+
+def test_gadget_at_decodes_once_for_a_caller_that_drops_the_error(
+        monkeypatch):
+    # The decoder's own error takes a second decode of the bytes that do
+    # not decode; `decoder_error=False` raises a plain ToolError without.
+    b = CodeBuilder()
+    b.emit("nop")
+    b.word(0xFFFFFFFF)
+    b.label("tail")
+    b.emit("nop")
+    img = b.image()
+    calls = []
+    monkeypatch.setattr(rvjop.scanner, "decode_one",
+                        lambda *args: calls.append(args) or decode_one(*args))
+    for start, bad in ((b.base, b.base + 4),
+                       (b.labels["tail"], b.labels["tail"] + 4)):
+        with pytest.raises(ToolError) as exc:
+            gadget_at(img, start, decoder_error=False)
+        assert type(exc.value) is ToolError
+        assert str(exc.value) == f"0x{bad:x} does not decode"
+        assert calls == []
+        with pytest.raises((InvalidEncoding, Truncated)):
+            gadget_at(img, start)
+        assert len(calls) == 1
+        calls.clear()
 
 
 def test_gadget_at_rejects_data_and_a_direct_jump_first():
