@@ -178,21 +178,20 @@ def _is_alu_write(insn: DecodedInstruction) -> bool:
     return insn.base.name in _ALU_MNEMONICS and bool(insn.regs_written)
 
 
-def classify(gadget: Gadget, summary: DataflowSummary | None = None,
+def classify(gadget: Gadget, summary: DataflowSummary,
              dispatchers: dict[bytes, list[DispatcherCandidate]] | None = None
              ) -> list[str]:
     """Role names for one gadget, from `ROLES`, each at most once.  Pure
     in (gadget bytes, summary, context), but for an autonomous loop,
     whose return path follows its bytes.
 
-    `dispatchers` maps gadget bytes to candidates found by
-    find_dispatchers (`dispatcher_index`); without it only body-local
-    roles are assigned.  A syscall's number is the summary's `ecall_a7`,
-    and a dispatcher role's candidate is `dispatcher_at`'s.
+    `summary` is the gadget's dataflow summary, which the caller has
+    already computed for its own filter or line.  `dispatchers` maps
+    gadget bytes to candidates found by find_dispatchers
+    (`dispatcher_index`); without it only body-local roles are assigned.
+    A syscall's number is the summary's `ecall_a7`, and a dispatcher
+    role's candidate is `dispatcher_at`'s.
     """
-    if summary is None:
-        summary = rvjop.dataflow.summarize_dataflow(gadget.instructions,
-                                                    gadget.table.xlen)
     roles: list[str] = []
 
     has_mem = bool(summary.mem_reads or summary.mem_writes)
@@ -452,16 +451,12 @@ def _hands_on(gadget: Gadget) -> bool:
     return cf.base is not RA and not cf.pushes
 
 
-def initializer_sources(gadget: Gadget, summary: DataflowSummary | None = None
+def initializer_sources(gadget: Gadget, summary: DataflowSummary
                         ) -> dict[Register, Source] | None:
-    """What `gadget` seeds as an initializer (its summary's `loaded`
-    registers), or None unless it hands control on (`_hands_on`)."""
-    if not _hands_on(gadget):
-        return None
-    if summary is None:
-        summary = rvjop.dataflow.summarize_dataflow(gadget.instructions,
-                                                    gadget.table.xlen)
-    return summary.loaded
+    """What `gadget` seeds as an initializer: `summary`, its dataflow
+    summary, gives the `loaded` registers; None unless it hands control
+    on (`_hands_on`)."""
+    return summary.loaded if _hands_on(gadget) else None
 
 
 def initializer_at(image: ExecutableImage, address: int,

@@ -217,7 +217,7 @@ def _cmd_query(args) -> int:
     out = (emit_records(hits, dispatchers) if args.format == "records"
            else render_listing(hits))
     sys.stdout.write(out)
-    return OK if hits else EMPTY
+    return OK if hits.read else EMPTY
 
 
 def _describe_dispatcher(d) -> str:

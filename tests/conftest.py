@@ -16,8 +16,11 @@ import pytest
 
 import rvjop.decoder
 from rvjop.assembler import assemble
+from rvjop.classify import classify, dispatcher_index, find_dispatchers
+from rvjop.dataflow import summarize_dataflow
 from rvjop.decoder import decode_one
 from rvjop.image import ExecutableImage, from_bytes, parse_elf
+from rvjop.query import dispatcher_lookup, run_query
 
 SESSION_T0 = time.monotonic()
 
@@ -337,6 +340,21 @@ def benchmark_corpus():
         sys.path.append(here)
     import corpus
     return corpus
+
+
+def summary_of(g):
+    """`g`'s dataflow summary, computed here from scratch."""
+    return summarize_dataflow(g.instructions, g.table.xlen)
+
+
+def roles_of(g, img):
+    """The roles a query reads for `g`, from a fresh dispatcher search."""
+    return classify(g, summary_of(g), dispatcher_index(find_dispatchers(img)))
+
+
+def query_hits(img, q):
+    """The gadgets of `run_query`'s pairs for `q` on `img`, in order."""
+    return [g for g, _ in run_query(img, q, dispatcher_lookup(img))]
 
 
 def refuse_calls(monkeypatch, *names):

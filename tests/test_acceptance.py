@@ -21,14 +21,14 @@ from rvjop.classify import (DISPATCHER_AUTONOMOUS, DISPATCHER_CLASSIC,
 from rvjop.decoder import CondBranch, decode_one
 from rvjop.errors import Diverges, InvalidEncoding, Truncated
 from rvjop.isa import reg
-from rvjop.query import Query, run_query
+from rvjop.query import Query
 from rvjop.scanner import SHIFTED, dedupe, extract_gadgets, gadget_at
 from rvjop.sim import new_machine, run_chain
 
 from conftest import (CJR_A5, SESSION_T0, TABLE_BASE, CodeBuilder,
                       build_adg_fixture, build_clean_fixtures,
                       build_e2e_fixture, build_shifted_fixture,
-                      build_two_stage_fixture)
+                      build_two_stage_fixture, query_hits)
 from oracle import brute_force
 from probes import PSEUDOS, all_mnemonics_probed, iter_probes
 
@@ -330,7 +330,7 @@ def test_criterion_07_query_conformance():
     b.emit("add", "a2", "zero", "zero")   # right effect, wrong operation
     b.emit("ret")
     img = b.image()
-    hits = run_query(img, Query(op="li", imm=0, rr=reg("a2"), max=1))
+    hits = query_hits(img, Query(op="li", imm=0, rr=reg("a2"), max=1))
     assert [h.start for h in hits] == [b.labels["target"]]
 
     rich, _ = build_e2e_fixture()
@@ -338,8 +338,8 @@ def test_criterion_07_query_conformance():
     for _ in range(100):
         base = _random_query(rng)
         extra = _augment(rng, base)
-        wide = {(h.start, h.encoding) for h in run_query(rich, base)}
-        narrow = {(h.start, h.encoding) for h in run_query(rich, extra)}
+        wide = {(h.start, h.encoding) for h in query_hits(rich, base)}
+        narrow = {(h.start, h.encoding) for h in query_hits(rich, extra)}
         assert narrow <= wide, (base, extra)
 
 

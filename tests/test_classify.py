@@ -24,7 +24,8 @@ from rvjop.errors import ToolError
 from rvjop.isa import A7, RA, reg
 
 from conftest import (PF_R, PF_W, PF_X, TABLE_BASE, CodeBuilder,
-                      benchmark_corpus, count_calls, make_elf, refuse_calls)
+                      benchmark_corpus, count_calls, make_elf, refuse_calls,
+                      summary_of)
 from oracle import natural_starts
 
 # `import rvjop.classify` binds the function the package re-exports.
@@ -34,7 +35,7 @@ DECODER = sys.modules["rvjop.decoder"]
 
 def roles_of(image, address, context=None):
     g = gadget_at(image, address)
-    return set(classify(g, dispatchers=context))
+    return set(classify(g, summary_of(g), context))
 
 
 # --- body-local roles -------------------------------------------------------
@@ -64,7 +65,7 @@ def test_syscall_role_with_id():
     b.emit("ret")
     img = b.image()
     g = gadget_at(img, b.labels["g"])
-    assert SYSCALL in classify(g)
+    assert SYSCALL in classify(g, summary_of(g))
     # the number is the summary's, where classify() reads the role from
     assert summarize_dataflow(g.instructions, 32).ecall_a7 == Const(56)
 
@@ -76,7 +77,7 @@ def test_syscall_role_inherited_a7():
     b.emit("ret")
     img = b.image()
     g = gadget_at(img, b.labels["g"])
-    assert SYSCALL in classify(g)
+    assert SYSCALL in classify(g, summary_of(g))
     # the caller must have set a7: its entry value, no number
     assert summarize_dataflow(g.instructions, 32).ecall_a7 == Offset(A7, 0)
 
@@ -94,7 +95,7 @@ def test_syscall_id_through_addiw_on_rv64(body, sysno):
     b.emit("ecall")
     b.emit("ret")
     g = gadget_at(b.image(), b.labels["g"])
-    assert classify(g).count(SYSCALL) == 1
+    assert classify(g, summary_of(g)).count(SYSCALL) == 1
     assert summarize_dataflow(g.instructions, 64).ecall_a7 == Const(sysno)
 
 
@@ -253,7 +254,8 @@ def test_stage_one_of_two_pairs_names_its_kind_once(capsys, tmp_path):
     img = b.image()
     found = find_dispatchers(img)
     assert [d.stage2.start for d in found] == [8, 16]
-    roles = classify(gadget_at(img, 0), dispatchers=dispatcher_index(found))
+    g = gadget_at(img, 0)
+    roles = classify(g, summary_of(g), dispatcher_index(found))
     assert roles == [ARITH, DISPATCHER_TWO_STAGE]
     assert dispatcher_at(img, 0) == found[0]
     blob = tmp_path / "pair.bin"
@@ -294,7 +296,7 @@ def test_byte_identical_dispatcher_copies_share_its_role():
     context = dispatcher_index(found)
     for start in (0x0, 0xc):
         g = gadget_at(img, start)
-        assert classify(g, dispatchers=context) == [
+        assert classify(g, summary_of(g), context) == [
             LOAD, DISPATCHER_CLASSIC, INITIALIZER]
         assert context[g.encoding][0].on(g) == found[0]._replace(gadget=g)
         assert dispatcher_at(img, start) == found[0]._replace(gadget=g)
@@ -327,12 +329,13 @@ def test_only_its_own_copy_is_an_autonomous_loop():
     assert len(context) == 1              # one body, two loops
     for name, want in (("loop", found[0]), ("copy", found[1])):
         g = gadget_at(img, a[name])
-        assert classify(g, dispatchers=context).count(
+        assert classify(g, summary_of(g), context).count(
             DISPATCHER_AUTONOMOUS) == 1, name
         assert dispatcher_at(img, a[name]) == want
     body = gadget_at(img, a["body"])
     assert body.encoding == found[0].gadget.encoding
-    assert DISPATCHER_AUTONOMOUS not in classify(body, dispatchers=context)
+    assert DISPATCHER_AUTONOMOUS not in classify(body, summary_of(body),
+                                                  context)
     assert dispatcher_at(img, a["body"]) is None
 
 
@@ -640,7 +643,8 @@ def test_dispatcher_role_tagging(adg):
     found = find_dispatchers(img)
     context = dispatcher_index(found)
     d = [x for x in found if x.kind == DISPATCHER_AUTONOMOUS][0]
-    assert DISPATCHER_AUTONOMOUS in classify(d.gadget, dispatchers=context)
+    assert DISPATCHER_AUTONOMOUS in classify(d.gadget, summary_of(d.gadget),
+                                             context)
 
 
 def test_dispatcher_at_rejects_non_code_addresses_without_a_search(
@@ -916,9 +920,9 @@ def test_initializer_role_agrees_with_pairing():
     # one rule decides both: every gadget has the role exactly when the
     # source map that pairing reads gives it a stack seed
     for g in extract_gadgets(img, 6):
-        sets = initializer_sources(g) or {}
+        sets = initializer_sources(g, summary_of(g)) or {}
         seeds_stack = any(s.kind == "stack" for s in sets.values())
-        assert (INITIALIZER in classify(g)) == seeds_stack
+        assert (INITIALIZER in classify(g, summary_of(g))) == seeds_stack
 
 
 def _workload_images(seeds):
@@ -965,7 +969,7 @@ def test_candidates_derive_target_and_back_edge_from_their_code():
                 assert d.self_link is not None
             else:
                 assert d.self_link is None and d.return_path == ()
-            roles = classify(d.gadget, dispatchers=context)
+            roles = classify(d.gadget, summary_of(d.gadget), context)
             assert len(set(roles)) == len(roles), name
             assert set(roles) <= set(ROLES) and d.kind in roles, name
     assert seen == {DISPATCHER_CLASSIC, DISPATCHER_TWO_STAGE,
@@ -978,7 +982,8 @@ def test_initializer_filter_matches_every_summary():
     # find the same candidates with the same sets.
     for name, img in _benchmark_images():
         gadgets = dedupe(extract_gadgets(img, 6))
-        sources = [(g, initializer_sources(g)) for g in gadgets]
+        sources = [(g, initializer_sources(g, summary_of(g)))
+                   for g in gadgets]
         by_required = {}
         for d in find_dispatchers(img):
             by_required.setdefault(d.required_registers, d)

@@ -1,11 +1,12 @@
 """Query flags, matching semantics, and report formats."""
 
+from collections import Counter
+
 import pytest
 
 from rvjop.classify import (LOCAL_ROLES, ROLES, classify, dispatcher_index,
                             find_dispatchers)
 from rvjop.cli import _build_parser, _query, main
-from rvjop.dataflow import summarize_dataflow
 from rvjop.errors import UsageError
 from rvjop.image import from_bytes, parse_elf
 from rvjop.isa import reg
@@ -13,7 +14,8 @@ from rvjop.query import (Query, dispatcher_lookup, emit_records,
                          render_listing, run_query)
 from rvjop.scanner import Gadget, extract_gadgets
 
-from conftest import CodeBuilder, benchmark_corpus, count_calls, refuse_calls
+from conftest import (CodeBuilder, benchmark_corpus, count_calls, query_hits,
+                      refuse_calls, roles_of, summary_of)
 
 
 def _fixture_builder():
@@ -34,15 +36,6 @@ def _fixture_builder():
     b.emit("sw", "s0", "sp", 0)
     b.emit("ret")
     return b
-
-
-def summary_of(g):
-    return summarize_dataflow(g.instructions, g.table.xlen)
-
-
-def roles_of(g, img):
-    """The roles a query reads for `g`, from a fresh dispatcher search."""
-    return classify(g, summary_of(g), dispatcher_index(find_dispatchers(img)))
 
 
 def workload_image(workload, seed):
@@ -150,7 +143,7 @@ def test_parse_query_canonical_flags():
 
 def test_single_instruction_satisfies_all_conditions(fixture_image):
     img, addrs = fixture_image
-    hits = run_query(img, Query(op="li", imm=0, rr=reg("a2"), max=1))
+    hits = query_hits(img, Query(op="li", imm=0, rr=reg("a2"), max=1))
     starts = {h.start for h in hits}
     assert addrs["li_a2"] in starts
     assert addrs["li_a2_5"] not in starts    # imm differs
@@ -165,26 +158,26 @@ def test_conditions_not_satisfiable_across_instructions():
     b.emit("addi", "a0", "a0", 7)
     b.emit("ret")
     img = b.image()
-    assert run_query(img, Query(op="li", imm=7)) == []
-    assert run_query(img, Query(op="li", imm=0)) != []
+    assert query_hits(img, Query(op="li", imm=7)) == []
+    assert query_hits(img, Query(op="li", imm=0)) != []
 
 
 def test_link_filter(fixture_image):
     img, addrs = fixture_image
-    via_a5 = run_query(img, Query(all_=True, link=reg("a5")))
+    via_a5 = query_hits(img, Query(all_=True, link=reg("a5")))
     assert via_a5
     assert all(h.link_register is reg("a5") for h in via_a5)
 
 
 def test_preserve_filter(fixture_image):
     img, addrs = fixture_image
-    keep = run_query(img, Query(op="li", preserve=frozenset({reg("a2")})))
+    keep = query_hits(img, Query(op="li", preserve=frozenset({reg("a2")})))
     assert {h.start for h in keep} == {addrs["li_a0"]}
 
 
 def test_role_filter(fixture_image):
     img, addrs = fixture_image
-    stores = run_query(img, Query(all_=True, role="store"))
+    stores = query_hits(img, Query(all_=True, role="store"))
     assert any(h.start == addrs["save"] for h in stores)
     assert all("store" in roles_of(h, img) for h in stores)
 
@@ -198,7 +191,7 @@ def test_local_roles_filter_with_no_dispatcher_search(monkeypatch, workload):
     assert LOCAL_ROLES == {"arith", "load", "store", "call", "syscall",
                            "initializer"}
     img = workload_image(workload, 1)
-    every = run_query(img, Query(all_=True, max=6))
+    every = query_hits(img, Query(all_=True, max=6))
     index = dispatcher_index(find_dispatchers(img))
     roles = [classify(h, summary_of(h), index) for h in every]
     want = {role: [(h.start, h.end) for h, r in zip(every, roles)
@@ -206,7 +199,7 @@ def test_local_roles_filter_with_no_dispatcher_search(monkeypatch, workload):
     assert want["initializer"] and want["load"]
     refuse_calls(monkeypatch, "find_dispatchers")
     for role in sorted(LOCAL_ROLES):
-        got = run_query(img, Query(role=role, max=6))
+        got = query_hits(img, Query(role=role, max=6))
         assert [(h.start, h.end) for h in got] == want[role]
 
 
@@ -216,15 +209,15 @@ def test_max_monotonic(fixture_image):
     for cap in range(1, 6):
         q = Query(all_=True, max=cap)
         now = {(h.start, h.encoding)
-               for h in run_query(img, q)}
+               for h in query_hits(img, q)}
         assert prev <= now
         prev = now
 
 
 def test_unique_collapses(fixture_image):
     img, _ = fixture_image
-    every = run_query(img, Query(op="li"))
-    unique = run_query(img, Query(op="li", unique=True))
+    every = query_hits(img, Query(op="li"))
+    unique = query_hits(img, Query(op="li", unique=True))
     encs = [h.encoding for h in unique]
     assert len(encs) == len(set(encs))
     assert len(unique) <= len(every)
@@ -232,7 +225,7 @@ def test_unique_collapses(fixture_image):
 
 def test_results_ordered_by_start(fixture_image):
     img, _ = fixture_image
-    hits = run_query(img, Query(all_=True))
+    hits = query_hits(img, Query(all_=True))
     starts = [h.start for h in hits]
     assert starts == sorted(starts)
 
@@ -241,7 +234,8 @@ def test_results_ordered_by_start(fixture_image):
 
 def test_listing_shape(fixture_image):
     img, addrs = fixture_image
-    hits = run_query(img, Query(op="li", imm=0, rr=reg("a2"), max=1))
+    hits = list(run_query(img, Query(op="li", imm=0, rr=reg("a2"), max=1),
+                          dispatcher_lookup(img)))
     text = render_listing(hits)
     assert f"0x{addrs['li_a2']:08x}:" in text
     assert text.rstrip().endswith("gadget" if len(hits) == 1 else "gadgets")
@@ -255,10 +249,10 @@ def test_empty_listing():
 
 def test_records_round_trip(fixture_image):
     img, _ = fixture_image
-    hits = run_query(img, Query(all_=True))
+    hits = list(run_query(img, Query(all_=True), dispatcher_lookup(img)))
     lines = emit_records(hits, dispatcher_lookup(img)).splitlines()
     assert len(lines) == len(hits)
-    for line, hit in zip(lines, hits):
+    for line, (hit, _) in zip(lines, hits):
         offset, alignment, link, roles, written = line.split()
         assert int(offset, 16) == hit.start
         assert alignment == hit.alignment
@@ -271,15 +265,15 @@ def test_records_round_trip(fixture_image):
 
 def test_records_dash_for_empty(fixture_image):
     img, addrs = fixture_image
-    hits = run_query(img, Query(all_=True, max=1))
+    hits = query_hits(img, Query(all_=True, max=1))
     bare = [h for h in hits
             if not (summary_of(h).written | summary_of(h).cond_written)]
     assert bare, "need a gadget with no writes"
-    text = emit_records(bare, dispatcher_lookup(img))
+    text = emit_records([(h, None) for h in bare], dispatcher_lookup(img))
     assert text.splitlines()[0].split()[-1] == "-"
 
 
-# --- hits are gadgets, against a restated reference -------------------------
+# --- hits are (gadget, summary) pairs, against a restated reference ---------
 
 def _reference(img):
     """(gadget, summary, roles, record line) for every gadget a query
@@ -311,24 +305,30 @@ def _listing_starts(text):
 def test_hits_and_records_match_a_restated_reference(fixture_image, workload,
                                                      seed):
     """For every role (and none), with and without `--preserve`, the hits
-    are the gadgets the reference keeps, each a `Gadget`; the listing
-    shows them in order, and the record lines are the reference's."""
+    are the gadgets the reference keeps, each a `Gadget` paired with its
+    summary where a filter needed one and None where none did; the
+    listing shows them in order, and the record lines are the
+    reference's."""
     img = (fixture_image[0] if workload == "fixture"
            else workload_image(workload, seed))
     name = f"{workload}/{seed}"
     rows = _reference(img)
     for preserve in (frozenset(), frozenset({reg("s0")})):
         for role in (None, *ROLES):
-            kept = [(g, line) for g, summary, roles, line in rows
+            filtered = bool(preserve) or role is not None
+            kept = [(g, summary if filtered else None, line)
+                    for g, summary, roles, line in rows
                     if not summary.clobbers(preserve)
                     and (role is None or role in roles)]
-            want = [g for g, _ in kept]
-            lines = [line for _, line in kept]
+            want = [g for g, _, _ in kept]
+            lines = [line for _, _, line in kept]
             dispatchers = dispatcher_lookup(img)
-            hits = run_query(img, Query(all_=True, preserve=preserve,
-                                        role=role), dispatchers)
-            assert all(type(h) is Gadget for h in hits), (name, role)
-            assert hits == want, (name, role, preserve)
+            hits = list(run_query(img, Query(all_=True, preserve=preserve,
+                                             role=role), dispatchers))
+            assert all(type(h) is Gadget for h, _ in hits), (name, role)
+            assert [h for h, _ in hits] == want, (name, role, preserve)
+            assert [s for _, s in hits] == [s for _, s, _ in kept], \
+                (name, role, preserve)
             starts, count = _listing_starts(render_listing(hits))
             assert starts == [g.start for g in want], (name, role)
             assert count.split()[0] == str(len(want))
@@ -362,3 +362,68 @@ def test_records_of_no_hits_search_nothing():
     def refuse():
         raise AssertionError("dispatcher index read")
     assert emit_records([], refuse) == ""
+
+
+# --- one summary per gadget per command --------------------------------------
+
+def _summarized(calls):
+    """(start, length) of each summarized instruction run, with counts."""
+    return Counter((insns[0].address, len(insns)) for insns, _ in calls)
+
+
+def test_len_of_hits_runs_the_query_once(fixture_image, monkeypatch):
+    """`len()` before reading runs the filters to the end and keeps the
+    pairs, so reading them after summarizes nothing again."""
+    img, _ = fixture_image
+    q = Query(all_=True, preserve=frozenset({reg("s0")}))
+    want = list(run_query(img, q, dispatcher_lookup(img)))
+    calls = count_calls(monkeypatch, "summarize_dataflow")
+    hits = run_query(img, q, dispatcher_lookup(img))
+    assert len(hits) == len(want) and hits.read == 0
+    assert len(calls) == len(extract_gadgets(img, 4))
+    assert list(hits) == want
+    assert hits.read == len(hits) == len(want)
+    assert len(calls) == len(extract_gadgets(img, 4))
+
+
+@pytest.mark.parametrize("workload",
+                         ["scan-dense-rv32", "scan-clean-rv64", "chain-long"])
+def test_session_commands_summarize_each_gadget_once(capsys, monkeypatch,
+                                                     tmp_path, workload):
+    """Each of the benchmark session's commands, seed 1, summarizes an
+    instruction run at most once, the dispatcher search's included."""
+    benchmark_corpus()                      # puts benchmarks/ on sys.path
+    import session
+    prep = session.prepare(tmp_path, workload, 1)
+    assert len(prep.commands) == 10
+    calls = count_calls(monkeypatch, "summarize_dataflow")
+    for cmd in prep.commands:
+        calls.clear()
+        assert main(list(cmd.argv)) == 0, cmd.argv
+        capsys.readouterr()
+        assert max(_summarized(calls).values(), default=1) == 1, cmd.argv
+
+
+@pytest.mark.parametrize("workload", ["scan-dense-rv32", "scan-clean-rv64"])
+@pytest.mark.parametrize("argv", [["--all", "--preserve", "s0"],
+                                  ["--role", "load"]])
+def test_filtered_records_summarize_each_gadget_once(capsys, monkeypatch,
+                                                     tmp_path, workload,
+                                                     argv):
+    """A filtered records query summarizes every gadget its filter reads
+    once, and its lines reuse those summaries.  The one dispatcher search
+    the lines read makes its own summaries, some of the same gadgets."""
+    c = benchmark_corpus().build(workload, 1)
+    image = tmp_path / "image.elf"
+    image.write_bytes(c.file_bytes)
+    img = parse_elf(c.file_bytes)
+    gadgets = {(g.start, len(g.instructions)) for g in extract_gadgets(img, 4)}
+    calls = count_calls(monkeypatch, "summarize_dataflow")
+    find_dispatchers(parse_elf(c.file_bytes))
+    search = _summarized(calls)
+    calls.clear()
+    code = main(["query", *c.image_args(image), *argv, "--format", "records"])
+    assert code == 0 and capsys.readouterr().err == ""
+    made = _summarized(calls)
+    assert made - search == Counter(gadgets)
+    assert made == Counter(gadgets) + search

@@ -13,13 +13,13 @@ from rvjop.chain import parse_chain_text
 from rvjop.decoder import decode_one
 from rvjop.errors import InvalidEncoding, ToolError, Truncated
 from rvjop.image import DecodedSegment, from_bytes
-from rvjop.query import Query, run_query
+from rvjop.query import Query
 from rvjop.scanner import (NATURAL, SHIFTED, Gadget, dedupe, extract_gadgets,
                            gadget_at, terminators)
 
 from conftest import (CJR_A5, PF_R, PF_W, PF_X, TABLE_BASE, CodeBuilder,
                       build_e2e_fixture, build_shifted_fixture,
-                      make_elf_image)
+                      make_elf_image, query_hits)
 from oracle import brute_force
 
 
@@ -232,7 +232,7 @@ def test_each_halfword_decoded_once_per_image(monkeypatch):
     for name in ("rvjop.decoder", "rvjop.scanner", "rvjop.classify"):
         monkeypatch.setattr(importlib.import_module(name), "decode_one",
                             counting, raising=False)
-    run_query(img, Query(all_=True))
+    query_hits(img, Query(all_=True))
     parse_chain_text(f"""
         dispatcher {a['loop']:#x}
         initializer {a['init']:#x}
